@@ -33,12 +33,26 @@ pub struct Sample {
 /// sample. The closure's result is passed through [`black_box`] so the work
 /// is not optimized away.
 pub fn bench<T>(label: impl Into<String>, iters: u32, mut f: impl FnMut() -> T) -> Sample {
+    bench_with_setup(label, iters, || (), |()| f())
+}
+
+/// [`fn@bench`] for a closure that consumes per-iteration state: `setup` runs
+/// untimed before every iteration (warm-up included) and its result is handed
+/// to `f`, whose call alone is timed — e.g. a fresh `clone()` so every
+/// iteration starts from cold derived state.
+pub fn bench_with_setup<S, T>(
+    label: impl Into<String>,
+    iters: u32,
+    mut setup: impl FnMut() -> S,
+    mut f: impl FnMut(S) -> T,
+) -> Sample {
     let iters = iters.max(1);
-    black_box(f());
+    black_box(f(setup()));
     let times_ms: Vec<f64> = (0..iters)
         .map(|_| {
+            let state = setup();
             let started = Instant::now();
-            black_box(f());
+            black_box(f(state));
             started.elapsed().as_secs_f64() * 1_000.0
         })
         .collect();

@@ -6,21 +6,21 @@ use crate::Result;
 use hermes_exec::{ExecPolicy, Executor};
 use hermes_obs::Counter;
 use hermes_retratree::{
-    qut_clustering_with, qut_partial_with, range_query_then_cluster_with, OwnedSlice, QutParams,
-    QutPartial, QutStats, ReTraTree, ReTraTreeParams,
+    qut_clustering_with, qut_partial_with, range_query_then_cluster_with, BorderMemoStats,
+    OwnedSlice, QutParams, QutPartial, QutStats, ReTraTree, ReTraTreeParams,
 };
 use hermes_s2t::{
-    run_s2t_naive_with, run_s2t_with, ClusteringResult, KernelCounters, S2TOutcome, S2TParams,
-    S2TPhaseTimings,
+    run_s2t_indexed_with, run_s2t_naive_with, ClusteringResult, KernelCounters, S2TOutcome,
+    S2TParams, S2TPhaseTimings, S2tIndex,
 };
 use hermes_storage::{BufferStats, Catalog, DatasetId};
 use hermes_trajectory::{TimeInterval, Trajectory};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Per-dataset state held by the engine.
 ///
-/// Both fields sit behind an `Arc` so [`HermesEngine::fork_snapshot`] is a
+/// Every field sits behind an `Arc` so [`HermesEngine::fork_snapshot`] is a
 /// reference bump per dataset rather than a deep copy; mutators go through
 /// [`Arc::make_mut`], which deep-clones only when a published snapshot still
 /// shares the data (copy-on-write).
@@ -28,6 +28,22 @@ use std::sync::Arc;
 pub(crate) struct Dataset {
     pub(crate) trajectories: Arc<Vec<Trajectory>>,
     pub(crate) tree: Option<Arc<ReTraTree>>,
+    /// The S2T segment index over `trajectories` (it depends on nothing
+    /// else): built by the first `run_s2t` on this dataset value, shared by
+    /// concurrent readers and by every epoch that shares the data, and
+    /// replaced by a fresh, empty cell whenever `trajectories` changes
+    /// ([`HermesEngine::apply_load_trajectories`] is the only such place).
+    pub(crate) s2t_index: Arc<OnceLock<S2tIndex>>,
+}
+
+impl Dataset {
+    pub(crate) fn new(trajectories: Vec<Trajectory>, tree: Option<ReTraTree>) -> Self {
+        Dataset {
+            trajectories: Arc::new(trajectories),
+            tree: tree.map(Arc::new),
+            s2t_index: Arc::default(),
+        }
+    }
 }
 
 /// Summary of a registered dataset.
@@ -81,6 +97,12 @@ pub struct EngineStats {
     pub stored_records: usize,
     /// Buffer-pool hit/miss/eviction counters summed over every index.
     pub buffer: BufferStats,
+    /// Border-memo counters and accounted bytes summed over every index.
+    pub border_memo: BorderMemoStats,
+    /// Times `run_s2t` built a dataset's segment index / found it built.
+    pub s2t_index_builds: u64,
+    /// See `s2t_index_builds`.
+    pub s2t_index_reuses: u64,
     /// Intra-query compute threads the engine currently uses.
     pub threads: usize,
     /// Cumulative S2T pipeline phase timings across every clustering query.
@@ -122,6 +144,11 @@ struct PhaseAccumulator {
     /// visibility as the phase totals.
     kernel_evaluated: Counter,
     kernel_pruned: Counter,
+    /// `run_s2t` calls that built / reused a dataset's segment index. Here
+    /// rather than on the dataset so the totals survive the index's
+    /// replacement on ingest.
+    s2t_index_builds: Counter,
+    s2t_index_reuses: Counter,
 }
 
 impl PhaseAccumulator {
@@ -284,13 +311,7 @@ impl HermesEngine {
 
     pub(crate) fn apply_create_dataset(&mut self, name: &str) -> Result<DatasetId> {
         let id = self.catalog.create(name)?;
-        self.datasets.insert(
-            id,
-            Dataset {
-                trajectories: Arc::new(Vec::new()),
-                tree: None,
-            },
-        );
+        self.datasets.insert(id, Dataset::new(Vec::new(), None));
         Ok(id)
     }
 
@@ -355,6 +376,9 @@ impl HermesEngine {
             }
         }
         Arc::make_mut(&mut ds.trajectories).extend(trajectories);
+        // A fresh cell, not a reset: epochs still sharing the old data keep
+        // the index built over it.
+        ds.s2t_index = Arc::default();
 
         let (num_points, lifespan) = dataset_extent(&ds.trajectories);
         let n = ds.trajectories.len();
@@ -415,7 +439,18 @@ impl HermesEngine {
         if ds.trajectories.is_empty() {
             return Err(EngineError::EmptyDataset(name.to_string()));
         }
-        let outcome = run_s2t_with(&ds.trajectories, params, &self.exec);
+        let mut built = false;
+        let index = ds.s2t_index.get_or_init(|| {
+            built = true;
+            S2tIndex::build(&ds.trajectories)
+        });
+        let mut outcome = run_s2t_indexed_with(&ds.trajectories, index, params, &self.exec);
+        if built {
+            outcome.timings.index_build_ms = index.build_ms();
+            self.phase_totals.s2t_index_builds.inc();
+        } else {
+            self.phase_totals.s2t_index_reuses.inc();
+        }
         self.phase_totals.record(&outcome.timings);
         self.phase_totals.record_kernel(&outcome.kernel);
         Ok(outcome)
@@ -521,6 +556,8 @@ impl HermesEngine {
             phases: self.phase_totals.snapshot_ms(),
             kernel_evaluated: self.phase_totals.kernel_evaluated.get(),
             kernel_pruned: self.phase_totals.kernel_pruned.get(),
+            s2t_index_builds: self.phase_totals.s2t_index_builds.get(),
+            s2t_index_reuses: self.phase_totals.s2t_index_reuses.get(),
             durable: view.durable,
             snapshot_bytes: view.snapshot_bytes,
             wal_bytes: view.wal_bytes,
@@ -539,6 +576,11 @@ impl HermesEngine {
             stats.buffer.hits += b.hits;
             stats.buffer.misses += b.misses;
             stats.buffer.evictions += b.evictions;
+            let m = tree.border_memo_stats();
+            stats.border_memo.hits += m.hits;
+            stats.border_memo.misses += m.misses;
+            stats.border_memo.evictions += m.evictions;
+            stats.border_memo.bytes += m.bytes;
         }
         stats
     }
@@ -753,6 +795,79 @@ mod tests {
             qut_total >= total,
             "counters are cumulative: {qut_total} vs {total}"
         );
+    }
+
+    #[test]
+    fn s2t_through_the_dataset_index_matches_the_raw_pipeline() {
+        use hermes_s2t::run_s2t_with;
+        let mut e = engine_with_data();
+        let sets: Vec<S2TParams> = [30.0, 60.0, 90.0, 120.0]
+            .into_iter()
+            .flat_map(|sigma| {
+                [200.0, 400.0].into_iter().map(move |epsilon| S2TParams {
+                    sigma,
+                    epsilon,
+                    ..s2t_params()
+                })
+            })
+            .collect();
+        assert_eq!(sets.len(), 8);
+        let mut builds = 0;
+        for round in 0..2 {
+            let raw: Vec<Trajectory> = e.trajectories("flights").unwrap().to_vec();
+            builds += 1;
+            for (i, p) in sets.iter().enumerate() {
+                let got = e.run_s2t("flights", p).unwrap();
+                let want = run_s2t_with(&raw, p, &Executor::serial());
+                assert_eq!(got.profiles, want.profiles, "round {round} set {i}");
+                assert_eq!(got.result, want.result, "round {round} set {i}");
+                assert_eq!(got.kernel, want.kernel, "round {round} set {i}");
+                // Only the statement that built the index is billed for it.
+                assert_eq!(got.timings.index_build_ms == 0.0, i > 0);
+            }
+            let stats = e.stats();
+            assert_eq!(
+                stats.s2t_index_builds, builds,
+                "one build per dataset value"
+            );
+            assert_eq!(stats.s2t_index_reuses, 7 * builds);
+            // The ingest swaps in an empty cell: the next round re-builds once
+            // over the grown data and must again match the raw pipeline.
+            e.load_trajectories("flights", vec![traj(100 + round, 45.0, 0)])
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn in_place_ingest_into_a_border_subchunk_is_seen_by_the_next_qut() {
+        // Embedded engine, nothing published: the dataset's `Arc`s are unique,
+        // so the ingest mutates the tree in place — no clone empties the memo.
+        let build = || {
+            let mut e = engine_with_data();
+            e.build_index("flights", tree_params()).unwrap();
+            e
+        };
+        let w = TimeInterval::new(Timestamp(10 * 60_000), Timestamp(100 * 60_000));
+        let qp = QutParams {
+            s2t: s2t_params(),
+            ..QutParams::default()
+        };
+        let late = traj(77, 45.0, 12 * 60_000);
+
+        let mut e = build();
+        let (before, _) = e.run_qut("flights", &w, &qp).unwrap();
+        assert!(e.stats().border_memo.bytes > 0);
+        e.load_trajectories("flights", vec![late.clone()]).unwrap();
+        let (after, after_stats) = e.run_qut("flights", &w, &qp).unwrap();
+        assert!(after_stats.phases.total_ms() > 0.0, "the border was redone");
+
+        // The same history without the first query never had a memo to go
+        // stale.
+        let mut fresh = build();
+        fresh.load_trajectories("flights", vec![late]).unwrap();
+        let (expected, _) = fresh.run_qut("flights", &w, &qp).unwrap();
+        assert_eq!(after, expected);
+        assert_ne!(after, before);
     }
 
     #[test]

@@ -311,18 +311,12 @@ pub(crate) fn restore_engine_state(
             trajectories.push(decode_trajectory_from(&mut r)?);
         }
         let tree = if r.bool()? {
-            Some(std::sync::Arc::new(tree_persist::decode_tree(&mut r)?))
+            Some(tree_persist::decode_tree(&mut r)?)
         } else {
             None
         };
         if datasets
-            .insert(
-                id,
-                Dataset {
-                    trajectories: std::sync::Arc::new(trajectories),
-                    tree,
-                },
-            )
+            .insert(id, Dataset::new(trajectories, tree))
             .is_some()
         {
             return Err(StorageError::Corrupt {

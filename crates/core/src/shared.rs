@@ -207,6 +207,107 @@ mod tests {
     }
 
     #[test]
+    fn derived_state_follows_the_value_not_the_epoch() {
+        use hermes_retratree::{QutParams, ReTraTreeParams};
+        use hermes_s2t::S2TParams;
+        use hermes_trajectory::{Duration as Span, TimeInterval};
+
+        let s2t = S2TParams {
+            sigma: 60.0,
+            epsilon: 400.0,
+            min_duration_ms: 120_000,
+            ..S2TParams::default()
+        };
+        let qp = QutParams {
+            s2t: s2t.clone(),
+            ..QutParams::default()
+        };
+        let shared = SharedEngine::default();
+        shared.with_write(|e| {
+            e.create_dataset("data").unwrap();
+            e.create_dataset("live").unwrap();
+            e.load_trajectories("data", (0..12).map(|i| traj(i, i as f64 * 10.0)).collect())
+                .unwrap();
+            e.build_index(
+                "data",
+                ReTraTreeParams {
+                    chunk_duration: Span::from_hours(4),
+                    subchunks_per_chunk: 4,
+                    reorg_page_threshold: 2,
+                    buffer_frames: 64,
+                    s2t: s2t.clone(),
+                },
+            )
+            .unwrap();
+        });
+        let w = TimeInterval::new(Timestamp(5 * 60_000), Timestamp(25 * 60_000));
+        let data_id = |e: &HermesEngine| e.catalog.get("data").unwrap().id;
+        let index_cell = |e: &HermesEngine| Arc::clone(&e.datasets[&data_id(e)].s2t_index);
+
+        // Warm both kinds of derived state on the current epoch.
+        let old = shared.pin();
+        let (old_answer, _) = old.run_qut("data", &w, &qp).unwrap();
+        let old_s2t = old.run_s2t("data", &s2t).unwrap();
+        let hits = |e: &HermesEngine| e.stats().border_memo.hits;
+        assert_eq!(hits(&old), 0);
+
+        // Writes to ANOTHER dataset publish new epochs; `data` is shared by
+        // reference, so its memo stays warm and its index stays built.
+        for i in 0..3 {
+            let epoch = shared.epoch();
+            shared
+                .with_write(|e| e.load_trajectories("live", vec![traj(500 + i, 0.0)]))
+                .unwrap();
+            assert_eq!(shared.epoch(), epoch + 1);
+            let now = shared.pin();
+            let before = hits(&now);
+            let (answer, stats) = now.run_qut("data", &w, &qp).unwrap();
+            assert_eq!(answer, old_answer);
+            assert_eq!(stats.phases.total_ms(), 0.0, "no pipeline ran");
+            assert!(hits(&now) > before, "the hit counter keeps rising");
+            assert!(Arc::ptr_eq(&index_cell(&now), &index_cell(&old)));
+            let s2t_again = now.run_s2t("data", &s2t).unwrap();
+            assert_eq!(s2t_again.timings.index_build_ms, 0.0);
+            assert_eq!(s2t_again.result, old_s2t.result);
+        }
+        assert_eq!(shared.pin().stats().s2t_index_builds, 1);
+
+        // A write to `data` itself: the pinned reader keeps its bytes (and its
+        // warm memo), the new epoch answers with the new flight.
+        shared
+            .with_write(|e| e.load_trajectories("data", vec![traj(900, 55.0)]))
+            .unwrap();
+        let new = shared.pin();
+        let (pinned_answer, pinned_stats) = old.run_qut("data", &w, &qp).unwrap();
+        assert_eq!(pinned_answer, old_answer);
+        assert_eq!(pinned_stats.phases.total_ms(), 0.0);
+        let (new_answer, new_stats) = new.run_qut("data", &w, &qp).unwrap();
+        assert!(new_stats.phases.total_ms() > 0.0, "the copy started cold");
+        assert_ne!(new_answer, old_answer);
+        let mut reference = HermesEngine::new();
+        reference.create_dataset("data").unwrap();
+        reference
+            .load_trajectories("data", new.trajectories("data").unwrap()[..12].to_vec())
+            .unwrap();
+        reference
+            .build_index("data", new.tree("data").unwrap().params().clone())
+            .unwrap();
+        reference
+            .load_trajectories("data", vec![traj(900, 55.0)])
+            .unwrap();
+        assert_eq!(new_answer, reference.run_qut("data", &w, &qp).unwrap().0);
+        assert!(!Arc::ptr_eq(&index_cell(&new), &index_cell(&old)));
+        assert!(
+            index_cell(&old).get().is_some(),
+            "the old epoch keeps its index"
+        );
+        assert!(
+            index_cell(&new).get().is_none(),
+            "the new one builds on demand"
+        );
+    }
+
+    #[test]
     fn readers_never_block_on_a_slow_writer() {
         let shared = SharedEngine::default();
         shared.with_write(|e| e.create_dataset("d")).unwrap();

@@ -27,8 +27,9 @@
 //! [`qut::qut_clustering`] answers `QUT(D, Wi, We, τ, δ, t, d, γ)`: clusters
 //! and outliers for an arbitrary temporal window `W`, reusing the L3 entries
 //! of every sub-chunk fully covered by `W`, re-clustering only the border
-//! sub-chunks, and merging cluster entries across chunk boundaries.
-
+//! sub-chunks, and merging cluster entries across chunk boundaries. Finished
+//! border partials are kept in a byte-bounded [`memo`] owned by the tree
+//! value, so a repeated window edge pays S2T once.
 //!
 //! Durable deployments serialize the whole structure through [`persist`]
 //! (parameters, cluster entries, partition pages, leaf-index entry lists) so
@@ -36,6 +37,7 @@
 //! layout is specified in `docs/STORAGE.md`.
 
 pub mod leaf_index;
+pub mod memo;
 pub mod node;
 pub mod params;
 pub mod persist;
@@ -43,6 +45,7 @@ pub mod qut;
 pub mod tree;
 
 pub use leaf_index::LeafIndex;
+pub use memo::{BorderMemoStats, BORDER_MEMO_MAX_BYTES};
 pub use node::{Chunk, ClusterEntry, SubChunk};
 pub use params::{QutParams, QutParamsBuilder, ReTraTreeParams, ReTraTreeParamsBuilder};
 pub use persist::{decode_params_from, decode_tree, encode_params_into, encode_tree};

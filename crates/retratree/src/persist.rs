@@ -13,6 +13,7 @@
 //! The byte layout rides entirely on [`ByteWriter`]/[`ByteReader`] and is
 //! normatively specified in `docs/STORAGE.md` (§ "ReTraTree state encoding").
 
+use crate::memo::BorderMemo;
 use crate::node::{Chunk, ClusterEntry, SubChunk};
 use crate::params::ReTraTreeParams;
 use crate::tree::{MaintenanceStats, ReTraTree};
@@ -263,6 +264,7 @@ pub fn decode_tree(r: &mut ByteReader<'_>) -> Result<ReTraTree> {
         chunks,
         store,
         stats,
+        border_memo: BorderMemo::new(),
     })
 }
 

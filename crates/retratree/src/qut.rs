@@ -12,6 +12,7 @@
 //! sub-chunks are merged when their representatives are close in space and
 //! time, so a cluster that spans a chunk boundary is reported once.
 
+use crate::memo::{BorderKey, BorderPartial};
 use crate::node::SubChunk;
 use crate::params::QutParams;
 use crate::tree::ReTraTree;
@@ -21,9 +22,10 @@ use hermes_s2t::{
     S2TPhaseTimings,
 };
 use hermes_trajectory::{
-    hausdorff_distance, spatiotemporal_distance, sub_trajectory_distance, SubTrajectory,
+    hausdorff_distance, spatiotemporal_distance, sub_trajectory_distance, Duration, SubTrajectory,
     TimeInterval,
 };
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Execution statistics of one QuT query (reported by the E3 benchmark).
@@ -31,9 +33,13 @@ use std::time::Instant;
 pub struct QutStats {
     /// Sub-chunks whose level-3 entries were reused without touching data.
     pub reused_subchunks: usize,
-    /// Border sub-chunks that had to be re-clustered.
+    /// Border sub-chunks (partially covered by the window), whether their
+    /// clustering was computed by this query or taken from the border memo.
     pub reclustered_subchunks: usize,
-    /// Sub-trajectories loaded from storage.
+    /// Sub-trajectories loaded from storage — for a border answered from the
+    /// memo, the loads of the run that computed it. Like the two counters
+    /// above a function of (tree value, window, params) only; the work a
+    /// query really did is in `phases` and `kernel`.
     pub loaded_sub_trajectories: usize,
     /// Cluster pairs merged across sub-chunk boundaries.
     pub merges: usize,
@@ -41,9 +47,10 @@ pub struct QutStats {
     pub elapsed_ms: f64,
     /// Aggregated S2T phase timings of every clustering run the query
     /// performed (border re-clustering for QuT, the fresh pipeline for the
-    /// rebuild baseline). Under parallel execution per-task times overlap in
-    /// wall-clock, so these sum to *work*, not elapsed time — the same
-    /// convention `SHOW STATS` uses for its cumulative phase counters.
+    /// rebuild baseline; zero for borders the memo answered). Under parallel
+    /// execution per-task times overlap in wall-clock, so these sum to
+    /// *work*, not elapsed time — the same convention `SHOW STATS` uses for
+    /// its cumulative phase counters.
     pub phases: S2TPhaseTimings,
     /// Pruned-vs-evaluated voting-kernel counters aggregated over every
     /// clustering run the query performed. Exact for the same reason the
@@ -140,8 +147,8 @@ pub struct QutPartial {
 
 /// Answers one sub-chunk of `QUT(W)`: reuse the level-3 entries when `W`
 /// fully covers the sub-chunk, re-cluster the window overlap otherwise.
-/// Reads only (`&ReTraTree`; storage reads go through the `Mutex`-guarded
-/// buffer pool), so any number of these run in parallel.
+/// Reads only (`&ReTraTree`; storage reads and the border memo sit behind
+/// their own `Mutex`es), so any number of these run in parallel.
 fn answer_subchunk(
     tree: &ReTraTree,
     sc: &SubChunk,
@@ -183,28 +190,43 @@ fn answer_subchunk(
             }
         }
     } else {
-        // Border sub-chunk: restrict the stored data to W and re-cluster it
-        // on the fly.
+        // Border sub-chunk: the stored data restricted to W, re-clustered —
+        // once per (tree value, overlap, params); the memo keeps the result.
         answer.stats.reclustered_subchunks += 1;
         let overlap = sc
             .interval
             .intersection(w)
             .expect("caller checked intersects(w)");
-        let mut clipped: Vec<SubTrajectory> = Vec::new();
-        for loc in sc.index.query_temporal(&overlap) {
-            if let Some(sub) = tree.load(*loc) {
-                answer.stats.loaded_sub_trajectories += 1;
-                if let Some(c) = sub.temporal_clip(&overlap) {
-                    clipped.push(c);
+        let key = BorderKey::new(sc.interval.start, &overlap, &params.s2t);
+        let partial = match tree.border_memo.get(&key) {
+            Some(partial) => partial,
+            None => {
+                let mut loaded = 0;
+                let mut clipped: Vec<SubTrajectory> = Vec::new();
+                for loc in sc.index.query_temporal(&overlap) {
+                    if let Some(sub) = tree.load(*loc) {
+                        loaded += 1;
+                        if let Some(c) = sub.temporal_clip(&overlap) {
+                            clipped.push(c);
+                        }
+                    }
                 }
+                let (clusters, outliers, phases, kernel) =
+                    cluster_sub_trajectories(&clipped, &params.s2t, exec);
+                answer.stats.phases = phases;
+                answer.stats.kernel = kernel;
+                let partial = Arc::new(BorderPartial {
+                    clusters,
+                    outliers,
+                    loaded,
+                });
+                tree.border_memo.insert(key, Arc::clone(&partial));
+                partial
             }
-        }
-        let (border_clusters, border_outliers, phases, kernel) =
-            cluster_sub_trajectories(&clipped, &params.s2t, exec);
-        answer.clusters = border_clusters;
-        answer.outliers = border_outliers;
-        answer.stats.phases = phases;
-        answer.stats.kernel = kernel;
+        };
+        answer.stats.loaded_sub_trajectories += partial.loaded;
+        answer.clusters = partial.clusters.clone();
+        answer.outliers = partial.outliers.clone();
     }
     answer
 }
@@ -253,12 +275,22 @@ pub fn qut_partial_with(
     params: &QutParams,
     exec: &Executor,
 ) -> QutPartial {
-    // The owned sub-chunks intersecting W, in temporal order.
+    // The owned sub-chunks sharing more than an instant with W, in temporal
+    // order. Sub-chunk intervals are closed and share their endpoints, so a
+    // window edge on the grid touches the neighbouring sub-chunk at exactly
+    // one instant; clipping to an instant yields nothing, so that neighbour
+    // has nothing to contribute and is not a border.
     let targets: Vec<&SubChunk> = tree
         .chunks()
         .filter(|chunk| chunk.interval.intersects(w))
         .flat_map(|chunk| chunk.subchunks.iter())
-        .filter(|sc| sc.interval.intersects(w) && owned.contains(sc.interval.start))
+        .filter(|sc| {
+            owned.contains(sc.interval.start)
+                && sc
+                    .interval
+                    .intersection(w)
+                    .is_some_and(|overlap| overlap.length() > Duration::ZERO)
+        })
         .collect();
 
     // Fan out: one task per sub-chunk, each with its own QutStats.
@@ -790,6 +822,253 @@ mod tests {
         let (merged, stats) = merge_qut_partials(vec![left, right], &params);
         assert_eq!(merged, single);
         assert_eq!(stats.merges, single_stats.merges);
+    }
+
+    /// A group alive for three hours from t=0: every sub-chunk boundary in
+    /// between has stored pieces ending and starting exactly on it.
+    fn three_hour_tree() -> ReTraTree {
+        let mut tree = ReTraTree::new(tree_params());
+        for i in 0..30 {
+            tree.insert_trajectory(&traj(i, i as f64 * 5.0, 0, 3 * 3_600_000 - 100_000));
+        }
+        tree
+    }
+
+    #[test]
+    fn grid_aligned_edges_have_no_phantom_border() {
+        let tree = three_hour_tree();
+        let hour = 3_600_000i64;
+        // Exactly the second sub-chunk. The closed window touches the first
+        // and the third at one instant each.
+        let w = TimeInterval::new(Timestamp(hour), Timestamp(2 * hour));
+        let (result, stats) = qut_clustering(&tree, &w, &qut_params());
+
+        // What the neighbours could have contributed: nothing. Their records
+        // that touch the shared instant clip to no sub-trajectory at all.
+        for instant in [hour, 2 * hour] {
+            let at = TimeInterval::new(Timestamp(instant), Timestamp(instant));
+            let touching = tree.window_sub_trajectories(&at);
+            assert!(!touching.is_empty(), "pieces do end on the grid");
+            assert!(touching.iter().all(|s| s.temporal_clip(&at).is_none()));
+        }
+        // So the answer is the covered sub-chunk's stored clustering, whole…
+        let covered_population = tree
+            .describe()
+            .iter()
+            .find(|row| row.1 == w)
+            .expect("the window is a sub-chunk")
+            .3;
+        assert_eq!(result.total_sub_trajectories(), covered_population);
+        // …and the counters no longer bill the neighbours for it.
+        assert_eq!(stats.reused_subchunks, 1);
+        assert_eq!(stats.reclustered_subchunks, 0);
+        assert_eq!(stats.loaded_sub_trajectories, covered_population);
+        assert_eq!(stats.phases, S2TPhaseTimings::default());
+        assert_eq!(tree.border_memo_stats().misses, 0);
+
+        // A degenerate single-instant window owns no sub-chunk at all.
+        let at = TimeInterval::new(Timestamp(hour), Timestamp(hour));
+        let (result, stats) = qut_clustering(&tree, &at, &qut_params());
+        assert_eq!(result, ClusteringResult::default());
+        assert_eq!(stats.reclustered_subchunks + stats.reused_subchunks, 0);
+        assert_eq!(stats.loaded_sub_trajectories, 0);
+    }
+
+    #[test]
+    fn repeated_border_is_answered_from_the_memo() {
+        let tree = three_hour_tree();
+        let min = 60_000i64;
+        let w = TimeInterval::new(Timestamp(20 * min), Timestamp(160 * min));
+        let params = qut_params();
+        let (cold, cold_stats) = qut_clustering(&tree, &w, &params);
+        assert_eq!(cold_stats.reclustered_subchunks, 2);
+        assert!(cold_stats.phases.total_ms() > 0.0);
+        assert!(cold_stats.kernel.evaluated > 0);
+        let m = tree.border_memo_stats();
+        assert_eq!((m.hits, m.misses), (0, 2));
+        assert!(m.bytes > 0);
+
+        // Same window again: same bytes, same logical counters, no work.
+        let (warm, warm_stats) = qut_clustering(&tree, &w, &params);
+        assert_eq!(warm, cold);
+        assert_eq!(warm_stats.reused_subchunks, cold_stats.reused_subchunks);
+        assert_eq!(warm_stats.reclustered_subchunks, 2);
+        assert_eq!(
+            warm_stats.loaded_sub_trajectories,
+            cold_stats.loaded_sub_trajectories
+        );
+        assert_eq!(warm_stats.merges, cold_stats.merges);
+        assert_eq!(warm_stats.phases, S2TPhaseTimings::default());
+        assert_eq!(warm_stats.kernel, KernelCounters::default());
+        let m = tree.border_memo_stats();
+        assert_eq!((m.hits, m.misses), (2, 2));
+
+        // Fix one edge, widen the other: the fixed edge's partial is reused.
+        let wider = TimeInterval::new(Timestamp(20 * min), Timestamp(170 * min));
+        let (got, _) = qut_clustering(&tree, &wider, &params);
+        let m = tree.border_memo_stats();
+        assert_eq!((m.hits, m.misses), (3, 3));
+        assert_eq!(got, qut_clustering(&tree.clone(), &wider, &params).0);
+
+        // Other S2T parameters are other partials.
+        let mut other = params.clone();
+        other.s2t.sigma *= 2.0;
+        let (got, _) = qut_clustering(&tree, &w, &other);
+        assert_eq!(tree.border_memo_stats().misses, 5);
+        assert_eq!(got, qut_clustering(&tree.clone(), &w, &other).0);
+
+        // Sharded partials go through the same memo.
+        let exec = Executor::serial();
+        let left = qut_partial_with(
+            &tree,
+            &OwnedSlice::new(i64::MIN, 3_600_000),
+            &w,
+            &params,
+            &exec,
+        );
+        let right = qut_partial_with(
+            &tree,
+            &OwnedSlice::new(3_600_000, i64::MAX),
+            &w,
+            &params,
+            &exec,
+        );
+        assert_eq!(tree.border_memo_stats().misses, 5);
+        let (merged, stats) = merge_qut_partials(vec![left, right], &params);
+        assert_eq!(merged, cold);
+        assert_eq!(
+            stats.loaded_sub_trajectories,
+            cold_stats.loaded_sub_trajectories
+        );
+    }
+
+    #[test]
+    fn mutating_the_tree_in_place_empties_the_memo() {
+        let mut tree = three_hour_tree();
+        let min = 60_000i64;
+        let w = TimeInterval::new(Timestamp(20 * min), Timestamp(160 * min));
+        let params = qut_params();
+        let (before, _) = qut_clustering(&tree, &w, &params);
+        assert!(tree.border_memo_stats().bytes > 0);
+
+        // A flight into the first border sub-chunk, on a uniquely owned tree:
+        // no clone happens, so only the mutator itself can drop the partial.
+        tree.insert_trajectory(&traj(900, 40.0, 25 * min, 30 * min));
+        assert_eq!(tree.border_memo_stats().bytes, 0);
+        let (after, stats) = qut_clustering(&tree, &w, &params);
+        let (fresh, fresh_stats) = qut_clustering(&tree.clone(), &w, &params);
+        assert_eq!(after, fresh);
+        assert_ne!(after, before, "the new flight is inside the window");
+        assert_eq!(
+            stats.loaded_sub_trajectories,
+            fresh_stats.loaded_sub_trajectories
+        );
+
+        // Re-clustering every sub-chunk moves records: same rule.
+        assert!(tree.border_memo_stats().bytes > 0);
+        assert!(tree.reorganize_all(1) > 0);
+        assert_eq!(tree.border_memo_stats().bytes, 0);
+        let (after, _) = qut_clustering(&tree, &w, &params);
+        assert_eq!(after, qut_clustering(&tree.clone(), &w, &params).0);
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_key_both_return_the_reference() {
+        let base = three_hour_tree();
+        let min = 60_000i64;
+        let w = TimeInterval::new(Timestamp(20 * min), Timestamp(160 * min));
+        let params = qut_params();
+        let (reference, reference_stats) = qut_clustering(&base, &w, &params);
+        for _ in 0..8 {
+            let tree = base.clone(); // empty memo
+            let barrier = std::sync::Barrier::new(2);
+            let answers: Vec<(ClusteringResult, QutStats)> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            qut_clustering(&tree, &w, &params)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for (result, stats) in &answers {
+                assert_eq!(result, &reference);
+                assert_eq!(
+                    stats.loaded_sub_trajectories,
+                    reference_stats.loaded_sub_trajectories
+                );
+            }
+            // Whoever lost the race hit; whoever tied computed too. Either
+            // way every border lookup is accounted for and one entry remains
+            // per key.
+            let m = tree.border_memo_stats();
+            let base_m = base.border_memo_stats();
+            assert_eq!((m.hits - base_m.hits) + (m.misses - base_m.misses), 4);
+            assert!(m.misses - base_m.misses >= 2);
+            assert_eq!(m.bytes, base_m.bytes);
+        }
+    }
+
+    /// Eight loners 50 km apart, three hours each, 720 samples: plenty of
+    /// bytes per border partial and next to no voting work, so a long sweep
+    /// stays quick.
+    fn sparse_heavy_tree() -> ReTraTree {
+        let mut tree = ReTraTree::new(tree_params());
+        for i in 0..8u64 {
+            let pts: Vec<Point> = (0..720)
+                .map(|k| Point::new(k as f64 * 10.0, i as f64 * 50_000.0, Timestamp(k * 15_000)))
+                .collect();
+            tree.insert_trajectory(&Trajectory::new(i, i, pts).unwrap());
+        }
+        tree
+    }
+
+    #[test]
+    fn memo_stays_inside_its_byte_bound_over_a_sweep_of_distinct_windows() {
+        let tree = sparse_heavy_tree();
+        let reference = tree.clone();
+        let params = qut_params();
+        let window = |k: i64| {
+            // One edge inside the first sub-chunk, one inside the second,
+            // all 500 distinct.
+            TimeInterval::new(
+                Timestamp(60_000 + k * 6_000),
+                Timestamp(3_600_000 + 120_000 + k * 6_000),
+            )
+        };
+        let mut answers = Vec::new();
+        for k in 0..500 {
+            let (result, _) = qut_clustering(&tree, &window(k), &params);
+            let m = tree.border_memo_stats();
+            assert!(
+                m.bytes as usize <= crate::BORDER_MEMO_MAX_BYTES,
+                "window {k}: {} bytes accounted",
+                m.bytes
+            );
+            answers.push(result);
+        }
+        let m = tree.border_memo_stats();
+        assert_eq!((m.hits, m.misses), (0, 1_000), "every border was new");
+        assert!(m.evictions > 0, "the sweep must overflow the bound");
+        assert!(m.bytes > 0);
+
+        // Hit ratio 0 and constant eviction changed no answer: an empty-memo
+        // copy of the tree says the same, window by window.
+        for k in (0..500).step_by(25) {
+            let (expected, _) = qut_clustering(&reference.clone(), &window(k), &params);
+            assert_eq!(answers[k as usize], expected, "window {k}");
+        }
+
+        // LRU order: the newest window is still there, the oldest is gone.
+        let before = tree.border_memo_stats();
+        let (newest, _) = qut_clustering(&tree, &window(499), &params);
+        assert_eq!(newest, answers[499]);
+        assert_eq!(tree.border_memo_stats().hits, before.hits + 2);
+        let (oldest, _) = qut_clustering(&tree, &window(0), &params);
+        assert_eq!(oldest, answers[0]);
+        assert_eq!(tree.border_memo_stats().misses, before.misses + 2);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The ReTraTree itself: construction, incremental insertion and the
 //! threshold-triggered maintenance loop of the paper's architecture (Fig. 2).
 
+use crate::memo::{BorderMemo, BorderMemoStats};
 use crate::node::{Chunk, ClusterEntry, SubChunk};
 use crate::params::ReTraTreeParams;
 use hermes_exec::Executor;
@@ -30,6 +31,10 @@ pub struct MaintenanceStats {
 }
 
 /// The Representative Trajectory Tree.
+///
+/// `Clone` copies the data and starts the copy with an **empty** border memo
+/// (see [`crate::memo`]): the clone is a new value about to diverge, and
+/// derived state belongs to the value it was derived from.
 #[derive(Clone)]
 pub struct ReTraTree {
     pub(crate) params: ReTraTreeParams,
@@ -38,6 +43,10 @@ pub struct ReTraTree {
     /// Level-4 storage shared by every partition of the tree.
     pub(crate) store: PartitionStore,
     pub(crate) stats: MaintenanceStats,
+    /// Finished border partials of QuT queries against this tree value.
+    /// Cleared by the two functions that change stored data
+    /// ([`ReTraTree::insert_piece`], `apply_reorganization`).
+    pub(crate) border_memo: BorderMemo,
 }
 
 impl ReTraTree {
@@ -54,6 +63,7 @@ impl ReTraTree {
             chunks: BTreeMap::new(),
             store,
             stats: MaintenanceStats::default(),
+            border_memo: BorderMemo::new(),
         }
     }
 
@@ -70,6 +80,11 @@ impl ReTraTree {
     /// The backing partition store (for buffer statistics in benchmarks).
     pub fn store(&self) -> &PartitionStore {
         &self.store
+    }
+
+    /// Hit/miss/eviction counters and current size of the border memo.
+    pub fn border_memo_stats(&self) -> BorderMemoStats {
+        self.border_memo.stats()
     }
 
     /// Number of level-1 chunks.
@@ -163,6 +178,7 @@ impl ReTraTree {
     /// interval (callers outside this crate normally use
     /// [`ReTraTree::insert_trajectory`]).
     pub fn insert_piece(&mut self, sub: SubTrajectory) {
+        self.border_memo.clear();
         self.stats.inserted_pieces += 1;
         let chunk_key = self.chunk_start_of(sub.start_time());
         self.ensure_chunk(chunk_key);
@@ -259,6 +275,7 @@ impl ReTraTree {
     /// partition ids and locators come out in the same order however the
     /// clustering phase was scheduled.
     fn apply_reorganization(&mut self, chunk_key: i64, sc_index: usize, outcome: &S2TOutcome) {
+        self.border_memo.clear();
         self.stats.reorganizations += 1;
         let old_partition = self.chunks[&chunk_key].subchunks[sc_index].outlier_partition;
 

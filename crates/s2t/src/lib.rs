@@ -53,7 +53,8 @@ pub use metrics::ClusteringQuality;
 pub use params::{S2TParams, S2TParamsBuilder};
 pub use pipeline::trajectories_from_subs;
 pub use pipeline::{
-    run_s2t, run_s2t_naive, run_s2t_naive_with, run_s2t_with, S2TOutcome, S2TPhaseTimings,
+    run_s2t, run_s2t_indexed_with, run_s2t_naive, run_s2t_naive_with, run_s2t_with, S2TOutcome,
+    S2TPhaseTimings, S2tIndex,
 };
 pub use sampling::{select_representatives, select_representatives_with};
 pub use segmentation::{segment_all, segment_all_with, segment_trajectory, VotedSubTrajectory};

@@ -18,7 +18,8 @@ use std::time::Instant;
 /// Wall-clock timings of the pipeline phases, in milliseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct S2TPhaseTimings {
-    /// Building the segment index (0 for the naive variant).
+    /// Building the segment index (0 for the naive variant and for a run
+    /// over an [`S2tIndex`] built earlier).
     pub index_build_ms: f64,
     /// Voting phase.
     pub voting_ms: f64,
@@ -74,32 +75,60 @@ fn ms(from: Instant) -> f64 {
     from.elapsed().as_secs_f64() * 1_000.0
 }
 
+/// The parameter-independent half of the indexed pipeline: the collection
+/// flattened into a SoA [`SegmentArena`] and STR-packed into a
+/// [`PackedSegmentIndex`]. Neither depends on (σ, ε, …), so one index serves
+/// every [`run_s2t_indexed_with`] call over the same trajectories — the
+/// engine keeps one per dataset value instead of re-packing per statement.
+pub struct S2tIndex {
+    arena: SegmentArena,
+    packed: PackedSegmentIndex,
+    build_ms: f64,
+}
+
+impl S2tIndex {
+    /// Flattens and packs `trajectories` (timed: see [`S2tIndex::build_ms`]).
+    pub fn build(trajectories: &[Trajectory]) -> Self {
+        let t0 = Instant::now();
+        let arena = SegmentArena::build(trajectories);
+        let packed = PackedSegmentIndex::build(&arena);
+        S2tIndex {
+            arena,
+            packed,
+            build_ms: ms(t0),
+        }
+    }
+
+    /// Wall-clock milliseconds [`S2tIndex::build`] took — what the run that
+    /// built the index reports as `index_build_ms`.
+    pub fn build_ms(&self) -> f64 {
+        self.build_ms
+    }
+}
+
+/// Voting → segmentation → sampling → clustering. `index` is `Some` for the
+/// flat hot path (votes bit-identical to the object-graph `indexed_voting`
+/// and to `naive_voting`, see `crate::arena` for the exactness argument) and
+/// `None` for the quadratic baseline. `index_build_ms` is left at 0: the
+/// caller that built the index stamps it.
 fn run_pipeline(
     trajectories: &[Trajectory],
+    index: Option<&S2tIndex>,
     params: &S2TParams,
-    use_index: bool,
     exec: &Executor,
 ) -> S2TOutcome {
     let mut timings = S2TPhaseTimings::default();
 
-    // Indexed voting runs on the flat hot path: the collection is flattened
-    // into a SoA `SegmentArena` and STR-packed into a `PackedSegmentIndex`
-    // (both timed as index build), then voted over cache-linear lanes. The
-    // votes are bit-identical to the object-graph `indexed_voting` and to
-    // `naive_voting` (see `crate::arena` for the exactness argument).
     let t0 = Instant::now();
-    let index = if use_index {
-        let arena = SegmentArena::build(trajectories);
-        let packed = PackedSegmentIndex::build(&arena);
-        Some((arena, packed))
-    } else {
-        None
-    };
-    timings.index_build_ms = if use_index { ms(t0) } else { 0.0 };
-
-    let t0 = Instant::now();
-    let (profiles, kernel) = match &index {
-        Some((arena, packed)) => arena_voting_counted_with(arena, packed, params, exec),
+    let (profiles, kernel) = match index {
+        Some(index) => {
+            assert_eq!(
+                index.arena.num_trajectories(),
+                trajectories.len(),
+                "S2tIndex was built over a different trajectory set"
+            );
+            arena_voting_counted_with(&index.arena, &index.packed, params, exec)
+        }
         None => (
             naive_voting_with(trajectories, params, exec),
             KernelCounters::default(),
@@ -131,24 +160,42 @@ fn run_pipeline(
 /// Runs the full S2T-Clustering pipeline with index-accelerated voting — the
 /// in-DBMS fast path of the paper.
 pub fn run_s2t(trajectories: &[Trajectory], params: &S2TParams) -> S2TOutcome {
-    run_pipeline(trajectories, params, true, &Executor::serial())
+    run_s2t_with(trajectories, params, &Executor::serial())
 }
 
 /// [`run_s2t`] with every data-parallel phase (voting, segmentation, the
 /// sampling discount sweep, clustering) fanned out on `exec`. The result is
-/// bit-identical to [`run_s2t`] for any thread count.
+/// bit-identical to [`run_s2t`] for any thread count. Builds a throw-away
+/// [`S2tIndex`]; callers that cluster the same trajectories repeatedly build
+/// it once and call [`run_s2t_indexed_with`].
 pub fn run_s2t_with(
     trajectories: &[Trajectory],
     params: &S2TParams,
     exec: &Executor,
 ) -> S2TOutcome {
-    run_pipeline(trajectories, params, true, exec)
+    let index = S2tIndex::build(trajectories);
+    let mut outcome = run_s2t_indexed_with(trajectories, &index, params, exec);
+    outcome.timings.index_build_ms = index.build_ms();
+    outcome
+}
+
+/// [`run_s2t_with`] over an [`S2tIndex`] built earlier from these same
+/// `trajectories` (panics if the trajectory counts disagree). Everything but
+/// `timings.index_build_ms` — 0 here, nothing was built — is bit-identical
+/// to [`run_s2t_with`].
+pub fn run_s2t_indexed_with(
+    trajectories: &[Trajectory],
+    index: &S2tIndex,
+    params: &S2TParams,
+    exec: &Executor,
+) -> S2TOutcome {
+    run_pipeline(trajectories, Some(index), params, exec)
 }
 
 /// Runs the same pipeline with quadratic (index-free) voting — the baseline
 /// standing in for "corresponding PostgreSQL functions" in experiment E1.
 pub fn run_s2t_naive(trajectories: &[Trajectory], params: &S2TParams) -> S2TOutcome {
-    run_pipeline(trajectories, params, false, &Executor::serial())
+    run_s2t_naive_with(trajectories, params, &Executor::serial())
 }
 
 /// [`run_s2t_naive`] fanned out on `exec`.
@@ -157,7 +204,7 @@ pub fn run_s2t_naive_with(
     params: &S2TParams,
     exec: &Executor,
 ) -> S2TOutcome {
-    run_pipeline(trajectories, params, false, exec)
+    run_pipeline(trajectories, None, params, exec)
 }
 
 /// Re-wraps sub-trajectories as standalone trajectories so the pipeline can
@@ -268,6 +315,26 @@ mod tests {
         };
         assert_eq!(sizes(&fast.result), sizes(&slow.result));
         assert!(slow.timings.index_build_ms == 0.0);
+    }
+
+    #[test]
+    fn one_index_serves_every_parameter_set() {
+        let trajs = small_mod();
+        let index = S2tIndex::build(&trajs);
+        let exec = Executor::serial();
+        for (sigma, epsilon) in [(30.0, 150.0), (60.0, 300.0), (120.0, 600.0)] {
+            let p = S2TParams {
+                sigma,
+                epsilon,
+                ..params()
+            };
+            let fresh = run_s2t_with(&trajs, &p, &exec);
+            let reused = run_s2t_indexed_with(&trajs, &index, &p, &exec);
+            assert_eq!(reused.profiles, fresh.profiles);
+            assert_eq!(reused.result, fresh.result);
+            assert_eq!(reused.kernel, fresh.kernel);
+            assert_eq!(reused.timings.index_build_ms, 0.0);
+        }
     }
 
     #[test]

@@ -920,6 +920,36 @@ fn collect_engine_samples(engine: &SharedEngine, out: &mut Vec<Sample>) {
         "Buffer-pool evictions summed over every index",
         stats.buffer.evictions,
     ));
+    out.push(counter(
+        "hermes_retratree_border_memo_hits_total",
+        "Border sub-chunks answered from the memo, summed over every index",
+        stats.border_memo.hits,
+    ));
+    out.push(counter(
+        "hermes_retratree_border_memo_misses_total",
+        "Border sub-chunks re-clustered (pipelines run), summed over every index",
+        stats.border_memo.misses,
+    ));
+    out.push(counter(
+        "hermes_retratree_border_memo_evictions_total",
+        "Border partials evicted to stay inside the byte bound",
+        stats.border_memo.evictions,
+    ));
+    out.push(gauge(
+        "hermes_retratree_border_memo_bytes",
+        "Bytes the border memos currently account for",
+        stats.border_memo.bytes,
+    ));
+    out.push(counter(
+        "hermes_engine_s2t_index_builds_total",
+        "S2T statements that built their dataset's segment index",
+        stats.s2t_index_builds,
+    ));
+    out.push(counter(
+        "hermes_engine_s2t_index_reuses_total",
+        "S2T statements that found their dataset's segment index built",
+        stats.s2t_index_reuses,
+    ));
     out.push(gauge(
         "hermes_storage_snapshot_bytes",
         "Size in bytes of the newest snapshot file",

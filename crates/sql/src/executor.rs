@@ -279,6 +279,15 @@ fn push_engine_stats(frame: &mut Frame, engine: &HermesEngine) {
         // rejects, cumulative over the same queries as the phase counters.
         ("kernel_evaluated", s.kernel_evaluated as i64),
         ("kernel_pruned", s.kernel_pruned as i64),
+        // Derived read-path state (docs/ARCHITECTURE.md § "Derived state"):
+        // border partials answered from / computed into the per-tree memo,
+        // and whole-dataset S2T runs that built / found the segment index.
+        ("border_memo_hits", s.border_memo.hits as i64),
+        ("border_memo_misses", s.border_memo.misses as i64),
+        ("border_memo_evictions", s.border_memo.evictions as i64),
+        ("border_memo_bytes", s.border_memo.bytes as i64),
+        ("s2t_index_builds", s.s2t_index_builds as i64),
+        ("s2t_index_reuses", s.s2t_index_reuses as i64),
         // Persistence scope: all zero on an in-memory engine (durable = 0).
         ("durable", s.durable as i64),
         ("snapshot_bytes", s.snapshot_bytes as i64),

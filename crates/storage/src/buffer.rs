@@ -65,8 +65,13 @@ impl<T: Clone> Clone for BufferPool<T> {
 }
 
 impl<T: Clone> BufferPool<T> {
+    /// A statement that panicked inside the pool (a loader in
+    /// [`BufferPool::get_or_load`] runs under the lock) must not kill every
+    /// later read of the tree: each critical section keeps `frames` and the
+    /// counters consistent at every step — a panicking loader has inserted
+    /// nothing yet — so the guard of a poisoned lock is still valid.
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner<T>> {
-        self.inner.lock().expect("buffer pool lock poisoned")
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Creates a pool holding at most `capacity` frames (at least 1).
@@ -196,6 +201,26 @@ mod tests {
         pool.put((9, 0), 3);
         pool.invalidate_partition(8);
         assert_eq!(pool.len(), 2); // (7,0) reloaded above and (9,0)
+    }
+
+    #[test]
+    fn a_panicking_loader_does_not_kill_later_reads() {
+        let pool: std::sync::Arc<BufferPool<u32>> = std::sync::Arc::new(BufferPool::new(2));
+        pool.put((0, 0), 7);
+        let poisoner = std::sync::Arc::clone(&pool);
+        let result = std::thread::spawn(move || {
+            poisoner.get_or_load((0, 1), || panic!("page read failed"));
+        })
+        .join();
+        assert!(result.is_err(), "the loader's panic reaches its own thread");
+        assert!(pool.inner.is_poisoned());
+        // Another thread still reads what was cached and loads what was not:
+        // the failed load left no frame behind.
+        assert_eq!(pool.get_or_load((0, 0), || 0), 7);
+        assert_eq!(pool.get_or_load((0, 1), || 9), 9);
+        assert_eq!(pool.len(), 2);
+        let s = pool.stats();
+        assert_eq!((s.hits, s.misses), (1, 2));
     }
 
     #[test]
