@@ -11,7 +11,7 @@
 
 use hermes_bench::harness::{bench, report, JsonReport, Sample};
 use hermes_bench::urban_with;
-use hermes_coord::{validate_shard_map, CoordServer, Coordinator, FailoverPolicy, ShardSpec};
+use hermes_coord::{validate_shard_map, Coordinator, FailoverPolicy, ShardSpec};
 use hermes_core::{HermesEngine, SharedEngine};
 use hermes_exec::ExecPolicy;
 use hermes_server::protocol::write_response;
@@ -70,7 +70,7 @@ fn spawn_topology(
     n_shards: usize,
     trajectories: &[Trajectory],
     window: (i64, i64),
-) -> (Vec<ServerHandle>, hermes_coord::CoordServerHandle) {
+) -> (Vec<ServerHandle>, ServerHandle<Coordinator>) {
     let cuts = chunk_cuts(window, n_shards);
     let mut shards = Vec::with_capacity(n_shards);
     let mut specs = Vec::with_capacity(n_shards);
@@ -94,7 +94,7 @@ fn spawn_topology(
     }
     validate_shard_map(&mut specs).expect("valid shard map");
     let coordinator = Coordinator::new(specs, ConnectOptions::default(), ExecPolicy::from_env());
-    let coord = CoordServer::bind("127.0.0.1:0", coordinator, ServerConfig::default())
+    let coord = Server::bind("127.0.0.1:0", coordinator, ServerConfig::default())
         .expect("bind coordinator")
         .spawn()
         .expect("spawn coordinator");
@@ -123,7 +123,7 @@ fn spawn_server() -> ServerHandle {
 fn spawn_replicated(
     trajectories: &[Trajectory],
     window: (i64, i64),
-) -> (Vec<Vec<ServerHandle>>, hermes_coord::CoordServerHandle) {
+) -> (Vec<Vec<ServerHandle>>, ServerHandle<Coordinator>) {
     let cut = chunk_cuts(window, 2)[0];
     let mut servers = Vec::new();
     let mut specs = Vec::new();
@@ -149,7 +149,7 @@ fn spawn_replicated(
         ..FailoverPolicy::default()
     };
     let coordinator = Coordinator::with_failover(specs, opts, ExecPolicy::from_env(), failover);
-    let coord = CoordServer::bind("127.0.0.1:0", coordinator, ServerConfig::default())
+    let coord = Server::bind("127.0.0.1:0", coordinator, ServerConfig::default())
         .expect("bind coordinator")
         .spawn()
         .expect("spawn coordinator");

@@ -2,17 +2,18 @@
 //! PostgreSQL functions" claim (§III, preparatory phase), extended with the
 //! flat-hot-path comparison.
 //!
-//! Four voting implementations are measured on the seeded urban workload:
+//! Three voting implementations are measured on the seeded urban workload:
 //!
 //! * `arena`     — SoA `SegmentArena` + `PackedSegmentIndex` with the
 //!   batched SIMD kernel and the lower-bound pruning ladder (the hot path),
-//! * `arena-pr4` — the same arena layout before batching/pruning landed:
-//!   box-gap filter only, scalar kernel per candidate (`arena_voting_unpruned`),
 //! * `indexed`   — the object-graph `SegmentIndex`/`RTree3D` path (what the
 //!   pipeline used before the arena landed),
 //! * `naive`     — the quadratic enumeration (the paper's baseline).
 //!
-//! The correctness gate asserts all four produce **bit-identical votes**
+//! (A fourth, the frozen PR 4 arena loop, was measured against `arena` —
+//! 1.2–1.4× — and deleted once recorded; see `docs/KERNELS.md`.)
+//!
+//! The correctness gate asserts all three produce **bit-identical votes**
 //! and that the full pipelines agree on clusters and outliers; the bench
 //! aborts on any mismatch. Timings (including the arena-vs-indexed voting
 //! speedup and per-phase pipeline breakdowns) are informational and land in
@@ -25,8 +26,8 @@ use hermes_bench::harness::{bench, bench_pair, report, JsonReport};
 use hermes_bench::{urban_s2t_params, urban_with};
 use hermes_exec::Executor;
 use hermes_s2t::{
-    arena_voting, arena_voting_counted_with, arena_voting_unpruned, indexed_voting, naive_voting,
-    run_s2t, run_s2t_naive, PackedSegmentIndex, SegmentArena, SegmentIndex,
+    arena_voting, arena_voting_counted_with, indexed_voting, naive_voting, run_s2t, run_s2t_naive,
+    PackedSegmentIndex, SegmentArena, SegmentIndex,
 };
 use hermes_trajectory::{mean_sync_distance_batch_at, simd_level, SimdLevel};
 
@@ -55,13 +56,8 @@ fn main() {
         let legacy = SegmentIndex::build(trajs);
         let (via_arena, kernel) =
             arena_voting_counted_with(&arena, &packed, &params, &Executor::serial());
-        let via_pr4 = arena_voting_unpruned(&arena, &packed, &params);
         let via_indexed = indexed_voting(trajs, &legacy, &params);
         let via_naive = naive_voting(trajs, &params);
-        assert_eq!(
-            via_arena, via_pr4,
-            "pruned/batched voting diverged from the unpruned arena reference"
-        );
         assert_eq!(
             via_arena, via_indexed,
             "arena voting diverged from the indexed reference"
@@ -81,18 +77,10 @@ fn main() {
             arena.num_segments()
         );
 
-        // --- Voting phase only: the hot path against the pre-arena path
-        // and against its own PR 4 (unpruned, scalar-kernel) incarnation.
-        // The arena/PR 4 pair is the headline *ratio*, so it is measured in
-        // alternating rounds — machine drift then biases neither side.
-        let (s_arena_vote, s_pr4_vote) = bench_pair(
-            label("vote-arena"),
-            label("vote-arena-pr4"),
-            5,
-            (iters / 5).max(1),
-            || arena_voting(&arena, &packed, &params),
-            || arena_voting_unpruned(&arena, &packed, &params),
-        );
+        // --- Voting phase only: the hot path against the pre-arena path.
+        let s_arena_vote = bench(label("vote-arena"), iters, || {
+            arena_voting(&arena, &packed, &params)
+        });
         let s_indexed_vote = bench(label("vote-indexed"), iters, || {
             indexed_voting(trajs, &legacy, &params)
         });
@@ -100,7 +88,6 @@ fn main() {
             naive_voting(trajs, &params)
         });
         let voting_speedup = s_indexed_vote.median_ms / s_arena_vote.median_ms.max(1e-9);
-        let pr4_speedup = s_pr4_vote.median_ms / s_arena_vote.median_ms.max(1e-9);
 
         // --- Kernel floor in isolation: the batched distance kernel against
         // one query segment, scalar lanes vs the dispatched SIMD width. Only
@@ -212,7 +199,6 @@ fn main() {
                 ("segments".into(), arena.num_segments() as f64),
                 ("threads".into(), 1.0),
                 ("speedup_vs_indexed".into(), voting_speedup),
-                ("speedup_vs_pr4".into(), pr4_speedup),
                 ("kernel_evaluated".into(), kernel.evaluated as f64),
                 ("kernel_pruned".into(), kernel.pruned as f64),
                 ("kernel_simd_speedup".into(), kernel_speedup),
@@ -221,7 +207,6 @@ fn main() {
                 ("headline".into(), if n == sizes[0] { 1.0 } else { 0.0 }),
             ],
         );
-        json.push(s_pr4_vote.clone());
         json.push(s_kernel_simd.clone());
         json.push(s_kernel_scalar.clone());
         json.push(s_indexed_vote.clone());
@@ -246,11 +231,9 @@ fn main() {
             voting_speedup
         );
         eprintln!(
-            "voting speedup (SIMD+pruning vs PR 4 arena, {} lanes, {} trajs): {:.2}x \
-             (evaluated {}, pruned {})",
+            "pruning ladder ({} lanes, {} trajs): evaluated {}, pruned {}",
             simd_level().lanes(),
             trajs.len(),
-            pr4_speedup,
             kernel.evaluated,
             kernel.pruned
         );
@@ -261,7 +244,6 @@ fn main() {
 
         samples.extend([
             s_arena_vote,
-            s_pr4_vote,
             s_kernel_simd,
             s_kernel_scalar,
             s_indexed_vote,

@@ -1,30 +1,30 @@
 //! E9 — server throughput at high connection counts: 256/1024/4096
-//! simulated clients under a mixed read/ingest load, measured against both
-//! concurrency cores (`ServerCore::Event` vs `ServerCore::Threaded`).
+//! simulated clients under a mixed read/ingest load through the serving
+//! loop.
 //!
 //! Each simulated client is a real TCP connection with its own server-side
 //! session. A small pool of driver threads multiplexes the connections:
 //! every round it pipelines one request per connection (a `RANGE` read, or
 //! an `Ingest` for every 32nd connection) and then drains the responses,
 //! recording one send-to-answer latency per request. The report carries
-//! p50/p95/p99 latency and queries/sec per (core, clients) case, plus the
-//! server's epoch/backpressure/deadline counters.
+//! p50/p95/p99 latency and queries/sec per client count, plus the server's
+//! epoch/backpressure/deadline counters.
 //!
 //! Correctness is gated, not assumed: every `RANGE` answer during the storm
 //! must equal the serial reference answer captured before it (reads pin the
 //! published engine epoch, and the ingest load targets a separate dataset),
 //! and every connection must complete without a single protocol or
-//! connection error. The acceptance bar for the event core is printed at
-//! the end: at ≥1024 clients it must beat the threaded core's own peak
-//! throughput.
+//! connection error.
+//!
+//! History: until the thread-per-connection core was deleted this bench ran
+//! it as a baseline arm; the loop measured ≈ 2.3× its throughput at 1024
+//! clients (`docs/SERVER.md`).
 
 use hermes_bench::harness::{report, JsonReport, Sample};
 use hermes_bench::{aircraft_s2t_params, aircraft_with};
 use hermes_core::SharedEngine;
 use hermes_retratree::ReTraTreeParams;
-use hermes_server::{
-    HermesClient, Request, Response, Server, ServerConfig, ServerCore, ServerHandle,
-};
+use hermes_server::{HermesClient, Request, Response, Server, ServerConfig, ServerHandle};
 use hermes_sql::Value;
 use hermes_trajectory::{Duration, Point, Timestamp, Trajectory};
 use std::net::SocketAddr;
@@ -142,17 +142,13 @@ struct CaseResult {
     counters: Vec<(String, f64)>,
 }
 
-fn run_case(core: ServerCore, clients: usize, engine: &SharedEngine) -> CaseResult {
-    let label = match core {
-        ServerCore::Event => format!("event/{clients}"),
-        ServerCore::Threaded => format!("threaded/{clients}"),
-    };
+fn run_case(clients: usize, engine: &SharedEngine) -> CaseResult {
+    let label = format!("{clients} clients");
     eprintln!("running {label} ...");
     let server: ServerHandle = Server::bind(
         "127.0.0.1:0",
         engine.clone(),
         ServerConfig {
-            core,
             max_connections: clients + 8,
             // The storm legitimately has one request in flight per
             // connection; admission control must not trip on the bench.
@@ -268,27 +264,19 @@ fn main() {
 
     let mut samples: Vec<Sample> = Vec::new();
     let mut json = JsonReport::new("e9_concurrent_clients");
-    let mut event_qps: Vec<(usize, f64)> = Vec::new();
-    let mut threaded_qps: Vec<(usize, f64)> = Vec::new();
     let mut rows: Vec<(String, f64, f64, f64, f64)> = Vec::new();
 
     for &clients in ladder {
-        for core in [ServerCore::Threaded, ServerCore::Event] {
-            let result = run_case(core, clients, &engine);
-            match core {
-                ServerCore::Event => event_qps.push((clients, result.qps)),
-                ServerCore::Threaded => threaded_qps.push((clients, result.qps)),
-            }
-            rows.push((
-                result.sample.label.clone(),
-                result.qps,
-                result.sample.median_ms,
-                result.sample.p95_ms,
-                result.p99_ms,
-            ));
-            json.push_with(result.sample.clone(), result.counters);
-            samples.push(result.sample);
-        }
+        let result = run_case(clients, &engine);
+        rows.push((
+            result.sample.label.clone(),
+            result.qps,
+            result.sample.median_ms,
+            result.sample.p95_ms,
+            result.p99_ms,
+        ));
+        json.push_with(result.sample.clone(), result.counters);
+        samples.push(result.sample);
     }
 
     report("e9_concurrent_clients (per-request latency)", &samples);
@@ -301,38 +289,5 @@ fn main() {
         eprintln!("{label:>16} {qps:>12.1} {p50:>10.3} {p95:>10.3} {p99:>10.3}");
     }
 
-    // Acceptance: the event core at >= 1024 clients must clear the threaded
-    // core's best throughput at *any* client count.
-    let threaded_peak = threaded_qps.iter().map(|&(_, q)| q).fold(0.0, f64::max);
-    let mut beats = 1.0;
-    for &(clients, qps) in &event_qps {
-        if clients >= 1024 {
-            let verdict = if qps > threaded_peak {
-                "beats"
-            } else {
-                "MISSES"
-            };
-            eprintln!(
-                "event/{clients}: {qps:.1} q/s {verdict} threaded peak {threaded_peak:.1} q/s"
-            );
-            if qps <= threaded_peak {
-                beats = 0.0;
-            }
-        }
-    }
-    json.push_with(
-        Sample {
-            label: "acceptance".into(),
-            iters: 0,
-            median_ms: 0.0,
-            p95_ms: 0.0,
-            min_ms: 0.0,
-            max_ms: 0.0,
-        },
-        vec![
-            ("threaded_peak_qps".into(), threaded_peak),
-            ("event_beats_threaded_peak".into(), beats),
-        ],
-    );
     json.write().expect("write BENCH json");
 }

@@ -20,18 +20,29 @@
 //! <addr>` so scripts can scrape the ephemeral port, mirroring
 //! `hermes-serve`. With `--metrics-addr` a second line `hermes-coord metrics
 //! listening on <addr>` announces the Prometheus endpoint the same way.
+//!
+//! Upstream connections are served by `hermes-server`'s one serving loop
+//! (pipelining, admission control, typed error codes), which is unix-only
+//! (`docs/SERVER.md`): elsewhere the binary builds, says so and exits
+//! non-zero.
 
+#[cfg(unix)]
 use hermes_coord::{
-    parse_shard_flag, parse_shard_map, validate_shard_map, CoordServer, Coordinator,
-    FailoverPolicy, ShardSpec,
+    parse_shard_flag, parse_shard_map, validate_shard_map, Coordinator, FailoverPolicy, ShardSpec,
 };
+#[cfg(unix)]
 use hermes_exec::ExecPolicy;
+#[cfg(unix)]
 use hermes_obs::serve_metrics;
-use hermes_server::{ConnectOptions, ServerConfig};
+#[cfg(unix)]
+use hermes_server::{ConnectOptions, Server, ServerConfig};
+#[cfg(unix)]
 use std::io::Write;
 use std::process::ExitCode;
+#[cfg(unix)]
 use std::time::Duration;
 
+#[cfg(unix)]
 const HELP: &str = "\
 hermes-coord — the Hermes sharding coordinator
 
@@ -94,6 +105,12 @@ ends at max, no gaps or overlaps) and interior boundaries must be multiples
 of the BUILD INDEX chunk duration — the coordinator enforces both.
 ";
 
+#[cfg(not(unix))]
+fn main() -> ExitCode {
+    fail("hermes-coord serves on unix targets only")
+}
+
+#[cfg(unix)]
 fn main() -> ExitCode {
     let mut addr = "127.0.0.1:8651".to_string();
     let mut config = ServerConfig::default();
@@ -202,7 +219,7 @@ fn main() -> ExitCode {
     let total = coordinator.shards().len();
     eprintln!("{reachable}/{total} shard(s) reachable");
 
-    let server = match CoordServer::bind(&addr, coordinator, config) {
+    let server = match Server::bind(&addr, coordinator, config) {
         Ok(s) => s,
         Err(e) => return fail(&format!("cannot bind {addr}: {e}")),
     };
@@ -211,10 +228,10 @@ fn main() -> ExitCode {
         Err(e) => return fail(&format!("cannot resolve bound address: {e}")),
     };
     // Keep the handle alive for the life of the process; dropping it would
-    // stop the accept loop.
+    // stop the serving loop.
     let _handle = match server.spawn() {
         Ok(h) => h,
-        Err(e) => return fail(&format!("cannot start the accept loop: {e}")),
+        Err(e) => return fail(&format!("cannot start the serving loop: {e}")),
     };
     println!("hermes-coord listening on {bound}");
     // Keep the scrape listener alive for the life of the process.

@@ -19,9 +19,11 @@
 //!   fan-out plus the border-merging reassembly (bit-identical to a single
 //!   node, see `docs/SHARDING.md`) for multi-shard reads, and all-or-error
 //!   broadcasts to every endpoint for writes (so replicas never diverge);
-//! - [`server`] — the upstream accept loop, `hermes-server`'s
-//!   thread-per-connection shape with the engine swapped for a
-//!   [`Coordinator`].
+//! - `server` — [`Coordinator`] as a [`Backend`](hermes_server::Backend) of
+//!   `hermes-server`'s one serving loop (unix-only, like the loop): bind a
+//!   coordinator with `hermes_server::Server::bind(addr, coordinator, config)`
+//!   and it is served with the same pipelining, admission control, deadlines
+//!   and typed error codes as a single node.
 //!
 //! The `hermes-coord` binary wires these together behind `--shard` /
 //! `--shard-map` flags.
@@ -30,12 +32,12 @@
 
 pub mod registry;
 pub mod router;
-pub mod server;
+#[cfg(unix)]
+mod server;
 pub mod shardmap;
 
 pub use registry::{CoordError, Endpoint, FailoverPolicy, ReadCall, Shard};
 pub use router::{Coordinator, ForwardSpec};
-pub use server::{CoordServer, CoordServerHandle};
 pub use shardmap::{
     parse_shard_flag, parse_shard_map, validate_shard_map, ShardMapError, ShardSpec,
 };

@@ -1,436 +1,172 @@
-//! The coordinator's upstream listener: the same wire protocol
-//! `hermes-serve` speaks, so `hermes-cli --connect` (and any
+//! The coordinator as a [`Backend`] of `hermes-server`'s serving loop: the
+//! same wire protocol, framing, admission control, deadlines and typed error
+//! codes `hermes-serve` has, so `hermes-cli --connect` (and any
 //! [`HermesClient`](hermes_server::HermesClient)) works against a sharded
-//! deployment unchanged.
+//! deployment unchanged. Bind it with
+//! [`Server::bind(addr, coordinator, config)`](hermes_server::Server::bind).
 //!
-//! The loop mirrors `hermes-server`'s thread-per-connection server, with the
-//! engine swapped for a [`Coordinator`]: statements are parsed (and, for the
+//! What is the coordinator's own: statements are parsed (and, for the
 //! prepared path, bound) locally, then routed; the original SQL text rides
 //! along so forwarded statements hit the shards byte-for-byte as the client
 //! wrote them.
 //!
-//! Observability mirrors the single-node server too: the coordinator owns a
-//! process-wide [`Registry`] (its `hermes_server_*` counters plus a collector
-//! over the shard registry's `hermes_shard_*` counters) and a [`SpanStore`].
-//! Every `Query`/`ExecutePrepared` statement becomes the *root* of a
-//! distributed trace: the router records one child span per contacted shard
-//! (propagating the context downstream, so the shard's own span joins the
-//! tree) plus a `merge` span, and `SHOW TRACE <id>` against the coordinator
-//! returns the whole fan-out tree.
+//! Observability mirrors the single-node server: the scrape carries the
+//! loop's `hermes_server_*` counters plus the shard registry's
+//! `hermes_shard_*` ones. Every `Query`/`ExecutePrepared` statement becomes
+//! the *root* of a distributed trace: the router records one child span per
+//! contacted shard (propagating the context downstream, so the shard's own
+//! span joins the tree) plus a `merge` span, and `SHOW TRACE <id>` against
+//! the coordinator returns the whole fan-out tree.
 
 use crate::router::{Coordinator, ForwardSpec};
-use hermes_obs::{slow_query_line, QueryTrace, Registry, SpanStore};
-use hermes_server::protocol::{
-    read_handshake, read_request, write_handshake, write_response, Request, Response,
-};
+use hermes_obs::{QueryTrace, Sample, TraceContext};
+use hermes_server::protocol::{Request, Response};
 use hermes_server::traceview::{self, TraceQuery};
-use hermes_server::{ServerConfig, ServerMetrics};
+use hermes_server::{Backend, RequestCtx, ServerConfig};
 use hermes_sql::{parse, QueryOutcome, Statement};
-use std::io::{self, BufReader, BufWriter};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-/// A bound-but-not-yet-running coordinator server.
-pub struct CoordServer {
-    listener: TcpListener,
-    coordinator: Arc<Coordinator>,
-    config: ServerConfig,
-    metrics: Arc<ServerMetrics>,
-    registry: Arc<Registry>,
-    spans: Arc<SpanStore>,
-    shutdown: Arc<AtomicBool>,
-}
+impl Backend for Coordinator {
+    /// Wire handles index this connection-private table of parsed
+    /// statements plus their original SQL (the text is what gets forwarded
+    /// downstream).
+    type Conn = Vec<(String, Statement)>;
 
-impl CoordServer {
-    /// Binds a listener (port 0 picks an ephemeral port) over a coordinator.
-    ///
-    /// The server owns a process-wide [`Registry`] carrying its own counters
-    /// plus a pull-based collector over the shard registry (`hermes_shard_*`,
-    /// one label set per shard), and a [`SpanStore`] holding the fan-out
-    /// span trees for `SHOW TRACE`.
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        coordinator: Coordinator,
-        config: ServerConfig,
-    ) -> io::Result<CoordServer> {
-        let coordinator = Arc::new(coordinator);
-        let registry = Arc::new(Registry::new());
-        let metrics = Arc::new(ServerMetrics::register(&registry));
-        let collector_coord = Arc::clone(&coordinator);
-        registry.register_collector(move |out| {
-            for shard in collector_coord.shards() {
-                shard.collect_samples(out);
-            }
-        });
-        Ok(CoordServer {
-            listener: TcpListener::bind(addr)?,
-            coordinator,
-            config,
-            metrics,
-            registry,
-            spans: Arc::new(SpanStore::default()),
-            shutdown: Arc::new(AtomicBool::new(false)),
-        })
+    fn open(&self) -> Self::Conn {
+        Vec::new()
     }
 
-    /// The bound address (resolves ephemeral ports).
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// The coordinator behind the listener (e.g. to probe shards).
-    pub fn coordinator(&self) -> Arc<Coordinator> {
-        Arc::clone(&self.coordinator)
-    }
-
-    /// The server's metric counters (the `coordinator` scope of
-    /// `SHOW STATS`).
-    pub fn metrics(&self) -> Arc<ServerMetrics> {
-        Arc::clone(&self.metrics)
-    }
-
-    /// The process-wide metrics registry (served at `GET /metrics`).
-    pub fn registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.registry)
-    }
-
-    /// The in-process span store behind `SHOW TRACE` / `SHOW TRACES`.
-    pub fn spans(&self) -> Arc<SpanStore> {
-        Arc::clone(&self.spans)
-    }
-
-    /// Runs the accept loop on the calling thread until shut down.
-    pub fn run(self) -> io::Result<()> {
-        for stream in self.listener.incoming() {
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            let active = self.metrics.connections_active.get();
-            if active >= self.config.max_connections as u64 {
-                self.metrics.connections_rejected.inc();
-                let max_connections = self.config.max_connections;
-                thread::spawn(move || reject_connection(stream, max_connections));
-                continue;
-            }
-            self.metrics.connections_accepted.inc();
-            self.metrics.connections_active.inc();
-            let coordinator = Arc::clone(&self.coordinator);
-            let metrics = Arc::clone(&self.metrics);
-            let spans = Arc::clone(&self.spans);
-            let slow_query_ms = self.config.slow_query_ms;
-            thread::spawn(move || {
-                let _ = handle_connection(stream, &coordinator, &metrics, &spans, slow_query_ms);
-                metrics.connections_active.dec();
-            });
-        }
-        Ok(())
-    }
-
-    /// Runs the accept loop on a background thread, returning a handle that
-    /// shuts the server down when asked (or dropped).
-    pub fn spawn(self) -> io::Result<CoordServerHandle> {
-        let addr = self.local_addr()?;
-        let metrics = self.metrics();
-        let registry = self.registry();
-        let spans = self.spans();
-        let coordinator = self.coordinator();
-        let shutdown = Arc::clone(&self.shutdown);
-        let thread = thread::spawn(move || {
-            let _ = self.run();
-        });
-        Ok(CoordServerHandle {
-            addr,
-            metrics,
-            registry,
-            spans,
-            coordinator,
-            shutdown,
-            thread: Some(thread),
-        })
-    }
-}
-
-/// Handle to a coordinator server running on a background thread.
-pub struct CoordServerHandle {
-    addr: SocketAddr,
-    metrics: Arc<ServerMetrics>,
-    registry: Arc<Registry>,
-    spans: Arc<SpanStore>,
-    coordinator: Arc<Coordinator>,
-    shutdown: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl CoordServerHandle {
-    /// The address clients connect to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The server's metric counters.
-    pub fn metrics(&self) -> Arc<ServerMetrics> {
-        Arc::clone(&self.metrics)
-    }
-
-    /// The process-wide metrics registry (served at `GET /metrics`).
-    pub fn registry(&self) -> Arc<Registry> {
-        Arc::clone(&self.registry)
-    }
-
-    /// The in-process span store behind `SHOW TRACE` / `SHOW TRACES`.
-    pub fn spans(&self) -> Arc<SpanStore> {
-        Arc::clone(&self.spans)
-    }
-
-    /// The coordinator behind the listener.
-    pub fn coordinator(&self) -> Arc<Coordinator> {
-        Arc::clone(&self.coordinator)
-    }
-
-    /// Stops accepting connections and joins the accept loop. Connections
-    /// already in a session run until their client disconnects.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        let Some(thread) = self.thread.take() else {
-            return;
-        };
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the accept loop so it observes the flag.
-        let _ = TcpStream::connect(self.addr);
-        let _ = thread.join();
-    }
-}
-
-impl Drop for CoordServerHandle {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// Turns away a connection over the cap, mirroring `hermes-server`: finish
-/// the handshake, read the first request, answer with the capacity error.
-fn reject_connection(stream: TcpStream, max_connections: usize) {
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(2)));
-    let Ok(mut reader) = stream.try_clone().map(BufReader::new) else {
-        return;
-    };
-    let mut writer = BufWriter::new(stream);
-    if write_handshake(&mut writer).is_err() || read_handshake(&mut reader).is_err() {
-        return;
-    }
-    let _ = read_request(&mut reader);
-    let _ = write_response(
-        &mut writer,
-        &Response::error(format!(
-            "server at connection capacity ({max_connections} active)"
-        )),
-    );
-}
-
-/// Per-connection request loop; same shape as the single-node server's.
-fn handle_connection(
-    stream: TcpStream,
-    coordinator: &Coordinator,
-    metrics: &ServerMetrics,
-    spans: &Arc<SpanStore>,
-    slow_query_ms: Option<u64>,
-) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-
-    write_handshake(&mut writer)?;
-    if let Err(e) = read_handshake(&mut reader) {
-        metrics.query_errors.inc();
-        let _ = write_response(&mut writer, &Response::error(e.to_string()));
-        return Ok(());
-    }
-
-    // Wire handles index this connection-private table of parsed statements
-    // plus their original SQL (the text is what gets forwarded downstream).
-    let mut prepared: Vec<(String, Statement)> = Vec::new();
-
-    loop {
-        // The coordinator is the origin of distributed traces, not a relay:
-        // an inbound trace context (only ever sent by another coordinator,
-        // which does not happen in a two-tier deployment) is ignored.
-        let (request, _inbound_trace, n_in) = match read_request(&mut reader) {
-            Ok(v) => v,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                metrics.query_errors.inc();
-                let _ = write_response(&mut writer, &Response::error(e.to_string()));
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        metrics.bytes_in.add(n_in);
-
-        let started = Instant::now();
-        let (response, traced) = answer(coordinator, &mut prepared, metrics, spans, request);
-        let elapsed = started.elapsed();
-        metrics.latency.record(elapsed);
-        match &response {
-            Response::Error { .. } => metrics.query_errors.inc(),
-            _ => metrics.queries_served.inc(),
-        };
-        if let (Some(threshold), Some((trace_id, statement))) = (slow_query_ms, traced) {
-            let ms = elapsed.as_secs_f64() * 1e3;
-            if ms >= threshold as f64 {
-                metrics.slow_queries.inc();
-                eprintln!("{}", slow_query_line(ms, trace_id, &statement));
-            }
-        }
-        let n_out = match write_response(&mut writer, &response) {
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
-                metrics.query_errors.inc();
-                write_response(
-                    &mut writer,
-                    &Response::error(format!("result too large for the wire protocol: {e}")),
-                )?
-            }
-            Err(e) => return Err(e),
-        };
-        metrics.bytes_out.add(n_out);
-    }
-}
-
-/// Answers one request. For statements that fan out (`Query` and
-/// `ExecutePrepared`), the second element carries `(trace_id, statement)` of
-/// the root trace recorded around the execution, feeding the slow-query log.
-fn answer(
-    coordinator: &Coordinator,
-    prepared: &mut Vec<(String, Statement)>,
-    metrics: &ServerMetrics,
-    spans: &Arc<SpanStore>,
-    request: Request,
-) -> (Response, Option<(u64, String)>) {
-    match request {
-        Request::Query { sql } => match traceview::sniff_trace_text(&sql) {
-            // Trace inspection is answered at this serving edge, against the
-            // coordinator's own span store — never recorded, never routed.
-            Some(TraceQuery::Traces) => (outcome_response(traceview::traces_outcome(spans)), None),
-            Some(TraceQuery::Trace(id)) => {
-                (outcome_response(traceview::trace_outcome(spans, id)), None)
-            }
-            None => match parse(&sql) {
-                Ok(stmt) => {
-                    let trace = QueryTrace::root(Arc::clone(spans));
-                    let started = Instant::now();
-                    let response = coordinator.execute(
-                        &stmt,
-                        &ForwardSpec::Query(&sql),
-                        metrics,
-                        Some(&trace),
-                    );
-                    finish_root(&trace, "query", &sql, started, &response);
-                    let trace_id = trace.trace_id();
-                    (response, Some((trace_id, sql)))
+    /// Statements that fan out (`Query` and `ExecutePrepared`) are recorded
+    /// as root traces and reported to the loop's slow-query log. The
+    /// coordinator is the origin of distributed traces, not a relay: an
+    /// inbound trace context (only ever sent by another coordinator, which
+    /// does not happen in a two-tier deployment) is ignored.
+    fn answer(
+        &self,
+        prepared: &mut Self::Conn,
+        request: Request,
+        _inbound_trace: Option<TraceContext>,
+        ctx: &mut RequestCtx<'_>,
+    ) -> Response {
+        match request {
+            Request::Query { sql } => match traceview::sniff_trace_text(&sql) {
+                // Trace inspection is answered at this serving edge, against
+                // the coordinator's own span store — never recorded, never
+                // routed.
+                Some(TraceQuery::Traces) => outcome_response(traceview::traces_outcome(ctx.spans)),
+                Some(TraceQuery::Trace(id)) => {
+                    outcome_response(traceview::trace_outcome(ctx.spans, id))
                 }
-                Err(e) => (error_response(e), None),
+                None => match parse(&sql) {
+                    Ok(stmt) => self.execute_root(&stmt, "query", &ForwardSpec::Query(&sql), ctx),
+                    Err(e) => Response::error(e.to_string()),
+                },
             },
-        },
-        Request::Prepare { sql } => match parse(&sql) {
-            Ok(stmt) => {
-                let wire = match prepared.iter().position(|(text, _)| *text == sql) {
-                    Some(i) => i,
-                    None => {
-                        prepared.push((sql, stmt));
-                        prepared.len() - 1
-                    }
-                };
-                (
+            Request::Prepare { sql } => match parse(&sql) {
+                Ok(stmt) => {
+                    let wire = match prepared.iter().position(|(text, _)| *text == sql) {
+                        Some(i) => i,
+                        None => {
+                            prepared.push((sql, stmt));
+                            prepared.len() - 1
+                        }
+                    };
                     Response::Prepared {
                         handle: wire as u32,
-                    },
-                    None,
-                )
-            }
-            Err(e) => (error_response(e), None),
-        },
-        Request::ExecutePrepared { handle, params } => {
-            let Some((sql, stmt)) = prepared.get(handle as usize) else {
-                return (
-                    Response::error(format!(
-                        "unknown prepared statement handle {handle} on this connection"
-                    )),
-                    None,
-                );
-            };
-            match stmt.bind(&params) {
-                // Prepared trace inspection (`SHOW TRACE $1`) is intercepted
-                // like its direct-text form; binding resolved the id already.
-                Ok(Statement::ShowTraces) => {
-                    (outcome_response(traceview::traces_outcome(spans)), None)
+                    }
                 }
-                Ok(Statement::ShowTrace { id }) => match id.as_i64() {
-                    Ok(id) => (outcome_response(traceview::trace_outcome(spans, id)), None),
-                    Err(message) => (Response::error(message), None),
-                },
-                Ok(bound) => {
-                    let trace = QueryTrace::root(Arc::clone(spans));
-                    let started = Instant::now();
-                    let response = coordinator.execute(
-                        &bound,
-                        &ForwardSpec::Prepared {
+                Err(e) => Response::error(e.to_string()),
+            },
+            Request::ExecutePrepared { handle, params } => {
+                let Some((sql, stmt)) = prepared.get(handle as usize) else {
+                    return Response::error(format!(
+                        "unknown prepared statement handle {handle} on this connection"
+                    ));
+                };
+                match stmt.bind(&params) {
+                    // Prepared trace inspection (`SHOW TRACE $1`) is
+                    // intercepted like its direct-text form; binding
+                    // resolved the id already.
+                    Ok(Statement::ShowTraces) => {
+                        outcome_response(traceview::traces_outcome(ctx.spans))
+                    }
+                    Ok(Statement::ShowTrace { id }) => match id.as_i64() {
+                        Ok(id) => outcome_response(traceview::trace_outcome(ctx.spans, id)),
+                        Err(message) => Response::error(message),
+                    },
+                    Ok(bound) => {
+                        let fwd = ForwardSpec::Prepared {
                             sql,
                             params: &params,
-                        },
-                        metrics,
-                        Some(&trace),
-                    );
-                    finish_root(&trace, "execute_prepared", sql, started, &response);
-                    let trace_id = trace.trace_id();
-                    let statement = sql.clone();
-                    (response, Some((trace_id, statement)))
+                        };
+                        self.execute_root(&bound, "execute_prepared", &fwd, ctx)
+                    }
+                    Err(e) => Response::error(e.to_string()),
                 }
-                Err(e) => (error_response(e), None),
             }
-        }
-        Request::Ingest {
-            dataset,
-            trajectories,
-        } => (coordinator.ingest(&dataset, trajectories), None),
-        Request::QutPartial { .. }
-        | Request::RangePartial { .. }
-        | Request::GatherTrajectories { .. }
-        | Request::InfoPartial { .. } => (
-            Response::error(
+            Request::Ingest {
+                dataset,
+                trajectories,
+            } => self.ingest(&dataset, trajectories),
+            Request::QutPartial { .. }
+            | Request::RangePartial { .. }
+            | Request::GatherTrajectories { .. }
+            | Request::InfoPartial { .. } => Response::error(
                 "shard-internal request: the coordinator accepts client statements \
                  (QUERY / PREPARE / EXECUTE / INGEST) only",
             ),
-            None,
-        ),
+        }
+    }
+
+    fn collect(&self, out: &mut Vec<Sample>) {
+        for shard in self.shards() {
+            shard.collect_samples(out);
+        }
+    }
+
+    /// Coordinator workers wait on shard sockets rather than compute, so
+    /// the pool is sized by how many statements may be waiting at once —
+    /// one per admitted connection, up to the default cap — not by cores.
+    fn default_workers(&self, config: &ServerConfig) -> usize {
+        config
+            .max_connections
+            .min(ServerConfig::default().max_connections)
     }
 }
 
-/// Records the root span of a routed statement: the statement text and
-/// whether it succeeded, with the shard/merge children already recorded by
-/// the router underneath it.
-fn finish_root(trace: &QueryTrace, name: &str, sql: &str, started: Instant, response: &Response) {
-    let status = match response {
-        Response::Error { .. } => "error",
-        _ => "ok",
-    };
-    trace.finish_root(
-        name.to_string(),
-        started.elapsed(),
-        vec![
-            ("statement", sql.to_string()),
-            ("status", status.to_string()),
-        ],
-    );
+impl Coordinator {
+    /// Routes one statement as the root of a distributed trace: the router
+    /// records the shard/merge children, this records the root span (the
+    /// statement text and whether it succeeded) above them.
+    fn execute_root(
+        &self,
+        stmt: &Statement,
+        name: &str,
+        fwd: &ForwardSpec<'_>,
+        ctx: &mut RequestCtx<'_>,
+    ) -> Response {
+        let sql = match fwd {
+            ForwardSpec::Query(sql) | ForwardSpec::Prepared { sql, .. } => *sql,
+        };
+        let trace = QueryTrace::root(Arc::clone(ctx.spans));
+        let started = Instant::now();
+        let response = self.execute(stmt, fwd, ctx.metrics, Some(&trace));
+        let status = match response {
+            Response::Error { .. } => "error",
+            _ => "ok",
+        };
+        trace.finish_root(
+            name.to_string(),
+            started.elapsed(),
+            vec![
+                ("statement", sql.to_string()),
+                ("status", status.to_string()),
+            ],
+        );
+        ctx.traced(trace.trace_id(), sql);
+        response
+    }
 }
 
 fn outcome_response(outcome: QueryOutcome) -> Response {
@@ -438,8 +174,4 @@ fn outcome_response(outcome: QueryOutcome) -> Response {
         QueryOutcome::Rows { frame, stats } => Response::Rows { frame, stats },
         QueryOutcome::Command(status) => Response::Command(status),
     }
-}
-
-fn error_response(e: impl std::fmt::Display) -> Response {
-    Response::error(e.to_string())
 }

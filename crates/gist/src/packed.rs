@@ -481,91 +481,6 @@ impl<V> PackedRTree<V> {
         self.ball_candidates_at(SimdLevel::Scalar, query, radius, &mut visit);
     }
 
-    /// The ball traversal exactly as PR 4 shipped it: the branchy three-case
-    /// axis gap and a scalar recursive descent over the blocked `it`/`ixy`
-    /// lanes. Kept frozen so `BENCH_e1`'s "arena-pr4" baseline measures
-    /// PR 4's code rather than a baseline that silently inherits later
-    /// traversal work (the branchless gap form, the SIMD leaf scans). It
-    /// visits exactly the same items with bit-identical `gap2` as every
-    /// modern width — the branchy and branchless gap forms compute the same
-    /// correctly-rounded value — so it doubles as an equality reference.
-    pub fn for_each_ball_candidate_idx_frozen(
-        &self,
-        query: &Mbb,
-        radius: f64,
-        mut visit: impl FnMut(usize, f64),
-    ) {
-        if self.is_empty() {
-            return;
-        }
-        let r2 = radius * radius;
-        self.visit_ball_frozen(
-            self.root,
-            query.x_min,
-            query.x_max,
-            query.y_min,
-            query.y_max,
-            query.t_min.millis(),
-            query.t_max.millis(),
-            r2,
-            &mut visit,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn visit_ball_frozen(
-        &self,
-        node: usize,
-        qx0: f64,
-        qx1: f64,
-        qy0: f64,
-        qy1: f64,
-        qt0: i64,
-        qt1: i64,
-        r2: f64,
-        visit: &mut impl FnMut(usize, f64),
-    ) {
-        // PR 4's `axis_gap`, verbatim.
-        #[inline]
-        fn gap(a_min: f64, a_max: f64, b_min: f64, b_max: f64) -> f64 {
-            if a_max < b_min {
-                b_min - a_max
-            } else if b_max < a_min {
-                a_min - b_max
-            } else {
-                0.0
-            }
-        }
-        let n = self.nodes[node];
-        let (start, end) = (n.start as usize, n.end as usize);
-        if n.leaf {
-            for i in start..end {
-                let t = self.it[i];
-                if qt0 <= t[1] && t[0] <= qt1 {
-                    let xy = self.ixy[i];
-                    let gx = gap(xy[0], xy[1], qx0, qx1);
-                    let gy = gap(xy[2], xy[3], qy0, qy1);
-                    let gap2 = gx * gx + gy * gy;
-                    if gap2 <= r2 {
-                        visit(i, gap2);
-                    }
-                }
-            }
-        } else {
-            for c in start..end {
-                let t = self.nt[c];
-                if qt0 <= t[1] && t[0] <= qt1 {
-                    let xy = self.nxy[c];
-                    let gx = gap(xy[0], xy[1], qx0, qx1);
-                    let gy = gap(xy[2], xy[3], qy0, qy1);
-                    if gx * gx + gy * gy <= r2 {
-                        self.visit_ball_frozen(c, qx0, qx1, qy0, qy1, qt0, qt1, r2, visit);
-                    }
-                }
-            }
-        }
-    }
-
     fn ball_candidates_at(
         &self,
         level: SimdLevel,
@@ -1189,12 +1104,6 @@ mod tests {
                     });
                     assert_eq!(got, reference, "{level:?} radius {radius}");
                 }
-                // The frozen PR 4 traversal sits in the same equality class.
-                let mut frozen: Vec<(usize, u64)> = Vec::new();
-                packed.for_each_ball_candidate_idx_frozen(q, radius, |i, gap2| {
-                    frozen.push((i, gap2.to_bits()));
-                });
-                assert_eq!(frozen, reference, "frozen radius {radius}");
             }
         }
         // The auto entry dispatches somewhere in the same equality class.

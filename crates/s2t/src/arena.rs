@@ -26,9 +26,8 @@
 //! ladder.
 //!
 //! **Exactness contract.** [`arena_voting`] is bit-identical to
-//! [`indexed_voting`](crate::voting::indexed_voting), to
-//! [`naive_voting`](crate::voting::naive_voting), and to the retained PR 4
-//! loop [`arena_voting_unpruned`]:
+//! [`indexed_voting`](crate::voting::indexed_voting) and to
+//! [`naive_voting`](crate::voting::naive_voting):
 //!
 //! * the distance kernel is [`hermes_trajectory::kernel::mean_sync_distance`]
 //!   — the same function `Segment::mean_synchronized_distance` delegates to —
@@ -59,7 +58,7 @@ use crate::voting::{kernel, VotingProfile};
 use hermes_exec::Executor;
 use hermes_gist::{axis_gap, PackedRTree};
 use hermes_trajectory::{
-    kernel::{mean_sync_distance, mean_sync_distance_batch_at, simd_level, SimdLevel, BATCH},
+    kernel::{mean_sync_distance_batch_at, simd_level, SimdLevel, BATCH},
     Mbb, SegLanes, Timestamp, Trajectory, TrajectoryId,
 };
 
@@ -692,138 +691,6 @@ pub fn vote_trajectory_into(
     counters
 }
 
-/// The PR 4 arena voting loop, reconstructed faithfully from its shipped
-/// code: the frozen branchy-gap scalar tree traversal
-/// ([`PackedRTree::for_each_ball_candidate_idx_frozen`]), per-segment
-/// `Vec<u32>` candidate lists (no window-gap threading), PR 4's three-case
-/// `axis_gap` in the per-candidate box filter, and an immediate scalar
-/// kernel fold per survivor — none of this PR's traversal, layout, or
-/// pruning work. Serial.
-///
-/// This is the measured baseline behind `BENCH_e1`'s "arena-pr4" series and
-/// one more equality reference: bit-identical to [`arena_voting`] (both are
-/// proven equal to the naive path), just slower. The single immaterial
-/// departure from PR 4's text: candidate lanes are read through the
-/// merged candidate row (PR 4 kept them in a separate parallel array the index
-/// no longer carries); the lanes themselves are the same ten `f64`s.
-pub fn arena_voting_unpruned(
-    arena: &SegmentArena,
-    index: &PackedSegmentIndex,
-    params: &S2TParams,
-) -> Vec<VotingProfile> {
-    // PR 4's `axis_gap`, verbatim (the shared one is branchless now).
-    #[inline]
-    fn gap(a_min: f64, a_max: f64, b_min: f64, b_max: f64) -> f64 {
-        if a_max < b_min {
-            b_min - a_max
-        } else if b_max < a_min {
-            a_min - b_max
-        } else {
-            0.0
-        }
-    }
-    // PR 4's run length, pinned locally: the modern path's `QUERY_RUN` is a
-    // tuning knob and must not retune the frozen baseline.
-    const QUERY_RUN: usize = 8;
-    let cutoff = params.voting_cutoff_radius();
-    let r2 = cutoff * cutoff;
-    let mut best_per_voter = vec![f64::INFINITY; arena.num_trajectories()];
-    let mut touched: Vec<usize> = Vec::with_capacity(arena.num_trajectories());
-    let mut seg_candidates: [Vec<u32>; QUERY_RUN] = std::array::from_fn(|_| Vec::new());
-    (0..arena.num_trajectories())
-        .map(|ti| {
-            let mut votes = Vec::with_capacity(arena.segments_of(ti).len());
-            let range = arena.segments_of(ti);
-            let mut run_start = range.start;
-            while run_start < range.end {
-                let run_end = (run_start + QUERY_RUN).min(range.end);
-                let run_len = run_end - run_start;
-                let mut wx0 = f64::INFINITY;
-                let mut wx1 = f64::NEG_INFINITY;
-                let mut wy0 = f64::INFINITY;
-                let mut wy1 = f64::NEG_INFINITY;
-                for gs in run_start..run_end {
-                    wx0 = wx0.min(arena.mbb_x_min[gs]);
-                    wx1 = wx1.max(arena.mbb_x_max[gs]);
-                    wy0 = wy0.min(arena.mbb_y_min[gs]);
-                    wy1 = wy1.max(arena.mbb_y_max[gs]);
-                }
-                let window = Mbb::new(
-                    wx0,
-                    wx1,
-                    wy0,
-                    wy1,
-                    Timestamp(arena.t0[run_start]),
-                    Timestamp(arena.t1[run_end - 1]),
-                );
-                for list in seg_candidates[..run_len].iter_mut() {
-                    list.clear();
-                }
-                index
-                    .tree
-                    .for_each_ball_candidate_idx_frozen(&window, cutoff, |item, _gap2| {
-                        let row = &index.item_rows[item];
-                        if row.voter as usize == ti {
-                            return;
-                        }
-                        let mut k = 0usize;
-                        while k < run_len && arena.t1[run_start + k] < row.t0 {
-                            k += 1;
-                        }
-                        while k < run_len && arena.t0[run_start + k] <= row.t1 {
-                            seg_candidates[k].push(item as u32);
-                            k += 1;
-                        }
-                    });
-                for gs in run_start..run_end {
-                    let seg = arena.lanes(gs);
-                    let sx0 = arena.mbb_x_min[gs];
-                    let sx1 = arena.mbb_x_max[gs];
-                    let sy0 = arena.mbb_y_min[gs];
-                    let sy1 = arena.mbb_y_max[gs];
-                    for &item_u in seg_candidates[gs - run_start].iter() {
-                        let item = item_u as usize;
-                        let row = &index.item_rows[item];
-                        let voter = row.voter as usize;
-                        let gx = gap(row.xy[0], row.xy[1], sx0, sx1);
-                        let gy = gap(row.xy[2], row.xy[3], sy0, sy1);
-                        let gap2 = gx * gx + gy * gy;
-                        if gap2 > r2 {
-                            continue;
-                        }
-                        let best = best_per_voter[voter];
-                        if gap2 >= best * best {
-                            continue;
-                        }
-                        if let Some(d) = mean_sync_distance(&seg, &row.lanes()) {
-                            if d < best {
-                                if best.is_infinite() {
-                                    touched.push(voter);
-                                }
-                                best_per_voter[voter] = d;
-                            }
-                        }
-                    }
-                    touched.sort_unstable();
-                    let mut vote = 0.0;
-                    for &voter in touched.iter() {
-                        vote += kernel(best_per_voter[voter], params.sigma, cutoff);
-                        best_per_voter[voter] = f64::INFINITY;
-                    }
-                    touched.clear();
-                    votes.push(vote);
-                }
-                run_start = run_end;
-            }
-            VotingProfile {
-                trajectory_id: arena.trajectory_id(ti),
-                trajectory_index: ti,
-                votes,
-            }
-        })
-        .collect()
-}
-
 thread_local! {
     /// Per-worker arena-voting scratch, reused across trajectories. The
     /// invariant (all-∞ between uses) is restored by `vote_trajectory_into`
@@ -935,7 +802,7 @@ pub fn arena_voting_counted_with(
 mod tests {
     use super::*;
     use crate::voting::{indexed_voting, naive_voting, SegmentIndex};
-    use hermes_trajectory::Point;
+    use hermes_trajectory::{kernel::mean_sync_distance, Point};
 
     fn line(id: u64, y0: f64, t0: i64, n: usize) -> Trajectory {
         Trajectory::new(
@@ -999,12 +866,10 @@ mod tests {
         let legacy_index = SegmentIndex::build(&trajs);
         let via_rtree = indexed_voting(&trajs, &legacy_index, &p);
         let via_naive = naive_voting(&trajs, &p);
-        let via_unpruned = arena_voting_unpruned(&arena, &packed, &p);
-        // Exact, not approximate: all four paths share the kernel and the
+        // Exact, not approximate: all three paths share the kernel and the
         // canonical summation order.
         assert_eq!(via_arena, via_rtree);
         assert_eq!(via_arena, via_naive);
-        assert_eq!(via_arena, via_unpruned);
     }
 
     #[test]

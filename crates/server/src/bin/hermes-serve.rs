@@ -26,13 +26,21 @@
 //! machine-parseably: `sed -n 's/.*listening on //p'`. With `--metrics-addr`
 //! a second line `hermes-serve metrics listening on <addr>` announces the
 //! Prometheus endpoint the same way (see `docs/OBSERVABILITY.md`).
+//!
+//! Serving is unix-only (`docs/SERVER.md`): elsewhere the binary builds, says
+//! so and exits non-zero.
 
+#[cfg(unix)]
 use hermes_core::{ExecPolicy, HermesEngine, SharedEngine};
+#[cfg(unix)]
 use hermes_obs::serve_metrics;
-use hermes_server::{Server, ServerConfig, ServerCore};
+#[cfg(unix)]
+use hermes_server::{Server, ServerConfig};
+#[cfg(unix)]
 use std::io::Write;
 use std::process::ExitCode;
 
+#[cfg(unix)]
 const HELP: &str = "\
 hermes-serve — the Hermes network server
 
@@ -40,8 +48,7 @@ USAGE:
     hermes-serve [--addr <host:port> | --port <n>] [--max-connections <n>]
                  [--threads <n>] [--data-dir <dir>]
                  [--metrics-addr <host:port>] [--slow-query-ms <n>]
-                 [--core <event|threaded>] [--workers <n>]
-                 [--max-pending <n>] [--deadline-ms <n>]
+                 [--workers <n>] [--max-pending <n>] [--deadline-ms <n>]
 
 OPTIONS:
     --addr <host:port>       Bind address (default 127.0.0.1:8650; port 0
@@ -50,12 +57,9 @@ OPTIONS:
                              port is announced on stdout as
                              'hermes-serve listening on <addr>'
     --max-connections <n>    Simultaneous connection cap (default 64)
-    --core <event|threaded>  Concurrency core: 'event' multiplexes every
-                             socket on one readiness loop with a bounded
-                             worker pool (default on unix); 'threaded'
-                             spawns one OS thread per connection
-    --workers <n>            Statement-executing worker threads under the
-                             event core (default: sized from the machine)
+    --workers <n>            Statement-executing worker threads behind the
+                             serving loop (default: one per core, at least
+                             2 and at most 8)
     --max-pending <n>        Most admitted-but-unanswered requests across
                              all connections before further pipelined
                              requests get a typed backpressure error
@@ -81,6 +85,12 @@ OPTIONS:
     -h, --help               Print this text
 ";
 
+#[cfg(not(unix))]
+fn main() -> ExitCode {
+    fail("hermes-serve serves on unix targets only")
+}
+
+#[cfg(unix)]
 fn main() -> ExitCode {
     let mut addr = "127.0.0.1:8650".to_string();
     let mut config = ServerConfig::default();
@@ -101,11 +111,6 @@ fn main() -> ExitCode {
             "--max-connections" => match args.next().and_then(|n| n.parse().ok()) {
                 Some(n) if n > 0 => config.max_connections = n,
                 _ => return fail("--max-connections requires a positive integer"),
-            },
-            "--core" => match args.next().as_deref() {
-                Some("event") => config.core = ServerCore::Event,
-                Some("threaded") => config.core = ServerCore::Threaded,
-                _ => return fail("--core requires 'event' or 'threaded'"),
             },
             "--workers" => match args.next().and_then(|n| n.parse().ok()) {
                 Some(n) if n > 0 => config.workers = n,
@@ -174,7 +179,7 @@ fn main() -> ExitCode {
     };
     let handle = match server.spawn() {
         Ok(h) => h,
-        Err(e) => return fail(&format!("cannot start the accept loop: {e}")),
+        Err(e) => return fail(&format!("cannot start the serving loop: {e}")),
     };
     println!("hermes-serve listening on {bound}");
     // Keep the scrape listener alive for the life of the process.
@@ -213,7 +218,7 @@ fn fail(message: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Blocks until SIGTERM or SIGINT arrives (unix). Signal handlers may only
+/// Blocks until SIGTERM or SIGINT arrives. Signal handlers may only
 /// do async-signal-safe work, so the handler writes one byte into a
 /// self-pipe and the main thread blocks reading it — the classic self-pipe
 /// trick, built on the C library symbols std already links against.
@@ -262,13 +267,5 @@ fn wait_for_termination() {
         // n < 0 is EINTR from the very signal we are waiting for (or a
         // spurious wakeup): retry, the handler's byte is (or will be) in
         // the pipe.
-    }
-}
-
-/// Non-unix fallback: no signal plumbing, run until killed.
-#[cfg(not(unix))]
-fn wait_for_termination() {
-    loop {
-        std::thread::park();
     }
 }

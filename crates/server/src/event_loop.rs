@@ -1,5 +1,11 @@
-//! The readiness-driven server core: one poller thread multiplexing every
-//! socket, a bounded worker pool executing statements.
+//! The serving loop: one poller thread multiplexing every socket, a bounded
+//! worker pool answering statements through a [`Backend`].
+//!
+//! Everything that is not statement semantics lives here, once, for every
+//! backend: framing, the handshake, the connection cap, pipelined admission
+//! control, deadlines, panic isolation, the per-request counters, the
+//! slow-query line and the live-socket registry behind
+//! [`ServerHandle::kill`](crate::server::ServerHandle::kill).
 //!
 //! ## Shape
 //!
@@ -12,14 +18,14 @@
 //! loop: ten thousand idle connections cost file descriptors and buffers,
 //! not OS threads.
 //!
-//! ## Sessions travel with jobs
+//! ## Connection state travels with jobs
 //!
-//! A connection's [`Session`] (and its prepared-statement table) moves into
-//! the worker with each dispatched job and comes back with the completion,
-//! so at most one statement per connection executes at a time — exactly the
-//! ordering the protocol promises — while different connections execute on
-//! different workers freely. Reads pin the engine's published snapshot
-//! epoch, so a `BUILD INDEX` on one worker never blocks queries on another.
+//! A connection's [`Backend::Conn`] (the engine's session and prepared
+//! table, the coordinator's parsed statements) moves into the worker with
+//! each dispatched job and comes back with the completion, so at most one
+//! statement per connection executes at a time — exactly the ordering the
+//! protocol promises — while different connections execute on different
+//! workers freely.
 //!
 //! ## Admission control
 //!
@@ -34,11 +40,18 @@
 //!   handshake, get a typed [`ErrorCode::Capacity`] error to their first
 //!   request, and are disconnected.
 //!
-//! Per-request deadlines are enforced in [`execute_request`]: a request that
+//! Per-request deadlines are enforced in [`Worker::answer_request`]: a request that
 //! waited out its deadline in the queue is answered with a typed
 //! [`ErrorCode::Deadline`] error without running, and one that finished too
 //! late has its result replaced by the same error.
 //!
+//! ## Panic isolation
+//!
+//! A statement that panics inside [`Backend::answer`] is caught on the
+//! worker and answered as a typed [`ErrorCode::Query`] error; the worker,
+//! the connection and its travelling state all survive.
+//!
+//! [`ErrorCode::Query`]: crate::protocol::ErrorCode::Query
 //! [`ErrorCode::Backpressure`]: crate::protocol::ErrorCode::Backpressure
 //! [`ErrorCode::Capacity`]: crate::protocol::ErrorCode::Capacity
 //! [`ErrorCode::Deadline`]: crate::protocol::ErrorCode::Deadline
@@ -49,22 +62,19 @@ use crate::protocol::{
     read_handshake, read_request, write_handshake, write_response, ErrorCode, Request, Response,
     MAX_MESSAGE_BYTES,
 };
-use crate::server::{
-    capacity_error, execute_request, oversize_error, protocol_error, RequestEnv, Server,
-    ServerConfig,
-};
-use hermes_core::SharedEngine;
-use hermes_obs::{SpanStore, TraceContext};
-use hermes_sql::{Prepared, Session};
+use crate::server::{Backend, RequestCtx, Server, ServerConfig};
+use hermes_obs::{slow_query_line, SpanStore, TraceContext};
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Poll token of the listening socket.
 const LISTENER: usize = 0;
@@ -79,43 +89,36 @@ const FIRST_CONN: usize = 2;
 /// re-reports whatever is left).
 const READ_QUANTUM: usize = 256 * 1024;
 
-/// The connection state that travels into workers with each job: the
-/// session (whose backend pins snapshot epochs) and the wire table of
-/// prepared statements.
-struct ConnState {
-    session: Session<SharedEngine>,
-    prepared: Vec<Prepared>,
-}
-
-/// One statement dispatched to the worker pool.
-struct Job {
+/// One statement dispatched to the worker pool, with the connection state
+/// (`C` is the backend's [`Backend::Conn`]) travelling along.
+struct Job<C> {
     token: usize,
-    state: Box<ConnState>,
+    state: Box<C>,
     request: Request,
     trace: Option<TraceContext>,
     received: Instant,
 }
 
-/// One finished statement on its way back to the loop: the returned session
-/// state and the fully encoded response frame.
-struct Completion {
+/// One finished statement on its way back to the loop: the returned
+/// connection state and the fully encoded response frame.
+struct Completion<C> {
     token: usize,
-    state: Box<ConnState>,
+    state: Box<C>,
     bytes: Vec<u8>,
 }
 
 /// State shared between the loop thread and the workers.
-struct WorkerShared {
+struct WorkerShared<C> {
     /// Pending jobs plus the closed flag workers exit on.
-    queue: Mutex<(VecDeque<Job>, bool)>,
+    queue: Mutex<(VecDeque<Job<C>>, bool)>,
     available: Condvar,
-    completions: Mutex<Vec<Completion>>,
+    completions: Mutex<Vec<Completion<C>>>,
     /// Write half of the wakeup pair; one byte per completion batch.
     waker: Mutex<UnixStream>,
 }
 
-impl WorkerShared {
-    fn complete(&self, completion: Completion) {
+impl<C> WorkerShared<C> {
+    fn complete(&self, completion: Completion<C>) {
         self.completions.lock().unwrap().push(completion);
         // A full pipe means wakeup bytes are already pending — that is all
         // the signal the loop needs, so the error is safely ignored.
@@ -139,7 +142,7 @@ enum Parsed {
 }
 
 /// Per-connection state owned by the loop thread.
-struct Conn {
+struct Conn<C> {
     stream: TcpStream,
     conn_id: u64,
     /// Raw inbound bytes not yet sliced into frames.
@@ -153,7 +156,7 @@ struct Conn {
     /// Whether the client's preamble has been verified.
     handshaken: bool,
     /// Present while no job is in flight; travels with the job otherwise.
-    state: Option<Box<ConnState>>,
+    state: Option<Box<C>>,
     /// Parsed requests not yet dispatched.
     queue: VecDeque<Parsed>,
     /// Over the connection cap: first request is answered with a capacity
@@ -167,7 +170,7 @@ struct Conn {
     interest: Interest,
 }
 
-impl Conn {
+impl<C> Conn<C> {
     fn desired_interest(&self) -> Interest {
         Interest {
             readable: !self.read_paused && !self.close_after_flush,
@@ -176,8 +179,7 @@ impl Conn {
     }
 
     /// Appends one encoded response frame to the write buffer, accounting
-    /// the outbound bytes the way the threaded core does (frame bytes, not
-    /// handshake bytes).
+    /// its outbound bytes (frame bytes, not handshake bytes).
     fn push_response(&mut self, response: &Response, metrics: &ServerMetrics) {
         let before = self.write_buf.len();
         if let Err(e) = write_response(&mut self.write_buf, response) {
@@ -194,12 +196,15 @@ impl Conn {
 }
 
 /// Loop-wide bookkeeping shared by the handler functions.
-struct Ctx {
-    engine: SharedEngine,
+struct Ctx<B: Backend> {
     config: ServerConfig,
     metrics: Arc<ServerMetrics>,
     conn_registry: Arc<Mutex<Vec<(u64, TcpStream)>>>,
-    shared: Arc<WorkerShared>,
+    shared: Arc<WorkerShared<B::Conn>>,
+    worker: Arc<Worker<B>>,
+    /// Worker threads started so far, never more than `max_workers`.
+    workers: usize,
+    max_workers: usize,
     /// Admitted (non-rejected) live connections.
     admitted: usize,
     /// Parsed requests sitting in connection queues.
@@ -208,10 +213,41 @@ struct Ctx {
     inflight: usize,
 }
 
-impl Ctx {
+impl<B: Backend> Ctx<B> {
     fn sync_gauges(&self) {
         self.metrics.pending_requests.set(self.queued as u64);
         self.metrics.inflight_queries.set(self.inflight as u64);
+    }
+
+    fn spawn_worker(&mut self) -> io::Result<()> {
+        let worker = Arc::clone(&self.worker);
+        let shared = Arc::clone(&self.shared);
+        thread::Builder::new().spawn(move || worker.run(&shared))?;
+        self.workers += 1;
+        Ok(())
+    }
+
+    /// Hands one job to the pool, growing it while there are more jobs in
+    /// flight than workers: a pool sized for waiting (the coordinator's, one
+    /// per connection) then costs threads — stacks, allocator arenas — only
+    /// for the concurrency it actually sees.
+    fn dispatch(&mut self, job: Job<B::Conn>) {
+        self.inflight += 1;
+        if self.inflight > self.workers && self.workers < self.max_workers {
+            // Failing to grow is not fatal: the job waits for a worker that
+            // exists.
+            let _ = self.spawn_worker();
+        }
+        self.shared.queue.lock().unwrap().0.push_back(job);
+        self.shared.available.notify_one();
+    }
+}
+
+/// Builds the typed error frame for a connection turned away at the cap.
+fn capacity_error(max_connections: usize) -> Response {
+    Response::Error {
+        code: ErrorCode::Capacity,
+        message: format!("server at connection capacity ({max_connections} active)"),
     }
 }
 
@@ -224,11 +260,35 @@ fn backpressure_error(max_pending: usize) -> Response {
     }
 }
 
-/// Runs the event core over a bound [`Server`] until shut down.
-pub(crate) fn run(server: Server) -> io::Result<()> {
+/// Builds the typed error frame for a request that overran its deadline.
+fn deadline_error(deadline_ms: u64) -> Response {
+    Response::Error {
+        code: ErrorCode::Deadline,
+        message: format!("deadline exceeded: request not answered within {deadline_ms}ms"),
+    }
+}
+
+/// Builds the typed error frame for an unparseable or incompatible peer.
+fn protocol_error(e: &io::Error) -> Response {
+    Response::Error {
+        code: ErrorCode::Protocol,
+        message: e.to_string(),
+    }
+}
+
+/// Builds the typed error frame for a result frame over the wire cap.
+fn oversize_error(e: &io::Error) -> Response {
+    Response::Error {
+        code: ErrorCode::Protocol,
+        message: format!("result too large for the wire protocol: {e}"),
+    }
+}
+
+/// Runs the serving loop over a bound [`Server`] until shut down.
+pub(crate) fn run<B: Backend>(server: Server<B>) -> io::Result<()> {
     let Server {
         listener,
-        engine,
+        backend,
         config,
         metrics,
         registry: _registry,
@@ -253,44 +313,35 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
         waker: Mutex::new(wake_tx),
     });
 
-    let worker_count = if config.workers > 0 {
+    let max_workers = if config.workers > 0 {
         config.workers
     } else {
-        thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2)
-            .clamp(2, 8)
+        backend.default_workers(&config)
     };
-    for _ in 0..worker_count {
-        let shared = Arc::clone(&shared);
-        let engine = engine.clone();
-        let metrics = Arc::clone(&metrics);
-        let spans = Arc::clone(&spans);
-        let slow_query_ms = config.slow_query_ms;
-        let deadline_ms = config.deadline_ms;
-        thread::spawn(move || {
-            worker_loop(
-                &shared,
-                &engine,
-                &metrics,
-                &spans,
-                slow_query_ms,
-                deadline_ms,
-            )
-        });
-    }
+    let worker = Arc::new(Worker {
+        backend,
+        metrics: Arc::clone(&metrics),
+        spans,
+        slow_query_ms: config.slow_query_ms,
+        deadline_ms: config.deadline_ms,
+    });
 
     let mut ctx = Ctx {
-        engine,
         config,
         metrics,
         conn_registry,
         shared,
+        worker,
+        workers: 0,
+        max_workers,
         admitted: 0,
         queued: 0,
         inflight: 0,
     };
-    let mut conns: HashMap<usize, Conn> = HashMap::new();
+    // The first worker must exist or nothing is ever answered; the rest are
+    // started as statements need them.
+    ctx.spawn_worker()?;
+    let mut conns: HashMap<usize, Conn<B::Conn>> = HashMap::new();
     let mut next_token = FIRST_CONN;
     let mut next_conn_id: u64 = 0;
     let mut events: Vec<PollEvent> = Vec::new();
@@ -327,72 +378,134 @@ pub(crate) fn run(server: Server) -> io::Result<()> {
     }
 
     // Stop the workers: whoever is mid-statement finishes it and exits; the
-    // loop does not wait, matching the threaded core's shutdown semantics.
+    // loop does not wait for them.
     ctx.shared.queue.lock().unwrap().1 = true;
     ctx.shared.available.notify_all();
     Ok(())
 }
 
-/// Worker thread: pull a job, answer it through the travelling session,
-/// encode the frame, hand both back to the loop.
-fn worker_loop(
-    shared: &WorkerShared,
-    engine: &SharedEngine,
-    metrics: &ServerMetrics,
-    spans: &SpanStore,
+/// What one worker thread needs to answer requests.
+struct Worker<B: Backend> {
+    backend: Arc<B>,
+    metrics: Arc<ServerMetrics>,
+    spans: Arc<SpanStore>,
     slow_query_ms: Option<u64>,
     deadline_ms: Option<u64>,
-) {
-    loop {
-        let job = {
-            let mut guard = shared.queue.lock().unwrap();
-            loop {
-                if let Some(job) = guard.0.pop_front() {
-                    break Some(job);
+}
+
+impl<B: Backend> Worker<B> {
+    /// Worker thread: pull a job, answer it through the travelling
+    /// connection state, encode the frame, hand both back to the loop.
+    fn run(&self, shared: &WorkerShared<B::Conn>) {
+        loop {
+            let job = {
+                let mut guard = shared.queue.lock().unwrap();
+                loop {
+                    if let Some(job) = guard.0.pop_front() {
+                        break Some(job);
+                    }
+                    if guard.1 {
+                        break None;
+                    }
+                    guard = shared.available.wait(guard).unwrap();
                 }
-                if guard.1 {
-                    break None;
-                }
-                guard = shared.available.wait(guard).unwrap();
+            };
+            let Some(mut job) = job else { return };
+            let response =
+                self.answer_request(&mut job.state, job.request, job.trace, job.received);
+            let mut bytes = Vec::new();
+            if let Err(e) = write_response(&mut bytes, &response) {
+                bytes.clear();
+                self.metrics.query_errors.inc();
+                let _ = write_response(&mut bytes, &oversize_error(&e));
             }
-        };
-        let Some(mut job) = job else { return };
-        let env = RequestEnv {
-            engine,
-            metrics,
-            spans,
-            slow_query_ms,
-            deadline_ms,
-        };
-        let response = execute_request(
-            &env,
-            &mut job.state.session,
-            &mut job.state.prepared,
-            job.request,
-            job.trace,
-            job.received,
-        );
-        let mut bytes = Vec::new();
-        if let Err(e) = write_response(&mut bytes, &response) {
-            bytes.clear();
-            metrics.query_errors.inc();
-            let _ = write_response(&mut bytes, &oversize_error(&e));
+            shared.complete(Completion {
+                token: job.token,
+                state: job.state,
+                bytes,
+            });
         }
-        shared.complete(Completion {
-            token: job.token,
-            state: job.state,
-            bytes,
+    }
+
+    /// Fully answers one request: deadline admission, the backend's answer
+    /// (a panic there becomes a typed error), deadline enforcement on the
+    /// way out, metric accounting and the slow-query line. `received` is
+    /// when the request was parsed off the socket — that can be well before
+    /// execution starts, which is exactly what the deadline must measure.
+    fn answer_request(
+        &self,
+        state: &mut B::Conn,
+        request: Request,
+        inbound_trace: Option<TraceContext>,
+        received: Instant,
+    ) -> Response {
+        let metrics = &*self.metrics;
+        let deadline = self.deadline_ms.map(|ms| (ms, Duration::from_millis(ms)));
+        if let Some((ms, deadline)) = deadline {
+            if received.elapsed() > deadline {
+                // Already late before executing: don't burn a worker on a
+                // result the client has been told not to wait for.
+                metrics.deadline_misses.inc();
+                metrics.query_errors.inc();
+                return deadline_error(ms);
+            }
+        }
+        let mut ctx = RequestCtx::new(metrics, &self.spans, self.slow_query_ms.is_some());
+        let started = Instant::now();
+        // The state is touched by nobody but the backend, which gets it back
+        // as the panicking statement left it; no lock is held across a
+        // statement, so nothing the loop shares can be poisoned from here.
+        let answered = catch_unwind(AssertUnwindSafe(|| {
+            self.backend.answer(state, request, inbound_trace, &mut ctx)
+        }));
+        let elapsed = started.elapsed();
+        let mut response = answered.unwrap_or_else(|payload| {
+            Response::error(format!(
+                "internal error: statement panicked: {}",
+                panic_message(&*payload)
+            ))
         });
+        if let Some((ms, deadline)) = deadline {
+            if received.elapsed() > deadline {
+                metrics.deadline_misses.inc();
+                response = deadline_error(ms);
+            }
+        }
+        metrics.latency.record(elapsed);
+        match &response {
+            Response::Error { .. } => metrics.query_errors.inc(),
+            _ => metrics.queries_served.inc(),
+        };
+        if let (Some(threshold), Some((trace_id, statement))) =
+            (self.slow_query_ms, ctx.take_traced())
+        {
+            let ms = elapsed.as_secs_f64() * 1e3;
+            if ms >= threshold as f64 {
+                metrics.slow_queries.inc();
+                eprintln!("{}", slow_query_line(ms, trace_id, &statement));
+            }
+        }
+        response
     }
 }
 
+/// The text of a caught panic payload (`panic!` carries a `&str` or a
+/// `String`; anything else has no text to show).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
 /// Accepts every connection the listener has ready.
-fn accept_ready(
+fn accept_ready<B: Backend>(
     listener: &TcpListener,
-    conns: &mut HashMap<usize, Conn>,
+    conns: &mut HashMap<usize, Conn<B::Conn>>,
     next_token: &mut usize,
     next_conn_id: &mut u64,
-    ctx: &mut Ctx,
+    ctx: &mut Ctx<B>,
     poller: &mut Poller,
 ) {
     loop {
@@ -433,10 +546,7 @@ fn accept_ready(
             write_buf: Vec::new(),
             write_pos: 0,
             handshaken: false,
-            state: Some(Box::new(ConnState {
-                session: Session::new(ctx.engine.clone()),
-                prepared: Vec::new(),
-            })),
+            state: Some(Box::new(ctx.worker.backend.open())),
             queue: VecDeque::new(),
             rejected,
             read_paused: false,
@@ -472,14 +582,21 @@ fn drain_waker(wake_rx: &UnixStream) {
 }
 
 /// Folds finished jobs back into their connections and flushes.
-fn handle_completions(conns: &mut HashMap<usize, Conn>, ctx: &mut Ctx, poller: &mut Poller) {
+fn handle_completions<B: Backend>(
+    conns: &mut HashMap<usize, Conn<B::Conn>>,
+    ctx: &mut Ctx<B>,
+    poller: &mut Poller,
+) {
     let done = std::mem::take(&mut *ctx.shared.completions.lock().unwrap());
+    // Settle the gauges before any reply is flushed, so a client that has
+    // read its answer never observes its own request as still in flight.
+    ctx.inflight -= done.len();
+    ctx.sync_gauges();
     for completion in done {
-        ctx.inflight -= 1;
         let token = completion.token;
         let Some(conn) = conns.get_mut(&token) else {
-            // The connection died while its statement ran; the session and
-            // the encoded frame are simply dropped.
+            // The connection died while its statement ran; its state and the
+            // encoded frame are simply dropped.
             continue;
         };
         conn.state = Some(completion.state);
@@ -494,10 +611,10 @@ fn handle_completions(conns: &mut HashMap<usize, Conn>, ctx: &mut Ctx, poller: &
 }
 
 /// Reads, parses and dispatches whatever one socket has ready.
-fn handle_readable(
+fn handle_readable<B: Backend>(
     token: usize,
-    conns: &mut HashMap<usize, Conn>,
-    ctx: &mut Ctx,
+    conns: &mut HashMap<usize, Conn<B::Conn>>,
+    ctx: &mut Ctx<B>,
     poller: &mut Poller,
 ) {
     let Some(conn) = conns.get_mut(&token) else {
@@ -533,10 +650,10 @@ fn handle_readable(
 }
 
 /// Flushes a socket that reported writable.
-fn handle_writable(
+fn handle_writable<B: Backend>(
     token: usize,
-    conns: &mut HashMap<usize, Conn>,
-    ctx: &mut Ctx,
+    conns: &mut HashMap<usize, Conn<B::Conn>>,
+    ctx: &mut Ctx<B>,
     poller: &mut Poller,
 ) {
     if conns.contains_key(&token) {
@@ -547,7 +664,11 @@ fn handle_writable(
 /// Slices the connection's read buffer into frames: the handshake first,
 /// then length-prefixed requests, each admitted (or rejected) into the
 /// pipeline queue.
-fn parse_frames(token: usize, conns: &mut HashMap<usize, Conn>, ctx: &mut Ctx) {
+fn parse_frames<B: Backend>(
+    token: usize,
+    conns: &mut HashMap<usize, Conn<B::Conn>>,
+    ctx: &mut Ctx<B>,
+) {
     let Some(conn) = conns.get_mut(&token) else {
         return;
     };
@@ -641,16 +762,16 @@ fn parse_frames(token: usize, conns: &mut HashMap<usize, Conn>, ctx: &mut Ctx) {
 
 /// Dispatches queued work, flushes outbound bytes, resumes paused reads and
 /// reconciles poller interest — the common tail of every connection event.
-fn service_conn(
+fn service_conn<B: Backend>(
     token: usize,
-    conns: &mut HashMap<usize, Conn>,
-    ctx: &mut Ctx,
+    conns: &mut HashMap<usize, Conn<B::Conn>>,
+    ctx: &mut Ctx<B>,
     poller: &mut Poller,
 ) {
     let Some(conn) = conns.get_mut(&token) else {
         return;
     };
-    // Dispatch at most one job (the session travels with it); emit any
+    // Dispatch at most one job (the connection state travels with it); emit any
     // rejections ahead of it in pipeline order.
     while conn.state.is_some() && !conn.close_after_flush {
         match conn.queue.pop_front() {
@@ -661,15 +782,13 @@ fn service_conn(
             }) => {
                 let state = conn.state.take().expect("checked above");
                 ctx.queued -= 1;
-                ctx.inflight += 1;
-                ctx.shared.queue.lock().unwrap().0.push_back(Job {
+                ctx.dispatch(Job {
                     token,
                     state,
                     request,
                     trace,
                     received,
                 });
-                ctx.shared.available.notify_one();
             }
             Some(Parsed::Reject { response, close }) => {
                 conn.push_response(&response, &ctx.metrics);
@@ -703,7 +822,7 @@ fn service_conn(
 }
 
 /// Writes as much buffered output as the socket accepts right now.
-fn flush(conn: &mut Conn) -> io::Result<()> {
+fn flush<C>(conn: &mut Conn<C>) -> io::Result<()> {
     while conn.write_pos < conn.write_buf.len() {
         match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
@@ -722,7 +841,12 @@ fn flush(conn: &mut Conn) -> io::Result<()> {
 
 /// Removes a connection from the poller and the map, then settles its
 /// bookkeeping.
-fn close_conn(token: usize, conns: &mut HashMap<usize, Conn>, ctx: &mut Ctx, poller: &mut Poller) {
+fn close_conn<B: Backend>(
+    token: usize,
+    conns: &mut HashMap<usize, Conn<B::Conn>>,
+    ctx: &mut Ctx<B>,
+    poller: &mut Poller,
+) {
     let Some(conn) = conns.remove(&token) else {
         return;
     };
@@ -733,7 +857,7 @@ fn close_conn(token: usize, conns: &mut HashMap<usize, Conn>, ctx: &mut Ctx, pol
 /// Settles a closed connection's bookkeeping: live-connection accounting
 /// and the pending requests that will now never run. An in-flight job is
 /// left to finish — its completion finds no connection and is dropped.
-fn finish_conn(conn: Conn, ctx: &mut Ctx) {
+fn finish_conn<B: Backend>(conn: Conn<B::Conn>, ctx: &mut Ctx<B>) {
     if !conn.rejected {
         ctx.metrics.connections_active.dec();
         ctx.admitted -= 1;

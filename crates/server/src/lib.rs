@@ -3,19 +3,21 @@
 //! The network subsystem: Hermes as a process instead of a library.
 //!
 //! Three layers, all `std`-only (`std::net` + `std::thread` + raw
-//! `epoll`/`poll(2)` bindings):
+//! `epoll`/`poll(2)` bindings). The client, the protocol and the metrics
+//! build on any target; serving ([`server`]) is unix-only:
 //!
 //! - [`protocol`] — a length-prefixed binary wire protocol whose payloads are
 //!   the engine's own typed [`Value`](hermes_sql::Value)/
 //!   [`Frame`](hermes_sql::Frame) results, with typed error frames
 //!   ([`ErrorCode`]) for admission-control rejections (layouts in
 //!   `docs/PROTOCOL.md`);
-//! - [`server`] — a TCP server where every connection gets its own
-//!   [`Session`](hermes_sql::Session) over one shared engine publishing
-//!   immutable snapshot epochs. The default core on unix is a
-//!   readiness-driven event loop (pipelining, per-query deadlines, bounded
-//!   in-flight work); a thread-per-connection core remains as fallback and
-//!   baseline. Counters in [`metrics`] surface through `SHOW STATS`;
+//! - [`server`] — the one serving loop: a readiness-driven event loop
+//!   (pipelining, per-query deadlines, bounded in-flight work, panic
+//!   isolation) generic over a small [`Backend`]. The engine backend gives
+//!   every connection its own [`Session`](hermes_sql::Session) over one
+//!   shared engine publishing immutable snapshot epochs; `hermes-coord`
+//!   serves its router from the same loop. Counters in [`metrics`] surface
+//!   through `SHOW STATS`;
 //! - [`client`] — [`HermesClient`], the blocking client library used by
 //!   `hermes-cli --connect`, the tests and the benchmarks, now with
 //!   explicit [`client::HermesClient::send`]/[`client::HermesClient::receive`]
@@ -43,6 +45,7 @@ pub mod metrics;
 #[cfg(unix)]
 mod poll;
 pub mod protocol;
+#[cfg(unix)]
 pub mod server;
 pub mod shard;
 pub mod traceview;
@@ -52,5 +55,6 @@ pub use metrics::{LatencyHistogram, ServerMetrics, LATENCY_BUCKETS_US};
 pub use protocol::{
     DecodeError, ErrorCode, PartialInfo, Request, Response, MAX_MESSAGE_BYTES, PROTOCOL_VERSION,
 };
-pub use server::{Server, ServerConfig, ServerCore, ServerHandle};
+#[cfg(unix)]
+pub use server::{Backend, RequestCtx, Server, ServerConfig, ServerHandle};
 pub use traceview::{sniff_trace_text, trace_outcome, traces_outcome, TraceQuery};

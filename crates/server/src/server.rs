@@ -1,91 +1,68 @@
-//! The TCP server: every connection gets its own [`Session`] over one
-//! [`SharedEngine`], behind one of two interchangeable cores.
+//! The TCP server: one serving loop (`crate::event_loop`) in front of a
+//! [`Backend`].
 //!
-//! The default core on unix ([`ServerCore::Event`], `crate::event_loop`) is
-//! a readiness-driven event loop: one thread multiplexes every socket
-//! through `epoll`/`poll(2)`, parses pipelined frames into per-connection
-//! queues, and hands statements to a small worker pool — so ten thousand
-//! idle connections cost file descriptors, not stacks. Read statements pin
-//! the engine's published snapshot epoch and never block; writes serialize
-//! through the engine's commit mutex and publish new epochs.
+//! The loop is readiness-driven: one thread multiplexes every socket through
+//! `epoll`/`poll(2)`, parses pipelined frames into per-connection queues,
+//! and hands statements to a small worker pool — so ten thousand idle
+//! connections cost file descriptors, not stacks. It owns everything that
+//! is not statement semantics (framing, admission control, deadlines, panic
+//! isolation, counters); a [`Backend`] owns what a statement *means*.
 //!
-//! The fallback core ([`ServerCore::Threaded`]) is the original
-//! thread-per-connection loop behind a connection cap — still useful on
-//! non-unix targets and as the A/B baseline for the concurrency benchmarks.
-//! Both cores answer through the same `execute_request` path, so frames
-//! are byte-identical between them.
+//! Two backends exist. [`SharedEngine`] is the single-node one: every
+//! connection gets its own [`Session`], read statements pin the engine's
+//! published snapshot epoch and never block, writes serialize through the
+//! engine's commit mutex and publish new epochs. `hermes-coord`'s
+//! `Coordinator` is the other: it routes each statement to shards.
+//!
+//! Serving is unix-only (the loop polls raw file descriptors); the client,
+//! the protocol and the metrics build anywhere.
 
 use crate::metrics::ServerMetrics;
-use crate::protocol::{
-    read_handshake, read_request, write_handshake, write_response, ErrorCode, Request, Response,
-};
+use crate::protocol::{Request, Response};
 use crate::shard;
 use crate::traceview::{self, TraceQuery};
 use hermes_core::{EngineError, SharedEngine};
-use hermes_obs::{
-    next_id, slow_query_line, Registry, Sample, SampleValue, Span, SpanStore, TraceContext,
-};
+use hermes_obs::{next_id, Registry, Sample, SampleValue, Span, SpanStore, TraceContext};
 use hermes_retratree::OwnedSlice;
 use hermes_sql::{
     push_stat, sort_stats_rows, CommandStatus, CommandTag, Prepared, QueryOutcome, Scalar, Session,
     Statement, Value,
 };
 use hermes_trajectory::{TimeInterval, Timestamp};
-use std::io::{self, BufReader, BufWriter};
+use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Which concurrency core a [`Server`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerCore {
-    /// Readiness-driven event loop (`epoll`/`poll(2)`) with a bounded worker
-    /// pool. The default on unix; on other targets it falls back to
-    /// [`ServerCore::Threaded`].
-    Event,
-    /// One OS thread per connection behind the connection cap.
-    Threaded,
-}
-
-impl Default for ServerCore {
-    fn default() -> Self {
-        if cfg!(unix) {
-            ServerCore::Event
-        } else {
-            ServerCore::Threaded
-        }
-    }
-}
-
 /// Tunables of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Most simultaneous connections admitted; further clients receive a
-    /// [`ErrorCode::Capacity`] error response to their first request and are
-    /// disconnected.
+    /// [`ErrorCode::Capacity`](crate::ErrorCode::Capacity) error response to
+    /// their first request and are disconnected.
     pub max_connections: usize,
     /// When set, any statement slower than this many milliseconds bumps the
     /// slow-query counter and writes one structured JSON line (with its trace
     /// id) to stderr. `None` disables the slow-query log.
     pub slow_query_ms: Option<u64>,
-    /// Which concurrency core to run.
-    pub core: ServerCore,
-    /// Worker threads executing statements under the event core; `0` sizes
-    /// the pool from the machine (`available_parallelism`, clamped to
-    /// `[2, 8]`). Ignored by the threaded core.
+    /// Most worker threads answering statements (they are started as
+    /// concurrent statements need them); `0` lets the backend size the pool
+    /// ([`Backend::default_workers`]).
     pub workers: usize,
-    /// Most requests admitted but not yet answered across all connections
-    /// (event core). Further pipelined requests are answered with an
-    /// [`ErrorCode::Backpressure`] error without executing.
+    /// Most requests admitted but not yet answered across all connections.
+    /// Further pipelined requests are answered with an
+    /// [`ErrorCode::Backpressure`](crate::ErrorCode::Backpressure) error
+    /// without executing.
     pub max_pending: usize,
-    /// Most requests queued on one connection before the event loop stops
-    /// reading from its socket (TCP backpressure) until the queue drains.
+    /// Most requests queued on one connection before the loop stops reading
+    /// from its socket (TCP backpressure) until the queue drains.
     pub max_conn_pending: usize,
     /// When set, a request not fully answered within this many milliseconds
-    /// of arrival is answered with an [`ErrorCode::Deadline`] error instead
-    /// of its (late) result.
+    /// of arrival is answered with an
+    /// [`ErrorCode::Deadline`](crate::ErrorCode::Deadline) error instead of
+    /// its (late) result.
     pub deadline_ms: Option<u64>,
 }
 
@@ -94,7 +71,6 @@ impl Default for ServerConfig {
         ServerConfig {
             max_connections: 64,
             slow_query_ms: None,
-            core: ServerCore::default(),
             workers: 0,
             max_pending: 1024,
             max_conn_pending: 128,
@@ -103,10 +79,87 @@ impl Default for ServerConfig {
     }
 }
 
+/// What a [`Backend`] sees of the server while answering one request.
+pub struct RequestCtx<'a> {
+    /// The server's counters. The loop does the per-request accounting; a
+    /// backend reads them (the `server` / `coordinator` scope of
+    /// `SHOW STATS`) and sets the gauges only it can know.
+    pub metrics: &'a ServerMetrics,
+    /// The span store behind `SHOW TRACE`, where the backend records the
+    /// request's span(s).
+    pub spans: &'a Arc<SpanStore>,
+    /// Whether the loop will want [`RequestCtx::traced`]'s statement text.
+    slow_query_log: bool,
+    traced: Option<(u64, String)>,
+}
+
+impl<'a> RequestCtx<'a> {
+    pub(crate) fn new(
+        metrics: &'a ServerMetrics,
+        spans: &'a Arc<SpanStore>,
+        slow_query_log: bool,
+    ) -> Self {
+        RequestCtx {
+            metrics,
+            spans,
+            slow_query_log,
+            traced: None,
+        }
+    }
+
+    /// Tells the loop which trace the request was recorded under and what to
+    /// call it, so a slow one is logged with both. A request never reported
+    /// here is never slow-logged.
+    pub fn traced(&mut self, trace_id: u64, statement: &str) {
+        if self.slow_query_log {
+            self.traced = Some((trace_id, statement.to_string()));
+        }
+    }
+
+    pub(crate) fn take_traced(&mut self) -> Option<(u64, String)> {
+        self.traced.take()
+    }
+}
+
+/// What the serving loop serves: the meaning of a statement, and nothing
+/// else.
+///
+/// The loop owns framing, the handshake, the connection cap, admission
+/// control, deadlines, panic isolation, the latency/served/error/byte
+/// counters, the slow-query line and shutdown. A backend owns per-connection
+/// statement state, turning one [`Request`] into one [`Response`], and the
+/// spans that describe how it did so.
+pub trait Backend: Send + Sync + 'static {
+    /// Per-connection state. It travels into a worker with each request and
+    /// back, so at most one request per connection sees it at a time.
+    type Conn: Send + 'static;
+
+    /// State for a freshly accepted connection.
+    fn open(&self) -> Self::Conn;
+
+    /// Answers one request and records its span(s) in `ctx.spans`.
+    /// `inbound_trace` is the trace context the peer propagated, if any.
+    /// May block; a panic is caught by the loop and answered as a typed
+    /// error, after which `conn` is used again as the panic left it.
+    fn answer(
+        &self,
+        conn: &mut Self::Conn,
+        request: Request,
+        inbound_trace: Option<TraceContext>,
+        ctx: &mut RequestCtx<'_>,
+    ) -> Response;
+
+    /// Contributes the backend's samples to a `/metrics` scrape.
+    fn collect(&self, out: &mut Vec<Sample>);
+
+    /// Worker-pool bound when [`ServerConfig::workers`] is `0`.
+    fn default_workers(&self, config: &ServerConfig) -> usize;
+}
+
 /// A bound-but-not-yet-running server.
-pub struct Server {
+pub struct Server<B: Backend = SharedEngine> {
     pub(crate) listener: TcpListener,
-    pub(crate) engine: SharedEngine,
+    pub(crate) backend: Arc<B>,
     pub(crate) config: ServerConfig,
     pub(crate) metrics: Arc<ServerMetrics>,
     pub(crate) registry: Arc<Registry>,
@@ -117,25 +170,23 @@ pub struct Server {
     pub(crate) conns: Arc<Mutex<Vec<(u64, TcpStream)>>>,
 }
 
-impl Server {
-    /// Binds a listener (port 0 picks an ephemeral port) over an engine.
+impl<B: Backend> Server<B> {
+    /// Binds a listener (port 0 picks an ephemeral port) over a backend —
+    /// a [`SharedEngine`] for a single node, a `Coordinator` for a sharded
+    /// deployment.
     ///
     /// The server owns a process-wide [`Registry`] carrying its own counters
-    /// plus a pull-based collector over the engine's aggregated stats
-    /// (`hermes_engine_*`, `hermes_storage_*`, `hermes_exec_*`), and a
+    /// plus a pull-based collector over [`Backend::collect`], and a
     /// [`SpanStore`] holding recent per-query spans for `SHOW TRACE`.
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        engine: SharedEngine,
-        config: ServerConfig,
-    ) -> io::Result<Server> {
+    pub fn bind(addr: impl ToSocketAddrs, backend: B, config: ServerConfig) -> io::Result<Self> {
+        let backend = Arc::new(backend);
         let registry = Arc::new(Registry::new());
         let metrics = Arc::new(ServerMetrics::register(&registry));
-        let collector_engine = engine.clone();
-        registry.register_collector(move |out| collect_engine_samples(&collector_engine, out));
+        let collector = Arc::clone(&backend);
+        registry.register_collector(move |out| collector.collect(out));
         Ok(Server {
             listener: TcpListener::bind(addr)?,
-            engine,
+            backend,
             config,
             metrics,
             registry,
@@ -165,75 +216,20 @@ impl Server {
         Arc::clone(&self.spans)
     }
 
-    /// Runs the server on the calling thread until shut down, dispatching to
-    /// the configured [`ServerCore`].
+    /// Runs the serving loop on the calling thread until shut down.
     pub fn run(self) -> io::Result<()> {
-        match self.config.core {
-            #[cfg(unix)]
-            ServerCore::Event => crate::event_loop::run(self),
-            _ => self.run_threaded(),
-        }
+        crate::event_loop::run(self)
     }
 
-    /// The thread-per-connection core: one blocking accept loop, one OS
-    /// thread per admitted session.
-    fn run_threaded(self) -> io::Result<()> {
-        let mut next_conn_id: u64 = 0;
-        for stream in self.listener.incoming() {
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                // Transient accept failures (EMFILE, aborted handshakes)
-                // must not take the server down.
-                Err(_) => continue,
-            };
-            let active = self.metrics.connections_active.get();
-            if active >= self.config.max_connections as u64 {
-                self.metrics.connections_rejected.inc();
-                let max_connections = self.config.max_connections;
-                thread::spawn(move || reject_connection(stream, max_connections));
-                continue;
-            }
-            self.metrics.connections_accepted.inc();
-            self.metrics.connections_active.inc();
-            let conn_id = next_conn_id;
-            next_conn_id += 1;
-            if let Ok(clone) = stream.try_clone() {
-                self.conns.lock().unwrap().push((conn_id, clone));
-            }
-            let engine = self.engine.clone();
-            let metrics = Arc::clone(&self.metrics);
-            let spans = Arc::clone(&self.spans);
-            let slow_query_ms = self.config.slow_query_ms;
-            let deadline_ms = self.config.deadline_ms;
-            let conns = Arc::clone(&self.conns);
-            thread::spawn(move || {
-                let env = RequestEnv {
-                    engine: &engine,
-                    metrics: &metrics,
-                    spans: &spans,
-                    slow_query_ms,
-                    deadline_ms,
-                };
-                let _ = handle_connection(stream, &env);
-                metrics.connections_active.dec();
-                conns.lock().unwrap().retain(|(id, _)| *id != conn_id);
-            });
-        }
-        Ok(())
-    }
-
-    /// Runs the accept loop on a background thread, returning a handle that
+    /// Runs the serving loop on a background thread, returning a handle that
     /// shuts the server down when asked (or dropped).
-    pub fn spawn(self) -> io::Result<ServerHandle> {
+    pub fn spawn(self) -> io::Result<ServerHandle<B>> {
         let addr = self.local_addr()?;
         let metrics = self.metrics();
         let registry = self.registry();
         let spans = self.spans();
         let shutdown = Arc::clone(&self.shutdown);
-        let engine = self.engine.clone();
+        let backend = Arc::clone(&self.backend);
         let conns = Arc::clone(&self.conns);
         let thread = thread::spawn(move || {
             let _ = self.run();
@@ -244,7 +240,7 @@ impl Server {
             registry,
             spans,
             shutdown,
-            engine,
+            backend,
             conns,
             thread: Some(thread),
         })
@@ -252,18 +248,25 @@ impl Server {
 }
 
 /// Handle to a server running on a background thread.
-pub struct ServerHandle {
+pub struct ServerHandle<B: Backend = SharedEngine> {
     addr: SocketAddr,
     metrics: Arc<ServerMetrics>,
     registry: Arc<Registry>,
     spans: Arc<SpanStore>,
     shutdown: Arc<AtomicBool>,
-    engine: SharedEngine,
+    backend: Arc<B>,
     conns: Arc<Mutex<Vec<(u64, TcpStream)>>>,
     thread: Option<JoinHandle<()>>,
 }
 
-impl ServerHandle {
+impl ServerHandle<SharedEngine> {
+    /// A handle to the engine the server serves (e.g. to preload data).
+    pub fn engine(&self) -> SharedEngine {
+        SharedEngine::clone(&self.backend)
+    }
+}
+
+impl<B: Backend> ServerHandle<B> {
     /// The address clients connect to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -284,13 +287,8 @@ impl ServerHandle {
         Arc::clone(&self.spans)
     }
 
-    /// A handle to the engine the server serves (e.g. to preload data).
-    pub fn engine(&self) -> SharedEngine {
-        self.engine.clone()
-    }
-
-    /// Stops accepting connections and joins the accept loop. Connections
-    /// already in a session run until their client disconnects.
+    /// Stops accepting connections and joins the serving loop. A statement
+    /// already executing on a worker runs to completion unobserved.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -298,7 +296,7 @@ impl ServerHandle {
     /// Hard stop: like [`ServerHandle::shutdown`] but also severs every live
     /// connection socket, so peers holding pooled connections observe the
     /// failure immediately — the closest in-process equivalent of killing the
-    /// shard process, used by the multi-shard failure tests.
+    /// server process, used by the multi-shard failure tests.
     pub fn kill(mut self) {
         for (_, stream) in self.conns.lock().unwrap().iter() {
             let _ = stream.shutdown(Shutdown::Both);
@@ -311,197 +309,67 @@ impl ServerHandle {
             return;
         };
         self.shutdown.store(true, Ordering::SeqCst);
-        // Wake the accept loop so it observes the flag.
+        // Wake the loop so it observes the flag.
         let _ = TcpStream::connect(self.addr);
         let _ = thread.join();
     }
 }
 
-impl Drop for ServerHandle {
+impl<B: Backend> Drop for ServerHandle<B> {
     fn drop(&mut self) {
         self.stop();
     }
 }
 
-/// Builds the typed error frame for a connection turned away at the cap.
-pub(crate) fn capacity_error(max_connections: usize) -> Response {
-    Response::Error {
-        code: ErrorCode::Capacity,
-        message: format!("server at connection capacity ({max_connections} active)"),
-    }
+/// The engine backend's per-connection state: the session (whose backend
+/// pins snapshot epochs) and the wire table of prepared statements. Wire
+/// handles are indexes into this connection-private table, so one
+/// connection can never execute (or even see) another's statements.
+pub struct EngineConn {
+    session: Session<SharedEngine>,
+    prepared: Vec<Prepared>,
 }
 
-/// Turns away a connection over the cap. The client's first request is read
-/// (with a timeout, so a silent client cannot stall the accept loop) before
-/// the error response goes out — answering before the request arrives would
-/// race the client's write against the close and can surface as a connection
-/// reset instead of the capacity message.
-fn reject_connection(stream: TcpStream, max_connections: usize) {
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(2)));
-    let Ok(mut reader) = stream.try_clone().map(BufReader::new) else {
-        return;
-    };
-    let mut writer = BufWriter::new(stream);
-    // Complete the preamble exchange so the client reaches its first request,
-    // then turn that request away.
-    if write_handshake(&mut writer).is_err() || read_handshake(&mut reader).is_err() {
-        return;
-    }
-    let _ = read_request(&mut reader);
-    let _ = write_response(&mut writer, &capacity_error(max_connections));
-}
+/// The single-node backend: statements run against the engine through a
+/// per-connection [`Session`].
+impl Backend for SharedEngine {
+    type Conn = EngineConn;
 
-/// Everything a request needs besides the connection's own session state.
-/// Both cores build one of these and answer through [`execute_request`].
-pub(crate) struct RequestEnv<'a> {
-    /// The shared engine (epoch publication source).
-    pub(crate) engine: &'a SharedEngine,
-    /// The server's counters.
-    pub(crate) metrics: &'a ServerMetrics,
-    /// The span store behind `SHOW TRACE`.
-    pub(crate) spans: &'a SpanStore,
-    /// Slow-query log threshold.
-    pub(crate) slow_query_ms: Option<u64>,
-    /// Per-request deadline.
-    pub(crate) deadline_ms: Option<u64>,
-}
-
-/// Builds the typed error frame for a request that overran its deadline.
-pub(crate) fn deadline_error(deadline_ms: u64) -> Response {
-    Response::Error {
-        code: ErrorCode::Deadline,
-        message: format!("deadline exceeded: request not answered within {deadline_ms}ms"),
-    }
-}
-
-/// Fully answers one request: deadline admission, trace planning, execution,
-/// metric accounting, span recording, deadline enforcement on the way out.
-/// `received` is when the request was parsed off the socket — under the
-/// event core that can be well before execution starts, which is exactly
-/// what the deadline must measure.
-pub(crate) fn execute_request(
-    env: &RequestEnv<'_>,
-    session: &mut Session<SharedEngine>,
-    prepared: &mut Vec<Prepared>,
-    request: Request,
-    inbound_trace: Option<TraceContext>,
-    received: Instant,
-) -> Response {
-    let metrics = env.metrics;
-    let deadline = env.deadline_ms.map(Duration::from_millis);
-    if let (Some(deadline), Some(ms)) = (deadline, env.deadline_ms) {
-        if received.elapsed() > deadline {
-            // Already late before executing: don't burn a worker on a result
-            // the client has been told not to wait for.
-            metrics.deadline_misses.inc();
-            metrics.query_errors.inc();
-            return deadline_error(ms);
+    fn open(&self) -> EngineConn {
+        EngineConn {
+            session: Session::new(self.clone()),
+            prepared: Vec::new(),
         }
     }
-    let plan = trace_plan(&request, session, prepared);
-    let started = Instant::now();
-    let mut response = execute(session, prepared, env.engine, metrics, env.spans, request);
-    let elapsed = started.elapsed();
-    if let (Some(deadline), Some(ms)) = (deadline, env.deadline_ms) {
-        if received.elapsed() > deadline {
-            metrics.deadline_misses.inc();
-            response = deadline_error(ms);
+
+    fn answer(
+        &self,
+        conn: &mut EngineConn,
+        request: Request,
+        inbound_trace: Option<TraceContext>,
+        ctx: &mut RequestCtx<'_>,
+    ) -> Response {
+        let plan = trace_plan(&request, &conn.session, &conn.prepared);
+        let started = Instant::now();
+        let response = execute(conn, self, ctx.metrics, ctx.spans, request);
+        let elapsed = started.elapsed();
+        ctx.metrics.epoch.set(self.epoch());
+        if let Some(plan) = plan {
+            record_request_span(plan, &response, inbound_trace, started, elapsed, ctx);
         }
-    }
-    metrics.latency.record(elapsed);
-    match &response {
-        Response::Error { .. } => metrics.query_errors.inc(),
-        _ => metrics.queries_served.inc(),
-    };
-    metrics.epoch.set(env.engine.epoch());
-    if let Some(plan) = plan {
-        record_request_span(
-            plan,
-            &response,
-            inbound_trace,
-            started,
-            elapsed,
-            env.spans,
-            metrics,
-            env.slow_query_ms,
-        );
-    }
-    response
-}
-
-/// Per-connection request loop of the threaded core: read a request, answer
-/// it through the connection's session, repeat until the client hangs up.
-fn handle_connection(stream: TcpStream, env: &RequestEnv<'_>) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    let metrics = env.metrics;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
-
-    // Preamble: the server speaks first, then verifies the client's answer.
-    // An incompatible peer gets a clean error response before the close.
-    write_handshake(&mut writer)?;
-    if let Err(e) = read_handshake(&mut reader) {
-        metrics.query_errors.inc();
-        let _ = write_response(&mut writer, &protocol_error(&e));
-        return Ok(());
+        response
     }
 
-    let mut session: Session<SharedEngine> = Session::new(env.engine.clone());
-    // Wire handles are indexes into this connection-private table, so one
-    // connection can never execute (or even see) another's statements.
-    let mut prepared: Vec<Prepared> = Vec::new();
-
-    loop {
-        let (request, inbound_trace, n_in) = match read_request(&mut reader) {
-            Ok(v) => v,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // A malformed frame leaves the stream unparseable: report and
-                // drop the connection rather than guessing at a resync point.
-                metrics.query_errors.inc();
-                let _ = write_response(&mut writer, &protocol_error(&e));
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        metrics.bytes_in.add(n_in);
-        let received = Instant::now();
-        let response = execute_request(
-            env,
-            &mut session,
-            &mut prepared,
-            request,
-            inbound_trace,
-            received,
-        );
-        let n_out = match write_response(&mut writer, &response) {
-            Ok(n) => n,
-            // An over-cap result frame is rejected before any byte hits the
-            // wire, so the stream is still in sync: tell the client why
-            // instead of silently dropping the connection.
-            Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
-                metrics.query_errors.inc();
-                write_response(&mut writer, &oversize_error(&e))?
-            }
-            Err(e) => return Err(e),
-        };
-        metrics.bytes_out.add(n_out);
+    fn collect(&self, out: &mut Vec<Sample>) {
+        collect_engine_samples(self, out);
     }
-}
 
-/// Builds the typed error frame for an unparseable or incompatible peer.
-pub(crate) fn protocol_error(e: &io::Error) -> Response {
-    Response::Error {
-        code: ErrorCode::Protocol,
-        message: e.to_string(),
-    }
-}
-
-/// Builds the typed error frame for a result frame over the wire cap.
-pub(crate) fn oversize_error(e: &io::Error) -> Response {
-    Response::Error {
-        code: ErrorCode::Protocol,
-        message: format!("result too large for the wire protocol: {e}"),
+    /// Engine workers compute: one per core, within `[2, 8]`.
+    fn default_workers(&self, _config: &ServerConfig) -> usize {
+        thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(2)
+            .clamp(2, 8)
     }
 }
 
@@ -551,22 +419,19 @@ fn trace_plan(
 
 /// Records the span for one answered request — parented under the wire's
 /// trace context when the caller propagated one (the coordinator fan-out),
-/// otherwise as a fresh root — and feeds the slow-query log.
-#[allow(clippy::too_many_arguments)]
+/// otherwise as a fresh root — and names it to the loop's slow-query log.
 fn record_request_span(
     plan: TracePlan,
     response: &Response,
-    inbound_trace: Option<hermes_obs::TraceContext>,
+    inbound_trace: Option<TraceContext>,
     started: Instant,
-    elapsed: std::time::Duration,
-    spans: &SpanStore,
-    metrics: &ServerMetrics,
-    slow_query_ms: Option<u64>,
+    elapsed: Duration,
+    ctx: &mut RequestCtx<'_>,
 ) {
     let (trace_id, parent_span_id, start_us) = match inbound_trace {
         // Remote origin: wall clocks are not assumed synchronized, so the
         // start offset is left at 0 (see [`Span::start_us`]).
-        Some(ctx) => (ctx.trace_id, ctx.parent_span_id, 0),
+        Some(remote) => (remote.trace_id, remote.parent_span_id, 0),
         None => (
             next_id(),
             0,
@@ -575,14 +440,7 @@ fn record_request_span(
                 .as_micros() as u64,
         ),
     };
-    if let Some(threshold) = slow_query_ms {
-        let ms = elapsed.as_secs_f64() * 1e3;
-        if ms >= threshold as f64 {
-            metrics.slow_queries.inc();
-            let statement = plan.statement.as_deref().unwrap_or(plan.name);
-            eprintln!("{}", slow_query_line(ms, trace_id, statement));
-        }
-    }
+    ctx.traced(trace_id, plan.statement.as_deref().unwrap_or(plan.name));
     let mut attrs: Vec<(&'static str, String)> = Vec::new();
     if let Some(statement) = plan.statement {
         attrs.push(("statement", statement));
@@ -608,7 +466,7 @@ fn record_request_span(
             _ => "ok".to_string(),
         },
     ));
-    spans.record(Span {
+    ctx.spans.record(Span {
         trace_id,
         span_id: next_id(),
         parent_span_id,
@@ -626,17 +484,15 @@ fn process_origin() -> Instant {
     *ORIGIN.get_or_init(Instant::now)
 }
 
-/// Answers one request against the connection's session. Named `execute`
-/// because it is the execution step of [`execute_request`], which wraps it
-/// with deadline enforcement and accounting.
+/// Answers one request against the connection's session.
 fn execute(
-    session: &mut Session<SharedEngine>,
-    prepared: &mut Vec<Prepared>,
+    conn: &mut EngineConn,
     engine: &SharedEngine,
     metrics: &ServerMetrics,
     spans: &SpanStore,
     request: Request,
 ) -> Response {
+    let EngineConn { session, prepared } = conn;
     match request {
         Request::Query { sql } => match traceview::sniff_trace_text(&sql) {
             // Trace inspection is answered at this serving edge: the session

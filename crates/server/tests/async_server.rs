@@ -1,14 +1,16 @@
-//! End-to-end tests of the readiness-driven server core: request
-//! pipelining, snapshot-epoch reads racing `BUILD INDEX`, per-request
-//! deadlines, admission-control backpressure and recovery, and the
-//! stalled-client regression.
+//! End-to-end tests of the serving loop that need the engine backend's
+//! internals or no engine at all: snapshot-epoch reads racing `BUILD INDEX`,
+//! the stalled-client regression, and panic isolation over a fake
+//! [`Backend`]. The cases every backend must pass alike (pipelining,
+//! deadlines, backpressure, the connection cap) run over both the engine
+//! and the coordinator in the workspace root's `tests/async_server.rs`.
 
 use hermes_core::SharedEngine;
+use hermes_obs::{Sample, TraceContext};
 use hermes_server::{
-    ClientError, ErrorCode, HermesClient, Request, Response, Server, ServerConfig, ServerCore,
-    ServerHandle,
+    Backend, ClientError, ConnectOptions, ErrorCode, HermesClient, Request, RequestCtx, Response,
+    Server, ServerConfig, ServerHandle,
 };
-use hermes_sql::Value;
 use hermes_trajectory::{Point, Timestamp, Trajectory};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -46,68 +48,8 @@ const BUILD: &str = "BUILD INDEX ON flights WITH CHUNK 4 HOURS SIGMA 60 EPSILON 
 const QUT: &str = "SELECT QUT(flights, 0, 1800000, 0.35, 0.05, 120000, 400, 1800000);";
 
 #[test]
-fn pipelined_prepared_statements_interleave_on_one_connection() {
-    let server = spawn_server(ServerConfig {
-        core: ServerCore::Event,
-        ..ServerConfig::default()
-    });
-    let mut client = HermesClient::connect(server.addr()).unwrap();
-    client.query(BUILD).unwrap();
-    let range = client.prepare("SELECT RANGE(flights, $1, $2);").unwrap();
-    let info = client.prepare("SELECT INFO(flights);").unwrap();
-
-    // Burst a mixed pipeline of prepared executions and plain queries
-    // without reading a single response, then drain: responses must come
-    // back in request order, each with its own correct shape.
-    const ROUNDS: usize = 25;
-    for i in 0..ROUNDS {
-        client
-            .send(&Request::ExecutePrepared {
-                handle: range.0,
-                params: vec![Value::Int(0), Value::Int(900_000 + i as i64 * 10_000)],
-            })
-            .unwrap();
-        client
-            .send(&Request::ExecutePrepared {
-                handle: info.0,
-                params: vec![],
-            })
-            .unwrap();
-        client
-            .send(&Request::Query {
-                sql: "SHOW DATASETS;".into(),
-            })
-            .unwrap();
-    }
-    for _ in 0..ROUNDS {
-        let range_resp = client.receive().unwrap();
-        let Response::Rows { frame, .. } = range_resp else {
-            panic!("RANGE answered {range_resp:?}");
-        };
-        assert!(frame.get(0, "sub_trajectories_in_window").is_some());
-        let info_resp = client.receive().unwrap();
-        let Response::Rows { frame, .. } = info_resp else {
-            panic!("INFO answered {info_resp:?}");
-        };
-        assert_eq!(frame.get(0, "trajectories"), Some(&Value::Int(18)));
-        let show_resp = client.receive().unwrap();
-        let Response::Rows { frame, .. } = show_resp else {
-            panic!("SHOW answered {show_resp:?}");
-        };
-        assert_eq!(
-            frame.get(0, "dataset"),
-            Some(&Value::Text("flights".into()))
-        );
-    }
-    let served = server.metrics().queries_served.get();
-    assert!(served >= 3 * ROUNDS as u64, "served {served}");
-    server.shutdown();
-}
-
-#[test]
 fn reads_pin_the_published_epoch_while_an_index_builds() {
     let server = spawn_server(ServerConfig {
-        core: ServerCore::Event,
         workers: 4,
         ..ServerConfig::default()
     });
@@ -158,95 +100,8 @@ fn reads_pin_the_published_epoch_while_an_index_builds() {
 }
 
 #[test]
-fn deadline_overrun_is_a_typed_error() {
-    let server = spawn_server(ServerConfig {
-        core: ServerCore::Event,
-        deadline_ms: Some(150),
-        workers: 2,
-        ..ServerConfig::default()
-    });
-    let engine = server.engine();
-
-    // Hold the commit mutex longer than the deadline; a write statement
-    // dispatched meanwhile serializes behind it and finishes late.
-    let blocker = thread::spawn(move || {
-        engine.with_write(|_| thread::sleep(Duration::from_millis(500)));
-    });
-    thread::sleep(Duration::from_millis(50));
-
-    let mut client = HermesClient::connect(server.addr()).unwrap();
-    let err = client.query("CREATE DATASET late;").unwrap_err();
-    match err {
-        ClientError::Server { code, message } => {
-            assert_eq!(code, ErrorCode::Deadline, "{message}");
-            assert!(message.contains("deadline"), "{message}");
-        }
-        other => panic!("expected a typed deadline error, got {other:?}"),
-    }
-    blocker.join().unwrap();
-    assert!(server.metrics().deadline_misses.get() >= 1);
-
-    // The connection survives and fast statements still answer in time.
-    assert_eq!(client.query("SHOW THREADS;").unwrap().num_rows(), 1);
-    server.shutdown();
-}
-
-#[test]
-fn backpressure_floods_get_typed_errors_and_drain() {
-    let server = spawn_server(ServerConfig {
-        core: ServerCore::Event,
-        workers: 1,
-        max_pending: 2,
-        ..ServerConfig::default()
-    });
-    let engine = server.engine();
-
-    // Pin the lone worker on a slow write so pipelined requests pile up.
-    let blocker = thread::spawn(move || {
-        engine.with_write(|_| thread::sleep(Duration::from_millis(400)));
-    });
-    thread::sleep(Duration::from_millis(50));
-
-    let mut client = HermesClient::connect(server.addr()).unwrap();
-    // Request 1 is a write: it occupies the lone worker, serialized behind
-    // the blocker's commit mutex. Request 2 fills the pending bound; 3..=5
-    // must be refused with typed backpressure errors, in pipeline order.
-    client
-        .send(&Request::Query {
-            sql: "CREATE DATASET flood;".into(),
-        })
-        .unwrap();
-    for _ in 0..4 {
-        client
-            .send(&Request::Query {
-                sql: "SHOW DATASETS;".into(),
-            })
-            .unwrap();
-    }
-    assert!(matches!(client.receive().unwrap(), Response::Command(_)));
-    assert!(matches!(client.receive().unwrap(), Response::Rows { .. }));
-    for i in 2..5 {
-        match client.receive() {
-            Err(ClientError::Server { code, message }) => {
-                assert_eq!(code, ErrorCode::Backpressure, "req {i}: {message}");
-                assert!(message.contains("overloaded"), "req {i}: {message}");
-            }
-            other => panic!("req {i}: expected backpressure, got {other:?}"),
-        }
-    }
-    blocker.join().unwrap();
-    assert_eq!(server.metrics().backpressure_rejections.get(), 3);
-
-    // The flood over, the same connection serves normally again.
-    assert_eq!(client.query("SHOW THREADS;").unwrap().num_rows(), 1);
-    assert_eq!(server.metrics().connections_rejected.get(), 0);
-    server.shutdown();
-}
-
-#[test]
 fn stalled_client_cannot_block_build_index() {
     let server = spawn_server(ServerConfig {
-        core: ServerCore::Event,
         workers: 2,
         ..ServerConfig::default()
     });
@@ -283,16 +138,99 @@ fn stalled_client_cannot_block_build_index() {
     server.shutdown();
 }
 
+/// A backend with no engine behind it: a query for `PANIC` panics, anything
+/// else is answered with how many requests the connection has made — its
+/// connection state, to show that state survives a panic.
+struct Tripwire;
+
+const TRIPWIRE_WORKERS: usize = 2;
+
+impl Backend for Tripwire {
+    type Conn = u64;
+
+    fn open(&self) -> u64 {
+        0
+    }
+
+    fn answer(
+        &self,
+        seen: &mut u64,
+        request: Request,
+        _inbound_trace: Option<TraceContext>,
+        _ctx: &mut RequestCtx<'_>,
+    ) -> Response {
+        *seen += 1;
+        match request {
+            Request::Query { sql } if sql == "PANIC" => panic!("tripwire on request {seen}"),
+            _ => Response::Prepared {
+                handle: *seen as u32,
+            },
+        }
+    }
+
+    fn collect(&self, _out: &mut Vec<Sample>) {}
+
+    fn default_workers(&self, _config: &ServerConfig) -> usize {
+        TRIPWIRE_WORKERS
+    }
+}
+
+/// Sends one raw query and returns the typed reply; the bounded read
+/// timeout turns a hung connection into a failure instead of a hung test.
+fn ask(client: &mut HermesClient, sql: &str) -> Response {
+    client.send(&Request::Query { sql: sql.into() }).unwrap();
+    match client.receive() {
+        Ok(response) => response,
+        Err(ClientError::Server { code, message }) => Response::Error { code, message },
+        Err(other) => panic!("`{sql}` got no answer: {other:?}"),
+    }
+}
+
 #[test]
-fn threaded_core_remains_available_and_compatible() {
-    let server = spawn_server(ServerConfig {
-        core: ServerCore::Threaded,
-        ..ServerConfig::default()
-    });
-    let mut client = HermesClient::connect(server.addr()).unwrap();
-    client.query(BUILD).unwrap();
-    let qut = client.query(QUT).unwrap();
-    assert!(qut.num_rows() >= 1);
-    assert!(qut.stats().is_some());
+fn a_panicking_statement_is_a_typed_error_not_a_dead_worker() {
+    const PANICS: u32 = TRIPWIRE_WORKERS as u32 + 1;
+    let server = Server::bind("127.0.0.1:0", Tripwire, ServerConfig::default())
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let opts = ConnectOptions {
+        read_timeout: Some(Duration::from_secs(10)),
+        ..ConnectOptions::default()
+    };
+    let mut a = HermesClient::connect_with(server.addr(), &opts).unwrap();
+    let mut b = HermesClient::connect_with(server.addr(), &opts).unwrap();
+    assert_eq!(ask(&mut a, "ok"), Response::Prepared { handle: 1 });
+
+    // One more panic than there are workers: were a panic to kill its
+    // worker, the pool would be gone before the loop ends.
+    for round in 0..PANICS {
+        match ask(&mut a, "PANIC") {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::Query, "{message}");
+                assert!(
+                    message.starts_with("internal error: statement panicked: tripwire"),
+                    "{message}"
+                );
+            }
+            other => panic!("a panic answered {other:?}"),
+        }
+        // Same connection, next request: answered, by the same travelling
+        // state (the count includes the panicked requests).
+        assert_eq!(
+            ask(&mut a, "ok"),
+            Response::Prepared {
+                handle: 3 + 2 * round
+            }
+        );
+        // Another connection never notices.
+        assert_eq!(ask(&mut b, "ok"), Response::Prepared { handle: 1 + round });
+    }
+
+    let metrics = server.metrics();
+    assert_eq!(metrics.query_errors.get(), PANICS as u64);
+    assert_eq!(metrics.queries_served.get(), 1 + 2 * PANICS as u64);
+    assert!(a.is_clean() && b.is_clean());
+    // Every reply has been read, so every completion has been folded back.
+    assert_eq!(metrics.inflight_queries.get(), 0);
     server.shutdown();
 }

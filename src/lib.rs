@@ -66,7 +66,9 @@ pub mod prelude {
     pub use hermes_exec::{ExecPolicy, Executor};
     pub use hermes_retratree::{QutParams, ReTraTree, ReTraTreeParams};
     pub use hermes_s2t::{run_s2t, ClusteringQuality, ClusteringResult, S2TParams};
-    pub use hermes_server::{ClientError, HermesClient, Server, ServerConfig};
+    pub use hermes_server::{ClientError, HermesClient};
+    #[cfg(unix)]
+    pub use hermes_server::{Server, ServerConfig};
     pub use hermes_sql::{Frame, QueryOutcome, Session, SqlError, Value, ValueType};
     pub use hermes_trajectory::{
         Duration, Mbb, Point, SubTrajectory, TimeInterval, Timestamp, Trajectory,

@@ -14,17 +14,21 @@
 mod common;
 
 use common::faultproxy::{Dir, Fault, FaultProxy};
-use hermes::coord::{
-    validate_shard_map, CoordServer, CoordServerHandle, Coordinator, FailoverPolicy, ShardSpec,
-};
+use hermes::coord::{validate_shard_map, Coordinator, FailoverPolicy, ShardSpec};
 use hermes::core::{HermesEngine, SharedEngine};
 use hermes::exec::ExecPolicy;
 use hermes::server::protocol::write_response;
-use hermes::server::{ConnectOptions, HermesClient, Response, Server, ServerConfig, ServerHandle};
+use hermes::server::{
+    ConnectOptions, HermesClient, Request, Response, Server, ServerConfig, ServerHandle,
+};
 use hermes::sql::{self, Frame, QueryOutcome, Value};
 use hermes::trajectory::Trajectory;
 use hermes_bench::urban_with;
 use std::time::Duration;
+
+/// How long a test lets a reply it expects promptly stay missing before it
+/// fails. Generous — it bounds a failing run, it never paces a passing one.
+const WAIT_FOR_REPLY: Duration = Duration::from_secs(30);
 
 /// The seeded dataset plus the read statements the gate replays after every
 /// fault. Same dense urban grid as `tests/sharding.rs`: ~28 min span,
@@ -69,7 +73,7 @@ struct ReplicatedTopology {
     /// Backing `hermes-serve` processes, `servers[shard][replica]`.
     servers: Vec<Vec<ServerHandle>>,
     proxies: Vec<Vec<FaultProxy>>,
-    coord: CoordServerHandle,
+    coord: ServerHandle<Coordinator>,
 }
 
 /// Connection options tuned for fault tests: no dial retries (the ladder is
@@ -141,7 +145,7 @@ fn spawn_replicated(
     // shard partials genuinely in flight at the same time.
     let policy = ExecPolicy::new(2).expect("two fan-out threads");
     let coordinator = Coordinator::with_failover(specs, opts, policy, failover);
-    let coord = CoordServer::bind("127.0.0.1:0", coordinator, ServerConfig::default())
+    let coord = Server::bind("127.0.0.1:0", coordinator, ServerConfig::default())
         .expect("bind coordinator")
         .spawn()
         .expect("spawn coordinator");
@@ -431,6 +435,70 @@ fn out_of_order_shard_completion_merges_bit_exactly() {
     // Slow is not broken: the late partial completed on the primary.
     assert_eq!(stat_value(&frame, "coordinator.s0", "failovers"), 0);
     assert_eq!(stat_value(&frame, "coordinator.s1", "failovers"), 0);
+}
+
+/// Coordinator workers wait on shard sockets, they do not compute — so how
+/// many statements the coordinator carries at once must not be bounded by
+/// the machine's core count (the engine backend's worker pool is: one per
+/// core, at most 8). Nine connections: eight spanning QUTs whose s0 partials
+/// are held at the proxy, provably all in flight (each needs its own
+/// checked-out s0 connection, and the proxy counts them), then a ninth
+/// statement that must be answered *while* they are held. Released, every
+/// held answer is byte-identical to the single-node reference.
+#[test]
+fn held_statements_do_not_starve_other_coordinator_connections() {
+    /// The engine pool's upper clamp: were the coordinator to inherit that
+    /// sizing, this many held statements would occupy every worker on any
+    /// machine.
+    const HELD: usize = 8;
+    let workload = urban_workload();
+    let want = reference_bytes(&workload);
+    let topology = spawn_replicated(&workload, 1, fault_opts(None), fast_failover(None));
+    let mut client = HermesClient::connect(topology.coord.addr()).expect("connect");
+    load_via(&mut client, &workload);
+
+    let s0 = &topology.proxies[0][0];
+    assert!(
+        s0.snapshot().open_conns < HELD,
+        "the load alone must not have opened {HELD} s0 connections"
+    );
+    s0.set_fault_dir(Dir::ToClient, Fault::Delay);
+
+    let spanning_qut = Request::Query {
+        sql: workload.queries[0].clone(),
+    };
+    let mut held: Vec<HermesClient> = (0..HELD)
+        .map(|_| HermesClient::connect(topology.coord.addr()).expect("connect"))
+        .collect();
+    for conn in &mut held {
+        conn.send(&spanning_qut).expect("send");
+    }
+    // No reply can pass the proxy, so no s0 connection returns to the pool:
+    // HELD open connections means HELD statements are waiting on s0.
+    s0.wait("every held statement is waiting on s0", |snap| {
+        snap.open_conns >= HELD
+    });
+
+    // A bounded read timeout turns a starved coordinator into a failure
+    // instead of a hung test.
+    let mut ninth =
+        HermesClient::connect_with(topology.coord.addr(), &fault_opts(Some(WAIT_FOR_REPLY)))
+            .expect("connect");
+    ninth
+        .query("SHOW TRACES;")
+        .expect("answered while the other statements are held");
+
+    s0.clear();
+    for (i, conn) in held.iter_mut().enumerate() {
+        let Response::Rows { frame, .. } = conn.receive().expect("released answer") else {
+            panic!("held statement {i} did not answer rows");
+        };
+        let got = row_bytes(QueryOutcome::Rows { frame, stats: None });
+        assert!(
+            got == want[0],
+            "held statement {i} diverges from single-node"
+        );
+    }
 }
 
 /// Writes are **all-or-error**: with one replica of s0 killed, a broadcast

@@ -12,7 +12,7 @@
 //! raw frames. See `docs/SHARDING.md` for why equality is exact and not
 //! approximate.
 
-use hermes::coord::{validate_shard_map, CoordServer, CoordServerHandle, Coordinator, ShardSpec};
+use hermes::coord::{validate_shard_map, Coordinator, ShardSpec};
 use hermes::core::{HermesEngine, SharedEngine};
 use hermes::exec::ExecPolicy;
 use hermes::server::protocol::write_response;
@@ -120,7 +120,7 @@ struct Topology {
     /// Shard handles in slice order; kept alive for the test's duration and
     /// individually killable.
     shards: Vec<ServerHandle>,
-    coord: CoordServerHandle,
+    coord: ServerHandle<Coordinator>,
     cuts: Vec<i64>,
 }
 
@@ -148,7 +148,7 @@ fn spawn_topology(n_shards: usize, workload: &Workload) -> Topology {
     }
     validate_shard_map(&mut specs).expect("valid shard map");
     let coordinator = Coordinator::new(specs, ConnectOptions::default(), ExecPolicy::from_env());
-    let coord = CoordServer::bind("127.0.0.1:0", coordinator, ServerConfig::default())
+    let coord = Server::bind("127.0.0.1:0", coordinator, ServerConfig::default())
         .expect("bind coordinator")
         .spawn()
         .expect("spawn coordinator");

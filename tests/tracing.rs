@@ -6,7 +6,7 @@
 //! the wire: the shard's own span store links its `qut_partial` span under
 //! the coordinator's per-shard span via the propagated parent id.
 
-use hermes::coord::{validate_shard_map, CoordServer, CoordServerHandle, Coordinator, ShardSpec};
+use hermes::coord::{validate_shard_map, Coordinator, ShardSpec};
 use hermes::core::SharedEngine;
 use hermes::exec::ExecPolicy;
 use hermes::server::{ConnectOptions, HermesClient, Server, ServerConfig, ServerHandle};
@@ -19,7 +19,7 @@ use hermes_bench::urban_with;
 struct Traced {
     /// Kept alive for the test's duration (dropping a handle stops it).
     shards: Vec<ServerHandle>,
-    coord: CoordServerHandle,
+    coord: ServerHandle<Coordinator>,
     client: HermesClient,
     span: (i64, i64),
     cut: i64,
@@ -69,7 +69,7 @@ fn spawn_traced_topology() -> Traced {
     }
     validate_shard_map(&mut specs).expect("valid shard map");
     let coordinator = Coordinator::new(specs, ConnectOptions::default(), ExecPolicy::from_env());
-    let coord = CoordServer::bind("127.0.0.1:0", coordinator, ServerConfig::default())
+    let coord = Server::bind("127.0.0.1:0", coordinator, ServerConfig::default())
         .expect("bind coordinator")
         .spawn()
         .expect("spawn coordinator");
