@@ -511,10 +511,7 @@ impl HermesEngine {
         owned: &OwnedSlice,
         window: &TimeInterval,
     ) -> Result<usize> {
-        Ok(self
-            .tree(name)?
-            .owned_window_sub_trajectories(window, owned)
-            .len())
+        Ok(self.tree(name)?.owned_window_count(window, owned))
     }
 
     /// The rebuild-from-scratch strategy the demo compares QuT against

@@ -206,11 +206,18 @@ mod tests {
         assert_eq!(shared.pin().dataset_info("d").unwrap().num_trajectories, 1);
     }
 
-    #[test]
-    fn derived_state_follows_the_value_not_the_epoch() {
+    /// A shared engine with `flights` indexed as dataset `data` (one-hour
+    /// sub-chunks) and an empty dataset `live`, plus the S2T and QuT
+    /// parameters the index was built with.
+    fn indexed_data(
+        flights: Vec<Trajectory>,
+    ) -> (
+        SharedEngine,
+        hermes_s2t::S2TParams,
+        hermes_retratree::QutParams,
+    ) {
         use hermes_retratree::{QutParams, ReTraTreeParams};
         use hermes_s2t::S2TParams;
-        use hermes_trajectory::{Duration as Span, TimeInterval};
 
         let s2t = S2TParams {
             sigma: 60.0,
@@ -226,12 +233,11 @@ mod tests {
         shared.with_write(|e| {
             e.create_dataset("data").unwrap();
             e.create_dataset("live").unwrap();
-            e.load_trajectories("data", (0..12).map(|i| traj(i, i as f64 * 10.0)).collect())
-                .unwrap();
+            e.load_trajectories("data", flights).unwrap();
             e.build_index(
                 "data",
                 ReTraTreeParams {
-                    chunk_duration: Span::from_hours(4),
+                    chunk_duration: hermes_trajectory::Duration::from_hours(4),
                     subchunks_per_chunk: 4,
                     reorg_page_threshold: 2,
                     buffer_frames: 64,
@@ -240,6 +246,14 @@ mod tests {
             )
             .unwrap();
         });
+        (shared, s2t, qp)
+    }
+
+    #[test]
+    fn derived_state_follows_the_value_not_the_epoch() {
+        use hermes_trajectory::TimeInterval;
+
+        let (shared, s2t, qp) = indexed_data((0..12).map(|i| traj(i, i as f64 * 10.0)).collect());
         let w = TimeInterval::new(Timestamp(5 * 60_000), Timestamp(25 * 60_000));
         let data_id = |e: &HermesEngine| e.catalog.get("data").unwrap().id;
         let index_cell = |e: &HermesEngine| Arc::clone(&e.datasets[&data_id(e)].s2t_index);
@@ -305,6 +319,70 @@ mod tests {
             index_cell(&new).get().is_none(),
             "the new one builds on demand"
         );
+    }
+
+    #[test]
+    fn an_ingest_copies_only_the_pages_it_writes() {
+        use hermes_retratree::OwnedSlice;
+        use hermes_storage::PartitionKind;
+        use hermes_trajectory::TimeInterval;
+
+        // Two populated sub-chunks (hours 0 and 1); the ingest lands in hour 0.
+        let later = |id: u64, y: f64| {
+            let shifted = traj(id, y)
+                .points()
+                .iter()
+                .map(|p| Point::new(p.x, p.y, Timestamp(p.t.millis() + 3_600_000)))
+                .collect();
+            Trajectory::new(id, id, shifted).unwrap()
+        };
+        let flights = (0..12)
+            .map(|i| traj(i, i as f64 * 10.0))
+            .chain((12..24).map(|i| later(i, i as f64 * 10.0)));
+        let (shared, _, qp) = indexed_data(flights.collect());
+        let w = TimeInterval::new(Timestamp(5 * 60_000), Timestamp(85 * 60_000));
+        let range = |e: &HermesEngine| e.owned_range_count("data", &OwnedSlice::ALL, &w).unwrap();
+
+        let old = shared.pin();
+        let (old_qut, _) = old.run_qut("data", &w, &qp).unwrap();
+        let old_range = range(&old);
+        shared
+            .with_write(|e| e.load_trajectories("data", vec![traj(900, 55.0)]))
+            .unwrap();
+        let new = shared.pin();
+
+        // The pinned reader keeps its bytes; the new epoch sees the flight.
+        assert_eq!(old.run_qut("data", &w, &qp).unwrap().0, old_qut);
+        assert_eq!(range(&old), old_range);
+        assert_eq!(range(&new), old_range + 1);
+
+        // Page-level sharing: a page is a different allocation in the two
+        // epochs exactly when the ingest wrote it.
+        let (old_store, new_store) = (
+            old.tree("data").unwrap().store(),
+            new.tree("data").unwrap().store(),
+        );
+        let (mut shared_pages, mut copied_pages) = (0, 0);
+        for kind in [PartitionKind::Cluster, PartitionKind::Outliers] {
+            for id in old_store.partitions_of_kind(kind) {
+                let (before, after) = (
+                    old_store.partition(id).unwrap(),
+                    new_store.partition(id).unwrap(),
+                );
+                for p in 0..before.num_pages() as u64 {
+                    let (a, b) = (before.page(p).unwrap(), after.page(p).unwrap());
+                    let untouched = a.as_bytes() == b.as_bytes();
+                    assert_eq!(Arc::ptr_eq(a, b), untouched, "partition {id} page {p}");
+                    if untouched {
+                        shared_pages += 1;
+                    } else {
+                        copied_pages += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(copied_pages, 1, "one flight, one sub-chunk, one page");
+        assert!(shared_pages >= 4, "{shared_pages} pages shared");
     }
 
     #[test]

@@ -174,7 +174,14 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Set under the queue lock: a worker checks `shutdown` and then waits
+        // without releasing that lock in between, so the flag and the wake-up
+        // cannot both fall into the gap (a lost wake-up left `join` below
+        // waiting forever on a sleeping worker).
+        {
+            let _queue = lock(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.available.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();

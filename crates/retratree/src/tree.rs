@@ -4,6 +4,7 @@
 use crate::memo::{BorderMemo, BorderMemoStats};
 use crate::node::{Chunk, ClusterEntry, SubChunk};
 use crate::params::ReTraTreeParams;
+use crate::qut::OwnedSlice;
 use hermes_exec::Executor;
 use hermes_s2t::{run_s2t_with, trajectories_from_subs, S2TOutcome};
 use hermes_storage::{PartitionKind, PartitionStore, RecordLocator};
@@ -348,28 +349,28 @@ impl ReTraTree {
         self.store.read(loc).ok().flatten()
     }
 
+    /// Every record locator whose lifespan intersects `w`, in temporal order,
+    /// from the indexes of the sub-chunks `owned` contains — the one walk
+    /// behind the window reads and the window count below.
+    fn window_locators<'a>(
+        &'a self,
+        w: &'a TimeInterval,
+        owned: &'a OwnedSlice,
+    ) -> impl Iterator<Item = RecordLocator> + 'a {
+        self.chunks
+            .values()
+            .filter(move |chunk| chunk.interval.intersects(w))
+            .flat_map(|chunk| &chunk.subchunks)
+            .filter(move |sc| sc.interval.intersects(w) && owned.contains(sc.interval.start))
+            .flat_map(move |sc| sc.index.query_temporal(w).into_iter().copied())
+    }
+
     /// Every stored sub-trajectory whose lifespan intersects `w`, loaded from
     /// storage through the sub-chunk indexes. This is the "temporal range
     /// query" building block used both by QuT (for border sub-chunks) and by
     /// the rebuild-from-scratch baseline of experiment E3.
     pub fn window_sub_trajectories(&self, w: &TimeInterval) -> Vec<SubTrajectory> {
-        let mut out = Vec::new();
-        for chunk in self.chunks.values() {
-            if !chunk.interval.intersects(w) {
-                continue;
-            }
-            for sc in &chunk.subchunks {
-                if !sc.interval.intersects(w) {
-                    continue;
-                }
-                for loc in sc.index.query_temporal(w) {
-                    if let Ok(Some(sub)) = self.store.read(*loc) {
-                        out.push(sub);
-                    }
-                }
-            }
-        }
-        out
+        self.owned_window_sub_trajectories(w, &OwnedSlice::ALL)
     }
 
     /// [`ReTraTree::window_sub_trajectories`] restricted to the sub-chunks
@@ -381,25 +382,21 @@ impl ReTraTree {
     pub fn owned_window_sub_trajectories(
         &self,
         w: &TimeInterval,
-        owned: &crate::qut::OwnedSlice,
+        owned: &OwnedSlice,
     ) -> Vec<SubTrajectory> {
-        let mut out = Vec::new();
-        for chunk in self.chunks.values() {
-            if !chunk.interval.intersects(w) {
-                continue;
-            }
-            for sc in &chunk.subchunks {
-                if !sc.interval.intersects(w) || !owned.contains(sc.interval.start) {
-                    continue;
-                }
-                for loc in sc.index.query_temporal(w) {
-                    if let Ok(Some(sub)) = self.store.read(*loc) {
-                        out.push(sub);
-                    }
-                }
-            }
-        }
-        out
+        self.window_locators(w, owned)
+            .filter_map(|loc| self.load(loc))
+            .collect()
+    }
+
+    /// `owned_window_sub_trajectories(w, owned).len()` without materialising
+    /// a point: every record is looked up and checked exactly as a read
+    /// checks it (through the buffer pool, live slot, well-formed record) and
+    /// counted instead of decoded. What `RANGE` answers with.
+    pub fn owned_window_count(&self, w: &TimeInterval, owned: &OwnedSlice) -> usize {
+        self.window_locators(w, owned)
+            .filter(|&loc| matches!(self.store.point_count(loc), Ok(Some(_))))
+            .count()
     }
 
     /// Runs the S2T re-clustering pass on every sub-chunk that currently
@@ -587,6 +584,25 @@ mod tests {
         assert!(subs.iter().all(|s| s.trajectory_id == 1));
         let everything = tree.window_sub_trajectories(&TimeInterval::everything());
         assert_eq!(everything.len(), tree.total_population());
+
+        // The counting walk answers what the materialising one would, per
+        // ownership slice as well.
+        for w in [w, TimeInterval::everything()] {
+            let all = tree.window_sub_trajectories(&w).len();
+            assert_eq!(tree.owned_window_count(&w, &OwnedSlice::ALL), all);
+            for cut in [0, 1_800_000, 3_600_000, 11 * 3_600_000] {
+                let halves = [
+                    OwnedSlice::new(i64::MIN, cut),
+                    OwnedSlice::new(cut, i64::MAX),
+                ];
+                let counts = halves.map(|owned| {
+                    let n = tree.owned_window_count(&w, &owned);
+                    assert_eq!(n, tree.owned_window_sub_trajectories(&w, &owned).len());
+                    n
+                });
+                assert_eq!(counts[0] + counts[1], all, "cut {cut}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::frame::{CommandStatus, CommandTag, Frame, QueryOutcome};
 use crate::parser::{parse, ParseError, Statement};
 use crate::value::{Value, ValueType};
 use hermes_core::{DatasetInfo, EngineError, ExecPolicy, HermesEngine};
-use hermes_retratree::{QutParams, QutStats, ReTraTreeParams};
+use hermes_retratree::{OwnedSlice, QutParams, QutStats, ReTraTreeParams};
 use hermes_s2t::{ClusteringResult, S2TParams};
 use hermes_trajectory::{Duration, TimeInterval, Timestamp};
 use std::fmt;
@@ -519,9 +519,8 @@ pub fn execute_read_statement(
         }
         Statement::Range { name, wi, we } => {
             let w = window(i64_of(wi)?, i64_of(we)?);
-            let tree = engine.tree(name)?;
-            let subs = tree.window_sub_trajectories(&w);
-            Ok(QueryOutcome::rows(range_frame(subs.len())))
+            let count = engine.owned_range_count(name, &OwnedSlice::ALL, &w)?;
+            Ok(QueryOutcome::rows(range_frame(count)))
         }
         Statement::Histogram {
             name,

@@ -243,8 +243,18 @@ pub fn encode_sub_trajectory(sub: &SubTrajectory) -> Vec<u8> {
     buf
 }
 
-/// Decodes a sub-trajectory previously produced by [`encode_sub_trajectory`].
-pub fn decode_sub_trajectory(bytes: &[u8]) -> Result<SubTrajectory> {
+/// The validated fixed part of a sub-trajectory record.
+struct RecordHeader {
+    id: SubTrajectoryId,
+    trajectory_id: u64,
+    object_id: u64,
+    count: usize,
+}
+
+/// Validates a record's header, point count and length — the one definition
+/// of "well-formed record" — and returns the header with exactly
+/// `24 × count` bytes of point payload.
+fn split_sub_trajectory(bytes: &[u8]) -> Result<(RecordHeader, &[u8])> {
     const HEADER: usize = 8 + 4 + 8 + 8 + 4;
     if bytes.len() < HEADER {
         return Err(StorageError::Corrupt {
@@ -252,8 +262,7 @@ pub fn decode_sub_trajectory(bytes: &[u8]) -> Result<SubTrajectory> {
         });
     }
     let mut r = ByteReader::new(bytes);
-    let id_traj = r.u64()?;
-    let id_off = r.u32()?;
+    let id = SubTrajectoryId::new(r.u64()?, r.u32()?);
     let trajectory_id = r.u64()?;
     let object_id = r.u64()?;
     let count = r.u32()? as usize;
@@ -271,17 +280,42 @@ pub fn decode_sub_trajectory(bytes: &[u8]) -> Result<SubTrajectory> {
             ),
         });
     }
-    let mut points = Vec::with_capacity(count);
-    for _ in 0..count {
-        let x = r.f64()?;
-        let y = r.f64()?;
-        let t = r.i64()?;
-        points.push(Point::new(x, y, Timestamp(t)));
-    }
-    Ok(SubTrajectory::from_points(
-        SubTrajectoryId::new(id_traj, id_off),
+    let header = RecordHeader {
+        id,
         trajectory_id,
         object_id,
+        count,
+    };
+    Ok((header, r.raw(count * 24)?))
+}
+
+/// Number of points of a record, after the same validation
+/// [`decode_sub_trajectory`] applies — for callers that only need to know a
+/// record is readable, without allocating its points.
+pub(crate) fn sub_trajectory_point_count(bytes: &[u8]) -> Result<usize> {
+    split_sub_trajectory(bytes).map(|(header, _)| header.count)
+}
+
+/// Decodes a sub-trajectory previously produced by [`encode_sub_trajectory`].
+pub fn decode_sub_trajectory(bytes: &[u8]) -> Result<SubTrajectory> {
+    let (header, payload) = split_sub_trajectory(bytes)?;
+    let le8 = |p: &[u8], at: usize| -> [u8; 8] {
+        p[at..at + 8].try_into().expect("inside a 24-byte chunk")
+    };
+    let points = payload
+        .chunks_exact(24)
+        .map(|p| {
+            Point::new(
+                f64::from_le_bytes(le8(p, 0)),
+                f64::from_le_bytes(le8(p, 8)),
+                Timestamp(i64::from_le_bytes(le8(p, 16))),
+            )
+        })
+        .collect();
+    Ok(SubTrajectory::from_points(
+        header.id,
+        header.trajectory_id,
+        header.object_id,
         points,
     ))
 }

@@ -118,8 +118,11 @@ impl Page {
         Ok(slot)
     }
 
-    /// Reads the record stored in `slot`; `None` if the slot was deleted.
-    pub fn get(&self, slot: SlotId) -> Result<Option<Vec<u8>>> {
+    /// Lends the record stored in `slot`; `None` if the slot was deleted.
+    ///
+    /// A page does not know its own id: the `InvalidSlot` it reports says
+    /// page 0, and the partition layer fills in the real one.
+    pub fn get(&self, slot: SlotId) -> Result<Option<&[u8]>> {
         if slot >= self.slot_count() {
             return Err(StorageError::InvalidSlot { page: 0, slot });
         }
@@ -127,9 +130,7 @@ impl Page {
         if len == 0 {
             return Ok(None);
         }
-        Ok(Some(
-            self.data[off as usize..off as usize + len as usize].to_vec(),
-        ))
+        Ok(Some(&self.data[off as usize..off as usize + len as usize]))
     }
 
     /// Tombstones the record in `slot` (space is not reclaimed in place, as in
@@ -191,18 +192,11 @@ impl Page {
         Ok(page)
     }
 
-    /// Iterates over `(slot, bytes)` of live records.
-    pub fn iter(&self) -> impl Iterator<Item = (SlotId, Vec<u8>)> + '_ {
+    /// Iterates over `(slot, bytes)` of live records, lending the bytes.
+    pub fn iter(&self) -> impl Iterator<Item = (SlotId, &[u8])> + '_ {
         (0..self.slot_count()).filter_map(move |s| {
             let (off, len) = self.slot(s);
-            if len == 0 {
-                None
-            } else {
-                Some((
-                    s,
-                    self.data[off as usize..off as usize + len as usize].to_vec(),
-                ))
-            }
+            (len != 0).then(|| (s, &self.data[off as usize..off as usize + len as usize]))
         })
     }
 }

@@ -6,7 +6,10 @@
 //! partition "exceeds a pre-defined threshold" and must be re-clustered.
 
 use crate::buffer::BufferPool;
-use crate::codec::{decode_sub_trajectory, encode_sub_trajectory, ByteReader, ByteWriter};
+use crate::codec::{
+    decode_sub_trajectory, encode_sub_trajectory, sub_trajectory_point_count, ByteReader,
+    ByteWriter,
+};
 use crate::error::StorageError;
 use crate::page::{Page, PageId, SlotId, PAGE_SIZE};
 use crate::Result;
@@ -37,14 +40,29 @@ pub struct RecordLocator {
     pub slot: SlotId,
 }
 
+/// Fills the real page id into an [`StorageError::InvalidSlot`] raised by a
+/// [`Page`], which does not know its own id.
+fn on_page(page: PageId) -> impl Fn(StorageError) -> StorageError {
+    move |e| match e {
+        StorageError::InvalidSlot { slot, .. } => StorageError::InvalidSlot { page, slot },
+        other => other,
+    }
+}
+
 /// An append-oriented collection of pages holding encoded sub-trajectories.
+///
+/// Pages are shared immutable values: a clone of the partition (and a buffer
+/// pool frame) holds the same `Arc<Page>`, and the only writers —
+/// [`Partition::append`] and [`Partition::delete`] — go through
+/// `Arc::make_mut`, which copies a page only while someone else still holds
+/// it.
 #[derive(Debug, Clone)]
 pub struct Partition {
     /// Identifier of this partition.
     pub id: PartitionId,
     /// Kind of content.
     pub kind: PartitionKind,
-    pages: Vec<Page>,
+    pages: Vec<Arc<Page>>,
     live_records: usize,
 }
 
@@ -54,7 +72,7 @@ impl Partition {
         Partition {
             id,
             kind,
-            pages: vec![Page::new()],
+            pages: vec![Arc::new(Page::new())],
             live_records: 0,
         }
     }
@@ -74,53 +92,58 @@ impl Partition {
         self.pages.len()
     }
 
-    /// Appends an encoded record, adding a page when the last one is full.
-    fn append_bytes(&mut self, bytes: &[u8]) -> Result<(PageId, SlotId)> {
-        let last = self.pages.len() - 1;
-        match self.pages[last].insert(bytes) {
-            Ok(slot) => {
-                self.live_records += 1;
-                Ok((last as PageId, slot))
-            }
-            Err(StorageError::RecordTooLarge { size, .. }) if size <= Page::max_record_size() => {
-                self.pages.push(Page::new());
-                let page = self.pages.len() - 1;
-                let slot = self.pages[page].insert(bytes)?;
-                self.live_records += 1;
-                Ok((page as PageId, slot))
-            }
-            Err(e) => Err(e),
+    /// The page the next record of `len` bytes lands in: the last one, or a
+    /// fresh page added behind it when the last one is full.
+    fn page_for(&mut self, len: usize) -> Result<PageId> {
+        if len > Page::max_record_size() {
+            return Err(StorageError::RecordTooLarge {
+                size: len,
+                max: Page::max_record_size(),
+            });
         }
+        if len > self.pages[self.pages.len() - 1].free_space() {
+            self.pages.push(Arc::new(Page::new()));
+        }
+        Ok((self.pages.len() - 1) as PageId)
+    }
+
+    /// Writes an encoded record into the page [`Partition::page_for`] chose.
+    fn insert_into(&mut self, page: PageId, bytes: &[u8]) -> Result<SlotId> {
+        let slot = Arc::make_mut(&mut self.pages[page as usize]).insert(bytes)?;
+        self.live_records += 1;
+        Ok(slot)
     }
 
     /// Appends a sub-trajectory, returning where it was stored.
     pub fn append(&mut self, sub: &SubTrajectory) -> Result<(PageId, SlotId)> {
-        self.append_bytes(&encode_sub_trajectory(sub))
+        let bytes = encode_sub_trajectory(sub);
+        let page = self.page_for(bytes.len())?;
+        Ok((page, self.insert_into(page, &bytes)?))
+    }
+
+    /// Lends the bytes of one record; `None` if it was deleted.
+    fn record(&self, page: PageId, slot: SlotId) -> Result<Option<&[u8]>> {
+        self.page(page)?.get(slot).map_err(on_page(page))
     }
 
     /// Reads one record.
     pub fn get(&self, page: PageId, slot: SlotId) -> Result<Option<SubTrajectory>> {
-        let p = self
-            .pages
-            .get(page as usize)
-            .ok_or(StorageError::InvalidPage { page })?;
-        match p.get(slot)? {
-            None => Ok(None),
-            Some(bytes) => decode_sub_trajectory(&bytes).map(Some),
-        }
+        self.record(page, slot)?
+            .map(decode_sub_trajectory)
+            .transpose()
     }
 
     /// Tombstones one record; true when something was actually deleted.
     pub fn delete(&mut self, page: PageId, slot: SlotId) -> Result<bool> {
-        let p = self
-            .pages
-            .get_mut(page as usize)
-            .ok_or(StorageError::InvalidPage { page })?;
-        let deleted = p.delete(slot)?;
-        if deleted {
-            self.live_records -= 1;
+        // Checked on the shared page first: deleting nothing must not copy it.
+        if self.record(page, slot)?.is_none() {
+            return Ok(false);
         }
-        Ok(deleted)
+        Arc::make_mut(&mut self.pages[page as usize])
+            .delete(slot)
+            .map_err(on_page(page))?;
+        self.live_records -= 1;
+        Ok(true)
     }
 
     /// Decodes every live record in the partition.
@@ -128,14 +151,14 @@ impl Partition {
         let mut out = Vec::with_capacity(self.live_records);
         for page in &self.pages {
             for (_, bytes) in page.iter() {
-                out.push(decode_sub_trajectory(&bytes)?);
+                out.push(decode_sub_trajectory(bytes)?);
             }
         }
         Ok(out)
     }
 
-    /// Access to a raw page (used by the buffer pool integration).
-    pub fn page(&self, page: PageId) -> Result<&Page> {
+    /// Access to a raw page (shared with the buffer pool by refcount).
+    pub fn page(&self, page: PageId) -> Result<&Arc<Page>> {
         self.pages
             .get(page as usize)
             .ok_or(StorageError::InvalidPage { page })
@@ -150,13 +173,16 @@ pub struct PartitionStore {
     /// Re-clustering threshold in pages (paper: "when the size of a partition
     /// exceeds a pre-defined threshold, S2T-Clustering takes action").
     pub page_threshold: usize,
-    buffer: Arc<BufferPool<Page>>,
+    buffer: Arc<BufferPool<Arc<Page>>>,
 }
 
-// Manual impl: the buffer pool must NOT be shared through the `Arc` — a
+// Manual impl: pages and frames are shared by refcount (one bump each, no
+// page bytes copied), but the pool itself must NOT be the same `Arc` — a
 // clone that kept writing pages under the same `(partition, page)` keys
 // would feed its pages to the original's readers. The clone starts from a
-// warm copy of the pool and the two diverge independently.
+// warm copy of the pool (same frames, same counters) and the two diverge
+// independently; a page is copied only when one side writes it while the
+// other still holds it.
 impl Clone for PartitionStore {
     fn clone(&self) -> Self {
         PartitionStore {
@@ -209,9 +235,14 @@ impl PartitionStore {
             .partitions
             .get_mut(&id)
             .ok_or(StorageError::UnknownPartition { partition: id })?;
-        let (page, slot) = p.append(sub)?;
-        // Keep the buffer coherent with the freshly written page.
-        self.buffer.put((id, page), p.page(page)?.clone());
+        let bytes = encode_sub_trajectory(sub);
+        let page = p.page_for(bytes.len())?;
+        // Pool coherence: drop the frame *before* the write, so a buffered
+        // page is uniquely owned when `make_mut` runs and is written in
+        // place, then hand the pool the written page.
+        self.buffer.invalidate(&(id, page));
+        let slot = p.insert_into(page, &bytes)?;
+        self.buffer.put((id, page), Arc::clone(p.page(page)?));
         Ok(RecordLocator {
             partition: id,
             page,
@@ -219,16 +250,36 @@ impl PartitionStore {
         })
     }
 
-    /// Reads a record through the buffer pool (counting hits/misses).
+    /// Looks a record up through the buffer pool (counting a hit or a miss)
+    /// and hands its bytes, borrowed from the page, to `f`; `None` if the
+    /// record was deleted. A page id the partition does not have fails
+    /// before the pool is touched.
+    fn with_record<R>(
+        &self,
+        loc: RecordLocator,
+        f: impl FnOnce(&[u8]) -> Result<R>,
+    ) -> Result<Option<R>> {
+        let backing = self.partition(loc.partition)?.page(loc.page)?;
+        let page = self
+            .buffer
+            .get_or_load((loc.partition, loc.page), || Arc::clone(backing));
+        page.get(loc.slot)
+            .map_err(on_page(loc.page))?
+            .map(f)
+            .transpose()
+    }
+
+    /// Reads a record through the buffer pool (counting hits/misses),
+    /// decoding it straight from the page.
     pub fn read(&self, loc: RecordLocator) -> Result<Option<SubTrajectory>> {
-        let part = self.partition(loc.partition)?;
-        let page = self.buffer.get_or_load((loc.partition, loc.page), || {
-            part.page(loc.page).cloned().unwrap_or_default()
-        });
-        match page.get(loc.slot)? {
-            None => Ok(None),
-            Some(bytes) => decode_sub_trajectory(&bytes).map(Some),
-        }
+        self.with_record(loc, decode_sub_trajectory)
+    }
+
+    /// The number of points of the record at `loc`, checked exactly as
+    /// [`PartitionStore::read`] checks it (same pool access, slot in range,
+    /// not a tombstone, well-formed record) but without decoding the points.
+    pub fn point_count(&self, loc: RecordLocator) -> Result<Option<usize>> {
+        self.with_record(loc, sub_trajectory_point_count)
     }
 
     /// Deletes a record.
@@ -239,12 +290,16 @@ impl PartitionStore {
             .ok_or(StorageError::UnknownPartition {
                 partition: loc.partition,
             })?;
-        let deleted = p.delete(loc.page, loc.slot)?;
-        if deleted {
-            self.buffer
-                .put((loc.partition, loc.page), p.page(loc.page)?.clone());
+        // Nothing to delete: the page is not written, so its frame stays.
+        if p.record(loc.page, loc.slot)?.is_none() {
+            return Ok(false);
         }
-        Ok(deleted)
+        // Same coherence rule as `append`: frame out, write, page back in.
+        let key = (loc.partition, loc.page);
+        self.buffer.invalidate(&key);
+        p.delete(loc.page, loc.slot)?;
+        self.buffer.put(key, Arc::clone(p.page(loc.page)?));
+        Ok(true)
     }
 
     /// Scans every live record of partition `id`.
@@ -282,7 +337,7 @@ impl PartitionStore {
     }
 
     /// The shared buffer pool (for statistics reporting).
-    pub fn buffer(&self) -> &Arc<BufferPool<Page>> {
+    pub fn buffer(&self) -> &Arc<BufferPool<Arc<Page>>> {
         &self.buffer
     }
 
@@ -343,7 +398,7 @@ impl PartitionStore {
             for _ in 0..num_pages {
                 let page = Page::from_bytes(r.raw(PAGE_SIZE)?)?;
                 live_records += page.live_records();
-                pages.push(page);
+                pages.push(Arc::new(page));
             }
             if id >= next_id || partitions.contains_key(&id) {
                 return Err(StorageError::Corrupt {
@@ -498,6 +553,142 @@ mod tests {
             PartitionStore::decode_from(&mut r, 3, 16),
             Err(StorageError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn a_read_of_a_page_the_partition_lacks_never_reaches_the_pool() {
+        let mut store = PartitionStore::new(4, 2);
+        let pid = store.create_partition(PartitionKind::Cluster);
+        let other = store.create_partition(PartitionKind::Cluster);
+        let loc = store.append(pid, &sub(1, 3)).unwrap();
+        store.append(other, &sub(2, 3)).unwrap();
+        let (len, stats) = (store.buffer().len(), store.buffer().stats());
+        assert_eq!(
+            len, 2,
+            "the pool is full: a phantom frame would evict a real one"
+        );
+
+        let phantom = RecordLocator { page: 7, ..loc };
+        assert_eq!(
+            store.read(phantom),
+            Err(StorageError::InvalidPage { page: 7 })
+        );
+        assert_eq!(
+            store.point_count(phantom),
+            Err(StorageError::InvalidPage { page: 7 })
+        );
+        assert_eq!(store.buffer().len(), len);
+        assert_eq!(store.buffer().stats(), stats);
+        // Both real frames are still resident.
+        store.read(loc).unwrap();
+        assert_eq!(store.buffer().stats().hits, stats.hits + 1);
+    }
+
+    #[test]
+    fn an_invalid_slot_names_the_page_it_is_on() {
+        let mut store = PartitionStore::new(1, 16);
+        let pid = store.create_partition(PartitionKind::Cluster);
+        // ~4.8 KB records: one per page, so the last lands on page 2.
+        let locs: Vec<_> = (0..3)
+            .map(|i| store.append(pid, &sub(i, 200)).unwrap())
+            .collect();
+        assert_eq!(locs[2].page, 2);
+        let bad = RecordLocator { slot: 9, ..locs[2] };
+        let expected = StorageError::InvalidSlot { page: 2, slot: 9 };
+        assert_eq!(store.read(bad), Err(expected.clone()));
+        assert_eq!(store.point_count(bad), Err(expected.clone()));
+        assert_eq!(
+            store.partition(pid).unwrap().get(2, 9),
+            Err(expected.clone())
+        );
+        assert_eq!(store.delete(bad), Err(expected));
+    }
+
+    #[test]
+    fn point_count_checks_what_read_checks() {
+        let mut store = PartitionStore::new(4, 16);
+        let pid = store.create_partition(PartitionKind::Cluster);
+        let live = store.append(pid, &sub(1, 5)).unwrap();
+        let dead = store.append(pid, &sub(2, 3)).unwrap();
+        store.delete(dead).unwrap();
+        store.buffer().reset_stats();
+        assert_eq!(store.point_count(live), Ok(Some(5)));
+        assert_eq!(store.point_count(dead), Ok(None));
+        let s = store.buffer().stats();
+        assert_eq!((s.hits, s.misses), (2, 0), "counted like reads");
+    }
+
+    #[test]
+    fn a_clone_shares_pages_until_one_side_writes() {
+        let mut store = PartitionStore::new(8, 4);
+        let pid = store.create_partition(PartitionKind::Cluster);
+        let locs: Vec<_> = (0..4)
+            .map(|i| store.append(pid, &sub(i, 200)).unwrap())
+            .collect();
+        let last = locs[3].page;
+        assert!(last >= 2);
+        let pinned = store.clone();
+        let page =
+            |s: &PartitionStore, p: PageId| Arc::clone(s.partition(pid).unwrap().page(p).unwrap());
+        for p in 0..=last {
+            assert!(Arc::ptr_eq(&page(&store, p), &page(&pinned, p)));
+        }
+
+        // A small record lands in the last page: that page alone is copied.
+        let added = store.append(pid, &sub(9, 2)).unwrap();
+        assert_eq!(added.page, last);
+        for p in 0..last {
+            assert!(Arc::ptr_eq(&page(&store, p), &page(&pinned, p)));
+        }
+        assert!(!Arc::ptr_eq(&page(&store, last), &page(&pinned, last)));
+        assert_eq!(
+            pinned.read(added),
+            Err(StorageError::InvalidSlot {
+                page: last,
+                slot: added.slot
+            })
+        );
+        assert_eq!(store.read(added).unwrap().unwrap().trajectory_id, 9);
+        assert_eq!(pinned.read(locs[3]).unwrap(), store.read(locs[3]).unwrap());
+
+        // Same for a delete, on the other side.
+        let mut pinned = pinned;
+        assert!(pinned.delete(locs[0]).unwrap());
+        assert!(!Arc::ptr_eq(&page(&store, 0), &page(&pinned, 0)));
+        assert_eq!(pinned.read(locs[0]).unwrap(), None);
+        assert_eq!(store.read(locs[0]).unwrap().unwrap().trajectory_id, 0);
+    }
+
+    #[test]
+    fn a_write_into_a_buffered_page_happens_in_place() {
+        let mut store = PartitionStore::new(8, 4);
+        let pid = store.create_partition(PartitionKind::Cluster);
+        let first = store.append(pid, &sub(1, 3)).unwrap();
+        store.read(first).unwrap(); // the page is buffered
+        let page_ptr = |s: &PartitionStore| Arc::as_ptr(s.partition(pid).unwrap().page(0).unwrap());
+        let before = page_ptr(&store);
+        let stats = store.buffer().stats();
+
+        let second = store.append(pid, &sub(2, 3)).unwrap();
+        assert_eq!(second.page, 0);
+        assert_eq!(
+            page_ptr(&store),
+            before,
+            "append copied a page only the pool shared"
+        );
+        assert!(store.delete(first).unwrap());
+        assert_eq!(
+            page_ptr(&store),
+            before,
+            "delete copied a page only the pool shared"
+        );
+        assert!(!store.delete(first).unwrap());
+        // Writes are not lookups, and the frame follows the page.
+        assert_eq!(store.buffer().stats(), stats);
+        assert_eq!(store.buffer().len(), 1);
+        assert_eq!(store.read(first).unwrap(), None);
+        assert_eq!(store.read(second).unwrap().unwrap().trajectory_id, 2);
+        assert_eq!(store.buffer().stats().hits, stats.hits + 2);
     }
 
     #[test]
