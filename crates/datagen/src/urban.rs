@@ -150,6 +150,12 @@ impl UrbanScenarioBuilder {
                 if li > 0 && i == 0 {
                     continue;
                 }
+                // A leg between two equal grid points (the route fallback
+                // cannot move off the last road) takes no time: its end
+                // sample would repeat its start sample's timestamp.
+                if len == 0.0 && i > 0 {
+                    continue;
+                }
                 pts.push(Point::new(
                     from.0 + (to.0 - from.0) * f,
                     from.1 + (to.1 - from.1) * f,

@@ -176,6 +176,20 @@ impl Executor {
     /// Runs `f(0), f(1), …, f(n-1)` and returns the results **in index
     /// order**, regardless of scheduling. This is the primitive the other
     /// combinators build on.
+    ///
+    /// **What an index costs.** On a pool every index pays one atomic claim
+    /// (`fetch_add` on the job's cursor) **and one acquisition of the job's
+    /// `completed` mutex**, on top of the job itself (an `Arc`, a queue push,
+    /// a `notify_all`, and a condvar wait for stragglers — tens of
+    /// microseconds when workers have to wake). So a task should be worth
+    /// roughly 10 µs or more, or the caller should loop serially. The worked
+    /// example is S2T's sampling sweep, which used to fan out here: ~920
+    /// sub-microsecond distance evaluations per greedy pick, a few hundred
+    /// picks per query. Measured on the benchmark's 739-flight set, that
+    /// phase took 4–12 ms on one thread and 21–51 ms on two — while keeping
+    /// both cores busy — and now runs serially. Voting (one task per
+    /// trajectory, ~100 µs each) and clustering (~5–8 µs each, 6.6 → 3.5 ms
+    /// on two threads) are the sizes that do pay.
     pub fn map_indices<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,

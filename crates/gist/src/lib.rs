@@ -20,13 +20,14 @@
 //!   pass,
 //! * [`packed`] — a static, structure-of-arrays [`PackedRTree`] for
 //!   read-mostly hot paths: STR-packed into flat lanes, queried with zero
-//!   per-query allocation (the S2T voting index and the packed base of the
-//!   ReTraTree's sub-chunk leaf indexes).
+//!   per-query allocation (the packed base of the ReTraTree's sub-chunk
+//!   leaf indexes).
 //!
 //! [`Mbb`]: hermes_trajectory::Mbb
 //!
-//! **Layer:** index substrate under `hermes-retratree` and the S2T voting
-//! hot path. Key types: [`Gist`], [`OpClass`], [`RTree3D`], [`PackedRTree`].
+//! **Layer:** index substrate under `hermes-retratree`; the S2T voting hot
+//! path shares its box-gap arithmetic ([`axis_gap`], [`t_down`]/[`t_up`]).
+//! Key types: [`Gist`], [`OpClass`], [`RTree3D`], [`PackedRTree`].
 //! Where each index sits in a query's life is mapped in
 //! `docs/ARCHITECTURE.md`.
 
@@ -38,6 +39,6 @@ pub mod tree;
 
 pub use interval::{IntervalOpClass, IntervalQuery, IntervalTree};
 pub use opclass::OpClass;
-pub use packed::{axis_gap, PackedRTree};
+pub use packed::{axis_gap, t_down, t_up, PackedRTree};
 pub use rtree3d::{Box3OpClass, RTree3D, RangeQuery};
 pub use tree::{Gist, GistStats};

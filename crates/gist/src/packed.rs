@@ -9,9 +9,11 @@
 //! heap allocation per query** (traversal recurses to the tree height, which
 //! is logarithmic in the item count).
 //!
-//! This is the query structure behind the S2T voting hot path
-//! (`hermes-s2t`'s `SegmentArena` index) and the packed base of the
-//! ReTraTree's sub-chunk leaf indexes. It intentionally supports no
+//! This is the packed base of the ReTraTree's sub-chunk leaf indexes. (It
+//! was also the S2T voting index until `hermes-s2t` replaced the descent
+//! with a time-ordered scan; the ball-candidate query below survives as that
+//! scan's reference in tests and as what the frozen end-to-end benchmark's
+//! `gist.probe_*` metrics time.) It intentionally supports no
 //! insertion or deletion: dynamic callers layer a small [`RTree3D`] delta on
 //! top and rebuild the packed base on reorganisation.
 //!
@@ -120,8 +122,11 @@ pub struct PackedRTree<V> {
 }
 
 /// `t` as `f64`, rounded toward `-∞` (exact for every `|t| < 2^53`, which
-/// covers any millisecond timestamp this engine produces).
-fn t_down(t: i64) -> f64 {
+/// covers any millisecond timestamp this engine produces). With [`t_up`],
+/// the outward rounding every packed temporal prefilter relies on — here and
+/// in `hermes-s2t`'s time-ordered candidate scan — so, like [`axis_gap`],
+/// there is one implementation.
+pub fn t_down(t: i64) -> f64 {
     let f = t as f64;
     if f as i128 > t as i128 {
         f.next_down()
@@ -130,8 +135,8 @@ fn t_down(t: i64) -> f64 {
     }
 }
 
-/// `t` as `f64`, rounded toward `+∞`.
-fn t_up(t: i64) -> f64 {
+/// `t` as `f64`, rounded toward `+∞` (see [`t_down`]).
+pub fn t_up(t: i64) -> f64 {
     let f = t as f64;
     if (f as i128) < t as i128 {
         f.next_up()

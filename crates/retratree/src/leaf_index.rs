@@ -8,8 +8,8 @@
 //!
 //! [`LeafIndex`] exploits that shape with the classic *packed base + delta*
 //! layout: reorganisation STR-packs everything into a flat
-//! [`PackedRTree`] (contiguous lanes, allocation-free scans — the same
-//! structure the S2T voting hot path queries), while insertions land in a
+//! [`PackedRTree`] (contiguous lanes, allocation-free scans), while
+//! insertions land in a
 //! small incremental [`RTree3D`] delta that the next rebuild folds back into
 //! the base. Queries visit the base first, then the delta, in deterministic
 //! order.

@@ -9,13 +9,24 @@
 //! and `(trajectory, segment)` back-references in parallel arrays — so the
 //! voting inner loop streams cache-linear `f64`/`i64` lanes instead.
 //!
-//! The candidate index over the arena is a [`PackedRTree`]: STR-packed flat
-//! node arrays queried with zero per-query allocation, with the Euclidean
-//! ball test ([`PackedRTree::for_each_ball_candidate_idx`]) pruning corner
-//! candidates a per-axis inflate would admit.
+//! The candidate index over the arena ([`PackedSegmentIndex`]) is the
+//! arena's segments **sorted by start time** and scanned flat. A mean
+//! *synchronized* distance is only defined on a common lifespan, so temporal
+//! overlap is the one test every candidate must pass, and it is by far the
+//! selective one: a probe — a run of four consecutive segments — spans tens
+//! of seconds of a dataset that spans hours. Two binary searches bound the
+//! rows that can overlap the run in time; the rows between them are tested
+//! four at a time for lifespan overlap and for the Euclidean ball around the
+//! run's union window (`crate::timescan`; the ball test prunes the corner
+//! candidates a per-axis inflate would admit). An R-tree descent used to do
+//! this job: its STR tiles were 25 minutes deep in time for a 40-second
+//! window, so a probe walked dozens of nodes to emit as many candidates, and
+//! probing was half of voting. The scan emits exactly the tree's candidate
+//! set, in time order instead of tile order — and order cannot change a
+//! vote, for the reasons below.
 //!
-//! Candidates that survive the index probe walk a **pruning ladder** of
-//! distance lower bounds, cheapest first — the probe's free window-ball gap,
+//! Candidates that survive the scan walk a **pruning ladder** of
+//! distance lower bounds, cheapest first — the scan's free window-ball gap,
 //! then the per-segment box gap — and only survivors are gathered into
 //! [`BATCH`]-wide structure-of-arrays blocks for the SIMD batched kernel
 //! ([`hermes_trajectory::kernel::mean_sync_distance_batch`]). (The sharper
@@ -36,7 +47,9 @@
 //! * per-voter minima are order-independent (`min` is a lattice operation),
 //!   which also covers deferring the fold to the gather-block flush;
 //! * per-segment votes are summed in **ascending voter order** in every
-//!   implementation, so traversal order cannot perturb the floating sum;
+//!   implementation, so the order candidates are visited in cannot perturb
+//!   the floating sum — it only decides which of them a best-so-far bound
+//!   gets to reject, i.e. the [`KernelCounters`], never a vote;
 //! * every pruning stage only ever removes candidates whose exact distance
 //!   provably cannot change the result: either it exceeds the kernel cutoff
 //!   (kernel value exactly `0.0`, additively neutral) or it cannot strictly
@@ -54,6 +67,7 @@
 //! would fail them loudly rather than corrupt results silently.
 
 use crate::params::S2TParams;
+use crate::timescan::TimeOrderedLanes;
 use crate::voting::{kernel, VotingProfile};
 use hermes_exec::Executor;
 use hermes_gist::{axis_gap, PackedRTree};
@@ -61,6 +75,7 @@ use hermes_trajectory::{
     kernel::{mean_sync_distance_batch_at, simd_level, SimdLevel, BATCH},
     Mbb, SegLanes, Timestamp, Trajectory, TrajectoryId,
 };
+use std::sync::OnceLock;
 
 /// How many candidate pairs reached the exact distance kernel versus how
 /// many a lower bound rejected first. Purely observational — the pruning
@@ -263,31 +278,39 @@ impl SegmentArena {
     }
 }
 
-/// The packed candidate index over a [`SegmentArena`]: a [`PackedRTree`]
-/// whose values are global segment ids, plus the candidate data the voting
-/// loop needs — kernel lanes, spatial bounds and voter index — **permuted
-/// into the tree's item order**. STR tiles put spatially/temporally close
-/// segments at adjacent item indices, so the hot loop's candidate reads are
-/// memory-local instead of chasing back into trajectory order.
 /// Everything the voting loop reads about one indexed segment, packed into
 /// a single row so the hot loop does one bounds-checked load per candidate
-/// instead of chasing a second parallel array: the filter half first
-/// (temporal bounds — checked first — then the spatial MBB block and owning
-/// trajectory), the kernel endpoint lanes after (read only by candidates
-/// that survive every filter).
+/// instead of chasing parallel arrays — exactly one cache line: lifespan
+/// (the slot partition reads it first), the endpoints (the stage-2 box is
+/// their `min`/`max`; the kernel lanes of a survivor are the endpoints
+/// themselves), the owning trajectory and the arena segment id.
 #[derive(Clone, Copy)]
+#[repr(align(64))]
 struct CandidateRow {
     t0: i64,
     t1: i64,
-    xy: [f64; 4],
     x0: f64,
     y0: f64,
     x1: f64,
     y1: f64,
     voter: u32,
+    /// The arena's global segment id (fills the row's alignment padding).
+    gs: u32,
 }
 
 impl CandidateRow {
+    /// The row's spatial box `[x_min, x_max, y_min, y_max]` — the arena's
+    /// MBB lanes bit for bit (the same `min`/`max` of the same endpoints).
+    #[inline]
+    fn xy(&self) -> [f64; 4] {
+        [
+            self.x0.min(self.x1),
+            self.x0.max(self.x1),
+            self.y0.min(self.y1),
+            self.y0.max(self.y1),
+        ]
+    }
+
     /// The row's endpoints as kernel lanes.
     #[inline]
     fn lanes(&self) -> SegLanes {
@@ -302,64 +325,109 @@ impl CandidateRow {
     }
 }
 
+/// The candidate index over a [`SegmentArena`]: every segment as one
+/// 64-byte candidate row, sorted by `(t0, voter, segment)` — a total order, so
+/// the layout is a pure function of the arena — beside the window-test
+/// lanes of the time-ordered scan (`crate::timescan`) in the same order.
+/// Candidates of one probe are neighbours in time, so the hot loop's row
+/// reads are memory-local, and building the index is one sort.
 pub struct PackedSegmentIndex {
-    tree: PackedRTree<u32>,
-    /// Candidate rows per tree item (tree item order).
-    item_rows: Vec<CandidateRow>,
+    rows: Vec<CandidateRow>,
+    lanes: TimeOrderedLanes,
+    /// The same boxes STR-packed, built on first use: nothing in the voting
+    /// path reads it (see [`PackedSegmentIndex::tree`]).
+    tree: OnceLock<PackedRTree<u32>>,
 }
 
 impl PackedSegmentIndex {
-    /// STR bulk load over every segment MBB of the arena.
+    /// Sorts every segment of the arena into time order.
     pub fn build(arena: &SegmentArena) -> Self {
-        let items: Vec<(Mbb, u32)> = (0..arena.num_segments())
-            .map(|gs| (arena.segment_mbb(gs), gs as u32))
-            .collect();
-        let tree = PackedRTree::bulk_load(items);
-        let n = tree.len();
-        let mut index = PackedSegmentIndex {
-            item_rows: Vec::with_capacity(n),
-            tree,
-        };
-        for i in 0..n {
-            let gs = *index.tree.value(i) as usize;
-            index.item_rows.push(CandidateRow {
-                t0: arena.t0[gs],
-                t1: arena.t1[gs],
-                xy: [
-                    arena.mbb_x_min[gs],
-                    arena.mbb_x_max[gs],
-                    arena.mbb_y_min[gs],
-                    arena.mbb_y_max[gs],
-                ],
-                x0: arena.x0[gs],
-                y0: arena.y0[gs],
-                x1: arena.x1[gs],
-                y1: arena.y1[gs],
-                voter: arena.traj_of[gs],
-            });
+        let n = arena.num_segments();
+        // Global segment ids ascend with (trajectory, local segment), so
+        // ordering the pairs orders by (t0, voter, segment).
+        let mut order: Vec<(i64, u32)> = (0..n).map(|gs| (arena.t0[gs], gs as u32)).collect();
+        order.sort_unstable();
+        let mut rows = Vec::with_capacity(n);
+        let mut lanes = TimeOrderedLanes::with_capacity(n);
+        for (t0, gs) in order {
+            let g = gs as usize;
+            let row = CandidateRow {
+                t0,
+                t1: arena.t1[g],
+                x0: arena.x0[g],
+                y0: arena.y0[g],
+                x1: arena.x1[g],
+                y1: arena.y1[g],
+                voter: arena.traj_of[g],
+                gs,
+            };
+            lanes.push(t0, row.t1, row.xy());
+            rows.push(row);
         }
-        index
+        PackedSegmentIndex {
+            rows,
+            lanes,
+            tree: OnceLock::new(),
+        }
     }
 
     /// Number of indexed segments.
     pub fn len(&self) -> usize {
-        self.tree.len()
+        self.rows.len()
     }
 
     /// True when no segment is indexed.
     pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
+        self.rows.is_empty()
     }
 
-    /// The underlying packed tree (for structural inspection).
+    /// Visits every indexed segment whose lifespan intersects `window`'s and
+    /// whose box lies within `radius` of `window`'s in the x/y plane — the
+    /// probe the voting loop issues once per query run — with the row index
+    /// (ascending; see [`PackedSegmentIndex::segment_id`]) and the squared
+    /// spatial gap. Allocation-free.
+    #[inline]
+    pub fn for_each_candidate(&self, window: &Mbb, radius: f64, visit: impl FnMut(usize, f64)) {
+        self.lanes
+            .for_each_candidate(simd_level(), window, radius, visit);
+    }
+
+    /// The arena's global segment id of the candidate at `row`.
+    #[inline]
+    pub fn segment_id(&self, row: usize) -> usize {
+        self.rows[row].gs as usize
+    }
+
+    /// The indexed boxes as an STR-packed R-tree whose values are global
+    /// segment ids, packed on the first call. Voting does not use it: it is
+    /// the reference the scan's candidate set is tested against, and what
+    /// the end-to-end benchmark's `gist.probe_*` metrics still time.
     pub fn tree(&self) -> &PackedRTree<u32> {
-        &self.tree
+        self.tree.get_or_init(|| {
+            PackedRTree::bulk_load(
+                self.rows
+                    .iter()
+                    .map(|row| {
+                        let [x_min, x_max, y_min, y_max] = row.xy();
+                        let mbb = Mbb::new(
+                            x_min,
+                            x_max,
+                            y_min,
+                            y_max,
+                            Timestamp(row.t0),
+                            Timestamp(row.t1),
+                        );
+                        (mbb, row.gs)
+                    })
+                    .collect(),
+            )
+        })
     }
 }
 
 /// Consecutive segments of one trajectory batched into a single index
 /// probe. Neighbouring segments share most of their candidate
-/// neighbourhood, so one descent with the run's union window serves the
+/// neighbourhood, so one scan with the run's union window serves the
 /// whole run; candidates are then partitioned into per-segment lists in one
 /// pass (segments of a run tile time contiguously, so each candidate lands
 /// in a contiguous sub-range of the run) and only the overlapping pairs pay
@@ -487,7 +555,7 @@ impl GatherBlock {
 pub struct ArenaVoteScratch {
     /// Best (minimum) kernel distance per voter, one array per run slot:
     /// the fused probe accumulates all `QUERY_RUN` segments of a run in a
-    /// single traversal, and slot k's minima must never observe another
+    /// single scan, and slot k's minima must never observe another
     /// slot's folds (each segment's per-voter min is independent state).
     /// Invariant between runs: every entry is `f64::INFINITY` — each vote
     /// fold resets exactly the entries it touched.
@@ -540,7 +608,7 @@ impl ArenaVoteScratch {
 /// performs **zero heap allocations** — the property the counting-allocator
 /// test in `crates/s2t/tests` pins down.
 ///
-/// One traversal does everything: the probe descends once per `QUERY_RUN`
+/// One pass does everything: the time-ordered scan runs once per `QUERY_RUN`
 /// consecutive query segments with the run's union window, and the pruning
 /// ladder runs **inside the emission callback**, on the candidate row the
 /// partition just loaded — no intermediate candidate lists, no second pass
@@ -623,59 +691,58 @@ pub fn vote_trajectory_into(
             Timestamp(arena.t0[run_start]),
             Timestamp(arena.t1[run_end - 1]),
         );
-        index
-            .tree
-            .for_each_ball_candidate_idx(&window, cutoff, |item, window_gap2| {
-                let row = &index.item_rows[item];
-                let voter = row.voter as usize;
-                if voter == ti {
-                    return;
-                }
-                // The slots a candidate temporally overlaps form a
-                // contiguous range of the run (segments of a run tile time
-                // contiguously): two short forward scans find it.
-                let mut k = 0usize;
-                while k < run_len && arena.t1[run_start + k] < row.t0 {
+        index.for_each_candidate(&window, cutoff, |row, window_gap2| {
+            let row = &index.rows[row];
+            let voter = row.voter as usize;
+            if voter == ti {
+                return;
+            }
+            let row_xy = row.xy();
+            // The slots a candidate temporally overlaps form a
+            // contiguous range of the run (segments of a run tile time
+            // contiguously): two short forward scans find it.
+            let mut k = 0usize;
+            while k < run_len && arena.t1[run_start + k] < row.t0 {
+                k += 1;
+            }
+            while k < run_len && arena.t0[run_start + k] <= row.t1 {
+                let best_k = &mut best[k];
+                let b = best_k[voter];
+                let b2 = b * b;
+                // Stage 1: window-ball gap vs best². (`d < best` is
+                // strict, so equality skips safely; an untouched voter
+                // has best = ∞, never skipped.)
+                if window_gap2 >= b2 {
+                    counters.pruned += 1;
                     k += 1;
+                    continue;
                 }
-                while k < run_len && arena.t0[run_start + k] <= row.t1 {
-                    let best_k = &mut best[k];
-                    let b = best_k[voter];
-                    let b2 = b * b;
-                    // Stage 1: window-ball gap vs best². (`d < best` is
-                    // strict, so equality skips safely; an untouched voter
-                    // has best = ∞, never skipped.)
-                    if window_gap2 >= b2 {
-                        counters.pruned += 1;
-                        k += 1;
-                        continue;
-                    }
-                    // Stage 2: this slot's box gap vs the cutoff ball and
-                    // best².
-                    let xy = &sxy[k];
-                    let gx = axis_gap(row.xy[0], row.xy[1], xy[0], xy[1]);
-                    let gy = axis_gap(row.xy[2], row.xy[3], xy[2], xy[3]);
-                    let gap2 = gx * gx + gy * gy;
-                    if gap2 > r2 || gap2 >= b2 {
-                        counters.pruned += 1;
-                        k += 1;
-                        continue;
-                    }
-                    // Survivor: gather into the slot's block.
-                    counters.evaluated += 1;
-                    if blocks[k].push(&row.lanes(), row.voter) {
-                        blocks[k].flush(&segs[k], cutoff, best_k, &mut touched[k]);
-                    }
+                // Stage 2: this slot's box gap vs the cutoff ball and
+                // best².
+                let xy = &sxy[k];
+                let gx = axis_gap(row_xy[0], row_xy[1], xy[0], xy[1]);
+                let gy = axis_gap(row_xy[2], row_xy[3], xy[2], xy[3]);
+                let gap2 = gx * gx + gy * gy;
+                if gap2 > r2 || gap2 >= b2 {
+                    counters.pruned += 1;
                     k += 1;
+                    continue;
                 }
-            });
+                // Survivor: gather into the slot's block.
+                counters.evaluated += 1;
+                if blocks[k].push(&row.lanes(), row.voter) {
+                    blocks[k].flush(&segs[k], cutoff, best_k, &mut touched[k]);
+                }
+                k += 1;
+            }
+        });
         // Per-slot epilogue, in segment order: final flush, then the vote.
         for k in 0..run_len {
             blocks[k].flush(&segs[k], cutoff, &mut best[k], &mut touched[k]);
             let touched_k = &mut touched[k];
             let best_k = &mut best[k];
             // Canonical summation order (ascending voter index): the
-            // floating sum must not depend on index traversal order.
+            // floating sum must not depend on the order candidates arrive in.
             // `sort_unstable` on primitives is in-place — no allocation.
             touched_k.sort_unstable();
             let mut vote = 0.0;

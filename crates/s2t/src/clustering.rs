@@ -155,9 +155,13 @@ pub fn cluster_around_representatives_with(
         })
         .collect();
     let mut outliers = Vec::new();
+    let mut is_seed = vec![false; subs.len()];
+    for &ri in representative_indices {
+        is_seed[ri] = true;
+    }
 
     let assignments = exec.map(subs, |i, s| {
-        if representative_indices.contains(&i) {
+        if is_seed[i] {
             return Assignment::Seed;
         }
         let mut best: Option<(usize, f64)> = None;

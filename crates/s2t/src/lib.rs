@@ -40,6 +40,7 @@ pub mod params;
 pub mod pipeline;
 pub mod sampling;
 pub mod segmentation;
+mod timescan;
 pub mod voting;
 
 pub use arena::{

@@ -76,7 +76,7 @@ fn ms(from: Instant) -> f64 {
 }
 
 /// The parameter-independent half of the indexed pipeline: the collection
-/// flattened into a SoA [`SegmentArena`] and STR-packed into a
+/// flattened into a SoA [`SegmentArena`] and sorted by start time into a
 /// [`PackedSegmentIndex`]. Neither depends on (σ, ε, …), so one index serves
 /// every [`run_s2t_indexed_with`] call over the same trajectories — the
 /// engine keeps one per dataset value instead of re-packing per statement.

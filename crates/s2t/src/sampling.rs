@@ -15,37 +15,22 @@ use crate::segmentation::VotedSubTrajectory;
 use hermes_exec::Executor;
 use hermes_trajectory::spatiotemporal_distance;
 
-/// Similarity in [0, 1] describing how much of `candidate`'s neighbourhood an
-/// already-selected representative covers: 1 when they coincide, 0 when they
-/// are at least `2ε` apart (or never co-exist).
-fn coverage_overlap(
-    candidate: &VotedSubTrajectory,
-    selected: &VotedSubTrajectory,
-    epsilon: f64,
-) -> f64 {
-    let d = spatiotemporal_distance(&candidate.sub, &selected.sub);
-    if !d.is_finite() {
-        return 0.0;
-    }
-    (1.0 - d / (2.0 * epsilon)).max(0.0)
-}
-
 /// Greedily selects the indices of the sub-trajectories that will seed the
 /// clusters, in selection order.
 pub fn select_representatives(subs: &[VotedSubTrajectory], params: &S2TParams) -> Vec<usize> {
     select_representatives_with(subs, params, &Executor::serial())
 }
 
-/// [`select_representatives`] with the per-pick coverage-discount sweep (the
-/// `O(candidates)` spatio-temporal distance evaluations after every
-/// selection) fanned out on `exec`. The greedy selection itself stays
-/// sequential — each pick depends on all previous discounts — and the
-/// discounts are applied in index order, so selection is identical to the
-/// serial path.
+/// [`select_representatives`] behind the signature every other phase's
+/// `*_with` entry point has. `_exec` is unused: picks are sequential — each
+/// depends on every earlier discount — and the distance evaluations of one
+/// discount sweep are sub-microsecond each, far below what a fork-join costs
+/// per index (see `Executor::map_indices`), so fanning them out made the
+/// phase several times slower on two threads than on one.
 pub fn select_representatives_with(
     subs: &[VotedSubTrajectory],
     params: &S2TParams,
-    exec: &Executor,
+    _exec: &Executor,
 ) -> Vec<usize> {
     if subs.is_empty() {
         return Vec::new();
@@ -56,12 +41,12 @@ pub fn select_representatives_with(
         params.max_representatives
     };
 
-    let base: Vec<f64> = subs.iter().map(|s| s.representativeness()).collect();
     let mut selected: Vec<usize> = Vec::new();
     // Residual gain of each candidate, updated as representatives are picked.
-    let mut gain: Vec<f64> = base.clone();
-    // A candidate within ε of an already selected representative would be a
-    // member of its cluster anyway; it can never become a seed itself.
+    let mut gain: Vec<f64> = subs.iter().map(|s| s.representativeness()).collect();
+    // Cleared when a candidate is picked, and when it lies within ε of a
+    // pick: it would be a member of that cluster anyway and can never become
+    // a seed itself.
     let mut eligible: Vec<bool> = vec![true; subs.len()];
     let mut first_gain: Option<f64> = None;
 
@@ -70,10 +55,7 @@ pub fn select_representatives_with(
         let mut best_idx = None;
         let mut best_gain = 0.0f64;
         for (i, &g) in gain.iter().enumerate() {
-            if !eligible[i] || selected.contains(&i) {
-                continue;
-            }
-            if g > best_gain {
+            if eligible[i] && g > best_gain {
                 best_gain = g;
                 best_idx = Some(i);
             }
@@ -97,43 +79,26 @@ pub fn select_representatives_with(
         }
 
         selected.push(idx);
-        // Discount the remaining candidates by their overlap with the new
-        // pick, and retire those already covered by it. The distance
-        // evaluations are independent per candidate, so on a parallel
-        // executor they fan out and the updates are applied in index order —
-        // the same order the serial in-place sweep produces.
-        if exec.is_parallel() {
-            let updates: Vec<Option<(f64, bool)>> = exec.map_indices(subs.len(), |i| {
-                if !eligible[i] || selected.contains(&i) {
-                    return None;
-                }
-                let d = spatiotemporal_distance(&subs[i].sub, &subs[idx].sub);
-                if d <= params.epsilon {
-                    return Some((0.0, false));
-                }
-                let overlap = coverage_overlap(&subs[i], &subs[idx], params.epsilon);
-                Some((gain[i] * (1.0 - overlap), true))
-            });
-            for (i, update) in updates.into_iter().enumerate() {
-                match update {
-                    Some((g, true)) => gain[i] = g,
-                    Some((_, false)) => eligible[i] = false,
-                    None => {}
-                }
+        eligible[idx] = false;
+        // Discount the remaining candidates by how much of their
+        // neighbourhood the new pick covers — a similarity in [0, 1]: 1 when
+        // they coincide, 0 when they are at least 2ε apart or never co-exist
+        // — and retire those already covered by it.
+        for (i, g) in gain.iter_mut().enumerate() {
+            if !eligible[i] {
+                continue;
             }
-        } else {
-            for (i, g) in gain.iter_mut().enumerate() {
-                if !eligible[i] || selected.contains(&i) {
-                    continue;
-                }
-                let d = spatiotemporal_distance(&subs[i].sub, &subs[idx].sub);
-                if d <= params.epsilon {
-                    eligible[i] = false;
-                    continue;
-                }
-                let overlap = coverage_overlap(&subs[i], &subs[idx], params.epsilon);
-                *g *= 1.0 - overlap;
+            let d = spatiotemporal_distance(&subs[i].sub, &subs[idx].sub);
+            if d <= params.epsilon {
+                eligible[i] = false;
+                continue;
             }
+            let overlap = if d.is_finite() {
+                (1.0 - d / (2.0 * params.epsilon)).max(0.0)
+            } else {
+                0.0
+            };
+            *g *= 1.0 - overlap;
         }
     }
     selected

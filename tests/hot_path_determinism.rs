@@ -310,3 +310,279 @@ fn lower_bounds_never_exceed_exact_distance() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// The time-ordered candidate scan (PR 21): three regimes, the tree it
+// replaced as the reference, and the first golden work counts.
+// ---------------------------------------------------------------------------
+
+/// Few objects alive at once: four arrival streams over six hours.
+fn sparse_aircraft() -> Vec<Trajectory> {
+    AircraftScenarioBuilder {
+        seed: 0x5CA_77E4,
+        num_streams: 4,
+        waves_per_stream: 8,
+        flights_per_wave: 3,
+        num_stragglers: 9,
+        holding_probability: 0.3,
+        ..AircraftScenarioBuilder::default()
+    }
+    .build()
+    .trajectories
+}
+
+/// Every object alive at once: 400 vehicles on one grid in one half hour —
+/// the regime where a time-ordered scan has the least to skip.
+fn dense_urban() -> Vec<Trajectory> {
+    hermes_bench::urban_with(400, 13).trajectories
+}
+
+/// Hand-built to sit on every boundary of the scan's two binary searches and
+/// its exact end-time recheck, all within voting range of each other.
+fn adversarial() -> Vec<Trajectory> {
+    let traj = |id: u64, points: &[(f64, f64, i64)]| {
+        Trajectory::new(
+            id,
+            id,
+            points
+                .iter()
+                .map(|&(x, y, t)| Point::new(x, y, Timestamp(t)))
+                .collect(),
+        )
+        .expect("hand-built points are time-ordered")
+    };
+    let mut set = Vec::new();
+    // One segment spanning the whole time extent of everything else: the
+    // running maximum of `t1` jumps on the first row and stays there.
+    set.push(traj(0, &[(0.0, 0.0, 0), (1_000.0, 0.0, 1_000_000)]));
+    // Many segments with the same `t0` (and the same sampling afterwards).
+    for i in 0..6u64 {
+        let y = 10.0 + 7.0 * i as f64;
+        set.push(traj(
+            1 + i,
+            &[
+                (100.0, y, 100_000),
+                (140.0, y, 110_000),
+                (180.0, y, 120_000),
+                (220.0, y, 130_000),
+                (260.0, y, 140_000),
+                (300.0, y, 150_000),
+            ],
+        ));
+    }
+    // Zero-gap abutting lifespans across trajectories: this one ends at the
+    // very millisecond the group above starts, the next starts at the very
+    // millisecond the group ends. One shared instant is an overlap.
+    set.push(traj(
+        7,
+        &[
+            (20.0, 30.0, 60_000),
+            (60.0, 30.0, 80_000),
+            (100.0, 30.0, 100_000),
+        ],
+    ));
+    set.push(traj(
+        8,
+        &[
+            (300.0, 30.0, 150_000),
+            (340.0, 30.0, 160_000),
+            (380.0, 30.0, 170_000),
+        ],
+    ));
+    // One millisecond short of abutting: no shared instant, no vote.
+    set.push(traj(9, &[(20.0, 40.0, 60_000), (100.0, 40.0, 99_999)]));
+    // Wholly before and wholly after everything but the spanning segment.
+    set.push(traj(
+        10,
+        &[(5.0, 5.0, 1_000), (15.0, 5.0, 9_000), (25.0, 5.0, 17_000)],
+    ));
+    set.push(traj(
+        11,
+        &[
+            (900.0, 5.0, 900_000),
+            (950.0, 5.0, 950_000),
+            (990.0, 5.0, 990_000),
+        ],
+    ));
+    // Single-segment trajectories, one inside the group's lifespan and one
+    // of zero-length neighbours' worth: a run shorter than `QUERY_RUN`.
+    set.push(traj(12, &[(150.0, 20.0, 105_000), (250.0, 20.0, 145_000)]));
+    // Five segments: one full run of four plus a tail run of one.
+    set.push(traj(
+        13,
+        &[
+            (100.0, 60.0, 95_000),
+            (130.0, 60.0, 105_000),
+            (160.0, 60.0, 115_000),
+            (190.0, 60.0, 125_000),
+            (220.0, 60.0, 135_000),
+            (250.0, 60.0, 145_000),
+        ],
+    ));
+    set
+}
+
+fn regimes() -> Vec<(&'static str, Vec<Trajectory>, S2TParams)> {
+    let sigma = |sigma: f64| S2TParams::builder().sigma(sigma).build().unwrap();
+    vec![
+        ("aircraft", sparse_aircraft(), sigma(2_000.0)),
+        ("urban-400", dense_urban(), sigma(60.0)),
+        ("adversarial", adversarial(), sigma(40.0)),
+    ]
+}
+
+/// Votes from the time-ordered scan equal the quadratic reference bit for
+/// bit in all three regimes at 1, 2 and 4 threads. CI repeats this file at
+/// `HERMES_SIMD` off / sse2 / default, which is what runs the scan's three
+/// filters under it (`crates/s2t/src/timescan.rs` tests compare the filters
+/// with each other in one process).
+#[test]
+fn time_ordered_voting_matches_naive_in_three_regimes() {
+    for (name, trajs, params) in regimes() {
+        let arena = SegmentArena::build(&trajs);
+        let packed = PackedSegmentIndex::build(&arena);
+        let reference =
+            naive_voting_with(&trajs, &params, &Executor::new(ExecPolicy { threads: 4 }));
+        assert!(
+            reference.iter().any(|p| p.votes.iter().any(|&v| v > 0.5)),
+            "{name}: nothing votes, the comparison would be vacuous"
+        );
+        for threads in [1usize, 2, 4] {
+            let exec = Executor::new(ExecPolicy { threads });
+            assert_profiles_bit_identical(
+                &arena_voting_with(&arena, &packed, &params, &exec),
+                &reference,
+                &format!("{name}@{threads}"),
+            );
+        }
+    }
+}
+
+/// The adversarial set really has the pairs it claims: abutting lifespans
+/// share exactly one instant (the kernel has a value there, within voting
+/// range), and one millisecond of daylight leaves none.
+#[test]
+fn adversarial_set_sits_on_the_lifespan_boundaries() {
+    use hermes::trajectory::mean_sync_distance;
+
+    let (_, trajs, params) = regimes().pop().expect("the adversarial regime is last");
+    let last = |t: &Trajectory| t.segment(t.num_segments() - 1).lanes();
+    let group_first = trajs[1].segment(0).lanes();
+    assert_eq!(last(&trajs[7]).t1, group_first.t0);
+    let touching = mean_sync_distance(&last(&trajs[7]), &group_first).expect("one shared instant");
+    assert!(touching <= params.voting_cutoff_radius());
+    assert_eq!(last(&trajs[9]).t1 + 1, group_first.t0);
+    assert_eq!(mean_sync_distance(&last(&trajs[9]), &group_first), None);
+    assert_eq!(trajs[12].num_segments(), 1);
+    let extent = trajs[0].segment(0).lanes();
+    assert!(trajs
+        .iter()
+        .all(|t| { extent.t0 <= t.segment(0).lanes().t0 && last(t).t1 <= extent.t1 }));
+}
+
+/// The scan's candidate *set* is the tree's. 2 000 seeded windows per
+/// regime — runs of one to four consecutive segments, as voting issues them,
+/// at radii from zero to far past the data's extent — compared order-free as
+/// `(segment id, gap² bits)`.
+#[test]
+fn the_scan_emits_exactly_the_trees_candidate_set() {
+    for (name, trajs, params) in regimes() {
+        let arena = SegmentArena::build(&trajs);
+        let packed = PackedSegmentIndex::build(&arena);
+        let tree = packed.tree();
+        assert_eq!(tree.len(), packed.len(), "{name}");
+
+        let mut state = 0x5CA_4E57u64 ^ (arena.num_segments() as u64).rotate_left(23);
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let cutoff = params.voting_cutoff_radius();
+        let mut emitted = 0usize;
+        for _ in 0..2_000 {
+            let ti = next() % arena.num_trajectories();
+            let segments = arena.segments_of(ti);
+            let first = segments.start + next() % segments.len();
+            let last = (first + 1 + next() % 4).min(segments.end);
+            let window = (first..last)
+                .map(|gs| arena.segment_mbb(gs))
+                .reduce(|a, b| a.union(&b))
+                .expect("a run holds a segment");
+            let radius = [0.0, cutoff / 3.0, cutoff, cutoff * 50.0][next() % 4];
+
+            let mut from_scan: Vec<(usize, u64)> = Vec::new();
+            packed.for_each_candidate(&window, radius, |row, gap2| {
+                from_scan.push((packed.segment_id(row), gap2.to_bits()));
+            });
+            // Ascending rows are ascending (t0, segment id).
+            assert!(
+                from_scan.windows(2).all(|w| {
+                    let (a, b) = (arena.lanes(w[0].0), arena.lanes(w[1].0));
+                    (a.t0, w[0].0) < (b.t0, w[1].0)
+                }),
+                "{name}: scan order"
+            );
+            let mut from_tree: Vec<(usize, u64)> = Vec::new();
+            tree.for_each_ball_candidate_idx(&window, radius, |item, gap2| {
+                from_tree.push((*tree.value(item) as usize, gap2.to_bits()));
+            });
+            from_scan.sort_unstable();
+            from_tree.sort_unstable();
+            assert_eq!(
+                from_scan, from_tree,
+                "{name}: window {window} radius {radius}"
+            );
+            emitted += from_scan.len();
+        }
+        assert!(
+            emitted > 2_000,
+            "{name}: the windows found almost nothing ({emitted})"
+        );
+    }
+}
+
+/// ROADMAP 7(a)'s first golden count. Pairs that reach the exact kernel and
+/// pairs a lower bound rejects first are a pure function of the data and of
+/// the order candidates are visited in — no clock, no thread, no SIMD width
+/// enters — so they are pinned as constants: a PR that changes how much work
+/// voting does must change these numbers on purpose. Data: the benchmark's
+/// `s2t_analytic` shape (4 streams × 8 waves × 21 flights + 10 % stragglers)
+/// under a fixed seed, σ = 2000.
+#[test]
+fn golden_kernel_counts_on_the_analytic_aircraft_set() {
+    use hermes::s2t::{arena_voting_counted_with, KernelCounters};
+
+    const GOLDEN: KernelCounters = KernelCounters {
+        evaluated: 909_639,
+        pruned: 144_649,
+    };
+
+    let clustered = 4 * 8 * 21;
+    let trajs = AircraftScenarioBuilder {
+        seed: 7,
+        num_streams: 4,
+        waves_per_stream: 8,
+        flights_per_wave: 21,
+        num_stragglers: clustered / 10,
+        holding_probability: 0.3,
+        ..AircraftScenarioBuilder::default()
+    }
+    .build()
+    .trajectories;
+    assert_eq!(trajs.len(), 739);
+    let params = S2TParams::builder().sigma(2_000.0).build().unwrap();
+    let arena = SegmentArena::build(&trajs);
+    let packed = PackedSegmentIndex::build(&arena);
+    let (_, serial) = arena_voting_counted_with(&arena, &packed, &params, &Executor::serial());
+    assert_eq!(
+        serial, GOLDEN,
+        "update GOLDEN only if the change in work is intended"
+    );
+    for threads in [2usize, 4] {
+        let exec = Executor::new(ExecPolicy { threads });
+        let (_, parallel) = arena_voting_counted_with(&arena, &packed, &params, &exec);
+        assert_eq!(parallel, GOLDEN, "{threads} threads");
+    }
+}
