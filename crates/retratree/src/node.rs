@@ -3,6 +3,7 @@
 use crate::leaf_index::LeafIndex;
 use hermes_storage::{PartitionId, RecordLocator};
 use hermes_trajectory::{SubTrajectory, TimeInterval};
+use std::sync::OnceLock;
 
 /// Level-3 entry: one representative sub-trajectory and the partition holding
 /// the members clustered around it.
@@ -18,11 +19,66 @@ pub struct ClusterEntry {
     /// Locator of the representative's own archived copy in the partition
     /// (None for entries created before any data was archived).
     pub representative_loc: Option<RecordLocator>,
-    /// Locators of the members inside the partition.
-    pub members: Vec<RecordLocator>,
+    /// Locators of the members inside the partition. Private with
+    /// `member_distances` so that the two cannot come apart.
+    members: Vec<RecordLocator>,
+    /// Derived state: the distance of each member to the representative, as
+    /// a covered QuT read reports it, slot for slot with `members`. Unfilled
+    /// until the first such read; a pure function of the stored records
+    /// (which are append-only) and the representative, so it stays valid for
+    /// the life of the entry and of its clones.
+    member_distances: OnceLock<Vec<f64>>,
 }
 
 impl ClusterEntry {
+    /// An entry over already stored members, its member distances unfilled.
+    pub fn new(
+        representative: SubTrajectory,
+        representative_vote: f64,
+        partition: PartitionId,
+        representative_loc: Option<RecordLocator>,
+        members: Vec<RecordLocator>,
+    ) -> Self {
+        ClusterEntry {
+            representative,
+            representative_vote,
+            partition,
+            representative_loc,
+            members,
+            member_distances: OnceLock::new(),
+        }
+    }
+
+    /// Locators of the members inside the partition.
+    pub fn members(&self) -> &[RecordLocator] {
+        &self.members
+    }
+
+    /// Adds the member stored at `loc`, `distance` away from the
+    /// representative. Filled distances are extended, not reset: the caller
+    /// has just computed that distance to choose this entry.
+    pub(crate) fn push_member(&mut self, loc: RecordLocator, distance: f64) {
+        self.members.push(loc);
+        if let Some(distances) = self.member_distances.get_mut() {
+            distances.push(distance);
+        }
+    }
+
+    /// The member distances, computed by `fill` (one value per member, in
+    /// member order) if no covered read has filled them yet. Racing first
+    /// readers run one `fill`; the rest wait for it.
+    pub(crate) fn member_distances(&self, fill: impl FnOnce() -> Vec<f64>) -> &[f64] {
+        let distances = self.member_distances.get_or_init(fill);
+        debug_assert_eq!(distances.len(), self.members.len());
+        distances
+    }
+
+    /// The member distances if a covered read has filled them.
+    #[cfg(test)]
+    pub(crate) fn filled_member_distances(&self) -> Option<&[f64]> {
+        self.member_distances.get().map(Vec::as_slice)
+    }
+
     /// Number of sub-trajectories in the cluster, counting the representative.
     pub fn size(&self) -> usize {
         self.members.len() + 1
@@ -121,16 +177,10 @@ mod tests {
 
     #[test]
     fn cluster_entry_counts_its_representative() {
-        let mut e = ClusterEntry {
-            representative: sub(1),
-            representative_vote: 2.5,
-            partition: 3,
-            representative_loc: None,
-            members: vec![],
-        };
+        let mut e = ClusterEntry::new(sub(1), 2.5, 3, None, vec![]);
         assert_eq!(e.size(), 1);
-        e.members.push(locator(0));
-        e.members.push(locator(1));
+        e.push_member(locator(0), 1.0);
+        e.push_member(locator(1), 2.0);
         assert_eq!(e.size(), 3);
         assert_eq!(
             e.lifespan(),
@@ -142,13 +192,13 @@ mod tests {
     fn subchunk_population_sums_members_and_outliers() {
         let mut sc = SubChunk::new(TimeInterval::new(Timestamp(0), Timestamp(3_600_000)), 0);
         assert_eq!(sc.population(), 0);
-        sc.clusters.push(ClusterEntry {
-            representative: sub(1),
-            representative_vote: 1.0,
-            partition: 1,
-            representative_loc: None,
-            members: vec![locator(0), locator(1)],
-        });
+        sc.clusters.push(ClusterEntry::new(
+            sub(1),
+            1.0,
+            1,
+            None,
+            vec![locator(0), locator(1)],
+        ));
         sc.outliers.push(locator(2));
         assert_eq!(sc.population(), 4);
         assert_eq!(sc.num_clusters(), 1);

@@ -168,8 +168,8 @@ pub fn encode_tree(w: &mut ByteWriter, tree: &ReTraTree) {
                     }
                     None => w.bool(false),
                 }
-                w.u32(entry.members.len() as u32);
-                for loc in &entry.members {
+                w.u32(entry.members().len() as u32);
+                for loc in entry.members() {
                     encode_locator(w, loc);
                 }
             }
@@ -228,13 +228,13 @@ pub fn decode_tree(r: &mut ByteReader<'_>) -> Result<ReTraTree> {
                 for _ in 0..num_members {
                     members.push(decode_locator(r)?);
                 }
-                clusters.push(ClusterEntry {
+                clusters.push(ClusterEntry::new(
                     representative,
                     representative_vote,
                     partition,
                     representative_loc,
                     members,
-                });
+                ));
             }
             let base = decode_entry_list(r)?;
             let delta = decode_entry_list(r)?;
@@ -373,7 +373,7 @@ mod tests {
                     );
                     assert_eq!(ea.partition, eb.partition);
                     assert_eq!(ea.representative_loc, eb.representative_loc);
-                    assert_eq!(ea.members, eb.members);
+                    assert_eq!(ea.members(), eb.members());
                 }
                 assert_eq!(sa.index.len(), sb.index.len());
                 assert_eq!(sa.index.packed_len(), sb.index.packed_len());

@@ -6,11 +6,14 @@
 //! temporally intersect W." (ICDE 2018, §II.B)
 //!
 //! The progressive trick: sub-chunks *fully covered* by `W` already carry
-//! their clustering (level-3 entries) — those are reused verbatim. Only the
-//! border sub-chunks (partially overlapping `W`) are re-clustered, on just
-//! the data that falls inside `W`. Finally, cluster entries from adjacent
-//! sub-chunks are merged when their representatives are close in space and
-//! time, so a cluster that spans a chunk boundary is reported once.
+//! their clustering (level-3 entries) — those are reused verbatim: their
+//! records are read a page run at a time, and each member's distance to its
+//! representative is the entry's own derived state, computed by the first
+//! covered read. Only the border sub-chunks (partially overlapping `W`) are
+//! re-clustered, on just the data that falls inside `W`. Finally, cluster
+//! entries from adjacent sub-chunks are merged when their representatives
+//! are close in space and time, so a cluster that spans a chunk boundary is
+//! reported once.
 
 use crate::memo::{BorderKey, BorderPartial};
 use crate::node::SubChunk;
@@ -22,8 +25,8 @@ use hermes_s2t::{
     S2TPhaseTimings,
 };
 use hermes_trajectory::{
-    hausdorff_distance, spatiotemporal_distance, sub_trajectory_distance, Duration, SubTrajectory,
-    TimeInterval,
+    hausdorff_distance, spatiotemporal_distance, sub_trajectory_distance, Duration, Mbb,
+    SubTrajectory, TimeInterval,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,15 +34,21 @@ use std::time::Instant;
 /// Execution statistics of one QuT query (reported by the E3 benchmark).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QutStats {
-    /// Sub-chunks whose level-3 entries were reused without touching data.
+    /// Sub-chunks fully covered by the window, answered from their level-3
+    /// entries as stored: no clustering runs, but every member and outlier
+    /// record is read (they are the answer) and counted in
+    /// `loaded_sub_trajectories`.
     pub reused_subchunks: usize,
     /// Border sub-chunks (partially covered by the window), whether their
     /// clustering was computed by this query or taken from the border memo.
     pub reclustered_subchunks: usize,
-    /// Sub-trajectories loaded from storage — for a border answered from the
-    /// memo, the loads of the run that computed it. Like the two counters
-    /// above a function of (tree value, window, params) only; the work a
-    /// query really did is in `phases` and `kernel`.
+    /// Sub-trajectory records loaded from storage: the members and outliers
+    /// of every covered sub-chunk, plus the records a border's re-clustering
+    /// read — for a border answered from the memo, the loads of the run that
+    /// computed it. Records, not page accesses (those are the buffer pool's
+    /// counters). Like the two counters above a function of (tree value,
+    /// window, params) only; the work a query really did is in `phases` and
+    /// `kernel`.
     pub loaded_sub_trajectories: usize,
     /// Cluster pairs merged across sub-chunk boundaries.
     pub merges: usize,
@@ -162,33 +171,43 @@ fn answer_subchunk(
         stats: QutStats::default(),
     };
     if w.contains_interval(&sc.interval) {
-        // Fully covered: reuse the level-3 entries as they are.
+        // Fully covered: reuse the level-3 entries as they are. The members
+        // are read a page run at a time; what each is worth to its
+        // representative is the entry's own derived state.
         answer.stats.reused_subchunks += 1;
         for entry in &sc.clusters {
-            let mut members = Vec::with_capacity(entry.members.len());
-            let mut member_distances = Vec::with_capacity(entry.members.len());
-            for loc in &entry.members {
-                if let Some(sub) = tree.load(*loc) {
-                    answer.stats.loaded_sub_trajectories += 1;
-                    let d = spatiotemporal_distance(&sub, &entry.representative);
-                    members.push(sub);
-                    member_distances.push(if d.is_finite() { d } else { f64::MAX });
+            let locs = entry.members();
+            let mut members = Vec::with_capacity(locs.len());
+            let mut slots = Vec::with_capacity(locs.len());
+            tree.store.read_run(locs, |slot, sub| {
+                slots.push(slot);
+                members.push(sub);
+            });
+            answer.stats.loaded_sub_trajectories += members.len();
+            let distances = entry.member_distances(|| {
+                // A member that does not load is skipped now and, records
+                // being append-only, by every later read: its slot is never
+                // looked at.
+                let mut all = vec![f64::MAX; locs.len()];
+                for (&slot, sub) in slots.iter().zip(&members) {
+                    let d = spatiotemporal_distance(sub, &entry.representative);
+                    if d.is_finite() {
+                        all[slot] = d;
+                    }
                 }
-            }
+                all
+            });
             answer.clusters.push(Cluster {
                 id: 0, // assigned during the sequential merge
                 representative: entry.representative.clone(),
                 representative_vote: entry.representative_vote,
+                member_distances: slots.iter().map(|&slot| distances[slot]).collect(),
                 members,
-                member_distances,
             });
         }
-        for loc in &sc.outliers {
-            if let Some(sub) = tree.load(*loc) {
-                answer.stats.loaded_sub_trajectories += 1;
-                answer.outliers.push(sub);
-            }
-        }
+        tree.store
+            .read_run(&sc.outliers, |_, sub| answer.outliers.push(sub));
+        answer.stats.loaded_sub_trajectories += answer.outliers.len();
     } else {
         // Border sub-chunk: the stored data restricted to W, re-clustered —
         // once per (tree value, overlap, params); the memo keeps the result.
@@ -441,10 +460,40 @@ fn representative_merge_distance(a: &SubTrajectory, b: &SubTrajectory) -> f64 {
     end.spatial_distance(start)
 }
 
+/// Relative slack on the box-gap test of [`merge_adjacent_clusters`]: a pair
+/// is dismissed without its exact distance only when the spatial gap between
+/// the two representatives' boxes exceeds `merge_distance` by more than
+/// `MERGE_BOUND_SLACK * (merge_distance + scale)`, `scale` being the largest
+/// coordinate magnitude among the boxes.
+///
+/// In exact arithmetic the gap `g` bounds all three arms of
+/// [`representative_merge_distance`] from below: every sample of the
+/// synchronized distance, the end-to-start continuity distance and every
+/// point pair of the Hausdorff distance is a distance between a position in
+/// one box and a position in the other. In `f64` the last two still hold
+/// exactly: their positions are stored points, and the gap is computed with
+/// the operations of `Point::spatial_distance` (`-`, `*`, `+`, `sqrt`), each
+/// of which rounds monotonically. The synchronized distance interpolates,
+/// and `a + (b - a) * f` can leave `[a, b]` — hence the box — by its three
+/// roundings, at most `5 * 2^-53 * scale` per coordinate; over two axes and
+/// two boxes that shortens a sample by at most `10 * sqrt(2) * 2^-53 *
+/// scale`. The roundings of the gap and of a sample (three each), of the 32
+/// additions of the mean and of its division take at most `40 * 2^-53` of
+/// `g`. Together `d >= g * (1 - 4.5e-15) - 1.6e-15 * scale`, so `1e-12`
+/// leaves more than two orders of magnitude on either term.
+const MERGE_BOUND_SLACK: f64 = 1e-12;
+
 /// Merges clusters whose representatives are within `merge_distance` and
 /// whose lifespans are within `merge_gap` of each other, using a union-find
 /// over the cluster list. The surviving representative is the one with the
 /// higher vote; the other representative joins the member list.
+///
+/// A pair's exact distance is computed only if it can change something: not
+/// when the two clusters are already in one group (no union and no `merges`
+/// increment can follow), and not when the boxes of the representatives are
+/// provably more than `merge_distance` apart (see [`MERGE_BOUND_SLACK`]).
+/// Every `d <= merge_distance` decision that matters is taken on the same
+/// `d` as without the two tests, in the same order.
 fn merge_adjacent_clusters(
     clusters: Vec<Cluster>,
     params: &QutParams,
@@ -455,7 +504,7 @@ fn merge_adjacent_clusters(
         return clusters;
     }
     let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, i: usize) -> usize {
+    fn find(parent: &mut [usize], i: usize) -> usize {
         if parent[i] != i {
             let root = find(parent, parent[i]);
             parent[i] = root;
@@ -463,38 +512,46 @@ fn merge_adjacent_clusters(
         parent[i]
     }
 
+    // What the cheap tests read, side by side.
+    let spans: Vec<(TimeInterval, Mbb)> = clusters
+        .iter()
+        .map(|c| (c.representative.lifespan(), c.representative.mbb()))
+        .collect();
+    let scale = spans
+        .iter()
+        .flat_map(|(_, b)| [b.x_min, b.x_max, b.y_min, b.y_max])
+        .fold(0.0, |m: f64, v| m.max(v.abs()));
+    let too_far = params.merge_distance + MERGE_BOUND_SLACK * (params.merge_distance + scale);
+
     for i in 0..n {
         for j in (i + 1)..n {
-            let a = &clusters[i];
-            let b = &clusters[j];
-            let gap = a
-                .representative
-                .lifespan()
-                .gap(&b.representative.lifespan());
-            if gap > params.merge_gap {
+            if spans[i].0.gap(&spans[j].0) > params.merge_gap {
                 continue;
             }
-            let d = representative_merge_distance(&a.representative, &b.representative);
+            let (ra, rb) = (find(&mut parent, i), find(&mut parent, j));
+            if ra == rb || spans[i].1.min_distance(&spans[j].1, 0.0) > too_far {
+                continue;
+            }
+            let d = representative_merge_distance(
+                &clusters[i].representative,
+                &clusters[j].representative,
+            );
             if d <= params.merge_distance {
-                let (ra, rb) = (find(&mut parent, i), find(&mut parent, j));
-                if ra != rb {
-                    parent[rb] = ra;
-                    stats.merges += 1;
-                }
+                parent[rb] = ra;
+                stats.merges += 1;
             }
         }
     }
 
-    // Group clusters by root and fold each group into one cluster.
-    let mut groups: std::collections::HashMap<usize, Vec<Cluster>> =
-        std::collections::HashMap::new();
+    // Group clusters by root (members in list order) and fold each group
+    // into one cluster.
+    let mut groups: Vec<Vec<Cluster>> = (0..n).map(|_| Vec::new()).collect();
     for (i, c) in clusters.into_iter().enumerate() {
-        let root = find(&mut parent, i);
-        groups.entry(root).or_default().push(c);
+        groups[find(&mut parent, i)].push(c);
     }
 
-    let mut merged: Vec<Cluster> = Vec::with_capacity(groups.len());
-    for (_, mut group) in groups {
+    let mut merged: Vec<Cluster> = Vec::new();
+    for mut group in groups.into_iter().filter(|g| !g.is_empty()) {
         // Highest-vote representative wins.
         group.sort_by(|a, b| {
             b.representative_vote
@@ -1069,6 +1126,470 @@ mod tests {
         let (oldest, _) = qut_clustering(&tree, &window(0), &params);
         assert_eq!(oldest, answers[0]);
         assert_eq!(tree.border_memo_stats().misses, before.misses + 2);
+    }
+
+    /// [`merge_adjacent_clusters`] as it was before it learned to skip
+    /// pairs: the exact distance of every pair within `merge_gap`, whatever
+    /// union-find already knows. The oracle of the sweep below.
+    fn merge_adjacent_clusters_reference(
+        clusters: Vec<Cluster>,
+        params: &QutParams,
+        stats: &mut QutStats,
+    ) -> Vec<Cluster> {
+        let n = clusters.len();
+        if n <= 1 {
+            return clusters;
+        }
+        let mut parent: Vec<usize> = (0..n).collect();
+        fn find(parent: &mut Vec<usize>, i: usize) -> usize {
+            if parent[i] != i {
+                let root = find(parent, parent[i]);
+                parent[i] = root;
+            }
+            parent[i]
+        }
+
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let a = &clusters[i];
+                let b = &clusters[j];
+                let gap = a
+                    .representative
+                    .lifespan()
+                    .gap(&b.representative.lifespan());
+                if gap > params.merge_gap {
+                    continue;
+                }
+                let d = representative_merge_distance(&a.representative, &b.representative);
+                if d <= params.merge_distance {
+                    let (ra, rb) = (find(&mut parent, i), find(&mut parent, j));
+                    if ra != rb {
+                        parent[rb] = ra;
+                        stats.merges += 1;
+                    }
+                }
+            }
+        }
+
+        // Group clusters by root and fold each group into one cluster.
+        let mut groups: std::collections::HashMap<usize, Vec<Cluster>> =
+            std::collections::HashMap::new();
+        for (i, c) in clusters.into_iter().enumerate() {
+            let root = find(&mut parent, i);
+            groups.entry(root).or_default().push(c);
+        }
+
+        let mut merged: Vec<Cluster> = Vec::with_capacity(groups.len());
+        for (_, mut group) in groups {
+            // Highest-vote representative wins.
+            group.sort_by(|a, b| {
+                b.representative_vote
+                    .partial_cmp(&a.representative_vote)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            let mut iter = group.into_iter();
+            let mut primary = iter.next().expect("groups are non-empty");
+            for other in iter {
+                let d =
+                    representative_merge_distance(&primary.representative, &other.representative);
+                primary.members.push(other.representative);
+                primary.member_distances.push(d);
+                primary.members.extend(other.members);
+                primary.member_distances.extend(other.member_distances);
+            }
+            merged.push(primary);
+        }
+        // Deterministic output order: by representative start time, then id.
+        merged.sort_by_key(|c| (c.representative.start_time(), c.representative.id));
+        for (i, c) in merged.iter_mut().enumerate() {
+            c.id = i;
+        }
+        merged
+    }
+
+    /// Ids as [`merge_qut_partials`] assigns them, then the given merge.
+    fn merged_by(
+        merge: fn(Vec<Cluster>, &QutParams, &mut QutStats) -> Vec<Cluster>,
+        clusters: &[Cluster],
+        params: &QutParams,
+    ) -> (Vec<Cluster>, usize) {
+        let mut clusters = clusters.to_vec();
+        for (id, c) in clusters.iter_mut().enumerate() {
+            c.id = id;
+        }
+        let mut stats = QutStats::default();
+        let merged = merge(clusters, params, &mut stats);
+        (merged, stats.merges)
+    }
+
+    #[test]
+    fn merge_matches_the_unfiltered_reference_over_seeded_trees() {
+        use hermes_datagen::{
+            AircraftScenarioBuilder, MaritimeScenarioBuilder, UrbanScenarioBuilder,
+        };
+        let s2t = |sigma: f64, epsilon: f64, min_ms: i64| S2TParams {
+            sigma,
+            epsilon,
+            min_duration_ms: min_ms,
+            ..S2TParams::default()
+        };
+        let sets = [
+            (
+                "aircraft",
+                AircraftScenarioBuilder {
+                    seed: 0xA1_4C4A,
+                    num_streams: 3,
+                    waves_per_stream: 3,
+                    flights_per_wave: 6,
+                    num_stragglers: 4,
+                    holding_probability: 0.3,
+                    ..AircraftScenarioBuilder::default()
+                }
+                .build()
+                .trajectories,
+                s2t(2_000.0, 6_000.0, 5 * 60_000),
+            ),
+            (
+                "urban",
+                UrbanScenarioBuilder {
+                    seed: 0x407_ACE,
+                    grid_size: 12,
+                    num_corridors: 3,
+                    vehicles_per_corridor: 8,
+                    num_random_vehicles: 7,
+                    ..UrbanScenarioBuilder::default()
+                }
+                .build()
+                .trajectories,
+                s2t(60.0, 250.0, 3 * 60_000),
+            ),
+            (
+                "maritime",
+                MaritimeScenarioBuilder {
+                    seed: 0x5EA_F00D,
+                    num_lanes: 3,
+                    vessels_per_lane: 8,
+                    num_rogues: 4,
+                    departure_spread_ms: 30 * 60_000,
+                    ..MaritimeScenarioBuilder::default()
+                }
+                .build()
+                .trajectories,
+                s2t(800.0, 2_500.0, 10 * 60_000),
+            ),
+        ];
+        let (mut skipped_somewhere, mut merged_somewhere) = (false, false);
+        for (name, trajectories, s2t) in sets {
+            let tree = ReTraTree::build_from(
+                ReTraTreeParams {
+                    chunk_duration: Duration::from_mins(30),
+                    subchunks_per_chunk: 2,
+                    reorg_page_threshold: 4,
+                    buffer_frames: 64,
+                    s2t: s2t.clone(),
+                },
+                &trajectories,
+            );
+            let partial = qut_partial_with(
+                &tree,
+                &OwnedSlice::ALL,
+                &TimeInterval::everything(),
+                &QutParams {
+                    s2t: s2t.clone(),
+                    ..QutParams::default()
+                },
+                &Executor::serial(),
+            );
+            let clusters = partial.clusters;
+            assert!(clusters.len() >= 8, "{name}: {} clusters", clusters.len());
+
+            // The positive box gaps the sweep can sit on.
+            let mut gaps: Vec<f64> = Vec::new();
+            for (i, a) in clusters.iter().enumerate() {
+                for b in &clusters[i + 1..] {
+                    let g = a
+                        .representative
+                        .mbb()
+                        .min_distance(&b.representative.mbb(), 0.0);
+                    if g > 0.0 {
+                        gaps.push(g);
+                    }
+                }
+            }
+            gaps.sort_by(f64::total_cmp);
+            assert!(!gaps.is_empty(), "{name}: every box pair touches");
+            let on_a_gap = [gaps[0], gaps[gaps.len() / 4], gaps[gaps.len() / 2]];
+
+            let mut distances = vec![0.0, s2t.epsilon / 2.0, s2t.epsilon, 4.0 * s2t.epsilon, 1e9];
+            for g in on_a_gap {
+                distances.extend([g * (1.0 - 1e-6), g * (1.0 - 1e-13), g, g * (1.0 + 1e-6)]);
+            }
+            for merge_distance in distances {
+                for gap_mins in [0, 10, 45, 24 * 60] {
+                    let params = QutParams {
+                        s2t: s2t.clone(),
+                        merge_distance,
+                        merge_gap: Duration::from_mins(gap_mins),
+                    };
+                    let (got, merges) = merged_by(merge_adjacent_clusters, &clusters, &params);
+                    let (expected, expected_merges) =
+                        merged_by(merge_adjacent_clusters_reference, &clusters, &params);
+                    let context = format!("{name}, distance {merge_distance}, gap {gap_mins} min");
+                    assert_eq!(merges, expected_merges, "{context}");
+                    assert_eq!(got, expected, "{context}");
+                    for (a, b) in got.iter().zip(&expected) {
+                        let bits = |c: &Cluster| -> Vec<u64> {
+                            c.member_distances.iter().map(|d| d.to_bits()).collect()
+                        };
+                        assert_eq!(bits(a), bits(b), "{context}");
+                    }
+                    merged_somewhere |= merges > 0;
+                    skipped_somewhere |= got.len() > 1;
+                }
+            }
+        }
+        assert!(merged_somewhere && skipped_somewhere);
+    }
+
+    #[test]
+    fn a_pair_whose_distance_is_its_box_gap_is_decided_by_the_distance() {
+        // The bound is attained: the exact distance *equals* the box gap, far
+        // from the origin, so only the slack keeps the test from deciding.
+        let g = 1_234.567_8;
+        let (x0, y0) = (4.0e6, 7.5e6);
+        let rep = |id: u64, pts: [(f64, f64, i64); 2]| Cluster {
+            id: 0,
+            representative: SubTrajectory::from_points(
+                hermes_trajectory::SubTrajectoryId::new(id, 0),
+                id,
+                id,
+                pts.iter()
+                    .map(|&(x, y, t)| Point::new(x0 + x, y0 + y, Timestamp(t)))
+                    .collect(),
+            ),
+            representative_vote: id as f64,
+            members: Vec::new(),
+            member_distances: Vec::new(),
+        };
+        let hour = 3_600_000;
+        let cases = [
+            // Co-moving in lock step, `g` apart: synchronized distance `g`.
+            [
+                rep(1, [(0.0, 0.0, 0), (5_000.0, 0.0, hour)]),
+                rep(2, [(0.0, g, 0), (5_000.0, g, hour)]),
+            ],
+            // One ends where the other starts `g` further on: continuity `g`.
+            [
+                rep(1, [(0.0, 0.0, 0), (5_000.0, 0.0, hour)]),
+                rep(2, [(5_000.0 + g, 0.0, hour + 1), (9_000.0, 0.0, 2 * hour)]),
+            ],
+        ];
+        for clusters in cases {
+            let [a, b] = [&clusters[0].representative, &clusters[1].representative];
+            let d = representative_merge_distance(a, b);
+            assert_eq!(d, a.mbb().min_distance(&b.mbb(), 0.0));
+            for (merge_distance, merges) in [(d, 1), (d * (1.0 - 1e-13), 0), (d * (1.0 + 1e-13), 1)]
+            {
+                let params = QutParams {
+                    merge_distance,
+                    merge_gap: Duration::from_mins(5),
+                    ..qut_params()
+                };
+                let got = merged_by(merge_adjacent_clusters, &clusters, &params);
+                assert_eq!(got.1, merges, "merge distance {merge_distance}");
+                assert_eq!(
+                    got,
+                    merged_by(merge_adjacent_clusters_reference, &clusters, &params)
+                );
+            }
+        }
+    }
+
+    /// [`three_hour_tree`] with enough flights that every populated
+    /// sub-chunk outgrew its outlier partition and has level-3 entries.
+    fn clustered_three_hour_tree() -> ReTraTree {
+        let mut tree = ReTraTree::new(tree_params());
+        for i in 0..60 {
+            tree.insert_trajectory(&traj(i, i as f64 * 5.0, 0, 3 * 3_600_000 - 100_000));
+        }
+        assert!(tree.total_clusters() >= 3);
+        tree
+    }
+
+    /// Every `(members, filled distances)` of the tree's level-3 entries.
+    fn entry_distances(tree: &ReTraTree) -> Vec<(usize, Option<Vec<u64>>)> {
+        tree.chunks()
+            .flat_map(|chunk| &chunk.subchunks)
+            .flat_map(|sc| &sc.clusters)
+            .map(|entry| {
+                let filled = entry.filled_member_distances();
+                if let Some(d) = filled {
+                    assert_eq!(d.len(), entry.members().len());
+                }
+                (
+                    entry.members().len(),
+                    filled.map(|d| d.iter().map(|x| x.to_bits()).collect()),
+                )
+            })
+            .collect()
+    }
+
+    fn assert_bit_identical(a: &ClusteringResult, b: &ClusteringResult, context: &str) {
+        assert_eq!(a, b, "{context}");
+        // `==` on f64 lets 0.0 pass for -0.0; the rendering does not.
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "{context}");
+    }
+
+    #[test]
+    fn an_insert_after_a_covered_read_extends_the_entry_distances() {
+        let hour = 3_600_000i64;
+        let aligned = TimeInterval::new(Timestamp(0), Timestamp(4 * hour));
+        let unaligned = TimeInterval::new(Timestamp(20 * 60_000), Timestamp(160 * 60_000));
+        let params = qut_params();
+        let late = traj(900, 42.0, 0, 3 * hour - 100_000);
+
+        let mut tree = clustered_three_hour_tree();
+        assert!(entry_distances(&tree).iter().all(|(_, d)| d.is_none()));
+        let (before, _) = qut_clustering(&tree, &aligned, &params);
+        let filled = entry_distances(&tree);
+        assert!(
+            !filled.is_empty() && filled.iter().all(|(_, d)| d.is_some()),
+            "{filled:?}"
+        );
+
+        // The flight joins existing representatives: their entries grow, and
+        // so do their filled distances — by the value insertion computed.
+        let assigned = tree.stats().assigned_to_existing;
+        tree.insert_trajectory(&late);
+        assert!(tree.stats().assigned_to_existing > assigned);
+        let extended = entry_distances(&tree);
+        assert!(
+            extended.iter().all(|(_, d)| d.is_some()),
+            "reset, not extended"
+        );
+        assert!(extended
+            .iter()
+            .zip(&filled)
+            .any(|(after, before)| after.0 > before.0));
+
+        // A tree that was never read before the insert fills every distance
+        // from the stored records; the two must agree to the bit.
+        let mut fresh = clustered_three_hour_tree();
+        fresh.insert_trajectory(&late);
+        for w in [aligned, unaligned] {
+            let (got, stats) = qut_clustering(&tree, &w, &params);
+            let (expected, expected_stats) = qut_clustering(&fresh, &w, &params);
+            assert_bit_identical(&got, &expected, "extended vs freshly filled");
+            assert_eq!(
+                stats.loaded_sub_trajectories,
+                expected_stats.loaded_sub_trajectories
+            );
+            assert_eq!(stats.merges, expected_stats.merges);
+        }
+        assert_eq!(entry_distances(&tree), entry_distances(&fresh));
+        assert_ne!(qut_clustering(&tree, &aligned, &params).0, before);
+
+        // A clone keeps what the entries know; a re-clustering pass adds
+        // entries that know nothing yet. Neither changes an answer.
+        let mut clone = tree.clone();
+        assert_eq!(entry_distances(&clone), entry_distances(&tree));
+        for i in 0..40 {
+            clone.insert_trajectory(&traj(
+                1_000 + i,
+                5_000.0 + i as f64 * 5.0,
+                0,
+                hour - 100_000,
+            ));
+            fresh.insert_trajectory(&traj(
+                1_000 + i,
+                5_000.0 + i as f64 * 5.0,
+                0,
+                hour - 100_000,
+            ));
+        }
+        assert!(clone.stats().reorganizations > tree.stats().reorganizations);
+        assert!(entry_distances(&clone).iter().any(|(_, d)| d.is_none()));
+        let (got, _) = qut_clustering(&clone, &aligned, &params);
+        let (expected, _) = qut_clustering(&fresh, &aligned, &params);
+        assert_bit_identical(&got, &expected, "after a reorganization");
+    }
+
+    fn encoded(tree: &ReTraTree) -> Vec<u8> {
+        let mut w = hermes_storage::ByteWriter::new();
+        crate::encode_tree(&mut w, tree);
+        w.into_bytes()
+    }
+
+    fn decoded(bytes: &[u8]) -> ReTraTree {
+        crate::decode_tree(&mut hermes_storage::ByteReader::new(bytes)).unwrap()
+    }
+
+    #[test]
+    fn a_decoded_tree_answers_like_the_tree_it_was_encoded_from() {
+        let hour = 3_600_000i64;
+        let tree = clustered_three_hour_tree();
+        let params = qut_params();
+        let windows = [
+            TimeInterval::new(Timestamp(0), Timestamp(4 * hour)),
+            TimeInterval::new(Timestamp(20 * 60_000), Timestamp(160 * 60_000)),
+        ];
+        // Encoded once with every distance unfilled and once with all of
+        // them filled: the same bytes, the distances are not part of them.
+        let cold_bytes = encoded(&tree);
+        let answers: Vec<_> = windows
+            .iter()
+            .map(|w| qut_clustering(&tree, w, &params))
+            .collect();
+        assert_eq!(encoded(&tree), cold_bytes);
+
+        let decoded = decoded(&cold_bytes);
+        assert!(entry_distances(&decoded).iter().all(|(_, d)| d.is_none()));
+        for (w, (expected, expected_stats)) in windows.iter().zip(&answers) {
+            // First fill, then reuse.
+            for pass in ["first read", "second read"] {
+                let (got, stats) = qut_clustering(&decoded, w, &params);
+                assert_bit_identical(&got, expected, pass);
+                assert_eq!(
+                    stats.loaded_sub_trajectories,
+                    expected_stats.loaded_sub_trajectories
+                );
+                assert_eq!(stats.merges, expected_stats.merges);
+            }
+        }
+        assert_eq!(entry_distances(&decoded), entry_distances(&tree));
+    }
+
+    #[test]
+    fn concurrent_first_covered_reads_both_return_the_reference() {
+        let base = clustered_three_hour_tree();
+        let w = TimeInterval::new(Timestamp(0), Timestamp(4 * 3_600_000));
+        let params = qut_params();
+        let encoded = encoded(&base);
+        let (reference, reference_stats) = qut_clustering(&base, &w, &params);
+        for _ in 0..8 {
+            // Decoded, not cloned: a clone would start with `base`'s fill.
+            let tree = decoded(&encoded);
+            let barrier = std::sync::Barrier::new(2);
+            let answers: Vec<(ClusteringResult, QutStats)> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            qut_clustering(&tree, &w, &params)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for (result, stats) in &answers {
+                assert_bit_identical(result, &reference, "racing first read");
+                assert_eq!(
+                    stats.loaded_sub_trajectories,
+                    reference_stats.loaded_sub_trajectories
+                );
+            }
+            assert_eq!(entry_distances(&tree), entry_distances(&base));
+        }
     }
 
     #[test]

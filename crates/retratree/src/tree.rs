@@ -203,7 +203,7 @@ impl ReTraTree {
         }
 
         match best {
-            Some((ci, _)) => {
+            Some((ci, d)) => {
                 let partition = sc.clusters[ci].partition;
                 let loc = self
                     .store
@@ -211,7 +211,7 @@ impl ReTraTree {
                     .expect("cluster partition exists");
                 let chunk = self.chunks.get_mut(&chunk_key).unwrap();
                 let sc = &mut chunk.subchunks[sc_index];
-                sc.clusters[ci].members.push(loc);
+                sc.clusters[ci].push_member(loc, d);
                 sc.index.insert(sub.mbb(), loc);
                 self.stats.assigned_to_existing += 1;
             }
@@ -261,11 +261,8 @@ impl ReTraTree {
     ) -> S2TOutcome {
         let sc = &self.chunks[&chunk_key].subchunks[sc_index];
         let mut outlier_subs = Vec::with_capacity(sc.outliers.len());
-        for loc in &sc.outliers {
-            if let Ok(Some(sub)) = self.store.read(*loc) {
-                outlier_subs.push(sub);
-            }
-        }
+        self.store
+            .read_run(&sc.outliers, |_, sub| outlier_subs.push(sub));
         let trajs = trajectories_from_subs(&outlier_subs);
         run_s2t_with(&trajs, &self.params.s2t, exec)
     }
@@ -306,13 +303,13 @@ impl ReTraTree {
                 new_index_entries.push((member.mbb(), loc));
             }
             self.stats.promoted_representatives += 1;
-            new_entries.push(ClusterEntry {
-                representative: cluster.representative.clone(),
-                representative_vote: cluster.representative_vote,
+            new_entries.push(ClusterEntry::new(
+                cluster.representative.clone(),
+                cluster.representative_vote,
                 partition,
-                representative_loc: Some(rep_loc),
+                Some(rep_loc),
                 members,
-            });
+            ));
         }
         for outlier in &outcome.result.outliers {
             let loc = self
@@ -329,7 +326,7 @@ impl ReTraTree {
         let chunk = self.chunks.get_mut(&chunk_key).unwrap();
         let sc = &mut chunk.subchunks[sc_index];
         for entry in &sc.clusters {
-            for loc in entry.representative_loc.iter().chain(entry.members.iter()) {
+            for loc in entry.representative_loc.iter().chain(entry.members()) {
                 if let Ok(Some(sub)) = self.store.read(*loc) {
                     new_index_entries.push((sub.mbb(), *loc));
                 }
@@ -635,7 +632,7 @@ mod tests {
                 for (a, b) in ss.clusters.iter().zip(ps.clusters.iter()) {
                     assert_eq!(a.representative.id, b.representative.id);
                     assert_eq!(a.partition, b.partition);
-                    assert_eq!(a.members, b.members);
+                    assert_eq!(a.members(), b.members());
                 }
                 assert_eq!(ss.outliers, ps.outliers);
             }

@@ -49,6 +49,19 @@ fn on_page(page: PageId) -> impl Fn(StorageError) -> StorageError {
     }
 }
 
+/// Hands the bytes of the record in slot `loc.slot` of `page` (which must be
+/// page `loc.page`) to `f`; `None` if the record was deleted.
+fn record_in<R>(
+    page: &Page,
+    loc: RecordLocator,
+    f: impl FnOnce(&[u8]) -> Result<R>,
+) -> Result<Option<R>> {
+    page.get(loc.slot)
+        .map_err(on_page(loc.page))?
+        .map(f)
+        .transpose()
+}
+
 /// An append-oriented collection of pages holding encoded sub-trajectories.
 ///
 /// Pages are shared immutable values: a clone of the partition (and a buffer
@@ -250,29 +263,54 @@ impl PartitionStore {
         })
     }
 
-    /// Looks a record up through the buffer pool (counting a hit or a miss)
-    /// and hands its bytes, borrowed from the page, to `f`; `None` if the
-    /// record was deleted. A page id the partition does not have fails
-    /// before the pool is touched.
+    /// Looks a page up through the buffer pool (counting a hit or a miss).
+    /// A page id the partition does not have fails before the pool is
+    /// touched.
+    fn pin(&self, partition: PartitionId, page: PageId) -> Result<Arc<Page>> {
+        let backing = self.partition(partition)?.page(page)?;
+        Ok(self
+            .buffer
+            .get_or_load((partition, page), || Arc::clone(backing)))
+    }
+
+    /// Looks a record up through the buffer pool and hands its bytes,
+    /// borrowed from the page, to `f`; `None` if the record was deleted.
     fn with_record<R>(
         &self,
         loc: RecordLocator,
         f: impl FnOnce(&[u8]) -> Result<R>,
     ) -> Result<Option<R>> {
-        let backing = self.partition(loc.partition)?.page(loc.page)?;
-        let page = self
-            .buffer
-            .get_or_load((loc.partition, loc.page), || Arc::clone(backing));
-        page.get(loc.slot)
-            .map_err(on_page(loc.page))?
-            .map(f)
-            .transpose()
+        let page = self.pin(loc.partition, loc.page)?;
+        record_in(&page, loc, f)
     }
 
     /// Reads a record through the buffer pool (counting hits/misses),
     /// decoding it straight from the page.
     pub fn read(&self, loc: RecordLocator) -> Result<Option<SubTrajectory>> {
         self.with_record(loc, decode_sub_trajectory)
+    }
+
+    /// [`PartitionStore::read`] over `locs`, in order, with one buffer-pool
+    /// lookup per *run* of consecutive locators on the same page — the way a
+    /// heap scan pins a page once for all the tuples it takes from it. Every
+    /// slot is checked and decoded exactly as `read` does it; `f` gets the
+    /// position in `locs` and the record of each locator `read` would answer
+    /// `Ok(Some(_))` for, and the others (a tombstone, a slot or page the
+    /// partition lacks, a malformed record) are skipped. The records of one
+    /// cluster sit back to back in its partition, so reading its members
+    /// this way costs a lookup per page, not per record.
+    pub fn read_run(&self, locs: &[RecordLocator], mut f: impl FnMut(usize, SubTrajectory)) {
+        let mut index = 0;
+        for run in locs.chunk_by(|a, b| (a.partition, a.page) == (b.partition, b.page)) {
+            if let Ok(page) = self.pin(run[0].partition, run[0].page) {
+                for (i, loc) in run.iter().enumerate() {
+                    if let Ok(Some(sub)) = record_in(&page, *loc, decode_sub_trajectory) {
+                        f(index + i, sub);
+                    }
+                }
+            }
+            index += run.len();
+        }
     }
 
     /// The number of points of the record at `loc`, checked exactly as
@@ -427,6 +465,7 @@ impl PartitionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::BufferStats;
     use hermes_trajectory::{Point, SubTrajectoryId, Timestamp};
 
     fn sub(id: u64, n: usize) -> SubTrajectory {
@@ -616,6 +655,63 @@ mod tests {
         assert_eq!(store.point_count(dead), Ok(None));
         let s = store.buffer().stats();
         assert_eq!((s.hits, s.misses), (2, 0), "counted like reads");
+    }
+
+    #[test]
+    fn a_run_read_answers_what_reads_answer_with_one_lookup_per_page_run() {
+        let mut store = PartitionStore::new(8, 16);
+        let cluster = store.create_partition(PartitionKind::Cluster);
+        let other = store.create_partition(PartitionKind::Outliers);
+        // ~1 KB records: several to a page, 30 of them over a few pages.
+        let mut locs: Vec<RecordLocator> = (0..30)
+            .map(|i| store.append(cluster, &sub(i, 40)).unwrap())
+            .collect();
+        assert!(locs[29].page >= 2 && locs[1].page == 0);
+        store.delete(locs[4]).unwrap();
+        let page_runs = locs[29].page + 1;
+        // Everything `read` refuses, in the middle of and between runs: a
+        // tombstone (above), a slot past the page's directory, a page and a
+        // partition that do not exist; then a second partition, and the
+        // first page again (a new run: only *consecutive* locators share).
+        locs.insert(
+            2,
+            RecordLocator {
+                slot: 999,
+                ..locs[0]
+            },
+        );
+        locs.push(RecordLocator {
+            page: 77,
+            ..locs[0]
+        });
+        locs.push(RecordLocator {
+            partition: 99,
+            ..locs[0]
+        });
+        locs.push(store.append(other, &sub(100, 5)).unwrap());
+        locs.push(locs[0]);
+
+        store.buffer().reset_stats();
+        let expected: Vec<(usize, SubTrajectory)> = locs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, loc)| store.read(*loc).ok().flatten().map(|sub| (i, sub)))
+            .collect();
+        assert_eq!(expected.len(), 29 + 2);
+        let per_record = store.buffer().stats();
+        // One lookup per locator whose page exists.
+        assert_eq!(per_record.hits + per_record.misses, locs.len() as u64 - 2);
+
+        store.buffer().reset_stats();
+        let mut got = Vec::new();
+        store.read_run(&locs, |i, sub| got.push((i, sub)));
+        assert_eq!(got, expected);
+        let per_run = store.buffer().stats();
+        assert_eq!(per_run.hits + per_run.misses, page_runs + 2);
+
+        store.buffer().reset_stats();
+        store.read_run(&[], |_, _| unreachable!("nothing to read"));
+        assert_eq!(store.buffer().stats(), BufferStats::default());
     }
 
     #[test]

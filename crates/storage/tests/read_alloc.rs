@@ -6,7 +6,9 @@
 //! `Arc` around it — not an 8 KiB page image per hit, per miss or per record
 //! — and a buffer-pool hit allocates no page either: nothing at all while the
 //! pool's LRU index fits one `BTreeMap` node, an amortised few dozen bytes of
-//! index nodes beyond that (see `LRU_REKEY`).
+//! index nodes beyond that (see `LRU_REKEY`). `PartitionStore::read_run`
+//! allocates per record exactly what `read` does, and per page nothing but
+//! that re-key.
 //!
 //! The counters are **per-thread** (const-initialized thread-local `Cell`s,
 //! which themselves never allocate), so allocations made concurrently by the
@@ -149,6 +151,48 @@ fn warm_reads_allocate_no_more_than_the_decoded_points() {
         assert!(
             allocs <= 2 * 1_000 + if rekey > 0 { 500 } else { 0 },
             "{records} records, {frames} frames: 1000 reads made {allocs} allocations"
+        );
+    }
+}
+
+#[test]
+fn a_run_read_allocates_its_points_and_nothing_per_page() {
+    for (records, rekey) in [(40, 0), (600, LRU_REKEY)] {
+        let (store, mut locs) = store_with_records(records, 256);
+        // Partition by partition, in append order: runs of ~6 records a page.
+        locs.sort_by_key(|(loc, _)| (loc.partition, loc.page, loc.slot));
+        let (locators, points): (Vec<RecordLocator>, Vec<usize>) = locs.iter().copied().unzip();
+        let page_runs = locators
+            .chunk_by(|a, b| (a.partition, a.page) == (b.partition, b.page))
+            .count() as u64;
+        assert!(page_runs * 4 < records as u64);
+        let point_bytes: u64 = points.iter().map(|&n| 24 * n as u64).sum();
+        store.read_run(&locators, |_, _| {}); // warm
+        store.buffer().reset_stats();
+
+        let (allocs_before, bytes_before) = local_allocations();
+        let mut seen = 0;
+        store.read_run(&locators, |i, sub| {
+            assert_eq!(sub.len(), points[i]);
+            seen += 1;
+        });
+        let (allocs_after, bytes_after) = local_allocations();
+        assert_eq!(seen, records);
+        let stats = store.buffer().stats();
+        assert_eq!((stats.hits, stats.misses), (page_runs, 0));
+
+        // Per record what `read` allocates — the points and their owner —
+        // and per page only the pool's amortised LRU re-key, if any.
+        let (allocs, bytes) = (allocs_after - allocs_before, bytes_after - bytes_before);
+        let exact = point_bytes + records as u64 * POINTS_OWNER;
+        assert!(
+            (exact..=exact + page_runs * rekey).contains(&bytes),
+            "{records} records in {page_runs} page runs: {bytes} B for {point_bytes} B of points"
+        );
+        assert!(
+            (2 * records as u64..=2 * records as u64 + if rekey > 0 { page_runs } else { 0 })
+                .contains(&allocs),
+            "{records} records in {page_runs} page runs: {allocs} allocations"
         );
     }
 }

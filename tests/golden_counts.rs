@@ -1,0 +1,194 @@
+//! Golden work counts of the QuT read path (ROADMAP 7(a)).
+//!
+//! Wall-clock drifts by tens of percent on the boxes this repository is
+//! measured on; the *work* a statement does — records loaded, cluster pairs
+//! merged, pages looked up in the buffer pool — is a pure function of the
+//! seeded data set and the statement when one client drives an engine at
+//! `threads = 1`. (With several clients on one pool the lookups still add
+//! up, but which of them hit depends on the interleaving; and with more
+//! threads the sub-chunks of one query reach the pool in any order. Only the
+//! sum `hits + misses` is pinned here, which neither changes.)
+//!
+//! A PR that moves one of these numbers must do so on purpose and say so in
+//! CHANGES.md next to the old value.
+
+use hermes::prelude::*;
+use hermes::sql;
+
+/// What one statement cost.
+#[derive(Debug, PartialEq, Eq)]
+struct Work {
+    /// `QutStats::loaded_sub_trajectories` (for `RANGE`, the count answered).
+    loaded: usize,
+    /// `QutStats::merges`.
+    merges: usize,
+    /// Buffer-pool lookups, `hits + misses`, of the first run…
+    lookups: u64,
+    /// …and of the same statement again: what the border memo now answers
+    /// is no longer read record by record.
+    repeat_lookups: u64,
+}
+
+/// The benchmark's index shape over half of `s2t_analytic`'s flights.
+const BUILD_INDEX: &str = "BUILD INDEX ON data WITH CHUNK 0.5 HOURS SIGMA 2000 EPSILON 6000;";
+const QUT_TAIL: &str = "0.35, 0.05, 300000, 6000, 1800000";
+const SUBCHUNK_MS: i64 = 450_000;
+
+fn engine() -> HermesEngine {
+    let trajectories = AircraftScenarioBuilder {
+        seed: 7,
+        num_streams: 4,
+        waves_per_stream: 4,
+        flights_per_wave: 20,
+        num_stragglers: 32,
+        holding_probability: 0.3,
+        ..AircraftScenarioBuilder::default()
+    }
+    .build()
+    .trajectories;
+    assert_eq!(trajectories.len(), 352);
+    let mut engine = HermesEngine::with_exec_policy(ExecPolicy { threads: 1 });
+    engine.create_dataset("data").unwrap();
+    engine.load_trajectories("data", trajectories).unwrap();
+    sql::execute(&mut engine, BUILD_INDEX).unwrap();
+    engine
+}
+
+/// Runs `statement` twice (same frame both times) and reports the pool
+/// lookups each run made.
+fn lookups_of(engine: &mut HermesEngine, statement: &str) -> (QueryOutcome, [u64; 2]) {
+    let mut run = || {
+        engine.tree("data").unwrap().store().buffer().reset_stats();
+        let outcome = sql::execute(engine, statement).unwrap();
+        let stats = engine.tree("data").unwrap().store().buffer().stats();
+        (outcome, stats.hits + stats.misses)
+    };
+    let (first, lookups) = run();
+    let (second, repeat_lookups) = run();
+    assert_eq!(
+        first.expect_frame(statement),
+        second.expect_frame(statement)
+    );
+    (first, [lookups, repeat_lookups])
+}
+
+/// The work of `SELECT QUT(data, wi, we, …)`.
+fn qut_work(engine: &mut HermesEngine, wi: i64, we: i64) -> Work {
+    let statement = format!("SELECT QUT(data, {wi}, {we}, {QUT_TAIL});");
+    let (first, [lookups, repeat_lookups]) = lookups_of(engine, &statement);
+    let loaded = match first.stats().unwrap().get(0, "loaded_sub_trajectories") {
+        Some(Value::Int(n)) => *n as usize,
+        other => panic!("loaded_sub_trajectories is {other:?}"),
+    };
+    // `merges` is not part of the SQL stats frame: ask the engine.
+    let params = QutParams {
+        s2t: S2TParams {
+            tau: 0.35,
+            delta: 0.05,
+            min_duration_ms: 300_000,
+            ..engine.tree("data").unwrap().params().s2t.clone()
+        },
+        merge_distance: 6_000.0,
+        merge_gap: Duration::from_millis(1_800_000),
+    };
+    let w = TimeInterval::new(Timestamp(wi), Timestamp(we));
+    let (_, stats) = engine.run_qut("data", &w, &params).unwrap();
+    assert_eq!(stats.loaded_sub_trajectories, loaded, "{statement}");
+    Work {
+        loaded,
+        merges: stats.merges,
+        lookups,
+        repeat_lookups,
+    }
+}
+
+#[test]
+fn golden_work_counts_of_the_qut_read_path() {
+    let mut engine = engine();
+    let span = engine.dataset_info("data").unwrap().lifespan.unwrap();
+    let (lo, hi) = (span.start.millis(), span.end.millis());
+    let first = lo.div_euclid(SUBCHUNK_MS);
+    let last = hi.div_euclid(SUBCHUNK_MS);
+    assert_eq!((first, last), (0, 25), "the data set moved");
+
+    // Grid-aligned: sub-chunks 6..=17, every one fully covered.
+    let aligned = qut_work(&mut engine, 6 * SUBCHUNK_MS, 18 * SUBCHUNK_MS);
+    // Full span, both edges off the grid: two borders, the rest covered.
+    let unaligned = qut_work(
+        &mut engine,
+        first * SUBCHUNK_MS + 123_456,
+        last * SUBCHUNK_MS + 234_567,
+    );
+
+    // HISTOGRAM is a QUT with the default merge parameters underneath.
+    let (wi, we) = (3 * SUBCHUNK_MS, 22 * SUBCHUNK_MS);
+    let statement = format!("SELECT HISTOGRAM(data, {wi}, {we}, {SUBCHUNK_MS});");
+    let (_, [lookups, repeat_lookups]) = lookups_of(&mut engine, &statement);
+    let params = QutParams {
+        s2t: engine.tree("data").unwrap().params().s2t.clone(),
+        ..QutParams::default()
+    };
+    let w = TimeInterval::new(Timestamp(wi), Timestamp(we));
+    let (_, stats) = engine.run_qut("data", &w, &params).unwrap();
+    let histogram = Work {
+        loaded: stats.loaded_sub_trajectories,
+        merges: stats.merges,
+        lookups,
+        repeat_lookups,
+    };
+
+    // RANGE looks every record up by itself, in index order, and decodes none.
+    let statement = format!(
+        "SELECT RANGE(data, {}, {});",
+        5 * SUBCHUNK_MS + 1,
+        16 * SUBCHUNK_MS
+    );
+    let (outcome, [lookups, repeat_lookups]) = lookups_of(&mut engine, &statement);
+    let range = Work {
+        loaded: match outcome
+            .expect_frame(&statement)
+            .get(0, "sub_trajectories_in_window")
+        {
+            Some(Value::Int(n)) => *n as usize,
+            other => panic!("count is {other:?}"),
+        },
+        merges: 0,
+        lookups,
+        repeat_lookups,
+    };
+
+    let got = [aligned, unaligned, histogram, range];
+    // Covered loads cost a lookup per page run (~4 records here), border
+    // loads and RANGE one per record; the repeat of the unaligned QUT saves
+    // exactly its 24 border loads.
+    const GOLDEN: [Work; 4] = [
+        Work {
+            loaded: 408,
+            merges: 85,
+            lookups: 99,
+            repeat_lookups: 99,
+        },
+        Work {
+            loaded: 847,
+            merges: 194,
+            lookups: 234,
+            repeat_lookups: 210,
+        },
+        Work {
+            loaded: 652,
+            merges: 43,
+            lookups: 165,
+            repeat_lookups: 165,
+        },
+        Work {
+            loaded: 493,
+            merges: 0,
+            lookups: 493,
+            repeat_lookups: 493,
+        },
+    ];
+    assert_eq!(
+        got, GOLDEN,
+        "update GOLDEN only if the change in work is intended"
+    );
+}
