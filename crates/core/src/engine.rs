@@ -7,7 +7,7 @@ use hermes_exec::{ExecPolicy, Executor};
 use hermes_obs::Counter;
 use hermes_retratree::{
     qut_clustering_with, qut_partial_with, range_query_then_cluster_with, BorderMemoStats,
-    OwnedSlice, QutParams, QutPartial, QutStats, ReTraTree, ReTraTreeParams,
+    OwnedSlice, QutParams, QutPartial, QutResult, QutStats, ReTraTree, ReTraTreeParams,
 };
 use hermes_s2t::{
     run_s2t_indexed_with, run_s2t_naive_with, ClusteringResult, KernelCounters, S2TOutcome,
@@ -469,13 +469,15 @@ impl HermesEngine {
         Ok(outcome)
     }
 
-    /// Answers `QUT(D, Wi, We, …)` from the dataset's ReTraTree.
+    /// Answers `QUT(D, Wi, We, …)` from the dataset's ReTraTree: clusters and
+    /// outliers at sub-trajectory level, members and outliers as summaries
+    /// (identity + lifespan) — what the tree's third level keeps of them.
     pub fn run_qut(
         &self,
         name: &str,
         window: &TimeInterval,
         params: &QutParams,
-    ) -> Result<(ClusteringResult, QutStats)> {
+    ) -> Result<(QutResult, QutStats)> {
         params.validate().map_err(EngineError::InvalidParameters)?;
         let tree = self.tree(name)?;
         let (result, stats) = qut_clustering_with(tree, window, params, &self.exec);

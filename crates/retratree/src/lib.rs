@@ -13,7 +13,8 @@
 //! * **L1** — [`node::Chunk`]: disjoint, fixed-length temporal chunks,
 //! * **L2** — [`node::SubChunk`]: finer temporal partitions inside a chunk,
 //! * **L3** — [`node::ClusterEntry`]: one entry per representative
-//!   sub-trajectory, pointing at the partition holding its members,
+//!   sub-trajectory, pointing at the partition holding its members and
+//!   keeping a summary (identity + lifespan) of each beside its locator,
 //! * **L4** — per-cluster partitions (`hermes-storage`) indexed by the
 //!   pg3D-Rtree (`hermes-gist`), plus an outlier partition per sub-chunk.
 //!
@@ -26,7 +27,8 @@
 //!
 //! [`qut::qut_clustering`] answers `QUT(D, Wi, We, τ, δ, t, d, γ)`: clusters
 //! and outliers for an arbitrary temporal window `W`, reusing the L3 entries
-//! of every sub-chunk fully covered by `W`, re-clustering only the border
+//! of every sub-chunk fully covered by `W` — from level 3 alone, members and
+//! outliers reported as summaries — re-clustering only the border
 //! sub-chunks, and merging cluster entries across chunk boundaries. Finished
 //! border partials are kept in a byte-bounded [`memo`] owned by the tree
 //! value, so a repeated window edge pays S2T once.
@@ -46,11 +48,12 @@ pub mod tree;
 
 pub use leaf_index::LeafIndex;
 pub use memo::{BorderMemoStats, BORDER_MEMO_MAX_BYTES};
-pub use node::{Chunk, ClusterEntry, SubChunk};
+pub use node::{Chunk, ClusterEntry, StoredRecords, SubChunk};
 pub use params::{QutParams, QutParamsBuilder, ReTraTreeParams, ReTraTreeParamsBuilder};
 pub use persist::{decode_params_from, decode_tree, encode_params_into, encode_tree};
 pub use qut::{
     merge_qut_partials, qut_clustering, qut_clustering_with, qut_partial_with,
-    range_query_then_cluster, range_query_then_cluster_with, OwnedSlice, QutPartial, QutStats,
+    range_query_then_cluster, range_query_then_cluster_with, OwnedSlice, QutCluster, QutPartial,
+    QutResult, QutStats,
 };
 pub use tree::{MaintenanceStats, ReTraTree};

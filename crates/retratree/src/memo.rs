@@ -19,13 +19,15 @@
 //! only — it is never held across a pipeline run, so two readers missing on
 //! one key both compute (bit-identical results; the last insert wins).
 
-use hermes_s2t::{Cluster, S2TParams};
-use hermes_trajectory::{Point, SubTrajectory, TimeInterval, Timestamp};
+use crate::qut::QutCluster;
+use hermes_s2t::S2TParams;
+use hermes_trajectory::{Point, SubTrajectorySummary, TimeInterval, Timestamp};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 /// Upper bound on the bytes one tree's memo accounts for: per partial, the
-/// sub-trajectory structs and point slices it keeps alive. One constant, no
+/// representatives' point slices and the member and outlier summaries it
+/// keeps alive. One constant, no
 /// knob: the repeated windows of an interactive session need a few hundred
 /// KiB to ~2 MiB.
 pub const BORDER_MEMO_MAX_BYTES: usize = 4 << 20;
@@ -67,10 +69,11 @@ impl BorderKey {
     }
 }
 
-/// What re-clustering one border sub-chunk produced.
+/// What re-clustering one border sub-chunk produced, as a window answer
+/// reports it: the clipped pieces are summarised when the partial is built.
 pub(crate) struct BorderPartial {
-    pub(crate) clusters: Vec<Cluster>,
-    pub(crate) outliers: Vec<SubTrajectory>,
+    pub(crate) clusters: Vec<QutCluster>,
+    pub(crate) outliers: Vec<SubTrajectorySummary>,
     /// Records the computation loaded from storage — replayed into
     /// `QutStats::loaded_sub_trajectories` on a hit, so that counter stays a
     /// function of (tree value, window, params) whether or not work was done.
@@ -78,28 +81,24 @@ pub(crate) struct BorderPartial {
 }
 
 impl BorderPartial {
-    /// Bytes this partial keeps alive: every sub-trajectory's struct and
-    /// point slice (pieces cut from one clipped trajectory share its buffer
-    /// and tile it, so the slices add up to the buffers), plus the distance
-    /// vectors and the map slot.
+    /// Bytes this partial keeps alive: every representative's struct and
+    /// point slice, the member and outlier summaries, the distance vectors
+    /// and the map slot.
     fn heap_bytes(&self) -> usize {
-        let sub = |s: &SubTrajectory| {
-            std::mem::size_of::<SubTrajectory>() + s.len() * std::mem::size_of::<Point>()
-        };
         let clusters: usize = self
             .clusters
             .iter()
             .map(|c| {
-                std::mem::size_of::<Cluster>()
-                    + sub(&c.representative)
-                    + c.members.iter().map(sub).sum::<usize>()
+                std::mem::size_of::<QutCluster>()
+                    + c.representative.len() * std::mem::size_of::<Point>()
+                    + c.members.len() * std::mem::size_of::<SubTrajectorySummary>()
                     + c.member_distances.len() * std::mem::size_of::<f64>()
             })
             .sum();
         std::mem::size_of::<Slot>()
             + std::mem::size_of::<BorderKey>()
             + clusters
-            + self.outliers.iter().map(sub).sum::<usize>()
+            + self.outliers.len() * std::mem::size_of::<SubTrajectorySummary>()
     }
 }
 
@@ -266,7 +265,7 @@ impl BorderMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_trajectory::SubTrajectoryId;
+    use hermes_trajectory::{SubTrajectory, SubTrajectoryId};
 
     fn key(start: i64) -> BorderKey {
         BorderKey::new(
@@ -276,19 +275,20 @@ mod tests {
         )
     }
 
-    /// A partial holding one outlier of `points` points.
+    /// A partial holding one lone representative of `points` points.
     fn partial(points: usize) -> Arc<BorderPartial> {
         let pts = (0..points)
             .map(|i| Point::new(i as f64, 0.0, Timestamp(i as i64 * 1_000)))
             .collect();
         Arc::new(BorderPartial {
-            clusters: Vec::new(),
-            outliers: vec![SubTrajectory::from_points(
-                SubTrajectoryId::new(1, 0),
-                1,
-                1,
-                pts,
-            )],
+            clusters: vec![QutCluster {
+                id: 0,
+                representative: SubTrajectory::from_points(SubTrajectoryId::new(1, 0), 1, 1, pts),
+                representative_vote: 0.0,
+                members: Vec::new(),
+                member_distances: Vec::new(),
+            }],
+            outliers: Vec::new(),
             loaded: points,
         })
     }

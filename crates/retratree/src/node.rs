@@ -2,8 +2,58 @@
 
 use crate::leaf_index::LeafIndex;
 use hermes_storage::{PartitionId, RecordLocator};
-use hermes_trajectory::{SubTrajectory, TimeInterval};
+use hermes_trajectory::{SubTrajectory, SubTrajectorySummary, TimeInterval};
 use std::sync::OnceLock;
+
+/// The records of one partition as level 3 holds them: where each is stored
+/// and what a window answer says of it, slot for slot.
+///
+/// The summaries are derived state: a pure function of the stored records,
+/// which are append-only, so one is written wherever a locator is — from the
+/// sub-trajectory in hand on insertion and reorganisation, from the record's
+/// header when a snapshot is decoded — and never invalidated. `None` marks a
+/// record that could not be read when the tree was decoded (a tombstone, a
+/// malformed record): no answer ever reports it.
+#[derive(Debug, Clone, Default)]
+pub struct StoredRecords {
+    locators: Vec<RecordLocator>,
+    summaries: Vec<Option<SubTrajectorySummary>>,
+}
+
+impl StoredRecords {
+    /// Where the records are stored, in insertion order.
+    pub fn locators(&self) -> &[RecordLocator] {
+        &self.locators
+    }
+
+    /// The summary of each record, slot for slot with the locators.
+    pub fn summaries(&self) -> &[Option<SubTrajectorySummary>] {
+        &self.summaries
+    }
+
+    /// Number of records, readable or not.
+    fn len(&self) -> usize {
+        self.locators.len()
+    }
+
+    pub(crate) fn push(&mut self, loc: RecordLocator, summary: Option<SubTrajectorySummary>) {
+        self.locators.push(loc);
+        self.summaries.push(summary);
+    }
+}
+
+impl FromIterator<(RecordLocator, Option<SubTrajectorySummary>)> for StoredRecords {
+    fn from_iter<I>(records: I) -> Self
+    where
+        I: IntoIterator<Item = (RecordLocator, Option<SubTrajectorySummary>)>,
+    {
+        let (locators, summaries) = records.into_iter().unzip();
+        StoredRecords {
+            locators,
+            summaries,
+        }
+    }
+}
 
 /// Level-3 entry: one representative sub-trajectory and the partition holding
 /// the members clustered around it.
@@ -19,9 +69,9 @@ pub struct ClusterEntry {
     /// Locator of the representative's own archived copy in the partition
     /// (None for entries created before any data was archived).
     pub representative_loc: Option<RecordLocator>,
-    /// Locators of the members inside the partition. Private with
-    /// `member_distances` so that the two cannot come apart.
-    members: Vec<RecordLocator>,
+    /// The members inside the partition. Private with `member_distances` so
+    /// that the two cannot come apart.
+    members: StoredRecords,
     /// Derived state: the distance of each member to the representative, as
     /// a covered QuT read reports it, slot for slot with `members`. Unfilled
     /// until the first such read; a pure function of the stored records
@@ -37,7 +87,7 @@ impl ClusterEntry {
         representative_vote: f64,
         partition: PartitionId,
         representative_loc: Option<RecordLocator>,
-        members: Vec<RecordLocator>,
+        members: StoredRecords,
     ) -> Self {
         ClusterEntry {
             representative,
@@ -51,14 +101,24 @@ impl ClusterEntry {
 
     /// Locators of the members inside the partition.
     pub fn members(&self) -> &[RecordLocator] {
-        &self.members
+        self.members.locators()
+    }
+
+    /// The summary of each member, slot for slot with [`Self::members`].
+    pub fn member_summaries(&self) -> &[Option<SubTrajectorySummary>] {
+        self.members.summaries()
     }
 
     /// Adds the member stored at `loc`, `distance` away from the
     /// representative. Filled distances are extended, not reset: the caller
     /// has just computed that distance to choose this entry.
-    pub(crate) fn push_member(&mut self, loc: RecordLocator, distance: f64) {
-        self.members.push(loc);
+    pub(crate) fn push_member(
+        &mut self,
+        loc: RecordLocator,
+        summary: SubTrajectorySummary,
+        distance: f64,
+    ) {
+        self.members.push(loc, Some(summary));
         if let Some(distances) = self.member_distances.get_mut() {
             distances.push(distance);
         }
@@ -101,8 +161,8 @@ pub struct SubChunk {
     pub clusters: Vec<ClusterEntry>,
     /// The partition holding unclustered sub-trajectories.
     pub outlier_partition: PartitionId,
-    /// Locators of the outliers inside the outlier partition.
-    pub outliers: Vec<RecordLocator>,
+    /// The outliers inside the outlier partition.
+    outliers: StoredRecords,
     /// Leaf index over every sub-trajectory stored in this sub-chunk
     /// (members and outliers alike), mapping MBBs to record locators:
     /// an STR-packed base rebuilt on reorganisation plus a small dynamic
@@ -117,9 +177,30 @@ impl SubChunk {
             interval,
             clusters: Vec::new(),
             outlier_partition,
-            outliers: Vec::new(),
+            outliers: StoredRecords::default(),
             index: LeafIndex::new(),
         }
+    }
+
+    /// Locators of the outliers inside the outlier partition.
+    pub fn outliers(&self) -> &[RecordLocator] {
+        self.outliers.locators()
+    }
+
+    /// The summary of each outlier, slot for slot with [`Self::outliers`].
+    pub fn outlier_summaries(&self) -> &[Option<SubTrajectorySummary>] {
+        self.outliers.summaries()
+    }
+
+    /// Parks the sub-trajectory stored at `loc` as an outlier.
+    pub(crate) fn push_outlier(&mut self, loc: RecordLocator, summary: SubTrajectorySummary) {
+        self.outliers.push(loc, Some(summary));
+    }
+
+    /// Points the sub-chunk at a rebuilt outlier partition.
+    pub(crate) fn replace_outliers(&mut self, partition: PartitionId, outliers: StoredRecords) {
+        self.outlier_partition = partition;
+        self.outliers = outliers;
     }
 
     /// Total number of sub-trajectories stored (clustered, counting each
@@ -175,13 +256,19 @@ mod tests {
         }
     }
 
+    fn summary(id: u64) -> SubTrajectorySummary {
+        SubTrajectorySummary::from(&sub(id))
+    }
+
     #[test]
     fn cluster_entry_counts_its_representative() {
-        let mut e = ClusterEntry::new(sub(1), 2.5, 3, None, vec![]);
+        let mut e = ClusterEntry::new(sub(1), 2.5, 3, None, StoredRecords::default());
         assert_eq!(e.size(), 1);
-        e.push_member(locator(0), 1.0);
-        e.push_member(locator(1), 2.0);
+        e.push_member(locator(0), summary(2), 1.0);
+        e.push_member(locator(1), summary(3), 2.0);
         assert_eq!(e.size(), 3);
+        assert_eq!(e.members(), [locator(0), locator(1)]);
+        assert_eq!(e.member_summaries(), [Some(summary(2)), Some(summary(3))]);
         assert_eq!(
             e.lifespan(),
             TimeInterval::new(Timestamp(0), Timestamp(60_000))
@@ -197,9 +284,11 @@ mod tests {
             1.0,
             1,
             None,
-            vec![locator(0), locator(1)],
+            [(locator(0), Some(summary(2))), (locator(1), None)]
+                .into_iter()
+                .collect(),
         ));
-        sc.outliers.push(locator(2));
+        sc.push_outlier(locator(2), summary(4));
         assert_eq!(sc.population(), 4);
         assert_eq!(sc.num_clusters(), 1);
     }
@@ -216,8 +305,8 @@ mod tests {
                 ),
             ],
         };
-        chunk.subchunks[0].outliers.push(locator(0));
-        chunk.subchunks[1].outliers.push(locator(1));
+        chunk.subchunks[0].push_outlier(locator(0), summary(1));
+        chunk.subchunks[1].push_outlier(locator(1), summary(2));
         assert_eq!(chunk.population(), 2);
     }
 }

@@ -5,7 +5,9 @@
 //! maintenance counters, the whole level-4 [`PartitionStore`] (raw page
 //! images, so record locators stay valid), and for every sub-chunk its
 //! cluster entries (representatives included, re-encoded through the storage
-//! codec), outlier locators and the entry lists of its [`LeafIndex`].
+//! codec), outlier locators and the entry lists of its [`LeafIndex`]. The
+//! member and outlier summaries are not part of the bytes: they are derived
+//! state, and [`decode_tree`] reads them back from the record headers.
 //! [`decode_tree`] rebuilds an equivalent tree whose query answers are
 //! bit-identical to the original's — the restart-equivalence property the
 //! tier-1 persistence tests assert.
@@ -14,7 +16,7 @@
 //! normatively specified in `docs/STORAGE.md` (§ "ReTraTree state encoding").
 
 use crate::memo::BorderMemo;
-use crate::node::{Chunk, ClusterEntry, SubChunk};
+use crate::node::{Chunk, ClusterEntry, StoredRecords, SubChunk};
 use crate::params::ReTraTreeParams;
 use crate::tree::{MaintenanceStats, ReTraTree};
 use crate::LeafIndex;
@@ -81,6 +83,26 @@ fn decode_locator(r: &mut ByteReader<'_>) -> Result<RecordLocator> {
         page: r.u64()?,
         slot: r.u16()?,
     })
+}
+
+fn encode_locators(w: &mut ByteWriter, locs: &[RecordLocator]) {
+    w.u32(locs.len() as u32);
+    for loc in locs {
+        encode_locator(w, loc);
+    }
+}
+
+/// Reads a locator list and derives each record's summary from its header in
+/// `store` — the bytes carry locators only. A record that does not read
+/// (tombstoned, malformed) keeps its slot and gets no summary.
+fn decode_records(r: &mut ByteReader<'_>, store: &PartitionStore) -> Result<StoredRecords> {
+    let n = r.u32()? as usize;
+    (0..n)
+        .map(|_| {
+            let loc = decode_locator(r)?;
+            Ok((loc, store.summary(loc).ok().flatten()))
+        })
+        .collect()
 }
 
 fn encode_mbb(w: &mut ByteWriter, mbb: &Mbb) {
@@ -152,10 +174,7 @@ pub fn encode_tree(w: &mut ByteWriter, tree: &ReTraTree) {
         w.i64(key);
         for sc in &chunk.subchunks {
             w.u64(sc.outlier_partition);
-            w.u32(sc.outliers.len() as u32);
-            for loc in &sc.outliers {
-                encode_locator(w, loc);
-            }
+            encode_locators(w, sc.outliers());
             w.u32(sc.clusters.len() as u32);
             for entry in &sc.clusters {
                 encode_sub_trajectory_into(w, &entry.representative);
@@ -168,10 +187,7 @@ pub fn encode_tree(w: &mut ByteWriter, tree: &ReTraTree) {
                     }
                     None => w.bool(false),
                 }
-                w.u32(entry.members().len() as u32);
-                for loc in entry.members() {
-                    encode_locator(w, loc);
-                }
+                encode_locators(w, entry.members());
             }
             let (base, delta) = sc.index.export_entries();
             encode_entry_list(w, &base);
@@ -207,11 +223,7 @@ pub fn decode_tree(r: &mut ByteReader<'_>) -> Result<ReTraTree> {
             let s = Timestamp(key + i as i64 * sub_len);
             let e = Timestamp(key + (i as i64 + 1) * sub_len);
             let outlier_partition = r.u64()?;
-            let num_outliers = r.u32()? as usize;
-            let mut outliers = Vec::with_capacity(num_outliers);
-            for _ in 0..num_outliers {
-                outliers.push(decode_locator(r)?);
-            }
+            let outliers = decode_records(r, &store)?;
             let num_clusters = r.u32()? as usize;
             let mut clusters = Vec::with_capacity(num_clusters);
             for _ in 0..num_clusters {
@@ -223,11 +235,7 @@ pub fn decode_tree(r: &mut ByteReader<'_>) -> Result<ReTraTree> {
                 } else {
                     None
                 };
-                let num_members = r.u32()? as usize;
-                let mut members = Vec::with_capacity(num_members);
-                for _ in 0..num_members {
-                    members.push(decode_locator(r)?);
-                }
+                let members = decode_records(r, &store)?;
                 clusters.push(ClusterEntry::new(
                     representative,
                     representative_vote,
@@ -239,7 +247,7 @@ pub fn decode_tree(r: &mut ByteReader<'_>) -> Result<ReTraTree> {
             let base = decode_entry_list(r)?;
             let delta = decode_entry_list(r)?;
             let mut sc = SubChunk::new(TimeInterval::new(s, e), outlier_partition);
-            sc.outliers = outliers;
+            sc.replace_outliers(outlier_partition, outliers);
             sc.clusters = clusters;
             sc.index = LeafIndex::import_entries(base, delta);
             subchunks.push(sc);
@@ -363,7 +371,8 @@ mod tests {
             for (sa, sb) in ca.subchunks.iter().zip(cb.subchunks.iter()) {
                 assert_eq!(sa.interval, sb.interval);
                 assert_eq!(sa.outlier_partition, sb.outlier_partition);
-                assert_eq!(sa.outliers, sb.outliers);
+                assert_eq!(sa.outliers(), sb.outliers());
+                assert_eq!(sa.outlier_summaries(), sb.outlier_summaries());
                 assert_eq!(sa.num_clusters(), sb.num_clusters());
                 for (ea, eb) in sa.clusters.iter().zip(sb.clusters.iter()) {
                     assert_eq!(ea.representative, eb.representative);
@@ -374,6 +383,7 @@ mod tests {
                     assert_eq!(ea.partition, eb.partition);
                     assert_eq!(ea.representative_loc, eb.representative_loc);
                     assert_eq!(ea.members(), eb.members());
+                    assert_eq!(ea.member_summaries(), eb.member_summaries());
                 }
                 assert_eq!(sa.index.len(), sb.index.len());
                 assert_eq!(sa.index.packed_len(), sb.index.packed_len());

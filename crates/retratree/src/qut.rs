@@ -6,17 +6,22 @@
 //! temporally intersect W." (ICDE 2018, §II.B)
 //!
 //! The progressive trick: sub-chunks *fully covered* by `W` already carry
-//! their clustering (level-3 entries) — those are reused verbatim: their
-//! records are read a page run at a time, and each member's distance to its
-//! representative is the entry's own derived state, computed by the first
-//! covered read. Only the border sub-chunks (partially overlapping `W`) are
-//! re-clustered, on just the data that falls inside `W`. Finally, cluster
-//! entries from adjacent sub-chunks are merged when their representatives
-//! are close in space and time, so a cluster that spans a chunk boundary is
-//! reported once.
+//! their clustering (level-3 entries) — those are reused verbatim, and from
+//! level 3 alone. A window answer says of a member or an outlier who it is
+//! and when it lived (a [`SubTrajectorySummary`]), never a point, and level 3
+//! keeps that summary beside every record locator; each member's distance to
+//! its representative is the entry's own derived state, computed from the
+//! stored records by the first covered read (a page run at a time). So a
+//! covered sub-chunk whose entries are filled is answered without reading a
+//! page — an index-only scan. Only the border sub-chunks (partially
+//! overlapping `W`) are re-clustered, on just the data that falls inside `W`,
+//! and their clipped pieces summarised. Finally, cluster entries from
+//! adjacent sub-chunks are merged when their representatives — which stay
+//! full sub-trajectories, the merge integrates over them — are close in space
+//! and time, so a cluster that spans a chunk boundary is reported once.
 
 use crate::memo::{BorderKey, BorderPartial};
-use crate::node::SubChunk;
+use crate::node::{ClusterEntry, SubChunk};
 use crate::params::QutParams;
 use crate::tree::ReTraTree;
 use hermes_exec::Executor;
@@ -26,27 +31,37 @@ use hermes_s2t::{
 };
 use hermes_trajectory::{
     hausdorff_distance, spatiotemporal_distance, sub_trajectory_distance, Duration, Mbb,
-    SubTrajectory, TimeInterval,
+    SubTrajectory, SubTrajectorySummary, TimeInterval,
 };
 use std::sync::Arc;
 use std::time::Instant;
+
+/// A cluster of a window answer: the representative in full, the members as
+/// summaries.
+pub type QutCluster = Cluster<SubTrajectorySummary>;
+
+/// A window answer: clusters and outliers at sub-trajectory level, each
+/// member and outlier as its [`SubTrajectorySummary`].
+pub type QutResult = ClusteringResult<SubTrajectorySummary>;
 
 /// Execution statistics of one QuT query (reported by the E3 benchmark).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QutStats {
     /// Sub-chunks fully covered by the window, answered from their level-3
-    /// entries as stored: no clustering runs, but every member and outlier
-    /// record is read (they are the answer) and counted in
-    /// `loaded_sub_trajectories`.
+    /// entries as stored: no clustering runs and, once an entry's member
+    /// distances are filled, no record is read — the answer is the
+    /// summaries level 3 keeps. Every member and outlier so reported is
+    /// still counted in `loaded_sub_trajectories`.
     pub reused_subchunks: usize,
     /// Border sub-chunks (partially covered by the window), whether their
     /// clustering was computed by this query or taken from the border memo.
     pub reclustered_subchunks: usize,
-    /// Sub-trajectory records loaded from storage: the members and outliers
-    /// of every covered sub-chunk, plus the records a border's re-clustering
-    /// read — for a border answered from the memo, the loads of the run that
-    /// computed it. Records, not page accesses (those are the buffer pool's
-    /// counters). Like the two counters above a function of (tree value,
+    /// Sub-trajectory records the answer accounts for: the members and
+    /// outliers of every covered sub-chunk, plus the records a border's
+    /// re-clustering read — for a border answered from the memo, the loads of
+    /// the run that computed it. A logical count: what physically moved
+    /// (nothing, for a covered sub-chunk already filled) is the buffer pool's
+    /// counters. Like the two counters above a function of (tree value,
     /// window, params) only; the work a query really did is in `phases` and
     /// `kernel`.
     pub loaded_sub_trajectories: usize,
@@ -88,8 +103,8 @@ impl QutStats {
 /// What one sub-chunk contributes to a window answer: clusters (ids assigned
 /// later, during the deterministic merge), outliers, and its own counters.
 struct SubChunkAnswer {
-    clusters: Vec<Cluster>,
-    outliers: Vec<SubTrajectory>,
+    clusters: Vec<QutCluster>,
+    outliers: Vec<SubTrajectorySummary>,
     stats: QutStats,
 }
 
@@ -146,9 +161,9 @@ impl OwnedSlice {
 pub struct QutPartial {
     /// Clusters of the owned sub-chunks, in temporal order. Ids are
     /// placeholders — the merge assigns final ids.
-    pub clusters: Vec<Cluster>,
+    pub clusters: Vec<QutCluster>,
     /// Outliers of the owned sub-chunks, in temporal order.
-    pub outliers: Vec<SubTrajectory>,
+    pub outliers: Vec<SubTrajectorySummary>,
     /// Counters accumulated while answering the owned sub-chunks
     /// (`elapsed_ms` is left at zero; the caller stamps wall-clock time).
     pub stats: QutStats,
@@ -171,42 +186,33 @@ fn answer_subchunk(
         stats: QutStats::default(),
     };
     if w.contains_interval(&sc.interval) {
-        // Fully covered: reuse the level-3 entries as they are. The members
-        // are read a page run at a time; what each is worth to its
-        // representative is the entry's own derived state.
+        // Fully covered: reuse the level-3 entries as they are. Who the
+        // members are and what each is worth to its representative is the
+        // entry's own state; no page is read unless a distance is missing.
         answer.stats.reused_subchunks += 1;
         for entry in &sc.clusters {
-            let locs = entry.members();
-            let mut members = Vec::with_capacity(locs.len());
-            let mut slots = Vec::with_capacity(locs.len());
-            tree.store.read_run(locs, |slot, sub| {
-                slots.push(slot);
-                members.push(sub);
-            });
-            answer.stats.loaded_sub_trajectories += members.len();
-            let distances = entry.member_distances(|| {
-                // A member that does not load is skipped now and, records
-                // being append-only, by every later read: its slot is never
-                // looked at.
-                let mut all = vec![f64::MAX; locs.len()];
-                for (&slot, sub) in slots.iter().zip(&members) {
-                    let d = spatiotemporal_distance(sub, &entry.representative);
-                    if d.is_finite() {
-                        all[slot] = d;
-                    }
+            let distances = entry.member_distances(|| distances_to_representative(tree, entry));
+            let summaries = entry.member_summaries();
+            let mut members = Vec::with_capacity(summaries.len());
+            let mut member_distances = Vec::with_capacity(summaries.len());
+            // A member without a summary never loaded and never will: its
+            // slot is not looked at.
+            for (summary, distance) in summaries.iter().zip(distances) {
+                if let Some(summary) = summary {
+                    members.push(*summary);
+                    member_distances.push(*distance);
                 }
-                all
-            });
+            }
+            answer.stats.loaded_sub_trajectories += members.len();
             answer.clusters.push(Cluster {
                 id: 0, // assigned during the sequential merge
                 representative: entry.representative.clone(),
                 representative_vote: entry.representative_vote,
-                member_distances: slots.iter().map(|&slot| distances[slot]).collect(),
                 members,
+                member_distances,
             });
         }
-        tree.store
-            .read_run(&sc.outliers, |_, sub| answer.outliers.push(sub));
+        answer.outliers = sc.outlier_summaries().iter().flatten().copied().collect();
         answer.stats.loaded_sub_trajectories += answer.outliers.len();
     } else {
         // Border sub-chunk: the stored data restricted to W, re-clustered —
@@ -235,8 +241,8 @@ fn answer_subchunk(
                 answer.stats.phases = phases;
                 answer.stats.kernel = kernel;
                 let partial = Arc::new(BorderPartial {
-                    clusters,
-                    outliers,
+                    clusters: clusters.into_iter().map(summarized).collect(),
+                    outliers: outliers.iter().map(Into::into).collect(),
                     loaded,
                 });
                 tree.border_memo.insert(key, Arc::clone(&partial));
@@ -250,12 +256,38 @@ fn answer_subchunk(
     answer
 }
 
+/// The distance of every member of `entry` to its representative, slot for
+/// slot, from the stored records — the fill of the first covered read. A
+/// member that does not load, or that shares no time with the
+/// representative, keeps `f64::MAX`.
+fn distances_to_representative(tree: &ReTraTree, entry: &ClusterEntry) -> Vec<f64> {
+    let mut distances = vec![f64::MAX; entry.members().len()];
+    tree.store.read_run(entry.members(), |slot, sub| {
+        let d = spatiotemporal_distance(&sub, &entry.representative);
+        if d.is_finite() {
+            distances[slot] = d;
+        }
+    });
+    distances
+}
+
+/// A freshly computed cluster as a window answer reports it.
+fn summarized(cluster: Cluster) -> QutCluster {
+    Cluster {
+        id: cluster.id,
+        representative: cluster.representative,
+        representative_vote: cluster.representative_vote,
+        members: cluster.members.iter().map(Into::into).collect(),
+        member_distances: cluster.member_distances,
+    }
+}
+
 /// Answers `QUT(W)` against a ReTraTree.
 pub fn qut_clustering(
     tree: &ReTraTree,
     w: &TimeInterval,
     params: &QutParams,
-) -> (ClusteringResult, QutStats) {
+) -> (QutResult, QutStats) {
     qut_clustering_with(tree, w, params, &Executor::serial())
 }
 
@@ -271,7 +303,7 @@ pub fn qut_clustering_with(
     w: &TimeInterval,
     params: &QutParams,
     exec: &Executor,
-) -> (ClusteringResult, QutStats) {
+) -> (QutResult, QutStats) {
     let start = Instant::now();
     let partial = qut_partial_with(tree, &OwnedSlice::ALL, w, params, exec);
     let (result, mut stats) = merge_qut_partials(vec![partial], params);
@@ -294,13 +326,23 @@ pub fn qut_partial_with(
     params: &QutParams,
     exec: &Executor,
 ) -> QutPartial {
-    // The owned sub-chunks sharing more than an instant with W, in temporal
-    // order. Sub-chunk intervals are closed and share their endpoints, so a
-    // window edge on the grid touches the neighbouring sub-chunk at exactly
-    // one instant; clipping to an instant yields nothing, so that neighbour
-    // has nothing to contribute and is not a border.
-    let targets: Vec<&SubChunk> = tree
-        .chunks()
+    let targets = owned_targets(tree, owned, w);
+    // Fan out: one task per sub-chunk, each with its own QutStats.
+    let answers = exec.map(&targets, |_, sc| answer_subchunk(tree, sc, w, params, exec));
+    fold_in_temporal_order(answers)
+}
+
+/// The owned sub-chunks sharing more than an instant with `w`, in temporal
+/// order. Sub-chunk intervals are closed and share their endpoints, so a
+/// window edge on the grid touches the neighbouring sub-chunk at exactly one
+/// instant; clipping to an instant yields nothing, so that neighbour has
+/// nothing to contribute and is not a border.
+fn owned_targets<'a>(
+    tree: &'a ReTraTree,
+    owned: &OwnedSlice,
+    w: &TimeInterval,
+) -> Vec<&'a SubChunk> {
+    tree.chunks()
         .filter(|chunk| chunk.interval.intersects(w))
         .flat_map(|chunk| chunk.subchunks.iter())
         .filter(|sc| {
@@ -310,12 +352,11 @@ pub fn qut_partial_with(
                     .intersection(w)
                     .is_some_and(|overlap| overlap.length() > Duration::ZERO)
         })
-        .collect();
+        .collect()
+}
 
-    // Fan out: one task per sub-chunk, each with its own QutStats.
-    let answers = exec.map(&targets, |_, sc| answer_subchunk(tree, sc, w, params, exec));
-
-    // Deterministic fold in temporal order.
+/// The deterministic fold of per-sub-chunk answers given in temporal order.
+fn fold_in_temporal_order(answers: Vec<SubChunkAnswer>) -> QutPartial {
     let mut partial = QutPartial::default();
     for mut answer in answers {
         partial.stats.merge(&answer.stats);
@@ -332,13 +373,10 @@ pub fn qut_partial_with(
 /// merge re-sorts deterministically, the result is byte-identical to running
 /// [`qut_clustering_with`] over the undivided tree. `elapsed_ms` of the
 /// returned stats is zero; the caller stamps wall-clock time.
-pub fn merge_qut_partials(
-    partials: Vec<QutPartial>,
-    params: &QutParams,
-) -> (ClusteringResult, QutStats) {
+pub fn merge_qut_partials(partials: Vec<QutPartial>, params: &QutParams) -> (QutResult, QutStats) {
     let mut stats = QutStats::default();
-    let mut clusters: Vec<Cluster> = Vec::new();
-    let mut outliers: Vec<SubTrajectory> = Vec::new();
+    let mut clusters: Vec<QutCluster> = Vec::new();
+    let mut outliers: Vec<SubTrajectorySummary> = Vec::new();
     for mut partial in partials {
         stats.merge(&partial.stats);
         for mut c in partial.clusters.drain(..) {
@@ -495,10 +533,10 @@ const MERGE_BOUND_SLACK: f64 = 1e-12;
 /// Every `d <= merge_distance` decision that matters is taken on the same
 /// `d` as without the two tests, in the same order.
 fn merge_adjacent_clusters(
-    clusters: Vec<Cluster>,
+    clusters: Vec<QutCluster>,
     params: &QutParams,
     stats: &mut QutStats,
-) -> Vec<Cluster> {
+) -> Vec<QutCluster> {
     let n = clusters.len();
     if n <= 1 {
         return clusters;
@@ -545,12 +583,12 @@ fn merge_adjacent_clusters(
 
     // Group clusters by root (members in list order) and fold each group
     // into one cluster.
-    let mut groups: Vec<Vec<Cluster>> = (0..n).map(|_| Vec::new()).collect();
+    let mut groups: Vec<Vec<QutCluster>> = (0..n).map(|_| Vec::new()).collect();
     for (i, c) in clusters.into_iter().enumerate() {
         groups[find(&mut parent, i)].push(c);
     }
 
-    let mut merged: Vec<Cluster> = Vec::new();
+    let mut merged: Vec<QutCluster> = Vec::new();
     for mut group in groups.into_iter().filter(|g| !g.is_empty()) {
         // Highest-vote representative wins.
         group.sort_by(|a, b| {
@@ -562,7 +600,7 @@ fn merge_adjacent_clusters(
         let mut primary = iter.next().expect("groups are non-empty");
         for other in iter {
             let d = representative_merge_distance(&primary.representative, &other.representative);
-            primary.members.push(other.representative);
+            primary.members.push((&other.representative).into());
             primary.member_distances.push(d);
             primary.members.extend(other.members);
             primary.member_distances.extend(other.member_distances);
@@ -682,8 +720,9 @@ mod tests {
         assert!(stats.reclustered_subchunks >= 1);
         // Everything returned must be inside (or clipped to) the window.
         for c in &result.clusters {
-            for m in c.members.iter().chain(std::iter::once(&c.representative)) {
-                assert!(m.lifespan().intersects(&w));
+            assert!(c.representative.lifespan().intersects(&w));
+            for m in &c.members {
+                assert!(m.lifespan.intersects(&w));
             }
         }
         assert!(result.num_clusters() >= 1);
@@ -926,7 +965,7 @@ mod tests {
         // A degenerate single-instant window owns no sub-chunk at all.
         let at = TimeInterval::new(Timestamp(hour), Timestamp(hour));
         let (result, stats) = qut_clustering(&tree, &at, &qut_params());
-        assert_eq!(result, ClusteringResult::default());
+        assert_eq!(result, QutResult::default());
         assert_eq!(stats.reclustered_subchunks + stats.reused_subchunks, 0);
         assert_eq!(stats.loaded_sub_trajectories, 0);
     }
@@ -1039,7 +1078,7 @@ mod tests {
         for _ in 0..8 {
             let tree = base.clone(); // empty memo
             let barrier = std::sync::Barrier::new(2);
-            let answers: Vec<(ClusteringResult, QutStats)> = std::thread::scope(|scope| {
+            let answers: Vec<(QutResult, QutStats)> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..2)
                     .map(|_| {
                         scope.spawn(|| {
@@ -1068,14 +1107,16 @@ mod tests {
         }
     }
 
-    /// Eight loners 50 km apart, three hours each, 720 samples: plenty of
-    /// bytes per border partial and next to no voting work, so a long sweep
-    /// stays quick.
+    /// Four pairs 50 km apart, three hours each, 720 samples: every pair is
+    /// a cluster whose representative a border partial keeps in full — plenty
+    /// of bytes per partial and next to no voting work, so a long sweep stays
+    /// quick.
     fn sparse_heavy_tree() -> ReTraTree {
         let mut tree = ReTraTree::new(tree_params());
         for i in 0..8u64 {
+            let y = (i / 2) as f64 * 50_000.0 + (i % 2) as f64 * 20.0;
             let pts: Vec<Point> = (0..720)
-                .map(|k| Point::new(k as f64 * 10.0, i as f64 * 50_000.0, Timestamp(k * 15_000)))
+                .map(|k| Point::new(k as f64 * 10.0, y, Timestamp(k * 15_000)))
                 .collect();
             tree.insert_trajectory(&Trajectory::new(i, i, pts).unwrap());
         }
@@ -1132,10 +1173,10 @@ mod tests {
     /// pairs: the exact distance of every pair within `merge_gap`, whatever
     /// union-find already knows. The oracle of the sweep below.
     fn merge_adjacent_clusters_reference(
-        clusters: Vec<Cluster>,
+        clusters: Vec<QutCluster>,
         params: &QutParams,
         stats: &mut QutStats,
-    ) -> Vec<Cluster> {
+    ) -> Vec<QutCluster> {
         let n = clusters.len();
         if n <= 1 {
             return clusters;
@@ -1172,14 +1213,14 @@ mod tests {
         }
 
         // Group clusters by root and fold each group into one cluster.
-        let mut groups: std::collections::HashMap<usize, Vec<Cluster>> =
+        let mut groups: std::collections::HashMap<usize, Vec<QutCluster>> =
             std::collections::HashMap::new();
         for (i, c) in clusters.into_iter().enumerate() {
             let root = find(&mut parent, i);
             groups.entry(root).or_default().push(c);
         }
 
-        let mut merged: Vec<Cluster> = Vec::with_capacity(groups.len());
+        let mut merged: Vec<QutCluster> = Vec::with_capacity(groups.len());
         for (_, mut group) in groups {
             // Highest-vote representative wins.
             group.sort_by(|a, b| {
@@ -1192,7 +1233,7 @@ mod tests {
             for other in iter {
                 let d =
                     representative_merge_distance(&primary.representative, &other.representative);
-                primary.members.push(other.representative);
+                primary.members.push((&other.representative).into());
                 primary.member_distances.push(d);
                 primary.members.extend(other.members);
                 primary.member_distances.extend(other.member_distances);
@@ -1209,10 +1250,10 @@ mod tests {
 
     /// Ids as [`merge_qut_partials`] assigns them, then the given merge.
     fn merged_by(
-        merge: fn(Vec<Cluster>, &QutParams, &mut QutStats) -> Vec<Cluster>,
-        clusters: &[Cluster],
+        merge: fn(Vec<QutCluster>, &QutParams, &mut QutStats) -> Vec<QutCluster>,
+        clusters: &[QutCluster],
         params: &QutParams,
-    ) -> (Vec<Cluster>, usize) {
+    ) -> (Vec<QutCluster>, usize) {
         let mut clusters = clusters.to_vec();
         for (id, c) in clusters.iter_mut().enumerate() {
             c.id = id;
@@ -1222,8 +1263,9 @@ mod tests {
         (merged, stats.merges)
     }
 
-    #[test]
-    fn merge_matches_the_unfiltered_reference_over_seeded_trees() {
+    /// Three seeded data sets of different shape, each with the S2T
+    /// parameters of its scale.
+    fn seeded_sets() -> [(&'static str, Vec<Trajectory>, S2TParams); 3] {
         use hermes_datagen::{
             AircraftScenarioBuilder, MaritimeScenarioBuilder, UrbanScenarioBuilder,
         };
@@ -1233,7 +1275,7 @@ mod tests {
             min_duration_ms: min_ms,
             ..S2TParams::default()
         };
-        let sets = [
+        [
             (
                 "aircraft",
                 AircraftScenarioBuilder {
@@ -1277,19 +1319,28 @@ mod tests {
                 .trajectories,
                 s2t(800.0, 2_500.0, 10 * 60_000),
             ),
-        ];
+        ]
+    }
+
+    /// The ReTraTree of a seeded set: half-hour chunks, two sub-chunks each.
+    fn seeded_tree(trajectories: &[Trajectory], s2t: &S2TParams) -> ReTraTree {
+        ReTraTree::build_from(
+            ReTraTreeParams {
+                chunk_duration: Duration::from_mins(30),
+                subchunks_per_chunk: 2,
+                reorg_page_threshold: 4,
+                buffer_frames: 64,
+                s2t: s2t.clone(),
+            },
+            trajectories,
+        )
+    }
+
+    #[test]
+    fn merge_matches_the_unfiltered_reference_over_seeded_trees() {
         let (mut skipped_somewhere, mut merged_somewhere) = (false, false);
-        for (name, trajectories, s2t) in sets {
-            let tree = ReTraTree::build_from(
-                ReTraTreeParams {
-                    chunk_duration: Duration::from_mins(30),
-                    subchunks_per_chunk: 2,
-                    reorg_page_threshold: 4,
-                    buffer_frames: 64,
-                    s2t: s2t.clone(),
-                },
-                &trajectories,
-            );
+        for (name, trajectories, s2t) in seeded_sets() {
+            let tree = seeded_tree(&trajectories, &s2t);
             let partial = qut_partial_with(
                 &tree,
                 &OwnedSlice::ALL,
@@ -1338,7 +1389,7 @@ mod tests {
                     assert_eq!(merges, expected_merges, "{context}");
                     assert_eq!(got, expected, "{context}");
                     for (a, b) in got.iter().zip(&expected) {
-                        let bits = |c: &Cluster| -> Vec<u64> {
+                        let bits = |c: &QutCluster| -> Vec<u64> {
                             c.member_distances.iter().map(|d| d.to_bits()).collect()
                         };
                         assert_eq!(bits(a), bits(b), "{context}");
@@ -1357,7 +1408,7 @@ mod tests {
         // from the origin, so only the slack keeps the test from deciding.
         let g = 1_234.567_8;
         let (x0, y0) = (4.0e6, 7.5e6);
-        let rep = |id: u64, pts: [(f64, f64, i64); 2]| Cluster {
+        let rep = |id: u64, pts: [(f64, f64, i64); 2]| QutCluster {
             id: 0,
             representative: SubTrajectory::from_points(
                 hermes_trajectory::SubTrajectoryId::new(id, 0),
@@ -1434,7 +1485,7 @@ mod tests {
             .collect()
     }
 
-    fn assert_bit_identical(a: &ClusteringResult, b: &ClusteringResult, context: &str) {
+    fn assert_bit_identical(a: &QutResult, b: &QutResult, context: &str) {
         assert_eq!(a, b, "{context}");
         // `==` on f64 lets 0.0 pass for -0.0; the rendering does not.
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "{context}");
@@ -1570,7 +1621,7 @@ mod tests {
             // Decoded, not cloned: a clone would start with `base`'s fill.
             let tree = decoded(&encoded);
             let barrier = std::sync::Barrier::new(2);
-            let answers: Vec<(ClusteringResult, QutStats)> = std::thread::scope(|scope| {
+            let answers: Vec<(QutResult, QutStats)> = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..2)
                     .map(|_| {
                         scope.spawn(|| {
@@ -1590,6 +1641,314 @@ mod tests {
             }
             assert_eq!(entry_distances(&tree), entry_distances(&base));
         }
+    }
+
+    /// The covered branch as it was before level 3 kept summaries: every
+    /// member and outlier record is read a page run at a time, decoded and
+    /// then summarised, and every distance is taken from the decoded body —
+    /// nothing of the entry's derived state is consulted. The oracle of the
+    /// sweeps below; a border sub-chunk takes the shipped path.
+    fn answer_subchunk_reference(
+        tree: &ReTraTree,
+        sc: &SubChunk,
+        w: &TimeInterval,
+        params: &QutParams,
+        exec: &Executor,
+    ) -> SubChunkAnswer {
+        if !w.contains_interval(&sc.interval) {
+            return answer_subchunk(tree, sc, w, params, exec);
+        }
+        let mut answer = SubChunkAnswer {
+            clusters: Vec::new(),
+            outliers: Vec::new(),
+            stats: QutStats::default(),
+        };
+        answer.stats.reused_subchunks += 1;
+        for entry in &sc.clusters {
+            let mut members = Vec::new();
+            let mut member_distances = Vec::new();
+            tree.store.read_run(entry.members(), |_, sub| {
+                let d = spatiotemporal_distance(&sub, &entry.representative);
+                member_distances.push(if d.is_finite() { d } else { f64::MAX });
+                members.push(SubTrajectorySummary::from(&sub));
+            });
+            answer.stats.loaded_sub_trajectories += members.len();
+            answer.clusters.push(Cluster {
+                id: 0,
+                representative: entry.representative.clone(),
+                representative_vote: entry.representative_vote,
+                members,
+                member_distances,
+            });
+        }
+        tree.store.read_run(sc.outliers(), |_, sub| {
+            answer.outliers.push(SubTrajectorySummary::from(&sub))
+        });
+        answer.stats.loaded_sub_trajectories += answer.outliers.len();
+        answer
+    }
+
+    /// [`qut_clustering`] with [`answer_subchunk_reference`] per sub-chunk.
+    fn qut_clustering_reference(
+        tree: &ReTraTree,
+        w: &TimeInterval,
+        params: &QutParams,
+    ) -> (QutResult, QutStats) {
+        let exec = Executor::serial();
+        let answers = owned_targets(tree, &OwnedSlice::ALL, w)
+            .into_iter()
+            .map(|sc| answer_subchunk_reference(tree, sc, w, params, &exec))
+            .collect();
+        merge_qut_partials(vec![fold_in_temporal_order(answers)], params)
+    }
+
+    fn counters(stats: &QutStats) -> [usize; 4] {
+        [
+            stats.reused_subchunks,
+            stats.reclustered_subchunks,
+            stats.loaded_sub_trajectories,
+            stats.merges,
+        ]
+    }
+
+    /// The shipped path, cold and then warm, against the reference: same
+    /// result, same distance bits, same counters.
+    fn assert_matches_reference(
+        tree: &ReTraTree,
+        w: &TimeInterval,
+        params: &QutParams,
+        context: &str,
+    ) {
+        let (cold, cold_stats) = qut_clustering(tree, w, params);
+        let (expected, expected_stats) = qut_clustering_reference(tree, w, params);
+        let (warm, warm_stats) = qut_clustering(tree, w, params);
+        for (got, stats, pass) in [(cold, cold_stats, "cold"), (warm, warm_stats, "warm")] {
+            assert_bit_identical(&got, &expected, &format!("{context}, {pass}"));
+            assert_eq!(
+                counters(&stats),
+                counters(&expected_stats),
+                "{context}, {pass}"
+            );
+        }
+    }
+
+    /// A grid-aligned window, one with both edges inside a sub-chunk, and
+    /// the one sub-chunk with the most level-3 entries.
+    fn sweep_windows(tree: &ReTraTree) -> [(&'static str, TimeInterval); 3] {
+        let span = tree.lifespan().expect("the tree holds data");
+        let sub = tree.subchunk_duration();
+        let busiest = tree
+            .chunks()
+            .flat_map(|chunk| &chunk.subchunks)
+            .max_by_key(|sc| sc.num_clusters())
+            .expect("the tree holds data");
+        assert!(busiest.num_clusters() > 0);
+        let mins = Duration::from_mins;
+        [
+            ("aligned", TimeInterval::new(span.start + sub, span.end)),
+            (
+                "unaligned",
+                TimeInterval::new(span.start + mins(7), span.end - mins(11)),
+            ),
+            ("single sub-chunk", busiest.interval),
+        ]
+    }
+
+    fn sweep_params(s2t: &S2TParams) -> [QutParams; 2] {
+        [
+            QutParams {
+                s2t: s2t.clone(),
+                ..QutParams::default()
+            },
+            QutParams {
+                s2t: S2TParams {
+                    tau: 0.5,
+                    delta: 0.1,
+                    ..s2t.clone()
+                },
+                merge_distance: 4.0 * s2t.epsilon,
+                merge_gap: Duration::from_mins(45),
+            },
+        ]
+    }
+
+    fn sweep_against_reference(tree: &ReTraTree, s2t: &S2TParams, context: &str) {
+        for (shape, w) in sweep_windows(tree) {
+            for (set, params) in sweep_params(s2t).iter().enumerate() {
+                let context = format!("{context}, {shape} window, parameter set {set}");
+                assert_matches_reference(tree, &w, params, &context);
+            }
+        }
+    }
+
+    /// Every summary level 3 holds, sub-chunk by sub-chunk: the outliers',
+    /// then each entry's members'.
+    fn level3_summaries(tree: &ReTraTree) -> Vec<Vec<Option<SubTrajectorySummary>>> {
+        tree.chunks()
+            .flat_map(|chunk| &chunk.subchunks)
+            .flat_map(|sc| {
+                std::iter::once(sc.outlier_summaries().to_vec()).chain(
+                    sc.clusters
+                        .iter()
+                        .map(|entry| entry.member_summaries().to_vec()),
+                )
+            })
+            .collect()
+    }
+
+    /// `(members, filled?)` of every level-3 entry, by sub-chunk and
+    /// representative.
+    fn entry_states(
+        tree: &ReTraTree,
+    ) -> std::collections::BTreeMap<(Timestamp, hermes_trajectory::SubTrajectoryId), (usize, bool)>
+    {
+        tree.chunks()
+            .flat_map(|chunk| &chunk.subchunks)
+            .flat_map(|sc| {
+                sc.clusters
+                    .iter()
+                    .map(move |entry| (sc.interval.start, entry))
+            })
+            .map(|(start, entry)| {
+                (
+                    (start, entry.representative.id),
+                    (
+                        entry.members().len(),
+                        entry.filled_member_distances().is_some(),
+                    ),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn covered_reads_match_the_body_reading_reference_over_seeded_trees() {
+        let (mut grew_filled, mut grew_unfilled) = (false, false);
+        for (name, trajectories, s2t) in seeded_sets() {
+            let tree = seeded_tree(&trajectories, &s2t);
+            let bytes = encoded(&tree);
+            assert!(entry_distances(&tree).iter().all(|(_, d)| d.is_none()));
+            sweep_against_reference(&tree, &s2t, &format!("{name}, fresh"));
+            assert_eq!(
+                encoded(&tree),
+                bytes,
+                "{name}: derived state is not encoded"
+            );
+
+            // Decoded: the summaries read back from the record headers are
+            // the ones insertion and reorganisation wrote, field by field.
+            let back = decoded(&bytes);
+            let summaries = level3_summaries(&back);
+            assert_eq!(summaries, level3_summaries(&tree), "{name}");
+            assert!(summaries.iter().flatten().all(Option::is_some), "{name}");
+            sweep_against_reference(&back, &s2t, &format!("{name}, decoded"));
+
+            // Two threads racing the first covered read of an unfilled tree.
+            let [(_, aligned), _, (_, single)] = sweep_windows(&tree);
+            let params = &sweep_params(&s2t)[0];
+            let (reference, reference_stats) = qut_clustering_reference(&back, &aligned, params);
+            let racing = decoded(&bytes);
+            let barrier = std::sync::Barrier::new(2);
+            let answers: Vec<(QutResult, QutStats)> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            barrier.wait();
+                            qut_clustering(&racing, &aligned, params)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for (result, stats) in &answers {
+                assert_bit_identical(result, &reference, &format!("{name}, racing"));
+                assert_eq!(counters(stats), counters(&reference_stats), "{name}");
+            }
+
+            // Inserts into filled and unfilled entries: fill one sub-chunk of
+            // an unfilled tree, then fly a twin of every third trajectory.
+            let mut grown = decoded(&bytes);
+            qut_clustering(&grown, &single, params);
+            let before = entry_states(&grown);
+            assert!(before.values().any(|&(_, filled)| filled), "{name}");
+            for t in trajectories.iter().step_by(3) {
+                let twin: Vec<Point> = t
+                    .points()
+                    .iter()
+                    .map(|p| Point::new(p.x + 1.0, p.y - 1.0, p.t))
+                    .collect();
+                grown.insert_trajectory(&Trajectory::new(t.id + 100_000, t.id, twin).unwrap());
+            }
+            let after = entry_states(&grown);
+            let grew = |filled: bool| {
+                before
+                    .iter()
+                    .any(|(key, &(members, was))| was == filled && after[key].0 > members)
+            };
+            assert!(grown.stats().assigned_to_existing > tree.stats().assigned_to_existing);
+            grew_filled |= grew(true);
+            grew_unfilled |= grew(false);
+            sweep_against_reference(&grown, &s2t, &format!("{name}, after inserts"));
+
+            // A reorganisation adds entries and replaces every outlier list.
+            let entries = grown.total_clusters();
+            assert!(grown.reorganize_all(1) > 0, "{name}");
+            assert!(grown.total_clusters() > entries, "{name}");
+            sweep_against_reference(&grown, &s2t, &format!("{name}, reorganised"));
+            let back = decoded(&encoded(&grown));
+            assert_eq!(level3_summaries(&back), level3_summaries(&grown), "{name}");
+            sweep_against_reference(&back, &s2t, &format!("{name}, reorganised, decoded"));
+        }
+        assert!(grew_filled, "no insert into a filled entry");
+        assert!(grew_unfilled, "no insert into an unfilled entry");
+    }
+
+    #[test]
+    fn an_unreadable_member_is_skipped_and_its_slot_never_looked_at() {
+        let w = TimeInterval::new(Timestamp(0), Timestamp(4 * 3_600_000));
+        let params = qut_params();
+        let mut tree = clustered_three_hour_tree();
+        let (whole, whole_stats) = qut_clustering_reference(&tree, &w, &params);
+
+        // The tree never deletes a record of a live partition, so only a
+        // snapshot can hold a member that does not read. Make one: tombstone
+        // the second member of the first entry that has three.
+        let entry_of = |tree: &ReTraTree| -> ClusterEntry {
+            tree.chunks()
+                .flat_map(|chunk| &chunk.subchunks)
+                .flat_map(|sc| &sc.clusters)
+                .find(|entry| entry.members().len() >= 3)
+                .expect("an entry with three members")
+                .clone()
+        };
+        let victim = entry_of(&tree).members()[1];
+        assert!(tree.store.delete(victim).unwrap());
+        let mut back = decoded(&encoded(&tree));
+        let summaries = entry_of(&back).member_summaries().to_vec();
+        assert!(summaries[1].is_none());
+        assert!(summaries[0].is_some() && summaries[2].is_some());
+
+        for pass in ["first read", "second read"] {
+            assert_matches_reference(&back, &w, &params, pass);
+            let (got, stats) = qut_clustering(&back, &w, &params);
+            assert_eq!(
+                stats.loaded_sub_trajectories,
+                whole_stats.loaded_sub_trajectories - 1
+            );
+            assert_eq!(
+                got.total_sub_trajectories(),
+                whole.total_sub_trajectories() - 1
+            );
+        }
+        let filled = entry_of(&back);
+        let distances = filled.filled_member_distances().expect("filled above");
+        assert_eq!(distances[1], f64::MAX, "the slot is kept and never read");
+        assert!(distances[0] < f64::MAX && distances[2] < f64::MAX);
+
+        // The slots stay aligned when the entry grows.
+        back.insert_trajectory(&traj(900, 42.0, 0, 3 * 3_600_000 - 100_000));
+        assert!(entry_of(&back).members().len() > summaries.len());
+        assert_matches_reference(&back, &w, &params, "after an insert");
     }
 
     #[test]

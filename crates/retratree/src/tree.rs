@@ -2,15 +2,15 @@
 //! threshold-triggered maintenance loop of the paper's architecture (Fig. 2).
 
 use crate::memo::{BorderMemo, BorderMemoStats};
-use crate::node::{Chunk, ClusterEntry, SubChunk};
+use crate::node::{Chunk, ClusterEntry, StoredRecords, SubChunk};
 use crate::params::ReTraTreeParams;
 use crate::qut::OwnedSlice;
 use hermes_exec::Executor;
 use hermes_s2t::{run_s2t_with, trajectories_from_subs, S2TOutcome};
 use hermes_storage::{PartitionKind, PartitionStore, RecordLocator};
 use hermes_trajectory::{
-    spatiotemporal_distance, Duration, SubTrajectory, SubTrajectoryId, TimeInterval, Timestamp,
-    Trajectory,
+    spatiotemporal_distance, Duration, SubTrajectory, SubTrajectoryId, SubTrajectorySummary,
+    TimeInterval, Timestamp, Trajectory,
 };
 use std::collections::BTreeMap;
 
@@ -202,6 +202,7 @@ impl ReTraTree {
             }
         }
 
+        let summary = SubTrajectorySummary::from(&sub);
         match best {
             Some((ci, d)) => {
                 let partition = sc.clusters[ci].partition;
@@ -211,7 +212,7 @@ impl ReTraTree {
                     .expect("cluster partition exists");
                 let chunk = self.chunks.get_mut(&chunk_key).unwrap();
                 let sc = &mut chunk.subchunks[sc_index];
-                sc.clusters[ci].push_member(loc, d);
+                sc.clusters[ci].push_member(loc, summary, d);
                 sc.index.insert(sub.mbb(), loc);
                 self.stats.assigned_to_existing += 1;
             }
@@ -223,7 +224,7 @@ impl ReTraTree {
                     .expect("outlier partition exists");
                 let chunk = self.chunks.get_mut(&chunk_key).unwrap();
                 let sc = &mut chunk.subchunks[sc_index];
-                sc.outliers.push(loc);
+                sc.push_outlier(loc, summary);
                 sc.index.insert(sub.mbb(), loc);
                 self.stats.parked_as_outliers += 1;
 
@@ -260,9 +261,9 @@ impl ReTraTree {
         exec: &Executor,
     ) -> S2TOutcome {
         let sc = &self.chunks[&chunk_key].subchunks[sc_index];
-        let mut outlier_subs = Vec::with_capacity(sc.outliers.len());
+        let mut outlier_subs = Vec::with_capacity(sc.outliers().len());
         self.store
-            .read_run(&sc.outliers, |_, sub| outlier_subs.push(sub));
+            .read_run(sc.outliers(), |_, sub| outlier_subs.push(sub));
         let trajs = trajectories_from_subs(&outlier_subs);
         run_s2t_with(&trajs, &self.params.s2t, exec)
     }
@@ -280,7 +281,7 @@ impl ReTraTree {
         // 3. Rebuild the sub-chunk's outlier partition and add the promoted
         //    representatives with their member partitions.
         let new_outlier_partition = self.store.create_partition(PartitionKind::Outliers);
-        let mut new_outliers: Vec<RecordLocator> = Vec::new();
+        let mut new_outliers = StoredRecords::default();
         let mut new_entries: Vec<ClusterEntry> = Vec::new();
         let mut new_index_entries: Vec<(hermes_trajectory::Mbb, RecordLocator)> = Vec::new();
 
@@ -293,13 +294,13 @@ impl ReTraTree {
                 .append(partition, &cluster.representative)
                 .expect("new cluster partition exists");
             new_index_entries.push((cluster.representative.mbb(), rep_loc));
-            let mut members = Vec::with_capacity(cluster.members.len());
+            let mut members = StoredRecords::default();
             for member in &cluster.members {
                 let loc = self
                     .store
                     .append(partition, member)
                     .expect("new cluster partition exists");
-                members.push(loc);
+                members.push(loc, Some(member.into()));
                 new_index_entries.push((member.mbb(), loc));
             }
             self.stats.promoted_representatives += 1;
@@ -316,7 +317,7 @@ impl ReTraTree {
                 .store
                 .append(new_outlier_partition, outlier)
                 .expect("new outlier partition exists");
-            new_outliers.push(loc);
+            new_outliers.push(loc, Some(outlier.into()));
             new_index_entries.push((outlier.mbb(), loc));
         }
 
@@ -333,8 +334,7 @@ impl ReTraTree {
             }
         }
         sc.clusters.extend(new_entries);
-        sc.outlier_partition = new_outlier_partition;
-        sc.outliers = new_outliers;
+        sc.replace_outliers(new_outlier_partition, new_outliers);
         sc.index.rebuild(new_index_entries);
 
         // 5. Drop the old outlier partition.
@@ -420,7 +420,7 @@ impl ReTraTree {
                     .subchunks
                     .iter()
                     .enumerate()
-                    .filter(|(_, sc)| sc.outliers.len() >= min_outliers.max(1))
+                    .filter(|(_, sc)| sc.outliers().len() >= min_outliers.max(1))
                     .map(move |(i, _)| (key, i))
                     .collect::<Vec<_>>()
             })
@@ -634,7 +634,7 @@ mod tests {
                     assert_eq!(a.partition, b.partition);
                     assert_eq!(a.members(), b.members());
                 }
-                assert_eq!(ss.outliers, ps.outliers);
+                assert_eq!(ss.outliers(), ps.outliers());
             }
         }
     }

@@ -9,14 +9,20 @@
 use crate::params::S2TParams;
 use crate::segmentation::VotedSubTrajectory;
 use hermes_exec::Executor;
-use hermes_trajectory::{spatiotemporal_distance, SubTrajectory, TimeInterval};
+use hermes_trajectory::{spatiotemporal_distance, Lifespan, SubTrajectory, TimeInterval};
 
 /// Identifier of a cluster within one clustering result.
 pub type ClusterId = usize;
 
 /// A cluster: one representative plus the members grouped around it.
+///
+/// `M` is what the cluster keeps of each member. A clustering run keeps the
+/// sub-trajectories themselves (the default); a window answer assembled from
+/// an index keeps a [`hermes_trajectory::SubTrajectorySummary`] — identity
+/// and lifespan are all a result frame reads of a member. The representative
+/// is a full sub-trajectory either way: distances are taken against it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Cluster {
+pub struct Cluster<M = SubTrajectory> {
     /// Identifier of the cluster (its index in the result).
     pub id: ClusterId,
     /// The representative (seed) sub-trajectory.
@@ -25,13 +31,13 @@ pub struct Cluster {
     pub representative_vote: f64,
     /// The members assigned to this representative (the representative
     /// itself is not repeated here).
-    pub members: Vec<SubTrajectory>,
+    pub members: Vec<M>,
     /// Distance of each member to the representative (same order as
     /// `members`).
     pub member_distances: Vec<f64>,
 }
 
-impl Cluster {
+impl<M> Cluster<M> {
     /// Number of sub-trajectories in the cluster, counting the representative.
     pub fn size(&self) -> usize {
         self.members.len() + 1
@@ -45,7 +51,9 @@ impl Cluster {
             self.member_distances.iter().sum::<f64>() / self.member_distances.len() as f64
         }
     }
+}
 
+impl<M: Lifespan> Cluster<M> {
     /// Temporal extent covered by the cluster (union of member lifespans).
     pub fn lifespan(&self) -> TimeInterval {
         let mut span = self.representative.lifespan();
@@ -56,16 +64,27 @@ impl Cluster {
     }
 }
 
-/// The outcome of a (sub-)trajectory clustering run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ClusteringResult {
+/// The outcome of a (sub-)trajectory clustering run, members and outliers
+/// kept as `M` (see [`Cluster`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClusteringResult<M = SubTrajectory> {
     /// The discovered clusters.
-    pub clusters: Vec<Cluster>,
+    pub clusters: Vec<Cluster<M>>,
     /// Sub-trajectories that fit no cluster.
-    pub outliers: Vec<SubTrajectory>,
+    pub outliers: Vec<M>,
 }
 
-impl ClusteringResult {
+// Manual impl: the derive would ask for `M: Default`.
+impl<M> Default for ClusteringResult<M> {
+    fn default() -> Self {
+        ClusteringResult {
+            clusters: Vec::new(),
+            outliers: Vec::new(),
+        }
+    }
+}
+
+impl<M> ClusteringResult<M> {
     /// Number of clusters.
     pub fn num_clusters(&self) -> usize {
         self.clusters.len()
@@ -90,10 +109,12 @@ impl ClusteringResult {
             1.0 - self.outliers.len() as f64 / total as f64
         }
     }
+}
 
+impl<M: Lifespan + Clone> ClusteringResult<M> {
     /// Restricts the result to clusters and outliers that temporally
     /// intersect `w` (used by QuT when assembling a window answer).
-    pub fn restrict_to_window(&self, w: &TimeInterval) -> ClusteringResult {
+    pub fn restrict_to_window(&self, w: &TimeInterval) -> ClusteringResult<M> {
         let clusters = self
             .clusters
             .iter()

@@ -21,10 +21,13 @@
 //! server's `bytes_in`/`bytes_out` metrics.
 
 use hermes_obs::TraceContext;
-use hermes_retratree::{QutPartial, QutStats};
-use hermes_s2t::{Cluster, KernelCounters, S2TPhaseTimings};
+use hermes_retratree::{QutCluster, QutPartial, QutStats};
+use hermes_s2t::{KernelCounters, S2TPhaseTimings};
 use hermes_sql::{ColumnDef, CommandStatus, CommandTag, Frame, QueryOutcome, Value, ValueType};
-use hermes_trajectory::{Point, SubTrajectory, SubTrajectoryId, Timestamp, Trajectory};
+use hermes_trajectory::{
+    Point, SubTrajectory, SubTrajectoryId, SubTrajectorySummary, TimeInterval, Timestamp,
+    Trajectory,
+};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -49,7 +52,12 @@ pub const MAX_MESSAGE_BYTES: u32 = 64 * 1024 * 1024;
 /// v5 prefixed the error-response payload with a one-byte [`ErrorCode`]
 /// (query / protocol / capacity / backpressure / deadline) so clients can
 /// distinguish admission-control rejections from statement failures.
-pub const PROTOCOL_VERSION: u16 = 5;
+///
+/// v6 made the members and outliers of a shard partial 44-byte summaries
+/// (identity + lifespan) instead of whole sub-trajectories: a window answer
+/// reads nothing else of them. Representatives still travel with their
+/// points — the coordinator's boundary merge takes distances between them.
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Magic bytes opening the connection preamble.
 pub const HANDSHAKE_MAGIC: [u8; 4] = *b"HRMS";
@@ -607,11 +615,18 @@ fn read_sub_trajectory(r: &mut Reader<'_>) -> Result<SubTrajectory, DecodeError>
             "sub-trajectory {id_trajectory}@{id_offset} has {n} points (minimum is 2)"
         )));
     }
-    let mut points = Vec::with_capacity(n.min(1 << 20));
+    let mut points: Vec<Point> = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
         let x = r.f64()?;
         let y = r.f64()?;
         let t = Timestamp(r.i64()?);
+        // Checked here so that `lifespan()` cannot panic on a peer's bytes.
+        if points.last().is_some_and(|previous| t < previous.t) {
+            return Err(DecodeError(format!(
+                "sub-trajectory {id_trajectory}@{id_offset} runs backwards in time at point {}",
+                points.len()
+            )));
+        }
         points.push(Point::new(x, y, t));
     }
     Ok(SubTrajectory::from_points(
@@ -622,33 +637,63 @@ fn read_sub_trajectory(r: &mut Reader<'_>) -> Result<SubTrajectory, DecodeError>
     ))
 }
 
-fn write_cluster(w: &mut Writer, c: &Cluster) {
+/// A member or outlier of a shard partial: 44 bytes, no points.
+fn write_summary(w: &mut Writer, s: &SubTrajectorySummary) {
+    w.u64(s.id.trajectory_id);
+    w.u32(s.id.offset);
+    w.u64(s.trajectory_id);
+    w.u64(s.object_id);
+    w.i64(s.lifespan.start.millis());
+    w.i64(s.lifespan.end.millis());
+}
+
+fn read_summary(r: &mut Reader<'_>) -> Result<SubTrajectorySummary, DecodeError> {
+    let id = SubTrajectoryId::new(r.u64()?, r.u32()?);
+    let trajectory_id = r.u64()?;
+    let object_id = r.u64()?;
+    let (start, end) = (Timestamp(r.i64()?), Timestamp(r.i64()?));
+    if start > end {
+        return Err(DecodeError(format!(
+            "summary of sub-trajectory {id} ends at {} before it starts at {}",
+            end.millis(),
+            start.millis()
+        )));
+    }
+    Ok(SubTrajectorySummary {
+        id,
+        trajectory_id,
+        object_id,
+        lifespan: TimeInterval::new(start, end),
+    })
+}
+
+fn write_cluster(w: &mut Writer, c: &QutCluster) {
     w.u64(c.id as u64);
     write_sub_trajectory(w, &c.representative);
     w.f64(c.representative_vote);
     w.u32(c.members.len() as u32);
     for m in &c.members {
-        write_sub_trajectory(w, m);
+        write_summary(w, m);
     }
     for d in &c.member_distances {
         w.f64(*d);
     }
 }
 
-fn read_cluster(r: &mut Reader<'_>) -> Result<Cluster, DecodeError> {
+fn read_cluster(r: &mut Reader<'_>) -> Result<QutCluster, DecodeError> {
     let id = r.u64()? as usize;
     let representative = read_sub_trajectory(r)?;
     let representative_vote = r.f64()?;
     let n = r.u32()? as usize;
     let mut members = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
-        members.push(read_sub_trajectory(r)?);
+        members.push(read_summary(r)?);
     }
     let mut member_distances = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
         member_distances.push(r.f64()?);
     }
-    Ok(Cluster {
+    Ok(QutCluster {
         id,
         representative,
         representative_vote,
@@ -664,7 +709,7 @@ fn write_qut_partial(w: &mut Writer, p: &QutPartial) {
     }
     w.u32(p.outliers.len() as u32);
     for o in &p.outliers {
-        write_sub_trajectory(w, o);
+        write_summary(w, o);
     }
     w.u64(p.stats.reused_subchunks as u64);
     w.u64(p.stats.reclustered_subchunks as u64);
@@ -689,7 +734,7 @@ fn read_qut_partial(r: &mut Reader<'_>) -> Result<QutPartial, DecodeError> {
     let noutliers = r.u32()? as usize;
     let mut outliers = Vec::with_capacity(noutliers.min(1 << 16));
     for _ in 0..noutliers {
-        outliers.push(read_sub_trajectory(r)?);
+        outliers.push(read_summary(r)?);
     }
     let stats = QutStats {
         reused_subchunks: r.u64()? as usize,
@@ -1194,14 +1239,14 @@ mod tests {
     fn sample_partial() -> QutPartial {
         QutPartial {
             clusters: vec![
-                Cluster {
+                QutCluster {
                     id: 0,
                     representative: sub(1, 0),
                     representative_vote: 4.25,
-                    members: vec![sub(2, 3), sub(3, 0)],
+                    members: vec![(&sub(2, 3)).into(), (&sub(3, 0)).into()],
                     member_distances: vec![12.5, f64::MAX],
                 },
-                Cluster {
+                QutCluster {
                     id: 1,
                     representative: sub(4, 7),
                     representative_vote: 1.0,
@@ -1209,7 +1254,7 @@ mod tests {
                     member_distances: Vec::new(),
                 },
             ],
-            outliers: vec![sub(9, 2)],
+            outliers: vec![(&sub(9, 2)).into()],
             stats: QutStats {
                 reused_subchunks: 3,
                 reclustered_subchunks: 1,
@@ -1443,6 +1488,50 @@ mod tests {
         w.f64(0.0);
         w.i64(0);
         assert!(read_sub_trajectory(&mut Reader::new(&w.buf)).is_err());
+    }
+
+    #[test]
+    fn a_partial_that_runs_backwards_in_time_is_a_decode_error_not_a_panic() {
+        let mut valid = Vec::new();
+        write_response(&mut valid, &Response::QutPartial(sample_partial())).unwrap();
+        assert!(read_response(&mut valid.as_slice()).is_ok());
+        // Layout of the frame up to the first member (docs/PROTOCOL.md):
+        // length u32, kind u8, cluster count u32, cluster id u64, then the
+        // representative — a 32-byte header and four 24-byte points, `t`
+        // last in each — its vote f64, the member count u32, and the first
+        // 44-byte summary, which ends with `start` and `end`.
+        const REPRESENTATIVE_POINTS: usize = 4 + 1 + 4 + 8 + 32;
+        const MEMBER_COUNT: usize = REPRESENTATIVE_POINTS + 4 * 24 + 8;
+        const FIRST_SUMMARY: usize = MEMBER_COUNT + 4;
+        let with = |at: usize, bytes: &[u8]| {
+            let mut frame = valid.clone();
+            frame[at..at + bytes.len()].copy_from_slice(bytes);
+            frame
+        };
+        let cases = [
+            (
+                "runs backwards in time",
+                // The representative's last point, moved before the third.
+                with(REPRESENTATIVE_POINTS + 3 * 24 + 16, &999i64.to_be_bytes()),
+            ),
+            (
+                "before it starts",
+                // The first member's `end`, moved before its `start` (0).
+                with(FIRST_SUMMARY + 36, &(-1i64).to_be_bytes()),
+            ),
+            (
+                // A member count the payload cannot hold: refused at the
+                // first bytes that are no summary or when they run out,
+                // whichever comes first — not allocated for up front.
+                "",
+                with(MEMBER_COUNT, &u32::MAX.to_be_bytes()),
+            ),
+        ];
+        for (what, frame) in cases {
+            let err = read_response(&mut frame.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains(what), "{what}: {err}");
+        }
     }
 
     #[test]

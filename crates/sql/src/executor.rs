@@ -8,7 +8,7 @@ use crate::value::{Value, ValueType};
 use hermes_core::{DatasetInfo, EngineError, ExecPolicy, HermesEngine};
 use hermes_retratree::{OwnedSlice, QutParams, QutStats, ReTraTreeParams};
 use hermes_s2t::{ClusteringResult, S2TParams};
-use hermes_trajectory::{Duration, TimeInterval, Timestamp};
+use hermes_trajectory::{Duration, Lifespan, TimeInterval, Timestamp};
 use std::fmt;
 
 /// Errors produced while executing a statement.
@@ -64,9 +64,13 @@ fn push(frame: &mut Frame, row: Vec<Value>) {
 /// One row per cluster plus a trailing outlier row (`cluster = -1`, matching
 /// the histogram's outlier label), with window bounds as real timestamps.
 ///
+/// Reads of a member its lifespan and nothing else, so it renders a window
+/// answer that carries summaries and a clustering run that carries the
+/// sub-trajectories alike.
+///
 /// Public so a coordinator that assembles a [`ClusteringResult`] from shard
 /// partials can render the exact frame a single-node engine would produce.
-pub fn clusters_frame(result: &ClusteringResult) -> Frame {
+pub fn clusters_frame<M: Lifespan>(result: &ClusteringResult<M>) -> Frame {
     let mut frame = Frame::with_columns(&[
         ("cluster", ValueType::Int),
         ("representative", ValueType::Int),
@@ -123,7 +127,7 @@ pub fn s2t_stats_frame(result: &ClusteringResult, elapsed_ms: f64) -> Frame {
 
 /// The `\timing` companion of a window (QuT / rebuild) run, including the
 /// reuse counters that make the QuT-vs-rebuild tradeoff visible.
-pub fn qut_stats_frame(result: &ClusteringResult, stats: &QutStats) -> Frame {
+pub fn qut_stats_frame<M>(result: &ClusteringResult<M>, stats: &QutStats) -> Frame {
     let mut frame = Frame::with_columns(&[
         ("elapsed_ms", ValueType::Float),
         ("clusters", ValueType::Int),
@@ -585,7 +589,7 @@ pub fn range_frame(count: usize) -> Frame {
 
 /// Renders the `HISTOGRAM` answer frame (one row per bucket × cluster, plus a
 /// `cluster = -1` outlier row per bucket) from an assembled window clustering.
-pub fn histogram_frame(result: &ClusteringResult, bucket_ms: i64) -> Frame {
+pub fn histogram_frame<M: Lifespan>(result: &ClusteringResult<M>, bucket_ms: i64) -> Frame {
     let hist = hermes_va::time_histogram(result, Duration::from_millis(bucket_ms));
     let mut frame = Frame::with_columns(&[
         ("bucket_start", ValueType::Timestamp),

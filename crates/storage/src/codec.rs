@@ -17,7 +17,10 @@
 
 use crate::error::StorageError;
 use crate::Result;
-use hermes_trajectory::{Point, SubTrajectory, SubTrajectoryId, Timestamp, Trajectory};
+use hermes_trajectory::{
+    Point, SubTrajectory, SubTrajectoryId, SubTrajectorySummary, TimeInterval, Timestamp,
+    Trajectory,
+};
 
 /// An append-only little-endian encoder: the writing half of the byte-level
 /// codec shared by every durable format (snapshot bodies, WAL records, the
@@ -296,6 +299,36 @@ pub(crate) fn sub_trajectory_point_count(bytes: &[u8]) -> Result<usize> {
     split_sub_trajectory(bytes).map(|(header, _)| header.count)
 }
 
+/// The summary of a record — its header and the times of its first and last
+/// point — after the same validation [`decode_sub_trajectory`] applies, read
+/// in place: no point is decoded and nothing is allocated. A record whose
+/// last point precedes its first has no lifespan and is corrupt here.
+pub(crate) fn sub_trajectory_summary(bytes: &[u8]) -> Result<SubTrajectorySummary> {
+    let (header, payload) = split_sub_trajectory(bytes)?;
+    let time_of = |point: usize| {
+        let at = point * 24 + 16;
+        let t: [u8; 8] = payload[at..at + 8].try_into().expect("inside the payload");
+        Timestamp(i64::from_le_bytes(t))
+    };
+    let (start, end) = (time_of(0), time_of(header.count - 1));
+    if start > end {
+        return Err(StorageError::Corrupt {
+            reason: format!(
+                "sub-trajectory {} ends at {} before it starts at {}",
+                header.id,
+                end.millis(),
+                start.millis()
+            ),
+        });
+    }
+    Ok(SubTrajectorySummary {
+        id: header.id,
+        trajectory_id: header.trajectory_id,
+        object_id: header.object_id,
+        lifespan: TimeInterval::new(start, end),
+    })
+}
+
 /// Decodes a sub-trajectory previously produced by [`encode_sub_trajectory`].
 pub fn decode_sub_trajectory(bytes: &[u8]) -> Result<SubTrajectory> {
     let (header, payload) = split_sub_trajectory(bytes)?;
@@ -417,6 +450,32 @@ mod tests {
         ));
         assert!(matches!(
             decode_sub_trajectory(&bytes[..bytes.len() - 4]),
+            Err(StorageError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn a_summary_is_read_where_a_decode_would_succeed() {
+        let sub = sample();
+        let bytes = encode_sub_trajectory(&sub);
+        assert_eq!(
+            sub_trajectory_summary(&bytes).unwrap(),
+            SubTrajectorySummary::from(&sub)
+        );
+        for cut in [10, bytes.len() - 4] {
+            assert!(matches!(
+                sub_trajectory_summary(&bytes[..cut]),
+                Err(StorageError::Corrupt { .. })
+            ));
+        }
+        // A record that runs backwards in time decodes, but has no lifespan
+        // to summarise (`TimeInterval::new` would panic on it).
+        let mut backwards = bytes.clone();
+        let last_t = bytes.len() - 8;
+        backwards[last_t..].copy_from_slice(&999i64.to_le_bytes());
+        assert!(decode_sub_trajectory(&backwards).is_ok());
+        assert!(matches!(
+            sub_trajectory_summary(&backwards),
             Err(StorageError::Corrupt { .. })
         ));
     }

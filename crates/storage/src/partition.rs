@@ -7,13 +7,13 @@
 
 use crate::buffer::BufferPool;
 use crate::codec::{
-    decode_sub_trajectory, encode_sub_trajectory, sub_trajectory_point_count, ByteReader,
-    ByteWriter,
+    decode_sub_trajectory, encode_sub_trajectory, sub_trajectory_point_count,
+    sub_trajectory_summary, ByteReader, ByteWriter,
 };
 use crate::error::StorageError;
 use crate::page::{Page, PageId, SlotId, PAGE_SIZE};
 use crate::Result;
-use hermes_trajectory::SubTrajectory;
+use hermes_trajectory::{SubTrajectory, SubTrajectorySummary};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -318,6 +318,17 @@ impl PartitionStore {
     /// not a tombstone, well-formed record) but without decoding the points.
     pub fn point_count(&self, loc: RecordLocator) -> Result<Option<usize>> {
         self.with_record(loc, sub_trajectory_point_count)
+    }
+
+    /// The summary of the record at `loc` — header, first and last timestamp
+    /// — with the slot and the record checked exactly as
+    /// [`PartitionStore::point_count`] checks them; no point is decoded and
+    /// nothing is allocated. Read from the partition's own page, not through
+    /// the buffer pool: this is what an index is rebuilt from when a snapshot
+    /// opens (every record, once), not a query's access path.
+    pub fn summary(&self, loc: RecordLocator) -> Result<Option<SubTrajectorySummary>> {
+        let page = self.partition(loc.partition)?.page(loc.page)?;
+        record_in(page, loc, sub_trajectory_summary)
     }
 
     /// Deletes a record.
@@ -655,6 +666,34 @@ mod tests {
         assert_eq!(store.point_count(dead), Ok(None));
         let s = store.buffer().stats();
         assert_eq!((s.hits, s.misses), (2, 0), "counted like reads");
+    }
+
+    #[test]
+    fn a_summary_answers_where_a_read_answers_without_touching_the_pool() {
+        let mut store = PartitionStore::new(4, 16);
+        let pid = store.create_partition(PartitionKind::Cluster);
+        let live = store.append(pid, &sub(1, 5)).unwrap();
+        let dead = store.append(pid, &sub(2, 3)).unwrap();
+        store.delete(dead).unwrap();
+        // Everything `read` refuses, refused the same way.
+        let bad = [
+            RecordLocator { slot: 9, ..live },
+            RecordLocator { page: 7, ..live },
+            RecordLocator {
+                partition: 99,
+                ..live
+            },
+        ];
+        let read = store.read(live).unwrap().unwrap();
+        let refused = bad.map(|loc| store.read(loc).map(|_| None));
+        let before = store.buffer().stats();
+        assert_eq!(
+            store.summary(live),
+            Ok(Some(SubTrajectorySummary::from(&read)))
+        );
+        assert_eq!(store.summary(dead), Ok(None));
+        assert_eq!(bad.map(|loc| store.summary(loc)), refused);
+        assert_eq!(store.buffer().stats(), before, "not a pool access");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! pool's LRU index fits one `BTreeMap` node, an amortised few dozen bytes of
 //! index nodes beyond that (see `LRU_REKEY`). `PartitionStore::read_run`
 //! allocates per record exactly what `read` does, and per page nothing but
-//! that re-key.
+//! that re-key. `PartitionStore::summary` — the header read level 3 is
+//! rebuilt from — allocates nothing whatever the pool holds.
 //!
 //! The counters are **per-thread** (const-initialized thread-local `Cell`s,
 //! which themselves never allocate), so allocations made concurrently by the
@@ -205,6 +206,22 @@ fn counting_records_allocates_no_points() {
     assert!(store.buffer().len() > 64);
     let (_, bytes, _) = measure(&store, &locs, 1_000, count_points);
     assert!(bytes <= 1_000 * LRU_REKEY, "{bytes} B for 1000 counts");
+}
+
+#[test]
+fn a_summary_read_allocates_nothing() {
+    for frames in [256, 4] {
+        let (store, locs) = store_with_records(600, frames);
+        let before = store.buffer().stats();
+        let summarise = |store: &PartitionStore, loc| {
+            let summary = store.summary(loc).unwrap().unwrap();
+            // Records of `sub(id, n)` start at 0 and step one second.
+            (summary.lifespan.end.millis() / 1000) as usize + 1
+        };
+        let (allocs, bytes, _) = measure(&store, &locs, 1_000, summarise);
+        assert_eq!((allocs, bytes), (0, 0), "{frames} frames");
+        assert_eq!(store.buffer().stats(), before, "not a pool access");
+    }
 }
 
 #[test]

@@ -12,7 +12,8 @@
 //! * [`Segment`] — a straight-line movement between two consecutive samples,
 //! * [`Trajectory`] — the full history of one moving object,
 //! * [`SubTrajectory`] — a contiguous portion of a trajectory (the unit that
-//!   the S2T / QuT clustering algorithms group),
+//!   the S2T / QuT clustering algorithms group), and its
+//!   [`SubTrajectorySummary`] (identity + lifespan, no points),
 //! * distance functions (time-synchronized Euclidean, Hausdorff-style,
 //!   segment-to-trajectory) in [`distance`],
 //! * simplification and resampling utilities.
@@ -55,7 +56,7 @@ pub use point::Point;
 pub use segment::Segment;
 pub use simplify::douglas_peucker;
 pub use stats::TrajectoryStats;
-pub use subtrajectory::{SubTrajectory, SubTrajectoryId};
+pub use subtrajectory::{Lifespan, SubTrajectory, SubTrajectoryId, SubTrajectorySummary};
 pub use time::{Duration, TimeInterval, Timestamp};
 pub use trajectory::{ObjectId, Trajectory, TrajectoryBuilder, TrajectoryId};
 

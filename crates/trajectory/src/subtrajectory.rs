@@ -213,6 +213,52 @@ impl PartialEq for SubTrajectory {
     }
 }
 
+/// Anything that lives over a closed interval of the time axis — all a
+/// cluster needs to know of its members to report its own lifespan.
+pub trait Lifespan {
+    /// The interval from the first to the last instant.
+    fn lifespan(&self) -> TimeInterval;
+}
+
+impl Lifespan for SubTrajectory {
+    fn lifespan(&self) -> TimeInterval {
+        SubTrajectory::lifespan(self)
+    }
+}
+
+/// What a window answer says of a sub-trajectory it does not have to show:
+/// who it is and when it lived. A pure function of the record's header and
+/// its first and last sample, so an index can keep one beside each record
+/// locator and answer without reading the record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SubTrajectorySummary {
+    /// Stable identifier.
+    pub id: SubTrajectoryId,
+    /// Identifier of the parent trajectory.
+    pub trajectory_id: TrajectoryId,
+    /// The moving object.
+    pub object_id: ObjectId,
+    /// First to last sample time.
+    pub lifespan: TimeInterval,
+}
+
+impl From<&SubTrajectory> for SubTrajectorySummary {
+    fn from(sub: &SubTrajectory) -> Self {
+        SubTrajectorySummary {
+            id: sub.id,
+            trajectory_id: sub.trajectory_id,
+            object_id: sub.object_id,
+            lifespan: sub.lifespan(),
+        }
+    }
+}
+
+impl Lifespan for SubTrajectorySummary {
+    fn lifespan(&self) -> TimeInterval {
+        self.lifespan
+    }
+}
+
 impl fmt::Display for SubTrajectory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -282,6 +328,20 @@ mod tests {
         assert!(s
             .temporal_clip(&TimeInterval::new(Timestamp(10_000), Timestamp(20_000)))
             .is_none());
+    }
+
+    #[test]
+    fn a_summary_is_the_header_and_the_lifespan() {
+        let t = traj(&[(0.0, 0.0, 500), (1.0, 0.0, 1_000), (2.0, 0.0, 2_000)]);
+        let s = t.sub_trajectory(1, 3).unwrap();
+        let summary = SubTrajectorySummary::from(&s);
+        assert_eq!(summary.id, s.id);
+        assert_eq!(
+            (summary.trajectory_id, summary.object_id),
+            (s.trajectory_id, s.object_id)
+        );
+        assert_eq!(Lifespan::lifespan(&summary), s.lifespan());
+        assert_eq!(std::mem::size_of::<SubTrajectorySummary>(), 48);
     }
 
     #[test]

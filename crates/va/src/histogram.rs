@@ -4,7 +4,7 @@
 //! the same colors as the cluster members in the map".
 
 use hermes_s2t::ClusteringResult;
-use hermes_trajectory::{Duration, TimeInterval, Timestamp};
+use hermes_trajectory::{Duration, Lifespan, TimeInterval, Timestamp};
 use std::fmt::Write as _;
 
 /// A stacked time histogram: for each time bucket, how many members of each
@@ -58,8 +58,13 @@ impl TimeHistogram {
     }
 }
 
-/// Builds the stacked time histogram of a clustering result.
-pub fn time_histogram(result: &ClusteringResult, bucket_width: Duration) -> TimeHistogram {
+/// Builds the stacked time histogram of a clustering result. It reads one
+/// lifespan per member, so a result that carries summaries serves as well as
+/// one that carries the sub-trajectories.
+pub fn time_histogram<M: Lifespan>(
+    result: &ClusteringResult<M>,
+    bucket_width: Duration,
+) -> TimeHistogram {
     assert!(bucket_width.millis() > 0, "bucket width must be positive");
     // Overall extent.
     let mut extent: Option<TimeInterval> = None;
@@ -90,27 +95,25 @@ pub fn time_histogram(result: &ClusteringResult, bucket_width: Duration) -> Time
     let bucket_starts: Vec<Timestamp> = (0..num_buckets)
         .map(|i| Timestamp(first + i as i64 * width))
         .collect();
-    let bucket_of = |interval: TimeInterval| -> (usize, usize) {
+    // Counts one sub-trajectory alive over `interval` into `row`.
+    let count = |row: &mut [usize], interval: TimeInterval| {
         let lo = ((interval.start.millis() - first) / width) as usize;
         let hi = ((interval.end.millis() - first) / width) as usize;
-        (lo, hi.min(num_buckets - 1))
+        for slot in &mut row[lo..=hi.min(num_buckets - 1)] {
+            *slot += 1;
+        }
     };
 
     let mut counts = vec![vec![0usize; num_buckets]; result.clusters.len()];
-    for (ci, c) in result.clusters.iter().enumerate() {
-        for s in std::iter::once(&c.representative).chain(c.members.iter()) {
-            let (lo, hi) = bucket_of(s.lifespan());
-            for slot in &mut counts[ci][lo..=hi] {
-                *slot += 1;
-            }
+    for (row, c) in counts.iter_mut().zip(&result.clusters) {
+        count(row, c.representative.lifespan());
+        for m in &c.members {
+            count(row, m.lifespan());
         }
     }
     let mut outlier_counts = vec![0usize; num_buckets];
     for o in &result.outliers {
-        let (lo, hi) = bucket_of(o.lifespan());
-        for slot in &mut outlier_counts[lo..=hi] {
-            *slot += 1;
-        }
+        count(&mut outlier_counts, o.lifespan());
     }
 
     TimeHistogram {
@@ -197,7 +200,7 @@ mod tests {
 
     #[test]
     fn empty_result_gives_empty_histogram() {
-        let h = time_histogram(&ClusteringResult::default(), Duration::from_hours(1));
+        let h = time_histogram(&<ClusteringResult>::default(), Duration::from_hours(1));
         assert_eq!(h.num_buckets(), 0);
         assert!(h.peak_bucket().is_none());
         assert_eq!(h.to_csv().lines().count(), 1);

@@ -64,14 +64,15 @@ pub mod prelude {
         AircraftScenarioBuilder, MaritimeScenarioBuilder, NoiseModel, UrbanScenarioBuilder,
     };
     pub use hermes_exec::{ExecPolicy, Executor};
-    pub use hermes_retratree::{QutParams, ReTraTree, ReTraTreeParams};
+    pub use hermes_retratree::{QutParams, QutResult, ReTraTree, ReTraTreeParams};
     pub use hermes_s2t::{run_s2t, ClusteringQuality, ClusteringResult, S2TParams};
     pub use hermes_server::{ClientError, HermesClient};
     #[cfg(unix)]
     pub use hermes_server::{Server, ServerConfig};
     pub use hermes_sql::{Frame, QueryOutcome, Session, SqlError, Value, ValueType};
     pub use hermes_trajectory::{
-        Duration, Mbb, Point, SubTrajectory, TimeInterval, Timestamp, Trajectory,
+        Duration, Lifespan, Mbb, Point, SubTrajectory, SubTrajectorySummary, TimeInterval,
+        Timestamp, Trajectory,
     };
     pub use hermes_va::{cluster_map_svg, compare_runs, detect_holding_patterns, time_histogram};
 }

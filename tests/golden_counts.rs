@@ -13,6 +13,8 @@
 //! CHANGES.md next to the old value.
 
 use hermes::prelude::*;
+use hermes::retratree::OwnedSlice;
+use hermes::server::protocol::{write_response, Response};
 use hermes::sql;
 
 /// What one statement cost.
@@ -22,10 +24,12 @@ struct Work {
     loaded: usize,
     /// `QutStats::merges`.
     merges: usize,
-    /// Buffer-pool lookups, `hits + misses`, of the first run…
+    /// Buffer-pool lookups, `hits + misses`, of the first run: the border
+    /// loads, and the members of every covered entry no earlier statement
+    /// of this test filled (the fill is the entry's, not the statement's)…
     lookups: u64,
-    /// …and of the same statement again: what the border memo now answers
-    /// is no longer read record by record.
+    /// …and of the same statement again: the border memo answers the
+    /// borders and level 3 the covered sub-chunks, so a QUT reads no page.
     repeat_lookups: u64,
 }
 
@@ -158,27 +162,29 @@ fn golden_work_counts_of_the_qut_read_path() {
     };
 
     let got = [aligned, unaligned, histogram, range];
-    // Covered loads cost a lookup per page run (~4 records here), border
-    // loads and RANGE one per record; the repeat of the unaligned QUT saves
-    // exactly its 24 border loads.
+    // The first covered read of an entry costs a lookup per page run of its
+    // members (~4 records here) and outliers none; border loads and RANGE
+    // cost one per record. The unaligned QUT pays its 24 border loads and
+    // the fills the aligned one left over; by the HISTOGRAM every entry it
+    // covers is filled.
     const GOLDEN: [Work; 4] = [
         Work {
             loaded: 408,
             merges: 85,
-            lookups: 99,
-            repeat_lookups: 99,
+            lookups: 87,
+            repeat_lookups: 0,
         },
         Work {
             loaded: 847,
             merges: 194,
-            lookups: 234,
-            repeat_lookups: 210,
+            lookups: 123,
+            repeat_lookups: 0,
         },
         Work {
             loaded: 652,
             merges: 43,
-            lookups: 165,
-            repeat_lookups: 165,
+            lookups: 0,
+            repeat_lookups: 0,
         },
         Work {
             loaded: 493,
@@ -190,5 +196,49 @@ fn golden_work_counts_of_the_qut_read_path() {
     assert_eq!(
         got, GOLDEN,
         "update GOLDEN only if the change in work is intended"
+    );
+}
+
+/// What a spanning QUT costs on the wire: the encoded `Response::QutPartial`
+/// of each of two shards that split the data set at a sub-chunk boundary.
+/// Members and outliers travel as 44-byte summaries, representatives whole —
+/// and on this small tree one sub-trajectory in five is a representative
+/// (97 + 82 of the 920 carried), which is three quarters of these bytes.
+#[test]
+fn golden_bytes_of_a_spanning_qut_partial() {
+    let engine = engine();
+    let params = QutParams {
+        s2t: S2TParams {
+            tau: 0.35,
+            delta: 0.05,
+            min_duration_ms: 300_000,
+            ..engine.tree("data").unwrap().params().s2t.clone()
+        },
+        merge_distance: 6_000.0,
+        merge_gap: Duration::from_millis(1_800_000),
+    };
+    // Sub-chunks 2..=21 whole and a border at either end, cut after 12.
+    let w = TimeInterval::new(
+        Timestamp(SUBCHUNK_MS + 123_456),
+        Timestamp(22 * SUBCHUNK_MS + 234_567),
+    );
+    let cut = 13 * SUBCHUNK_MS;
+    let slices = [
+        OwnedSlice::new(i64::MIN, cut),
+        OwnedSlice::new(cut, i64::MAX),
+    ];
+    let got = slices.map(|owned| {
+        let partial = engine.run_qut_partial("data", &owned, &w, &params).unwrap();
+        let members: usize = partial.clusters.iter().map(|c| c.members.len()).sum();
+        let carried = partial.clusters.len() + members + partial.outliers.len();
+        let mut sink = std::io::sink();
+        let bytes = write_response(&mut sink, &Response::QutPartial(partial)).unwrap();
+        (carried, bytes)
+    });
+    // (sub-trajectories carried, encoded bytes) per slice.
+    const GOLDEN: [(usize, u64); 2] = [(504, 84_301), (416, 70_277)];
+    assert_eq!(
+        got, GOLDEN,
+        "update GOLDEN only if the change in bytes is intended"
     );
 }
