@@ -2,21 +2,21 @@
 //! PostgreSQL functions" claim (§III, preparatory phase), extended with the
 //! flat-hot-path comparison.
 //!
-//! Three voting implementations are measured on the seeded urban workload:
+//! Two voting implementations are measured on the seeded urban workload:
 //!
 //! * `arena`     — SoA `SegmentArena` + `PackedSegmentIndex` with the
 //!   batched SIMD kernel and the lower-bound pruning ladder (the hot path),
-//! * `indexed`   — the object-graph `SegmentIndex`/`RTree3D` path (what the
-//!   pipeline used before the arena landed),
 //! * `naive`     — the quadratic enumeration (the paper's baseline).
 //!
-//! (A fourth, the frozen PR 4 arena loop, was measured against `arena` —
-//! 1.2–1.4× — and deleted once recorded; see `docs/KERNELS.md`.)
+//! (Two more were measured against `arena` and deleted once recorded: a
+//! frozen copy of the first arena loop, 1.2–1.4×, and the object-graph
+//! R-tree path the pipeline used before the arena landed; see
+//! `docs/KERNELS.md`.)
 //!
-//! The correctness gate asserts all three produce **bit-identical votes**
-//! and that the full pipelines agree on clusters and outliers; the bench
-//! aborts on any mismatch. Timings (including the arena-vs-indexed voting
-//! speedup and per-phase pipeline breakdowns) are informational and land in
+//! The correctness gate asserts both produce **bit-identical votes** and
+//! that the full pipelines agree on clusters and outliers; the bench aborts
+//! on any mismatch. Timings (including the arena-vs-naive voting speedup and
+//! per-phase pipeline breakdowns) are informational and land in
 //! `BENCH_e1_s2t_vs_naive.json`.
 //!
 //! Env knobs: `HERMES_BENCH_QUICK=1` shrinks the sweep for CI smoke runs;
@@ -26,18 +26,16 @@ use hermes_bench::harness::{bench, bench_pair, report, JsonReport};
 use hermes_bench::{urban_s2t_params, urban_with};
 use hermes_exec::Executor;
 use hermes_s2t::{
-    arena_voting, arena_voting_counted_with, indexed_voting, naive_voting, run_s2t, run_s2t_naive,
-    PackedSegmentIndex, SegmentArena, SegmentIndex,
+    arena_voting, arena_voting_counted_with, naive_voting, run_s2t, run_s2t_naive,
+    PackedSegmentIndex, SegmentArena,
 };
 use hermes_trajectory::{mean_sync_distance_batch_at, simd_level, SimdLevel};
 
 fn main() {
     let quick = std::env::var("HERMES_BENCH_QUICK").is_ok_and(|v| v == "1");
     let params = urban_s2t_params();
-    // The first size is THE seeded urban dataset of the headline claim
-    // (arena voting ≥ 2× the pre-arena indexed path at 1 thread); the larger
-    // sizes chart how the advantage evolves as kernel work — identical in
-    // both paths — grows toward dominance.
+    // The first size is THE seeded urban dataset of the headline claim; the
+    // larger sizes chart how the advantage evolves as kernel work grows.
     let sizes: &[usize] = if quick { &[24] } else { &[24, 48, 96, 192] };
     let iters: u32 = if quick { 5 } else { 10 };
 
@@ -49,19 +47,13 @@ fn main() {
         let trajs = &scenario.trajectories;
         let label = |kind: &str| format!("{kind}/{}", trajs.len());
 
-        // --- Correctness gate: the three voting paths must agree bit for
-        // bit before any timing is trusted.
+        // --- Correctness gate: the two voting paths must agree bit for bit
+        // before any timing is trusted.
         let arena = SegmentArena::build(trajs);
         let packed = PackedSegmentIndex::build(&arena);
-        let legacy = SegmentIndex::build(trajs);
         let (via_arena, kernel) =
             arena_voting_counted_with(&arena, &packed, &params, &Executor::serial());
-        let via_indexed = indexed_voting(trajs, &legacy, &params);
         let via_naive = naive_voting(trajs, &params);
-        assert_eq!(
-            via_arena, via_indexed,
-            "arena voting diverged from the indexed reference"
-        );
         assert_eq!(
             via_arena, via_naive,
             "arena voting diverged from the naive reference"
@@ -77,17 +69,14 @@ fn main() {
             arena.num_segments()
         );
 
-        // --- Voting phase only: the hot path against the pre-arena path.
+        // --- Voting phase only: the hot path against the baseline.
         let s_arena_vote = bench(label("vote-arena"), iters, || {
             arena_voting(&arena, &packed, &params)
-        });
-        let s_indexed_vote = bench(label("vote-indexed"), iters, || {
-            indexed_voting(trajs, &legacy, &params)
         });
         let s_naive_vote = bench(label("vote-naive"), iters.min(3), || {
             naive_voting(trajs, &params)
         });
-        let voting_speedup = s_indexed_vote.median_ms / s_arena_vote.median_ms.max(1e-9);
+        let voting_speedup = s_naive_vote.median_ms / s_arena_vote.median_ms.max(1e-9);
 
         // --- Kernel floor in isolation: the batched distance kernel against
         // one query segment, scalar lanes vs the dispatched SIMD width. Only
@@ -176,14 +165,11 @@ fn main() {
         );
         let kernel_speedup = s_kernel_scalar.median_ms / s_kernel_simd.median_ms.max(1e-9);
 
-        // --- Index construction, both layouts.
+        // --- Index construction.
         let s_arena_build = bench(label("build-arena"), iters, || {
             let a = SegmentArena::build(trajs);
             let p = PackedSegmentIndex::build(&a);
             (a.num_segments(), p.len())
-        });
-        let s_legacy_build = bench(label("build-indexed"), iters, || {
-            SegmentIndex::build(trajs).len()
         });
 
         // --- Whole pipelines with phase breakdowns (the original E1 table).
@@ -198,7 +184,7 @@ fn main() {
             vec![
                 ("segments".into(), arena.num_segments() as f64),
                 ("threads".into(), 1.0),
-                ("speedup_vs_indexed".into(), voting_speedup),
+                ("speedup_vs_naive".into(), voting_speedup),
                 ("kernel_evaluated".into(), kernel.evaluated as f64),
                 ("kernel_pruned".into(), kernel.pruned as f64),
                 ("kernel_simd_speedup".into(), kernel_speedup),
@@ -209,10 +195,8 @@ fn main() {
         );
         json.push(s_kernel_simd.clone());
         json.push(s_kernel_scalar.clone());
-        json.push(s_indexed_vote.clone());
         json.push(s_naive_vote.clone());
         json.push(s_arena_build.clone());
-        json.push(s_legacy_build.clone());
         json.push_with(
             s_pipeline.clone(),
             vec![
@@ -226,7 +210,7 @@ fn main() {
         json.push(s_pipeline_naive.clone());
 
         eprintln!(
-            "voting speedup (arena vs pre-PR indexed, 1 thread, {} trajs): {:.2}x",
+            "voting speedup (arena vs naive, 1 thread, {} trajs): {:.2}x",
             trajs.len(),
             voting_speedup
         );
@@ -246,10 +230,8 @@ fn main() {
             s_arena_vote,
             s_kernel_simd,
             s_kernel_scalar,
-            s_indexed_vote,
             s_naive_vote,
             s_arena_build,
-            s_legacy_build,
             s_pipeline,
             s_pipeline_naive,
         ]);

@@ -5,8 +5,8 @@
 //! directory (formats normatively specified in `docs/STORAGE.md`):
 //!
 //! * `snapshot.hsnap` — the whole engine state (catalog, every dataset's
-//!   trajectories, every built ReTraTree including its partition pages and
-//!   leaf-index entry lists), wrapped in the checksummed container of
+//!   trajectories, every built ReTraTree including its partition pages),
+//!   wrapped in the checksummed container of
 //!   [`hermes_storage::snapshot`]. Written by [`HermesEngine::checkpoint`],
 //!   atomically.
 //! * `wal-<epoch>.hlog` — the CRC-framed log of mutating operations since
@@ -36,7 +36,7 @@ use crate::error::EngineError;
 use crate::{HermesEngine, Result};
 use hermes_exec::ExecPolicy;
 use hermes_retratree::{persist as tree_persist, ReTraTreeParams};
-use hermes_storage::codec::{decode_trajectory_from, encode_trajectory_into};
+use hermes_storage::codec::{decode_trajectory_from, encode_trajectory_into, TRAJECTORY_MIN_BYTES};
 use hermes_storage::{
     read_snapshot_file, write_snapshot_file, ByteReader, ByteWriter, Catalog, DatasetMeta,
     StorageError, Wal,
@@ -51,8 +51,10 @@ use std::time::Instant;
 pub const SNAPSHOT_FILE: &str = "snapshot.hsnap";
 
 /// Version of the snapshot *body* layout (the container has its own version;
-/// this one covers the engine-state encoding inside it).
-pub const SNAPSHOT_BODY_VERSION: u16 = 1;
+/// this one covers the engine-state encoding inside it). Version 1 bodies,
+/// whose trees carry two leaf-index entry lists per sub-chunk, still open:
+/// the lists are read, checked and dropped (`docs/STORAGE.md`).
+pub const SNAPSHOT_BODY_VERSION: u16 = 2;
 
 /// The WAL file name for a checkpoint epoch.
 fn wal_file_name(epoch: u64) -> String {
@@ -178,7 +180,7 @@ pub fn decode_wal_record(payload: &[u8]) -> std::result::Result<WalRecord, Stora
         WAL_DROP_DATASET => WalRecord::DropDataset { name: r.str()? },
         WAL_INGEST => {
             let name = r.str()?;
-            let count = r.u32()? as usize;
+            let count = r.count(TRAJECTORY_MIN_BYTES)?;
             let mut trajectories = Vec::with_capacity(count);
             for _ in 0..count {
                 trajectories.push(decode_trajectory_from(&mut r)?);
@@ -264,17 +266,22 @@ pub(crate) fn restore_engine_state(
 ) -> std::result::Result<u64, StorageError> {
     let mut r = ByteReader::new(body);
     let body_version = r.u16()?;
-    if body_version != SNAPSHOT_BODY_VERSION {
-        return Err(StorageError::Corrupt {
-            reason: format!(
-                "unsupported snapshot body version {body_version} (expected {SNAPSHOT_BODY_VERSION})"
-            ),
-        });
-    }
+    let decode_tree = match body_version {
+        1 => tree_persist::decode_tree_v1,
+        SNAPSHOT_BODY_VERSION => tree_persist::decode_tree,
+        _ => {
+            return Err(StorageError::Corrupt {
+                reason: format!(
+                    "unsupported snapshot body version {body_version} (expected 1 or {SNAPSHOT_BODY_VERSION})"
+                ),
+            })
+        }
+    };
     let epoch = r.u64()?;
 
     let next_id = r.u64()?;
-    let num_metas = r.u32()? as usize;
+    // A catalog row is its id, name, two counts and a lifespan flag.
+    let num_metas = r.count(8 + 4 + 8 + 8 + 1)?;
     let mut metas = Vec::with_capacity(num_metas);
     for _ in 0..num_metas {
         let id = r.u64()?;
@@ -282,7 +289,17 @@ pub(crate) fn restore_engine_state(
         let num_trajectories = r.u64()? as usize;
         let num_points = r.u64()? as usize;
         let lifespan = if r.bool()? {
-            Some(TimeInterval::new(Timestamp(r.i64()?), Timestamp(r.i64()?)))
+            let (start, end) = (Timestamp(r.i64()?), Timestamp(r.i64()?));
+            if start > end {
+                return Err(StorageError::Corrupt {
+                    reason: format!(
+                        "dataset {id}'s lifespan ends at {} before it starts at {}",
+                        end.millis(),
+                        start.millis()
+                    ),
+                });
+            }
+            Some(TimeInterval::new(start, end))
         } else {
             None
         };
@@ -296,7 +313,8 @@ pub(crate) fn restore_engine_state(
     }
     let catalog = Catalog::from_parts(metas, next_id)?;
 
-    let num_datasets = r.u32()? as usize;
+    // A dataset body is its id, a trajectory count and a tree flag.
+    let num_datasets = r.count(8 + 4 + 1)?;
     let mut datasets = HashMap::with_capacity(num_datasets);
     for _ in 0..num_datasets {
         let id = r.u64()?;
@@ -305,13 +323,13 @@ pub(crate) fn restore_engine_state(
                 reason: format!("dataset {id} has state but no catalog row"),
             });
         }
-        let num_trajectories = r.u32()? as usize;
+        let num_trajectories = r.count(TRAJECTORY_MIN_BYTES)?;
         let mut trajectories = Vec::with_capacity(num_trajectories);
         for _ in 0..num_trajectories {
             trajectories.push(decode_trajectory_from(&mut r)?);
         }
         let tree = if r.bool()? {
-            Some(tree_persist::decode_tree(&mut r)?)
+            Some(decode_tree(&mut r)?)
         } else {
             None
         };
@@ -753,6 +771,89 @@ mod tests {
             assert!(restore_engine_state(&mut scratch, &body[..cut]).is_err());
         }
         fs::remove_dir_all(tmp_dir("unused")).ok();
+    }
+
+    #[test]
+    fn an_inverted_catalog_lifespan_is_corrupt_not_a_panic() {
+        let mut e = HermesEngine::new();
+        e.create_dataset("a").unwrap();
+        e.load_trajectories("a", vec![traj(1, 0.0, 0), traj(2, 10.0, 60_000)])
+            .unwrap();
+        let span = e.dataset_info("a").unwrap().lifespan.unwrap();
+        let body = encode_engine_state(&e, 1);
+        // Version, epoch, next id, row count; then the row's id, name, two
+        // counts and lifespan flag.
+        let start = 2 + 8 + 8 + 4 + 8 + (4 + 1) + 8 + 8 + 1;
+        assert_eq!(body[start - 1], 1, "the row has a lifespan");
+        assert_eq!(body[start..start + 8], span.start.millis().to_le_bytes());
+
+        let mut mutated = body.clone();
+        mutated[start..start + 8].copy_from_slice(&(span.end.millis() + 1).to_le_bytes());
+        assert!(matches!(
+            restore_engine_state(&mut HermesEngine::new(), &mutated),
+            Err(StorageError::Corrupt { .. })
+        ));
+        // One instant is a lifespan.
+        mutated[start..start + 8].copy_from_slice(&span.end.millis().to_le_bytes());
+        assert!(restore_engine_state(&mut HermesEngine::new(), &mutated).is_ok());
+    }
+
+    #[test]
+    fn a_version_1_body_opens_and_answers_alike() {
+        // One chunk of one sub-chunk: the tree's one sub-chunk ends the
+        // body, so the version-1 body is this one with the two leaf-index
+        // entry lists of that sub-chunk after it.
+        let mut e = HermesEngine::new();
+        e.create_dataset("a").unwrap();
+        e.load_trajectories("a", (0..12).map(|i| traj(i, i as f64 * 10.0, 0)).collect())
+            .unwrap();
+        let params = ReTraTreeParams {
+            subchunks_per_chunk: 1,
+            ..tree_params()
+        };
+        e.build_index("a", params.clone()).unwrap();
+        assert_eq!(e.tree("a").unwrap().num_chunks(), 1);
+        let body = encode_engine_state(&e, 5);
+        assert_eq!(body[..2], SNAPSHOT_BODY_VERSION.to_le_bytes());
+        let v1 = |lists: &[u8]| [&1u16.to_le_bytes()[..], &body[2..], lists].concat();
+
+        let mut back = HermesEngine::new();
+        assert_eq!(restore_engine_state(&mut back, &v1(&[0; 8])).unwrap(), 5);
+        assert_eq!(encode_engine_state(&back, 5), body, "written back as v2");
+        let qut = hermes_retratree::QutParams {
+            s2t: params.s2t,
+            ..hermes_retratree::QutParams::default()
+        };
+        for w in [
+            TimeInterval::new(Timestamp(0), Timestamp(4 * 3_600_000)),
+            TimeInterval::new(Timestamp(5 * 60_000), Timestamp(20 * 60_000)),
+        ] {
+            assert_eq!(
+                back.run_qut("a", &w, &qut).unwrap().0,
+                e.run_qut("a", &w, &qut).unwrap().0
+            );
+        }
+
+        // A listed box that is inverted is corrupt.
+        let mut inverted = ByteWriter::new();
+        inverted.u32(1);
+        for v in [1.0, 0.0, 0.0, 1.0] {
+            inverted.f64(v);
+        }
+        inverted.i64(0);
+        inverted.i64(1);
+        inverted.raw(&[0; 18]);
+        inverted.u32(0);
+        assert!(matches!(
+            restore_engine_state(&mut HermesEngine::new(), &v1(inverted.as_bytes())),
+            Err(StorageError::Corrupt { .. })
+        ));
+        // Version 2 has no lists, and there is no version 3.
+        let with_lists = [&body[..], &[0; 8]].concat();
+        assert!(restore_engine_state(&mut HermesEngine::new(), &with_lists).is_err());
+        let mut v3 = body.clone();
+        v3[..2].copy_from_slice(&3u16.to_le_bytes());
+        assert!(restore_engine_state(&mut HermesEngine::new(), &v3).is_err());
     }
 
     #[test]

@@ -1,28 +1,21 @@
 //! A static, cache-linear 3D R-tree packed into flat arrays.
 //!
-//! [`PackedRTree`] is the bulk-load-only counterpart of [`RTree3D`]: the same
-//! Sort-Tile-Recursive packing, but the result is laid out as parallel
-//! structure-of-arrays lanes instead of a graph of per-node entry `Vec`s.
-//! Item boxes live in one contiguous slab ordered by STR tile, node boxes in
-//! another, and every node addresses its children as a `[start, end)` range —
-//! so a range query is a walk over contiguous `f64`/`i64` lanes with **zero
-//! heap allocation per query** (traversal recurses to the tree height, which
-//! is logarithmic in the item count).
+//! [`PackedRTree`] is bulk-loaded once with Sort-Tile-Recursive packing and
+//! laid out as parallel structure-of-arrays lanes: item boxes in one
+//! contiguous slab ordered by STR tile, node boxes in another, and every node
+//! addressing its children as a `[start, end)` range — so a query is a walk
+//! over contiguous `f64`/`i64` lanes with **zero heap allocation** (traversal
+//! recurses to the tree height, which is logarithmic in the item count).
 //!
-//! This is the packed base of the ReTraTree's sub-chunk leaf indexes. (It
-//! was also the S2T voting index until `hermes-s2t` replaced the descent
-//! with a time-ordered scan; the ball-candidate query below survives as that
-//! scan's reference in tests and as what the frozen end-to-end benchmark's
-//! `gist.probe_*` metrics time.) It intentionally supports no
-//! insertion or deletion: dynamic callers layer a small [`RTree3D`] delta on
-//! top and rebuild the packed base on reorganisation.
-//!
-//! [`RTree3D`]: crate::RTree3D
+//! It has one query, the ball-candidate query of a distance-cutoff kernel.
+//! It was the S2T voting index until `hermes-s2t` replaced the descent with
+//! a time-ordered scan; it survives as that scan's reference in tests and as
+//! what the frozen end-to-end benchmark's `gist.probe_*` metrics time. It
+//! supports no insertion or deletion.
 
-use hermes_trajectory::{simd_level, Mbb, SimdLevel, TimeInterval, Timestamp};
+use hermes_trajectory::{simd_level, Mbb, SimdLevel, Timestamp};
 
-/// Node fanout of the packed tree. Matches the GiST node capacity so packed
-/// and incremental trees have comparable shapes.
+/// Node fanout of the packed tree.
 const NODE_CAP: usize = 16;
 
 /// Gap between two closed intervals along one axis (0 when they overlap).
@@ -173,9 +166,7 @@ impl<V> PackedRTree<V> {
     }
 
     /// Bulk-loads the tree with Sort-Tile-Recursive packing over the box
-    /// centers (x, then y, then t) — the same tiling discipline as
-    /// [`RTree3D::bulk_load`](crate::RTree3D::bulk_load), flattened into the
-    /// blocked slabs.
+    /// centers (x, then y, then t), flattened into the blocked slabs.
     pub fn bulk_load(mut items: Vec<(Mbb, V)>) -> Self {
         if items.is_empty() {
             return Self::empty();
@@ -381,66 +372,6 @@ impl<V> PackedRTree<V> {
         } else {
             self.height
         }
-    }
-
-    /// Visits every item index whose box intersects the query box. The
-    /// visitor receives the *item index* into this tree's lanes — use
-    /// [`PackedRTree::value`] and the `item_*` accessors, or the convenience
-    /// wrappers below. Allocation-free.
-    #[inline]
-    pub fn for_each_intersecting_idx(&self, query: &Mbb, mut visit: impl FnMut(usize)) {
-        if self.is_empty() {
-            return;
-        }
-        let qx0 = query.x_min;
-        let qx1 = query.x_max;
-        let qy0 = query.y_min;
-        let qy1 = query.y_max;
-        let qt0 = query.t_min.millis();
-        let qt1 = query.t_max.millis();
-        self.visit_box(self.root, qx0, qx1, qy0, qy1, qt0, qt1, &mut visit);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn visit_box(
-        &self,
-        node: usize,
-        qx0: f64,
-        qx1: f64,
-        qy0: f64,
-        qy1: f64,
-        qt0: i64,
-        qt1: i64,
-        visit: &mut impl FnMut(usize),
-    ) {
-        let n = self.nodes[node];
-        let (start, end) = (n.start as usize, n.end as usize);
-        if n.leaf {
-            for i in start..end {
-                let t = self.it[i];
-                if qt0 <= t[1] && t[0] <= qt1 {
-                    let xy = self.ixy[i];
-                    if qx0 <= xy[1] && xy[0] <= qx1 && qy0 <= xy[3] && xy[2] <= qy1 {
-                        visit(i);
-                    }
-                }
-            }
-        } else {
-            for c in start..end {
-                let t = self.nt[c];
-                if qt0 <= t[1] && t[0] <= qt1 {
-                    let xy = self.nxy[c];
-                    if qx0 <= xy[1] && xy[0] <= qx1 && qy0 <= xy[3] && xy[2] <= qy1 {
-                        self.visit_box(c, qx0, qx1, qy0, qy1, qt0, qt1, visit);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Visits every value whose box intersects `query` (allocation-free).
-    pub fn for_each_intersecting<'a>(&'a self, query: &Mbb, mut visit: impl FnMut(&'a V)) {
-        self.for_each_intersecting_idx(query, |i| visit(&self.values[i]));
     }
 
     /// Visits every item whose lifespan intersects `query`'s lifespan **and**
@@ -848,58 +779,6 @@ impl<V> PackedRTree<V> {
         self.scan_leaf_scalar(i, end, q, visit);
     }
 
-    /// Visits every value whose lifespan intersects the temporal window
-    /// (spatially unbounded) — the packed counterpart of
-    /// [`RTree3D::query_temporal`](crate::RTree3D::query_temporal).
-    #[inline]
-    pub fn for_each_temporal_overlap<'a>(&'a self, w: &TimeInterval, mut visit: impl FnMut(&'a V)) {
-        if self.is_empty() {
-            return;
-        }
-        let qt0 = w.start.millis();
-        let qt1 = w.end.millis();
-        self.visit_temporal(self.root, qt0, qt1, &mut visit);
-    }
-
-    fn visit_temporal<'a>(
-        &'a self,
-        node: usize,
-        qt0: i64,
-        qt1: i64,
-        visit: &mut impl FnMut(&'a V),
-    ) {
-        let n = self.nodes[node];
-        let (start, end) = (n.start as usize, n.end as usize);
-        if n.leaf {
-            for i in start..end {
-                if qt0 <= self.it[i][1] && self.it[i][0] <= qt1 {
-                    visit(&self.values[i]);
-                }
-            }
-        } else {
-            for c in start..end {
-                if qt0 <= self.nt[c][1] && self.nt[c][0] <= qt1 {
-                    self.visit_temporal(c, qt0, qt1, visit);
-                }
-            }
-        }
-    }
-
-    /// All values whose lifespan intersects `w`, collected (convenience over
-    /// [`PackedRTree::for_each_temporal_overlap`]).
-    pub fn query_temporal(&self, w: &TimeInterval) -> Vec<&V> {
-        let mut out = Vec::new();
-        self.for_each_temporal_overlap(w, |v| out.push(v));
-        out
-    }
-
-    /// All values whose box intersects `mbb`, collected.
-    pub fn query_intersecting(&self, mbb: &Mbb) -> Vec<&V> {
-        let mut out = Vec::new();
-        self.for_each_intersecting(mbb, |v| out.push(v));
-        out
-    }
-
     /// The value stored at item index `i` (STR-tile order).
     #[inline]
     pub fn value(&self, i: usize) -> &V {
@@ -918,17 +797,11 @@ impl<V> PackedRTree<V> {
             Timestamp(self.it[i][1]),
         )
     }
-
-    /// Iterates over `(mbb, value)` in item-lane order.
-    pub fn iter(&self) -> impl Iterator<Item = (Mbb, &V)> + '_ {
-        (0..self.values.len()).map(move |i| (self.item_mbb(i), &self.values[i]))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RTree3D;
 
     fn boxy(x0: f64, x1: f64, y0: f64, y1: f64, t0: i64, t1: i64) -> Mbb {
         Mbb::new(x0, x1, y0, y1, Timestamp(t0), Timestamp(t1))
@@ -958,85 +831,39 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn matches_rtree3d_on_box_queries() {
-        let items = cloud(500, 0xC0FFEE);
-        let packed = PackedRTree::bulk_load(items.clone());
-        let reference = RTree3D::bulk_load(items.clone());
-        assert_eq!(packed.len(), 500);
-        assert!(packed.height() >= 2);
-
-        for q in [
-            boxy(0.0, 200.0, 0.0, 200.0, 0, 300_000),
-            boxy(400.0, 600.0, 100.0, 900.0, 500_000, 700_000),
-            boxy(-50.0, -1.0, 0.0, 1_000.0, 0, 1_000_000),
-            boxy(0.0, 1_000.0, 0.0, 1_000.0, 0, 2_000_000),
-        ] {
-            let mut a: Vec<usize> = packed.query_intersecting(&q).into_iter().copied().collect();
-            let mut b: Vec<usize> = reference
-                .query_intersecting(&q)
-                .into_iter()
-                .copied()
-                .collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "query {q}");
-        }
-    }
-
-    #[test]
-    fn matches_rtree3d_on_temporal_queries() {
-        let items = cloud(300, 42);
-        let packed = PackedRTree::bulk_load(items.clone());
-        let reference = RTree3D::bulk_load(items.clone());
-        for (t0, t1) in [(0i64, 100_000i64), (250_000, 400_000), (999_999, 999_999)] {
-            let w = TimeInterval::new(Timestamp(t0), Timestamp(t1));
-            let mut a: Vec<usize> = packed.query_temporal(&w).into_iter().copied().collect();
-            let mut b: Vec<usize> = reference.query_temporal(&w).into_iter().copied().collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "window {t0}..{t1}");
-        }
+    /// Every item the ball query visits, by value, sorted.
+    fn ball(packed: &PackedRTree<usize>, q: &Mbb, radius: f64) -> Vec<usize> {
+        let mut got = Vec::new();
+        packed.for_each_ball_candidate_idx(q, radius, |i, _| got.push(*packed.value(i)));
+        got.sort_unstable();
+        got
     }
 
     #[test]
     fn brute_force_agreement_on_small_sets() {
+        // A ball of radius 0 is the closed box: intersection, brute force.
         for n in [0usize, 1, 2, 15, 16, 17, 100] {
             let items = cloud(n, n as u64 + 7);
             let packed = PackedRTree::bulk_load(items.clone());
             assert_eq!(packed.len(), n);
             let q = boxy(100.0, 600.0, 100.0, 600.0, 100_000, 600_000);
-            let mut got: Vec<usize> = packed.query_intersecting(&q).into_iter().copied().collect();
-            got.sort_unstable();
-            let mut want: Vec<usize> = items
+            let want: Vec<usize> = items
                 .iter()
                 .filter(|(b, _)| b.intersects(&q))
                 .map(|(_, v)| *v)
                 .collect();
-            want.sort_unstable();
-            assert_eq!(got, want, "n = {n}");
+            assert_eq!(ball(&packed, &q, 0.0), want, "n = {n}");
         }
     }
 
     #[test]
     fn empty_query_box_matches_nothing() {
         let packed = PackedRTree::bulk_load(cloud(64, 3));
-        assert_eq!(packed.query_intersecting(&Mbb::empty()).len(), 0);
+        assert!(ball(&packed, &Mbb::empty(), 1e9).is_empty());
         let empty: PackedRTree<usize> = PackedRTree::bulk_load(Vec::new());
         assert!(empty.is_empty());
         assert_eq!(empty.height(), 0);
-        assert_eq!(
-            empty
-                .query_intersecting(&boxy(0.0, 1.0, 0.0, 1.0, 0, 1))
-                .len(),
-            0
-        );
-        assert_eq!(
-            empty
-                .query_temporal(&TimeInterval::new(Timestamp(0), Timestamp(1)))
-                .len(),
-            0
-        );
+        assert!(ball(&empty, &boxy(0.0, 1.0, 0.0, 1.0, 0, 1), 1e9).is_empty());
     }
 
     #[test]
@@ -1121,20 +948,5 @@ mod tests {
             scalar_set.push((i, gap2.to_bits()));
         });
         assert_eq!(auto_set, scalar_set);
-    }
-
-    #[test]
-    fn iter_round_trips_items() {
-        let items = cloud(40, 9);
-        let packed = PackedRTree::bulk_load(items.clone());
-        let mut got: Vec<usize> = packed.iter().map(|(_, v)| *v).collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..40).collect::<Vec<_>>());
-        for (mbb, &v) in packed.iter() {
-            assert_eq!(items[v].0, mbb);
-        }
-        for i in 0..packed.len() {
-            assert_eq!(packed.item_mbb(i), items[*packed.value(i)].0);
-        }
     }
 }

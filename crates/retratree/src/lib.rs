@@ -15,8 +15,13 @@
 //! * **L3** — [`node::ClusterEntry`]: one entry per representative
 //!   sub-trajectory, pointing at the partition holding its members and
 //!   keeping a summary (identity + lifespan) of each beside its locator,
-//! * **L4** — per-cluster partitions (`hermes-storage`) indexed by the
-//!   pg3D-Rtree (`hermes-gist`), plus an outlier partition per sub-chunk.
+//! * **L4** — per-cluster partitions (`hermes-storage`), plus an outlier
+//!   partition per sub-chunk.
+//!
+//! The only question QuT asks a sub-chunk is which of its records
+//! temporally intersect a window, and level 3 already keeps every record's
+//! locator and lifespan, so level 3 is the sub-chunk index:
+//! [`node::SubChunk::window_records`] walks it and reads no page.
 //!
 //! [`tree::ReTraTree::insert_trajectory`] implements the incremental
 //! maintenance loop of the architecture figure: new data is routed to an
@@ -34,11 +39,10 @@
 //! value, so a repeated window edge pays S2T once.
 //!
 //! Durable deployments serialize the whole structure through [`persist`]
-//! (parameters, cluster entries, partition pages, leaf-index entry lists) so
-//! an engine restart restores the index without re-clustering — the on-disk
-//! layout is specified in `docs/STORAGE.md`.
+//! (parameters, cluster entries, partition pages) so an engine restart
+//! restores the index without re-clustering — the on-disk layout is
+//! specified in `docs/STORAGE.md`.
 
-pub mod leaf_index;
 pub mod memo;
 pub mod node;
 pub mod params;
@@ -46,11 +50,12 @@ pub mod persist;
 pub mod qut;
 pub mod tree;
 
-pub use leaf_index::LeafIndex;
 pub use memo::{BorderMemoStats, BORDER_MEMO_MAX_BYTES};
 pub use node::{Chunk, ClusterEntry, StoredRecords, SubChunk};
 pub use params::{QutParams, QutParamsBuilder, ReTraTreeParams, ReTraTreeParamsBuilder};
-pub use persist::{decode_params_from, decode_tree, encode_params_into, encode_tree};
+pub use persist::{
+    decode_params_from, decode_tree, decode_tree_v1, encode_params_into, encode_tree,
+};
 pub use qut::{
     merge_qut_partials, qut_clustering, qut_clustering_with, qut_partial_with,
     range_query_then_cluster, range_query_then_cluster_with, OwnedSlice, QutCluster, QutPartial,

@@ -1,6 +1,5 @@
 //! The node types of the four ReTraTree levels.
 
-use crate::leaf_index::LeafIndex;
 use hermes_storage::{PartitionId, RecordLocator};
 use hermes_trajectory::{SubTrajectory, SubTrajectorySummary, TimeInterval};
 use std::sync::OnceLock;
@@ -40,6 +39,14 @@ impl StoredRecords {
         self.locators.push(loc);
         self.summaries.push(summary);
     }
+
+    /// Each record that reads, with its lifespan.
+    fn readable(&self) -> impl Iterator<Item = (RecordLocator, TimeInterval)> + '_ {
+        self.locators
+            .iter()
+            .zip(&self.summaries)
+            .filter_map(|(loc, summary)| summary.map(|s| (*loc, s.lifespan)))
+    }
 }
 
 impl FromIterator<(RecordLocator, Option<SubTrajectorySummary>)> for StoredRecords {
@@ -69,6 +76,10 @@ pub struct ClusterEntry {
     /// Locator of the representative's own archived copy in the partition
     /// (None for entries created before any data was archived).
     pub representative_loc: Option<RecordLocator>,
+    /// Whether the archived copy reads — the representative's counterpart of
+    /// a member's `Some` summary: true when the copy was just appended, read
+    /// from its header when a snapshot is decoded.
+    pub(crate) representative_reads: bool,
     /// The members inside the partition. Private with `member_distances` so
     /// that the two cannot come apart.
     members: StoredRecords,
@@ -81,7 +92,8 @@ pub struct ClusterEntry {
 }
 
 impl ClusterEntry {
-    /// An entry over already stored members, its member distances unfilled.
+    /// An entry over already stored members, its member distances unfilled
+    /// and its archived representative, if any, taken to read.
     pub fn new(
         representative: SubTrajectory,
         representative_vote: f64,
@@ -94,6 +106,7 @@ impl ClusterEntry {
             representative_vote,
             partition,
             representative_loc,
+            representative_reads: representative_loc.is_some(),
             members,
             member_distances: OnceLock::new(),
         }
@@ -148,11 +161,22 @@ impl ClusterEntry {
     pub fn lifespan(&self) -> TimeInterval {
         self.representative.lifespan()
     }
+
+    /// Every record of the entry that reads — the archived representative,
+    /// then the members — with its lifespan.
+    fn readable(&self) -> impl Iterator<Item = (RecordLocator, TimeInterval)> + '_ {
+        let representative = self
+            .representative_loc
+            .filter(|_| self.representative_reads)
+            .map(|loc| (loc, self.lifespan()));
+        representative.into_iter().chain(self.members.readable())
+    }
 }
 
 /// Level-2 node: a fixed temporal sub-division of a chunk, owning its cluster
-/// entries, its outlier partition and a pg3D-Rtree over everything stored in
-/// it.
+/// entries and its outlier partition. Level 3 is the sub-chunk's index: it
+/// keeps the locator and the lifespan of every record stored here, so the
+/// window walk ([`SubChunk::window_records`]) reads no page.
 #[derive(Clone)]
 pub struct SubChunk {
     /// The temporal interval this sub-chunk covers.
@@ -163,11 +187,6 @@ pub struct SubChunk {
     pub outlier_partition: PartitionId,
     /// The outliers inside the outlier partition.
     outliers: StoredRecords,
-    /// Leaf index over every sub-trajectory stored in this sub-chunk
-    /// (members and outliers alike), mapping MBBs to record locators:
-    /// an STR-packed base rebuilt on reorganisation plus a small dynamic
-    /// delta for insertions in between (see [`LeafIndex`]).
-    pub index: LeafIndex,
 }
 
 impl SubChunk {
@@ -178,7 +197,6 @@ impl SubChunk {
             clusters: Vec::new(),
             outlier_partition,
             outliers: StoredRecords::default(),
-            index: LeafIndex::new(),
         }
     }
 
@@ -212,6 +230,30 @@ impl SubChunk {
     /// Number of cluster entries.
     pub fn num_clusters(&self) -> usize {
         self.clusters.len()
+    }
+
+    /// The locators of the records stored here that read and whose lifespan
+    /// intersects `w` — every entry's archived representative and members,
+    /// and the outliers — in ascending `(partition, page, slot)`: the order
+    /// they sit in storage, so a run read takes them a page at a time.
+    pub fn window_records(&self, w: &TimeInterval) -> Vec<RecordLocator> {
+        let mut records: Vec<RecordLocator> = self.window_walk(w).collect();
+        records.sort_unstable_by_key(|loc| (loc.partition, loc.page, loc.slot));
+        records
+    }
+
+    /// `window_records(w).len()`, from level 3 alone.
+    pub fn window_count(&self, w: &TimeInterval) -> usize {
+        self.window_walk(w).count()
+    }
+
+    fn window_walk<'a>(&'a self, w: &'a TimeInterval) -> impl Iterator<Item = RecordLocator> + 'a {
+        self.clusters
+            .iter()
+            .flat_map(ClusterEntry::readable)
+            .chain(self.outliers.readable())
+            .filter(move |(_, lifespan)| lifespan.intersects(w))
+            .map(|(loc, _)| loc)
     }
 }
 

@@ -228,14 +228,10 @@ fn answer_subchunk(
             None => {
                 let mut loaded = 0;
                 let mut clipped: Vec<SubTrajectory> = Vec::new();
-                for loc in sc.index.query_temporal(&overlap) {
-                    if let Some(sub) = tree.load(*loc) {
-                        loaded += 1;
-                        if let Some(c) = sub.temporal_clip(&overlap) {
-                            clipped.push(c);
-                        }
-                    }
-                }
+                tree.store.read_run(&sc.window_records(&overlap), |_, sub| {
+                    loaded += 1;
+                    clipped.extend(sub.temporal_clip(&overlap));
+                });
                 let (clusters, outliers, phases, kernel) =
                     cluster_sub_trajectories(&clipped, &params.s2t, exec);
                 answer.stats.phases = phases;
@@ -1901,6 +1897,159 @@ mod tests {
         }
         assert!(grew_filled, "no insert into a filled entry");
         assert!(grew_unfilled, "no insert into an unfilled entry");
+    }
+
+    /// The window walk as a scan of storage: every record level 3 points
+    /// at — each entry's archived representative and members, the outliers
+    /// — read through the store and kept when it reads and its decoded
+    /// lifespan intersects `w`, in storage order. The oracle of
+    /// [`SubChunk::window_records`]: no summary and no readable bit of
+    /// level 3 is consulted.
+    fn window_records_reference(
+        tree: &ReTraTree,
+        sc: &SubChunk,
+        w: &TimeInterval,
+    ) -> Vec<hermes_storage::RecordLocator> {
+        let mut records: Vec<_> = sc
+            .clusters
+            .iter()
+            .flat_map(|entry| entry.representative_loc.iter().chain(entry.members()))
+            .chain(sc.outliers())
+            .copied()
+            .filter(|loc| {
+                tree.load(*loc)
+                    .is_some_and(|sub| sub.lifespan().intersects(w))
+            })
+            .collect();
+        records.sort_by_key(|loc| (loc.partition, loc.page, loc.slot));
+        records
+    }
+
+    /// The walk and its count against the reference, sub-chunk by sub-chunk,
+    /// over the whole axis, the data's span, a window past it, the
+    /// sub-chunk itself, its middle third, a third on either side of its
+    /// start, and two instants; then the tree-level reads built on the walk.
+    /// Returns how many records the walk saw over the whole axis.
+    fn assert_walk_matches_reference(tree: &ReTraTree, context: &str) -> usize {
+        let span = tree.lifespan().expect("the tree holds data");
+        let after = span.end + Duration::from_mins(1);
+        let shared = [
+            TimeInterval::everything(),
+            span,
+            TimeInterval::new(after, after + Duration::from_mins(1)),
+        ];
+        let mut walked = 0;
+        for sc in tree.chunks().flat_map(|chunk| &chunk.subchunks) {
+            let (s, e) = (sc.interval.start.millis(), sc.interval.end.millis());
+            let third = (e - s) / 3;
+            let at = |a: i64, b: i64| TimeInterval::new(Timestamp(a), Timestamp(b));
+            let own = [
+                sc.interval,
+                at(s + third, e - third),
+                at(s - third, s + third),
+                at(e - third, e + third),
+                at(s, s),
+                at(s + third, s + third),
+            ];
+            for w in shared.iter().chain(&own) {
+                let expected = window_records_reference(tree, sc, w);
+                assert_eq!(sc.window_records(w), expected, "{context}, {w}");
+                assert_eq!(sc.window_count(w), expected.len(), "{context}, {w}");
+            }
+            walked += sc.window_count(&TimeInterval::everything());
+        }
+        for w in &shared[..2] {
+            let reads = tree.window_sub_trajectories(w);
+            assert_eq!(reads.len(), walked, "{context}");
+            assert_eq!(tree.owned_window_count(w, &OwnedSlice::ALL), walked);
+            let expected: Vec<SubTrajectory> = tree
+                .chunks()
+                .flat_map(|chunk| &chunk.subchunks)
+                .flat_map(|sc| window_records_reference(tree, sc, w))
+                .map(|loc| tree.load(loc).expect("the reference reads it"))
+                .collect();
+            assert_eq!(reads, expected, "{context}");
+        }
+        walked
+    }
+
+    fn decoded_v1(tree: &ReTraTree) -> ReTraTree {
+        let mut w = hermes_storage::ByteWriter::new();
+        crate::persist::encode_tree_v1(&mut w, tree);
+        let bytes = w.into_bytes();
+        crate::decode_tree_v1(&mut hermes_storage::ByteReader::new(&bytes)).unwrap()
+    }
+
+    #[test]
+    fn the_window_walk_matches_a_scan_of_the_store_over_seeded_trees() {
+        for (name, trajectories, s2t) in seeded_sets() {
+            let tree = seeded_tree(&trajectories, &s2t);
+            let population = tree.total_population();
+            assert_eq!(
+                assert_walk_matches_reference(&tree, &format!("{name}, fresh")),
+                population
+            );
+            assert_walk_matches_reference(&decoded(&encoded(&tree)), &format!("{name}, v2"));
+            assert_walk_matches_reference(&decoded_v1(&tree), &format!("{name}, v1"));
+
+            // Inserts into reorganised sub-chunks: members join entries,
+            // the rest become outliers beside the reorganised ones.
+            let mut grown = tree.clone();
+            for t in trajectories.iter().step_by(3) {
+                let twin: Vec<Point> = t
+                    .points()
+                    .iter()
+                    .map(|p| Point::new(p.x + 1.0, p.y - 1.0, p.t))
+                    .collect();
+                grown.insert_trajectory(&Trajectory::new(t.id + 100_000, t.id, twin).unwrap());
+            }
+            assert!(grown.stats().assigned_to_existing > tree.stats().assigned_to_existing);
+            assert!(grown.stats().parked_as_outliers > tree.stats().parked_as_outliers);
+            let context = format!("{name}, after inserts");
+            assert_eq!(
+                assert_walk_matches_reference(&grown, &context),
+                grown.total_population()
+            );
+            assert!(grown.reorganize_all(1) > 0, "{name}");
+            let context = format!("{name}, reorganised");
+            assert_eq!(
+                assert_walk_matches_reference(&grown, &context),
+                grown.total_population()
+            );
+            assert_walk_matches_reference(&decoded(&encoded(&grown)), &format!("{context}, v2"));
+            assert_walk_matches_reference(&decoded_v1(&grown), &format!("{context}, v1"));
+
+            // A tombstoned member and a tombstoned representative: only a
+            // snapshot holds them, and neither is walked.
+            let mut damaged = grown.clone();
+            let entries: Vec<&ClusterEntry> = grown
+                .chunks()
+                .flat_map(|chunk| &chunk.subchunks)
+                .flat_map(|sc| &sc.clusters)
+                .collect();
+            let member = entries
+                .iter()
+                .find_map(|entry| entry.members().first())
+                .expect("an entry with a member");
+            let representative = entries
+                .iter()
+                .rev()
+                .find_map(|entry| entry.representative_loc)
+                .expect("an archived representative");
+            assert!(damaged.store.delete(*member).unwrap());
+            assert!(damaged.store.delete(representative).unwrap());
+            let population = grown.total_population();
+            for (version, back) in [
+                ("v2", decoded(&encoded(&damaged))),
+                ("v1", decoded_v1(&damaged)),
+            ] {
+                let context = format!("{name}, tombstones, {version}");
+                assert_eq!(
+                    assert_walk_matches_reference(&back, &context),
+                    population - 2
+                );
+            }
+        }
     }
 
     #[test]

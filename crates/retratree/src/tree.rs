@@ -213,7 +213,6 @@ impl ReTraTree {
                 let chunk = self.chunks.get_mut(&chunk_key).unwrap();
                 let sc = &mut chunk.subchunks[sc_index];
                 sc.clusters[ci].push_member(loc, summary, d);
-                sc.index.insert(sub.mbb(), loc);
                 self.stats.assigned_to_existing += 1;
             }
             None => {
@@ -225,7 +224,6 @@ impl ReTraTree {
                 let chunk = self.chunks.get_mut(&chunk_key).unwrap();
                 let sc = &mut chunk.subchunks[sc_index];
                 sc.push_outlier(loc, summary);
-                sc.index.insert(sub.mbb(), loc);
                 self.stats.parked_as_outliers += 1;
 
                 // Threshold check: the paper re-runs S2T when a partition
@@ -283,7 +281,6 @@ impl ReTraTree {
         let new_outlier_partition = self.store.create_partition(PartitionKind::Outliers);
         let mut new_outliers = StoredRecords::default();
         let mut new_entries: Vec<ClusterEntry> = Vec::new();
-        let mut new_index_entries: Vec<(hermes_trajectory::Mbb, RecordLocator)> = Vec::new();
 
         for cluster in &outcome.result.clusters {
             let partition = self.store.create_partition(PartitionKind::Cluster);
@@ -293,7 +290,6 @@ impl ReTraTree {
                 .store
                 .append(partition, &cluster.representative)
                 .expect("new cluster partition exists");
-            new_index_entries.push((cluster.representative.mbb(), rep_loc));
             let mut members = StoredRecords::default();
             for member in &cluster.members {
                 let loc = self
@@ -301,7 +297,6 @@ impl ReTraTree {
                     .append(partition, member)
                     .expect("new cluster partition exists");
                 members.push(loc, Some(member.into()));
-                new_index_entries.push((member.mbb(), loc));
             }
             self.stats.promoted_representatives += 1;
             new_entries.push(ClusterEntry::new(
@@ -318,24 +313,13 @@ impl ReTraTree {
                 .append(new_outlier_partition, outlier)
                 .expect("new outlier partition exists");
             new_outliers.push(loc, Some(outlier.into()));
-            new_index_entries.push((outlier.mbb(), loc));
         }
 
-        // 4. Swap the rebuilt structures into the sub-chunk and rebuild its
-        //    pg3D-Rtree (locators changed), keeping the members that were
-        //    already clustered before this pass.
-        let chunk = self.chunks.get_mut(&chunk_key).unwrap();
-        let sc = &mut chunk.subchunks[sc_index];
-        for entry in &sc.clusters {
-            for loc in entry.representative_loc.iter().chain(entry.members()) {
-                if let Ok(Some(sub)) = self.store.read(*loc) {
-                    new_index_entries.push((sub.mbb(), *loc));
-                }
-            }
-        }
+        // 4. Swap the rebuilt structures into the sub-chunk, keeping the
+        //    entries that were already there before this pass.
+        let sc = &mut self.chunks.get_mut(&chunk_key).unwrap().subchunks[sc_index];
         sc.clusters.extend(new_entries);
         sc.replace_outliers(new_outlier_partition, new_outliers);
-        sc.index.rebuild(new_index_entries);
 
         // 5. Drop the old outlier partition.
         let _ = self.store.drop_partition(old_partition);
@@ -346,25 +330,22 @@ impl ReTraTree {
         self.store.read(loc).ok().flatten()
     }
 
-    /// Every record locator whose lifespan intersects `w`, in temporal order,
-    /// from the indexes of the sub-chunks `owned` contains — the one walk
-    /// behind the window reads and the window count below.
-    fn window_locators<'a>(
+    /// The sub-chunks `owned` contains that intersect `w`, in temporal order.
+    fn window_subchunks<'a>(
         &'a self,
         w: &'a TimeInterval,
         owned: &'a OwnedSlice,
-    ) -> impl Iterator<Item = RecordLocator> + 'a {
+    ) -> impl Iterator<Item = &'a SubChunk> + 'a {
         self.chunks
             .values()
             .filter(move |chunk| chunk.interval.intersects(w))
             .flat_map(|chunk| &chunk.subchunks)
             .filter(move |sc| sc.interval.intersects(w) && owned.contains(sc.interval.start))
-            .flat_map(move |sc| sc.index.query_temporal(w).into_iter().copied())
     }
 
-    /// Every stored sub-trajectory whose lifespan intersects `w`, loaded from
-    /// storage through the sub-chunk indexes. This is the "temporal range
-    /// query" building block used both by QuT (for border sub-chunks) and by
+    /// Every stored sub-trajectory whose lifespan intersects `w`, sub-chunk by
+    /// sub-chunk in temporal order, each sub-chunk's in storage order (see
+    /// [`SubChunk::window_records`]). This is the "temporal range query" of
     /// the rebuild-from-scratch baseline of experiment E3.
     pub fn window_sub_trajectories(&self, w: &TimeInterval) -> Vec<SubTrajectory> {
         self.owned_window_sub_trajectories(w, &OwnedSlice::ALL)
@@ -372,7 +353,7 @@ impl ReTraTree {
 
     /// [`ReTraTree::window_sub_trajectories`] restricted to the sub-chunks
     /// *owned* by `owned` (interval start inside the half-open slice). Every
-    /// stored piece lives in exactly one sub-chunk's index, so summing the
+    /// stored piece lives in exactly one sub-chunk, so summing the
     /// result sizes over a partition of the time axis reproduces the
     /// single-node window count exactly — the shard-side building block of a
     /// distributed RANGE query.
@@ -381,19 +362,22 @@ impl ReTraTree {
         w: &TimeInterval,
         owned: &OwnedSlice,
     ) -> Vec<SubTrajectory> {
-        self.window_locators(w, owned)
-            .filter_map(|loc| self.load(loc))
-            .collect()
+        let records: Vec<RecordLocator> = self
+            .window_subchunks(w, owned)
+            .flat_map(|sc| sc.window_records(w))
+            .collect();
+        let mut subs = Vec::with_capacity(records.len());
+        self.store.read_run(&records, |_, sub| subs.push(sub));
+        subs
     }
 
-    /// `owned_window_sub_trajectories(w, owned).len()` without materialising
-    /// a point: every record is looked up and checked exactly as a read
-    /// checks it (through the buffer pool, live slot, well-formed record) and
-    /// counted instead of decoded. What `RANGE` answers with.
+    /// `owned_window_sub_trajectories(w, owned).len()` from level 3 alone:
+    /// a record is counted when it has a summary, which is what "it reads"
+    /// means there, so no page is looked up. What `RANGE` answers with.
     pub fn owned_window_count(&self, w: &TimeInterval, owned: &OwnedSlice) -> usize {
-        self.window_locators(w, owned)
-            .filter(|&loc| matches!(self.store.point_count(loc), Ok(Some(_))))
-            .count()
+        self.window_subchunks(w, owned)
+            .map(|sc| sc.window_count(w))
+            .sum()
     }
 
     /// Runs the S2T re-clustering pass on every sub-chunk that currently

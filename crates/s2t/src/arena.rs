@@ -37,7 +37,6 @@
 //! ladder.
 //!
 //! **Exactness contract.** [`arena_voting`] is bit-identical to
-//! [`indexed_voting`](crate::voting::indexed_voting) and to
 //! [`naive_voting`](crate::voting::naive_voting):
 //!
 //! * the distance kernel is [`hermes_trajectory::kernel::mean_sync_distance`]
@@ -830,8 +829,7 @@ pub fn arena_voting(
 
 /// [`arena_voting`] fanned out over trajectories on `exec`. Profiles come
 /// back in input order and every vote is computed by exactly one task, so
-/// the result is bit-identical to the serial path — and to the object-graph
-/// [`indexed_voting`](crate::voting::indexed_voting) and
+/// the result is bit-identical to the serial path — and to
 /// [`naive_voting`](crate::voting::naive_voting) (see the module docs for
 /// why).
 pub fn arena_voting_with(
@@ -868,7 +866,7 @@ pub fn arena_voting_counted_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::voting::{indexed_voting, naive_voting, SegmentIndex};
+    use crate::voting::naive_voting;
     use hermes_trajectory::{kernel::mean_sync_distance, Point};
 
     fn line(id: u64, y0: f64, t0: i64, n: usize) -> Trajectory {
@@ -922,21 +920,16 @@ mod tests {
     }
 
     #[test]
-    fn arena_voting_is_bit_identical_to_indexed_and_naive() {
+    fn arena_voting_is_bit_identical_to_naive() {
         let trajs = mixed_mod();
         let p = params(25.0);
         let arena = SegmentArena::build(&trajs);
         let packed = PackedSegmentIndex::build(&arena);
         assert_eq!(packed.len(), arena.num_segments());
 
-        let via_arena = arena_voting(&arena, &packed, &p);
-        let legacy_index = SegmentIndex::build(&trajs);
-        let via_rtree = indexed_voting(&trajs, &legacy_index, &p);
-        let via_naive = naive_voting(&trajs, &p);
-        // Exact, not approximate: all three paths share the kernel and the
+        // Exact, not approximate: both paths share the kernel and the
         // canonical summation order.
-        assert_eq!(via_arena, via_rtree);
-        assert_eq!(via_arena, via_naive);
+        assert_eq!(arena_voting(&arena, &packed, &p), naive_voting(&trajs, &p));
     }
 
     #[test]

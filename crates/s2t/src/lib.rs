@@ -10,13 +10,12 @@
 //!    * [`voting`] computes, for every 3D segment of every trajectory, how
 //!      many other objects co-move with it (a Gaussian kernel over the
 //!      time-synchronized segment-to-trajectory distance). The hot path is
-//!      [`arena`]: a structure-of-arrays [`SegmentArena`] plus a packed STR
-//!      R-tree, voted over flat `f64` lanes with zero allocation in the
-//!      inner loop. [`voting::indexed_voting`] is the object-graph
-//!      `pg3D-Rtree` implementation (kept as the reference the arena path is
-//!      proven bit-identical against); [`voting::naive_voting`] is the
-//!      quadratic baseline the paper compares against ("corresponding
-//!      PostgreSQL functions").
+//!      [`arena`]: a structure-of-arrays [`SegmentArena`] whose segments a
+//!      time-ordered scan hands to the voting loop as candidates, voted over
+//!      flat `f64` lanes with zero allocation in the inner loop.
+//!      [`voting::naive_voting`] is the quadratic baseline the paper
+//!      compares against ("corresponding PostgreSQL functions") and the
+//!      reference the arena path is proven bit-identical against.
 //!    * [`segmentation`] splits each trajectory into sub-trajectories of
 //!      homogeneous voting (representativeness), irrespective of shape.
 //! 2. **SaCO** — *Sampling, Clustering, Outlier detection*:
@@ -58,7 +57,4 @@ pub use pipeline::{
 };
 pub use sampling::{select_representatives, select_representatives_with};
 pub use segmentation::{segment_all, segment_all_with, segment_trajectory, VotedSubTrajectory};
-pub use voting::{
-    indexed_voting, indexed_voting_with, naive_voting, naive_voting_with, SegmentIndex,
-    VotingProfile,
-};
+pub use voting::{naive_voting, naive_voting_with, VotingProfile};

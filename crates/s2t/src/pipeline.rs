@@ -107,8 +107,8 @@ impl S2tIndex {
 }
 
 /// Voting → segmentation → sampling → clustering. `index` is `Some` for the
-/// flat hot path (votes bit-identical to the object-graph `indexed_voting`
-/// and to `naive_voting`, see `crate::arena` for the exactness argument) and
+/// flat hot path (votes bit-identical to `naive_voting`, see `crate::arena`
+/// for the exactness argument) and
 /// `None` for the quadratic baseline. `index_build_ms` is left at 0: the
 /// caller that built the index stamps it.
 fn run_pipeline(

@@ -16,22 +16,19 @@
 //!             mean synchronized distance(e, e')
 //! ```
 //!
-//! Two implementations are provided with identical semantics:
+//! This module holds the vote's shared definitions — [`VotingProfile`] and
+//! the truncated kernel — and [`naive_voting`], which compares every pair of
+//! segments: the "corresponding PostgreSQL functions" baseline of experiment
+//! E1, and the reference the hot path ([`crate::arena::arena_voting`]) is
+//! gated bit-identical against.
 //!
-//! * [`indexed_voting`] prunes candidate voters with the pg3D-Rtree
-//!   (`hermes-gist`), visiting only segments whose inflated MBB intersects
-//!   the voted segment — the in-DBMS fast path of the paper;
-//! * [`naive_voting`] compares every pair of segments — the
-//!   "corresponding PostgreSQL functions" baseline of experiment E1.
-//!
-//! Both fan out over trajectories through a [`hermes_exec::Executor`]
+//! It fans out over trajectories through a [`hermes_exec::Executor`]
 //! (`*_with` variants): each trajectory's votes depend only on the immutable
 //! input, so the profiles are computed in parallel and collected in input
 //! order — parallel output is bit-identical to serial.
 
 use crate::params::S2TParams;
 use hermes_exec::Executor;
-use hermes_gist::RTree3D;
 use hermes_trajectory::{Trajectory, TrajectoryId};
 
 /// Per-trajectory voting descriptor: one value per segment.
@@ -71,201 +68,14 @@ impl VotingProfile {
     }
 }
 
-/// Reference to one segment of one trajectory, stored in the index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SegRef {
-    traj_index: usize,
-    seg_index: usize,
-}
-
-/// A 3D R-tree over every segment of a trajectory collection.
-pub struct SegmentIndex {
-    rtree: RTree3D<SegRef>,
-    num_segments: usize,
-}
-
-impl SegmentIndex {
-    /// Bulk-loads the index from all segments of `trajectories`.
-    pub fn build(trajectories: &[Trajectory]) -> Self {
-        // Pre-size with the exact segment count: the collection pass below
-        // appends once per segment, so growth doubling never kicks in.
-        let total: usize = trajectories.iter().map(|t| t.num_segments()).sum();
-        let mut items = Vec::with_capacity(total);
-        for (ti, traj) in trajectories.iter().enumerate() {
-            for si in 0..traj.num_segments() {
-                let seg = traj.segment(si);
-                items.push((
-                    seg.mbb(),
-                    SegRef {
-                        traj_index: ti,
-                        seg_index: si,
-                    },
-                ));
-            }
-        }
-        let num_segments = items.len();
-        SegmentIndex {
-            rtree: RTree3D::bulk_load(items),
-            num_segments,
-        }
-    }
-
-    /// Number of indexed segments.
-    pub fn len(&self) -> usize {
-        self.num_segments
-    }
-
-    /// True when the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.num_segments == 0
-    }
-}
-
-/// Gaussian kernel with a hard cutoff; every implementation (naive, indexed,
-/// arena) shares it so their results are bit-identical.
+/// Gaussian kernel with a hard cutoff; both implementations (naive, arena)
+/// share it so their results are bit-identical.
 pub(crate) fn kernel(distance: f64, sigma: f64, cutoff: f64) -> f64 {
     if distance > cutoff {
         0.0
     } else {
         (-(distance * distance) / (2.0 * sigma * sigma)).exp()
     }
-}
-
-thread_local! {
-    /// Best (minimum) distance per candidate voter trajectory, reused across
-    /// every trajectory a thread votes. Invariant: all entries are
-    /// `f64::INFINITY` between uses — each segment resets exactly the
-    /// entries it touched — so a worker picks it up clean without an O(n)
-    /// refill per trajectory.
-    static BEST_PER_VOTER: std::cell::RefCell<Vec<f64>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Restores the scratch invariant if the voting loop unwinds mid-segment:
-/// the pool catches task panics and keeps the worker thread alive, so a
-/// half-reset scratch would silently corrupt every later query on that
-/// thread. The refill is O(n) but runs only on the panic path.
-struct ScratchGuard<'a> {
-    scratch: &'a mut [f64],
-    completed: bool,
-}
-
-impl Drop for ScratchGuard<'_> {
-    fn drop(&mut self) {
-        if !self.completed {
-            self.scratch.fill(f64::INFINITY);
-        }
-    }
-}
-
-/// Computes the votes of one trajectory against the indexed collection.
-/// Scratch lives in thread-locals, so concurrent tasks never share state
-/// while each worker still reuses its allocations across trajectories.
-fn vote_trajectory_indexed(
-    ti: usize,
-    traj: &Trajectory,
-    trajectories: &[Trajectory],
-    index: &SegmentIndex,
-    params: &S2TParams,
-    cutoff: f64,
-) -> VotingProfile {
-    BEST_PER_VOTER.with(|scratch| {
-        let mut best_per_voter = scratch.borrow_mut();
-        if best_per_voter.len() < trajectories.len() {
-            best_per_voter.resize(trajectories.len(), f64::INFINITY);
-        }
-        let mut guard = ScratchGuard {
-            scratch: &mut best_per_voter,
-            completed: false,
-        };
-        let profile = vote_trajectory_indexed_inner(
-            ti,
-            traj,
-            trajectories,
-            index,
-            params,
-            cutoff,
-            &mut *guard.scratch,
-        );
-        guard.completed = true;
-        profile
-    })
-}
-
-fn vote_trajectory_indexed_inner(
-    ti: usize,
-    traj: &Trajectory,
-    trajectories: &[Trajectory],
-    index: &SegmentIndex,
-    params: &S2TParams,
-    cutoff: f64,
-    best_per_voter: &mut [f64],
-) -> VotingProfile {
-    let mut touched: Vec<usize> = Vec::new();
-    let mut votes = Vec::with_capacity(traj.num_segments());
-    for si in 0..traj.num_segments() {
-        let seg = traj.segment(si);
-        let window = seg.mbb().inflate(cutoff, 0);
-
-        index.rtree.for_each_intersecting(&window, |_, r| {
-            if r.traj_index == ti {
-                return;
-            }
-            let other_seg = trajectories[r.traj_index].segment(r.seg_index);
-            if let Some(d) = seg.mean_synchronized_distance(&other_seg) {
-                if d < best_per_voter[r.traj_index] {
-                    if best_per_voter[r.traj_index].is_infinite() {
-                        touched.push(r.traj_index);
-                    }
-                    best_per_voter[r.traj_index] = d;
-                }
-            }
-        });
-
-        // Canonical summation order (ascending voter index): the floating
-        // sum must not depend on which order the R-tree surfaced candidates,
-        // so every voting implementation — naive enumeration, this one, and
-        // the arena/packed hot path — produces bit-identical votes.
-        touched.sort_unstable();
-        let mut vote = 0.0;
-        for &voter in touched.iter() {
-            vote += kernel(best_per_voter[voter], params.sigma, cutoff);
-            best_per_voter[voter] = f64::INFINITY;
-        }
-        touched.clear();
-        votes.push(vote);
-    }
-    VotingProfile {
-        trajectory_id: traj.id,
-        trajectory_index: ti,
-        votes,
-    }
-}
-
-/// Index-accelerated voting: for each segment, only trajectories with a
-/// segment inside the cutoff-inflated MBB are evaluated. Serial shorthand
-/// for [`indexed_voting_with`].
-pub fn indexed_voting(
-    trajectories: &[Trajectory],
-    index: &SegmentIndex,
-    params: &S2TParams,
-) -> Vec<VotingProfile> {
-    indexed_voting_with(trajectories, index, params, &Executor::serial())
-}
-
-/// [`indexed_voting`] fanned out over trajectories on `exec`. Profiles come
-/// back in input order and every vote is computed by exactly one task, so
-/// the result is bit-identical to the serial path.
-pub fn indexed_voting_with(
-    trajectories: &[Trajectory],
-    index: &SegmentIndex,
-    params: &S2TParams,
-    exec: &Executor,
-) -> Vec<VotingProfile> {
-    let cutoff = params.voting_cutoff_radius();
-    exec.map(trajectories, |ti, traj| {
-        vote_trajectory_indexed(ti, traj, trajectories, index, params, cutoff)
-    })
 }
 
 /// The votes of one trajectory under the quadratic enumeration.
@@ -308,7 +118,7 @@ fn vote_trajectory_naive(
 
 /// Quadratic voting without any index: every segment is compared against
 /// every segment of every other trajectory. Semantics are identical to
-/// [`indexed_voting`]; only the candidate enumeration differs.
+/// [`crate::arena::arena_voting`]; only the candidate enumeration differs.
 pub fn naive_voting(trajectories: &[Trajectory], params: &S2TParams) -> Vec<VotingProfile> {
     naive_voting_with(trajectories, params, &Executor::serial())
 }
@@ -392,37 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn indexed_voting_matches_naive() {
-        let mut trajs = Vec::new();
-        // Two co-moving groups plus a loner, with varied time offsets.
-        for i in 0..4 {
-            trajs.push(line(i, i as f64 * 8.0, 0, 12));
-        }
-        for i in 4..7 {
-            trajs.push(line(i, 500.0 + i as f64 * 8.0, 30_000, 12));
-        }
-        trajs.push(line(7, 10_000.0, 0, 12));
-
-        let p = params(25.0);
-        let index = SegmentIndex::build(&trajs);
-        assert_eq!(index.len(), 8 * 11);
-        let fast = indexed_voting(&trajs, &index, &p);
-        let slow = naive_voting(&trajs, &p);
-        assert_eq!(fast.len(), slow.len());
-        for (f, s) in fast.iter().zip(slow.iter()) {
-            assert_eq!(f.trajectory_id, s.trajectory_id);
-            assert_eq!(f.votes.len(), s.votes.len());
-            for (a, b) in f.votes.iter().zip(s.votes.iter()) {
-                assert!(
-                    (a - b).abs() < 1e-9,
-                    "vote mismatch for trajectory {}: {a} vs {b}",
-                    f.trajectory_id
-                );
-            }
-        }
-    }
-
-    #[test]
     fn closer_neighbours_yield_higher_votes() {
         let trajs = vec![
             line(0, 0.0, 0, 10),
@@ -443,24 +222,18 @@ mod tests {
         let profiles = naive_voting(&single, &p);
         assert_eq!(profiles.len(), 1);
         assert!(profiles[0].votes.iter().all(|&v| v == 0.0));
-        let index = SegmentIndex::build(&single);
-        let fast = indexed_voting(&single, &index, &p);
-        assert_eq!(fast, profiles);
     }
 
     #[test]
     fn parallel_voting_is_bit_identical_to_serial() {
         let trajs: Vec<Trajectory> = (0..12).map(|i| line(i, i as f64 * 6.0, 0, 10)).collect();
         let p = params(25.0);
-        let index = SegmentIndex::build(&trajs);
-        let serial_fast = indexed_voting(&trajs, &index, &p);
-        let serial_slow = naive_voting(&trajs, &p);
+        let serial = naive_voting(&trajs, &p);
         for threads in [2usize, 4] {
             let exec = Executor::new(hermes_exec::ExecPolicy { threads });
             // Exact equality, not approximate: the parallel fan-out must not
             // change a single bit of any vote.
-            assert_eq!(indexed_voting_with(&trajs, &index, &p, &exec), serial_fast);
-            assert_eq!(naive_voting_with(&trajs, &p, &exec), serial_slow);
+            assert_eq!(naive_voting_with(&trajs, &p, &exec), serial);
         }
     }
 

@@ -198,6 +198,24 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_le_bytes(self.array("f64")?))
     }
 
+    /// Reads a `u32` element count, refusing one whose elements — each at
+    /// least `min_encoded` bytes long — could not fit in the bytes that
+    /// remain. A decoder that sizes an allocation by a count it read takes
+    /// the count from here, so a corrupt one is an error, not a huge
+    /// allocation.
+    pub fn count(&mut self, min_encoded: usize) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n.saturating_mul(min_encoded) > self.remaining() {
+            return Err(StorageError::Corrupt {
+                reason: format!(
+                    "{n} elements of at least {min_encoded} bytes each cannot fit in the {} bytes that remain",
+                    self.remaining()
+                ),
+            });
+        }
+        Ok(n)
+    }
+
     /// Reads a `bool` byte, rejecting anything other than 0 or 1.
     pub fn bool(&mut self) -> Result<bool> {
         match self.u8()? {
@@ -365,6 +383,10 @@ pub fn encode_sub_trajectory_into(w: &mut ByteWriter, sub: &SubTrajectory) {
 pub fn decode_sub_trajectory_from(r: &mut ByteReader<'_>) -> Result<SubTrajectory> {
     decode_sub_trajectory(r.bytes()?)
 }
+
+/// The fewest bytes [`encode_trajectory_into`] writes for a valid
+/// trajectory (two points).
+pub const TRAJECTORY_MIN_BYTES: usize = 8 + 8 + 4 + 2 * 24;
 
 /// Appends a whole trajectory to a [`ByteWriter`]:
 ///
@@ -548,6 +570,21 @@ mod tests {
 
         let mut r = ByteReader::new(&[2]);
         assert!(matches!(r.bool(), Err(StorageError::Corrupt { .. })));
+
+        // A count is refused when its elements cannot fit in what remains.
+        let mut w = ByteWriter::new();
+        w.u32(3);
+        w.raw(&[0; 12]);
+        let buf = w.into_bytes();
+        assert_eq!(ByteReader::new(&buf).count(4).unwrap(), 3);
+        assert!(matches!(
+            ByteReader::new(&buf).count(5),
+            Err(StorageError::Corrupt { .. })
+        ));
+        let mut w = ByteWriter::new();
+        w.u32(u32::MAX);
+        let buf = w.into_bytes();
+        assert!(ByteReader::new(&buf).count(1).is_err());
         let mut r = ByteReader::new(&[4, 0, 0, 0, 0xFF, 0xFE, 0xFD, 0xFC]);
         assert!(matches!(r.str(), Err(StorageError::Corrupt { .. })));
     }

@@ -423,7 +423,8 @@ impl PartitionStore {
         buffer_frames: usize,
     ) -> Result<PartitionStore> {
         let next_id = r.u64()?;
-        let num_partitions = r.u32()? as usize;
+        // A partition is its id, kind and page count, then at least a page.
+        let num_partitions = r.count(8 + 1 + 4 + PAGE_SIZE)?;
         let mut partitions = HashMap::with_capacity(num_partitions);
         for _ in 0..num_partitions {
             let id = r.u64()?;
@@ -436,7 +437,7 @@ impl PartitionStore {
                     })
                 }
             };
-            let num_pages = r.u32()? as usize;
+            let num_pages = r.count(PAGE_SIZE)?;
             if num_pages == 0 {
                 return Err(StorageError::Corrupt {
                     reason: format!("partition {id} declares zero pages"),

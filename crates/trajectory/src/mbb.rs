@@ -1,8 +1,8 @@
 //! 3D (space + time) minimum bounding boxes.
 //!
 //! The `pg3D-Rtree` of the paper indexes trajectory segments and
-//! sub-trajectories by their 3D MBB; this type is the key used by the GiST
-//! operator class in `hermes-gist`.
+//! sub-trajectories by their 3D MBB; here this type keys the packed R-tree
+//! of `hermes-gist` and the voting scan's candidate rows.
 
 use crate::point::Point;
 use crate::time::{TimeInterval, Timestamp};

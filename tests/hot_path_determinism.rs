@@ -1,18 +1,16 @@
 //! The flat hot path must not change a single bit of any answer.
 //!
-//! Three voting implementations coexist: the quadratic `naive_voting`, the
-//! object-graph `indexed_voting` (`SegmentIndex`/`RTree3D`), and the SoA
-//! `arena_voting` (`SegmentArena` + `PackedSegmentIndex`) the pipeline now
+//! Two voting implementations coexist: the quadratic `naive_voting` and the
+//! SoA `arena_voting` (`SegmentArena` + `PackedSegmentIndex`) the pipeline
 //! runs on. On seeded urban, maritime and aircraft datasets, at 1, 4 and 8
-//! compute threads, all three must agree **exactly** — same `f64` bits in
-//! every vote — and the arena-backed pipeline must reproduce the legacy
-//! voting verbatim end to end.
+//! compute threads, both must agree **exactly** — same `f64` bits in every
+//! vote — and the arena-backed pipeline must reproduce the naive voting
+//! verbatim end to end.
 
 use hermes::exec::{ExecPolicy, Executor};
 use hermes::prelude::*;
 use hermes::s2t::{
-    arena_voting_with, indexed_voting_with, naive_voting_with, run_s2t, PackedSegmentIndex,
-    SegmentArena, SegmentIndex, VotingProfile,
+    arena_voting_with, naive_voting_with, run_s2t, PackedSegmentIndex, SegmentArena, VotingProfile,
 };
 
 fn urban_trajectories() -> Vec<Trajectory> {
@@ -94,6 +92,8 @@ fn assert_profiles_bit_identical(a: &[VotingProfile], b: &[VotingProfile], label
 
 #[test]
 fn arena_voting_is_bit_identical_to_indexed_and_naive_paths() {
+    // (The object-graph R-tree path this once compared against as well is
+    // gone; the arena and the naive enumeration remain.)
     for (name, trajs, params) in workloads() {
         assert!(
             trajs.len() >= 10,
@@ -101,8 +101,6 @@ fn arena_voting_is_bit_identical_to_indexed_and_naive_paths() {
         );
         let arena = SegmentArena::build(&trajs);
         let packed = PackedSegmentIndex::build(&arena);
-        let legacy = SegmentIndex::build(&trajs);
-        assert_eq!(packed.len(), legacy.len(), "{name}: index cardinality");
 
         let serial = Executor::serial();
         let reference = arena_voting_with(&arena, &packed, &params, &serial);
@@ -113,11 +111,6 @@ fn arena_voting_is_bit_identical_to_indexed_and_naive_paths() {
                 &arena_voting_with(&arena, &packed, &params, &exec),
                 &reference,
                 &format!("{label}/arena"),
-            );
-            assert_profiles_bit_identical(
-                &indexed_voting_with(&trajs, &legacy, &params, &exec),
-                &reference,
-                &format!("{label}/indexed"),
             );
             assert_profiles_bit_identical(
                 &naive_voting_with(&trajs, &params, &exec),
@@ -132,9 +125,8 @@ fn arena_voting_is_bit_identical_to_indexed_and_naive_paths() {
 fn pipeline_runs_on_the_arena_and_reproduces_legacy_voting_verbatim() {
     for (name, trajs, params) in workloads() {
         let outcome = run_s2t(&trajs, &params);
-        let legacy = SegmentIndex::build(&trajs);
-        let via_legacy = indexed_voting_with(&trajs, &legacy, &params, &Executor::serial());
-        assert_profiles_bit_identical(&outcome.profiles, &via_legacy, name);
+        let via_naive = naive_voting_with(&trajs, &params, &Executor::serial());
+        assert_profiles_bit_identical(&outcome.profiles, &via_naive, name);
         // The timing surface knows about the new index build phase.
         assert!(outcome.timings.index_build_ms >= 0.0);
         assert!(outcome.timings.total_ms() > 0.0);

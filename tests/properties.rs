@@ -7,7 +7,7 @@
 //! the suite builds offline.
 
 use hermes::datagen::SplitMix64;
-use hermes::gist::RTree3D;
+use hermes::gist::PackedRTree;
 use hermes::s2t::{
     cluster_around_representatives, segment_trajectory, select_representatives, S2TParams,
     VotingProfile,
@@ -102,61 +102,47 @@ fn mbb_min_distance_is_zero_iff_intersecting() {
 
 // --- R-tree equivalence with a linear scan ------------------------------------
 
+/// The values a packed tree's ball query visits, sorted.
+fn ball_hits(tree: &PackedRTree<usize>, query: &Mbb, radius: f64) -> Vec<usize> {
+    let mut hits = Vec::new();
+    tree.for_each_ball_candidate_idx(query, radius, |i, _| hits.push(*tree.value(i)));
+    hits.sort_unstable();
+    hits
+}
+
 #[test]
 fn rtree_range_query_matches_linear_scan() {
+    // A ball of radius 0 is the closed query box.
     sweep(0xB1, 60, |rng| {
         let boxes: Vec<Mbb> = (0..1 + rng.index(119)).map(|_| gen_mbb(rng)).collect();
         let query = gen_mbb(rng);
-        let mut tree = RTree3D::new();
-        for (i, b) in boxes.iter().enumerate() {
-            tree.insert(*b, i);
-        }
-        let mut from_tree: Vec<usize> = tree
-            .query_intersecting(&query)
-            .into_iter()
-            .copied()
-            .collect();
-        from_tree.sort_unstable();
+        let tree = PackedRTree::bulk_load(boxes.iter().copied().zip(0..).collect());
         let expected: Vec<usize> = boxes
             .iter()
             .enumerate()
             .filter(|(_, b)| b.intersects(&query))
             .map(|(i, _)| i)
             .collect();
-        assert_eq!(from_tree, expected);
+        assert_eq!(ball_hits(&tree, &query, 0.0), expected);
     });
 }
 
 #[test]
 fn rtree_bulk_load_matches_incremental() {
+    // Items arriving in another order pack into another tree, which must
+    // answer every ball query with the same set.
     sweep(0xB2, 60, |rng| {
         let boxes: Vec<Mbb> = (0..1 + rng.index(119)).map(|_| gen_mbb(rng)).collect();
         let query = gen_mbb(rng);
-        let items: Vec<(Mbb, usize)> = boxes
-            .iter()
-            .copied()
-            .enumerate()
-            .map(|(i, b)| (b, i))
-            .collect();
-        let bulk = RTree3D::bulk_load(items.clone());
-        let mut incr = RTree3D::new();
-        for (b, v) in items {
-            incr.insert(b, v);
-        }
-        let mut a: Vec<usize> = bulk
-            .query_intersecting(&query)
-            .into_iter()
-            .copied()
-            .collect();
-        let mut b: Vec<usize> = incr
-            .query_intersecting(&query)
-            .into_iter()
-            .copied()
-            .collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        assert_eq!(bulk.len(), incr.len());
+        let radius = rng.index(300) as f64;
+        let items: Vec<(Mbb, usize)> = boxes.iter().copied().zip(0..).collect();
+        let forward = PackedRTree::bulk_load(items.clone());
+        let backward = PackedRTree::bulk_load(items.into_iter().rev().collect());
+        assert_eq!(forward.len(), backward.len());
+        assert_eq!(
+            ball_hits(&forward, &query, radius),
+            ball_hits(&backward, &query, radius)
+        );
     });
 }
 
