@@ -16,7 +16,6 @@ fn params_with_threshold(pages: usize) -> ReTraTreeParams {
         chunk_duration: Duration::from_hours(2),
         subchunks_per_chunk: 4,
         reorg_page_threshold: pages,
-        buffer_frames: 256,
         s2t: maritime_s2t_params(),
     }
 }
@@ -28,7 +27,7 @@ fn main() {
     let samples: Vec<_> = thresholds
         .iter()
         .map(|&pages| {
-            bench(format!("page_threshold/{pages}"), 10, || {
+            bench(format!("reorg_page_threshold/{pages}"), 10, || {
                 let mut tree = ReTraTree::new(params_with_threshold(pages));
                 for t in &scenario.trajectories {
                     tree.insert_trajectory(t);
@@ -64,16 +63,4 @@ fn main() {
             tree.total_clusters()
         );
     }
-    // Buffer-pool behaviour of the storage layer during a follow-up scan.
-    let tree = ReTraTree::build_from(params_with_threshold(4), &scenario.trajectories);
-    tree.store().buffer().reset_stats();
-    let span = tree.lifespan().unwrap();
-    let _ = tree.window_sub_trajectories(&span);
-    let b = tree.store().buffer().stats();
-    eprintln!(
-        "buffer pool during a full scan: {} hits, {} misses (hit ratio {:.0}%)",
-        b.hits,
-        b.misses,
-        b.hit_ratio() * 100.0
-    );
 }

@@ -73,7 +73,6 @@ pub fn tree_params(s2t: S2TParams) -> ReTraTreeParams {
         chunk_duration: Duration::from_hours(2),
         subchunks_per_chunk: 4,
         reorg_page_threshold: 4,
-        buffer_frames: 256,
         s2t,
     }
 }

@@ -13,7 +13,7 @@ use hermes_s2t::{
     run_s2t_indexed_with, run_s2t_naive_with, ClusteringResult, KernelCounters, S2TOutcome,
     S2TParams, S2TPhaseTimings, S2tIndex,
 };
-use hermes_storage::{BufferStats, Catalog, DatasetId};
+use hermes_storage::{Catalog, DatasetId};
 use hermes_trajectory::{TimeInterval, Trajectory};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -83,8 +83,8 @@ pub struct PhaseCountersMs {
 }
 
 /// Engine-wide resource counters, aggregated over every dataset's ReTraTree
-/// storage. Surfaced by `SHOW STATS` and the CLI's `\stats` so the buffer
-/// pool's behaviour is observable outside the benchmarks.
+/// storage. Surfaced by `SHOW STATS` and the CLI's `\stats` so level-4
+/// traffic is observable outside the benchmarks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Registered datasets.
@@ -95,8 +95,9 @@ pub struct EngineStats {
     pub indexed_partitions: usize,
     /// Sub-trajectory records stored across every built index.
     pub stored_records: usize,
-    /// Buffer-pool hit/miss/eviction counters summed over every index.
-    pub buffer: BufferStats,
+    /// Level-4 page lookups summed over every index, including those made
+    /// by readers still pinned to an older epoch of the same index.
+    pub page_lookups: u64,
     /// Border-memo counters and accounted bytes summed over every index.
     pub border_memo: BorderMemoStats,
     /// Times `run_s2t` built a dataset's segment index / found it built.
@@ -571,10 +572,7 @@ impl HermesEngine {
             let store = tree.store();
             stats.indexed_partitions += store.num_partitions();
             stats.stored_records += store.total_records();
-            let b = store.buffer().stats();
-            stats.buffer.hits += b.hits;
-            stats.buffer.misses += b.misses;
-            stats.buffer.evictions += b.evictions;
+            stats.page_lookups += store.page_lookups();
             let m = tree.border_memo_stats();
             stats.border_memo.hits += m.hits;
             stats.border_memo.misses += m.misses;
@@ -645,7 +643,6 @@ mod tests {
             chunk_duration: Duration::from_hours(4),
             subchunks_per_chunk: 4,
             reorg_page_threshold: 2,
-            buffer_frames: 64,
             s2t: s2t_params(),
         }
     }
@@ -738,14 +735,15 @@ mod tests {
         assert_eq!(before.indexed_partitions, 0);
 
         e.build_index("flights", tree_params()).unwrap();
-        // Touch the storage through a window query so the pool sees traffic.
+        // Touch the storage through a window query so pages are looked up.
+        let built = e.stats().page_lookups;
         let w = TimeInterval::new(Timestamp(0), Timestamp(3_600_000));
         let _ = e.tree("flights").unwrap().window_sub_trajectories(&w);
         let after = e.stats();
         assert_eq!(after.indexed_datasets, 1);
         assert!(after.indexed_partitions > 0);
         assert!(after.stored_records > 0);
-        assert!(after.buffer.hits + after.buffer.misses > 0);
+        assert!(after.page_lookups > built);
     }
 
     #[test]

@@ -617,7 +617,6 @@ mod tests {
             chunk_duration: Duration::from_hours(4),
             subchunks_per_chunk: 4,
             reorg_page_threshold: 2,
-            buffer_frames: 64,
             s2t: hermes_s2t::S2TParams {
                 sigma: 60.0,
                 epsilon: 400.0,

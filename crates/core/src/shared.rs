@@ -240,7 +240,6 @@ mod tests {
                     chunk_duration: hermes_trajectory::Duration::from_hours(4),
                     subchunks_per_chunk: 4,
                     reorg_page_threshold: 2,
-                    buffer_frames: 64,
                     s2t: s2t.clone(),
                 },
             )
@@ -383,6 +382,39 @@ mod tests {
         }
         assert_eq!(copied_pages, 1, "one flight, one sub-chunk, one page");
         assert!(shared_pages >= 4, "{shared_pages} pages shared");
+    }
+
+    #[test]
+    fn page_lookups_through_a_pinned_epoch_reach_the_newest_stats() {
+        use hermes_trajectory::TimeInterval;
+
+        let (shared, _, _) = indexed_data((0..12).map(|i| traj(i, i as f64 * 10.0)).collect());
+        let w = TimeInterval::new(Timestamp(5 * 60_000), Timestamp(25 * 60_000));
+        let read = |e: &HermesEngine| e.tree("data").unwrap().window_sub_trajectories(&w);
+        let lookups = |e: &HermesEngine| e.stats().page_lookups;
+
+        let old = shared.pin();
+        let mut series = vec![lookups(&old)];
+        let answer = read(&old);
+        series.push(lookups(&old));
+        let per_read = series[1] - series[0];
+        assert!(per_read > 0);
+
+        // The ingest copies the tree the pinned reader still holds.
+        shared
+            .with_write(|e| e.load_trajectories("data", vec![traj(900, 55.0)]))
+            .unwrap();
+        let new = shared.pin();
+        series.push(lookups(&new));
+        assert_eq!(read(&old), answer);
+        series.push(lookups(&new));
+        assert_eq!(
+            series[3] - series[2],
+            per_read,
+            "the pinned reader's lookups reach the new epoch's stats"
+        );
+        assert_eq!(lookups(&old), lookups(&new));
+        assert!(series.windows(2).all(|p| p[0] <= p[1]), "{series:?}");
     }
 
     #[test]

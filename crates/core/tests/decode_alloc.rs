@@ -175,8 +175,7 @@ fn tree_counts_are_checked_before_they_allocate() {
     w.u32(HUGE);
     let bytes = w.into_bytes();
     assert_refused("partitions", || {
-        PartitionStore::decode_from(&mut ByteReader::new(&bytes), 4, 64)
-            .map_err(EngineError::Storage)
+        PartitionStore::decode_from(&mut ByteReader::new(&bytes)).map_err(EngineError::Storage)
     });
     let mut w = tree_head();
     w.u64(1);

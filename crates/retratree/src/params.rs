@@ -18,8 +18,6 @@ pub struct ReTraTreeParams {
     /// partition exceeds a pre-defined threshold, S2T-Clustering takes
     /// action").
     pub reorg_page_threshold: usize,
-    /// Buffer-pool capacity in frames for the backing partition store.
-    pub buffer_frames: usize,
     /// S2T parameters used for the per-sub-chunk clustering runs.
     pub s2t: S2TParams,
 }
@@ -30,7 +28,6 @@ impl Default for ReTraTreeParams {
             chunk_duration: Duration::from_hours(6),
             subchunks_per_chunk: 4,
             reorg_page_threshold: 8,
-            buffer_frames: 256,
             s2t: S2TParams::default(),
         }
     }
@@ -70,12 +67,6 @@ impl ReTraTreeParamsBuilder {
     /// Sets the outlier-partition page threshold triggering re-clustering.
     pub fn reorg_page_threshold(mut self, pages: usize) -> Self {
         self.params.reorg_page_threshold = pages;
-        self
-    }
-
-    /// Sets the buffer-pool capacity in frames.
-    pub fn buffer_frames(mut self, frames: usize) -> Self {
-        self.params.buffer_frames = frames;
         self
     }
 
@@ -232,7 +223,6 @@ mod tests {
             .chunk_duration(Duration::from_hours(2))
             .subchunks_per_chunk(8)
             .reorg_page_threshold(3)
-            .buffer_frames(64)
             .s2t(S2TParams::builder().sigma(9.0).build().unwrap())
             .build()
             .unwrap();

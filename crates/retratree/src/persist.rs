@@ -41,6 +41,12 @@ const ENTRY_MIN_BYTES: usize = 4 + 32 + 2 * 24 + 8 + 8 + 1 + 4;
 /// Encoded size of one version-1 leaf-index entry: a box and a locator.
 const V1_INDEX_ENTRY_BYTES: usize = 6 * 8 + LOCATOR_BYTES;
 
+/// What the reserved `u32` of the parameter block is written as. It once
+/// held a buffer-pool capacity whose default was 256; writing that keeps the
+/// bytes of a default-configured engine what they were, and readers ignore
+/// the slot whatever it holds.
+const RESERVED_PARAMS_SLOT: u32 = 256;
+
 /// Serializes the full construction-parameter set (including the nested
 /// [`S2TParams`]). Shared with the engine's WAL, whose `BuildIndex` record
 /// carries the same parameters.
@@ -48,7 +54,7 @@ pub fn encode_params_into(w: &mut ByteWriter, p: &ReTraTreeParams) {
     w.i64(p.chunk_duration.millis());
     w.u32(p.subchunks_per_chunk as u32);
     w.u32(p.reorg_page_threshold as u32);
-    w.u32(p.buffer_frames as u32);
+    w.u32(RESERVED_PARAMS_SLOT);
     w.f64(p.s2t.sigma);
     w.f64(p.s2t.tau);
     w.f64(p.s2t.delta);
@@ -62,11 +68,14 @@ pub fn encode_params_into(w: &mut ByteWriter, p: &ReTraTreeParams) {
 /// [`ReTraTreeParams::validate`] so corrupt input cannot smuggle in an
 /// invalid configuration.
 pub fn decode_params_from(r: &mut ByteReader<'_>) -> Result<ReTraTreeParams> {
+    let chunk_duration = Duration::from_millis(r.i64()?);
+    let subchunks_per_chunk = r.u32()? as usize;
+    let reorg_page_threshold = r.u32()? as usize;
+    r.u32()?; // reserved
     let params = ReTraTreeParams {
-        chunk_duration: Duration::from_millis(r.i64()?),
-        subchunks_per_chunk: r.u32()? as usize,
-        reorg_page_threshold: r.u32()? as usize,
-        buffer_frames: r.u32()? as usize,
+        chunk_duration,
+        subchunks_per_chunk,
+        reorg_page_threshold,
         s2t: S2TParams {
             sigma: r.f64()?,
             tau: r.f64()?,
@@ -208,7 +217,7 @@ fn decode_tree_with(r: &mut ByteReader<'_>, v1_entry_lists: bool) -> Result<ReTr
         reorganizations: r.u64()? as usize,
         promoted_representatives: r.u64()? as usize,
     };
-    let store = PartitionStore::decode_from(r, params.reorg_page_threshold, params.buffer_frames)?;
+    let store = PartitionStore::decode_from(r)?;
 
     let num_chunks = r.u32()?;
     let chunk_len = params.chunk_duration.millis();
@@ -335,7 +344,6 @@ mod tests {
             chunk_duration: Duration::from_hours(4),
             subchunks_per_chunk: 4,
             reorg_page_threshold: 2,
-            buffer_frames: 64,
             s2t: S2TParams {
                 sigma: 60.0,
                 epsilon: 300.0,
@@ -413,6 +421,24 @@ mod tests {
             decode_params_from(&mut ByteReader::new(&buf)),
             Err(StorageError::Corrupt { .. })
         ));
+    }
+
+    #[test]
+    fn the_reserved_params_slot_is_written_as_256_and_read_as_anything() {
+        let p = params();
+        let mut w = ByteWriter::new();
+        encode_params_into(&mut w, &p);
+        let buf = w.into_bytes();
+        // After the chunk length, the fan-out and the page threshold.
+        let slot = 8 + 4 + 4..8 + 4 + 4 + 4;
+        assert_eq!(buf[slot.clone()], 256u32.to_le_bytes());
+        for held in [0, 64, u32::MAX] {
+            let mut other = buf.clone();
+            other[slot.clone()].copy_from_slice(&held.to_le_bytes());
+            let mut r = ByteReader::new(&other);
+            assert_eq!(decode_params_from(&mut r).unwrap(), p, "slot {held}");
+            assert!(r.is_empty());
+        }
     }
 
     #[test]

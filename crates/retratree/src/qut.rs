@@ -60,8 +60,8 @@ pub struct QutStats {
     /// outliers of every covered sub-chunk, plus the records a border's
     /// re-clustering read — for a border answered from the memo, the loads of
     /// the run that computed it. A logical count: what physically moved
-    /// (nothing, for a covered sub-chunk already filled) is the buffer pool's
-    /// counters. Like the two counters above a function of (tree value,
+    /// (nothing, for a covered sub-chunk already filled) is the store's page
+    /// lookup counter. Like the two counters above a function of (tree value,
     /// window, params) only; the work a query really did is in `phases` and
     /// `kernel`.
     pub loaded_sub_trajectories: usize,
@@ -171,8 +171,8 @@ pub struct QutPartial {
 
 /// Answers one sub-chunk of `QUT(W)`: reuse the level-3 entries when `W`
 /// fully covers the sub-chunk, re-cluster the window overlap otherwise.
-/// Reads only (`&ReTraTree`; storage reads and the border memo sit behind
-/// their own `Mutex`es), so any number of these run in parallel.
+/// Reads only (`&ReTraTree`; storage reads borrow the pages, the border memo
+/// sits behind its own `Mutex`), so any number of these run in parallel.
 fn answer_subchunk(
     tree: &ReTraTree,
     sc: &SubChunk,
@@ -622,7 +622,6 @@ mod tests {
             chunk_duration: Duration::from_hours(4),
             subchunks_per_chunk: 4,
             reorg_page_threshold: 2,
-            buffer_frames: 64,
             s2t: S2TParams {
                 sigma: 60.0,
                 epsilon: 300.0,
@@ -1325,7 +1324,6 @@ mod tests {
                 chunk_duration: Duration::from_mins(30),
                 subchunks_per_chunk: 2,
                 reorg_page_threshold: 4,
-                buffer_frames: 64,
                 s2t: s2t.clone(),
             },
             trajectories,

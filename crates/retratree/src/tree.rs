@@ -58,11 +58,10 @@ impl ReTraTree {
         params
             .validate()
             .expect("ReTraTreeParams must be valid; validate() before constructing");
-        let store = PartitionStore::new(params.reorg_page_threshold, params.buffer_frames);
         ReTraTree {
             params,
             chunks: BTreeMap::new(),
-            store,
+            store: PartitionStore::new(),
             stats: MaintenanceStats::default(),
             border_memo: BorderMemo::new(),
         }
@@ -249,8 +248,8 @@ impl ReTraTree {
     }
 
     /// The read-only half of a reorganization: load the sub-chunk's current
-    /// outliers and run S2T on them. Takes `&self` (storage reads go through
-    /// the `Mutex`-guarded buffer pool), so [`ReTraTree::reorganize_all_with`]
+    /// outliers and run S2T on them. Takes `&self` (storage reads borrow
+    /// the pages and take no lock), so [`ReTraTree::reorganize_all_with`]
     /// fans these out over sub-chunks in parallel.
     fn cluster_subchunk_outliers(
         &self,
@@ -479,7 +478,6 @@ mod tests {
             chunk_duration: Duration::from_hours(4),
             subchunks_per_chunk: 4,
             reorg_page_threshold: 2,
-            buffer_frames: 64,
             s2t: S2TParams {
                 sigma: 60.0,
                 epsilon: 300.0,

@@ -79,7 +79,6 @@ fn tree() -> ReTraTree {
         chunk_duration: Duration::from_hours(4),
         subchunks_per_chunk: 4,
         reorg_page_threshold: 2,
-        buffer_frames: 64,
         s2t,
     });
     let span = 3 * HOUR_MS - 100_000;
@@ -109,16 +108,20 @@ fn a_warm_covered_read_looks_no_page_up_and_allocates_no_point() {
     };
     let exec = Executor::serial();
     // The first read fills every entry's member distances from the records.
+    let built = tree.store().page_lookups();
     let cold = qut_partial_with(&tree, &OwnedSlice::ALL, &w, &params, &exec);
     assert_eq!(cold.stats.reclustered_subchunks, 0, "grid-aligned");
-    assert!(tree.store().buffer().stats().misses > 0);
+    let lookups = tree.store().page_lookups();
+    assert!(lookups > built);
 
-    tree.store().buffer().reset_stats();
     let before = local_bytes();
     let warm = qut_partial_with(&tree, &OwnedSlice::ALL, &w, &params, &exec);
     let allocated = local_bytes() - before;
-    let pool = tree.store().buffer().stats();
-    assert_eq!((pool.hits, pool.misses), (0, 0), "a warm covered read");
+    assert_eq!(
+        tree.store().page_lookups() - lookups,
+        0,
+        "a warm covered read"
+    );
     assert_eq!(warm, cold);
 
     let members: usize = warm.clusters.iter().map(|c| c.members.len()).sum();

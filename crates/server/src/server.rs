@@ -696,7 +696,7 @@ fn resolve_trace_id(id: &Scalar, params: &[Value]) -> Result<i64, String> {
 
 /// Pull-based collector contributing the engine's aggregated stats to every
 /// scrape: engine shape (`hermes_engine_*`), cumulative clustering phase
-/// work, buffer-pool and durability counters (`hermes_storage_*`), and the
+/// work, page-lookup and durability counters (`hermes_storage_*`), and the
 /// executor queue depth (`hermes_exec_*`).
 fn collect_engine_samples(engine: &SharedEngine, out: &mut Vec<Sample>) {
     let (stats, queue_depth) = engine.with_read(|e| (e.stats(), e.executor().queue_depth()));
@@ -762,19 +762,9 @@ fn collect_engine_samples(engine: &SharedEngine, out: &mut Vec<Sample>) {
         stats.kernel_pruned,
     ));
     out.push(counter(
-        "hermes_storage_buffer_hits_total",
-        "Buffer-pool page hits summed over every index",
-        stats.buffer.hits,
-    ));
-    out.push(counter(
-        "hermes_storage_buffer_misses_total",
-        "Buffer-pool page misses summed over every index",
-        stats.buffer.misses,
-    ));
-    out.push(counter(
-        "hermes_storage_buffer_evictions_total",
-        "Buffer-pool evictions summed over every index",
-        stats.buffer.evictions,
+        "hermes_storage_page_lookups_total",
+        "Level-4 page lookups summed over every index",
+        stats.page_lookups,
     ));
     out.push(counter(
         "hermes_retratree_border_memo_hits_total",

@@ -267,9 +267,7 @@ fn push_engine_stats(frame: &mut Frame, engine: &HermesEngine) {
         ("indexed_datasets", s.indexed_datasets as i64),
         ("indexed_partitions", s.indexed_partitions as i64),
         ("stored_records", s.stored_records as i64),
-        ("buffer_hits", s.buffer.hits as i64),
-        ("buffer_misses", s.buffer.misses as i64),
-        ("buffer_evictions", s.buffer.evictions as i64),
+        ("page_lookups", s.page_lookups as i64),
         ("threads", s.threads as i64),
         // Cumulative S2T pipeline phase work (milliseconds) across every
         // clustering query — S2T direct, QuT border re-clustering and the
@@ -828,7 +826,7 @@ mod tests {
         assert_eq!(metric("indexed_datasets"), 1);
         assert!(metric("indexed_partitions") > 0);
         assert!(metric("stored_records") > 0);
-        assert!(metric("buffer_hits") + metric("buffer_misses") > 0);
+        assert!(metric("page_lookups") > 0);
         // The cumulative phase counters are always present (non-negative,
         // zero until enough clustering work accumulates a millisecond).
         for phase in [

@@ -115,8 +115,8 @@ pub enum Statement {
     },
     /// `SHOW DATASETS;`
     ShowDatasets,
-    /// `SHOW STATS;` — engine resource counters (buffer pool hits/misses,
-    /// indexed partitions), plus whatever scope the executing front end adds
+    /// `SHOW STATS;` — engine resource counters (page lookups, indexed
+    /// partitions), plus whatever scope the executing front end adds
     /// (session parse/cache counters, server connection metrics).
     ShowStats,
     /// `SHOW TRACES;` — summaries of the traces in the serving edge's

@@ -310,13 +310,6 @@ fn split_sub_trajectory(bytes: &[u8]) -> Result<(RecordHeader, &[u8])> {
     Ok((header, r.raw(count * 24)?))
 }
 
-/// Number of points of a record, after the same validation
-/// [`decode_sub_trajectory`] applies — for callers that only need to know a
-/// record is readable, without allocating its points.
-pub(crate) fn sub_trajectory_point_count(bytes: &[u8]) -> Result<usize> {
-    split_sub_trajectory(bytes).map(|(header, _)| header.count)
-}
-
 /// The summary of a record — its header and the times of its first and last
 /// point — after the same validation [`decode_sub_trajectory`] applies, read
 /// in place: no point is decoded and nothing is allocated. A record whose

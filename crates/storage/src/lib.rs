@@ -10,13 +10,13 @@
 //! This crate reproduces that storage layer natively:
 //!
 //! * [`page`] — fixed-size slotted pages holding serialized sub-trajectories,
-//! * [`buffer`] — a small buffer pool with LRU eviction and hit/miss
-//!   accounting, standing in for PostgreSQL's shared buffers (the benchmark
-//!   harness reports logical I/O through it),
 //! * [`codec`] — compact binary serialization of (sub-)trajectories plus the
 //!   [`ByteWriter`]/[`ByteReader`] primitives every durable format uses,
 //! * [`partition`] — append-oriented partitions built from pages, with size
-//!   accounting to drive the re-clustering threshold,
+//!   accounting to drive the re-clustering threshold. Every page is
+//!   resident and shared by refcount, standing in for PostgreSQL's shared
+//!   buffers; the store counts its page lookups (the logical I/O the
+//!   server exports),
 //! * [`catalog`] — the named-dataset catalog used by the SQL layer.
 //!
 //! Since the durability PR this crate also owns the on-disk formats — the
@@ -27,7 +27,6 @@
 
 #![deny(missing_docs)]
 
-pub mod buffer;
 pub mod catalog;
 pub mod codec;
 pub mod crc;
@@ -37,7 +36,6 @@ pub mod partition;
 pub mod snapshot;
 pub mod wal;
 
-pub use buffer::{BufferPool, BufferStats};
 pub use catalog::{Catalog, DatasetId, DatasetMeta};
 pub use codec::{decode_sub_trajectory, encode_sub_trajectory, ByteReader, ByteWriter};
 pub use crc::{crc32, Crc32};

@@ -3,9 +3,8 @@
 //! Pages mimic the PostgreSQL heap-page layout at the level of behaviour that
 //! matters for the reproduction: a fixed 8 KiB size, a slot directory growing
 //! from the front, record payloads growing from the back, and tombstoned
-//! deletion. The buffer pool and partitions operate exclusively on pages, so
-//! the benchmark harness can report logical page reads the same way the
-//! paper's in-DBMS implementation would.
+//! deletion. Partitions operate exclusively on pages, so the store can count
+//! logical page reads the same way the paper's in-DBMS implementation would.
 
 use crate::error::StorageError;
 use crate::Result;
@@ -191,14 +190,6 @@ impl Page {
         }
         Ok(page)
     }
-
-    /// Iterates over `(slot, bytes)` of live records, lending the bytes.
-    pub fn iter(&self) -> impl Iterator<Item = (SlotId, &[u8])> + '_ {
-        (0..self.slot_count()).filter_map(move |s| {
-            let (off, len) = self.slot(s);
-            (len != 0).then(|| (s, &self.data[off as usize..off as usize + len as usize]))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +216,6 @@ mod tests {
         assert_eq!(p.get(a).unwrap(), None);
         assert_eq!(p.get(b).unwrap().unwrap(), b"bbb");
         assert_eq!(p.live_records(), 1);
-        assert_eq!(p.iter().count(), 1);
     }
 
     #[test]

@@ -2,12 +2,10 @@
 //!
 //! Wall-clock drifts by tens of percent on the boxes this repository is
 //! measured on; the *work* a statement does — records loaded, cluster pairs
-//! merged, pages looked up in the buffer pool — is a pure function of the
-//! seeded data set and the statement when one client drives an engine at
-//! `threads = 1`. (With several clients on one pool the lookups still add
-//! up, but which of them hit depends on the interleaving; and with more
-//! threads the sub-chunks of one query reach the pool in any order. Only the
-//! sum `hits + misses` is pinned here, which neither changes.)
+//! merged, pages looked up — is a pure function of the seeded data set and
+//! the statement when one client drives an engine at `threads = 1`. (More
+//! threads or more clients change the order of the lookups, never their
+//! number.)
 //!
 //! A PR that moves one of these numbers must do so on purpose and say so in
 //! CHANGES.md next to the old value.
@@ -24,7 +22,7 @@ struct Work {
     loaded: usize,
     /// `QutStats::merges`.
     merges: usize,
-    /// Buffer-pool lookups, `hits + misses`, of the first run: the border
+    /// Page lookups of the first run: the border
     /// loads, and the members of every covered entry no earlier statement
     /// of this test filled (the fill is the entry's, not the statement's)…
     lookups: u64,
@@ -58,14 +56,13 @@ fn engine() -> HermesEngine {
     engine
 }
 
-/// Runs `statement` twice (same frame both times) and reports the pool
+/// Runs `statement` twice (same frame both times) and reports the page
 /// lookups each run made.
 fn lookups_of(engine: &mut HermesEngine, statement: &str) -> (QueryOutcome, [u64; 2]) {
     let mut run = || {
-        engine.tree("data").unwrap().store().buffer().reset_stats();
+        let before = engine.stats().page_lookups;
         let outcome = sql::execute(engine, statement).unwrap();
-        let stats = engine.tree("data").unwrap().store().buffer().stats();
-        (outcome, stats.hits + stats.misses)
+        (outcome, engine.stats().page_lookups - before)
     };
     let (first, lookups) = run();
     let (second, repeat_lookups) = run();
@@ -141,7 +138,7 @@ fn golden_work_counts_of_the_qut_read_path() {
         repeat_lookups,
     };
 
-    // RANGE counts the summaries level 3 keeps: no page, no pool lookup.
+    // RANGE counts the summaries level 3 keeps: no page lookup.
     let statement = format!(
         "SELECT RANGE(data, {}, {});",
         5 * SUBCHUNK_MS + 1,

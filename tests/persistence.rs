@@ -52,7 +52,6 @@ fn tree_params() -> ReTraTreeParams {
         chunk_duration: Duration::from_hours(2),
         subchunks_per_chunk: 4,
         reorg_page_threshold: 2,
-        buffer_frames: 128,
         s2t: s2t_params(),
     }
 }
