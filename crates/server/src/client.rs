@@ -8,6 +8,7 @@ use crate::protocol::{
 use hermes_obs::TraceContext;
 use hermes_retratree::QutPartial;
 use hermes_sql::{QueryOutcome, Value};
+use hermes_storage::codec::encoded_trajectory_len;
 use hermes_trajectory::Trajectory;
 use std::fmt;
 use std::io::{self, BufReader, BufWriter};
@@ -412,14 +413,13 @@ impl HermesClient {
         dataset: &str,
         trajectories: &[Trajectory],
     ) -> Result<u64, ClientError> {
-        // Encoded size: 20-byte trajectory header + 24 bytes per point.
         // Batch under half the message cap to leave generous framing slack.
         const BATCH_BUDGET: usize = (crate::MAX_MESSAGE_BYTES as usize) / 2;
         let mut batches = 0u64;
         let mut batch_start = 0;
         let mut batch_bytes = 0usize;
         for (i, t) in trajectories.iter().enumerate() {
-            let encoded = 20 + 24 * t.points().len();
+            let encoded = encoded_trajectory_len(t);
             if batch_bytes + encoded > BATCH_BUDGET && i > batch_start {
                 self.send(&Request::Ingest {
                     dataset: dataset.to_string(),

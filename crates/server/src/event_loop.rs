@@ -59,8 +59,8 @@
 use crate::metrics::ServerMetrics;
 use crate::poll::{Interest, PollEvent, Poller};
 use crate::protocol::{
-    read_handshake, read_request, write_handshake, write_response, ErrorCode, Request, Response,
-    MAX_MESSAGE_BYTES,
+    decode_request, frame_length, read_handshake, write_handshake, write_response, ErrorCode,
+    Request, Response,
 };
 use crate::server::{Backend, RequestCtx, Server, ServerConfig};
 use hermes_obs::{slow_query_line, SpanStore, TraceContext};
@@ -692,29 +692,27 @@ fn parse_frames<B: Backend>(
     }
     while !conn.close_after_flush {
         let avail = &conn.read_buf[conn.read_pos..];
-        if avail.len() < 4 {
+        let Some(&prefix) = avail.first_chunk::<4>() else {
             break;
-        }
-        let length = u32::from_be_bytes([avail[0], avail[1], avail[2], avail[3]]);
-        if length == 0 || length > MAX_MESSAGE_BYTES {
-            ctx.metrics.query_errors.inc();
-            let e = io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("invalid message length {length}"),
-            );
-            let resp = protocol_error(&e);
-            conn.push_response(&resp, &ctx.metrics);
-            conn.close_after_flush = true;
-            break;
-        }
-        let frame_len = 4 + length as usize;
+        };
+        let frame_len = match frame_length(prefix) {
+            Ok(length) => 4 + length,
+            Err(e) => {
+                ctx.metrics.query_errors.inc();
+                let resp = protocol_error(&e);
+                conn.push_response(&resp, &ctx.metrics);
+                conn.close_after_flush = true;
+                break;
+            }
+        };
         if avail.len() < frame_len {
             break;
         }
-        match read_request(&mut &conn.read_buf[conn.read_pos..conn.read_pos + frame_len]) {
-            Ok((request, trace, n_in)) => {
+        // Decoded where it lies in the read buffer: no copy of the frame.
+        match decode_request(&avail[4..frame_len]) {
+            Ok((request, trace)) => {
                 conn.read_pos += frame_len;
-                ctx.metrics.bytes_in.add(n_in);
+                ctx.metrics.bytes_in.add(frame_len as u64);
                 let received = Instant::now();
                 if conn.rejected {
                     conn.queue.push_back(Parsed::Reject {
@@ -747,7 +745,7 @@ fn parse_frames<B: Backend>(
                 // and drop the connection rather than guessing at a resync
                 // point.
                 ctx.metrics.query_errors.inc();
-                let resp = protocol_error(&e);
+                let resp = protocol_error(&e.into());
                 conn.push_response(&resp, &ctx.metrics);
                 conn.close_after_flush = true;
                 break;

@@ -10,7 +10,10 @@
 //!   the engine's own typed [`Value`](hermes_sql::Value)/
 //!   [`Frame`](hermes_sql::Frame) results, with typed error frames
 //!   ([`ErrorCode`]) for admission-control rejections (layouts in
-//!   `docs/PROTOCOL.md`);
+//!   `docs/PROTOCOL.md`). It has no codec of its own: frames are written
+//!   with `hermes-storage`'s [`ByteWriter`](hermes_storage::ByteWriter)/
+//!   [`ByteReader`](hermes_storage::ByteReader) in big-endian, trajectories
+//!   in the storage layer's own layouts;
 //! - [`server`] — the one serving loop: a readiness-driven event loop
 //!   (pipelining, per-query deadlines, bounded in-flight work, panic
 //!   isolation) generic over a small [`Backend`]. The engine backend gives

@@ -10,26 +10,39 @@
 //! ```
 //!
 //! `length` counts the kind byte plus the payload, so an empty message has
-//! length 1. All integers are big-endian; floats travel as their IEEE-754
-//! bit pattern; strings as `u32` byte length + UTF-8 bytes. The full message
-//! catalogue and payload layouts are documented in `docs/PROTOCOL.md`.
+//! length 1. Frames are written with `hermes-storage`'s codec
+//! ([`ByteWriter`]/[`ByteReader`]) in its [`BigEndian`] instance: integers
+//! big-endian, floats as their IEEE-754 bit pattern, strings as `u32` byte
+//! length + UTF-8 bytes, flags as one byte that must be 0 or 1, and
+//! trajectories and cluster representatives in the very layouts the storage
+//! layer writes. The full message catalogue and payload layouts are
+//! documented in `docs/PROTOCOL.md`.
 //!
 //! The encoding is deliberately symmetric: [`Request`]s flow client → server,
 //! [`Response`]s flow back, and both sides use the same
 //! [`read_request`]/[`write_response`] (and [`read_response`]/
 //! [`write_request`]) pairs, which also report the byte counts feeding the
-//! server's `bytes_in`/`bytes_out` metrics.
+//! server's `bytes_in`/`bytes_out` metrics. A frame is encoded into one
+//! buffer and read off a stream into one; [`decode_request`] decodes a
+//! request the caller already holds (the serving loop) without copying it.
 
 use hermes_obs::TraceContext;
 use hermes_retratree::{QutCluster, QutPartial, QutStats};
 use hermes_s2t::{KernelCounters, S2TPhaseTimings};
 use hermes_sql::{ColumnDef, CommandStatus, CommandTag, Frame, QueryOutcome, Value, ValueType};
+use hermes_storage::codec::{
+    decode_trajectory_from, encode_trajectory_into, read_sub_trajectory, write_sub_trajectory,
+    SUB_TRAJECTORY_MIN_BYTES, TRAJECTORY_MIN_BYTES,
+};
+use hermes_storage::{BigEndian, ByteReader, ByteWriter, StorageError};
 use hermes_trajectory::{
-    Point, SubTrajectory, SubTrajectoryId, SubTrajectorySummary, TimeInterval, Timestamp,
-    Trajectory,
+    SubTrajectory, SubTrajectoryId, SubTrajectorySummary, TimeInterval, Timestamp, Trajectory,
 };
 use std::fmt;
 use std::io::{self, Read, Write};
+
+type WireWriter = ByteWriter<BigEndian>;
+type WireReader<'a> = ByteReader<'a, BigEndian>;
 
 /// Upper bound on one wire frame (kind byte + payload). Large enough for a
 /// bulk trajectory ingest, small enough to stop a corrupt length prefix from
@@ -69,9 +82,11 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"HRMS";
 /// preamble after verifying the server's. Only after both preambles are
 /// exchanged do length-prefixed messages flow.
 pub fn write_handshake(w: &mut impl Write) -> io::Result<()> {
-    w.write_all(&HANDSHAKE_MAGIC)?;
-    w.write_all(&PROTOCOL_VERSION.to_be_bytes())?;
-    w.write_all(&[0u8])?;
+    let mut preamble = WireWriter::default();
+    preamble.raw(&HANDSHAKE_MAGIC);
+    preamble.u16(PROTOCOL_VERSION);
+    preamble.u8(0);
+    w.write_all(preamble.as_bytes())?;
     w.flush()
 }
 
@@ -87,7 +102,9 @@ pub fn read_handshake(r: &mut impl Read) -> io::Result<u16> {
             DecodeError("bad handshake magic: peer is not a Hermes endpoint".into()).into(),
         );
     }
-    let version = u16::from_be_bytes([buf[4], buf[5]]);
+    let version = WireReader::from(&buf[4..6])
+        .u16()
+        .map_err(DecodeError::from)?;
     if version != PROTOCOL_VERSION {
         return Err(DecodeError(format!(
             "protocol version mismatch: peer speaks v{version}, this build speaks v{PROTOCOL_VERSION}"
@@ -112,6 +129,15 @@ impl std::error::Error for DecodeError {}
 impl From<DecodeError> for io::Error {
     fn from(e: DecodeError) -> Self {
         io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+    }
+}
+
+impl From<StorageError> for DecodeError {
+    fn from(e: StorageError) -> Self {
+        match e {
+            StorageError::Corrupt { reason } => DecodeError(reason),
+            other => DecodeError(other.to_string()),
+        }
     }
 }
 
@@ -324,113 +350,6 @@ impl Response {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive encoding
-// ---------------------------------------------------------------------------
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_be_bytes());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| DecodeError(format!("message truncated (wanted {n} more bytes)")))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, DecodeError> {
-        Ok(i64::from_be_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self) -> Result<String, DecodeError> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| DecodeError("string is not valid UTF-8".into()))
-    }
-
-    fn finish(&self) -> Result<(), DecodeError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(DecodeError(format!(
-                "{} trailing bytes after message",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Value / Frame / CommandStatus encoding
 // ---------------------------------------------------------------------------
 
@@ -442,12 +361,12 @@ const VALUE_TEXT: u8 = 4;
 const VALUE_TIMESTAMP: u8 = 5;
 const VALUE_INTERVAL: u8 = 6;
 
-fn write_value(w: &mut Writer, v: &Value) {
+fn write_value(w: &mut WireWriter, v: &Value) {
     match v {
         Value::Null => w.u8(VALUE_NULL),
         Value::Bool(b) => {
             w.u8(VALUE_BOOL);
-            w.u8(*b as u8);
+            w.bool(*b);
         }
         Value::Int(i) => {
             w.u8(VALUE_INT);
@@ -472,10 +391,10 @@ fn write_value(w: &mut Writer, v: &Value) {
     }
 }
 
-fn read_value(r: &mut Reader<'_>) -> Result<Value, DecodeError> {
+fn read_value(r: &mut WireReader<'_>) -> Result<Value, DecodeError> {
     Ok(match r.u8()? {
         VALUE_NULL => Value::Null,
-        VALUE_BOOL => Value::Bool(r.u8()? != 0),
+        VALUE_BOOL => Value::Bool(r.bool()?),
         VALUE_INT => Value::Int(r.i64()?),
         VALUE_FLOAT => Value::Float(r.f64()?),
         VALUE_TEXT => Value::Text(r.str()?),
@@ -485,34 +404,76 @@ fn read_value(r: &mut Reader<'_>) -> Result<Value, DecodeError> {
     })
 }
 
-fn type_code(ty: ValueType) -> u8 {
-    match ty {
-        ValueType::Bool => VALUE_BOOL,
-        ValueType::Int => VALUE_INT,
-        ValueType::Float => VALUE_FLOAT,
-        ValueType::Text => VALUE_TEXT,
-        ValueType::Timestamp => VALUE_TIMESTAMP,
-        ValueType::Interval => VALUE_INTERVAL,
+/// Column types by wire code: a type's code is its position plus one, the
+/// tag of its values (`VALUE_BOOL` … `VALUE_INTERVAL`).
+const VALUE_TYPES: [ValueType; 6] = [
+    ValueType::Bool,
+    ValueType::Int,
+    ValueType::Float,
+    ValueType::Text,
+    ValueType::Timestamp,
+    ValueType::Interval,
+];
+
+/// Command tags by wire code: a tag's code is its position plus one.
+const COMMAND_TAGS: [CommandTag; 6] = [
+    CommandTag::CreateDataset,
+    CommandTag::DropDataset,
+    CommandTag::BuildIndex,
+    CommandTag::Ingest,
+    CommandTag::Set,
+    CommandTag::Checkpoint,
+];
+
+/// The wire code of `item` in `table`.
+fn code_of<T: PartialEq>(table: &[T], item: &T) -> u8 {
+    let at = table.iter().position(|t| t == item);
+    at.expect("every variant has a code") as u8 + 1
+}
+
+/// The entry of `table` with wire code `code`.
+fn of_code<T: Copy>(table: &[T], code: u8, what: &str) -> Result<T, DecodeError> {
+    let entry = code.checked_sub(1).and_then(|at| table.get(at as usize));
+    entry
+        .copied()
+        .ok_or_else(|| DecodeError(format!("unknown {what} code {code}")))
+}
+
+/// Reads `n` items into a vector sized once — `n` comes from
+/// [`ByteReader::count`], so the bytes behind it are there.
+fn read_n<T>(
+    r: &mut WireReader<'_>,
+    n: usize,
+    mut read: impl FnMut(&mut WireReader<'_>) -> Result<T, DecodeError>,
+) -> Result<Vec<T>, DecodeError> {
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        items.push(read(r)?);
+    }
+    Ok(items)
+}
+
+/// Writes a `u32` count and the items.
+fn write_list<T>(w: &mut WireWriter, items: &[T], mut write: impl FnMut(&mut WireWriter, &T)) {
+    w.u32(items.len() as u32);
+    for item in items {
+        write(w, item);
     }
 }
 
-fn type_of_code(code: u8) -> Result<ValueType, DecodeError> {
-    Ok(match code {
-        VALUE_BOOL => ValueType::Bool,
-        VALUE_INT => ValueType::Int,
-        VALUE_FLOAT => ValueType::Float,
-        VALUE_TEXT => ValueType::Text,
-        VALUE_TIMESTAMP => ValueType::Timestamp,
-        VALUE_INTERVAL => ValueType::Interval,
-        tag => return Err(DecodeError(format!("unknown column type code {tag}"))),
-    })
+/// Reads a 0/1 presence flag and, when it is set, what `read` reads.
+fn read_optional<T>(
+    r: &mut WireReader<'_>,
+    read: impl FnOnce(&mut WireReader<'_>) -> Result<T, DecodeError>,
+) -> Result<Option<T>, DecodeError> {
+    Ok(if r.bool()? { Some(read(r)?) } else { None })
 }
 
-fn write_frame_payload(w: &mut Writer, frame: &Frame) {
+fn write_frame_payload(w: &mut WireWriter, frame: &Frame) {
     w.u16(frame.num_columns() as u16);
     for col in frame.schema() {
         w.str(&col.name);
-        w.u8(type_code(col.ty));
+        w.u8(code_of(&VALUE_TYPES, &col.ty));
     }
     w.u32(frame.num_rows() as u32);
     for row in frame.rows() {
@@ -522,123 +483,49 @@ fn write_frame_payload(w: &mut Writer, frame: &Frame) {
     }
 }
 
-fn read_frame_payload(r: &mut Reader<'_>) -> Result<Frame, DecodeError> {
-    let ncols = r.u16()? as usize;
-    let mut schema = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
+fn read_frame_payload(r: &mut WireReader<'_>) -> Result<Frame, DecodeError> {
+    // A column is at least its name's length prefix and its type code.
+    let ncols = r.count_u16(4 + 1)?;
+    let schema = read_n(r, ncols, |r| {
         let name = r.str()?;
-        let ty = type_of_code(r.u8()?)?;
-        schema.push(ColumnDef::new(name, ty));
-    }
+        let ty = of_code(&VALUE_TYPES, r.u8()?, "column type")?;
+        Ok(ColumnDef::new(name, ty))
+    })?;
     let mut frame = Frame::new(schema);
-    let nrows = r.u32()? as usize;
+    // A cell is at least its tag byte; a frame without columns has no rows.
+    let nrows = r.count(ncols.max(1))?;
     for _ in 0..nrows {
-        let mut row = Vec::with_capacity(ncols);
-        for _ in 0..ncols {
-            row.push(read_value(r)?);
-        }
-        frame.push_row(row).map_err(DecodeError)?;
+        frame
+            .push_row(read_n(r, ncols, read_value)?)
+            .map_err(DecodeError)?;
     }
     Ok(frame)
 }
 
-fn command_tag_code(tag: CommandTag) -> u8 {
-    match tag {
-        CommandTag::CreateDataset => 1,
-        CommandTag::DropDataset => 2,
-        CommandTag::BuildIndex => 3,
-        CommandTag::Ingest => 4,
-        CommandTag::Set => 5,
-        CommandTag::Checkpoint => 6,
-    }
-}
-
-fn command_tag_of_code(code: u8) -> Result<CommandTag, DecodeError> {
-    Ok(match code {
-        1 => CommandTag::CreateDataset,
-        2 => CommandTag::DropDataset,
-        3 => CommandTag::BuildIndex,
-        4 => CommandTag::Ingest,
-        5 => CommandTag::Set,
-        6 => CommandTag::Checkpoint,
-        tag => return Err(DecodeError(format!("unknown command tag code {tag}"))),
-    })
-}
-
-fn write_trajectory(w: &mut Writer, t: &Trajectory) {
-    w.u64(t.id);
-    w.u64(t.object_id);
-    w.u32(t.points().len() as u32);
-    for p in t.points() {
-        w.f64(p.x);
-        w.f64(p.y);
-        w.i64(p.t.millis());
-    }
-}
-
-fn read_trajectory(r: &mut Reader<'_>) -> Result<Trajectory, DecodeError> {
-    let id = r.u64()?;
-    let object_id = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut points = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let x = r.f64()?;
-        let y = r.f64()?;
-        let t = Timestamp(r.i64()?);
-        points.push(Point::new(x, y, t));
-    }
-    Trajectory::new(id, object_id, points)
-        .map_err(|e| DecodeError(format!("invalid trajectory {id}: {e}")))
-}
-
-fn write_sub_trajectory(w: &mut Writer, s: &SubTrajectory) {
-    w.u64(s.id.trajectory_id);
-    w.u32(s.id.offset);
-    w.u64(s.trajectory_id);
-    w.u64(s.object_id);
-    w.u32(s.points().len() as u32);
-    for p in s.points() {
-        w.f64(p.x);
-        w.f64(p.y);
-        w.i64(p.t.millis());
-    }
-}
-
-fn read_sub_trajectory(r: &mut Reader<'_>) -> Result<SubTrajectory, DecodeError> {
-    let id_trajectory = r.u64()?;
-    let id_offset = r.u32()?;
-    let trajectory_id = r.u64()?;
-    let object_id = r.u64()?;
-    let n = r.u32()? as usize;
-    if n < 2 {
+/// A cluster representative: the storage record layout, plus the wire's one
+/// extra rule — time never runs backwards — checked here so that
+/// `lifespan()` cannot panic on a peer's bytes.
+fn read_representative(r: &mut WireReader<'_>) -> Result<SubTrajectory, DecodeError> {
+    let sub = read_sub_trajectory(r)?;
+    if let Some(at) = sub.points().windows(2).position(|w| w[1].t < w[0].t) {
         return Err(DecodeError(format!(
-            "sub-trajectory {id_trajectory}@{id_offset} has {n} points (minimum is 2)"
+            "sub-trajectory {} runs backwards in time at point {}",
+            sub.id,
+            at + 1
         )));
     }
-    let mut points: Vec<Point> = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let x = r.f64()?;
-        let y = r.f64()?;
-        let t = Timestamp(r.i64()?);
-        // Checked here so that `lifespan()` cannot panic on a peer's bytes.
-        if points.last().is_some_and(|previous| t < previous.t) {
-            return Err(DecodeError(format!(
-                "sub-trajectory {id_trajectory}@{id_offset} runs backwards in time at point {}",
-                points.len()
-            )));
-        }
-        points.push(Point::new(x, y, t));
-    }
-    Ok(SubTrajectory::from_points(
-        SubTrajectoryId::new(id_trajectory, id_offset),
-        trajectory_id,
-        object_id,
-        points,
-    ))
+    Ok(sub)
 }
 
+/// The bytes of a member or outlier of a shard partial.
+const SUMMARY_BYTES: usize = 44;
+
+/// The fewest bytes of one cluster of a shard partial: id, representative,
+/// vote and member count.
+const CLUSTER_MIN_BYTES: usize = 8 + SUB_TRAJECTORY_MIN_BYTES + 8 + 4;
+
 /// A member or outlier of a shard partial: 44 bytes, no points.
-fn write_summary(w: &mut Writer, s: &SubTrajectorySummary) {
+fn write_summary(w: &mut WireWriter, s: &SubTrajectorySummary) {
     w.u64(s.id.trajectory_id);
     w.u32(s.id.offset);
     w.u64(s.trajectory_id);
@@ -647,7 +534,7 @@ fn write_summary(w: &mut Writer, s: &SubTrajectorySummary) {
     w.i64(s.lifespan.end.millis());
 }
 
-fn read_summary(r: &mut Reader<'_>) -> Result<SubTrajectorySummary, DecodeError> {
+fn read_summary(r: &mut WireReader<'_>) -> Result<SubTrajectorySummary, DecodeError> {
     let id = SubTrajectoryId::new(r.u64()?, r.u32()?);
     let trajectory_id = r.u64()?;
     let object_id = r.u64()?;
@@ -667,50 +554,34 @@ fn read_summary(r: &mut Reader<'_>) -> Result<SubTrajectorySummary, DecodeError>
     })
 }
 
-fn write_cluster(w: &mut Writer, c: &QutCluster) {
+fn write_cluster(w: &mut WireWriter, c: &QutCluster) {
     w.u64(c.id as u64);
     write_sub_trajectory(w, &c.representative);
     w.f64(c.representative_vote);
-    w.u32(c.members.len() as u32);
-    for m in &c.members {
-        write_summary(w, m);
-    }
+    write_list(w, &c.members, write_summary);
     for d in &c.member_distances {
         w.f64(*d);
     }
 }
 
-fn read_cluster(r: &mut Reader<'_>) -> Result<QutCluster, DecodeError> {
+fn read_cluster(r: &mut WireReader<'_>) -> Result<QutCluster, DecodeError> {
     let id = r.u64()? as usize;
-    let representative = read_sub_trajectory(r)?;
+    let representative = read_representative(r)?;
     let representative_vote = r.f64()?;
-    let n = r.u32()? as usize;
-    let mut members = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        members.push(read_summary(r)?);
-    }
-    let mut member_distances = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        member_distances.push(r.f64()?);
-    }
+    // Each member is a summary and, after all of them, its distance.
+    let n = r.count(SUMMARY_BYTES + 8)?;
     Ok(QutCluster {
         id,
         representative,
         representative_vote,
-        members,
-        member_distances,
+        members: read_n(r, n, read_summary)?,
+        member_distances: read_n(r, n, |r| Ok(r.f64()?))?,
     })
 }
 
-fn write_qut_partial(w: &mut Writer, p: &QutPartial) {
-    w.u32(p.clusters.len() as u32);
-    for c in &p.clusters {
-        write_cluster(w, c);
-    }
-    w.u32(p.outliers.len() as u32);
-    for o in &p.outliers {
-        write_summary(w, o);
-    }
+fn write_qut_partial(w: &mut WireWriter, p: &QutPartial) {
+    write_list(w, &p.clusters, write_cluster);
+    write_list(w, &p.outliers, write_summary);
     w.u64(p.stats.reused_subchunks as u64);
     w.u64(p.stats.reclustered_subchunks as u64);
     w.u64(p.stats.loaded_sub_trajectories as u64);
@@ -725,17 +596,11 @@ fn write_qut_partial(w: &mut Writer, p: &QutPartial) {
     w.u64(p.stats.kernel.pruned);
 }
 
-fn read_qut_partial(r: &mut Reader<'_>) -> Result<QutPartial, DecodeError> {
-    let nclusters = r.u32()? as usize;
-    let mut clusters = Vec::with_capacity(nclusters.min(1 << 16));
-    for _ in 0..nclusters {
-        clusters.push(read_cluster(r)?);
-    }
-    let noutliers = r.u32()? as usize;
-    let mut outliers = Vec::with_capacity(noutliers.min(1 << 16));
-    for _ in 0..noutliers {
-        outliers.push(read_summary(r)?);
-    }
+fn read_qut_partial(r: &mut WireReader<'_>) -> Result<QutPartial, DecodeError> {
+    let nclusters = r.count(CLUSTER_MIN_BYTES)?;
+    let clusters = read_n(r, nclusters, read_cluster)?;
+    let noutliers = r.count(SUMMARY_BYTES)?;
+    let outliers = read_n(r, noutliers, read_summary)?;
     let stats = QutStats {
         reused_subchunks: r.u64()? as usize,
         reclustered_subchunks: r.u64()? as usize,
@@ -785,32 +650,27 @@ const RESP_INFO_PARTIAL: u8 = 108;
 
 /// Writes the optional leading trace-context field every v3 request payload
 /// starts with: flag `0` (absent) or flag `1` + `trace_id` + `parent_span_id`.
-fn write_trace_field(w: &mut Writer, trace: Option<TraceContext>) {
-    match trace {
-        Some(ctx) => {
-            w.u8(1);
-            w.u64(ctx.trace_id);
-            w.u64(ctx.parent_span_id);
-        }
-        None => w.u8(0),
+fn write_trace_field(w: &mut WireWriter, trace: Option<TraceContext>) {
+    w.bool(trace.is_some());
+    if let Some(ctx) = trace {
+        w.u64(ctx.trace_id);
+        w.u64(ctx.parent_span_id);
     }
 }
 
-fn read_trace_field(r: &mut Reader<'_>) -> Result<Option<TraceContext>, DecodeError> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(TraceContext {
+fn read_trace_field(r: &mut WireReader<'_>) -> Result<Option<TraceContext>, DecodeError> {
+    read_optional(r, |r| {
+        Ok(TraceContext {
             trace_id: r.u64()?,
             parent_span_id: r.u64()?,
-        })),
-        tag => Err(DecodeError(format!("unknown trace flag {tag}"))),
-    }
+        })
+    })
 }
 
-fn encode_request(req: &Request, trace: Option<TraceContext>) -> (u8, Vec<u8>) {
-    let mut w = Writer::new();
-    write_trace_field(&mut w, trace);
-    let kind = match req {
+/// Writes a request's payload, returning its kind.
+fn encode_request(w: &mut WireWriter, req: &Request, trace: Option<TraceContext>) -> u8 {
+    write_trace_field(w, trace);
+    match req {
         Request::Query { sql } => {
             w.str(sql);
             REQ_QUERY
@@ -823,7 +683,7 @@ fn encode_request(req: &Request, trace: Option<TraceContext>) -> (u8, Vec<u8>) {
             w.u32(*handle);
             w.u16(params.len() as u16);
             for p in params {
-                write_value(&mut w, p);
+                write_value(w, p);
             }
             REQ_EXECUTE_PREPARED
         }
@@ -832,10 +692,7 @@ fn encode_request(req: &Request, trace: Option<TraceContext>) -> (u8, Vec<u8>) {
             trajectories,
         } => {
             w.str(dataset);
-            w.u32(trajectories.len() as u32);
-            for t in trajectories {
-                write_trajectory(&mut w, t);
-            }
+            write_list(w, trajectories, encode_trajectory_into);
             REQ_INGEST
         }
         Request::QutPartial {
@@ -851,14 +708,11 @@ fn encode_request(req: &Request, trace: Option<TraceContext>) -> (u8, Vec<u8>) {
             w.i64(*owned_end_ms);
             w.i64(*wi);
             w.i64(*we);
-            match overrides {
-                Some((tau, delta, min_duration_ms)) => {
-                    w.u8(1);
-                    w.f64(*tau);
-                    w.f64(*delta);
-                    w.i64(*min_duration_ms);
-                }
-                None => w.u8(0),
+            w.bool(overrides.is_some());
+            if let Some((tau, delta, min_duration_ms)) = overrides {
+                w.f64(*tau);
+                w.f64(*delta);
+                w.i64(*min_duration_ms);
             }
             REQ_QUT_PARTIAL
         }
@@ -896,38 +750,45 @@ fn encode_request(req: &Request, trace: Option<TraceContext>) -> (u8, Vec<u8>) {
             w.i64(*owned_end_ms);
             REQ_INFO_PARTIAL
         }
-    };
-    (kind, w.buf)
+    }
 }
 
-fn decode_request(
-    kind: u8,
-    payload: &[u8],
-) -> Result<(Request, Option<TraceContext>), DecodeError> {
-    let mut r = Reader::new(payload);
+/// Refuses bytes left over after a whole message.
+fn finish(r: &WireReader<'_>) -> Result<(), DecodeError> {
+    if r.is_empty() {
+        Ok(())
+    } else {
+        Err(DecodeError(format!(
+            "{} trailing bytes after message",
+            r.remaining()
+        )))
+    }
+}
+
+/// Decodes one request from the body of its frame — the kind byte and the
+/// payload, without the length prefix — where it lies: nothing is copied,
+/// so a caller already holding the frame (the serving loop) allocates only
+/// what the request owns.
+pub fn decode_request(body: &[u8]) -> Result<(Request, Option<TraceContext>), DecodeError> {
+    let mut r = WireReader::from(body);
+    let kind = r.u8()?;
     let trace = read_trace_field(&mut r)?;
     let req = match kind {
         REQ_QUERY => Request::Query { sql: r.str()? },
         REQ_PREPARE => Request::Prepare { sql: r.str()? },
         REQ_EXECUTE_PREPARED => {
             let handle = r.u32()?;
-            let n = r.u16()? as usize;
-            let mut params = Vec::with_capacity(n);
-            for _ in 0..n {
-                params.push(read_value(&mut r)?);
-            }
+            // A value is at least its tag byte.
+            let n = r.count_u16(1)?;
+            let params = read_n(&mut r, n, read_value)?;
             Request::ExecutePrepared { handle, params }
         }
         REQ_INGEST => {
             let dataset = r.str()?;
-            let n = r.u32()? as usize;
-            let mut trajectories = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                trajectories.push(read_trajectory(&mut r)?);
-            }
+            let n = r.count(TRAJECTORY_MIN_BYTES)?;
             Request::Ingest {
                 dataset,
-                trajectories,
+                trajectories: read_n(&mut r, n, |r| Ok(decode_trajectory_from(r)?))?,
             }
         }
         REQ_QUT_PARTIAL => {
@@ -936,11 +797,7 @@ fn decode_request(
             let owned_end_ms = r.i64()?;
             let wi = r.i64()?;
             let we = r.i64()?;
-            let overrides = match r.u8()? {
-                0 => None,
-                1 => Some((r.f64()?, r.f64()?, r.i64()?)),
-                tag => return Err(DecodeError(format!("unknown overrides flag {tag}"))),
-            };
+            let overrides = read_optional(&mut r, |r| Ok((r.f64()?, r.f64()?, r.i64()?)))?;
             Request::QutPartial {
                 dataset,
                 owned_start_ms,
@@ -969,23 +826,23 @@ fn decode_request(
         },
         tag => return Err(DecodeError(format!("unknown request kind {tag}"))),
     };
-    r.finish()?;
+    finish(&r)?;
     Ok((req, trace))
 }
 
-fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
-    let mut w = Writer::new();
-    let kind = match resp {
+/// Writes a response's payload, returning its kind.
+fn encode_response(w: &mut WireWriter, resp: &Response) -> u8 {
+    match resp {
         Response::Rows { frame, stats } => {
-            w.u8(stats.is_some() as u8);
-            write_frame_payload(&mut w, frame);
+            w.bool(stats.is_some());
+            write_frame_payload(w, frame);
             if let Some(stats) = stats {
-                write_frame_payload(&mut w, stats);
+                write_frame_payload(w, stats);
             }
             RESP_ROWS
         }
         Response::Command(status) => {
-            w.u8(command_tag_code(status.tag));
+            w.u8(code_of(&COMMAND_TAGS, &status.tag));
             w.u64(status.affected);
             RESP_COMMAND
         }
@@ -999,7 +856,7 @@ fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
             RESP_ERROR
         }
         Response::QutPartial(partial) => {
-            write_qut_partial(&mut w, partial);
+            write_qut_partial(w, partial);
             RESP_QUT_PARTIAL
         }
         Response::Count(n) => {
@@ -1007,36 +864,30 @@ fn encode_response(resp: &Response) -> (u8, Vec<u8>) {
             RESP_COUNT
         }
         Response::Trajectories(trajectories) => {
-            w.u32(trajectories.len() as u32);
-            for t in trajectories {
-                write_trajectory(&mut w, t);
-            }
+            write_list(w, trajectories, encode_trajectory_into);
             RESP_TRAJECTORIES
         }
         Response::InfoPartial(info) => {
             w.u64(info.trajectories);
             w.u64(info.points);
-            match info.lifespan {
-                Some((start, end)) => {
-                    w.u8(1);
-                    w.i64(start);
-                    w.i64(end);
-                }
-                None => w.u8(0),
+            w.bool(info.lifespan.is_some());
+            if let Some((start, end)) = info.lifespan {
+                w.i64(start);
+                w.i64(end);
             }
-            w.u8(info.indexed as u8);
+            w.bool(info.indexed);
             w.u64(info.cluster_entries);
             RESP_INFO_PARTIAL
         }
-    };
-    (kind, w.buf)
+    }
 }
 
-fn decode_response(kind: u8, payload: &[u8]) -> Result<Response, DecodeError> {
-    let mut r = Reader::new(payload);
-    let resp = match kind {
+/// Decodes one response from the body of its frame (kind byte + payload).
+fn decode_response(body: &[u8]) -> Result<Response, DecodeError> {
+    let mut r = WireReader::from(body);
+    let resp = match r.u8()? {
         RESP_ROWS => {
-            let has_stats = r.u8()? != 0;
+            let has_stats = r.bool()?;
             let frame = read_frame_payload(&mut r)?;
             let stats = if has_stats {
                 Some(read_frame_payload(&mut r)?)
@@ -1046,7 +897,7 @@ fn decode_response(kind: u8, payload: &[u8]) -> Result<Response, DecodeError> {
             Response::Rows { frame, stats }
         }
         RESP_COMMAND => Response::Command(CommandStatus {
-            tag: command_tag_of_code(r.u8()?)?,
+            tag: of_code(&COMMAND_TAGS, r.u8()?, "command tag")?,
             affected: r.u64()?,
         }),
         RESP_PREPARED => Response::Prepared { handle: r.u32()? },
@@ -1057,34 +908,24 @@ fn decode_response(kind: u8, payload: &[u8]) -> Result<Response, DecodeError> {
         RESP_QUT_PARTIAL => Response::QutPartial(read_qut_partial(&mut r)?),
         RESP_COUNT => Response::Count(r.u64()?),
         RESP_TRAJECTORIES => {
-            let n = r.u32()? as usize;
-            let mut trajectories = Vec::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                trajectories.push(read_trajectory(&mut r)?);
-            }
-            Response::Trajectories(trajectories)
+            let n = r.count(TRAJECTORY_MIN_BYTES)?;
+            Response::Trajectories(read_n(&mut r, n, |r| Ok(decode_trajectory_from(r)?))?)
         }
         RESP_INFO_PARTIAL => {
             let trajectories = r.u64()?;
             let points = r.u64()?;
-            let lifespan = match r.u8()? {
-                0 => None,
-                1 => Some((r.i64()?, r.i64()?)),
-                tag => return Err(DecodeError(format!("unknown lifespan flag {tag}"))),
-            };
-            let indexed = r.u8()? != 0;
-            let cluster_entries = r.u64()?;
+            let lifespan = read_optional(&mut r, |r| Ok((r.i64()?, r.i64()?)))?;
             Response::InfoPartial(PartialInfo {
                 trajectories,
                 points,
                 lifespan,
-                indexed,
-                cluster_entries,
+                indexed: r.bool()?,
+                cluster_entries: r.u64()?,
             })
         }
         tag => return Err(DecodeError(format!("unknown response kind {tag}"))),
     };
-    r.finish()?;
+    finish(&r)?;
     Ok(resp)
 }
 
@@ -1092,37 +933,50 @@ fn decode_response(kind: u8, payload: &[u8]) -> Result<Response, DecodeError> {
 // Wire framing
 // ---------------------------------------------------------------------------
 
-fn write_wire_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<u64> {
-    let length = 1 + payload.len();
-    if length > MAX_MESSAGE_BYTES as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("message of {length} bytes exceeds the {MAX_MESSAGE_BYTES} byte cap"),
-        ));
-    }
-    let length = length as u32;
-    w.write_all(&length.to_be_bytes())?;
-    w.write_all(&[kind])?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(4 + length as u64)
-}
-
-fn read_wire_frame(r: &mut impl Read) -> io::Result<(u8, Vec<u8>, u64)> {
-    let mut len_bytes = [0u8; 4];
-    r.read_exact(&mut len_bytes)?;
-    let length = u32::from_be_bytes(len_bytes);
+/// The body length a frame's 4-byte prefix announces, refused when it is
+/// zero or above [`MAX_MESSAGE_BYTES`]: the one rule both the blocking
+/// readers and the serving loop apply.
+pub(crate) fn frame_length(prefix: [u8; 4]) -> io::Result<usize> {
+    let length = WireReader::from(&prefix[..])
+        .u32()
+        .map_err(DecodeError::from)?;
     if length == 0 || length > MAX_MESSAGE_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("invalid message length {length}"),
         ));
     }
-    let mut body = vec![0u8; length as usize];
+    Ok(length as usize)
+}
+
+/// Writes one frame from one buffer: the length prefix and kind are
+/// reserved, `payload` writes the payload and returns the kind, and both
+/// are filled in. Returns the bytes put on the wire.
+fn write_frame(w: &mut impl Write, payload: impl FnOnce(&mut WireWriter) -> u8) -> io::Result<u64> {
+    let mut frame = WireWriter::default();
+    frame.raw(&[0; 5]);
+    let kind = payload(&mut frame);
+    let length = frame.len() - 4;
+    if length > MAX_MESSAGE_BYTES as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("message of {length} bytes exceeds the {MAX_MESSAGE_BYTES} byte cap"),
+        ));
+    }
+    frame.set_u32(0, length as u32);
+    frame.set_u8(4, kind);
+    w.write_all(frame.as_bytes())?;
+    w.flush()?;
+    Ok(frame.len() as u64)
+}
+
+/// Reads one frame's body — kind byte and payload — into one buffer.
+fn read_frame_body(r: &mut impl Read) -> io::Result<Vec<u8>> {
+    let mut prefix = [0u8; 4];
+    r.read_exact(&mut prefix)?;
+    let mut body = vec![0u8; frame_length(prefix)?];
     r.read_exact(&mut body)?;
-    let kind = body[0];
-    let payload = body.split_off(1);
-    Ok((kind, payload, 4 + length as u64))
+    Ok(body)
 }
 
 /// Writes one request without a trace context, returning the bytes put on
@@ -1138,35 +992,40 @@ pub fn write_request_traced(
     req: &Request,
     trace: Option<TraceContext>,
 ) -> io::Result<u64> {
-    let (kind, payload) = encode_request(req, trace);
-    write_wire_frame(w, kind, &payload)
+    write_frame(w, |frame| encode_request(frame, req, trace))
 }
 
 /// Reads one request, returning it with its optional trace context and the
 /// bytes taken off the wire. `ErrorKind::UnexpectedEof` means the peer closed
 /// the connection.
 pub fn read_request(r: &mut impl Read) -> io::Result<(Request, Option<TraceContext>, u64)> {
-    let (kind, payload, n) = read_wire_frame(r)?;
-    let (req, trace) = decode_request(kind, &payload)?;
-    Ok((req, trace, n))
+    let body = read_frame_body(r)?;
+    let (req, trace) = decode_request(&body)?;
+    Ok((req, trace, 4 + body.len() as u64))
 }
 
 /// Writes one response, returning the bytes put on the wire.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<u64> {
-    let (kind, payload) = encode_response(resp);
-    write_wire_frame(w, kind, &payload)
+    write_frame(w, |frame| encode_response(frame, resp))
 }
 
 /// Reads one response, returning it with the bytes taken off the wire.
 pub fn read_response(r: &mut impl Read) -> io::Result<(Response, u64)> {
-    let (kind, payload, n) = read_wire_frame(r)?;
-    Ok((decode_response(kind, &payload)?, n))
+    let body = read_frame_body(r)?;
+    Ok((decode_response(&body)?, 4 + body.len() as u64))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_trajectory::Duration;
+    use hermes_trajectory::{Duration, Point};
+
+    /// Bytes written by `f` in the wire's byte order.
+    fn wire(f: impl FnOnce(&mut WireWriter)) -> Vec<u8> {
+        let mut w = WireWriter::default();
+        f(&mut w);
+        w.into_bytes()
+    }
 
     fn round_trip_request(req: Request) -> Request {
         let mut buf = Vec::new();
@@ -1440,10 +1299,14 @@ mod tests {
 
     #[test]
     fn corrupt_input_is_rejected_not_panicked() {
+        let frame = |body: &[u8]| {
+            wire(|w| {
+                w.u32(body.len() as u32);
+                w.raw(body);
+            })
+        };
         // Unknown kind.
-        let mut buf = Vec::new();
-        write_wire_frame(&mut buf, 250, &[]).unwrap();
-        assert!(read_request(&mut buf.as_slice()).is_err());
+        assert!(read_request(&mut frame(&[250, 0]).as_slice()).is_err());
         // Truncated payload.
         let mut buf = Vec::new();
         write_request(
@@ -1456,38 +1319,42 @@ mod tests {
         buf.truncate(buf.len() - 3);
         assert!(read_request(&mut buf.as_slice()).is_err());
         // Oversized / zero length prefixes.
-        let huge = (MAX_MESSAGE_BYTES + 1).to_be_bytes();
-        assert!(read_wire_frame(&mut huge.as_slice()).is_err());
-        let zero = 0u32.to_be_bytes();
-        assert!(read_wire_frame(&mut zero.as_slice()).is_err());
+        for length in [MAX_MESSAGE_BYTES + 1, 0] {
+            let prefix = wire(|w| w.u32(length));
+            let err = read_request(&mut prefix.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
         // Trailing garbage after a valid message body.
-        let mut w = Writer::new();
-        w.u8(0); // trace field: absent
-        w.str("SHOW DATASETS;");
-        w.u8(99);
-        assert!(decode_request(REQ_QUERY, &w.buf).is_err());
+        let body = wire(|w| {
+            w.u8(REQ_QUERY);
+            w.u8(0); // trace field: absent
+            w.str("SHOW DATASETS;");
+            w.u8(99);
+        });
+        assert!(decode_request(&body).is_err());
         // Unknown trace flag.
-        let mut w = Writer::new();
-        w.u8(7);
-        w.str("SHOW DATASETS;");
-        assert!(decode_request(REQ_QUERY, &w.buf).is_err());
+        let body = wire(|w| {
+            w.u8(REQ_QUERY);
+            w.u8(7);
+            w.str("SHOW DATASETS;");
+        });
+        assert!(decode_request(&body).is_err());
         // Unknown response kind.
-        let mut buf = Vec::new();
-        write_wire_frame(&mut buf, 222, &[]).unwrap();
-        let err = read_response(&mut buf.as_slice()).unwrap_err();
+        let err = read_response(&mut frame(&[222]).as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        // A sub-trajectory with fewer than two points must be a decode error,
-        // not a constructor panic.
-        let mut w = Writer::new();
-        w.u64(1);
-        w.u32(0);
-        w.u64(1);
-        w.u64(1);
-        w.u32(1); // one point only
-        w.f64(0.0);
-        w.f64(0.0);
-        w.i64(0);
-        assert!(read_sub_trajectory(&mut Reader::new(&w.buf)).is_err());
+        // A representative with fewer than two points must be a decode
+        // error, not a constructor panic.
+        let body = wire(|w| {
+            w.u64(1);
+            w.u32(0);
+            w.u64(1);
+            w.u64(1);
+            w.u32(1); // one point only
+            w.f64(0.0);
+            w.f64(0.0);
+            w.i64(0);
+        });
+        assert!(read_representative(&mut WireReader::from(&body[..])).is_err());
     }
 
     #[test]
@@ -1512,19 +1379,19 @@ mod tests {
             (
                 "runs backwards in time",
                 // The representative's last point, moved before the third.
-                with(REPRESENTATIVE_POINTS + 3 * 24 + 16, &999i64.to_be_bytes()),
+                with(REPRESENTATIVE_POINTS + 3 * 24 + 16, &wire(|w| w.i64(999))),
             ),
             (
                 "before it starts",
                 // The first member's `end`, moved before its `start` (0).
-                with(FIRST_SUMMARY + 36, &(-1i64).to_be_bytes()),
+                with(FIRST_SUMMARY + 36, &wire(|w| w.i64(-1))),
             ),
             (
-                // A member count the payload cannot hold: refused at the
-                // first bytes that are no summary or when they run out,
-                // whichever comes first — not allocated for up front.
-                "",
-                with(MEMBER_COUNT, &u32::MAX.to_be_bytes()),
+                // A member count the payload cannot hold: refused as it is
+                // read, before anything is allocated for it
+                // (`tests/decode_alloc.rs` measures that).
+                "cannot fit",
+                with(MEMBER_COUNT, &wire(|w| w.u32(u32::MAX))),
             ),
         ];
         for (what, frame) in cases {
@@ -1549,8 +1416,8 @@ mod tests {
             },
         )
         .unwrap();
-        let declared = u32::from_be_bytes(buf[..4].try_into().unwrap());
-        buf[..4].copy_from_slice(&(declared + 10).to_be_bytes());
+        let declared = WireReader::from(&buf[..4]).u32().unwrap();
+        buf[..4].copy_from_slice(&wire(|w| w.u32(declared + 10)));
         let err = read_request(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
@@ -1581,7 +1448,7 @@ mod tests {
 
         // Wrong version: named in the error.
         let mut old = buf.clone();
-        old[4..6].copy_from_slice(&1u16.to_be_bytes());
+        old[4..6].copy_from_slice(&wire(|w| w.u16(1)));
         let err = read_handshake(&mut old.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("version mismatch"));

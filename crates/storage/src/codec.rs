@@ -1,10 +1,12 @@
 //! Compact binary serialization of sub-trajectories and trajectories, plus
-//! the little-endian [`ByteWriter`]/[`ByteReader`] primitives every durable
-//! format in the workspace is built from (snapshot bodies, WAL record
-//! payloads, the ReTraTree state encoding — see `docs/STORAGE.md`).
+//! the [`ByteWriter`]/[`ByteReader`] primitives every byte format in the
+//! workspace is built from: the durable ones (snapshot bodies, WAL record
+//! payloads, the ReTraTree state encoding — see `docs/STORAGE.md`) in
+//! little-endian, and the `hermes-server` wire protocol in big-endian. The
+//! byte order is a type parameter, [`LittleEndian`] unless named.
 //!
 //! Records stored in partition pages are encoded with a small fixed layout
-//! (little-endian, no self-description) because the schema never varies:
+//! (no self-description) because the schema never varies:
 //!
 //! ```text
 //! sub_trajectory_id.trajectory_id : u64
@@ -14,6 +16,8 @@
 //! point count                     : u32
 //! points                          : count × (f64 x, f64 y, i64 t)
 //! ```
+//!
+//! The wire carries a cluster representative in the same layout, big-endian.
 
 use crate::error::StorageError;
 use crate::Result;
@@ -21,32 +25,66 @@ use hermes_trajectory::{
     Point, SubTrajectory, SubTrajectoryId, SubTrajectorySummary, TimeInterval, Timestamp,
     Trajectory,
 };
+use std::marker::PhantomData;
 
-/// An append-only little-endian encoder: the writing half of the byte-level
-/// codec shared by every durable format (snapshot bodies, WAL records, the
-/// ReTraTree state encoding).
+/// The byte order of a [`ByteWriter`]/[`ByteReader`]: [`LittleEndian`] for
+/// every stored format, [`BigEndian`] for the wire protocol.
+pub trait ByteOrder {
+    /// Maps a value's little-endian bytes to this order, and back (the map
+    /// is its own inverse).
+    fn order<const N: usize>(little_endian: [u8; N]) -> [u8; N];
+}
+
+/// Least significant byte first: pages, snapshots and the WAL.
+#[derive(Debug, Default)]
+pub struct LittleEndian;
+
+/// Most significant byte first: the wire protocol.
+#[derive(Debug, Default)]
+pub struct BigEndian;
+
+impl ByteOrder for LittleEndian {
+    fn order<const N: usize>(little_endian: [u8; N]) -> [u8; N] {
+        little_endian
+    }
+}
+
+impl ByteOrder for BigEndian {
+    fn order<const N: usize>(mut little_endian: [u8; N]) -> [u8; N] {
+        little_endian.reverse();
+        little_endian
+    }
+}
+
+/// An append-only encoder in byte order `O`: the writing half of the
+/// byte-level codec shared by every byte format (snapshot bodies, WAL
+/// records, the ReTraTree state encoding, wire payloads).
 ///
 /// Variable-length payloads ([`ByteWriter::bytes`], [`ByteWriter::str`]) are
 /// written with a `u32` length prefix; fixed-width integers and floats are
-/// written raw, little-endian. [`ByteReader`] mirrors every method.
+/// written raw. [`ByteReader`] mirrors every method.
 #[derive(Debug, Default)]
-pub struct ByteWriter {
+pub struct ByteWriter<O = LittleEndian> {
     buf: Vec<u8>,
+    order: PhantomData<O>,
 }
 
 impl ByteWriter {
-    /// An empty writer.
+    /// An empty little-endian writer.
     pub fn new() -> Self {
         ByteWriter::default()
     }
 
-    /// An empty writer pre-sized for `capacity` bytes.
+    /// An empty little-endian writer pre-sized for `capacity` bytes.
     pub fn with_capacity(capacity: usize) -> Self {
         ByteWriter {
             buf: Vec::with_capacity(capacity),
+            order: PhantomData,
         }
     }
+}
 
+impl<O: ByteOrder> ByteWriter<O> {
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -67,36 +105,39 @@ impl ByteWriter {
         &self.buf
     }
 
+    fn put<const N: usize>(&mut self, little_endian: [u8; N]) {
+        self.buf.extend_from_slice(&O::order(little_endian));
+    }
+
     /// Writes one byte.
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    /// Writes a `u16`, little-endian.
+    /// Writes a `u16`.
     pub fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(v.to_le_bytes());
     }
 
-    /// Writes a `u32`, little-endian.
+    /// Writes a `u32`.
     pub fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(v.to_le_bytes());
     }
 
-    /// Writes a `u64`, little-endian.
+    /// Writes a `u64`.
     pub fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(v.to_le_bytes());
     }
 
-    /// Writes an `i64`, little-endian (two's complement).
+    /// Writes an `i64` (two's complement).
     pub fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(v.to_le_bytes());
     }
 
-    /// Writes an `f64` as its IEEE-754 bit pattern, little-endian — the
-    /// round trip is bit-exact, which the restart-equivalence guarantee
-    /// relies on.
+    /// Writes an `f64` as its IEEE-754 bit pattern — the round trip is
+    /// bit-exact, which the restart-equivalence guarantee relies on.
     pub fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(v.to_le_bytes());
     }
 
     /// Writes a `bool` as one byte (0 or 1).
@@ -120,23 +161,49 @@ impl ByteWriter {
     pub fn raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
+
+    /// Overwrites the byte at offset `at`: a field reserved before the bytes
+    /// that decide it were written. Panics past the bytes written.
+    pub fn set_u8(&mut self, at: usize, v: u8) {
+        self.buf[at] = v;
+    }
+
+    /// Overwrites the `u32` at offset `at`: a length reserved before the
+    /// bytes it counts were written. Panics past the bytes written.
+    pub fn set_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&O::order(v.to_le_bytes()));
+    }
 }
 
-/// The fallible reading half of the byte-level codec: every accessor checks
-/// the remaining length and returns [`StorageError::Corrupt`] instead of
-/// panicking, so decoding a damaged snapshot or WAL record surfaces as an
-/// error the recovery path can act on.
+/// The fallible reading half of the byte-level codec, in byte order `O`:
+/// every accessor checks the remaining length and returns
+/// [`StorageError::Corrupt`] instead of panicking, so decoding a damaged
+/// snapshot, WAL record or wire frame surfaces as an error the caller can
+/// act on.
 #[derive(Debug)]
-pub struct ByteReader<'a> {
+pub struct ByteReader<'a, O = LittleEndian> {
     bytes: &'a [u8],
+    order: PhantomData<O>,
 }
 
 impl<'a> ByteReader<'a> {
-    /// A reader over `bytes`.
+    /// A little-endian reader over `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
-        ByteReader { bytes }
+        ByteReader::from(bytes)
     }
+}
 
+impl<'a, O> From<&'a [u8]> for ByteReader<'a, O> {
+    /// A reader over `bytes` in byte order `O`.
+    fn from(bytes: &'a [u8]) -> Self {
+        ByteReader {
+            bytes,
+            order: PhantomData,
+        }
+    }
+}
+
+impl<'a, O: ByteOrder> ByteReader<'a, O> {
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.bytes.len()
@@ -161,11 +228,13 @@ impl<'a> ByteReader<'a> {
         Ok(head)
     }
 
+    /// The next `N` bytes, as little-endian.
     fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N]> {
-        Ok(self
-            .take(N, what)?
-            .try_into()
-            .expect("take returned N bytes"))
+        Ok(O::order(
+            self.take(N, what)?
+                .try_into()
+                .expect("take returned N bytes"),
+        ))
     }
 
     /// Reads one byte.
@@ -173,27 +242,27 @@ impl<'a> ByteReader<'a> {
         Ok(self.array::<1>("u8")?[0])
     }
 
-    /// Reads a little-endian `u16`.
+    /// Reads a `u16`.
     pub fn u16(&mut self) -> Result<u16> {
         Ok(u16::from_le_bytes(self.array("u16")?))
     }
 
-    /// Reads a little-endian `u32`.
+    /// Reads a `u32`.
     pub fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.array("u32")?))
     }
 
-    /// Reads a little-endian `u64`.
+    /// Reads a `u64`.
     pub fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.array("u64")?))
     }
 
-    /// Reads a little-endian `i64`.
+    /// Reads an `i64`.
     pub fn i64(&mut self) -> Result<i64> {
         Ok(i64::from_le_bytes(self.array("i64")?))
     }
 
-    /// Reads a little-endian IEEE-754 `f64` (bit-exact).
+    /// Reads an IEEE-754 `f64` (bit-exact).
     pub fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_le_bytes(self.array("f64")?))
     }
@@ -205,6 +274,16 @@ impl<'a> ByteReader<'a> {
     /// allocation.
     pub fn count(&mut self, min_encoded: usize) -> Result<usize> {
         let n = self.u32()? as usize;
+        self.fitting(n, min_encoded)
+    }
+
+    /// [`ByteReader::count`] for a `u16` count.
+    pub fn count_u16(&mut self, min_encoded: usize) -> Result<usize> {
+        let n = self.u16()? as usize;
+        self.fitting(n, min_encoded)
+    }
+
+    fn fitting(&self, n: usize, min_encoded: usize) -> Result<usize> {
         if n.saturating_mul(min_encoded) > self.remaining() {
             return Err(StorageError::Corrupt {
                 reason: format!(
@@ -247,21 +326,59 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// Bytes of one encoded point: `x`, `y`, `t`.
+const POINT_BYTES: usize = 24;
+
+/// Bytes of a sub-trajectory record before its points.
+const RECORD_HEADER: usize = 8 + 4 + 8 + 8 + 4;
+
+/// The fewest bytes [`write_sub_trajectory`] writes (two points).
+pub const SUB_TRAJECTORY_MIN_BYTES: usize = RECORD_HEADER + 2 * POINT_BYTES;
+
+/// Writes a point count and the points.
+fn write_points<O: ByteOrder>(w: &mut ByteWriter<O>, points: &[Point]) {
+    w.u32(points.len() as u32);
+    for p in points {
+        w.f64(p.x);
+        w.f64(p.y);
+        w.i64(p.t.millis());
+    }
+}
+
+/// Decodes the points of a payload of whole 24-byte points. Callers take
+/// the payload from the reader before decoding, so a point count the bytes
+/// cannot back is refused before anything is allocated.
+fn points_of<O: ByteOrder>(payload: &[u8]) -> Vec<Point> {
+    let field = |p: &[u8], at: usize| -> [u8; 8] {
+        O::order(p[at..at + 8].try_into().expect("inside a 24-byte chunk"))
+    };
+    payload
+        .chunks_exact(POINT_BYTES)
+        .map(|p| {
+            Point::new(
+                f64::from_le_bytes(field(p, 0)),
+                f64::from_le_bytes(field(p, 8)),
+                Timestamp(i64::from_le_bytes(field(p, 16))),
+            )
+        })
+        .collect()
+}
+
+/// Writes a sub-trajectory in the record layout above, unprefixed: a page
+/// record, or (big-endian) a representative on the wire.
+pub fn write_sub_trajectory<O: ByteOrder>(w: &mut ByteWriter<O>, sub: &SubTrajectory) {
+    w.u64(sub.id.trajectory_id);
+    w.u32(sub.id.offset);
+    w.u64(sub.trajectory_id);
+    w.u64(sub.object_id);
+    write_points(w, sub.points());
+}
+
 /// Serializes a sub-trajectory into bytes suitable for a page record.
 pub fn encode_sub_trajectory(sub: &SubTrajectory) -> Vec<u8> {
-    let pts = sub.points();
-    let mut buf = Vec::with_capacity(8 + 4 + 8 + 8 + 4 + pts.len() * 24);
-    buf.extend_from_slice(&sub.id.trajectory_id.to_le_bytes());
-    buf.extend_from_slice(&sub.id.offset.to_le_bytes());
-    buf.extend_from_slice(&sub.trajectory_id.to_le_bytes());
-    buf.extend_from_slice(&sub.object_id.to_le_bytes());
-    buf.extend_from_slice(&(pts.len() as u32).to_le_bytes());
-    for p in pts {
-        buf.extend_from_slice(&p.x.to_le_bytes());
-        buf.extend_from_slice(&p.y.to_le_bytes());
-        buf.extend_from_slice(&p.t.millis().to_le_bytes());
-    }
-    buf
+    let mut w = ByteWriter::with_capacity(RECORD_HEADER + sub.points().len() * POINT_BYTES);
+    write_sub_trajectory(&mut w, sub);
+    w.into_bytes()
 }
 
 /// The validated fixed part of a sub-trajectory record.
@@ -272,17 +389,10 @@ struct RecordHeader {
     count: usize,
 }
 
-/// Validates a record's header, point count and length — the one definition
-/// of "well-formed record" — and returns the header with exactly
-/// `24 × count` bytes of point payload.
-fn split_sub_trajectory(bytes: &[u8]) -> Result<(RecordHeader, &[u8])> {
-    const HEADER: usize = 8 + 4 + 8 + 8 + 4;
-    if bytes.len() < HEADER {
-        return Err(StorageError::Corrupt {
-            reason: format!("record of {} bytes is shorter than the header", bytes.len()),
-        });
-    }
-    let mut r = ByteReader::new(bytes);
+/// Reads a record's header and validates its point count and length — the
+/// one definition of "well-formed record" — returning the header with
+/// exactly `24 × count` bytes of point payload.
+fn read_record<'a, O: ByteOrder>(r: &mut ByteReader<'a, O>) -> Result<(RecordHeader, &'a [u8])> {
     let id = SubTrajectoryId::new(r.u64()?, r.u32()?);
     let trajectory_id = r.u64()?;
     let object_id = r.u64()?;
@@ -292,22 +402,13 @@ fn split_sub_trajectory(bytes: &[u8]) -> Result<(RecordHeader, &[u8])> {
             reason: format!("sub-trajectory record claims only {count} points"),
         });
     }
-    if r.remaining() < count.saturating_mul(24) {
-        return Err(StorageError::Corrupt {
-            reason: format!(
-                "record truncated: {} points declared but only {} bytes of payload",
-                count,
-                r.remaining()
-            ),
-        });
-    }
     let header = RecordHeader {
         id,
         trajectory_id,
         object_id,
         count,
     };
-    Ok((header, r.raw(count * 24)?))
+    Ok((header, r.raw(count.saturating_mul(POINT_BYTES))?))
 }
 
 /// The summary of a record — its header and the times of its first and last
@@ -315,9 +416,9 @@ fn split_sub_trajectory(bytes: &[u8]) -> Result<(RecordHeader, &[u8])> {
 /// in place: no point is decoded and nothing is allocated. A record whose
 /// last point precedes its first has no lifespan and is corrupt here.
 pub(crate) fn sub_trajectory_summary(bytes: &[u8]) -> Result<SubTrajectorySummary> {
-    let (header, payload) = split_sub_trajectory(bytes)?;
+    let (header, payload) = read_record(&mut ByteReader::new(bytes))?;
     let time_of = |point: usize| {
-        let at = point * 24 + 16;
+        let at = point * POINT_BYTES + 16;
         let t: [u8; 8] = payload[at..at + 8].try_into().expect("inside the payload");
         Timestamp(i64::from_le_bytes(t))
     };
@@ -340,28 +441,20 @@ pub(crate) fn sub_trajectory_summary(bytes: &[u8]) -> Result<SubTrajectorySummar
     })
 }
 
-/// Decodes a sub-trajectory previously produced by [`encode_sub_trajectory`].
-pub fn decode_sub_trajectory(bytes: &[u8]) -> Result<SubTrajectory> {
-    let (header, payload) = split_sub_trajectory(bytes)?;
-    let le8 = |p: &[u8], at: usize| -> [u8; 8] {
-        p[at..at + 8].try_into().expect("inside a 24-byte chunk")
-    };
-    let points = payload
-        .chunks_exact(24)
-        .map(|p| {
-            Point::new(
-                f64::from_le_bytes(le8(p, 0)),
-                f64::from_le_bytes(le8(p, 8)),
-                Timestamp(i64::from_le_bytes(le8(p, 16))),
-            )
-        })
-        .collect();
+/// Reads a sub-trajectory written by [`write_sub_trajectory`].
+pub fn read_sub_trajectory<O: ByteOrder>(r: &mut ByteReader<'_, O>) -> Result<SubTrajectory> {
+    let (header, payload) = read_record(r)?;
     Ok(SubTrajectory::from_points(
         header.id,
         header.trajectory_id,
         header.object_id,
-        points,
+        points_of::<O>(payload),
     ))
+}
+
+/// Decodes a sub-trajectory previously produced by [`encode_sub_trajectory`].
+pub fn decode_sub_trajectory(bytes: &[u8]) -> Result<SubTrajectory> {
+    read_sub_trajectory(&mut ByteReader::new(bytes))
 }
 
 /// Appends a sub-trajectory record (the page-record layout above) to a
@@ -369,7 +462,8 @@ pub fn decode_sub_trajectory(bytes: &[u8]) -> Result<SubTrajectory> {
 /// (snapshots, WAL records) can embed records without an extra allocation
 /// per record.
 pub fn encode_sub_trajectory_into(w: &mut ByteWriter, sub: &SubTrajectory) {
-    w.bytes(&encode_sub_trajectory(sub));
+    w.u32((RECORD_HEADER + sub.points().len() * POINT_BYTES) as u32);
+    write_sub_trajectory(w, sub);
 }
 
 /// Reads a sub-trajectory embedded by [`encode_sub_trajectory_into`].
@@ -377,11 +471,20 @@ pub fn decode_sub_trajectory_from(r: &mut ByteReader<'_>) -> Result<SubTrajector
     decode_sub_trajectory(r.bytes()?)
 }
 
+/// Bytes of a trajectory before its points.
+const TRAJECTORY_HEADER: usize = 8 + 8 + 4;
+
 /// The fewest bytes [`encode_trajectory_into`] writes for a valid
 /// trajectory (two points).
-pub const TRAJECTORY_MIN_BYTES: usize = 8 + 8 + 4 + 2 * 24;
+pub const TRAJECTORY_MIN_BYTES: usize = TRAJECTORY_HEADER + 2 * POINT_BYTES;
 
-/// Appends a whole trajectory to a [`ByteWriter`]:
+/// The bytes [`encode_trajectory_into`] writes for `t`.
+pub fn encoded_trajectory_len(t: &Trajectory) -> usize {
+    TRAJECTORY_HEADER + t.points().len() * POINT_BYTES
+}
+
+/// Appends a whole trajectory to a [`ByteWriter`] — a WAL or snapshot
+/// entry, or (big-endian) one trajectory of a wire `Ingest`/`Trajectories`:
 ///
 /// ```text
 /// id          : u64
@@ -389,40 +492,20 @@ pub const TRAJECTORY_MIN_BYTES: usize = 8 + 8 + 4 + 2 * 24;
 /// point count : u32
 /// points      : count × (f64 x, f64 y, i64 t)
 /// ```
-pub fn encode_trajectory_into(w: &mut ByteWriter, t: &Trajectory) {
-    let pts = t.points();
+pub fn encode_trajectory_into<O: ByteOrder>(w: &mut ByteWriter<O>, t: &Trajectory) {
     w.u64(t.id);
     w.u64(t.object_id);
-    w.u32(pts.len() as u32);
-    for p in pts {
-        w.f64(p.x);
-        w.f64(p.y);
-        w.i64(p.t.millis());
-    }
+    write_points(w, t.points());
 }
 
 /// Reads a trajectory written by [`encode_trajectory_into`], re-validating
 /// the construction invariants (≥ 2 points, finite coordinates, strictly
 /// increasing time) so corrupt input cannot build an invalid trajectory.
-pub fn decode_trajectory_from(r: &mut ByteReader<'_>) -> Result<Trajectory> {
+pub fn decode_trajectory_from<O: ByteOrder>(r: &mut ByteReader<'_, O>) -> Result<Trajectory> {
     let id = r.u64()?;
     let object_id = r.u64()?;
     let count = r.u32()? as usize;
-    if r.remaining() < count.saturating_mul(24) {
-        return Err(StorageError::Corrupt {
-            reason: format!(
-                "trajectory {id} truncated: {count} points declared but only {} bytes remain",
-                r.remaining()
-            ),
-        });
-    }
-    let mut points = Vec::with_capacity(count);
-    for _ in 0..count {
-        let x = r.f64()?;
-        let y = r.f64()?;
-        let t = r.i64()?;
-        points.push(Point::new(x, y, Timestamp(t)));
-    }
+    let points = points_of::<O>(r.raw(count.saturating_mul(POINT_BYTES))?);
     Trajectory::new(id, object_id, points).map_err(|e| StorageError::Corrupt {
         reason: format!("trajectory {id} fails validation: {e}"),
     })
@@ -580,6 +663,42 @@ mod tests {
         assert!(ByteReader::new(&buf).count(1).is_err());
         let mut r = ByteReader::new(&[4, 0, 0, 0, 0xFF, 0xFE, 0xFD, 0xFC]);
         assert!(matches!(r.str(), Err(StorageError::Corrupt { .. })));
+        // A u16 count follows the same rule.
+        assert_eq!(ByteReader::new(&[2, 0, 7, 7]).count_u16(1).unwrap(), 2);
+        assert!(ByteReader::new(&[3, 0, 7, 7]).count_u16(1).is_err());
+    }
+
+    #[test]
+    fn big_endian_puts_the_most_significant_byte_first() {
+        let mut w = ByteWriter::<BigEndian>::default();
+        w.u16(0x0102);
+        w.u32(0);
+        w.f64(-0.125);
+        w.set_u32(2, 0x0304_0506);
+        w.set_u8(0, 0x7F);
+        let buf = w.into_bytes();
+        assert_eq!(buf[..6], [0x7F, 0x02, 3, 4, 5, 6]);
+        assert_eq!(buf[6..], (-0.125f64).to_bits().to_be_bytes());
+        let mut r = ByteReader::<BigEndian>::from(&buf[..]);
+        assert_eq!(r.u16().unwrap(), 0x7F02);
+        assert_eq!(r.u32().unwrap(), 0x0304_0506);
+        assert_eq!(r.f64().unwrap(), -0.125);
+        assert!(r.is_empty());
+    }
+
+    #[test]
+    fn one_sub_trajectory_layout_in_both_byte_orders() {
+        let sub = sample();
+        let mut le = ByteWriter::new();
+        write_sub_trajectory(&mut le, &sub);
+        assert_eq!(le.as_bytes(), encode_sub_trajectory(&sub));
+        let mut be = ByteWriter::<BigEndian>::default();
+        write_sub_trajectory(&mut be, &sub);
+        assert_eq!(be.len(), le.len());
+        assert_eq!(be.as_bytes()[..8], sub.id.trajectory_id.to_be_bytes());
+        let mut r = ByteReader::<BigEndian>::from(be.as_bytes());
+        assert_eq!(read_sub_trajectory(&mut r).unwrap(), sub);
+        assert!(r.is_empty());
     }
 
     #[test]
@@ -596,6 +715,7 @@ mod tests {
         .unwrap();
         let mut w = ByteWriter::new();
         encode_trajectory_into(&mut w, &t);
+        assert_eq!(w.len(), encoded_trajectory_len(&t));
         let buf = w.into_bytes();
         let mut r = ByteReader::new(&buf);
         let back = decode_trajectory_from(&mut r).unwrap();
@@ -646,6 +766,9 @@ mod tests {
         let mut w = ByteWriter::new();
         encode_sub_trajectory_into(&mut w, &sub);
         encode_sub_trajectory_into(&mut w, &sub);
+        let mut prefixed = ByteWriter::new();
+        prefixed.bytes(&encode_sub_trajectory(&sub));
+        assert_eq!(w.as_bytes()[..w.len() / 2], *prefixed.as_bytes());
         let buf = w.into_bytes();
         let mut r = ByteReader::new(&buf);
         let a = decode_sub_trajectory_from(&mut r).unwrap();

@@ -11,7 +11,8 @@
 //!
 //! * [`page`] — fixed-size slotted pages holding serialized sub-trajectories,
 //! * [`codec`] — compact binary serialization of (sub-)trajectories plus the
-//!   [`ByteWriter`]/[`ByteReader`] primitives every durable format uses,
+//!   [`ByteWriter`]/[`ByteReader`] primitives every durable format uses —
+//!   and, in their [`BigEndian`] instance, the `hermes-server` wire protocol,
 //! * [`partition`] — append-oriented partitions built from pages, with size
 //!   accounting to drive the re-clustering threshold. Every page is
 //!   resident and shared by refcount, standing in for PostgreSQL's shared
@@ -37,7 +38,10 @@ pub mod snapshot;
 pub mod wal;
 
 pub use catalog::{Catalog, DatasetId, DatasetMeta};
-pub use codec::{decode_sub_trajectory, encode_sub_trajectory, ByteReader, ByteWriter};
+pub use codec::{
+    decode_sub_trajectory, encode_sub_trajectory, BigEndian, ByteOrder, ByteReader, ByteWriter,
+    LittleEndian,
+};
 pub use crc::{crc32, Crc32};
 pub use error::StorageError;
 pub use page::{Page, PageId, SlotId, PAGE_SIZE};
