@@ -1,15 +1,14 @@
-//! Shared helpers for the benchmark harness.
+//! The paper's experiments E1–E7 and the seeded workloads they share.
 //!
-//! Every benchmark target in `benches/` regenerates one experiment of
-//! EXPERIMENTS.md (one table/figure/claim of the ICDE 2018 demo paper). The
-//! helpers here build the standard synthetic workloads and parameter sets so
-//! the benches and the documentation agree on what exactly was measured.
+//! Every benchmark target in `benches/` regenerates one experiment of the
+//! ICDE 2018 demo paper (one table, figure or claim) and prints it as an
+//! aligned table on stderr. The helpers here build the standard synthetic
+//! workloads and parameter sets, so the benches, the integration tests and
+//! the documentation agree on exactly what was measured.
 //!
-//! **Layer:** out-of-band measurement over the public surface of every
-//! other crate. Reports land as `BENCH_<name>.json` (see the README's
-//! "Benchmark reports" section); the formats and subsystems under test are
-//! documented in `docs/ARCHITECTURE.md`, `docs/PROTOCOL.md` and
-//! `docs/STORAGE.md`.
+//! **Layer:** out-of-band measurement over the public surface of the
+//! compute crates. System costs — serving, durability, sharding,
+//! observability — are measured end to end by `benchmark/`, not here.
 
 use hermes_datagen::{
     AircraftScenario, AircraftScenarioBuilder, MaritimeScenario, MaritimeScenarioBuilder,

@@ -36,10 +36,10 @@ use crate::shardmap::ShardSpec;
 use hermes_core::{DatasetInfo, EngineError};
 use hermes_exec::{ExecPolicy, Executor};
 use hermes_obs::QueryTrace;
-use hermes_retratree::{merge_qut_partials, QutParams, QutPartial, QutStats};
+use hermes_retratree::{merge_qut_partials, QutParams, QutPartial};
 use hermes_s2t::{run_s2t_naive_with, run_s2t_with, S2TParams};
 use hermes_server::protocol::{PartialInfo, Request, Response};
-use hermes_server::{ConnectOptions, ServerMetrics};
+use hermes_server::{traceview, ConnectOptions, ServerMetrics};
 use hermes_sql::{
     clusters_frame, histogram_frame, info_frame, push_stat, qut_stats_frame, range_frame,
     s2t_stats_frame, sort_stats_rows, stats_frame, trace_frame, traces_frame, CommandStatus,
@@ -470,7 +470,7 @@ impl Coordinator {
                             overrides,
                         },
                         extract_qut,
-                        |partial| phase_attrs(&partial.stats),
+                        |partial| traceview::qut_stats_attrs(&partial.stats),
                     )
                 })?;
                 let partials: Vec<QutPartial> = partials
@@ -548,7 +548,7 @@ impl Coordinator {
                             overrides: None,
                         },
                         extract_qut,
-                        |partial| phase_attrs(&partial.stats),
+                        |partial| traceview::qut_stats_attrs(&partial.stats),
                     )
                 })?;
                 let partials: Vec<QutPartial> = partials
@@ -837,21 +837,6 @@ fn extract_mismatch<T>(shard: &Shard, wanted: &str, got: Response) -> Result<T, 
             detail: format!("expected a {wanted} response, got {other:?}"),
         }),
     }
-}
-
-/// Span attributes carrying a shard's S2T phase work and voting-kernel
-/// pruning counters for its partial.
-fn phase_attrs(stats: &QutStats) -> Vec<(&'static str, String)> {
-    let t = &stats.phases;
-    vec![
-        ("index_build_ms", format!("{:.3}", t.index_build_ms)),
-        ("voting_ms", format!("{:.3}", t.voting_ms)),
-        ("segmentation_ms", format!("{:.3}", t.segmentation_ms)),
-        ("sampling_ms", format!("{:.3}", t.sampling_ms)),
-        ("clustering_ms", format!("{:.3}", t.clustering_ms)),
-        ("kernel_evaluated", stats.kernel.evaluated.to_string()),
-        ("kernel_pruned", stats.kernel.pruned.to_string()),
-    ]
 }
 
 /// Records the local border-merge as a child span of the root.

@@ -23,7 +23,7 @@ use hermes_obs::{QueryTrace, Sample, TraceContext};
 use hermes_server::protocol::{Request, Response};
 use hermes_server::traceview::{self, TraceQuery};
 use hermes_server::{Backend, RequestCtx, ServerConfig};
-use hermes_sql::{parse, QueryOutcome, Statement};
+use hermes_sql::{parse, QueryOutcome, SqlError, Statement};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -84,17 +84,16 @@ impl Backend for Coordinator {
                         "unknown prepared statement handle {handle} on this connection"
                     ));
                 };
+                // Prepared trace inspection (`SHOW TRACE $1`) is intercepted
+                // like its direct-text form; `traceview` binds it for both
+                // edges.
+                if let Some(answer) = traceview::prepared_trace_outcome(ctx.spans, stmt, &params) {
+                    return match answer {
+                        Ok(outcome) => outcome_response(outcome),
+                        Err(e) => Response::error(e.to_string()),
+                    };
+                }
                 match stmt.bind(&params) {
-                    // Prepared trace inspection (`SHOW TRACE $1`) is
-                    // intercepted like its direct-text form; binding
-                    // resolved the id already.
-                    Ok(Statement::ShowTraces) => {
-                        outcome_response(traceview::traces_outcome(ctx.spans))
-                    }
-                    Ok(Statement::ShowTrace { id }) => match id.as_i64() {
-                        Ok(id) => outcome_response(traceview::trace_outcome(ctx.spans, id)),
-                        Err(message) => Response::error(message),
-                    },
                     Ok(bound) => {
                         let fwd = ForwardSpec::Prepared {
                             sql,
@@ -102,7 +101,8 @@ impl Backend for Coordinator {
                         };
                         self.execute_root(&bound, "execute_prepared", &fwd, ctx)
                     }
-                    Err(e) => Response::error(e.to_string()),
+                    // The text a node's session gives the same failed bind.
+                    Err(e) => Response::error(SqlError::Bind(e.0).to_string()),
                 }
             }
             Request::Ingest {

@@ -1,5 +1,5 @@
 //! [`HermesClient`]: the client side of the wire protocol, used by the CLI's
-//! remote mode, the concurrency tests and the `e9_concurrent_clients` bench.
+//! remote mode, the end-to-end benchmark and the serving tests.
 
 use crate::protocol::{
     read_handshake, read_response, write_handshake, write_request_traced, DecodeError, ErrorCode,

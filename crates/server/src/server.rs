@@ -25,10 +25,9 @@ use hermes_core::{EngineError, SharedEngine};
 use hermes_obs::{next_id, Registry, Sample, SampleValue, Span, SpanStore, TraceContext};
 use hermes_retratree::OwnedSlice;
 use hermes_sql::{
-    push_stat, sort_stats_rows, CommandStatus, CommandTag, Prepared, QueryOutcome, Scalar, Session,
-    Statement, Value,
+    push_stat, query_window, sort_stats_rows, CommandStatus, CommandTag, Prepared, QueryOutcome,
+    Session, Statement,
 };
-use hermes_trajectory::{TimeInterval, Timestamp};
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -446,18 +445,7 @@ fn record_request_span(
         attrs.push(("statement", statement));
     }
     if let Response::QutPartial(p) = response {
-        let t = &p.stats.phases;
-        for (key, ms) in [
-            ("index_build_ms", t.index_build_ms),
-            ("voting_ms", t.voting_ms),
-            ("segmentation_ms", t.segmentation_ms),
-            ("sampling_ms", t.sampling_ms),
-            ("clustering_ms", t.clustering_ms),
-        ] {
-            attrs.push((key, format!("{ms:.3}")));
-        }
-        attrs.push(("kernel_evaluated", p.stats.kernel.evaluated.to_string()));
-        attrs.push(("kernel_pruned", p.stats.kernel.pruned.to_string()));
+        attrs.extend(traceview::qut_stats_attrs(&p.stats));
     }
     attrs.push((
         "status",
@@ -531,26 +519,18 @@ fn execute(
                     "unknown prepared statement handle {handle} on this connection"
                 ));
             };
+            let stmt = session.statement(session_handle);
             // Prepared trace inspection (`SHOW TRACE $1`) is intercepted like
-            // its direct-text form, binding the id from the parameters.
-            match session.statement(session_handle) {
-                Some(Statement::ShowTraces) => {
-                    return finish_outcome(traceview::traces_outcome(spans), false, metrics);
-                }
-                Some(Statement::ShowTrace { id }) => {
-                    return match resolve_trace_id(id, &params) {
-                        Ok(id) => {
-                            finish_outcome(traceview::trace_outcome(spans, id), false, metrics)
-                        }
-                        Err(message) => Response::error(message),
-                    };
-                }
-                _ => {}
+            // its direct-text form; `traceview` binds it for both edges.
+            if let Some(answer) =
+                stmt.and_then(|stmt| traceview::prepared_trace_outcome(spans, stmt, &params))
+            {
+                return match answer {
+                    Ok(outcome) => finish_outcome(outcome, false, metrics),
+                    Err(e) => Response::error(e.to_string()),
+                };
             }
-            let show_stats = matches!(
-                session.statement(session_handle),
-                Some(Statement::ShowStats)
-            );
+            let show_stats = matches!(stmt, Some(Statement::ShowStats));
             match session.execute_prepared(session_handle, &params) {
                 Ok(outcome) => finish_outcome(outcome, show_stats, metrics),
                 Err(e) => Response::error(e.to_string()),
@@ -588,7 +568,7 @@ fn execute(
         } => match owned_slice(owned_start_ms, owned_end_ms) {
             Err(message) => Response::error(message),
             Ok(owned) => {
-                let w = window(wi, we);
+                let w = query_window(wi, we);
                 match engine.with_read(|e| shard::qut_partial(e, &dataset, &owned, &w, overrides)) {
                     Ok(partial) => Response::QutPartial(partial),
                     Err(e) => Response::error(e.to_string()),
@@ -604,7 +584,7 @@ fn execute(
         } => match owned_slice(owned_start_ms, owned_end_ms) {
             Err(message) => Response::error(message),
             Ok(owned) => {
-                let w = window(wi, we);
+                let w = query_window(wi, we);
                 match engine.with_read(|e| e.owned_range_count(&dataset, &owned, &w)) {
                     Ok(n) => Response::Count(n as u64),
                     Err(e) => Response::error(e.to_string()),
@@ -649,13 +629,6 @@ fn owned_slice(start_ms: i64, end_ms: i64) -> Result<OwnedSlice, String> {
     Ok(OwnedSlice::new(start_ms, end_ms))
 }
 
-/// Clamps a possibly-inverted window exactly as the SQL executor does, so the
-/// shard request path and the single-node statement path agree on degenerate
-/// inputs.
-fn window(wi: i64, we: i64) -> TimeInterval {
-    TimeInterval::new(Timestamp(wi), Timestamp(we.max(wi)))
-}
-
 /// Wraps an outcome as a response, appending the `server` scope to
 /// `SHOW STATS` results on the way out and restoring the deterministic
 /// (scope, metric) row order the statement guarantees.
@@ -671,26 +644,6 @@ fn finish_outcome(outcome: QueryOutcome, show_stats: bool, metrics: &ServerMetri
             Response::Rows { frame, stats }
         }
         QueryOutcome::Command(status) => Response::Command(status),
-    }
-}
-
-/// Resolves the trace id of a prepared `SHOW TRACE` statement against the
-/// execution's bound parameters.
-fn resolve_trace_id(id: &Scalar, params: &[Value]) -> Result<i64, String> {
-    let value = match id {
-        Scalar::Lit(v) => v.clone(),
-        Scalar::Param(n) => params.get(n.saturating_sub(1)).cloned().ok_or_else(|| {
-            format!(
-                "SHOW TRACE references ${n} but got {} parameters",
-                params.len()
-            )
-        })?,
-    };
-    match value {
-        Value::Int(i) => Ok(i),
-        other => Err(format!(
-            "SHOW TRACE expects an integer trace id, got {other:?}"
-        )),
     }
 }
 

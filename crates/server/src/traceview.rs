@@ -3,11 +3,16 @@
 //! The SQL executor returns empty frames for these statements — an embedded
 //! session has no span store — so the server and the coordinator intercept
 //! them before the session sees them and answer from their in-process
-//! [`SpanStore`]. Both edges share the detection and frame-building logic
-//! here, which keeps the two answers schema-identical.
+//! [`SpanStore`]. Both edges share the detection, binding and frame-building
+//! logic here, and the span attributes of a QuT partial, which keeps the two
+//! answers identical.
 
 use hermes_obs::{Span, SpanStore};
-use hermes_sql::{push_trace_span, push_trace_summary, trace_frame, traces_frame, QueryOutcome};
+use hermes_retratree::QutStats;
+use hermes_sql::{
+    push_trace_span, push_trace_summary, trace_frame, traces_frame, QueryOutcome, SqlError,
+    Statement, Value,
+};
 
 /// A trace-inspection statement recognized at the serving edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +78,46 @@ pub fn trace_outcome(spans: &SpanStore, id: i64) -> QueryOutcome {
         );
     }
     QueryOutcome::rows(frame)
+}
+
+/// Answers a prepared trace-inspection statement (`SHOW TRACES`,
+/// `SHOW TRACE $1`) with `params`, or `None` when `stmt` is not one. Only a
+/// trace statement is bound here, with [`Statement::bind`] like any other;
+/// the id then converts as every integer argument does
+/// ([`Scalar::as_i64`](hermes_sql::Scalar::as_i64)).
+pub fn prepared_trace_outcome(
+    spans: &SpanStore,
+    stmt: &Statement,
+    params: &[Value],
+) -> Option<Result<QueryOutcome, SqlError>> {
+    if !matches!(stmt, Statement::ShowTraces | Statement::ShowTrace { .. }) {
+        return None;
+    }
+    Some(match stmt.bind(params) {
+        Ok(Statement::ShowTrace { id }) => id
+            .as_i64()
+            .map(|id| trace_outcome(spans, id))
+            .map_err(SqlError::Bind),
+        // `SHOW TRACES` has nothing to bind.
+        Ok(_) => Ok(traces_outcome(spans)),
+        Err(e) => Err(SqlError::Bind(e.0)),
+    })
+}
+
+/// The span attributes of a QuT partial: its S2T phase work and its
+/// voting-kernel pruning counters. A shard attaches them to its
+/// `qut_partial` span, the coordinator to its per-shard child span.
+pub fn qut_stats_attrs(stats: &QutStats) -> Vec<(&'static str, String)> {
+    let t = &stats.phases;
+    vec![
+        ("index_build_ms", format!("{:.3}", t.index_build_ms)),
+        ("voting_ms", format!("{:.3}", t.voting_ms)),
+        ("segmentation_ms", format!("{:.3}", t.segmentation_ms)),
+        ("sampling_ms", format!("{:.3}", t.sampling_ms)),
+        ("clustering_ms", format!("{:.3}", t.clustering_ms)),
+        ("kernel_evaluated", stats.kernel.evaluated.to_string()),
+        ("kernel_pruned", stats.kernel.pruned.to_string()),
+    ]
 }
 
 fn render_attrs(span: &Span) -> String {

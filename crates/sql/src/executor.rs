@@ -300,7 +300,10 @@ fn push_engine_stats(frame: &mut Frame, engine: &HermesEngine) {
     }
 }
 
-fn window(wi: i64, we: i64) -> TimeInterval {
+/// The window a statement's `wi`/`we` arguments denote, an inverted one
+/// clamped to the instant `wi`. Every edge that turns a wire or SQL window
+/// into an interval goes through here, so they agree on degenerate inputs.
+pub fn query_window(wi: i64, we: i64) -> TimeInterval {
     TimeInterval::new(Timestamp(wi), Timestamp(we.max(wi)))
 }
 
@@ -487,7 +490,7 @@ pub fn execute_read_statement(
             merge_gap_ms,
             rebuild,
         } => {
-            let w = window(i64_of(wi)?, i64_of(we)?);
+            let w = query_window(i64_of(wi)?, i64_of(we)?);
             // τ, δ and t come from the query; the data-scale parameters
             // (σ, ε) are inherited from the ReTraTree the dataset was indexed
             // with, exactly as the in-DBMS QUT call operates on the clusters
@@ -520,7 +523,7 @@ pub fn execute_read_statement(
             }
         }
         Statement::Range { name, wi, we } => {
-            let w = window(i64_of(wi)?, i64_of(we)?);
+            let w = query_window(i64_of(wi)?, i64_of(we)?);
             let count = engine.owned_range_count(name, &OwnedSlice::ALL, &w)?;
             Ok(QueryOutcome::rows(range_frame(count)))
         }
@@ -536,7 +539,7 @@ pub fn execute_read_statement(
                     "histogram bucket width must be positive".into(),
                 )));
             }
-            let w = window(i64_of(wi)?, i64_of(we)?);
+            let w = query_window(i64_of(wi)?, i64_of(we)?);
             let params = QutParams {
                 s2t: engine.tree(name)?.params().s2t.clone(),
                 ..QutParams::default()

@@ -61,7 +61,7 @@ pub mod value;
 pub use backend::EngineBackend;
 pub use executor::{
     clusters_frame, execute, execute_read_statement, execute_statement, histogram_frame,
-    info_frame, is_write_statement, push_stat, push_trace_span, push_trace_summary,
+    info_frame, is_write_statement, push_stat, push_trace_span, push_trace_summary, query_window,
     qut_stats_frame, range_frame, s2t_stats_frame, sort_stats_rows, stats_frame, trace_frame,
     traces_frame, SqlError,
 };

@@ -134,14 +134,27 @@ fn pipelined_prepared_statements_interleave_on_one_connection() {
 
         // Burst a mixed pipeline of prepared executions and plain queries
         // without reading a single response, then drain: responses must come
-        // back in request order, each with its own correct shape.
+        // back in request order, each with its own correct shape, and every
+        // RANGE equal to its answer asked one at a time.
         const ROUNDS: usize = 25;
+        let range_end = |i: usize| 900_000 + i as i64 * 10_000;
+        let expected: Vec<Value> = (0..ROUNDS)
+            .map(|i| {
+                let sql = format!("SELECT RANGE(flights, 0, {});", range_end(i));
+                let outcome = client.query(&sql).unwrap();
+                outcome
+                    .expect_frame("RANGE")
+                    .get(0, "sub_trajectories_in_window")
+                    .unwrap()
+                    .clone()
+            })
+            .collect();
         let served_before = served.metrics.queries_served.get();
         for i in 0..ROUNDS {
             client
                 .send(&Request::ExecutePrepared {
                     handle: range.0,
-                    params: vec![Value::Int(0), Value::Int(900_000 + i as i64 * 10_000)],
+                    params: vec![Value::Int(0), Value::Int(range_end(i))],
                 })
                 .unwrap();
             client
@@ -156,12 +169,16 @@ fn pipelined_prepared_statements_interleave_on_one_connection() {
                 })
                 .unwrap();
         }
-        for _ in 0..ROUNDS {
+        for want in &expected {
             let range_resp = client.receive().unwrap();
             let Response::Rows { frame, .. } = range_resp else {
                 panic!("{on}: RANGE answered {range_resp:?}");
             };
-            assert!(frame.get(0, "sub_trajectories_in_window").is_some(), "{on}");
+            assert_eq!(
+                frame.get(0, "sub_trajectories_in_window"),
+                Some(want),
+                "{on}"
+            );
             let info_resp = client.receive().unwrap();
             let Response::Rows { frame, .. } = info_resp else {
                 panic!("{on}: INFO answered {info_resp:?}");

@@ -4,12 +4,15 @@
 //! and the border-merge — while interior statements (verbatim-forwarded to
 //! one shard) record no fan-out spans at all. The trace context also rides
 //! the wire: the shard's own span store links its `qut_partial` span under
-//! the coordinator's per-shard span via the propagated parent id.
+//! the coordinator's per-shard span via the propagated parent id. A prepared
+//! `SHOW TRACE $1` binds its id by one rule on both serving edges.
 
 use hermes::coord::{validate_shard_map, Coordinator, ShardSpec};
 use hermes::core::SharedEngine;
 use hermes::exec::ExecPolicy;
-use hermes::server::{ConnectOptions, HermesClient, Server, ServerConfig, ServerHandle};
+use hermes::server::{
+    ConnectOptions, HermesClient, Request, Response, Server, ServerConfig, ServerHandle,
+};
 use hermes::sql::{Frame, QueryOutcome, Value};
 use hermes::trajectory::Trajectory;
 use hermes_bench::urban_with;
@@ -280,4 +283,74 @@ fn interior_queries_record_no_fanout_spans() {
     );
     assert_eq!(spans[0].name, "query");
     drop(t.shards);
+}
+
+/// A prepared `SHOW TRACE $1` answers every parameter list alike on a single
+/// node and through a one-shard coordinator: an integral float is a trace id
+/// like any integer argument, and a missing or non-numeric id is the same
+/// bind error — as is a missing parameter of any other prepared statement.
+#[test]
+fn prepared_show_trace_binds_alike_on_a_node_and_through_the_coordinator() {
+    let spawn_node = || {
+        Server::bind(
+            "127.0.0.1:0",
+            SharedEngine::default(),
+            ServerConfig::default(),
+        )
+        .expect("bind node")
+        .spawn()
+        .expect("spawn node")
+    };
+    let node = spawn_node();
+    let shard = spawn_node();
+    let mut specs = vec![ShardSpec {
+        name: "s0".to_string(),
+        addr: shard.addr().to_string(),
+        replicas: Vec::new(),
+        start_ms: i64::MIN,
+        end_ms: i64::MAX,
+    }];
+    validate_shard_map(&mut specs).expect("valid shard map");
+    let coordinator = Coordinator::new(specs, ConnectOptions::default(), ExecPolicy::from_env());
+    let coord = Server::bind("127.0.0.1:0", coordinator, ServerConfig::default())
+        .expect("bind coordinator")
+        .spawn()
+        .expect("spawn coordinator");
+
+    let answers = |client: &mut HermesClient| -> Vec<Response> {
+        let trace = client.prepare("SHOW TRACE $1;").expect("prepare trace");
+        let range = client
+            .prepare("SELECT RANGE(data, $1, $2);")
+            .expect("prepare range");
+        [
+            (trace, vec![Value::Float(3.0)]),
+            (trace, vec![]),
+            (trace, vec![Value::Text("three".to_string())]),
+            (range, vec![]),
+        ]
+        .into_iter()
+        .map(|(handle, params)| {
+            client
+                .exchange(&Request::ExecutePrepared {
+                    handle: handle.0,
+                    params,
+                })
+                .expect("exchange")
+        })
+        .collect()
+    };
+    let on_node = answers(&mut HermesClient::connect(node.addr()).expect("connect node"));
+    let via_coord = answers(&mut HermesClient::connect(coord.addr()).expect("connect coord"));
+    assert_eq!(on_node, via_coord, "the two serving edges disagree");
+    assert!(
+        matches!(&on_node[0], Response::Rows { frame, .. } if frame.num_rows() == 0),
+        "trace 3 is unknown, so an empty frame: {:?}",
+        on_node[0]
+    );
+    for answer in &on_node[1..] {
+        assert!(
+            matches!(answer, Response::Error { .. }),
+            "expected a bind error, got {answer:?}"
+        );
+    }
 }
