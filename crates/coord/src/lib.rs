@@ -12,9 +12,10 @@
 //!   `--shard` flags), each slice owned by a **replica set** (primary plus
 //!   N replicas), and its partition-of-the-time-axis validation;
 //! - [`registry`] — per-endpoint liveness, latency/byte counters and
-//!   connection pools, plus the read-path availability machinery: failover
-//!   across the replica set with jittered backoff, and optional hedged
-//!   duplicates (`--hedge-ms`), surfaced through `SHOW STATS`;
+//!   connection pools behind the one exchange every shard call goes
+//!   through, plus the read-path availability machinery: failover across
+//!   the replica set with jittered backoff, and optional hedged duplicates
+//!   (`--hedge-ms`), surfaced through `SHOW STATS`;
 //! - [`router`] — verbatim forwarding for single-shard statements, parallel
 //!   fan-out plus the border-merging reassembly (bit-identical to a single
 //!   node, see `docs/SHARDING.md`) for multi-shard reads, and all-or-error
@@ -36,7 +37,7 @@ pub mod router;
 mod server;
 pub mod shardmap;
 
-pub use registry::{CoordError, Endpoint, FailoverPolicy, ReadCall, Shard};
+pub use registry::{CoordError, Endpoint, FailoverPolicy, Shard};
 pub use router::{Coordinator, ForwardSpec};
 pub use shardmap::{
     parse_shard_flag, parse_shard_map, validate_shard_map, ShardMapError, ShardSpec,

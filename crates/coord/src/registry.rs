@@ -1,10 +1,18 @@
 //! Per-shard control-plane state: replica endpoints, liveness, counters and
-//! connection pools.
+//! connection pools — and the one exchange through which the coordinator
+//! reaches a shard.
 //!
 //! A [`Shard`] is a **replica set**: one primary endpoint plus N replicas
 //! that hold byte-identical state (the router sends every write to every
 //! endpoint, all-or-error, so replicas never diverge — `docs/SHARDING.md`).
-//! Reads go through [`Shard::call`], which owns the availability machinery:
+//!
+//! Every coordinator→shard call — a read, each failover or hedge attempt,
+//! a write broadcast, an ingest, a probe — is one owned `Call` (one
+//! request, or a prepared `{sql, params}`) run by `Shard::exchange` on one
+//! endpoint. That function alone checks connections out of the pool, sets
+//! the trace context, accounts bytes and latency, counts `queries` and
+//! `errors`, and records liveness. Reads go through `Shard::call`, which
+//! ladders the exchange across the replica set:
 //!
 //! - **Failover ladder** — endpoints are tried live-first/primary-first; a
 //!   transport failure, or a server-answered *retryable* error
@@ -19,6 +27,12 @@
 //!   cancelled by ignoring it (its thread finishes in the background and its
 //!   connection re-pools only if it is still clean).
 //!
+//! **Counting rule**: an exchange the shard answered counts one `query`,
+//! whether the frame is a result or an error — an error frame is the answer
+//! a single node would give. `errors` counts the exchanges that produced no
+//! answer (connect, I/O or protocol failure) plus the answered ones refused
+//! with a retryable code. Reads, writes, ingest and probes count alike.
+//!
 //! Connections are pooled per **endpoint**. Check-in refuses connections
 //! that are not [`clean`](HermesClient::is_clean) — a stream that broke
 //! mid-frame, or that still owes responses (a hedge loser), is dropped
@@ -28,7 +42,7 @@ use crate::shardmap::ShardSpec;
 use hermes_obs::{Counter, Sample, SampleValue, TraceContext};
 use hermes_server::protocol::{Request, Response};
 use hermes_server::{ClientError, ConnectOptions, HermesClient};
-use hermes_sql::Value;
+use hermes_sql::{CommandStatus, CommandTag, SqlError, Value};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -68,6 +82,13 @@ impl fmt::Display for CoordError {
 
 impl std::error::Error for CoordError {}
 
+impl From<SqlError> for CoordError {
+    /// An argument the executor's own rules reject: the node's text.
+    fn from(e: SqlError) -> Self {
+        CoordError::Data(e.to_string())
+    }
+}
+
 /// Availability knobs for the read path (`--hedge-ms`,
 /// `--failover-backoff-ms` on the binary).
 #[derive(Debug, Clone)]
@@ -94,23 +115,56 @@ impl Default for FailoverPolicy {
     }
 }
 
-/// One read-path wire call, owned so a failover retry or a hedge thread can
-/// replay it verbatim on another endpoint.
-#[derive(Debug)]
-pub enum ReadCall {
-    /// A pipelined batch: every request is written before the first response
-    /// is read; one `Response` per request, in order (`Error` frames as
-    /// values in their slot).
-    Pipeline(Vec<Request>),
+/// One coordinator→shard call, owned so a failover retry or a hedge
+/// thread can replay it verbatim on another endpoint.
+#[derive(Debug, Clone)]
+pub(crate) enum Call {
+    /// One request, one response. An `Ingest` goes out in batches under the
+    /// message cap, pipelined ([`HermesClient::ingest`]): still one round
+    /// trip.
+    One(Request),
     /// The prepared-statement forward: `Prepare` then `ExecutePrepared` with
     /// the same bound parameters. Two round trips by necessity — the handle
-    /// is assigned by the server mid-exchange — but still replayable.
+    /// is assigned by the shard mid-exchange.
     Prepared {
         /// The original placeholder SQL.
         sql: String,
         /// The bound parameter values.
         params: Vec<Value>,
     },
+}
+
+impl Call {
+    /// Runs the call on one connection. A shard-answered error is a value
+    /// (`Response::Error`); only a broken or confused stream is `Err`.
+    fn run(&self, conn: &mut HermesClient) -> Result<Response, ClientError> {
+        match self {
+            Call::One(Request::Ingest {
+                dataset,
+                trajectories,
+            }) => match conn.ingest(dataset, trajectories) {
+                Ok(affected) => Ok(Response::Command(CommandStatus {
+                    tag: CommandTag::Ingest,
+                    affected,
+                })),
+                Err(ClientError::Server { code, message }) => Ok(Response::Error { code, message }),
+                Err(e) => Err(e),
+            },
+            Call::One(request) => conn.exchange(request),
+            Call::Prepared { sql, params } => {
+                match conn.exchange(&Request::Prepare { sql: sql.clone() })? {
+                    Response::Prepared { handle } => conn.exchange(&Request::ExecutePrepared {
+                        handle,
+                        params: params.clone(),
+                    }),
+                    error @ Response::Error { .. } => Ok(error),
+                    other => Err(ClientError::Protocol(format!(
+                        "expected a Prepared response, got {other:?}"
+                    ))),
+                }
+            }
+        }
+    }
 }
 
 /// One endpoint of a replica set: its address, last observed liveness and
@@ -123,14 +177,6 @@ pub struct Endpoint {
 }
 
 impl Endpoint {
-    fn new(addr: String) -> Endpoint {
-        Endpoint {
-            addr,
-            alive: AtomicBool::new(false),
-            idle: Mutex::new(Vec::new()),
-        }
-    }
-
     /// Last observed liveness of this endpoint.
     pub fn is_alive(&self) -> bool {
         self.alive.load(Ordering::Relaxed)
@@ -184,17 +230,16 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Creates the registry entry with the default [`FailoverPolicy`]; no
-    /// connection is attempted until the first call (or [`Shard::probe`]).
-    pub fn new(spec: ShardSpec, opts: ConnectOptions) -> Shard {
-        Shard::with_policy(spec, opts, FailoverPolicy::default())
-    }
-
-    /// Creates the registry entry with an explicit [`FailoverPolicy`].
+    /// Creates the registry entry; no connection is attempted until the
+    /// first exchange.
     pub fn with_policy(spec: ShardSpec, opts: ConnectOptions, policy: FailoverPolicy) -> Shard {
         let endpoints = spec
             .endpoints()
-            .map(|a| Endpoint::new(a.to_string()))
+            .map(|addr| Endpoint {
+                addr: addr.to_string(),
+                alive: AtomicBool::new(false),
+                idle: Mutex::new(Vec::new()),
+            })
             .collect();
         // FNV-1a over the name: any nonzero, per-shard-distinct seed works.
         let mut seed = 0xcbf2_9ce4_8422_2325u64;
@@ -218,11 +263,6 @@ impl Shard {
         }
     }
 
-    /// The shard's owned `[start_ms, end_ms)` slice.
-    pub fn slice(&self) -> (i64, i64) {
-        (self.spec.start_ms, self.spec.end_ms)
-    }
-
     /// The replica set, primary first.
     pub fn endpoints(&self) -> &[Endpoint] {
         &self.endpoints
@@ -234,26 +274,8 @@ impl Shard {
         self.endpoints.iter().any(Endpoint::is_alive)
     }
 
-    /// Times the read path failed over to another endpoint.
-    pub fn failovers(&self) -> u64 {
-        self.failovers.get()
-    }
-
-    /// Hedged duplicates fired / hedged duplicates that won the race.
-    pub fn hedge_counts(&self) -> (u64, u64) {
-        (self.hedges_fired.get(), self.hedges_won.get())
-    }
-
-    /// Health probe: one cheap round trip (`SHOW THREADS;`) per endpoint.
-    /// Updates every liveness flag and returns the shard-level result.
-    pub fn probe(&self) -> bool {
-        for idx in 0..self.endpoints.len() {
-            let _ = self.on_endpoint(idx, |c| c.query("SHOW THREADS;").map(|_| ()));
-        }
-        self.is_alive()
-    }
-
-    fn named(&self, addr: &str, detail: String) -> CoordError {
+    /// A failure of endpoint `addr` of this shard.
+    pub(crate) fn named(&self, addr: &str, detail: String) -> CoordError {
         CoordError::Shard {
             name: self.spec.name.clone(),
             addr: addr.to_string(),
@@ -261,80 +283,68 @@ impl Shard {
         }
     }
 
-    /// Runs `f` over a pooled connection to one specific endpoint — the
-    /// **write** path (ingest, DDL, broadcasts) and probes. No failover:
-    /// writes must reach every endpoint of the set or fail the statement,
-    /// otherwise replicas would diverge. Error taxonomy:
+    /// The one exchange with one endpoint, and the only place a connection
+    /// is checked out: runs `call` on a pooled connection under `trace`,
+    /// accounts bytes and latency, counts the exchange, records the
+    /// endpoint's liveness and re-pools the connection. No failover — this
+    /// is the unit both paths build on: reads ([`Shard::call`]) ladder it
+    /// across the replica set, writes send it to every endpoint.
     ///
-    /// - a clean answer marks the endpoint alive and re-pools the connection;
-    /// - a *server-answered* error (unknown dataset, bad parameters, …)
-    ///   keeps the connection when still clean and surfaces the message
-    ///   **verbatim** — it is exactly what a single-node engine would say;
-    /// - an I/O or protocol failure drops the connection, marks the endpoint
-    ///   dead and surfaces a [`CoordError::Shard`] naming shard + endpoint.
-    pub fn on_endpoint<T>(
+    /// - An answer — a shard-answered error frame included — marks the
+    ///   endpoint alive, counts one `query` and comes back as `Ok`; a
+    ///   retryable-coded one (`Deadline`/`Capacity`/`Backpressure`) also
+    ///   counts one `error`, since it is no answer to the statement.
+    /// - An I/O or protocol failure drops the connection, marks the endpoint
+    ///   dead, counts one `error` and surfaces a [`CoordError::Shard`]
+    ///   naming shard and endpoint.
+    pub(crate) fn exchange(
         &self,
         idx: usize,
-        f: impl FnOnce(&mut HermesClient) -> Result<T, ClientError>,
-    ) -> Result<T, CoordError> {
+        call: &Call,
+        trace: Option<TraceContext>,
+    ) -> Result<Response, CoordError> {
         let endpoint = &self.endpoints[idx];
-        let mut conn = match endpoint.check_out(&self.opts) {
-            Ok(conn) => conn,
-            Err(e) => {
-                endpoint.alive.store(false, Ordering::Relaxed);
-                self.errors.inc();
-                return Err(self.named(&endpoint.addr, format!("connect failed: {e}")));
+        let result = endpoint.check_out(&self.opts).and_then(|mut conn| {
+            conn.set_trace(trace);
+            let (out0, in0) = (conn.bytes_out(), conn.bytes_in());
+            let started = Instant::now();
+            let result = call.run(&mut conn);
+            conn.set_trace(None);
+            self.latency_us.add(started.elapsed().as_micros() as u64);
+            self.bytes_out.add(conn.bytes_out() - out0);
+            self.bytes_in.add(conn.bytes_in() - in0);
+            if result.is_ok() {
+                endpoint.check_in(conn);
             }
-        };
-        let (out0, in0) = (conn.bytes_out(), conn.bytes_in());
-        let started = Instant::now();
-        let result = f(&mut conn);
-        self.latency_us.add(started.elapsed().as_micros() as u64);
-        self.bytes_out.add(conn.bytes_out() - out0);
-        self.bytes_in.add(conn.bytes_in() - in0);
+            result
+        });
         match result {
-            Ok(value) => {
+            Ok(response) => {
                 self.queries.inc();
                 endpoint.alive.store(true, Ordering::Relaxed);
-                endpoint.check_in(conn);
-                Ok(value)
-            }
-            Err(ClientError::Server { message, .. }) => {
-                // The endpoint executed the request and said no: the stream
-                // is in sync (check_in re-verifies), and the message is
-                // relayed verbatim (it matches the single-node error text).
-                self.errors.inc();
-                endpoint.check_in(conn);
-                Err(CoordError::Data(message))
+                if matches!(&response, Response::Error { code, .. } if code.is_retryable()) {
+                    self.errors.inc();
+                }
+                Ok(response)
             }
             Err(e) => {
                 self.errors.inc();
                 endpoint.alive.store(false, Ordering::Relaxed);
-                drop(conn);
                 Err(self.named(&endpoint.addr, e.to_string()))
             }
         }
     }
 
-    /// Runs `f` over a pooled connection to the primary. Kept for callers
-    /// that predate replica sets; reads should use [`Shard::call`].
-    pub fn with_conn<T>(
-        &self,
-        f: impl FnOnce(&mut HermesClient) -> Result<T, ClientError>,
-    ) -> Result<T, CoordError> {
-        self.on_endpoint(0, f)
-    }
-
     /// The **read** path: executes `call` with failover across the replica
-    /// set and optional hedging (see the module docs). Returns the responses
+    /// set and optional hedging (see the module docs). Returns the response
     /// of the first endpoint that produced a non-retryable answer; `Error`
     /// frames of the `Query` class come back as values — they are answers,
     /// identical on every replica.
-    pub fn call(
+    pub(crate) fn call(
         self: &Arc<Self>,
-        call: ReadCall,
+        call: Call,
         trace: Option<TraceContext>,
-    ) -> Result<Vec<Response>, CoordError> {
+    ) -> Result<Response, CoordError> {
         let call = Arc::new(call);
         let order = self.endpoint_order();
         let mut attempted = 0usize;
@@ -342,7 +352,7 @@ impl Shard {
 
         if let (Some(hedge), true) = (self.policy.hedge, order.len() > 1) {
             match self.hedged_pair(&call, trace, order[0], order[1], hedge) {
-                Ok(responses) => return Ok(responses),
+                Ok(response) => return Ok(response),
                 Err(e) => {
                     last_err = Some(e);
                     attempted = 2;
@@ -357,7 +367,7 @@ impl Shard {
             }
             attempted += 1;
             match self.attempt(idx, &call, trace) {
-                Ok(responses) => return Ok(responses),
+                Ok(response) => return Ok(response),
                 Err(e) => last_err = Some(e),
             }
         }
@@ -365,82 +375,21 @@ impl Shard {
     }
 
     /// One try on one endpoint: transport failures and retryable-coded
-    /// answers (`Deadline`/`Capacity`/`Backpressure`) become `Err` so the
-    /// ladder moves on; everything else is final.
+    /// answers become `Err` so the ladder moves on; everything else is
+    /// final.
     fn attempt(
         &self,
         idx: usize,
-        call: &ReadCall,
+        call: &Call,
         trace: Option<TraceContext>,
-    ) -> Result<Vec<Response>, CoordError> {
-        let endpoint = &self.endpoints[idx];
-        match self.run_endpoint(idx, call, trace) {
-            Ok(responses) => {
-                let retryable = responses.iter().find_map(|r| match r {
-                    Response::Error { code, message } if code.is_retryable() => {
-                        Some(format!("{code:?}: {message}"))
-                    }
-                    _ => None,
-                });
-                match retryable {
-                    // The endpoint answered — it is alive — but refused or
-                    // timed out; a replica may accept.
-                    Some(detail) => {
-                        self.errors.inc();
-                        Err(self.named(&endpoint.addr, detail))
-                    }
-                    None => Ok(responses),
-                }
+    ) -> Result<Response, CoordError> {
+        match self.exchange(idx, call, trace)? {
+            // The endpoint answered — it is alive — but refused or timed
+            // out; a replica may accept.
+            Response::Error { code, message } if code.is_retryable() => {
+                Err(self.named(&self.endpoints[idx].addr, format!("{code:?}: {message}")))
             }
-            Err(e) => {
-                self.errors.inc();
-                endpoint.alive.store(false, Ordering::Relaxed);
-                Err(self.named(&endpoint.addr, e.to_string()))
-            }
-        }
-    }
-
-    /// The raw exchange on one endpoint, with byte/latency accounting.
-    fn run_endpoint(
-        &self,
-        idx: usize,
-        call: &ReadCall,
-        trace: Option<TraceContext>,
-    ) -> Result<Vec<Response>, ClientError> {
-        let endpoint = &self.endpoints[idx];
-        let mut conn = endpoint.check_out(&self.opts)?;
-        conn.set_trace(trace);
-        let (out0, in0) = (conn.bytes_out(), conn.bytes_in());
-        let started = Instant::now();
-        let result = match call {
-            ReadCall::Pipeline(requests) => conn.pipeline(requests),
-            ReadCall::Prepared { sql, params } => {
-                match conn.exchange(&Request::Prepare { sql: sql.clone() })? {
-                    Response::Prepared { handle } => conn
-                        .exchange(&Request::ExecutePrepared {
-                            handle,
-                            params: params.clone(),
-                        })
-                        .map(|r| vec![r]),
-                    error @ Response::Error { .. } => Ok(vec![error]),
-                    other => Err(ClientError::Protocol(format!(
-                        "expected a Prepared response, got {other:?}"
-                    ))),
-                }
-            }
-        };
-        conn.set_trace(None);
-        self.latency_us.add(started.elapsed().as_micros() as u64);
-        self.bytes_out.add(conn.bytes_out() - out0);
-        self.bytes_in.add(conn.bytes_in() - in0);
-        match result {
-            Ok(responses) => {
-                self.queries.inc();
-                endpoint.alive.store(true, Ordering::Relaxed);
-                endpoint.check_in(conn);
-                Ok(responses)
-            }
-            Err(e) => Err(e),
+            response => Ok(response),
         }
     }
 
@@ -450,16 +399,16 @@ impl Shard {
     /// exhausted — the caller continues the ladder from the third endpoint.
     fn hedged_pair(
         self: &Arc<Self>,
-        call: &Arc<ReadCall>,
+        call: &Arc<Call>,
         trace: Option<TraceContext>,
         a: usize,
         b: usize,
         hedge: Duration,
-    ) -> Result<Vec<Response>, CoordError> {
+    ) -> Result<Response, CoordError> {
         let (tx, rx) = mpsc::channel();
         self.spawn_attempt(a, call, trace, tx.clone());
         match rx.recv_timeout(hedge) {
-            Ok((_, Ok(responses))) => Ok(responses),
+            Ok((_, Ok(response))) => Ok(response),
             Ok((_, Err(_e))) => {
                 // The primary failed outright within the window: a classic
                 // failover, not a hedge.
@@ -475,11 +424,11 @@ impl Shard {
                 let mut last_err = None;
                 for _ in 0..2 {
                     match rx.recv() {
-                        Ok((winner, Ok(responses))) => {
+                        Ok((winner, Ok(response))) => {
                             if winner == b {
                                 self.hedges_won.inc();
                             }
-                            return Ok(responses);
+                            return Ok(response);
                         }
                         Ok((_, Err(e))) => last_err = Some(e),
                         Err(_) => break,
@@ -497,9 +446,9 @@ impl Shard {
     fn spawn_attempt(
         self: &Arc<Self>,
         idx: usize,
-        call: &Arc<ReadCall>,
+        call: &Arc<Call>,
         trace: Option<TraceContext>,
-        tx: mpsc::Sender<(usize, Result<Vec<Response>, CoordError>)>,
+        tx: mpsc::Sender<(usize, Result<Response, CoordError>)>,
     ) {
         let shard = Arc::clone(self);
         let call = Arc::clone(call);
@@ -534,25 +483,77 @@ impl Shard {
         capped.mul_f64(0.5 + (seed % 1024) as f64 / 1024.0)
     }
 
+    /// The shard-level counters, read by both [`Shard::stat_rows`] and
+    /// [`Shard::collect_samples`]: `(SHOW STATS metric, /metrics series,
+    /// help, counter)`.
+    fn counters(&self) -> [(&'static str, &'static str, &'static str, &Counter); 8] {
+        [
+            (
+                "queries",
+                "hermes_shard_queries_total",
+                "Exchanges the shard answered (error frames included)",
+                &self.queries,
+            ),
+            (
+                "errors",
+                "hermes_shard_errors_total",
+                "Exchanges that broke or were refused with a retryable code",
+                &self.errors,
+            ),
+            (
+                "failovers",
+                "hermes_shard_failovers_total",
+                "Reads retried on another endpoint of the replica set",
+                &self.failovers,
+            ),
+            (
+                "hedges_fired",
+                "hermes_shard_hedges_fired_total",
+                "Hedged duplicate reads fired at a replica",
+                &self.hedges_fired,
+            ),
+            (
+                "hedges_won",
+                "hermes_shard_hedges_won_total",
+                "Hedged duplicates that answered before the primary",
+                &self.hedges_won,
+            ),
+            (
+                "latency_us_total",
+                "hermes_shard_latency_us_total",
+                "Cumulative downstream exchange latency in microseconds",
+                &self.latency_us,
+            ),
+            (
+                "bytes_in",
+                "hermes_shard_bytes_in_total",
+                "Bytes read from the shard",
+                &self.bytes_in,
+            ),
+            (
+                "bytes_out",
+                "hermes_shard_bytes_out_total",
+                "Bytes written to the shard",
+                &self.bytes_out,
+            ),
+        ]
+    }
+
+    fn pooled(&self) -> usize {
+        self.endpoints.iter().map(Endpoint::pooled).sum()
+    }
+
     /// The shard's `SHOW STATS` rows (scope is added by the caller):
     /// shard-level counters plus one `endpoint.<i>.*` group per replica.
     pub fn stat_rows(&self) -> Vec<(String, i64)> {
         let mut rows = vec![
             ("alive".to_string(), self.is_alive() as i64),
             ("endpoints".to_string(), self.endpoints.len() as i64),
-            ("queries".to_string(), self.queries.get() as i64),
-            ("errors".to_string(), self.errors.get() as i64),
-            ("failovers".to_string(), self.failovers.get() as i64),
-            ("hedges_fired".to_string(), self.hedges_fired.get() as i64),
-            ("hedges_won".to_string(), self.hedges_won.get() as i64),
-            ("latency_us_total".to_string(), self.latency_us.get() as i64),
-            ("bytes_in".to_string(), self.bytes_in.get() as i64),
-            ("bytes_out".to_string(), self.bytes_out.get() as i64),
-            (
-                "pooled_connections".to_string(),
-                self.endpoints.iter().map(Endpoint::pooled).sum::<usize>() as i64,
-            ),
         ];
+        for (metric, _, _, counter) in self.counters() {
+            rows.push((metric.to_string(), counter.get() as i64));
+        }
+        rows.push(("pooled_connections".to_string(), self.pooled() as i64));
         for (i, endpoint) in self.endpoints.iter().enumerate() {
             rows.push((format!("endpoint.{i}.alive"), endpoint.is_alive() as i64));
             rows.push((
@@ -569,12 +570,6 @@ impl Shard {
     /// at scrape time.
     pub fn collect_samples(&self, out: &mut Vec<Sample>) {
         let labels = || vec![("shard", self.spec.name.clone())];
-        let counter = |name, help, v: u64| Sample {
-            name,
-            help,
-            labels: labels(),
-            value: SampleValue::Counter(v),
-        };
         out.push(Sample {
             name: "hermes_shard_alive",
             help: "Last observed shard liveness (1 = at least one endpoint alive)",
@@ -582,72 +577,36 @@ impl Shard {
             value: SampleValue::Gauge(self.is_alive() as u64),
         });
         for endpoint in &self.endpoints {
+            let labels = vec![
+                ("shard", self.spec.name.clone()),
+                ("endpoint", endpoint.addr.clone()),
+            ];
             out.push(Sample {
                 name: "hermes_shard_endpoint_alive",
                 help: "Last observed endpoint liveness (1 = alive)",
-                labels: vec![
-                    ("shard", self.spec.name.clone()),
-                    ("endpoint", endpoint.addr.clone()),
-                ],
+                labels: labels.clone(),
                 value: SampleValue::Gauge(endpoint.is_alive() as u64),
             });
             out.push(Sample {
                 name: "hermes_shard_endpoint_pooled_connections",
                 help: "Idle pooled connections to the endpoint",
-                labels: vec![
-                    ("shard", self.spec.name.clone()),
-                    ("endpoint", endpoint.addr.clone()),
-                ],
+                labels,
                 value: SampleValue::Gauge(endpoint.pooled() as u64),
             });
         }
-        out.push(counter(
-            "hermes_shard_queries_total",
-            "Successful exchanges with the shard",
-            self.queries.get(),
-        ));
-        out.push(counter(
-            "hermes_shard_errors_total",
-            "Failed exchanges with the shard (answered or broken)",
-            self.errors.get(),
-        ));
-        out.push(counter(
-            "hermes_shard_failovers_total",
-            "Reads retried on another endpoint of the replica set",
-            self.failovers.get(),
-        ));
-        out.push(counter(
-            "hermes_shard_hedges_fired_total",
-            "Hedged duplicate reads fired at a replica",
-            self.hedges_fired.get(),
-        ));
-        out.push(counter(
-            "hermes_shard_hedges_won_total",
-            "Hedged duplicates that answered before the primary",
-            self.hedges_won.get(),
-        ));
-        out.push(counter(
-            "hermes_shard_latency_us_total",
-            "Cumulative downstream exchange latency in microseconds",
-            self.latency_us.get(),
-        ));
-        out.push(counter(
-            "hermes_shard_bytes_in_total",
-            "Bytes read from the shard",
-            self.bytes_in.get(),
-        ));
-        out.push(counter(
-            "hermes_shard_bytes_out_total",
-            "Bytes written to the shard",
-            self.bytes_out.get(),
-        ));
+        for (_, name, help, counter) in self.counters() {
+            out.push(Sample {
+                name,
+                help,
+                labels: labels(),
+                value: SampleValue::Counter(counter.get()),
+            });
+        }
         out.push(Sample {
             name: "hermes_shard_pooled_connections",
             help: "Idle pooled connections to the shard (all endpoints)",
             labels: labels(),
-            value: SampleValue::Gauge(
-                self.endpoints.iter().map(Endpoint::pooled).sum::<usize>() as u64
-            ),
+            value: SampleValue::Gauge(self.pooled() as u64),
         });
     }
 }
@@ -682,10 +641,16 @@ mod tests {
         }
     }
 
+    fn query(sql: &str) -> Call {
+        Call::One(Request::Query { sql: sql.into() })
+    }
+
     #[test]
     fn unreachable_shard_yields_a_named_error_and_goes_dead() {
-        let shard = Shard::new(spec(), opts());
-        let err = shard.with_conn(|c| c.query("SHOW THREADS;")).unwrap_err();
+        let shard = Shard::with_policy(spec(), opts(), FailoverPolicy::default());
+        let err = shard
+            .exchange(0, &query("SHOW THREADS;"), None)
+            .unwrap_err();
         match &err {
             CoordError::Shard { name, addr, .. } => {
                 assert_eq!(name, "lonely");
@@ -695,33 +660,81 @@ mod tests {
         }
         assert!(err.to_string().starts_with("shard 'lonely' (127.0.0.1:1):"));
         assert!(!shard.is_alive());
-        assert!(!shard.probe());
+        assert!(shard.exchange(1, &query("SHOW THREADS;"), None).is_err());
+        assert!(!shard.is_alive());
         let rows = shard.stat_rows();
         assert!(rows.contains(&("alive".to_string(), 0)));
         assert!(rows.contains(&("endpoints".to_string(), 2)));
-        assert!(rows.iter().any(|(m, v)| m == "errors" && *v >= 2));
+        assert!(rows.contains(&("errors".to_string(), 2)));
+        assert!(rows.contains(&("queries".to_string(), 0)));
     }
 
     #[test]
     fn read_ladder_walks_every_endpoint_and_counts_failovers() {
         let shard = Arc::new(Shard::with_policy(spec(), opts(), fast_policy()));
-        let err = shard
-            .call(
-                ReadCall::Pipeline(vec![Request::Query {
-                    sql: "SHOW THREADS;".into(),
-                }]),
-                None,
-            )
-            .unwrap_err();
+        let err = shard.call(query("SHOW THREADS;"), None).unwrap_err();
         // Both (unreachable) endpoints were tried; the error names the last.
         match err {
             CoordError::Shard { addr, .. } => assert_eq!(addr, "127.0.0.1:2"),
             other => panic!("expected a named shard error, got {other:?}"),
         }
-        assert_eq!(shard.failovers(), 1);
-        assert_eq!(shard.hedge_counts(), (0, 0));
+        let rows = shard.stat_rows();
+        assert!(rows.contains(&("failovers".to_string(), 1)));
+        assert!(rows.contains(&("hedges_fired".to_string(), 0)));
+        assert!(rows.contains(&("hedges_won".to_string(), 0)));
         assert!(!shard.endpoints()[0].is_alive());
         assert!(!shard.endpoints()[1].is_alive());
+    }
+
+    /// The counting rule: a shard-answered error frame is an answer. A read
+    /// (through the failover ladder), a write and a prepared write (one
+    /// endpoint each) that get one count one `query` and no `error`, and
+    /// leave the endpoint alive with its connection pooled.
+    #[cfg(unix)]
+    #[test]
+    fn error_frames_count_alike_on_every_path() {
+        use hermes_core::SharedEngine;
+        use hermes_server::{Server, ServerConfig};
+
+        let server = Server::bind(
+            "127.0.0.1:0",
+            SharedEngine::default(),
+            ServerConfig::default(),
+        )
+        .expect("bind")
+        .spawn()
+        .expect("spawn");
+        let spec = ShardSpec {
+            addr: server.addr().to_string(),
+            replicas: Vec::new(),
+            ..spec()
+        };
+        let shard = Arc::new(Shard::with_policy(spec, opts(), FailoverPolicy::default()));
+        let counts = |shard: &Shard| {
+            let rows = shard.stat_rows();
+            let get = |m: &str| rows.iter().find(|(k, _)| k == m).unwrap().1;
+            (get("queries"), get("errors"), get("pooled_connections"))
+        };
+        let unknown = "unknown dataset 'nope'";
+        let read = shard
+            .call(query("SELECT RANGE(nope, 0, 10);"), None)
+            .unwrap();
+        assert!(matches!(&read, Response::Error { message, .. } if message == unknown));
+        assert_eq!(counts(&shard), (1, 0, 1));
+        let write = shard
+            .exchange(0, &query("DROP DATASET nope;"), None)
+            .unwrap();
+        assert!(matches!(&write, Response::Error { message, .. } if message == unknown));
+        assert_eq!(counts(&shard), (2, 0, 1));
+        let prepared = Call::Prepared {
+            sql: "DROP DATASET nope;".into(),
+            params: Vec::new(),
+        };
+        let write = shard.exchange(0, &prepared, None).unwrap();
+        assert!(matches!(&write, Response::Error { message, .. } if message == unknown));
+        assert_eq!(counts(&shard), (3, 0, 1));
+        assert!(shard.is_alive());
+        server.shutdown();
     }
 
     #[test]

@@ -25,27 +25,40 @@
 //!   semantics — the write fan-out invariant that keeps replicas
 //!   byte-identical and makes read failover sound.
 //!
-//! Reads run through [`Shard::call`]: a pipelined exchange with the replica
-//! set, failing over (and optionally hedging) across endpoints. Shard-
-//! answered errors are relayed **verbatim** (they match single-node texts);
-//! exhausted replica sets surface as `shard '<name>' (<addr>): …` so the
-//! failing node is always named.
+//! Every shard is reached through one exchange (`crate::registry`): reads
+//! through `Shard::call`, which fails over (and optionally hedges) across
+//! the replica set; writes through `Coordinator::write`, which sends to
+//! every endpoint. Shard-answered errors are relayed **verbatim** (they
+//! match single-node texts); exhausted replica sets surface as
+//! `shard '<name>' (<addr>): …` so the failing node is always named.
+//!
+//! Every multi-shard path applies one **tolerated-error rule**
+//! (`tolerate`): a shard that answers "holds no trajectories" or "has no
+//! ReTraTree index" for the dataset contributes nothing — an empty slice is
+//! a sharding artifact — unless every shard says it, which makes it the
+//! dataset's real state. The coordinator checks a statement's own
+//! arguments with the executor's rules (`hermes_sql::{thread_policy,
+//! s2t_params, qut_params, …}`) and in a node's order: an interior forward
+//! checks nothing (the shard is a node), and a fan-out checks what a node
+//! checks after resolving the dataset only once the shards have resolved
+//! it.
 
-use crate::registry::{CoordError, FailoverPolicy, ReadCall, Shard};
+use crate::registry::{Call, CoordError, FailoverPolicy, Shard};
 use crate::shardmap::ShardSpec;
 use hermes_core::{DatasetInfo, EngineError};
 use hermes_exec::{ExecPolicy, Executor};
 use hermes_obs::QueryTrace;
-use hermes_retratree::{merge_qut_partials, QutParams, QutPartial};
+use hermes_retratree::{merge_qut_partials, QutParams, QutPartial, QutResult, QutStats};
 use hermes_s2t::{run_s2t_naive_with, run_s2t_with, S2TParams};
 use hermes_server::protocol::{PartialInfo, Request, Response};
 use hermes_server::{traceview, ConnectOptions, ServerMetrics};
 use hermes_sql::{
-    clusters_frame, histogram_frame, info_frame, push_stat, qut_stats_frame, range_frame,
-    s2t_stats_frame, sort_stats_rows, stats_frame, trace_frame, traces_frame, CommandStatus,
-    CommandTag, Frame, Scalar, SqlError, Statement, Value, ValueType,
+    chunk_ms, clusters_frame, histogram_bucket, histogram_frame, info_frame, push_stat, qut_params,
+    qut_stats_frame, range_frame, s2t_params, s2t_stats_frame, sort_stats_rows, stats_frame,
+    thread_policy, trace_frame, traces_frame, window_args, window_s2t, CommandStatus, CommandTag,
+    Frame, SqlError, Statement, Value, ValueType,
 };
-use hermes_trajectory::{Duration, TimeInterval, Timestamp, Trajectory};
+use hermes_trajectory::{TimeInterval, Timestamp, Trajectory};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -66,6 +79,20 @@ pub enum ForwardSpec<'a> {
         /// The bound parameter values.
         params: &'a [Value],
     },
+}
+
+impl ForwardSpec<'_> {
+    fn call(&self) -> Call {
+        match self {
+            ForwardSpec::Query(sql) => Call::One(Request::Query {
+                sql: (*sql).to_string(),
+            }),
+            ForwardSpec::Prepared { sql, params } => Call::Prepared {
+                sql: (*sql).to_string(),
+                params: params.to_vec(),
+            },
+        }
+    }
 }
 
 /// The query-routing brain of `hermes-coord`: a static shard registry plus
@@ -123,13 +150,12 @@ impl Coordinator {
     /// `SHOW THREADS;` round trip each) and returns `(name, addr, alive)`
     /// per endpoint, in slice order, primaries first within a shard.
     pub fn probe_all(&self) -> Vec<(String, String, bool)> {
-        let pairs = self.endpoint_pairs();
-        let exec = self.exec();
-        exec.map(&pairs, |_, &(s, e)| {
+        let probe = Call::One(Request::Query {
+            sql: "SHOW THREADS;".into(),
+        });
+        self.exec().map(&self.endpoint_pairs(), |_, &(s, e)| {
             let shard = &self.shards[s];
-            let alive = shard
-                .on_endpoint(e, |c| c.query("SHOW THREADS;").map(|_| ()))
-                .is_ok();
+            let alive = shard.exchange(e, &probe, None).is_ok();
             (
                 shard.spec.name.clone(),
                 shard.endpoints()[e].addr.clone(),
@@ -166,37 +192,34 @@ impl Coordinator {
     /// everywhere — shards auto-create datasets on first ingest, and later
     /// broadcasts (`BUILD INDEX`) assume the name resolves on all of them.
     pub fn ingest(&self, dataset: &str, trajectories: Vec<Trajectory>) -> Response {
-        let shares: Vec<Vec<Trajectory>> = self
+        let shares: Vec<Call> = self
             .shards
             .iter()
             .map(|shard| {
-                let (a, b) = shard.slice();
-                trajectories
-                    .iter()
-                    .filter(|t| {
-                        let l = t.lifespan();
-                        l.end.millis() >= a && (l.start.millis() < b || b == i64::MAX)
-                    })
-                    .cloned()
-                    .collect()
+                let (a, b) = (shard.spec.start_ms, shard.spec.end_ms);
+                Call::One(Request::Ingest {
+                    dataset: dataset.to_string(),
+                    trajectories: trajectories
+                        .iter()
+                        .filter(|t| {
+                            let l = t.lifespan();
+                            l.end.millis() >= a && (l.start.millis() < b || b == i64::MAX)
+                        })
+                        .cloned()
+                        .collect(),
+                })
             })
             .collect();
-        let pairs = self.endpoint_pairs();
-        let exec = self.exec();
-        let results = exec.map(&pairs, |_, &(s, e)| {
-            self.shards[s].on_endpoint(e, |c| c.ingest(dataset, &shares[s]).map(|_| ()))
-        });
-        for result in results {
-            if let Err(e) = result {
-                return Response::error(e.to_string());
-            }
+        match self.write(&shares, &[]) {
+            Ok(_) => Response::Command(CommandStatus {
+                tag: CommandTag::Ingest,
+                // The client loaded n trajectories, exactly as on a single
+                // node; cross-border duplication is a sharding detail, not
+                // a result.
+                affected: trajectories.len() as u64,
+            }),
+            Err(e) => Response::error(e.to_string()),
         }
-        Response::Command(CommandStatus {
-            tag: CommandTag::Ingest,
-            // The client loaded n trajectories, exactly as on a single node;
-            // cross-border duplication is a sharding detail, not a result.
-            affected: trajectories.len() as u64,
-        })
     }
 
     fn route(
@@ -206,8 +229,6 @@ impl Coordinator {
         metrics: &ServerMetrics,
         trace: Option<&QueryTrace>,
     ) -> Result<Response, CoordError> {
-        let f64_of = |s: &Scalar| s.as_f64().map_err(|m| sql_err(SqlError::Bind(m)));
-        let i64_of = |s: &Scalar| s.as_i64().map_err(|m| sql_err(SqlError::Bind(m)));
         match stmt {
             Statement::CreateDataset { .. } | Statement::DropDataset { .. } => {
                 let responses = self.broadcast(fwd, &[])?;
@@ -227,7 +248,7 @@ impl Coordinator {
             Statement::BuildIndex {
                 name, chunk_hours, ..
             } => {
-                let chunk_ms = (f64_of(chunk_hours)? * 3_600_000.0) as i64;
+                let chunk_ms = chunk_ms(chunk_hours)?;
                 if chunk_ms > 0 {
                     // Interior slice boundaries must sit on chunk boundaries
                     // (chunks are epoch-aligned), otherwise one sub-chunk
@@ -257,24 +278,12 @@ impl Coordinator {
                 }))
             }
             Statement::SetThreads { threads } => {
-                let n = i64_of(threads)?;
-                let count = usize::try_from(n).map_err(|_| {
-                    sql_err(SqlError::Engine(EngineError::InvalidParameters(format!(
-                        "SET threads expects a positive thread count, got {n}"
-                    ))))
-                })?;
-                let policy = ExecPolicy::new(count).map_err(|m| {
-                    sql_err(SqlError::Engine(EngineError::InvalidParameters(format!(
-                        "SET {m}"
-                    ))))
-                })?;
-                // Scalars are already bound, so the canonical text is exact.
-                let sql = format!("SET threads = {count};");
-                self.broadcast(&ForwardSpec::Query(&sql), &[])?;
+                let policy = thread_policy(threads)?;
+                self.broadcast(fwd, &[])?;
                 *self.exec.lock().unwrap() = Arc::new(Executor::new(policy));
                 Ok(Response::Command(CommandStatus {
                     tag: CommandTag::Set,
-                    affected: count as u64,
+                    affected: policy.threads as u64,
                 }))
             }
             Statement::ShowThreads => {
@@ -286,20 +295,17 @@ impl Coordinator {
                 // A read: one (failover-capable) forward per shard suffices —
                 // replicas hold the same dataset names by the write
                 // invariant.
-                let exec = self.exec();
-                let responses = exec
-                    .map(&self.shards, |_, shard| self.forward(shard, fwd))
-                    .into_iter()
-                    .collect::<Result<Vec<_>, _>>()?;
                 let mut names = std::collections::BTreeSet::new();
-                for response in responses {
-                    match response {
+                for response in self
+                    .exec()
+                    .map(&self.shards, |_, shard| shard.call(fwd.call(), None))
+                {
+                    match response? {
                         Response::Rows { frame, .. } => {
-                            for row in frame.rows() {
-                                if let Some(Value::Text(name)) = row.first() {
-                                    names.insert(name.clone());
-                                }
-                            }
+                            names.extend(frame.rows().filter_map(|row| match row.first() {
+                                Some(Value::Text(name)) => Some(name.clone()),
+                                _ => None,
+                            }))
                         }
                         Response::Error { message, .. } => return Err(CoordError::Data(message)),
                         _ => {}
@@ -319,27 +325,20 @@ impl Coordinator {
             Statement::ShowTraces => Ok(rows(traces_frame())),
             Statement::ShowTrace { .. } => Ok(rows(trace_frame())),
             Statement::Info { name } => {
-                let partials = self.fan_out(name, |shard| {
-                    let (owned_start_ms, owned_end_ms) = shard.slice();
-                    traced_call(
-                        trace,
-                        shard,
-                        Request::InfoPartial {
-                            dataset: name.clone(),
-                            owned_start_ms,
-                            owned_end_ms,
-                        },
-                        extract_info,
-                        |_| Vec::new(),
-                    )
-                })?;
+                let partials = self.fan_out(
+                    name,
+                    trace,
+                    |owned_start_ms, owned_end_ms| Request::InfoPartial {
+                        dataset: name.clone(),
+                        owned_start_ms,
+                        owned_end_ms,
+                    },
+                    extract_info,
+                    |_| Vec::new(),
+                )?;
                 let mut info = DatasetInfo {
                     name: name.clone(),
-                    num_trajectories: 0,
-                    num_points: 0,
-                    lifespan: None,
-                    indexed: false,
-                    num_cluster_entries: 0,
+                    ..DatasetInfo::default()
                 };
                 for partial in partials.into_iter().flatten() {
                     info.num_trajectories += partial.trajectories as usize;
@@ -347,11 +346,8 @@ impl Coordinator {
                     info.indexed |= partial.indexed;
                     info.num_cluster_entries += partial.cluster_entries as usize;
                     if let Some((start, end)) = partial.lifespan {
-                        let (lo, hi) = match info.lifespan {
-                            Some(l) => (l.start.millis().min(start), l.end.millis().max(end)),
-                            None => (start, end),
-                        };
-                        info.lifespan = Some(TimeInterval::new(Timestamp(lo), Timestamp(hi)));
+                        let l = TimeInterval::new(Timestamp(start), Timestamp(end));
+                        info.lifespan = Some(info.lifespan.map_or(l, |acc| acc.union(&l)));
                     }
                 }
                 Ok(rows(info_frame(&info)))
@@ -365,37 +361,25 @@ impl Coordinator {
                 epsilon,
                 naive,
             } => {
-                let params = S2TParams::builder()
-                    .sigma(f64_of(sigma)?)
-                    .tau(f64_of(tau)?)
-                    .delta(f64_of(delta)?)
-                    .min_duration_ms(i64_of(min_duration_ms)?)
-                    .epsilon(f64_of(epsilon)?)
-                    .build()
-                    .map_err(|m| sql_err(SqlError::Engine(EngineError::InvalidParameters(m))))?;
+                let params = s2t_params(sigma, tau, delta, min_duration_ms, epsilon)?;
                 // Each shard contributes the trajectories *starting* in its
                 // slice: a disjoint cover of the dataset even though border
                 // trajectories are stored on several shards.
-                let shares = self.fan_out(name, |shard| {
-                    let (owned_start_ms, owned_end_ms) = shard.slice();
-                    traced_call(
-                        trace,
-                        shard,
-                        Request::GatherTrajectories {
-                            dataset: name.clone(),
-                            owned_start_ms,
-                            owned_end_ms,
-                        },
-                        extract_trajectories,
-                        |trajectories| vec![("trajectories", trajectories.len().to_string())],
-                    )
-                })?;
+                let shares = self.fan_out(
+                    name,
+                    trace,
+                    |owned_start_ms, owned_end_ms| Request::GatherTrajectories {
+                        dataset: name.clone(),
+                        owned_start_ms,
+                        owned_end_ms,
+                    },
+                    extract_trajectories,
+                    |trajectories| vec![("trajectories", trajectories.len().to_string())],
+                )?;
                 let mut trajectories: Vec<Trajectory> =
                     shares.into_iter().flatten().flatten().collect();
                 if trajectories.is_empty() {
-                    return Err(sql_err(SqlError::Engine(EngineError::EmptyDataset(
-                        name.clone(),
-                    ))));
+                    return Err(SqlError::Engine(EngineError::EmptyDataset(name.clone())).into());
                 }
                 // Single-node S2T runs over trajectories in insertion order;
                 // with the documented ascending-id ingest convention, the id
@@ -423,14 +407,14 @@ impl Coordinator {
                 merge_gap_ms,
                 rebuild,
             } => {
-                let (wi, we) = (i64_of(wi)?, i64_of(we)?);
+                let (wi, we) = window_args(wi, we)?;
                 if *rebuild {
                     // The rebuild baseline re-clusters the window's raw
                     // sub-trajectories from scratch — a global computation
                     // with no owned decomposition. Serve it when one shard
                     // holds the whole window, refuse it otherwise.
                     if let Some(shard) = self.interior_shard(wi, we) {
-                        return self.forward(&shard, fwd);
+                        return shard.call(fwd.call(), None);
                     }
                     return Err(CoordError::Data(format!(
                         "QUT_REBUILD re-clusters the window's raw data on one node and \
@@ -438,48 +422,31 @@ impl Coordinator {
                          to a single shard's slice or use QUT"
                     )));
                 }
-                let merge = QutParams {
-                    s2t: S2TParams::default(),
-                    merge_distance: f64_of(merge_distance)?,
-                    merge_gap: Duration::from_millis(i64_of(merge_gap_ms)?),
-                };
-                merge
-                    .validate()
-                    .map_err(|m| sql_err(SqlError::Engine(EngineError::InvalidParameters(m))))?;
-                if let Some(shard) = self.interior_shard(wi, we) {
-                    let response = self.forward(&shard, fwd)?;
-                    if !is_unpopulated_error(&response, name) {
-                        return Ok(response);
-                    }
-                    // The owning shard holds nothing of this dataset; the
-                    // fan-out below reconstructs the deployment-wide truth.
+                if let Some(response) = self.forward_interior(name, wi, we, fwd)? {
+                    return Ok(response);
                 }
                 let started = Instant::now();
-                let overrides = Some((f64_of(tau)?, f64_of(delta)?, i64_of(min_duration_ms)?));
-                let partials = self.fan_out(name, |shard| {
-                    let (owned_start_ms, owned_end_ms) = shard.slice();
-                    traced_call(
-                        trace,
-                        shard,
-                        Request::QutPartial {
-                            dataset: name.clone(),
-                            owned_start_ms,
-                            owned_end_ms,
-                            wi,
-                            we,
-                            overrides,
-                        },
-                        extract_qut,
-                        |partial| traceview::qut_stats_attrs(&partial.stats),
-                    )
-                })?;
-                let partials: Vec<QutPartial> = partials
-                    .into_iter()
-                    .map(Option::unwrap_or_default)
-                    .collect();
-                let merge_started = Instant::now();
-                let (result, mut stats) = merge_qut_partials(partials, &merge);
-                record_merge_span(trace, merge_started, stats.merges);
+                // A node reads and checks the parameters once the dataset
+                // resolves: τ, δ and t read, the merge parameters read and
+                // checked, then τ, δ and t checked. Here the shards resolve
+                // it, and those holding it check τ, δ and t right after; an
+                // unreadable τ, δ or t is sent as `None`, and reported once
+                // the dataset resolved. σ and ε are each tree's own; the
+                // defaults stand in for them in the local check.
+                let s2t = window_s2t(S2TParams::default(), tau, delta, min_duration_ms);
+                let overrides = s2t
+                    .as_ref()
+                    .ok()
+                    .map(|s| (s.tau, s.delta, s.min_duration_ms));
+                let refused = s2t.as_ref().map_or(Ok(()), |s| s.validate()).map_err(|m| {
+                    CoordError::from(SqlError::Engine(EngineError::InvalidParameters(m)))
+                });
+                let partials = match self.qut_partials(name, wi, we, overrides, trace) {
+                    Err(e) if refused.as_ref().err() != Some(&e) => return Err(e),
+                    partials => partials,
+                };
+                let params = qut_params(s2t?, merge_distance, merge_gap_ms)?;
+                let (result, mut stats) = merge(partials?, &params, trace);
                 stats.elapsed_ms = started.elapsed().as_secs_f64() * 1_000.0;
                 Ok(Response::Rows {
                     frame: clusters_frame(&result),
@@ -487,29 +454,23 @@ impl Coordinator {
                 })
             }
             Statement::Range { name, wi, we } => {
-                let (wi, we) = (i64_of(wi)?, i64_of(we)?);
-                if let Some(shard) = self.interior_shard(wi, we) {
-                    let response = self.forward(&shard, fwd)?;
-                    if !is_unpopulated_error(&response, name) {
-                        return Ok(response);
-                    }
+                let (wi, we) = window_args(wi, we)?;
+                if let Some(response) = self.forward_interior(name, wi, we, fwd)? {
+                    return Ok(response);
                 }
-                let counts = self.fan_out(name, |shard| {
-                    let (owned_start_ms, owned_end_ms) = shard.slice();
-                    traced_call(
-                        trace,
-                        shard,
-                        Request::RangePartial {
-                            dataset: name.clone(),
-                            owned_start_ms,
-                            owned_end_ms,
-                            wi,
-                            we,
-                        },
-                        extract_count,
-                        |count| vec![("count", count.to_string())],
-                    )
-                })?;
+                let counts = self.fan_out(
+                    name,
+                    trace,
+                    |owned_start_ms, owned_end_ms| Request::RangePartial {
+                        dataset: name.clone(),
+                        owned_start_ms,
+                        owned_end_ms,
+                        wi,
+                        we,
+                    },
+                    extract_count,
+                    |count| vec![("count", count.to_string())],
+                )?;
                 let total: u64 = counts.into_iter().flatten().sum();
                 Ok(rows(range_frame(total as usize)))
             }
@@ -519,45 +480,16 @@ impl Coordinator {
                 we,
                 bucket_ms,
             } => {
-                let bucket_ms = i64_of(bucket_ms)?;
-                if bucket_ms <= 0 {
-                    return Err(sql_err(SqlError::Engine(EngineError::InvalidParameters(
-                        "histogram bucket width must be positive".into(),
-                    ))));
-                }
-                let (wi, we) = (i64_of(wi)?, i64_of(we)?);
-                if let Some(shard) = self.interior_shard(wi, we) {
-                    let response = self.forward(&shard, fwd)?;
-                    if !is_unpopulated_error(&response, name) {
-                        return Ok(response);
-                    }
+                // A node checks the bucket before it resolves the dataset.
+                let bucket_ms = histogram_bucket(bucket_ms)?;
+                let (wi, we) = window_args(wi, we)?;
+                if let Some(response) = self.forward_interior(name, wi, we, fwd)? {
+                    return Ok(response);
                 }
                 // No overrides: the histogram clusters with the tree's own
                 // indexing-time S2T parameters, exactly like the executor.
-                let partials = self.fan_out(name, |shard| {
-                    let (owned_start_ms, owned_end_ms) = shard.slice();
-                    traced_call(
-                        trace,
-                        shard,
-                        Request::QutPartial {
-                            dataset: name.clone(),
-                            owned_start_ms,
-                            owned_end_ms,
-                            wi,
-                            we,
-                            overrides: None,
-                        },
-                        extract_qut,
-                        |partial| traceview::qut_stats_attrs(&partial.stats),
-                    )
-                })?;
-                let partials: Vec<QutPartial> = partials
-                    .into_iter()
-                    .map(Option::unwrap_or_default)
-                    .collect();
-                let merge_started = Instant::now();
-                let (result, merge_stats) = merge_qut_partials(partials, &QutParams::default());
-                record_merge_span(trace, merge_started, merge_stats.merges);
+                let partials = self.qut_partials(name, wi, we, None, trace)?;
+                let (result, _) = merge(partials, &QutParams::default(), trace);
                 Ok(rows(histogram_frame(&result, bucket_ms)))
             }
         }
@@ -569,8 +501,9 @@ impl Coordinator {
     /// its registry rows (`alive = 0`) — observability must not require the
     /// whole fleet to be up.
     fn stats(&self, fwd: &ForwardSpec<'_>, metrics: &ServerMetrics) -> Frame {
-        let exec = self.exec();
-        let answers = exec.map(&self.shards, |_, shard| self.forward(shard, fwd).ok());
+        let answers = self
+            .exec()
+            .map(&self.shards, |_, shard| shard.call(fwd.call(), None).ok());
         let mut frame = stats_frame();
         for (metric, value) in metrics.rows() {
             push_stat(&mut frame, "coordinator", &metric, value);
@@ -622,136 +555,153 @@ impl Coordinator {
             .cloned()
     }
 
-    /// Re-sends the client's original statement to one shard — the **read**
-    /// forward: [`Shard::call`] retries the exchange across the replica set,
-    /// so a dead primary degrades to a replica instead of an error. The
-    /// shard's response is returned verbatim (including shard-answered
-    /// errors — they carry single-node texts).
-    fn forward(&self, shard: &Arc<Shard>, fwd: &ForwardSpec<'_>) -> Result<Response, CoordError> {
-        let call = match fwd {
-            ForwardSpec::Query(sql) => ReadCall::Pipeline(vec![Request::Query {
-                sql: (*sql).to_string(),
-            }]),
-            ForwardSpec::Prepared { sql, params } => ReadCall::Prepared {
-                sql: (*sql).to_string(),
-                params: params.to_vec(),
-            },
+    /// The interior fast path: re-sends the client's statement verbatim to
+    /// the shard whose slice strictly holds the window, through the
+    /// failover-capable read path, and relays its answer — errors included,
+    /// they carry single-node texts. `None` sends the statement down the
+    /// fan-out: no shard holds the window, or its owner holds nothing of the
+    /// dataset — an error [`tolerate`] would let the fan-out pass over, and
+    /// the fan-out reconstructs the deployment-wide answer.
+    fn forward_interior(
+        &self,
+        dataset: &str,
+        wi: i64,
+        we: i64,
+        fwd: &ForwardSpec<'_>,
+    ) -> Result<Option<Response>, CoordError> {
+        let Some(shard) = self.interior_shard(wi, we) else {
+            return Ok(None);
         };
-        let mut responses = shard.call(call, None)?;
-        responses.pop().ok_or_else(|| CoordError::Shard {
-            name: shard.spec.name.clone(),
-            addr: shard.spec.addr.clone(),
-            detail: "empty pipeline answer".into(),
-        })
+        match shard.call(fwd.call(), None)? {
+            Response::Error { message, .. } if unpopulated(dataset).contains(&message) => Ok(None),
+            response => Ok(Some(response)),
+        }
     }
 
-    /// Forwards `fwd` to **every endpoint of every shard** in parallel,
-    /// all-or-error — the **write** path. No failover: a write that skipped
-    /// a replica would leave the set divergent, so any endpoint failure
-    /// fails the statement. A shard-answered error whose message is listed
-    /// in `tolerated` makes the shard contribute `None` instead of failing
-    /// the broadcast — unless *every* shard says it, in which case it is the
-    /// deployment-wide truth and is relayed. The returned vector holds the
-    /// **primary's** response per shard (one response per shard, not per
-    /// endpoint, so affected-row sums match a single node's).
+    /// Forwards `fwd` to **every endpoint of every shard** in parallel — a
+    /// write statement (see [`Coordinator::write`]).
     fn broadcast(
         &self,
         fwd: &ForwardSpec<'_>,
         tolerated: &[String],
     ) -> Result<Vec<Option<Response>>, CoordError> {
+        self.write(&vec![fwd.call(); self.shards.len()], tolerated)
+    }
+
+    /// Sends `calls[s]` to every endpoint of shard `s` in parallel,
+    /// all-or-error — the **write** path. No failover: a write that skipped
+    /// a replica would leave the set divergent, so any endpoint failure
+    /// fails the statement; error answers listed in `tolerated` fall under
+    /// [`tolerate`]. The returned vector holds one response per shard, the
+    /// primary's when it gave one, so affected-row sums match a single
+    /// node's.
+    fn write(
+        &self,
+        calls: &[Call],
+        tolerated: &[String],
+    ) -> Result<Vec<Option<Response>>, CoordError> {
         let pairs = self.endpoint_pairs();
-        let exec = self.exec();
-        let results = exec.map(&pairs, |_, &(s, e)| self.forward_on(s, e, fwd));
-        let mut out: Vec<Option<Response>> = (0..self.shards.len()).map(|_| None).collect();
-        let mut first_tolerated = None;
-        for (&(s, e), result) in pairs.iter().zip(results) {
-            match result {
-                Ok(Response::Error { message, .. }) | Err(CoordError::Data(message))
-                    if tolerated.contains(&message) =>
-                {
-                    first_tolerated.get_or_insert(message);
-                }
-                Ok(Response::Error { message, .. }) => return Err(CoordError::Data(message)),
-                Ok(response) => {
-                    if e == 0 {
-                        out[s] = Some(response);
-                    }
-                }
-                Err(e) => return Err(e),
+        let results = self.exec().map(&pairs, |_, &(s, e)| {
+            match self.shards[s].exchange(e, &calls[s], None)? {
+                Response::Error { message, .. } => Err(CoordError::Data(message)),
+                response => Ok(response),
             }
-        }
-        if out.iter().all(Option::is_none) {
-            return Err(CoordError::Data(
-                first_tolerated.expect("a validated map has at least one shard"),
-            ));
+        });
+        let mut out: Vec<Option<Response>> = vec![None; self.shards.len()];
+        for (&(s, _), answer) in pairs.iter().zip(tolerate(results, tolerated)?) {
+            if out[s].is_none() {
+                out[s] = answer;
+            }
         }
         Ok(out)
     }
 
-    /// One verbatim statement exchange with one specific endpoint (the
-    /// write-path unit; no failover).
-    fn forward_on(
-        &self,
-        shard_idx: usize,
-        endpoint_idx: usize,
-        fwd: &ForwardSpec<'_>,
-    ) -> Result<Response, CoordError> {
-        self.shards[shard_idx].on_endpoint(endpoint_idx, |c| match fwd {
-            ForwardSpec::Query(sql) => c.exchange(&Request::Query {
-                sql: (*sql).to_string(),
-            }),
-            ForwardSpec::Prepared { sql, params } => {
-                match c.exchange(&Request::Prepare {
-                    sql: (*sql).to_string(),
-                })? {
-                    Response::Prepared { handle } => c.exchange(&Request::ExecutePrepared {
-                        handle,
-                        params: params.to_vec(),
-                    }),
-                    error @ Response::Error { .. } => Ok(error),
-                    other => Err(hermes_server::ClientError::Protocol(format!(
-                        "expected a Prepared response, got {other:?}"
-                    ))),
-                }
-            }
-        })
-    }
-
-    /// Runs one typed shard call per shard in parallel (slice order is
-    /// preserved — the merge depends on it). "Holds no trajectories" and
-    /// "has no ReTraTree index" answers from *individual* shards become
-    /// `None` — an empty slice is a sharding artifact, not an error — but if
-    /// every shard reports it, it is the dataset's real state and the error
-    /// is relayed with its single-node text.
+    /// Sends one partial request per shard in parallel — `request` builds it
+    /// from the shard's owned slice — each under its own span
+    /// ([`traced_call`]), and applies [`tolerate`] with the dataset's
+    /// [`unpopulated`] errors. Slice order is preserved: the merge depends
+    /// on it.
     fn fan_out<T: Send>(
         &self,
         dataset: &str,
-        call: impl Fn(&Arc<Shard>) -> Result<T, CoordError> + Sync,
+        trace: Option<&QueryTrace>,
+        request: impl Fn(i64, i64) -> Request + Sync,
+        extract: impl Fn(&Shard, Response) -> Result<T, CoordError> + Sync,
+        attrs: impl Fn(&T) -> Vec<(&'static str, String)> + Sync,
     ) -> Result<Vec<Option<T>>, CoordError> {
-        let tolerated = [
-            EngineError::EmptyDataset(dataset.to_string()).to_string(),
-            EngineError::NotIndexed(dataset.to_string()).to_string(),
-        ];
-        let exec = self.exec();
-        let results = exec.map(&self.shards, |_, shard| call(shard));
-        let mut out = Vec::with_capacity(results.len());
-        let mut first_tolerated = None;
-        for result in results {
-            match result {
-                Ok(value) => out.push(Some(value)),
-                Err(CoordError::Data(message)) if tolerated.contains(&message) => {
-                    first_tolerated.get_or_insert(message);
-                    out.push(None);
-                }
-                Err(e) => return Err(e),
+        let results = self.exec().map(&self.shards, |_, shard| {
+            let request = request(shard.spec.start_ms, shard.spec.end_ms);
+            traced_call(trace, shard, request, &extract, &attrs)
+        });
+        tolerate(results, &unpopulated(dataset))
+    }
+
+    /// Every shard's owned share of `QUT(wi, we)` — QUT passes the query's
+    /// `(τ, δ, t)` as `overrides`, HISTOGRAM `None` for the tree's own. A
+    /// shard holding nothing of the dataset contributes an empty partial.
+    fn qut_partials(
+        &self,
+        dataset: &str,
+        wi: i64,
+        we: i64,
+        overrides: Option<(f64, f64, i64)>,
+        trace: Option<&QueryTrace>,
+    ) -> Result<Vec<QutPartial>, CoordError> {
+        let partials = self.fan_out(
+            dataset,
+            trace,
+            |owned_start_ms, owned_end_ms| Request::QutPartial {
+                dataset: dataset.to_string(),
+                owned_start_ms,
+                owned_end_ms,
+                wi,
+                we,
+                overrides,
+            },
+            extract_qut,
+            |partial| traceview::qut_stats_attrs(&partial.stats),
+        )?;
+        Ok(partials
+            .into_iter()
+            .map(Option::unwrap_or_default)
+            .collect())
+    }
+}
+
+/// The errors a shard answers when its slice holds nothing of `dataset`
+/// (or nothing indexed) — the ones a read fan-out tolerates.
+fn unpopulated(dataset: &str) -> [String; 2] {
+    [
+        EngineError::EmptyDataset(dataset.to_string()).to_string(),
+        EngineError::NotIndexed(dataset.to_string()).to_string(),
+    ]
+}
+
+/// The tolerated-error rule, over per-shard (or per-endpoint) results in
+/// order: a shard-answered error whose message is in `tolerated` becomes
+/// `None` — an empty slice is a sharding artifact, not an error — and any
+/// other error fails the whole call. If every result is tolerated, the
+/// error is the deployment-wide truth and is relayed with its single-node
+/// text.
+fn tolerate<T>(
+    results: Vec<Result<T, CoordError>>,
+    tolerated: &[String],
+) -> Result<Vec<Option<T>>, CoordError> {
+    let mut out = Vec::with_capacity(results.len());
+    let mut first_tolerated = None;
+    for result in results {
+        match result {
+            Ok(value) => out.push(Some(value)),
+            Err(CoordError::Data(message)) if tolerated.contains(&message) => {
+                first_tolerated.get_or_insert(message);
+                out.push(None);
             }
+            Err(e) => return Err(e),
         }
-        if out.iter().all(Option::is_none) {
-            return Err(CoordError::Data(
-                first_tolerated.expect("a validated map has at least one shard"),
-            ));
-        }
-        Ok(out)
+    }
+    match first_tolerated {
+        Some(message) if out.iter().all(Option::is_none) => Err(CoordError::Data(message)),
+        _ => Ok(out),
     }
 }
 
@@ -759,9 +709,7 @@ impl Coordinator {
 /// propagates its [`TraceContext`](hermes_obs::TraceContext) through
 /// [`Shard::call`] so the shard's own partial span parents under it, and
 /// records `shard:<name>` with the call's outcome. With no active trace this
-/// is exactly the bare call. The request travels as a one-element pipeline —
-/// the failover/hedging machinery replays it verbatim on other endpoints as
-/// needed.
+/// is exactly the bare call.
 fn traced_call<T>(
     trace: Option<&QueryTrace>,
     shard: &Arc<Shard>,
@@ -769,15 +717,7 @@ fn traced_call<T>(
     extract: impl FnOnce(&Shard, Response) -> Result<T, CoordError>,
     attrs: impl FnOnce(&T) -> Vec<(&'static str, String)>,
 ) -> Result<T, CoordError> {
-    let run = |ctx| {
-        let mut responses = shard.call(ReadCall::Pipeline(vec![request]), ctx)?;
-        let response = responses.pop().ok_or_else(|| CoordError::Shard {
-            name: shard.spec.name.clone(),
-            addr: shard.spec.addr.clone(),
-            detail: "empty pipeline answer".into(),
-        })?;
-        extract(shard, response)
-    };
+    let run = |ctx| extract(shard, shard.call(Call::One(request), ctx)?);
     let Some(trace) = trace else {
         return run(None);
     };
@@ -831,16 +771,22 @@ fn extract_info(shard: &Shard, response: Response) -> Result<PartialInfo, CoordE
 fn extract_mismatch<T>(shard: &Shard, wanted: &str, got: Response) -> Result<T, CoordError> {
     match got {
         Response::Error { message, .. } => Err(CoordError::Data(message)),
-        other => Err(CoordError::Shard {
-            name: shard.spec.name.clone(),
-            addr: shard.spec.addr.clone(),
-            detail: format!("expected a {wanted} response, got {other:?}"),
-        }),
+        other => Err(shard.named(
+            &shard.spec.addr,
+            format!("expected a {wanted} response, got {other:?}"),
+        )),
     }
 }
 
-/// Records the local border-merge as a child span of the root.
-fn record_merge_span(trace: Option<&QueryTrace>, started: Instant, merges: usize) {
+/// The border merge over the shards' partials, recorded as the root's
+/// `merge` child span.
+fn merge(
+    partials: Vec<QutPartial>,
+    params: &QutParams,
+    trace: Option<&QueryTrace>,
+) -> (QutResult, QutStats) {
+    let started = Instant::now();
+    let (result, stats) = merge_qut_partials(partials, params);
     if let Some(trace) = trace {
         let (span_id, _) = trace.child_ctx();
         trace.record_child(
@@ -848,27 +794,10 @@ fn record_merge_span(trace: Option<&QueryTrace>, started: Instant, merges: usize
             "merge".to_string(),
             started,
             started.elapsed(),
-            vec![("merges", merges.to_string())],
+            vec![("merges", stats.merges.to_string())],
         );
     }
-}
-
-/// True when a forwarded response is that shard's way of saying "I hold
-/// nothing of this dataset" — the interior fast path then falls back to the
-/// fan-out, which reconstructs the deployment-wide answer (or relays the
-/// error if the dataset is genuinely empty/unindexed everywhere).
-fn is_unpopulated_error(response: &Response, dataset: &str) -> bool {
-    match response {
-        Response::Error { message, .. } => {
-            *message == EngineError::EmptyDataset(dataset.to_string()).to_string()
-                || *message == EngineError::NotIndexed(dataset.to_string()).to_string()
-        }
-        _ => false,
-    }
-}
-
-fn sql_err(e: SqlError) -> CoordError {
-    CoordError::Data(e.to_string())
+    (result, stats)
 }
 
 fn sum_affected(responses: &[Option<Response>]) -> u64 {

@@ -47,7 +47,7 @@ impl Dataset {
 }
 
 /// Summary of a registered dataset.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DatasetInfo {
     /// Dataset name.
     pub name: String,

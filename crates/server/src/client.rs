@@ -3,7 +3,7 @@
 
 use crate::protocol::{
     read_handshake, read_response, write_handshake, write_request_traced, DecodeError, ErrorCode,
-    PartialInfo, Request, Response,
+    Request, Response,
 };
 use hermes_obs::TraceContext;
 use hermes_retratree::QutPartial;
@@ -305,63 +305,6 @@ impl HermesClient {
             Response::QutPartial(partial) => Ok(partial),
             other => Err(ClientError::Protocol(format!(
                 "expected a QutPartial response, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Requests the shard's owned share of a window count.
-    pub fn range_partial(
-        &mut self,
-        dataset: &str,
-        owned: (i64, i64),
-        window: (i64, i64),
-    ) -> Result<u64, ClientError> {
-        match self.round_trip(&Request::RangePartial {
-            dataset: dataset.to_string(),
-            owned_start_ms: owned.0,
-            owned_end_ms: owned.1,
-            wi: window.0,
-            we: window.1,
-        })? {
-            Response::Count(n) => Ok(n),
-            other => Err(ClientError::Protocol(format!(
-                "expected a Count response, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Requests the raw trajectories owned by the shard.
-    pub fn gather_trajectories(
-        &mut self,
-        dataset: &str,
-        owned: (i64, i64),
-    ) -> Result<Vec<Trajectory>, ClientError> {
-        match self.round_trip(&Request::GatherTrajectories {
-            dataset: dataset.to_string(),
-            owned_start_ms: owned.0,
-            owned_end_ms: owned.1,
-        })? {
-            Response::Trajectories(trajectories) => Ok(trajectories),
-            other => Err(ClientError::Protocol(format!(
-                "expected a Trajectories response, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Requests the shard's owned share of `INFO(dataset)`.
-    pub fn info_partial(
-        &mut self,
-        dataset: &str,
-        owned: (i64, i64),
-    ) -> Result<PartialInfo, ClientError> {
-        match self.round_trip(&Request::InfoPartial {
-            dataset: dataset.to_string(),
-            owned_start_ms: owned.0,
-            owned_end_ms: owned.1,
-        })? {
-            Response::InfoPartial(info) => Ok(info),
-            other => Err(ClientError::Protocol(format!(
-                "expected an InfoPartial response, got {other:?}"
             ))),
         }
     }

@@ -3,7 +3,7 @@
 //! display edge's job, see [`crate::fmt`]).
 
 use crate::frame::{CommandStatus, CommandTag, Frame, QueryOutcome};
-use crate::parser::{parse, ParseError, Statement};
+use crate::parser::{parse, ParseError, Scalar, Statement};
 use crate::value::{Value, ValueType};
 use hermes_core::{DatasetInfo, EngineError, ExecPolicy, HermesEngine};
 use hermes_retratree::{OwnedSlice, QutParams, QutStats, ReTraTreeParams};
@@ -307,6 +307,104 @@ pub fn query_window(wi: i64, we: i64) -> TimeInterval {
     TimeInterval::new(Timestamp(wi), Timestamp(we.max(wi)))
 }
 
+// The argument rules of the statements a coordinator also executes. A node
+// and a coordinator both call these, so they reject a bad argument with the
+// same text.
+
+fn f64_arg(s: &Scalar) -> Result<f64, SqlError> {
+    s.as_f64().map_err(SqlError::Bind)
+}
+
+fn i64_arg(s: &Scalar) -> Result<i64, SqlError> {
+    s.as_i64().map_err(SqlError::Bind)
+}
+
+fn invalid(reason: String) -> SqlError {
+    SqlError::Engine(EngineError::InvalidParameters(reason))
+}
+
+/// The `(wi, we)` bounds of a window statement.
+pub fn window_args(wi: &Scalar, we: &Scalar) -> Result<(i64, i64), SqlError> {
+    Ok((i64_arg(wi)?, i64_arg(we)?))
+}
+
+/// `BUILD INDEX … WITH CHUNK h HOURS` → the chunk duration in milliseconds.
+pub fn chunk_ms(chunk_hours: &Scalar) -> Result<i64, SqlError> {
+    Ok((f64_arg(chunk_hours)? * 3_600_000.0) as i64)
+}
+
+/// `SET threads = n` → the execution policy it asks for.
+pub fn thread_policy(threads: &Scalar) -> Result<ExecPolicy, SqlError> {
+    let n = i64_arg(threads)?;
+    // A negative count cannot reach ExecPolicy (usize); report it with the
+    // same arity-style wording the policy's validation uses for 0 and for
+    // counts over the cap.
+    let count = usize::try_from(n).map_err(|_| {
+        invalid(format!(
+            "SET threads expects a positive thread count, got {n}"
+        ))
+    })?;
+    ExecPolicy::new(count).map_err(|m| invalid(format!("SET {m}")))
+}
+
+/// `S2T(D, σ, τ, δ, t, ε)` → its validated parameters.
+pub fn s2t_params(
+    sigma: &Scalar,
+    tau: &Scalar,
+    delta: &Scalar,
+    min_duration_ms: &Scalar,
+    epsilon: &Scalar,
+) -> Result<S2TParams, SqlError> {
+    S2TParams::builder()
+        .sigma(f64_arg(sigma)?)
+        .tau(f64_arg(tau)?)
+        .delta(f64_arg(delta)?)
+        .min_duration_ms(i64_arg(min_duration_ms)?)
+        .epsilon(f64_arg(epsilon)?)
+        .build()
+        .map_err(invalid)
+}
+
+/// A window clustering's S2T parameters: τ, δ and t from the query, the
+/// data-scale σ and ε from `base`, the parameters the dataset was indexed
+/// with. Not validated yet — [`qut_params`] does that.
+pub fn window_s2t(
+    base: S2TParams,
+    tau: &Scalar,
+    delta: &Scalar,
+    min_duration_ms: &Scalar,
+) -> Result<S2TParams, SqlError> {
+    Ok(S2TParams {
+        tau: f64_arg(tau)?,
+        delta: f64_arg(delta)?,
+        min_duration_ms: i64_arg(min_duration_ms)?,
+        ..base
+    })
+}
+
+/// `QUT`'s validated parameters: the merge parameters checked first, then
+/// `s2t` (see [`window_s2t`]).
+pub fn qut_params(
+    s2t: S2TParams,
+    merge_distance: &Scalar,
+    merge_gap_ms: &Scalar,
+) -> Result<QutParams, SqlError> {
+    QutParams::builder()
+        .s2t(s2t)
+        .merge_distance(f64_arg(merge_distance)?)
+        .merge_gap(Duration::from_millis(i64_arg(merge_gap_ms)?))
+        .build()
+        .map_err(invalid)
+}
+
+/// `HISTOGRAM`'s bucket width, which must be positive.
+pub fn histogram_bucket(bucket_ms: &Scalar) -> Result<i64, SqlError> {
+    match i64_arg(bucket_ms)? {
+        b if b > 0 => Ok(b),
+        _ => Err(invalid("histogram bucket width must be positive".into())),
+    }
+}
+
 /// Parses and executes one statement against the engine. Statements with
 /// placeholders must go through [`Statement::bind`] (or a
 /// [`Session`](crate::Session)) first; an unbound placeholder surfaces as
@@ -335,7 +433,6 @@ pub fn execute_statement(
     engine: &mut HermesEngine,
     stmt: &Statement,
 ) -> Result<QueryOutcome, SqlError> {
-    let f64_of = |s: &crate::parser::Scalar| s.as_f64().map_err(SqlError::Bind);
     match stmt {
         Statement::CreateDataset { name } => {
             engine.create_dataset(name)?;
@@ -359,14 +456,13 @@ pub fn execute_statement(
         } => {
             let mut s2t = S2TParams::builder();
             if let Some(s) = sigma {
-                s2t = s2t.sigma(f64_of(s)?);
+                s2t = s2t.sigma(f64_arg(s)?);
             }
             if let Some(e) = epsilon {
-                s2t = s2t.epsilon(f64_of(e)?);
+                s2t = s2t.epsilon(f64_arg(e)?);
             }
-            let chunk_ms = (f64_of(chunk_hours)? * 3_600_000.0) as i64;
             let params = ReTraTreeParams::builder()
-                .chunk_duration(Duration::from_millis(chunk_ms))
+                .chunk_duration(Duration::from_millis(chunk_ms(chunk_hours)?))
                 .s2t(s2t.build().map_err(EngineError::InvalidParameters)?)
                 .build()
                 .map_err(EngineError::InvalidParameters)?;
@@ -386,19 +482,11 @@ pub fn execute_statement(
             }))
         }
         Statement::SetThreads { threads } => {
-            let n = threads.as_i64().map_err(SqlError::Bind)?;
-            // A negative count cannot reach ExecPolicy (usize); report it
-            // with the same arity-style wording the engine's validation uses
-            // for 0 and for counts over the cap.
-            let count = usize::try_from(n).map_err(|_| {
-                SqlError::Engine(EngineError::InvalidParameters(format!(
-                    "SET threads expects a positive thread count, got {n}"
-                )))
-            })?;
-            engine.set_exec_policy(ExecPolicy { threads: count })?;
+            let policy = thread_policy(threads)?;
+            engine.set_exec_policy(policy)?;
             Ok(QueryOutcome::Command(CommandStatus {
                 tag: CommandTag::Set,
-                affected: count as u64,
+                affected: policy.threads as u64,
             }))
         }
         _ => execute_read_statement(engine, stmt),
@@ -414,8 +502,6 @@ pub fn execute_read_statement(
     engine: &HermesEngine,
     stmt: &Statement,
 ) -> Result<QueryOutcome, SqlError> {
-    let f64_of = |s: &crate::parser::Scalar| s.as_f64().map_err(SqlError::Bind);
-    let i64_of = |s: &crate::parser::Scalar| s.as_i64().map_err(SqlError::Bind);
     match stmt {
         Statement::CreateDataset { .. }
         | Statement::DropDataset { .. }
@@ -461,14 +547,7 @@ pub fn execute_read_statement(
             epsilon,
             naive,
         } => {
-            let params = S2TParams::builder()
-                .sigma(f64_of(sigma)?)
-                .tau(f64_of(tau)?)
-                .delta(f64_of(delta)?)
-                .min_duration_ms(i64_of(min_duration_ms)?)
-                .epsilon(f64_of(epsilon)?)
-                .build()
-                .map_err(EngineError::InvalidParameters)?;
+            let params = s2t_params(sigma, tau, delta, min_duration_ms, epsilon)?;
             let outcome = if *naive {
                 engine.run_s2t_naive(name, &params)?
             } else {
@@ -490,18 +569,13 @@ pub fn execute_read_statement(
             merge_gap_ms,
             rebuild,
         } => {
-            let w = query_window(i64_of(wi)?, i64_of(we)?);
-            // τ, δ and t come from the query; the data-scale parameters
-            // (σ, ε) are inherited from the ReTraTree the dataset was indexed
-            // with, exactly as the in-DBMS QUT call operates on the clusters
-            // the index already maintains.
+            let (wi, we) = window_args(wi, we)?;
+            let w = query_window(wi, we);
+            // σ and ε are inherited from the ReTraTree the dataset was
+            // indexed with, exactly as the in-DBMS QUT call operates on the
+            // clusters the index already maintains.
             let base = engine.tree(name)?.params().s2t.clone();
-            let s2t = S2TParams {
-                tau: f64_of(tau)?,
-                delta: f64_of(delta)?,
-                min_duration_ms: i64_of(min_duration_ms)?,
-                ..base
-            };
+            let s2t = window_s2t(base, tau, delta, min_duration_ms)?;
             if *rebuild {
                 let (result, stats) = engine.run_window_rebuild(name, &w, &s2t)?;
                 Ok(QueryOutcome::Rows {
@@ -509,12 +583,7 @@ pub fn execute_read_statement(
                     stats: Some(qut_stats_frame(&result, &stats)),
                 })
             } else {
-                let params = QutParams::builder()
-                    .s2t(s2t)
-                    .merge_distance(f64_of(merge_distance)?)
-                    .merge_gap(Duration::from_millis(i64_of(merge_gap_ms)?))
-                    .build()
-                    .map_err(EngineError::InvalidParameters)?;
+                let params = qut_params(s2t, merge_distance, merge_gap_ms)?;
                 let (result, stats) = engine.run_qut(name, &w, &params)?;
                 Ok(QueryOutcome::Rows {
                     frame: clusters_frame(&result),
@@ -523,8 +592,8 @@ pub fn execute_read_statement(
             }
         }
         Statement::Range { name, wi, we } => {
-            let w = query_window(i64_of(wi)?, i64_of(we)?);
-            let count = engine.owned_range_count(name, &OwnedSlice::ALL, &w)?;
+            let (wi, we) = window_args(wi, we)?;
+            let count = engine.owned_range_count(name, &OwnedSlice::ALL, &query_window(wi, we))?;
             Ok(QueryOutcome::rows(range_frame(count)))
         }
         Statement::Histogram {
@@ -533,13 +602,9 @@ pub fn execute_read_statement(
             we,
             bucket_ms,
         } => {
-            let bucket_ms = i64_of(bucket_ms)?;
-            if bucket_ms <= 0 {
-                return Err(SqlError::Engine(EngineError::InvalidParameters(
-                    "histogram bucket width must be positive".into(),
-                )));
-            }
-            let w = query_window(i64_of(wi)?, i64_of(we)?);
+            let bucket_ms = histogram_bucket(bucket_ms)?;
+            let (wi, we) = window_args(wi, we)?;
+            let w = query_window(wi, we);
             let params = QutParams {
                 s2t: engine.tree(name)?.params().s2t.clone(),
                 ..QutParams::default()

@@ -17,7 +17,8 @@ use hermes::core::{HermesEngine, SharedEngine};
 use hermes::exec::ExecPolicy;
 use hermes::server::protocol::write_response;
 use hermes::server::{
-    ClientError, ConnectOptions, HermesClient, Response, Server, ServerConfig, ServerHandle,
+    ClientError, ConnectOptions, HermesClient, Request, Response, Server, ServerConfig,
+    ServerHandle,
 };
 use hermes::sql::{self, Frame, QueryOutcome, Value};
 use hermes::trajectory::Trajectory;
@@ -423,5 +424,104 @@ fn prepared_statements_route_through_the_coordinator() {
             got == want,
             "prepared RANGE({wi}, {we}) diverges from single-node"
         );
+    }
+
+    // A prepared write is broadcast prepared: every shard prepares and
+    // executes the same text with the same parameters.
+    let set = client.prepare("SET threads = $1;").expect("prepare SET");
+    let outcome = client
+        .execute_prepared(set, &[Value::Int(2)])
+        .expect("execute prepared SET");
+    assert_eq!(
+        outcome.command().map(ToString::to_string).as_deref(),
+        Some("SET 2")
+    );
+    let stats = result_frame(client.query("SHOW STATS;").expect("stats"));
+    for shard in ["s0", "s1"] {
+        let scope = format!("{shard}.engine");
+        let threads = (0..stats.num_rows()).find_map(|r| {
+            let row = (stats.get(r, "scope"), stats.get(r, "metric"));
+            match row {
+                (Some(Value::Text(s)), Some(Value::Text(m))) if *s == scope && m == "threads" => {
+                    stats.get(r, "value").cloned()
+                }
+                _ => None,
+            }
+        });
+        assert_eq!(threads, Some(Value::Int(2)), "{scope} threads");
+    }
+}
+
+/// A malformed statement gets the same answer — kind, error code and
+/// message — from a node and from 1- and 2-shard coordinators, whether the
+/// coordinator forwards it to one shard or fans it out: the coordinator
+/// checks arguments with the executor's own rules, in a node's order.
+#[test]
+fn malformed_statements_get_the_node_error_through_the_coordinator() {
+    let workload = urban_workload();
+    let (lo, hi) = workload.span;
+    let raw = &workload.trajectories[..8];
+    let prepare = |client: &mut HermesClient| {
+        load_via(client, &workload);
+        client.ingest("raw", raw).expect("ingest unindexed dataset");
+    };
+    let mut statements = vec![
+        format!("SELECT HISTOGRAM(data, {lo}, {hi}, 0);"),
+        "SET threads = 0;".to_string(),
+        "SET threads = -2;".to_string(),
+        "SET threads = 1000000;".to_string(),
+        "SELECT S2T(data, -1, 0.35, 0.05, 180000, 250);".to_string(),
+        format!("SELECT RANGE(nope, {lo}, {hi});"),
+        "SELECT RANGE(nope, 0, 10);".to_string(),
+        "SELECT INFO(nope);".to_string(),
+        // τ and the merge distance both bad: a node names the merge first.
+        format!("SELECT QUT(data, {lo}, {hi}, 2, 0.05, 180000, -5, 600000);"),
+        format!("SELECT QUT(data, {lo}, {hi}, 2, 0.05, 180000, 250, 600000);"),
+        // A t that is no integer is read after the dataset resolves.
+        format!("SELECT QUT(nope, {lo}, {hi}, 0.35, 0.05, 1.5, 250, 600000);"),
+        format!("SELECT QUT(data, {lo}, {hi}, 0.35, 0.05, 1.5, 250, 600000);"),
+    ];
+    // Bad merge parameters on an unknown and on an unindexed dataset, with
+    // a window inside the first shard's slice and one spanning the cut.
+    for dataset in ["nope", "raw"] {
+        for (wi, we) in [(0, 10), (lo, hi)] {
+            statements.push(format!(
+                "SELECT QUT({dataset}, {wi}, {we}, 0.35, 0.05, 60000, -5, 600000);"
+            ));
+        }
+    }
+    let answers = |addr: std::net::SocketAddr| -> Vec<Response> {
+        let mut client = HermesClient::connect(addr).expect("connect");
+        prepare(&mut client);
+        statements
+            .iter()
+            .map(|sql| {
+                client
+                    .exchange(&Request::Query { sql: sql.clone() })
+                    .expect(sql)
+            })
+            .collect()
+    };
+    let node = Server::bind(
+        "127.0.0.1:0",
+        SharedEngine::default(),
+        ServerConfig::default(),
+    )
+    .expect("bind node")
+    .spawn()
+    .expect("spawn node");
+    let want = answers(node.addr());
+    for (sql, answer) in statements.iter().zip(&want) {
+        assert!(
+            matches!(answer, Response::Error { .. }),
+            "`{sql}` should fail on a node, got {answer:?}"
+        );
+    }
+    for n_shards in [1usize, 2] {
+        let topology = spawn_topology(n_shards, &workload);
+        let got = answers(topology.coord.addr());
+        for ((sql, want), got) in statements.iter().zip(&want).zip(got) {
+            assert_eq!(got, *want, "`{sql}` through a {n_shards}-shard coordinator");
+        }
     }
 }
