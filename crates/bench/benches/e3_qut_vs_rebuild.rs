@@ -7,9 +7,13 @@
 //! This is the paper's central quantitative comparison; the printed series is
 //! recorded in EXPERIMENTS.md. Each window is reported three ways: the
 //! rebuild baseline, QuT **cold** (a fresh `clone()` of the tree per
-//! iteration, so the border memo is empty and every border sub-chunk is
-//! re-clustered — the paper's number) and QuT **warm** (the same window asked
-//! again of the same tree value, borders answered from the memo).
+//! iteration, so both memos are empty: every border sub-chunk is
+//! re-clustered and every pair of stored representatives the merge needs is
+//! measured — the paper's number) and QuT **warm** (the same window asked
+//! again of the same tree value, borders and merge edges answered from the
+//! memos). The run aborts unless warm and cold answer alike.
+//!
+//! Env knob: `HERMES_BENCH_QUICK=1` shrinks the sweep for CI smoke runs.
 
 use hermes_bench::harness::{bench, bench_with_setup, report};
 use hermes_bench::{maritime_s2t_params, maritime_standard, qut_params, tree_params};
@@ -22,7 +26,13 @@ fn main() {
     let tree = ReTraTree::build_from(tree_params(s2t.clone()), &scenario.trajectories);
     let qut = qut_params(s2t.clone());
     let span = tree.lifespan().expect("tree holds data");
-    let fractions = [10i64, 25, 50, 75, 100];
+    let quick = std::env::var("HERMES_BENCH_QUICK").is_ok_and(|v| v == "1");
+    let fractions: &[i64] = if quick {
+        &[25, 100]
+    } else {
+        &[10, 25, 50, 75, 100]
+    };
+    let iters: u32 = if quick { 3 } else { 10 };
     let window = |pct: i64| {
         TimeInterval::new(
             span.start,
@@ -31,19 +41,19 @@ fn main() {
     };
 
     let mut samples = Vec::new();
-    for &pct in &fractions {
+    for &pct in fractions {
         let w = window(pct);
-        samples.push(bench(format!("rebuild/{pct}%"), 10, || {
+        samples.push(bench(format!("rebuild/{pct}%"), iters, || {
             range_query_then_cluster(&tree, &w, &s2t)
         }));
         samples.push(bench_with_setup(
             format!("qut-cold/{pct}%"),
-            10,
+            iters,
             || tree.clone(),
             |cold| qut_clustering(&cold, &w, &qut),
         ));
         // `bench`'s warm-up call is the one that fills the memo.
-        samples.push(bench(format!("qut-warm/{pct}%"), 10, || {
+        samples.push(bench(format!("qut-warm/{pct}%"), iters, || {
             qut_clustering(&tree, &w, &qut)
         }));
     }
@@ -62,12 +72,19 @@ fn main() {
         "reused",
         "reclust"
     );
-    for &pct in &fractions {
+    for &pct in fractions {
         let w = window(pct);
         let (_, rs) = range_query_then_cluster(&tree, &w, &s2t);
         let (cold_result, cold) = qut_clustering(&tree.clone(), &w, &qut);
+        let edges = tree.merge_edge_stats();
         let (warm_result, warm) = qut_clustering(&tree, &w, &qut);
-        assert_eq!(warm_result, cold_result, "the memo changed an answer");
+        assert_eq!(warm_result, cold_result, "a memo changed an answer");
+        assert_eq!(warm.merges, cold.merges, "a memo changed the merges");
+        assert_eq!(
+            tree.merge_edge_stats().misses,
+            edges.misses,
+            "a warm window measured a merge edge"
+        );
         eprintln!(
             "{:>6} {:>9} {:>11.2} {:>9.2} {:>9.2} {:>7.1}x {:>7.1}x {:>7} {:>8}",
             pct,

@@ -6,8 +6,8 @@ use crate::Result;
 use hermes_exec::{ExecPolicy, Executor};
 use hermes_obs::Counter;
 use hermes_retratree::{
-    qut_clustering_with, qut_partial_with, range_query_then_cluster_with, BorderMemoStats,
-    OwnedSlice, QutParams, QutPartial, QutResult, QutStats, ReTraTree, ReTraTreeParams,
+    qut_clustering_with, qut_partial_with, range_query_then_cluster_with, MemoStats, OwnedSlice,
+    QutParams, QutPartial, QutResult, QutStats, ReTraTree, ReTraTreeParams,
 };
 use hermes_s2t::{
     run_s2t_indexed_with, run_s2t_naive_with, ClusteringResult, KernelCounters, S2TOutcome,
@@ -99,7 +99,9 @@ pub struct EngineStats {
     /// by readers still pinned to an older epoch of the same index.
     pub page_lookups: u64,
     /// Border-memo counters and accounted bytes summed over every index.
-    pub border_memo: BorderMemoStats,
+    pub border_memo: MemoStats,
+    /// Merge-edge-memo counters and accounted bytes summed over every index.
+    pub merge_edges: MemoStats,
     /// Times `run_s2t` built a dataset's segment index / found it built.
     pub s2t_index_builds: u64,
     /// See `s2t_index_builds`.
@@ -573,11 +575,15 @@ impl HermesEngine {
             stats.indexed_partitions += store.num_partitions();
             stats.stored_records += store.total_records();
             stats.page_lookups += store.page_lookups();
-            let m = tree.border_memo_stats();
-            stats.border_memo.hits += m.hits;
-            stats.border_memo.misses += m.misses;
-            stats.border_memo.evictions += m.evictions;
-            stats.border_memo.bytes += m.bytes;
+            for (sum, m) in [
+                (&mut stats.border_memo, tree.border_memo_stats()),
+                (&mut stats.merge_edges, tree.merge_edge_stats()),
+            ] {
+                sum.hits += m.hits;
+                sum.misses += m.misses;
+                sum.evictions += m.evictions;
+                sum.bytes += m.bytes;
+            }
         }
         stats
     }

@@ -35,8 +35,10 @@
 //! of every sub-chunk fully covered by `W` — from level 3 alone, members and
 //! outliers reported as summaries — re-clustering only the border
 //! sub-chunks, and merging cluster entries across chunk boundaries. Finished
-//! border partials are kept in a byte-bounded [`memo`] owned by the tree
-//! value, so a repeated window edge pays S2T once.
+//! border partials and the merge distances between stored representatives
+//! are kept in byte-bounded [`memo`]s owned by the tree value, so a repeated
+//! window edge pays S2T once and a pair of stored representatives is
+//! measured once.
 //!
 //! Durable deployments serialize the whole structure through [`persist`]
 //! (parameters, cluster entries, partition pages) so an engine restart
@@ -50,7 +52,7 @@ pub mod persist;
 pub mod qut;
 pub mod tree;
 
-pub use memo::{BorderMemoStats, BORDER_MEMO_MAX_BYTES};
+pub use memo::{MemoStats, MEMO_MAX_BYTES};
 pub use node::{Chunk, ClusterEntry, StoredRecords, SubChunk};
 pub use params::{QutParams, QutParamsBuilder, ReTraTreeParams, ReTraTreeParamsBuilder};
 pub use persist::{

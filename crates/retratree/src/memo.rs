@@ -1,36 +1,43 @@
-//! The border-partial memo: derived read-path state owned by the tree value
-//! it is derived from.
+//! Derived read-path state owned by the tree value it is derived from: the
+//! border-partial memo and the merge-edge memo.
 //!
 //! QuT pays S2T only at a window's two border sub-chunks, and what a border
 //! costs is a pure function of `(tree value, sub-chunk, clipped overlap,
-//! S2T parameters)`. A [`ReTraTree`](crate::ReTraTree) therefore carries a
-//! `BorderMemo` of finished border partials. Its identity is the tree
-//! value's, not an epoch number:
+//! S2T parameters)`. Likewise the merge distance of two stored level-3
+//! representatives is a pure function of the tree value. A
+//! [`ReTraTree`](crate::ReTraTree) therefore carries two `Memo`s, one of
+//! finished border partials and one of merge-edge lists. Their identity is
+//! the tree value's, not an epoch number:
 //!
-//! * `Clone for ReTraTree` yields an **empty** memo, so the copy-on-write
+//! * `Clone for ReTraTree` yields **empty** memos, so the copy-on-write
 //!   clone `Arc::make_mut` takes before an ingest starts cold by construction;
 //! * the two `&mut self` functions that change stored data (`insert_piece`,
-//!   `apply_reorganization`) clear it, because a uniquely owned tree is
+//!   `apply_reorganization`) clear them, because a uniquely owned tree is
 //!   mutated in place without a clone;
 //! * otherwise entries leave only by LRU eviction against a fixed byte bound.
 //!
 //! There is no `invalidate()` and no epoch comparison: a memo can only ever
-//! hold partials of the value that owns it. The lock guards map bookkeeping
-//! only — it is never held across a pipeline run, so two readers missing on
+//! hold values of the tree that owns it. The lock guards map bookkeeping
+//! only — it is never held across a computation, so two readers missing on
 //! one key both compute (bit-identical results; the last insert wins).
 
-use crate::qut::QutCluster;
+use crate::qut::{representative_merge_distance, QutCluster};
 use hermes_s2t::S2TParams;
-use hermes_trajectory::{Point, SubTrajectorySummary, TimeInterval, Timestamp};
+use hermes_trajectory::{Point, SubTrajectory, SubTrajectorySummary, TimeInterval, Timestamp};
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
-/// Upper bound on the bytes one tree's memo accounts for: per partial, the
-/// representatives' point slices and the member and outlier summaries it
-/// keeps alive. One constant, no
-/// knob: the repeated windows of an interactive session need a few hundred
-/// KiB to ~2 MiB.
-pub const BORDER_MEMO_MAX_BYTES: usize = 4 << 20;
+/// Upper bound on the bytes one memo of a tree accounts for. One constant,
+/// no knob: the repeated windows of an interactive session need a few
+/// hundred KiB to ~2 MiB of border partials, and the merge edges of a whole
+/// tree at a 30-minute gap about 1 MiB.
+pub const MEMO_MAX_BYTES: usize = 4 << 20;
+
+/// A value a [`Memo`] keeps: it says how many bytes it keeps alive.
+pub(crate) trait Memoized {
+    fn heap_bytes(&self) -> usize;
+}
 
 /// Identity of one border partial inside a tree value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,10 +87,9 @@ pub(crate) struct BorderPartial {
     pub(crate) loaded: usize,
 }
 
-impl BorderPartial {
-    /// Bytes this partial keeps alive: every representative's struct and
-    /// point slice, the member and outlier summaries, the distance vectors
-    /// and the map slot.
+impl Memoized for BorderPartial {
+    /// Every representative's struct and point slice, the member and outlier
+    /// summaries and the distance vectors.
     fn heap_bytes(&self) -> usize {
         let clusters: usize = self
             .clusters
@@ -95,39 +101,92 @@ impl BorderPartial {
                     + c.member_distances.len() * std::mem::size_of::<f64>()
             })
             .sum();
-        std::mem::size_of::<Slot>()
-            + std::mem::size_of::<BorderKey>()
-            + clusters
-            + self.outliers.len() * std::mem::size_of::<SubTrajectorySummary>()
+        clusters + self.outliers.len() * std::mem::size_of::<SubTrajectorySummary>()
     }
 }
 
-/// Counters of one tree's border memo, surfaced through `SHOW STATS` and
-/// `/metrics`. `misses` is the number of border pipelines that actually ran.
+/// Identity of one merge-edge list: the interval starts of two sub-chunks,
+/// earlier first (equal for the pairs inside one sub-chunk).
+pub(crate) type EdgeKey = (i64, i64);
+
+/// One pair of stored representatives: entry `a` of the earlier sub-chunk,
+/// entry `b` of the later one, and their exact
+/// [`representative_merge_distance`], measured in that order.
+pub(crate) struct Edge {
+    pub(crate) d: f64,
+    pub(crate) a: u32,
+    pub(crate) b: u32,
+}
+
+/// Every pair of level-3 representatives across two sub-chunks (`a < b`
+/// inside one), sorted by `(d, a, b)`, so the edges within a merge distance
+/// are a prefix. A pair whose distance is NaN is left out: it never merges.
+pub(crate) struct EdgeList(Box<[Edge]>);
+
+impl EdgeList {
+    /// Measures every pair of `earlier × later`, or of `earlier` with itself
+    /// when `later` is `None`.
+    pub(crate) fn measure(earlier: &[&SubTrajectory], later: Option<&[&SubTrajectory]>) -> Self {
+        let mut edges = Vec::new();
+        for (a, ra) in earlier.iter().enumerate() {
+            let (skip, partners) = match later {
+                Some(later) => (0, later),
+                None => (a + 1, earlier),
+            };
+            for (b, rb) in partners.iter().enumerate().skip(skip) {
+                let d = representative_merge_distance(ra, rb);
+                if !d.is_nan() {
+                    edges.push(Edge {
+                        d,
+                        a: a as u32,
+                        b: b as u32,
+                    });
+                }
+            }
+        }
+        edges.sort_unstable_by(|x, y| x.d.total_cmp(&y.d).then((x.a, x.b).cmp(&(y.a, y.b))));
+        EdgeList(edges.into_boxed_slice())
+    }
+
+    /// The edges no longer than `merge_distance`, shortest first.
+    pub(crate) fn within(&self, merge_distance: f64) -> impl Iterator<Item = &Edge> {
+        self.0.iter().take_while(move |e| e.d <= merge_distance)
+    }
+}
+
+impl Memoized for EdgeList {
+    fn heap_bytes(&self) -> usize {
+        self.0.len() * std::mem::size_of::<Edge>()
+    }
+}
+
+/// Counters of one kind of memo, summed over trees by `SHOW STATS` and
+/// `/metrics`. `misses` is the number of values that actually had to be
+/// computed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BorderMemoStats {
-    /// Border sub-chunks answered from a stored partial.
+pub struct MemoStats {
+    /// Lookups answered from a stored value.
     pub hits: u64,
-    /// Border sub-chunks that had to be re-clustered.
+    /// Lookups that had to compute the value.
     pub misses: u64,
-    /// Partials dropped to stay inside [`BORDER_MEMO_MAX_BYTES`].
+    /// Values dropped to stay inside [`MEMO_MAX_BYTES`].
     pub evictions: u64,
     /// Bytes currently accounted for.
     pub bytes: u64,
 }
 
-struct Slot {
-    partial: Arc<BorderPartial>,
+struct Slot<V> {
+    value: Arc<V>,
     bytes: usize,
     /// Tick of the last use; the slot's key in `Inner::lru`.
     used: u64,
 }
 
-struct Inner {
+struct Inner<K, V> {
     max_bytes: usize,
-    slots: HashMap<BorderKey, Slot>,
+    slots: HashMap<K, Slot<V>>,
     /// Last-use tick → key, oldest first.
-    lru: BTreeMap<u64, BorderKey>,
+    lru: BTreeMap<u64, K>,
     clock: u64,
     bytes: usize,
     hits: u64,
@@ -135,8 +194,8 @@ struct Inner {
     evictions: u64,
 }
 
-impl Inner {
-    fn remove(&mut self, key: &BorderKey) {
+impl<K: Copy + Eq + Hash, V> Inner<K, V> {
+    fn remove(&mut self, key: &K) {
         if let Some(slot) = self.slots.remove(key) {
             self.lru.remove(&slot.used);
             self.bytes -= slot.bytes;
@@ -144,35 +203,45 @@ impl Inner {
     }
 }
 
-/// A byte-bounded, `Mutex`-guarded LRU of border partials.
-pub(crate) struct BorderMemo {
-    inner: Mutex<Inner>,
+/// A byte-bounded, `Mutex`-guarded LRU of values derived from one tree.
+pub(crate) struct Memo<K, V> {
+    inner: Mutex<Inner<K, V>>,
 }
+
+/// The memo of finished border partials.
+pub(crate) type BorderMemo = Memo<BorderKey, BorderPartial>;
+
+/// The memo of merge-edge lists.
+pub(crate) type EdgeMemo = Memo<EdgeKey, EdgeList>;
 
 // Manual impl: a clone is a different tree value (about to diverge), so it
 // keeps the cumulative counters — the exported series stay monotone across
 // copy-on-write — and none of the entries.
-impl Clone for BorderMemo {
+impl<K: Copy, V> Clone for Memo<K, V> {
     fn clone(&self) -> Self {
         let g = self.lock();
-        BorderMemo {
+        Memo {
             inner: Mutex::new(Inner {
+                max_bytes: g.max_bytes,
                 slots: HashMap::new(),
                 lru: BTreeMap::new(),
+                clock: g.clock,
                 bytes: 0,
-                ..*g
+                hits: g.hits,
+                misses: g.misses,
+                evictions: g.evictions,
             }),
         }
     }
 }
 
-impl BorderMemo {
+impl<K: Copy + Eq + Hash, V: Memoized> Memo<K, V> {
     pub(crate) fn new() -> Self {
-        BorderMemo::with_max_bytes(BORDER_MEMO_MAX_BYTES)
+        Memo::with_max_bytes(MEMO_MAX_BYTES)
     }
 
     fn with_max_bytes(max_bytes: usize) -> Self {
-        BorderMemo {
+        Memo {
             inner: Mutex::new(Inner {
                 max_bytes,
                 slots: HashMap::new(),
@@ -186,17 +255,9 @@ impl BorderMemo {
         }
     }
 
-    /// A statement that panicked while holding the lock must not take every
-    /// later read of this tree with it: each critical section below leaves
-    /// the maps and the byte count consistent at every step, so the guard of
-    /// a poisoned lock is still valid.
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The stored partial for `key`, counted as a hit, or `None`, counted as
-    /// a miss (the caller then computes and [`BorderMemo::insert`]s).
-    pub(crate) fn get(&self, key: &BorderKey) -> Option<Arc<BorderPartial>> {
+    /// The stored value for `key`, counted as a hit, or `None`, counted as a
+    /// miss (the caller then computes and [`Memo::insert`]s).
+    pub(crate) fn get(&self, key: &K) -> Option<Arc<V>> {
         let mut g = self.lock();
         let g = &mut *g;
         g.clock += 1;
@@ -208,14 +269,25 @@ impl BorderMemo {
         slot.used = g.clock;
         g.lru.insert(slot.used, *key);
         g.hits += 1;
-        Some(Arc::clone(&slot.partial))
+        Some(Arc::clone(&slot.value))
     }
 
-    /// Stores a freshly computed partial, evicting least recently used ones
-    /// while the accounted bytes exceed the bound. A partial larger than the
-    /// whole bound is not stored.
-    pub(crate) fn insert(&self, key: BorderKey, partial: Arc<BorderPartial>) {
-        let bytes = partial.heap_bytes();
+    /// The stored value for `key`, or `compute()`'s, stored. The lock is not
+    /// held while computing.
+    pub(crate) fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
+        self.get(&key).unwrap_or_else(|| {
+            let value = Arc::new(compute());
+            self.insert(key, Arc::clone(&value));
+            value
+        })
+    }
+
+    /// Stores a freshly computed value, evicting least recently used ones
+    /// while the accounted bytes exceed the bound. A value larger than the
+    /// whole bound is not stored. A value is accounted as its own bytes plus
+    /// its slot and key.
+    pub(crate) fn insert(&self, key: K, value: Arc<V>) {
+        let bytes = value.heap_bytes() + std::mem::size_of::<Slot<V>>() + std::mem::size_of::<K>();
         let mut g = self.lock();
         if bytes > g.max_bytes {
             return;
@@ -225,14 +297,7 @@ impl BorderMemo {
         g.clock += 1;
         let used = g.clock;
         g.lru.insert(used, key);
-        g.slots.insert(
-            key,
-            Slot {
-                partial,
-                bytes,
-                used,
-            },
-        );
+        g.slots.insert(key, Slot { value, bytes, used });
         g.bytes += bytes;
         while g.bytes > g.max_bytes {
             let oldest = g.lru.values().next();
@@ -251,14 +316,24 @@ impl BorderMemo {
         g.bytes = 0;
     }
 
-    pub(crate) fn stats(&self) -> BorderMemoStats {
+    pub(crate) fn stats(&self) -> MemoStats {
         let g = self.lock();
-        BorderMemoStats {
+        MemoStats {
             hits: g.hits,
             misses: g.misses,
             evictions: g.evictions,
             bytes: g.bytes as u64,
         }
+    }
+}
+
+impl<K, V> Memo<K, V> {
+    /// A statement that panicked while holding the lock must not take every
+    /// later read of this tree with it: each critical section above leaves
+    /// the maps and the byte count consistent at every step, so the guard of
+    /// a poisoned lock is still valid.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner<K, V>> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -291,6 +366,13 @@ mod tests {
             outliers: Vec::new(),
             loaded: points,
         })
+    }
+
+    /// What [`Memo::insert`] accounts for `partial(points)`.
+    fn accounted(points: usize) -> usize {
+        partial(points).heap_bytes()
+            + std::mem::size_of::<Slot<BorderPartial>>()
+            + std::mem::size_of::<BorderKey>()
     }
 
     #[test]
@@ -339,7 +421,7 @@ mod tests {
 
     #[test]
     fn evicts_least_recently_used_within_the_byte_bound() {
-        let one = partial(100).heap_bytes();
+        let one = accounted(100);
         let memo = BorderMemo::with_max_bytes(3 * one);
         for k in 0..3 {
             assert!(memo.get(&key(k)).is_none());
@@ -412,5 +494,43 @@ mod tests {
         assert!(memo.get(&key(0)).is_some());
         memo.insert(key(1), partial(10));
         assert!(memo.get(&key(1)).is_some());
+    }
+
+    fn rep(id: u64, y: f64, t0: i64) -> SubTrajectory {
+        SubTrajectory::from_points(
+            SubTrajectoryId::new(id, 0),
+            id,
+            id,
+            (0..5)
+                .map(|i| Point::new(i as f64 * 10.0, y, Timestamp(t0 + i * 60_000)))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn an_edge_list_holds_every_pair_sorted_and_prefixes_by_distance() {
+        let early = [rep(1, 0.0, 0), rep(2, 30.0, 0), rep(3, 10.0, 0)];
+        let late = [rep(4, 5.0, 240_000), rep(5, 500.0, 240_000)];
+        fn refs(s: &[SubTrajectory]) -> Vec<&SubTrajectory> {
+            s.iter().collect()
+        }
+
+        let inner = EdgeList::measure(&refs(&early), None);
+        let pairs: Vec<(u32, u32)> = inner.0.iter().map(|e| (e.a, e.b)).collect();
+        assert_eq!(pairs, [(0, 2), (1, 2), (0, 1)], "a < b, shortest first");
+        assert_eq!(inner.within(20.0).count(), 2);
+        assert_eq!(inner.within(0.0).count(), 0);
+
+        let across = EdgeList::measure(&refs(&early), Some(&refs(&late)));
+        assert_eq!(across.0.len(), early.len() * late.len());
+        for e in across.0.iter() {
+            let d = representative_merge_distance(&early[e.a as usize], &late[e.b as usize]);
+            assert_eq!(e.d.to_bits(), d.to_bits());
+        }
+        assert!(across.0.windows(2).all(|w| w[0].d <= w[1].d));
+        assert_eq!(
+            across.heap_bytes(),
+            across.0.len() * std::mem::size_of::<Edge>()
+        );
     }
 }

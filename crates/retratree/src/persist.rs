@@ -19,7 +19,6 @@
 //! The byte layout rides entirely on [`ByteWriter`]/[`ByteReader`] and is
 //! normatively specified in `docs/STORAGE.md` (§ "ReTraTree state encoding").
 
-use crate::memo::BorderMemo;
 use crate::node::{Chunk, ClusterEntry, StoredRecords, SubChunk};
 use crate::params::ReTraTreeParams;
 use crate::tree::{MaintenanceStats, ReTraTree};
@@ -252,13 +251,7 @@ fn decode_tree_with(r: &mut ByteReader<'_>, v1_entry_lists: bool) -> Result<ReTr
             });
         }
     }
-    Ok(ReTraTree {
-        params,
-        chunks,
-        store,
-        stats,
-        border_memo: BorderMemo::new(),
-    })
+    Ok(ReTraTree::from_parts(params, chunks, store, stats))
 }
 
 fn decode_subchunk(

@@ -20,7 +20,7 @@
 //! full sub-trajectories, the merge integrates over them — are close in space
 //! and time, so a cluster that spans a chunk boundary is reported once.
 
-use crate::memo::{BorderKey, BorderPartial};
+use crate::memo::{BorderKey, BorderPartial, EdgeList, EdgeMemo};
 use crate::node::{ClusterEntry, SubChunk};
 use crate::params::QutParams;
 use crate::tree::ReTraTree;
@@ -294,6 +294,10 @@ pub fn qut_clustering(
 /// order. Cluster ids, the cross-boundary merge and the final sort are all
 /// sequential over that deterministic order, so the result is identical to
 /// the serial path for any thread count.
+///
+/// The merge is told where the covered sub-chunks' entries sit in the
+/// folded cluster list, so it takes their pairwise distances from the
+/// tree's merge-edge memo instead of measuring them.
 pub fn qut_clustering_with(
     tree: &ReTraTree,
     w: &TimeInterval,
@@ -301,8 +305,22 @@ pub fn qut_clustering_with(
     exec: &Executor,
 ) -> (QutResult, QutStats) {
     let start = Instant::now();
-    let partial = qut_partial_with(tree, &OwnedSlice::ALL, w, params, exec);
-    let (result, mut stats) = merge_qut_partials(vec![partial], params);
+    let targets = owned_targets(tree, &OwnedSlice::ALL, w);
+    let answers = exec.map(&targets, |_, sc| answer_subchunk(tree, sc, w, params, exec));
+    let mut runs = Vec::new();
+    let mut first = 0;
+    for (sc, answer) in targets.iter().zip(&answers) {
+        if w.contains_interval(&sc.interval) {
+            runs.push((*sc, first));
+        }
+        first += answer.clusters.len();
+    }
+    let stored = StoredRuns {
+        edges: &tree.merge_edges,
+        runs,
+    };
+    let partial = fold_in_temporal_order(answers);
+    let (result, mut stats) = merge_partials(vec![partial], Some(&stored), params);
     stats.elapsed_ms = start.elapsed().as_secs_f64() * 1_000.0;
     (result, stats)
 }
@@ -369,7 +387,20 @@ fn fold_in_temporal_order(answers: Vec<SubChunkAnswer>) -> QutPartial {
 /// merge re-sorts deterministically, the result is byte-identical to running
 /// [`qut_clustering_with`] over the undivided tree. `elapsed_ms` of the
 /// returned stats is zero; the caller stamps wall-clock time.
+///
+/// Partials arrive without their tree, so every pair of clusters is
+/// measured here.
 pub fn merge_qut_partials(partials: Vec<QutPartial>, params: &QutParams) -> (QutResult, QutStats) {
+    merge_partials(partials, None, params)
+}
+
+/// [`merge_qut_partials`], taking the pairs among `stored`'s entries from
+/// their tree's merge-edge memo.
+fn merge_partials(
+    partials: Vec<QutPartial>,
+    stored: Option<&StoredRuns<'_>>,
+    params: &QutParams,
+) -> (QutResult, QutStats) {
     let mut stats = QutStats::default();
     let mut clusters: Vec<QutCluster> = Vec::new();
     let mut outliers: Vec<SubTrajectorySummary> = Vec::new();
@@ -383,7 +414,7 @@ pub fn merge_qut_partials(partials: Vec<QutPartial>, params: &QutParams) -> (Qut
     }
 
     // Merge clusters that continue across sub-chunk boundaries.
-    let merged = merge_adjacent_clusters(clusters, params, &mut stats);
+    let merged = merge_adjacent_clusters(clusters, stored, params, &mut stats);
 
     (
         ClusteringResult {
@@ -471,7 +502,7 @@ fn cluster_sub_trajectories(
 ///   the end of the earlier one and the start of the later one. Falling back
 ///   to a shape distance here would be wrong — the two halves of a long
 ///   movement occupy different regions of space.
-fn representative_merge_distance(a: &SubTrajectory, b: &SubTrajectory) -> f64 {
+pub(crate) fn representative_merge_distance(a: &SubTrajectory, b: &SubTrajectory) -> f64 {
     if let Some(d) = sub_trajectory_distance(a, b) {
         return d;
     }
@@ -517,19 +548,84 @@ fn representative_merge_distance(a: &SubTrajectory, b: &SubTrajectory) -> f64 {
 /// leaves more than two orders of magnitude on either term.
 const MERGE_BOUND_SLACK: f64 = 1e-12;
 
+/// The level-3 entries in a window's cluster list, for the merge to take
+/// their pairwise distances from the tree's merge-edge memo: the covered
+/// sub-chunks in temporal order, each with the list index of its first
+/// entry's cluster (the others follow in entry order).
+struct StoredRuns<'a> {
+    edges: &'a EdgeMemo,
+    runs: Vec<(&'a SubChunk, usize)>,
+}
+
+/// Union-find over cluster indices in which every root is the lowest index
+/// of its component: a union links the larger root under the smaller.
+struct Components {
+    parent: Vec<usize>,
+    /// Successful unions: `n` minus the number of components.
+    merges: usize,
+}
+
+impl Components {
+    fn new(n: usize) -> Self {
+        Components {
+            parent: (0..n).collect(),
+            merges: 0,
+        }
+    }
+
+    /// The root of `i`'s component, halving the path on the way.
+    fn find(&mut self, mut i: usize) -> usize {
+        while self.parent[i] != i {
+            self.parent[i] = self.parent[self.parent[i]];
+            i = self.parent[i];
+        }
+        i
+    }
+
+    fn union(&mut self, i: usize, j: usize) {
+        let (a, b) = (self.find(i), self.find(j));
+        if a != b {
+            self.parent[a.max(b)] = a.min(b);
+            self.merges += 1;
+        }
+    }
+}
+
 /// Merges clusters whose representatives are within `merge_distance` and
-/// whose lifespans are within `merge_gap` of each other, using a union-find
-/// over the cluster list. The surviving representative is the one with the
-/// higher vote; the other representative joins the member list.
+/// whose lifespans are within `merge_gap` of each other. The surviving
+/// representative is the one with the higher vote; the other representative
+/// joins the member list. The node's window merge and the coordinator's
+/// merge of shard partials are this one function; only the coordinator's
+/// comes without `stored` runs.
 ///
-/// A pair's exact distance is computed only if it can change something: not
-/// when the two clusters are already in one group (no union and no `merges`
-/// increment can follow), and not when the boxes of the representatives are
-/// provably more than `merge_distance` apart (see [`MERGE_BOUND_SLACK`]).
-/// Every `d <= merge_distance` decision that matters is taken on the same
-/// `d` as without the two tests, in the same order.
+/// **The answer is a function of the components of the graph `G` whose
+/// edges are the pairs with `gap ≤ merge_gap ∧ d ≤ merge_distance`**, `d`
+/// being [`representative_merge_distance`] with the lower index first:
+///
+/// * A pair of two stored entries is decided from its sub-chunk pair's
+///   memoised [`EdgeList`](crate::memo::EdgeList), which holds every such
+///   pair with its exact `d` (a NaN `d` is no edge either way) sorted by `d`:
+///   the walk takes exactly the prefix with `d ≤ merge_distance` and unions
+///   each pair whose lifespans are within `merge_gap`. A sub-chunk pair
+///   further than `merge_gap` apart is not walked: a stored representative
+///   lies inside its sub-chunk's interval, so its gap to another is at
+///   least the gap of their sub-chunks.
+/// * Every other pair — one end at least is a border's cluster, which no
+///   tree stores — is visited once: the lifespan gap is tested, then two
+///   skips, then `d`. The *same-root* skip drops only pairs already
+///   connected, so it drops no component. The *box* skip drops only pairs
+///   with `d > merge_distance` (see [`MERGE_BOUND_SLACK`]), which are no
+///   edges.
+/// * So the unions are some order of a subset of `G`'s edges that spans its
+///   components, and each one that joins two components is counted:
+///   `merges = n − components`.
+/// * The output reads only the components: a root is the lowest index of
+///   its component, groups are emitted in that order, a group keeps list
+///   order, and both sorts after it are stable. The order edges arrive in
+///   cannot leak, even when `(start_time, id)` repeats among the survivors.
 fn merge_adjacent_clusters(
     clusters: Vec<QutCluster>,
+    stored: Option<&StoredRuns<'_>>,
     params: &QutParams,
     stats: &mut QutStats,
 ) -> Vec<QutCluster> {
@@ -537,51 +633,119 @@ fn merge_adjacent_clusters(
     if n <= 1 {
         return clusters;
     }
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], i: usize) -> usize {
-        if parent[i] != i {
-            let root = find(parent, parent[i]);
-            parent[i] = root;
-        }
-        parent[i]
-    }
-
     // What the cheap tests read, side by side.
     let spans: Vec<(TimeInterval, Mbb)> = clusters
         .iter()
         .map(|c| (c.representative.lifespan(), c.representative.mbb()))
         .collect();
+    let mut components = Components::new(n);
+    let mut is_stored = vec![false; n];
+    if let Some(stored) = stored {
+        for &(sc, first) in &stored.runs {
+            for (k, entry) in sc.clusters.iter().enumerate() {
+                debug_assert!(
+                    sc.interval.contains_interval(&entry.lifespan()),
+                    "a stored representative outlives its sub-chunk"
+                );
+                debug_assert_eq!(
+                    clusters[first + k].representative.id,
+                    entry.representative.id
+                );
+                is_stored[first + k] = true;
+            }
+        }
+        union_stored_edges(stored, &spans, params, &mut components);
+    }
+    union_live_edges(&clusters, &spans, &is_stored, params, &mut components);
+    stats.merges += components.merges;
+    fold_components(clusters, &mut components)
+}
+
+/// Unions the edges among stored entries, walking each memoised list of a
+/// sub-chunk pair within `merge_gap` while `d ≤ merge_distance`.
+fn union_stored_edges(
+    stored: &StoredRuns<'_>,
+    spans: &[(TimeInterval, Mbb)],
+    params: &QutParams,
+    components: &mut Components,
+) {
+    fn representatives(sc: &SubChunk) -> Vec<&SubTrajectory> {
+        sc.clusters.iter().map(|e| &e.representative).collect()
+    }
+    for (r, &(early, first_a)) in stored.runs.iter().enumerate() {
+        for (s, &(late, first_b)) in stored.runs.iter().enumerate().skip(r) {
+            // Later runs only lie further away.
+            if early.interval.gap(&late.interval) > params.merge_gap {
+                break;
+            }
+            let same = r == s;
+            if early.clusters.is_empty() || late.clusters.len() < 1 + usize::from(same) {
+                continue;
+            }
+            let key = (early.interval.start.millis(), late.interval.start.millis());
+            let list = stored.edges.get_or_insert_with(key, || {
+                let later = (!same).then(|| representatives(late));
+                EdgeList::measure(&representatives(early), later.as_deref())
+            });
+            for e in list.within(params.merge_distance) {
+                let (i, j) = (first_a + e.a as usize, first_b + e.b as usize);
+                if spans[i].0.gap(&spans[j].0) <= params.merge_gap {
+                    components.union(i, j);
+                }
+            }
+        }
+    }
+}
+
+/// Unions the edges with at least one unstored end, visiting each such pair
+/// once: lifespan gap, then same root, then box gap, then the exact
+/// distance.
+fn union_live_edges(
+    clusters: &[QutCluster],
+    spans: &[(TimeInterval, Mbb)],
+    is_stored: &[bool],
+    params: &QutParams,
+    components: &mut Components,
+) {
     let scale = spans
         .iter()
         .flat_map(|(_, b)| [b.x_min, b.x_max, b.y_min, b.y_max])
         .fold(0.0, |m: f64, v| m.max(v.abs()));
     let too_far = params.merge_distance + MERGE_BOUND_SLACK * (params.merge_distance + scale);
-
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if spans[i].0.gap(&spans[j].0) > params.merge_gap {
+    for i in (0..clusters.len()).filter(|&i| !is_stored[i]) {
+        for (j, &j_stored) in is_stored.iter().enumerate() {
+            // A pair of two live clusters is visited from its lower index.
+            if j == i || (j < i && !j_stored) {
                 continue;
             }
-            let (ra, rb) = (find(&mut parent, i), find(&mut parent, j));
-            if ra == rb || spans[i].1.min_distance(&spans[j].1, 0.0) > too_far {
+            let (lo, hi) = (i.min(j), i.max(j));
+            if spans[lo].0.gap(&spans[hi].0) > params.merge_gap {
+                continue;
+            }
+            if components.find(lo) == components.find(hi)
+                || spans[lo].1.min_distance(&spans[hi].1, 0.0) > too_far
+            {
                 continue;
             }
             let d = representative_merge_distance(
-                &clusters[i].representative,
-                &clusters[j].representative,
+                &clusters[lo].representative,
+                &clusters[hi].representative,
             );
             if d <= params.merge_distance {
-                parent[rb] = ra;
-                stats.merges += 1;
+                components.union(lo, hi);
             }
         }
     }
+}
 
-    // Group clusters by root (members in list order) and fold each group
-    // into one cluster.
-    let mut groups: Vec<Vec<QutCluster>> = (0..n).map(|_| Vec::new()).collect();
+/// Folds each component into one cluster: its members in list order, the
+/// highest-vote representative first (the earliest on a tie), the others
+/// handed over as members. Output order: representative start time, then
+/// id, ties in order of the components' lowest index; ids are reassigned.
+fn fold_components(clusters: Vec<QutCluster>, components: &mut Components) -> Vec<QutCluster> {
+    let mut groups: Vec<Vec<QutCluster>> = (0..clusters.len()).map(|_| Vec::new()).collect();
     for (i, c) in clusters.into_iter().enumerate() {
-        groups[find(&mut parent, i)].push(c);
+        groups[components.find(i)].push(c);
     }
 
     let mut merged: Vec<QutCluster> = Vec::new();
@@ -1136,7 +1300,7 @@ mod tests {
             let (result, _) = qut_clustering(&tree, &window(k), &params);
             let m = tree.border_memo_stats();
             assert!(
-                m.bytes as usize <= crate::BORDER_MEMO_MAX_BYTES,
+                m.bytes as usize <= crate::MEMO_MAX_BYTES,
                 "window {k}: {} bytes accounted",
                 m.bytes
             );
@@ -1243,6 +1407,15 @@ mod tests {
         merged
     }
 
+    /// The merge as [`merge_qut_partials`] runs it: no stored runs.
+    fn live_merge(
+        clusters: Vec<QutCluster>,
+        params: &QutParams,
+        stats: &mut QutStats,
+    ) -> Vec<QutCluster> {
+        merge_adjacent_clusters(clusters, None, params, stats)
+    }
+
     /// Ids as [`merge_qut_partials`] assigns them, then the given merge.
     fn merged_by(
         merge: fn(Vec<QutCluster>, &QutParams, &mut QutStats) -> Vec<QutCluster>,
@@ -1330,53 +1503,68 @@ mod tests {
         )
     }
 
+    /// The clusters of the whole axis of `tree`, as the merge gets them.
+    fn everything_clusters(tree: &ReTraTree, s2t: &S2TParams) -> Vec<QutCluster> {
+        qut_partial_with(
+            tree,
+            &OwnedSlice::ALL,
+            &TimeInterval::everything(),
+            &QutParams {
+                s2t: s2t.clone(),
+                ..QutParams::default()
+            },
+            &Executor::serial(),
+        )
+        .clusters
+    }
+
+    /// The merge distances of the oracle sweeps: fixed multiples of the
+    /// clustering bound, and values just below, on and above three of the
+    /// positive box gaps between `clusters`' representatives, where the box
+    /// test sits on its edge.
+    fn sweep_distances(clusters: &[QutCluster], s2t: &S2TParams, name: &str) -> Vec<f64> {
+        let mut gaps: Vec<f64> = Vec::new();
+        for (i, a) in clusters.iter().enumerate() {
+            for b in &clusters[i + 1..] {
+                let g = a
+                    .representative
+                    .mbb()
+                    .min_distance(&b.representative.mbb(), 0.0);
+                if g > 0.0 {
+                    gaps.push(g);
+                }
+            }
+        }
+        gaps.sort_by(f64::total_cmp);
+        assert!(!gaps.is_empty(), "{name}: every box pair touches");
+        let on_a_gap = [gaps[0], gaps[gaps.len() / 4], gaps[gaps.len() / 2]];
+
+        let mut distances = vec![0.0, s2t.epsilon / 2.0, s2t.epsilon, 4.0 * s2t.epsilon, 1e9];
+        for g in on_a_gap {
+            distances.extend([g * (1.0 - 1e-6), g * (1.0 - 1e-13), g, g * (1.0 + 1e-6)]);
+        }
+        distances
+    }
+
+    /// The lifespan gaps of the oracle sweeps, in minutes.
+    const SWEEP_GAP_MINS: [i64; 4] = [0, 10, 45, 24 * 60];
+
     #[test]
     fn merge_matches_the_unfiltered_reference_over_seeded_trees() {
         let (mut skipped_somewhere, mut merged_somewhere) = (false, false);
         for (name, trajectories, s2t) in seeded_sets() {
             let tree = seeded_tree(&trajectories, &s2t);
-            let partial = qut_partial_with(
-                &tree,
-                &OwnedSlice::ALL,
-                &TimeInterval::everything(),
-                &QutParams {
-                    s2t: s2t.clone(),
-                    ..QutParams::default()
-                },
-                &Executor::serial(),
-            );
-            let clusters = partial.clusters;
+            let clusters = everything_clusters(&tree, &s2t);
             assert!(clusters.len() >= 8, "{name}: {} clusters", clusters.len());
-
-            // The positive box gaps the sweep can sit on.
-            let mut gaps: Vec<f64> = Vec::new();
-            for (i, a) in clusters.iter().enumerate() {
-                for b in &clusters[i + 1..] {
-                    let g = a
-                        .representative
-                        .mbb()
-                        .min_distance(&b.representative.mbb(), 0.0);
-                    if g > 0.0 {
-                        gaps.push(g);
-                    }
-                }
-            }
-            gaps.sort_by(f64::total_cmp);
-            assert!(!gaps.is_empty(), "{name}: every box pair touches");
-            let on_a_gap = [gaps[0], gaps[gaps.len() / 4], gaps[gaps.len() / 2]];
-
-            let mut distances = vec![0.0, s2t.epsilon / 2.0, s2t.epsilon, 4.0 * s2t.epsilon, 1e9];
-            for g in on_a_gap {
-                distances.extend([g * (1.0 - 1e-6), g * (1.0 - 1e-13), g, g * (1.0 + 1e-6)]);
-            }
+            let distances = sweep_distances(&clusters, &s2t, name);
             for merge_distance in distances {
-                for gap_mins in [0, 10, 45, 24 * 60] {
+                for gap_mins in SWEEP_GAP_MINS {
                     let params = QutParams {
                         s2t: s2t.clone(),
                         merge_distance,
                         merge_gap: Duration::from_mins(gap_mins),
                     };
-                    let (got, merges) = merged_by(merge_adjacent_clusters, &clusters, &params);
+                    let (got, merges) = merged_by(live_merge, &clusters, &params);
                     let (expected, expected_merges) =
                         merged_by(merge_adjacent_clusters_reference, &clusters, &params);
                     let context = format!("{name}, distance {merge_distance}, gap {gap_mins} min");
@@ -1394,6 +1582,202 @@ mod tests {
             }
         }
         assert!(merged_somewhere && skipped_somewhere);
+    }
+
+    /// A cluster whose representative is `id`'s straight run at height `y`
+    /// from `t0` for ten minutes, with vote `vote` and no members.
+    fn lone_cluster(id: u64, y: f64, t0: i64, vote: f64) -> QutCluster {
+        QutCluster {
+            id: 0,
+            representative: SubTrajectory::from_points(
+                hermes_trajectory::SubTrajectoryId::new(id, 0),
+                id,
+                id,
+                (0..5)
+                    .map(|k| Point::new(k as f64 * 100.0, y, Timestamp(t0 + k * 150_000)))
+                    .collect(),
+            ),
+            representative_vote: vote,
+            members: Vec::new(),
+            member_distances: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn the_answer_is_a_function_of_the_components_only() {
+        // Two components, A = {0, 5} and B = {1, 3}, whose winning
+        // representatives (5 and 3) share `(start_time, id)`, so the final
+        // sort alone cannot order them; and two loners.
+        let clusters = vec![
+            lone_cluster(1, 0.0, 0, 1.0),
+            lone_cluster(2, 500.0, 0, 1.0),
+            lone_cluster(9, 9_000.0, 0, 5.0),
+            lone_cluster(7, 520.0, 600_000, 3.0),
+            lone_cluster(8, 9_500.0, 0, 1.0),
+            lone_cluster(7, 20.0, 600_000, 3.0),
+        ];
+        // Applied backwards (and each pair turned round), a union that kept
+        // the first end's root would root B at 1 → 3 and A at 0 → 5 and emit
+        // B first; one that keeps the lower root emits A first both ways.
+        let edges = [(0, 5), (1, 3), (3, 1)];
+        let apply = |edges: &[(usize, usize)]| {
+            let mut components = Components::new(clusters.len());
+            for &(i, j) in edges {
+                components.union(i, j);
+            }
+            let merges = components.merges;
+            (fold_components(clusters.clone(), &mut components), merges)
+        };
+        let (forward, merges) = apply(&edges);
+        assert_eq!(merges, clusters.len() - 4, "merges = n - components");
+        let reversed: Vec<(usize, usize)> = edges.iter().rev().map(|&(i, j)| (j, i)).collect();
+        let (backward, backward_merges) = apply(&reversed);
+        assert_eq!(backward_merges, merges);
+        assert_eq!(format!("{forward:?}"), format!("{backward:?}"));
+        // The tie goes to the component with the lower lowest index.
+        let heights: Vec<f64> = forward
+            .iter()
+            .map(|c| c.representative.points()[0].y)
+            .collect();
+        assert_eq!(heights, [9_500.0, 9_000.0, 20.0, 520.0]);
+        assert_eq!(forward[2].members.len(), 1);
+    }
+
+    /// One case of the memoised-merge sweep: the window, the parameters,
+    /// and the reference merge of the tree's own partial.
+    struct MergeCase {
+        context: String,
+        w: TimeInterval,
+        params: QutParams,
+        expected: Vec<QutCluster>,
+        merges: usize,
+    }
+
+    /// Every window shape × merge distance × gap of the sweep over `tree`,
+    /// each answered by [`merge_adjacent_clusters_reference`].
+    fn merge_cases(tree: &ReTraTree, s2t: &S2TParams, distances: &[f64]) -> Vec<MergeCase> {
+        let mut cases = Vec::new();
+        for (shape, w) in sweep_windows(tree) {
+            for &merge_distance in distances {
+                for gap_mins in SWEEP_GAP_MINS {
+                    let params = QutParams {
+                        s2t: s2t.clone(),
+                        merge_distance,
+                        merge_gap: Duration::from_mins(gap_mins),
+                    };
+                    let partial =
+                        qut_partial_with(tree, &OwnedSlice::ALL, &w, &params, &Executor::serial());
+                    let (expected, merges) = merged_by(
+                        merge_adjacent_clusters_reference,
+                        &partial.clusters,
+                        &params,
+                    );
+                    cases.push(MergeCase {
+                        context: format!("{shape}, distance {merge_distance}, gap {gap_mins} min"),
+                        w,
+                        params,
+                        expected,
+                        merges,
+                    });
+                }
+            }
+        }
+        cases
+    }
+
+    /// [`qut_clustering_with`] on `tree` against every case: same clusters
+    /// to the bit, same `merges`. Returns whether any case merged.
+    fn assert_cases(tree: &ReTraTree, cases: &[MergeCase], state: &str) -> bool {
+        let mut merged = false;
+        for case in cases {
+            let context = format!("{state}, {}", case.context);
+            let (got, stats) =
+                qut_clustering_with(tree, &case.w, &case.params, &Executor::serial());
+            assert_eq!(stats.merges, case.merges, "{context}");
+            assert_eq!(
+                format!("{:?}", got.clusters),
+                format!("{:?}", case.expected),
+                "{context}"
+            );
+            merged |= case.merges > 0;
+        }
+        merged
+    }
+
+    #[test]
+    fn memoised_merge_matches_the_unfiltered_reference_over_seeded_trees() {
+        let mut merged_somewhere = false;
+        for (name, trajectories, s2t) in seeded_sets() {
+            let tree = seeded_tree(&trajectories, &s2t);
+            let distances = sweep_distances(&everything_clusters(&tree, &s2t), &s2t, name);
+            let cases = merge_cases(&tree, &s2t, &distances);
+
+            // Cold: every case on a tree whose memos are empty.
+            for case in &cases {
+                assert_cases(
+                    &tree.clone(),
+                    std::slice::from_ref(case),
+                    &format!("{name}, cold"),
+                );
+            }
+            // Warm: the same tree twice; the second pass measures nothing.
+            merged_somewhere |= assert_cases(&tree, &cases, &format!("{name}, filling"));
+            let filled = tree.merge_edge_stats();
+            assert!(filled.misses > 0 && filled.bytes > 0, "{name}: {filled:?}");
+            assert_cases(&tree, &cases, &format!("{name}, warm"));
+            let warm = tree.merge_edge_stats();
+            assert_eq!(warm.misses, filled.misses, "{name}");
+            assert!(warm.hits > filled.hits, "{name}");
+            assert_eq!((warm.evictions, warm.bytes), (0, filled.bytes), "{name}");
+
+            // Decoded: the memo is not part of the encoding. (A decoded
+            // representative owns just its own points, so its `Debug` differs
+            // from the original's; the reference is the decoded tree's.)
+            let bytes = encoded(&tree);
+            let back = decoded(&bytes);
+            let back_cases = merge_cases(&back, &s2t, &distances);
+            assert_cases(&back, &back_cases, &format!("{name}, decoded"));
+
+            // Two threads racing the first fill of a decoded tree.
+            let racing = decoded(&bytes);
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        assert_cases(&racing, &back_cases, &format!("{name}, racing"));
+                    });
+                }
+            });
+
+            // Pieces inserted into covered sub-chunks of a warm tree: the
+            // lists of the old entries must go.
+            let mut grown = tree.clone();
+            assert_cases(&grown, &cases, &format!("{name}, before inserts"));
+            assert!(grown.merge_edge_stats().bytes > 0);
+            let entries = grown.total_clusters();
+            for t in trajectories.iter().step_by(3) {
+                let twin: Vec<Point> = t
+                    .points()
+                    .iter()
+                    .map(|p| Point::new(p.x + 1.0, p.y - 1.0, p.t))
+                    .collect();
+                grown.insert_trajectory(&Trajectory::new(t.id + 100_000, t.id, twin).unwrap());
+            }
+            assert_eq!(grown.merge_edge_stats().bytes, 0, "{name}");
+            assert!(grown.stats().assigned_to_existing > tree.stats().assigned_to_existing);
+            let grown_cases = merge_cases(&grown, &s2t, &distances);
+            assert_cases(&grown, &grown_cases, &format!("{name}, after inserts"));
+
+            // A reorganisation adds entries to warm sub-chunks.
+            assert!(grown.merge_edge_stats().bytes > 0);
+            assert!(grown.reorganize_all(1) > 0, "{name}");
+            assert!(grown.total_clusters() > entries, "{name}");
+            assert_eq!(grown.merge_edge_stats().bytes, 0, "{name}");
+            let reorganised = merge_cases(&grown, &s2t, &distances);
+            assert_cases(&grown, &reorganised, &format!("{name}, reorganised"));
+        }
+        assert!(merged_somewhere);
     }
 
     #[test]
@@ -1440,7 +1824,7 @@ mod tests {
                     merge_gap: Duration::from_mins(5),
                     ..qut_params()
                 };
-                let got = merged_by(merge_adjacent_clusters, &clusters, &params);
+                let got = merged_by(live_merge, &clusters, &params);
                 assert_eq!(got.1, merges, "merge distance {merge_distance}");
                 assert_eq!(
                     got,

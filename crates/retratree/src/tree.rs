@@ -1,7 +1,7 @@
 //! The ReTraTree itself: construction, incremental insertion and the
 //! threshold-triggered maintenance loop of the paper's architecture (Fig. 2).
 
-use crate::memo::{BorderMemo, BorderMemoStats};
+use crate::memo::{BorderMemo, EdgeMemo, MemoStats};
 use crate::node::{Chunk, ClusterEntry, StoredRecords, SubChunk};
 use crate::params::ReTraTreeParams;
 use crate::qut::OwnedSlice;
@@ -33,9 +33,9 @@ pub struct MaintenanceStats {
 
 /// The Representative Trajectory Tree.
 ///
-/// `Clone` copies the data and starts the copy with an **empty** border memo
-/// (see [`crate::memo`]): the clone is a new value about to diverge, and
-/// derived state belongs to the value it was derived from.
+/// `Clone` copies the data and starts the copy with **empty** memos (see
+/// [`crate::memo`]): the clone is a new value about to diverge, and derived
+/// state belongs to the value it was derived from.
 #[derive(Clone)]
 pub struct ReTraTree {
     pub(crate) params: ReTraTreeParams,
@@ -48,6 +48,9 @@ pub struct ReTraTree {
     /// Cleared by the two functions that change stored data
     /// ([`ReTraTree::insert_piece`], `apply_reorganization`).
     pub(crate) border_memo: BorderMemo,
+    /// The merge distances between stored level-3 representatives, one
+    /// sorted list per pair of sub-chunks. Same lifecycle as `border_memo`.
+    pub(crate) merge_edges: EdgeMemo,
 }
 
 impl ReTraTree {
@@ -58,13 +61,35 @@ impl ReTraTree {
         params
             .validate()
             .expect("ReTraTreeParams must be valid; validate() before constructing");
+        ReTraTree::from_parts(
+            params,
+            BTreeMap::new(),
+            PartitionStore::new(),
+            MaintenanceStats::default(),
+        )
+    }
+
+    /// A tree over the given stored data, its memos empty.
+    pub(crate) fn from_parts(
+        params: ReTraTreeParams,
+        chunks: BTreeMap<i64, Chunk>,
+        store: PartitionStore,
+        stats: MaintenanceStats,
+    ) -> Self {
         ReTraTree {
             params,
-            chunks: BTreeMap::new(),
-            store: PartitionStore::new(),
-            stats: MaintenanceStats::default(),
+            chunks,
+            store,
+            stats,
             border_memo: BorderMemo::new(),
+            merge_edges: EdgeMemo::new(),
         }
+    }
+
+    /// Empties both memos: the stored data is about to change in place.
+    fn clear_memos(&mut self) {
+        self.border_memo.clear();
+        self.merge_edges.clear();
     }
 
     /// The construction parameters.
@@ -83,8 +108,13 @@ impl ReTraTree {
     }
 
     /// Hit/miss/eviction counters and current size of the border memo.
-    pub fn border_memo_stats(&self) -> BorderMemoStats {
+    pub fn border_memo_stats(&self) -> MemoStats {
         self.border_memo.stats()
+    }
+
+    /// Hit/miss/eviction counters and current size of the merge-edge memo.
+    pub fn merge_edge_stats(&self) -> MemoStats {
+        self.merge_edges.stats()
     }
 
     /// Number of level-1 chunks.
@@ -178,7 +208,7 @@ impl ReTraTree {
     /// interval (callers outside this crate normally use
     /// [`ReTraTree::insert_trajectory`]).
     pub fn insert_piece(&mut self, sub: SubTrajectory) {
-        self.border_memo.clear();
+        self.clear_memos();
         self.stats.inserted_pieces += 1;
         let chunk_key = self.chunk_start_of(sub.start_time());
         self.ensure_chunk(chunk_key);
@@ -271,7 +301,7 @@ impl ReTraTree {
     /// partition ids and locators come out in the same order however the
     /// clustering phase was scheduled.
     fn apply_reorganization(&mut self, chunk_key: i64, sc_index: usize, outcome: &S2TOutcome) {
-        self.border_memo.clear();
+        self.clear_memos();
         self.stats.reorganizations += 1;
         let old_partition = self.chunks[&chunk_key].subchunks[sc_index].outlier_partition;
 

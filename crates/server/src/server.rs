@@ -740,6 +740,26 @@ fn collect_engine_samples(engine: &SharedEngine, out: &mut Vec<Sample>) {
         stats.border_memo.bytes,
     ));
     out.push(counter(
+        "hermes_retratree_merge_edge_hits_total",
+        "Merge-edge lists of a sub-chunk pair answered from the memo, summed over every index",
+        stats.merge_edges.hits,
+    ));
+    out.push(counter(
+        "hermes_retratree_merge_edge_misses_total",
+        "Merge-edge lists measured (every pair of stored representatives), summed over every index",
+        stats.merge_edges.misses,
+    ));
+    out.push(counter(
+        "hermes_retratree_merge_edge_evictions_total",
+        "Merge-edge lists evicted to stay inside the byte bound",
+        stats.merge_edges.evictions,
+    ));
+    out.push(gauge(
+        "hermes_retratree_merge_edge_bytes",
+        "Bytes the merge-edge memos currently account for",
+        stats.merge_edges.bytes,
+    ));
+    out.push(counter(
         "hermes_engine_s2t_index_builds_total",
         "S2T statements that built their dataset's segment index",
         stats.s2t_index_builds,

@@ -282,12 +282,17 @@ fn push_engine_stats(frame: &mut Frame, engine: &HermesEngine) {
         ("kernel_evaluated", s.kernel_evaluated as i64),
         ("kernel_pruned", s.kernel_pruned as i64),
         // Derived read-path state (docs/ARCHITECTURE.md § "Derived state"):
-        // border partials answered from / computed into the per-tree memo,
-        // and whole-dataset S2T runs that built / found the segment index.
+        // border partials and merge-edge lists answered from / computed into
+        // the per-tree memos, and whole-dataset S2T runs that built / found
+        // the segment index.
         ("border_memo_hits", s.border_memo.hits as i64),
         ("border_memo_misses", s.border_memo.misses as i64),
         ("border_memo_evictions", s.border_memo.evictions as i64),
         ("border_memo_bytes", s.border_memo.bytes as i64),
+        ("merge_edge_hits", s.merge_edges.hits as i64),
+        ("merge_edge_misses", s.merge_edges.misses as i64),
+        ("merge_edge_evictions", s.merge_edges.evictions as i64),
+        ("merge_edge_bytes", s.merge_edges.bytes as i64),
         ("s2t_index_builds", s.s2t_index_builds as i64),
         ("s2t_index_reuses", s.s2t_index_reuses as i64),
         // Persistence scope: all zero on an in-memory engine (durable = 0).

@@ -5,7 +5,7 @@
 //! merged, pages looked up — is a pure function of the seeded data set and
 //! the statement when one client drives an engine at `threads = 1`. (More
 //! threads or more clients change the order of the lookups, never their
-//! number.)
+//! number; two clients racing a first fill may both count a miss.)
 //!
 //! A PR that moves one of these numbers must do so on purpose and say so in
 //! CHANGES.md next to the old value.
@@ -29,6 +29,12 @@ struct Work {
     /// …and of the same statement again: the border memo answers the
     /// borders and level 3 the covered sub-chunks, so a QUT reads no page.
     repeat_lookups: u64,
+    /// Merge-edge lists the first run measured: one per pair of covered
+    /// sub-chunks within the gap that no earlier statement of this test
+    /// measured…
+    edge_misses: u64,
+    /// …and the repeat: every list is in the memo.
+    repeat_edge_misses: u64,
 }
 
 /// The benchmark's index shape over half of `s2t_analytic`'s flights.
@@ -57,26 +63,36 @@ fn engine() -> HermesEngine {
 }
 
 /// Runs `statement` twice (same frame both times) and reports the page
-/// lookups each run made.
-fn lookups_of(engine: &mut HermesEngine, statement: &str) -> (QueryOutcome, [u64; 2]) {
+/// lookups and merge-edge misses each run made.
+fn lookups_of(engine: &mut HermesEngine, statement: &str) -> (QueryOutcome, [u64; 2], [u64; 2]) {
     let mut run = || {
-        let before = engine.stats().page_lookups;
+        let before = engine.stats();
         let outcome = sql::execute(engine, statement).unwrap();
-        (outcome, engine.stats().page_lookups - before)
+        let after = engine.stats();
+        (
+            outcome,
+            after.page_lookups - before.page_lookups,
+            after.merge_edges.misses - before.merge_edges.misses,
+        )
     };
-    let (first, lookups) = run();
-    let (second, repeat_lookups) = run();
+    let (first, lookups, edge_misses) = run();
+    let (second, repeat_lookups, repeat_edge_misses) = run();
     assert_eq!(
         first.expect_frame(statement),
         second.expect_frame(statement)
     );
-    (first, [lookups, repeat_lookups])
+    (
+        first,
+        [lookups, repeat_lookups],
+        [edge_misses, repeat_edge_misses],
+    )
 }
 
 /// The work of `SELECT QUT(data, wi, we, …)`.
 fn qut_work(engine: &mut HermesEngine, wi: i64, we: i64) -> Work {
     let statement = format!("SELECT QUT(data, {wi}, {we}, {QUT_TAIL});");
-    let (first, [lookups, repeat_lookups]) = lookups_of(engine, &statement);
+    let (first, [lookups, repeat_lookups], [edge_misses, repeat_edge_misses]) =
+        lookups_of(engine, &statement);
     let loaded = match first.stats().unwrap().get(0, "loaded_sub_trajectories") {
         Some(Value::Int(n)) => *n as usize,
         other => panic!("loaded_sub_trajectories is {other:?}"),
@@ -100,6 +116,8 @@ fn qut_work(engine: &mut HermesEngine, wi: i64, we: i64) -> Work {
         merges: stats.merges,
         lookups,
         repeat_lookups,
+        edge_misses,
+        repeat_edge_misses,
     }
 }
 
@@ -124,7 +142,8 @@ fn golden_work_counts_of_the_qut_read_path() {
     // HISTOGRAM is a QUT with the default merge parameters underneath.
     let (wi, we) = (3 * SUBCHUNK_MS, 22 * SUBCHUNK_MS);
     let statement = format!("SELECT HISTOGRAM(data, {wi}, {we}, {SUBCHUNK_MS});");
-    let (_, [lookups, repeat_lookups]) = lookups_of(&mut engine, &statement);
+    let (_, [lookups, repeat_lookups], [edge_misses, repeat_edge_misses]) =
+        lookups_of(&mut engine, &statement);
     let params = QutParams {
         s2t: engine.tree("data").unwrap().params().s2t.clone(),
         ..QutParams::default()
@@ -136,6 +155,8 @@ fn golden_work_counts_of_the_qut_read_path() {
         merges: stats.merges,
         lookups,
         repeat_lookups,
+        edge_misses,
+        repeat_edge_misses,
     };
 
     // RANGE counts the summaries level 3 keeps: no page lookup.
@@ -144,7 +165,8 @@ fn golden_work_counts_of_the_qut_read_path() {
         5 * SUBCHUNK_MS + 1,
         16 * SUBCHUNK_MS
     );
-    let (outcome, [lookups, repeat_lookups]) = lookups_of(&mut engine, &statement);
+    let (outcome, [lookups, repeat_lookups], [edge_misses, repeat_edge_misses]) =
+        lookups_of(&mut engine, &statement);
     let range = Work {
         loaded: match outcome
             .expect_frame(&statement)
@@ -156,6 +178,8 @@ fn golden_work_counts_of_the_qut_read_path() {
         merges: 0,
         lookups,
         repeat_lookups,
+        edge_misses,
+        repeat_edge_misses,
     };
 
     let got = [aligned, unaligned, histogram, range];
@@ -163,31 +187,43 @@ fn golden_work_counts_of_the_qut_read_path() {
     // members (~4 records here) and outliers none; a border's loads cost one
     // per page run too, taken in storage order. The unaligned QUT pays for
     // its 24 border loads and the fills the aligned one left over; by the
-    // HISTOGRAM every entry it covers is filled.
+    // HISTOGRAM every entry it covers is filled. Edge lists: one per pair of
+    // covered sub-chunks at most γ = 30 min (four sub-chunks) apart, itself
+    // included — 12 + 11 + … + 7 = 57 for the aligned window's 12; the
+    // unaligned one's 24 need 129, 72 of them new; the HISTOGRAM's are all
+    // there. A repeat measures none.
     const GOLDEN: [Work; 4] = [
         Work {
             loaded: 408,
             merges: 85,
             lookups: 87,
             repeat_lookups: 0,
+            edge_misses: 57,
+            repeat_edge_misses: 0,
         },
         Work {
             loaded: 847,
             merges: 194,
             lookups: 105,
             repeat_lookups: 0,
+            edge_misses: 72,
+            repeat_edge_misses: 0,
         },
         Work {
             loaded: 652,
             merges: 43,
             lookups: 0,
             repeat_lookups: 0,
+            edge_misses: 0,
+            repeat_edge_misses: 0,
         },
         Work {
             loaded: 493,
             merges: 0,
             lookups: 0,
             repeat_lookups: 0,
+            edge_misses: 0,
+            repeat_edge_misses: 0,
         },
     ];
     assert_eq!(
