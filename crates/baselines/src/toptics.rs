@@ -48,16 +48,6 @@ impl TOpticsResult {
     pub fn num_noise(&self) -> usize {
         self.assignment.iter().filter(|a| a.is_none()).count()
     }
-
-    /// Input positions of the members of cluster `c`.
-    pub fn cluster_members(&self, c: usize) -> Vec<usize> {
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| **a == Some(c))
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 /// Runs T-OPTICS over whole trajectories.
@@ -81,6 +71,13 @@ pub fn t_optics(trajectories: &[Trajectory], params: &TOpticsParams) -> TOpticsR
 mod tests {
     use super::*;
     use hermes_trajectory::{Point, Timestamp};
+
+    /// Input positions of the members of cluster `c`.
+    fn cluster_members(result: &TOpticsResult, c: usize) -> Vec<usize> {
+        (0..result.assignment.len())
+            .filter(|&i| result.assignment[i] == Some(c))
+            .collect()
+    }
 
     fn line(id: u64, y: f64, t0: i64) -> Trajectory {
         Trajectory::new(
@@ -107,7 +104,7 @@ mod tests {
         assert_eq!(result.num_clusters, 2);
         assert_eq!(result.num_noise(), 1);
         assert_eq!(
-            result.cluster_members(0).len() + result.cluster_members(1).len(),
+            cluster_members(&result, 0).len() + cluster_members(&result, 1).len(),
             9
         );
     }
@@ -133,7 +130,7 @@ mod tests {
         // The three morning trajectories cluster; the two evening ones are
         // too few for min_pts=3.
         assert_eq!(result.num_clusters, 1);
-        let members = result.cluster_members(0);
+        let members = cluster_members(&result, 0);
         assert_eq!(members, vec![0, 1, 2]);
         assert_eq!(result.num_noise(), 2);
     }

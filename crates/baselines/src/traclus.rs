@@ -71,28 +71,6 @@ impl TraclusResult {
             .filter(|l| **l == DbscanLabel::Noise)
             .count()
     }
-
-    /// Segments belonging to cluster `c`.
-    pub fn cluster_segments(&self, c: usize) -> Vec<&LineSegment> {
-        self.segments
-            .iter()
-            .zip(self.labels.iter())
-            .filter(|(_, l)| l.cluster() == Some(c))
-            .map(|(s, _)| s)
-            .collect()
-    }
-
-    /// Distinct trajectories participating in cluster `c`.
-    pub fn cluster_trajectories(&self, c: usize) -> Vec<TrajectoryId> {
-        let mut ids: Vec<TrajectoryId> = self
-            .cluster_segments(c)
-            .iter()
-            .map(|s| s.trajectory_id)
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
 }
 
 // --- MDL partitioning ------------------------------------------------------
@@ -264,6 +242,20 @@ mod tests {
     use super::*;
     use hermes_trajectory::Timestamp;
 
+    /// Distinct trajectories with a segment in cluster `c`.
+    fn cluster_trajectories(result: &TraclusResult, c: usize) -> Vec<TrajectoryId> {
+        let mut ids: Vec<TrajectoryId> = result
+            .segments
+            .iter()
+            .zip(&result.labels)
+            .filter(|(_, l)| l.cluster() == Some(c))
+            .map(|(s, _)| s.trajectory_id)
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
     fn traj(id: u64, pts: &[(f64, f64)]) -> Trajectory {
         Trajectory::new(
             id,
@@ -333,7 +325,7 @@ mod tests {
         ));
         let result = traclus(&trajs, &TraclusParams::default());
         assert!(result.num_clusters >= 1);
-        let members = result.cluster_trajectories(0);
+        let members = cluster_trajectories(&result, 0);
         assert!(
             members.len() >= 4,
             "the bundle must cluster together: {members:?}"
@@ -374,7 +366,7 @@ mod tests {
             },
         );
         assert!(result.num_clusters >= 1);
-        let members = result.cluster_trajectories(0);
+        let members = cluster_trajectories(&result, 0);
         assert!(
             members.len() >= 2,
             "purely spatial clustering merges time-shifted movers"

@@ -48,11 +48,6 @@ impl ShardSpec {
     pub fn endpoints(&self) -> impl Iterator<Item = &str> {
         std::iter::once(self.addr.as_str()).chain(self.replicas.iter().map(String::as_str))
     }
-
-    /// Replica-set size (primary + replicas).
-    pub fn endpoint_count(&self) -> usize {
-        1 + self.replicas.len()
-    }
 }
 
 /// Splits a comma-separated endpoint list into `(primary, replicas)`.
@@ -351,7 +346,6 @@ mod tests {
         let s = parse_shard_flag("a=h:1, h:2 ,h:3@min..0").unwrap();
         assert_eq!(s.addr, "h:1");
         assert_eq!(s.replicas, vec!["h:2".to_string(), "h:3".to_string()]);
-        assert_eq!(s.endpoint_count(), 3);
         assert_eq!(s.endpoints().collect::<Vec<_>>(), vec!["h:1", "h:2", "h:3"]);
 
         let mut shards = parse_shard_map(

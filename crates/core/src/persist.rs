@@ -419,22 +419,6 @@ impl HermesEngine {
         self.durability.as_ref().map(|d| d.dir.as_path())
     }
 
-    /// True when the engine journals mutations and can [`checkpoint`]
-    /// (opened via [`HermesEngine::open`]).
-    ///
-    /// [`checkpoint`]: HermesEngine::checkpoint
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
-    /// Changes the WAL group-commit threshold (bytes of appended records
-    /// between fsyncs; `0` syncs every append). No-op on in-memory engines.
-    pub fn set_wal_sync_interval(&mut self, bytes: u64) {
-        if let Some(d) = self.durability.as_mut() {
-            d.wal.set_sync_interval(bytes);
-        }
-    }
-
     /// Writes a new snapshot of the whole engine state and truncates the
     /// write-ahead log (the records are now redundant). Returns what was
     /// written and discarded; errors with [`EngineError::NotDurable`] on an
@@ -612,6 +596,14 @@ mod tests {
         .unwrap()
     }
 
+    /// The `flights` tree as its snapshot encoding: two trees compare equal
+    /// when they would write the same bytes.
+    fn encoded_tree(e: &HermesEngine) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        tree_persist::encode_tree(&mut w, e.tree("flights").unwrap());
+        w.into_bytes()
+    }
+
     fn tree_params() -> ReTraTreeParams {
         ReTraTreeParams {
             chunk_duration: Duration::from_hours(4),
@@ -672,7 +664,7 @@ mod tests {
         let dir = tmp_dir("walonly");
         {
             let mut e = HermesEngine::open(&dir).unwrap();
-            assert!(e.is_durable());
+            assert!(e.stats().durable);
             assert_eq!(e.data_dir(), Some(dir.as_path()));
             e.create_dataset("flights").unwrap();
             e.load_trajectories("flights", vec![traj(1, 0.0, 0), traj(2, 10.0, 0)])
@@ -732,7 +724,7 @@ mod tests {
     #[test]
     fn in_memory_engines_refuse_checkpoint() {
         let mut e = HermesEngine::new();
-        assert!(!e.is_durable());
+        assert!(!e.stats().durable);
         assert_eq!(e.data_dir(), None);
         assert!(matches!(e.checkpoint(), Err(EngineError::NotDurable)));
         let stats = e.stats();
@@ -867,14 +859,14 @@ mod tests {
             )
             .unwrap();
             e.build_index("flights", tree_params()).unwrap();
-            e.tree("flights").unwrap().describe()
+            encoded_tree(&e)
         };
         // No checkpoint: everything, including the BUILD INDEX, replays.
         // (Sequential opens: the data-directory lock admits one engine at a
         // time.)
         let first_reorgs = {
             let e = HermesEngine::open(&dir).unwrap();
-            assert_eq!(e.tree("flights").unwrap().describe(), reference);
+            assert_eq!(encoded_tree(&e), reference);
             e.tree("flights").unwrap().stats().reorganizations
         };
         let f = HermesEngine::open(&dir).unwrap();

@@ -23,20 +23,23 @@ impl Default for NoiseModel {
 }
 
 impl NoiseModel {
-    /// A noiseless model (useful for tests that need exact geometry).
-    pub fn none() -> Self {
-        NoiseModel {
-            position_sigma: 0.0,
-            time_sigma_ms: 0.0,
-        }
-    }
-
     /// Applies jitter to a point.
     pub fn perturb(&self, p: Point, rng: &mut SplitMix64) -> Point {
         let dx = rng.gaussian() * self.position_sigma;
         let dy = rng.gaussian() * self.position_sigma;
         let dt = (rng.gaussian() * self.time_sigma_ms) as i64;
         Point::new(p.x + dx, p.y + dy, Timestamp(p.t.millis() + dt))
+    }
+}
+
+#[cfg(test)]
+impl NoiseModel {
+    /// A noiseless model, for tests that need exact geometry.
+    pub(crate) fn none() -> Self {
+        NoiseModel {
+            position_sigma: 0.0,
+            time_sigma_ms: 0.0,
+        }
     }
 }
 

@@ -161,11 +161,6 @@ impl Executor {
         self.threads.max(1)
     }
 
-    /// True when a pool is attached (i.e. `threads() > 1`).
-    pub fn is_parallel(&self) -> bool {
-        self.pool.is_some()
-    }
-
     /// Fork-join jobs currently queued on the pool (always 0 for the serial
     /// executor). Exported as a gauge by the serving layer's metrics
     /// endpoint.
@@ -275,7 +270,6 @@ mod tests {
         let serial = Executor::serial().map(&items, f);
         for threads in [2usize, 4, 8] {
             let exec = Executor::new(ExecPolicy { threads });
-            assert!(exec.is_parallel());
             assert_eq!(exec.threads(), threads);
             assert_eq!(exec.map(&items, f), serial, "threads = {threads}");
         }
@@ -362,7 +356,6 @@ mod tests {
             format!("{:?}", Executor::serial()),
             "Executor { threads: 1 }"
         );
-        assert!(!Executor::default().is_parallel());
         assert_eq!(Executor::default().threads(), 1);
     }
 }

@@ -1221,7 +1221,7 @@ mod tests {
 
         // Re-clustering every sub-chunk moves records: same rule.
         assert!(tree.border_memo_stats().bytes > 0);
-        assert!(tree.reorganize_all(1) > 0);
+        assert!(tree.reorganize_all_with(1, &Executor::serial()) > 0);
         assert_eq!(tree.border_memo_stats().bytes, 0);
         let (after, _) = qut_clustering(&tree, &w, &params);
         assert_eq!(after, qut_clustering(&tree.clone(), &w, &params).0);
@@ -1771,7 +1771,10 @@ mod tests {
 
             // A reorganisation adds entries to warm sub-chunks.
             assert!(grown.merge_edge_stats().bytes > 0);
-            assert!(grown.reorganize_all(1) > 0, "{name}");
+            assert!(
+                grown.reorganize_all_with(1, &Executor::serial()) > 0,
+                "{name}"
+            );
             assert!(grown.total_clusters() > entries, "{name}");
             assert_eq!(grown.merge_edge_stats().bytes, 0, "{name}");
             let reorganised = merge_cases(&grown, &s2t, &distances);
@@ -2270,7 +2273,10 @@ mod tests {
 
             // A reorganisation adds entries and replaces every outlier list.
             let entries = grown.total_clusters();
-            assert!(grown.reorganize_all(1) > 0, "{name}");
+            assert!(
+                grown.reorganize_all_with(1, &Executor::serial()) > 0,
+                "{name}"
+            );
             assert!(grown.total_clusters() > entries, "{name}");
             sweep_against_reference(&grown, &s2t, &format!("{name}, reorganised"));
             let back = decoded(&encoded(&grown));
@@ -2392,7 +2398,10 @@ mod tests {
                 assert_walk_matches_reference(&grown, &context),
                 grown.total_population()
             );
-            assert!(grown.reorganize_all(1) > 0, "{name}");
+            assert!(
+                grown.reorganize_all_with(1, &Executor::serial()) > 0,
+                "{name}"
+            );
             let context = format!("{name}, reorganised");
             assert_eq!(
                 assert_walk_matches_reference(&grown, &context),

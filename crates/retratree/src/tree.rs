@@ -6,11 +6,11 @@ use crate::node::{Chunk, ClusterEntry, StoredRecords, SubChunk};
 use crate::params::ReTraTreeParams;
 use crate::qut::OwnedSlice;
 use hermes_exec::Executor;
-use hermes_s2t::{run_s2t_with, trajectories_from_subs, S2TOutcome};
+use hermes_s2t::{nearest_representative, run_s2t_with, trajectories_from_subs, S2TOutcome};
 use hermes_storage::{PartitionKind, PartitionStore, RecordLocator};
 use hermes_trajectory::{
-    spatiotemporal_distance, Duration, SubTrajectory, SubTrajectoryId, SubTrajectorySummary,
-    TimeInterval, Timestamp, Trajectory,
+    Duration, SubTrajectory, SubTrajectoryId, SubTrajectorySummary, TimeInterval, Timestamp,
+    Trajectory,
 };
 use std::collections::BTreeMap;
 
@@ -223,13 +223,8 @@ impl ReTraTree {
             .get_mut(&chunk_key)
             .expect("chunk ensured above");
         let sc = &mut chunk.subchunks[sc_index];
-        let mut best: Option<(usize, f64)> = None;
-        for (ci, entry) in sc.clusters.iter().enumerate() {
-            let d = spatiotemporal_distance(&sub, &entry.representative);
-            if d.is_finite() && d <= epsilon && best.map(|(_, bd)| d < bd).unwrap_or(true) {
-                best = Some((ci, d));
-            }
-        }
+        let representatives = sc.clusters.iter().map(|e| &e.representative);
+        let best = nearest_representative(&sub, representatives, epsilon);
 
         let summary = SubTrajectorySummary::from(&sub);
         match best {
@@ -415,15 +410,12 @@ impl ReTraTree {
     /// over an existing dataset: each temporal partition gets its own
     /// clustering, which QuT later reuses. Returns the number of sub-chunks
     /// reorganized.
-    pub fn reorganize_all(&mut self, min_outliers: usize) -> usize {
-        self.reorganize_all_with(min_outliers, &Executor::serial())
-    }
-
-    /// [`ReTraTree::reorganize_all`] with the per-sub-chunk S2T runs fanned
-    /// out on `exec`. Construction is two-phase: every target sub-chunk's
-    /// outliers are clustered in parallel (reads only), then the results are
-    /// installed sequentially in temporal order — so partition allocation,
-    /// locators and maintenance counters are identical to the serial build.
+    ///
+    /// The per-sub-chunk S2T runs fan out on `exec`. Construction is
+    /// two-phase: every target sub-chunk's outliers are clustered in parallel
+    /// (reads only), then the results are installed sequentially in temporal
+    /// order — so partition allocation, locators and maintenance counters
+    /// are identical to the serial build.
     pub fn reorganize_all_with(&mut self, min_outliers: usize, exec: &Executor) -> usize {
         let targets: Vec<(i64, usize)> = self
             .chunks
@@ -474,9 +466,17 @@ impl ReTraTree {
         tree
     }
 
+    /// The sub-chunk duration (exposed for window-alignment logic in QuT).
+    pub fn subchunk_duration(&self) -> Duration {
+        self.params.subchunk_duration()
+    }
+}
+
+#[cfg(test)]
+impl ReTraTree {
     /// Returns `(chunk interval, sub-chunk interval, #clusters, population)`
-    /// rows describing the tree, for the VA exports and the examples.
-    pub fn describe(&self) -> Vec<(TimeInterval, TimeInterval, usize, usize)> {
+    /// rows describing the tree; tests compare trees by it.
+    pub(crate) fn describe(&self) -> Vec<(TimeInterval, TimeInterval, usize, usize)> {
         let mut rows = Vec::new();
         for chunk in self.chunks.values() {
             for sc in &chunk.subchunks {
@@ -489,11 +489,6 @@ impl ReTraTree {
             }
         }
         rows
-    }
-
-    /// The sub-chunk duration (exposed for window-alignment logic in QuT).
-    pub fn subchunk_duration(&self) -> Duration {
-        self.params.subchunk_duration()
     }
 }
 

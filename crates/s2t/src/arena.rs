@@ -164,8 +164,6 @@ pub struct SegmentArena {
     mbb_y_max: Vec<f64>,
     /// Back-reference: owning trajectory index per segment.
     traj_of: Vec<u32>,
-    /// Back-reference: local segment index within the owning trajectory.
-    seg_of: Vec<u32>,
     /// Prefix offsets: trajectory `ti` owns global segments
     /// `seg_start[ti]..seg_start[ti + 1]`.
     seg_start: Vec<usize>,
@@ -189,7 +187,6 @@ impl SegmentArena {
             mbb_y_min: Vec::with_capacity(total),
             mbb_y_max: Vec::with_capacity(total),
             traj_of: Vec::with_capacity(total),
-            seg_of: Vec::with_capacity(total),
             seg_start: Vec::with_capacity(trajectories.len() + 1),
             traj_ids: Vec::with_capacity(trajectories.len()),
         };
@@ -211,7 +208,6 @@ impl SegmentArena {
                 arena.mbb_y_min.push(a.y.min(b.y));
                 arena.mbb_y_max.push(a.y.max(b.y));
                 arena.traj_of.push(ti as u32);
-                arena.seg_of.push(si as u32);
             }
         }
         arena.seg_start.push(arena.x0.len());
@@ -236,18 +232,6 @@ impl SegmentArena {
     /// The id of trajectory `ti`.
     pub fn trajectory_id(&self, ti: usize) -> TrajectoryId {
         self.traj_ids[ti]
-    }
-
-    /// The owning trajectory index of global segment `gs`.
-    #[inline]
-    pub fn trajectory_of(&self, gs: usize) -> usize {
-        self.traj_of[gs] as usize
-    }
-
-    /// The local segment index of global segment `gs` within its trajectory.
-    #[inline]
-    pub fn segment_of(&self, gs: usize) -> usize {
-        self.seg_of[gs] as usize
     }
 
     /// Global segment `gs` as flat kernel lanes.
@@ -383,18 +367,12 @@ impl PackedSegmentIndex {
     /// Visits every indexed segment whose lifespan intersects `window`'s and
     /// whose box lies within `radius` of `window`'s in the x/y plane — the
     /// probe the voting loop issues once per query run — with the row index
-    /// (ascending; see [`PackedSegmentIndex::segment_id`]) and the squared
-    /// spatial gap. Allocation-free.
+    /// (ascending; rows are the segments in ascending `(t0, global segment
+    /// id)`) and the squared spatial gap. Allocation-free.
     #[inline]
     pub fn for_each_candidate(&self, window: &Mbb, radius: f64, visit: impl FnMut(usize, f64)) {
         self.lanes
             .for_each_candidate(simd_level(), window, radius, visit);
-    }
-
-    /// The arena's global segment id of the candidate at `row`.
-    #[inline]
-    pub fn segment_id(&self, row: usize) -> usize {
-        self.rows[row].gs as usize
     }
 
     /// The indexed boxes as an STR-packed R-tree whose values are global
@@ -550,7 +528,7 @@ impl GatherBlock {
 
 /// Reusable per-worker scratch for [`vote_trajectory_into`]. Between calls
 /// every best-distance entry is `f64::INFINITY` and the lists are empty, so
-/// a pre-sized scratch makes the voting inner loop allocation-free.
+/// a warm scratch makes the voting inner loop allocation-free.
 pub struct ArenaVoteScratch {
     /// Best (minimum) kernel distance per voter, one array per run slot:
     /// the fused probe accumulates all `QUERY_RUN` segments of a run in a
@@ -576,21 +554,6 @@ impl Default for ArenaVoteScratch {
 }
 
 impl ArenaVoteScratch {
-    /// A scratch pre-sized for `arena`: every slot's best/touched arrays
-    /// cover every trajectory, so voting over this arena never reallocates
-    /// the scratch. Use this constructor where the zero-allocation
-    /// *guarantee* matters (the counting-allocator test, latency-critical
-    /// embedders); the thread-local scratch behind [`arena_voting`] instead
-    /// starts empty and grows to the observed working set, which is also
-    /// allocation-free once warm.
-    pub fn for_arena(arena: &SegmentArena) -> Self {
-        ArenaVoteScratch {
-            best: std::array::from_fn(|_| vec![f64::INFINITY; arena.num_trajectories()]),
-            touched: std::array::from_fn(|_| Vec::with_capacity(arena.num_trajectories())),
-            blocks: std::array::from_fn(|_| GatherBlock::default()),
-        }
-    }
-
     fn ensure(&mut self, num_trajectories: usize) {
         for b in self.best.iter_mut() {
             if b.len() < num_trajectories {
@@ -602,10 +565,10 @@ impl ArenaVoteScratch {
 
 /// Computes the votes of trajectory `ti` into `votes` (cleared first) and
 /// returns the pruned-vs-evaluated kernel counters for this trajectory. With
-/// a scratch pre-sized via [`ArenaVoteScratch::for_arena`] and a `votes`
-/// buffer whose capacity covers the trajectory's segment count, this
-/// performs **zero heap allocations** — the property the counting-allocator
-/// test in `crates/s2t/tests` pins down.
+/// a scratch that has voted over the arena once and a `votes` buffer whose
+/// capacity covers the trajectory's segment count, this performs **zero
+/// heap allocations** — the property the counting-allocator test in
+/// `crates/s2t/tests` pins down.
 ///
 /// One pass does everything: the time-ordered scan runs once per `QUERY_RUN`
 /// consecutive query segments with the run's union window, and the pruning
@@ -910,8 +873,7 @@ mod tests {
             assert_eq!(range.len(), traj.num_segments());
             assert_eq!(arena.trajectory_id(ti), traj.id);
             for (si, gs) in range.enumerate() {
-                assert_eq!(arena.trajectory_of(gs), ti);
-                assert_eq!(arena.segment_of(gs), si);
+                assert_eq!(arena.traj_of[gs] as usize, ti);
                 let seg = traj.segment(si);
                 assert_eq!(arena.lanes(gs), seg.lanes());
                 assert_eq!(arena.segment_mbb(gs), seg.mbb());
@@ -1037,7 +999,7 @@ mod tests {
         let cutoff = p.voting_cutoff_radius();
         let arena = SegmentArena::build(&trajs);
         let packed = PackedSegmentIndex::build(&arena);
-        let mut scratch = ArenaVoteScratch::for_arena(&arena);
+        let mut scratch = ArenaVoteScratch::default();
         let mut votes = Vec::with_capacity(16);
         let reference = arena_voting(&arena, &packed, &p);
         // Voting the same trajectories repeatedly through one scratch must

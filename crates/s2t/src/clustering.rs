@@ -111,29 +111,24 @@ impl<M> ClusteringResult<M> {
     }
 }
 
-impl<M: Lifespan + Clone> ClusteringResult<M> {
-    /// Restricts the result to clusters and outliers that temporally
-    /// intersect `w` (used by QuT when assembling a window answer).
-    pub fn restrict_to_window(&self, w: &TimeInterval) -> ClusteringResult<M> {
-        let clusters = self
-            .clusters
-            .iter()
-            .filter(|c| c.lifespan().intersects(w))
-            .cloned()
-            .enumerate()
-            .map(|(i, mut c)| {
-                c.id = i;
-                c
-            })
-            .collect();
-        let outliers = self
-            .outliers
-            .iter()
-            .filter(|o| o.lifespan().intersects(w))
-            .cloned()
-            .collect();
-        ClusteringResult { clusters, outliers }
+/// The assignment rule of S2T clustering and of a ReTraTree insert: the
+/// position of the representative nearest to `sub` by
+/// [`spatiotemporal_distance`], and that distance, among those within
+/// `epsilon`. Representatives are visited in order and a tie keeps the first
+/// (strict `<`). `None` when no representative is within `epsilon`.
+pub fn nearest_representative<'a>(
+    sub: &SubTrajectory,
+    representatives: impl IntoIterator<Item = &'a SubTrajectory>,
+    epsilon: f64,
+) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (ci, representative) in representatives.into_iter().enumerate() {
+        let d = spatiotemporal_distance(sub, representative);
+        if d.is_finite() && d <= epsilon && best.map(|(_, bd)| d < bd).unwrap_or(true) {
+            best = Some((ci, d));
+        }
     }
+    best
 }
 
 /// How one sub-trajectory relates to the representatives: it is one itself,
@@ -185,14 +180,8 @@ pub fn cluster_around_representatives_with(
         if is_seed[i] {
             return Assignment::Seed;
         }
-        let mut best: Option<(usize, f64)> = None;
-        for (ci, c) in clusters.iter().enumerate() {
-            let d = spatiotemporal_distance(&s.sub, &c.representative);
-            if d.is_finite() && d <= params.epsilon && best.map(|(_, bd)| d < bd).unwrap_or(true) {
-                best = Some((ci, d));
-            }
-        }
-        match best {
+        let representatives = clusters.iter().map(|c| &c.representative);
+        match nearest_representative(&s.sub, representatives, params.epsilon) {
             Some((ci, d)) => Assignment::Member(ci, d),
             None => Assignment::Outlier,
         }
@@ -292,23 +281,6 @@ mod tests {
         let singleton = cluster_around_representatives(&subs[..1], &[0], &params(100.0));
         assert_eq!(singleton.clusters[0].mean_distance(), 0.0);
         assert_eq!(singleton.clusters[0].size(), 1);
-    }
-
-    #[test]
-    fn restrict_to_window_drops_non_intersecting_clusters() {
-        let subs = vec![
-            voted(0, 0.0, 0, 5.0),
-            voted(1, 10.0, 0, 1.0),
-            voted(2, 0.0, 86_400_000, 5.0),
-            voted(3, 10.0, 86_400_000, 1.0),
-        ];
-        let result = cluster_around_representatives(&subs, &[0, 2], &params(100.0));
-        assert_eq!(result.num_clusters(), 2);
-        let morning =
-            result.restrict_to_window(&TimeInterval::new(Timestamp(0), Timestamp(3_600_000)));
-        assert_eq!(morning.num_clusters(), 1);
-        assert_eq!(morning.clusters[0].id, 0);
-        assert_eq!(morning.clusters[0].representative.trajectory_id, 0);
     }
 
     #[test]

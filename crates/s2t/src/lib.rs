@@ -46,7 +46,9 @@ pub use arena::{
     arena_voting, arena_voting_counted_with, arena_voting_with, segment_clipped_gap2,
     vote_trajectory_into, ArenaVoteScratch, KernelCounters, PackedSegmentIndex, SegmentArena,
 };
-pub use clustering::{cluster_around_representatives, cluster_around_representatives_with};
+pub use clustering::{
+    cluster_around_representatives, cluster_around_representatives_with, nearest_representative,
+};
 pub use clustering::{Cluster, ClusterId, ClusteringResult};
 pub use metrics::ClusteringQuality;
 pub use params::{S2TParams, S2TParamsBuilder};

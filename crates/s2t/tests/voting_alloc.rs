@@ -1,7 +1,8 @@
 //! Proof that the arena voting inner loop is allocation-free.
 //!
 //! A counting global allocator wraps the system allocator; after one warm-up
-//! pass (which sizes the thread-local-free explicit scratch), voting every
+//! pass (which sizes the explicit scratch, as the thread-local one behind
+//! `arena_voting` is sized by its first use), voting every
 //! trajectory of a co-moving workload again must perform **zero** heap
 //! allocations. This pins the hot-path contract the SoA rewrite exists for:
 //! no `Vec` per R-tree probe, no `Vec<Timestamp>` per distance pair, no
@@ -83,7 +84,7 @@ fn voting_inner_loop_performs_zero_heap_allocations() {
 
     let arena = SegmentArena::build(&trajs);
     let index = PackedSegmentIndex::build(&arena);
-    let mut scratch = ArenaVoteScratch::for_arena(&arena);
+    let mut scratch = ArenaVoteScratch::default();
     let max_segments = (0..arena.num_trajectories())
         .map(|ti| arena.segments_of(ti).len())
         .max()
@@ -128,7 +129,7 @@ fn voting_inner_loop_performs_zero_heap_allocations() {
     assert_eq!(
         after - before,
         0,
-        "voting must not allocate with a pre-sized scratch"
+        "voting must not allocate with a warm scratch"
     );
 
     // And the measured passes still produce the same votes bit for bit.

@@ -15,8 +15,15 @@
 //! small worker pool; finished responses come back over a completion channel
 //! (a `UnixStream` pair doubling as the wakeup byte) and are flushed as the
 //! sockets drain. A blocked worker therefore stalls *queries*, never the
-//! loop: ten thousand idle connections cost file descriptors and buffers,
-//! not OS threads.
+//! loop: idle connections cost file descriptors and buffers, not OS
+//! threads.
+//!
+//! Readiness comes from one `poll(2)` poller ([`crate::poll`]), the same on
+//! every unix. It keeps its `pollfd` array between wakeups, and each wakeup
+//! costs O(registered descriptors): the listener, the waker and every
+//! connection. That is a handful of entries on the traffic the loop serves
+//! — `max_connections` defaults to 64, a client process holds a few
+//! connections, and the coordinator pools at most 8 per shard endpoint.
 //!
 //! ## Connection state travels with jobs
 //!
@@ -31,8 +38,8 @@
 //!
 //! Three bounds keep a flood from turning into unbounded memory:
 //!
-//! - per-connection pipeline depth (`max_conn_pending`): past it the loop
-//!   stops reading that socket, pushing backpressure into TCP;
+//! - per-connection pipeline depth (`MAX_CONN_PENDING`, 128): past it the
+//!   loop stops reading that socket, pushing backpressure into TCP;
 //! - global pending work (`max_pending`): past it newly parsed requests are
 //!   answered immediately with a typed [`ErrorCode::Backpressure`] error,
 //!   in pipeline order, without executing;
@@ -83,6 +90,10 @@ const WAKER: usize = 1;
 /// First token handed to a connection; tokens are never reused, so a stale
 /// completion can never be delivered to a different connection.
 const FIRST_CONN: usize = 2;
+
+/// Most requests queued on one connection before the loop stops reading
+/// from its socket (TCP backpressure); reads resume below half of it.
+const MAX_CONN_PENDING: usize = 128;
 
 /// Most bytes read from one socket per readiness event, so one firehose
 /// client cannot starve the rest of the loop (level-triggered polling
@@ -733,7 +744,7 @@ fn parse_frames<B: Backend>(
                         received,
                     });
                 }
-                if conn.queue.len() >= ctx.config.max_conn_pending {
+                if conn.queue.len() >= MAX_CONN_PENDING {
                     // The pipeline is deep enough: stop reading and let TCP
                     // push back on the sender until the queue drains.
                     conn.read_paused = true;
@@ -797,7 +808,7 @@ fn service_conn<B: Backend>(
             None => break,
         }
     }
-    if conn.read_paused && conn.queue.len() < ctx.config.max_conn_pending / 2 {
+    if conn.read_paused && conn.queue.len() < MAX_CONN_PENDING / 2 {
         conn.read_paused = false;
     }
     if flush(conn).is_err() {

@@ -2,9 +2,15 @@
 //!
 //! The network subsystem: Hermes as a process instead of a library.
 //!
-//! Three layers, all `std`-only (`std::net` + `std::thread` + raw
-//! `epoll`/`poll(2)` bindings). The client, the protocol and the metrics
-//! build on any target; serving ([`server`]) is unix-only:
+//! Serving is unix-only and uses the same `poll(2)` poller on every unix.
+//! A poller wakeup costs O(registered descriptors), which fits the traffic
+//! the loop serves: the connection cap defaults to 64 and the coordinator
+//! pools a handful of connections per shard endpoint. Idle connections
+//! still cost no thread stacks.
+//!
+//! Three layers, all `std`-only (`std::net` + `std::thread` + one raw
+//! `poll(2)` binding). The client, the protocol and the metrics build on any
+//! target; serving ([`server`]) is unix-only:
 //!
 //! - [`protocol`] — a length-prefixed binary wire protocol whose payloads are
 //!   the engine's own typed [`Value`](hermes_sql::Value)/

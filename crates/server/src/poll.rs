@@ -1,5 +1,5 @@
-//! A minimal readiness poller over raw OS facilities — `epoll(7)` on Linux,
-//! `poll(2)` on other unix — with no dependencies beyond `std`.
+//! A minimal readiness poller over `poll(2)`, the same on every unix, with
+//! no dependencies beyond `std`.
 //!
 //! The event loop in [`crate::event_loop`] drives every socket through this
 //! one interface:
@@ -9,17 +9,30 @@
 //! - [`Poller::wait`] blocks until at least one descriptor is ready and
 //!   fills a caller-owned buffer of [`PollEvent`]s.
 //!
-//! Both backends are **level-triggered**: a descriptor keeps reporting ready
+//! Polling is **level-triggered**: a descriptor keeps reporting ready
 //! until the condition is drained. That makes the consuming loop obviously
 //! correct (nothing is lost if a wakeup handles only part of a buffer) at
 //! the cost of re-reporting, which the loop bounds by disabling interests it
 //! is not currently able to act on.
 //!
-//! The syscall bindings are hand-written `extern "C"` declarations against
-//! libc symbols every unix already links (the same technique the durability
+//! The poller keeps one `pollfd` array and a parallel token list for as long
+//! as it lives: [`Poller::register`], [`Poller::modify`] and
+//! [`Poller::deregister`] edit them in place, and [`Poller::wait`] hands the
+//! array to the kernel as it is — a wakeup neither allocates nor rebuilds.
+//! A wakeup costs O(registered descriptors), in the kernel's scan and in the
+//! loop over `revents`. That fits the traffic the serving loop sees: the
+//! connection cap defaults to 64, a client process holds a few connections,
+//! and the coordinator pools at most a handful per shard endpoint.
+//!
+//! The syscall binding is a hand-written `extern "C"` declaration against the
+//! libc symbol every unix already links (the same technique the durability
 //! layer uses for `flock(2)`), so the crate stays dependency-free.
 
 #![allow(unsafe_code)]
+
+use std::io;
+use std::os::fd::RawFd;
+use std::os::raw::{c_int, c_short};
 
 /// Which readiness transitions a registration should report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -58,243 +71,117 @@ pub struct PollEvent {
     pub hangup: bool,
 }
 
-pub use imp::Poller;
+const POLLIN: c_short = 0x1;
+const POLLOUT: c_short = 0x4;
+const POLLERR: c_short = 0x8;
+const POLLHUP: c_short = 0x10;
+const POLLNVAL: c_short = 0x20;
 
-#[cfg(target_os = "linux")]
-mod imp {
-    use super::{Interest, PollEvent};
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::os::raw::c_int;
-
-    const EPOLL_CLOEXEC: c_int = 0x8_0000;
-    const EPOLL_CTL_ADD: c_int = 1;
-    const EPOLL_CTL_DEL: c_int = 2;
-    const EPOLL_CTL_MOD: c_int = 3;
-    const EPOLLIN: u32 = 0x1;
-    const EPOLLOUT: u32 = 0x4;
-    const EPOLLERR: u32 = 0x8;
-    const EPOLLHUP: u32 = 0x10;
-    const EPOLLRDHUP: u32 = 0x2000;
-
-    /// `struct epoll_event`; packed on x86-64 only, per the kernel ABI.
-    #[repr(C)]
-    #[cfg_attr(target_arch = "x86_64", repr(packed))]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-        fn close(fd: c_int) -> c_int;
-    }
-
-    fn cvt(ret: c_int) -> io::Result<c_int> {
-        if ret < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(ret)
-        }
-    }
-
-    /// Linux backend: one `epoll` instance, level-triggered.
-    pub struct Poller {
-        epfd: RawFd,
-        buf: Vec<EpollEvent>,
-    }
-
-    impl Poller {
-        /// Creates the epoll instance (close-on-exec).
-        pub fn new() -> io::Result<Poller> {
-            let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-            Ok(Poller {
-                epfd,
-                buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
-            })
-        }
-
-        fn mask(interest: Interest) -> u32 {
-            let mut events = EPOLLRDHUP;
-            if interest.readable {
-                events |= EPOLLIN;
-            }
-            if interest.writable {
-                events |= EPOLLOUT;
-            }
-            events
-        }
-
-        fn ctl(&self, op: c_int, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events: Self::mask(interest),
-                data: token as u64,
-            };
-            cvt(unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) }).map(|_| ())
-        }
-
-        /// Adds `fd` under `token` with the given interest.
-        pub fn register(&self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, token, interest)
-        }
-
-        /// Changes the interest set of an already-registered `fd`.
-        pub fn modify(&self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, token, interest)
-        }
-
-        /// Removes `fd` from the poller.
-        pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            let mut ev = EpollEvent { events: 0, data: 0 };
-            cvt(unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) }).map(|_| ())
-        }
-
-        /// Blocks until at least one registration is ready, then fills
-        /// `events` (cleared first) with the reports.
-        pub fn wait(&mut self, events: &mut Vec<PollEvent>) -> io::Result<()> {
-            events.clear();
-            let n = loop {
-                let n = unsafe {
-                    epoll_wait(
-                        self.epfd,
-                        self.buf.as_mut_ptr(),
-                        self.buf.len() as c_int,
-                        -1,
-                    )
-                };
-                if n >= 0 {
-                    break n as usize;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            };
-            for ev in &self.buf[..n] {
-                let bits = ev.events;
-                events.push(PollEvent {
-                    token: ev.data as usize,
-                    readable: bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
-                    writable: bits & EPOLLOUT != 0,
-                    hangup: bits & (EPOLLERR | EPOLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            unsafe {
-                close(self.epfd);
-            }
-        }
-    }
+/// `struct pollfd`, the same layout on every unix.
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-mod imp {
-    use super::{Interest, PollEvent};
-    use std::io;
-    use std::os::fd::RawFd;
-    use std::os::raw::{c_int, c_short};
+/// `nfds_t`: `unsigned long` in glibc, musl and Solaris; `unsigned int` on
+/// Apple, the BSDs and Android.
+#[cfg(any(target_os = "linux", target_os = "solaris", target_os = "illumos"))]
+type Nfds = std::os::raw::c_ulong;
+#[cfg(not(any(target_os = "linux", target_os = "solaris", target_os = "illumos")))]
+type Nfds = std::os::raw::c_uint;
 
-    const POLLIN: c_short = 0x1;
-    const POLLOUT: c_short = 0x4;
-    const POLLERR: c_short = 0x8;
-    const POLLHUP: c_short = 0x10;
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+}
 
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: c_int,
-        events: c_short,
-        revents: c_short,
+fn mask(interest: Interest) -> c_short {
+    (if interest.readable { POLLIN } else { 0 }) | (if interest.writable { POLLOUT } else { 0 })
+}
+
+/// The registrations: `fds[i]` is registered under `tokens[i]`.
+pub struct Poller {
+    fds: Vec<PollFd>,
+    tokens: Vec<usize>,
+}
+
+impl Poller {
+    /// Creates an empty registration table.
+    pub fn new() -> io::Result<Poller> {
+        Ok(Poller {
+            fds: Vec::new(),
+            tokens: Vec::new(),
+        })
     }
 
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout: c_int) -> c_int;
+    fn slot(&self, fd: RawFd) -> io::Result<usize> {
+        self.fds
+            .iter()
+            .position(|p| p.fd == fd)
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
     }
 
-    /// Portable unix backend: rebuilds a `pollfd` array per wait. O(n) per
-    /// call, which is fine for the connection counts the fallback serves.
-    pub struct Poller {
-        regs: Vec<(RawFd, usize, Interest)>,
+    /// Adds `fd` under `token` with the given interest.
+    pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        self.fds.push(PollFd {
+            fd,
+            events: mask(interest),
+            revents: 0,
+        });
+        self.tokens.push(token);
+        Ok(())
     }
 
-    impl Poller {
-        /// Creates an empty registration table.
-        pub fn new() -> io::Result<Poller> {
-            Ok(Poller { regs: Vec::new() })
-        }
+    /// Changes the interest set of an already-registered `fd`.
+    pub fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        let i = self.slot(fd)?;
+        self.fds[i].events = mask(interest);
+        self.tokens[i] = token;
+        Ok(())
+    }
 
-        /// Adds `fd` under `token` with the given interest.
-        pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            self.regs.push((fd, token, interest));
-            Ok(())
-        }
+    /// Removes `fd` from the poller.
+    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        let i = self.slot(fd)?;
+        self.fds.swap_remove(i);
+        self.tokens.swap_remove(i);
+        Ok(())
+    }
 
-        /// Changes the interest set of an already-registered `fd`.
-        pub fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-            match self.regs.iter_mut().find(|(f, _, _)| *f == fd) {
-                Some(reg) => {
-                    *reg = (fd, token, interest);
-                    Ok(())
-                }
-                None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
+    /// Blocks until at least one registration is ready, then fills
+    /// `events` (cleared first) with the reports. Error, hangup and invalid
+    /// descriptors are reported whatever the interest.
+    pub fn wait(&mut self, events: &mut Vec<PollEvent>) -> io::Result<()> {
+        events.clear();
+        loop {
+            // SAFETY: the pointer and the length both come from `self.fds`,
+            // a live `Vec<PollFd>` whose `#[repr(C)]` element is
+            // `struct pollfd`; `&mut self` guarantees nothing else aliases it
+            // while the kernel writes the `revents` fields, and the kernel
+            // writes nothing past `nfds` entries.
+            let n = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as Nfds, -1) };
+            if n >= 0 {
+                break;
+            }
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
             }
         }
-
-        /// Removes `fd` from the poller.
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            self.regs.retain(|(f, _, _)| *f != fd);
-            Ok(())
-        }
-
-        /// Blocks until at least one registration is ready, then fills
-        /// `events` (cleared first) with the reports.
-        pub fn wait(&mut self, events: &mut Vec<PollEvent>) -> io::Result<()> {
-            events.clear();
-            let mut fds: Vec<PollFd> = self
-                .regs
-                .iter()
-                .map(|&(fd, _, interest)| PollFd {
-                    fd,
-                    events: if interest.readable { POLLIN } else { 0 }
-                        | if interest.writable { POLLOUT } else { 0 },
-                    revents: 0,
-                })
-                .collect();
-            loop {
-                let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, -1) };
-                if n >= 0 {
-                    break;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
+        for (slot, &token) in self.fds.iter().zip(&self.tokens) {
+            let bits = slot.revents;
+            if bits != 0 {
+                events.push(PollEvent {
+                    token,
+                    readable: bits & (POLLIN | POLLHUP) != 0,
+                    writable: bits & POLLOUT != 0,
+                    hangup: bits & (POLLERR | POLLHUP | POLLNVAL) != 0,
+                });
             }
-            for (slot, &(_, token, _)) in fds.iter().zip(self.regs.iter()) {
-                if slot.revents != 0 {
-                    events.push(PollEvent {
-                        token,
-                        readable: slot.revents & (POLLIN | POLLHUP) != 0,
-                        writable: slot.revents & POLLOUT != 0,
-                        hangup: slot.revents & (POLLERR | POLLHUP) != 0,
-                    });
-                }
-            }
-            Ok(())
         }
+        Ok(())
     }
 }
 
@@ -340,6 +227,35 @@ mod tests {
         let mut events = Vec::new();
         poller.wait(&mut events).unwrap();
         assert!(events.iter().any(|e| e.token == 3 && e.writable));
+    }
+
+    #[test]
+    fn deregister_and_modify_edit_the_array_in_place() {
+        let pairs: Vec<_> = (0..3).map(|_| UnixStream::pair().unwrap()).collect();
+        let mut poller = Poller::new().unwrap();
+        for (token, (a, _)) in pairs.iter().enumerate() {
+            let writable_only = Interest {
+                readable: false,
+                writable: true,
+            };
+            poller
+                .register(a.as_raw_fd(), token, writable_only)
+                .unwrap();
+        }
+        // Removing the first slot moves the last one into it; silencing the
+        // middle one leaves it registered.
+        poller.deregister(pairs[0].0.as_raw_fd()).unwrap();
+        poller
+            .modify(pairs[1].0.as_raw_fd(), 1, Interest::NONE)
+            .unwrap();
+        let mut events = Vec::new();
+        poller.wait(&mut events).unwrap();
+        let tokens: Vec<usize> = events.iter().map(|e| e.token).collect();
+        assert_eq!(tokens, vec![2]);
+        assert!(poller.deregister(pairs[0].0.as_raw_fd()).is_err());
+        assert!(poller
+            .modify(pairs[0].0.as_raw_fd(), 0, Interest::READABLE)
+            .is_err());
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! [`Backend`].
 //!
 //! The loop is readiness-driven: one thread multiplexes every socket through
-//! `epoll`/`poll(2)`, parses pipelined frames into per-connection queues,
-//! and hands statements to a small worker pool — so ten thousand idle
-//! connections cost file descriptors, not stacks. It owns everything that
+//! `poll(2)`, parses pipelined frames into per-connection queues, and hands
+//! statements to a small worker pool — so idle connections cost file
+//! descriptors, not stacks. It owns everything that
 //! is not statement semantics (framing, admission control, deadlines, panic
 //! isolation, counters); a [`Backend`] owns what a statement *means*.
 //!
@@ -55,9 +55,6 @@ pub struct ServerConfig {
     /// [`ErrorCode::Backpressure`](crate::ErrorCode::Backpressure) error
     /// without executing.
     pub max_pending: usize,
-    /// Most requests queued on one connection before the loop stops reading
-    /// from its socket (TCP backpressure) until the queue drains.
-    pub max_conn_pending: usize,
     /// When set, a request not fully answered within this many milliseconds
     /// of arrival is answered with an
     /// [`ErrorCode::Deadline`](crate::ErrorCode::Deadline) error instead of
@@ -72,7 +69,6 @@ impl Default for ServerConfig {
             slow_query_ms: None,
             workers: 0,
             max_pending: 1024,
-            max_conn_pending: 128,
             deadline_ms: None,
         }
     }
@@ -805,6 +801,8 @@ fn is_show_stats_text(sql: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hermes_sql::Value;
+    use hermes_trajectory::{Point, Timestamp, Trajectory};
 
     #[test]
     fn show_stats_detection() {
@@ -812,5 +810,104 @@ mod tests {
         assert!(is_show_stats_text("  show   stats  "));
         assert!(!is_show_stats_text("SHOW DATASETS;"));
         assert!(!is_show_stats_text("SELECT INFO(show);"));
+    }
+
+    fn flights() -> Vec<Trajectory> {
+        let flight = |id: u64, y: f64, t0: i64| {
+            let points = (0..30)
+                .map(|i| Point::new(i as f64 * 100.0, y, Timestamp(t0 + i as i64 * 60_000)))
+                .collect();
+            Trajectory::new(id, id, points).unwrap()
+        };
+        (0..10)
+            .map(|i| flight(i, i as f64 * 10.0, 0))
+            .chain((10..18).map(|i| flight(i, 50_000.0 + i as f64 * 10.0, 4 * 3_600_000)))
+            .collect()
+    }
+
+    /// `SHOW STATS`' engine rows and the engine's `/metrics` series are two
+    /// hand-written lists of the same numbers. Every `engine/<row>` equals
+    /// its series — `hermes_{engine|storage|retratree}_<row>[_total]`, or
+    /// `hermes_engine_phase_ms_total{phase}` for `s2t_<phase>_ms` — and
+    /// every series has its row. Two names are on one side only: `durable`
+    /// is a row, `hermes_exec_queue_depth` a series.
+    #[test]
+    fn show_stats_engine_rows_equal_their_metrics_series() {
+        let engine = SharedEngine::default();
+        engine.with_write(|e| {
+            e.create_dataset("flights").unwrap();
+            e.load_trajectories("flights", flights()).unwrap();
+        });
+        let mut session = Session::new(engine.clone());
+        for sql in [
+            "BUILD INDEX ON flights WITH CHUNK 4 HOURS SIGMA 60 EPSILON 400;",
+            "SELECT S2T(flights, 60, 0.35, 0.05, 300000, 400);",
+            "SELECT QUT(flights, 0, 28800000, 0.35, 0.05, 300000, 400, 1800000);",
+            "SELECT QUT(flights, 600000, 15000000, 0.35, 0.05, 300000, 400, 1800000);",
+        ] {
+            session.execute(sql).unwrap();
+        }
+        let shown = session.execute("SHOW STATS;").unwrap();
+        let frame = shown.expect_frame("SHOW STATS");
+        let mut samples = Vec::new();
+        collect_engine_samples(&engine, &mut samples);
+
+        let mut has_row = vec![false; samples.len()];
+        let mut rows = 0;
+        for row in 0..frame.num_rows() {
+            if frame.get(row, "scope") != Some(&Value::Text("engine".into())) {
+                continue;
+            }
+            let Some(Value::Text(metric)) = frame.get(row, "metric") else {
+                panic!("row {row} has no metric name");
+            };
+            let Some(&Value::Int(value)) = frame.get(row, "value") else {
+                panic!("engine/{metric} has no integer value");
+            };
+            rows += 1;
+            if metric == "durable" {
+                continue;
+            }
+            let phase = metric
+                .strip_prefix("s2t_")
+                .and_then(|m| m.strip_suffix("_ms"));
+            let series = |s: &Sample| match phase {
+                Some(phase) => {
+                    s.name == "hermes_engine_phase_ms_total"
+                        && s.labels == [("phase", phase.to_string())]
+                }
+                None => ["engine", "storage", "retratree"].iter().any(|layer| {
+                    let base = format!("hermes_{layer}_{metric}");
+                    s.labels.is_empty() && (s.name == base || s.name == format!("{base}_total"))
+                }),
+            };
+            let i = samples
+                .iter()
+                .position(series)
+                .unwrap_or_else(|| panic!("engine/{metric} has no /metrics series"));
+            let (SampleValue::Counter(v) | SampleValue::Gauge(v)) = samples[i].value else {
+                panic!("{} is a histogram", samples[i].name);
+            };
+            assert_eq!(v as i64, value, "engine/{metric} vs {}", samples[i].name);
+            has_row[i] = true;
+        }
+        for (sample, has_row) in samples.iter().zip(has_row) {
+            assert!(
+                has_row || sample.name == "hermes_exec_queue_depth",
+                "{} has no engine row",
+                sample.name
+            );
+        }
+        assert!(rows > 20, "only {rows} engine rows");
+        let row = |name: &str| {
+            (0..frame.num_rows())
+                .find(|&r| frame.get(r, "metric") == Some(&Value::Text(name.into())))
+                .and_then(|r| frame.get(r, "value").cloned())
+        };
+        // The statements moved the memo and kernel counters, so the
+        // comparison covers live numbers, not only zeros.
+        for moved in ["kernel_evaluated", "border_memo_misses", "s2t_index_builds"] {
+            assert_ne!(row(moved), Some(Value::Int(0)), "{moved}");
+        }
     }
 }

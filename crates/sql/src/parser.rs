@@ -67,15 +67,6 @@ impl Scalar {
                 }),
         }
     }
-
-    fn param_index(&self) -> usize {
-        match self {
-            Scalar::Lit(_) => 0,
-            // A hand-built `Param(0)` (the lexer rejects `$0`) still counts
-            // as a placeholder so `is_fully_bound` cannot claim otherwise.
-            Scalar::Param(n) => (*n).max(1),
-        }
-    }
 }
 
 impl From<i64> for Scalar {
@@ -223,75 +214,6 @@ pub enum Statement {
 }
 
 impl Statement {
-    fn scalars(&self) -> Vec<&Scalar> {
-        match self {
-            Statement::CreateDataset { .. }
-            | Statement::DropDataset { .. }
-            | Statement::ShowDatasets
-            | Statement::ShowStats
-            | Statement::ShowTraces
-            | Statement::ShowThreads
-            | Statement::Checkpoint
-            | Statement::Info { .. } => Vec::new(),
-            Statement::ShowTrace { id } => vec![id],
-            Statement::SetThreads { threads } => vec![threads],
-            Statement::BuildIndex {
-                chunk_hours,
-                sigma,
-                epsilon,
-                ..
-            } => std::iter::once(chunk_hours)
-                .chain(sigma.iter())
-                .chain(epsilon.iter())
-                .collect(),
-            Statement::S2T {
-                sigma,
-                tau,
-                delta,
-                min_duration_ms,
-                epsilon,
-                ..
-            } => vec![sigma, tau, delta, min_duration_ms, epsilon],
-            Statement::Qut {
-                wi,
-                we,
-                tau,
-                delta,
-                min_duration_ms,
-                merge_distance,
-                merge_gap_ms,
-                ..
-            } => vec![
-                wi,
-                we,
-                tau,
-                delta,
-                min_duration_ms,
-                merge_distance,
-                merge_gap_ms,
-            ],
-            Statement::Range { wi, we, .. } => vec![wi, we],
-            Statement::Histogram {
-                wi, we, bucket_ms, ..
-            } => vec![wi, we, bucket_ms],
-        }
-    }
-
-    /// Number of parameters the statement expects: the highest `$n` used
-    /// (0 when fully literal).
-    pub fn num_placeholders(&self) -> usize {
-        self.scalars()
-            .into_iter()
-            .map(Scalar::param_index)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// True when every argument position holds a literal.
-    pub fn is_fully_bound(&self) -> bool {
-        self.num_placeholders() == 0
-    }
-
     /// Substitutes `params` (1-based: `params[0]` binds `$1`) for the
     /// placeholders, returning a fully bound copy. The receiver is unchanged,
     /// so a prepared statement binds any number of times without re-parsing.
@@ -835,6 +757,21 @@ pub fn parse(input: &str) -> Result<Statement, ParseError> {
 mod tests {
     use super::*;
 
+    /// The highest `$n` of the statement's SQL: how many values it binds.
+    fn placeholders(stmt: &Statement) -> usize {
+        stmt.to_string()
+            .split('$')
+            .skip(1)
+            .map(|rest| {
+                let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+                digits
+                    .parse::<usize>()
+                    .expect("a placeholder renders as $n")
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
     #[test]
     fn ddl_statements() {
         assert_eq!(
@@ -887,7 +824,7 @@ mod tests {
         );
         // The id position binds like any other scalar.
         let stmt = parse("SHOW TRACE $1;").unwrap();
-        assert_eq!(stmt.num_placeholders(), 1);
+        assert_eq!(placeholders(&stmt), 1);
         assert_eq!(
             stmt.bind(&[Value::Int(9)]).unwrap(),
             Statement::ShowTrace { id: Scalar::int(9) }
@@ -904,7 +841,7 @@ mod tests {
         assert_eq!(parse("CHECKPOINT;").unwrap(), Statement::Checkpoint);
         assert_eq!(parse("checkpoint").unwrap(), Statement::Checkpoint);
         let stmt = parse("CHECKPOINT;").unwrap();
-        assert!(stmt.is_fully_bound());
+        assert_eq!(placeholders(&stmt), 0);
         assert_eq!(stmt.bind(&[]).unwrap(), Statement::Checkpoint);
         assert!(parse("CHECKPOINT now;").unwrap_err().0.contains("trailing"));
     }
@@ -926,7 +863,7 @@ mod tests {
         assert_eq!(parse("SHOW THREADS;").unwrap(), Statement::ShowThreads);
         // Placeholders bind like any other scalar position.
         let stmt = parse("SET threads = $1;").unwrap();
-        assert_eq!(stmt.num_placeholders(), 1);
+        assert_eq!(placeholders(&stmt), 1);
         let bound = stmt.bind(&[Value::Int(2)]).unwrap();
         assert_eq!(
             bound,
@@ -1016,11 +953,10 @@ mod tests {
     fn placeholders_parse_and_bind() {
         let stmt =
             parse("SELECT QUT(flights, $1, $2, 0.35, 0.05, 120000, 3000, 1800000);").unwrap();
-        assert_eq!(stmt.num_placeholders(), 2);
-        assert!(!stmt.is_fully_bound());
+        assert_eq!(placeholders(&stmt), 2);
 
         let bound = stmt.bind(&[Value::Int(0), Value::Int(7_200_000)]).unwrap();
-        assert!(bound.is_fully_bound());
+        assert_eq!(placeholders(&bound), 0);
         assert!(matches!(
             bound,
             Statement::Qut { ref wi, ref we, .. }
@@ -1033,8 +969,8 @@ mod tests {
                 Value::Timestamp(hermes_trajectory::Timestamp(200)),
             ])
             .unwrap();
-        assert!(again.is_fully_bound());
-        assert_eq!(stmt.num_placeholders(), 2);
+        assert_eq!(placeholders(&again), 0);
+        assert_eq!(placeholders(&stmt), 2);
 
         // Binding with too few values is a descriptive error.
         let err = stmt.bind(&[Value::Int(0)]).unwrap_err();
@@ -1053,7 +989,6 @@ mod tests {
             wi: Scalar::Param(0),
             we: Scalar::int(10),
         };
-        assert!(!stmt.is_fully_bound());
         let err = stmt.bind(&[Value::Int(1)]).unwrap_err();
         assert!(err.0.contains("$0"), "{err}");
     }

@@ -168,11 +168,6 @@ impl<B: EngineBackend> Session<B> {
     pub fn stats(&self) -> SessionStats {
         self.stats
     }
-
-    /// Number of distinct statements held in the cache.
-    pub fn cached_statements(&self) -> usize {
-        self.statements.len()
-    }
 }
 
 impl Session<&mut HermesEngine> {
@@ -257,7 +252,7 @@ mod tests {
         assert_eq!(stats.parses, 1);
         assert_eq!(stats.cache_hits, 2);
         assert_eq!(stats.executions, 3);
-        assert_eq!(session.cached_statements(), 1);
+        assert_eq!(session.statements.len(), 1);
     }
 
     #[test]
@@ -279,12 +274,12 @@ mod tests {
                 .execute(&format!("SELECT RANGE(flights, 0, {});", 60_000 + i))
                 .unwrap();
         }
-        assert_eq!(session.cached_statements(), IMPLICIT_CACHE_CAP);
+        assert_eq!(session.statements.len(), IMPLICIT_CACHE_CAP);
         // Everything still executed.
         assert_eq!(session.stats().executions, IMPLICIT_CACHE_CAP + 10);
         // Explicit prepare is not capped.
         let h = session.prepare("SELECT RANGE(flights, $1, $2);").unwrap();
-        assert!(session.cached_statements() > IMPLICIT_CACHE_CAP);
+        assert!(session.statements.len() > IMPLICIT_CACHE_CAP);
         assert!(session.statement(h).is_some());
     }
 

@@ -84,11 +84,6 @@ impl Value {
         }
     }
 
-    /// True for [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// The value as an `i64`, converting where no information is lost:
     /// integers directly, timestamps and intervals to their milliseconds,
     /// floats only when integral.
@@ -115,24 +110,6 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a boolean (only for [`Value::Bool`]).
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as a [`Timestamp`]: timestamps directly, integers as raw
-    /// milliseconds.
-    pub fn as_timestamp(&self) -> Option<Timestamp> {
-        match self {
-            Value::Timestamp(t) => Some(*t),
-            Value::Int(i) => Some(Timestamp(*i)),
             _ => None,
         }
     }
@@ -234,7 +211,6 @@ mod tests {
         assert_eq!(Value::Int(7).as_f64(), Some(7.0));
         assert_eq!(Value::Float(7.5).as_i64(), None);
         assert_eq!(Value::Float(8.0).as_i64(), Some(8));
-        assert_eq!(Value::Int(5).as_timestamp(), Some(Timestamp(5)));
         assert_eq!(Value::Text("x".into()).as_i64(), None);
     }
 

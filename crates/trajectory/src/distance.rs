@@ -9,7 +9,6 @@
 
 use crate::interpolate::{position_at, sample_instants_iter};
 use crate::point::Point;
-use crate::segment::Segment;
 use crate::subtrajectory::SubTrajectory;
 use crate::time::TimeInterval;
 use crate::trajectory::Trajectory;
@@ -86,40 +85,6 @@ pub fn spatiotemporal_distance(a: &SubTrajectory, b: &SubTrajectory) -> f64 {
             d / overlap_fraction
         }
         None => f64::INFINITY,
-    }
-}
-
-/// Synchronized distance between a single segment and a trajectory, evaluated
-/// over the segment's lifespan. This is the distance the voting kernel uses:
-/// "each 3D trajectory segment of a given trajectory is voted by other
-/// trajectories w.r.t. their mutual distance".
-///
-/// `None` when the trajectory is not alive during the segment.
-pub fn segment_to_trajectory_distance(seg: &Segment, traj_points: &[Point]) -> Option<f64> {
-    if traj_points.len() < 2 {
-        return None;
-    }
-    let traj_interval = TimeInterval::new(traj_points[0].t, traj_points[traj_points.len() - 1].t);
-    let common = seg.interval().intersection(&traj_interval)?;
-    if common.length().millis() == 0 {
-        return None;
-    }
-    // The segment is short; three instants (Simpson) are enough to capture a
-    // linear relative displacement exactly and a curved one closely.
-    let mid = crate::time::Timestamp((common.start.millis() + common.end.millis()) / 2);
-    let mut sum = 0.0;
-    let mut weight_sum = 0.0;
-    for (t, w) in [(common.start, 1.0), (mid, 4.0), (common.end, 1.0)] {
-        if let Some(q) = position_at(traj_points, t) {
-            let p = seg.position_at(t);
-            sum += p.spatial_distance(&q) * w;
-            weight_sum += w;
-        }
-    }
-    if weight_sum == 0.0 {
-        None
-    } else {
-        Some(sum / weight_sum)
     }
 }
 
@@ -212,20 +177,6 @@ mod tests {
             d_brief > d_full * 5.0,
             "a 10% overlap should be penalized ~10x: {d_brief} vs {d_full}"
         );
-    }
-
-    #[test]
-    fn segment_to_trajectory_distance_tracks_co_movement() {
-        let seg = Segment::new(
-            Point::new(0.0, 0.0, Timestamp(0)),
-            Point::new(10.0, 0.0, Timestamp(10_000)),
-        );
-        let near = traj(1, &[(0.0, 2.0, 0), (10.0, 2.0, 10_000)]);
-        let far = traj(2, &[(0.0, 50.0, 0), (10.0, 50.0, 10_000)]);
-        let gone = traj(3, &[(0.0, 0.0, 20_000), (10.0, 0.0, 30_000)]);
-        assert!((segment_to_trajectory_distance(&seg, near.points()).unwrap() - 2.0).abs() < 1e-9);
-        assert!((segment_to_trajectory_distance(&seg, far.points()).unwrap() - 50.0).abs() < 1e-9);
-        assert_eq!(segment_to_trajectory_distance(&seg, gone.points()), None);
     }
 
     #[test]

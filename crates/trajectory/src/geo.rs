@@ -44,9 +44,7 @@ pub fn haversine_distance(a: &GeoPoint, b: &GeoPoint) -> f64 {
 
 /// A local equirectangular projection anchored at a reference position.
 ///
-/// `x` grows east, `y` grows north, both in metres from the anchor. The
-/// projection is invertible ([`LocalProjection::unproject`]), so VA exports
-/// can be mapped back to geographic coordinates.
+/// `x` grows east, `y` grows north, both in metres from the anchor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalProjection {
     /// Anchor longitude in degrees.
@@ -83,18 +81,6 @@ impl LocalProjection {
         let y = (p.lat - self.origin_lat).to_radians() * EARTH_RADIUS_M;
         Point::new(x, y, p.t)
     }
-
-    /// Inverse of [`LocalProjection::project`].
-    pub fn unproject(&self, p: &Point) -> GeoPoint {
-        let lon = self.origin_lon + (p.x / (EARTH_RADIUS_M * self.cos_lat)).to_degrees();
-        let lat = self.origin_lat + (p.y / EARTH_RADIUS_M).to_degrees();
-        GeoPoint::new(lon, lat, p.t)
-    }
-
-    /// Projects a whole geodetic track.
-    pub fn project_track(&self, track: &[GeoPoint]) -> Vec<Point> {
-        track.iter().map(|p| self.project(p)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -114,17 +100,6 @@ mod tests {
         assert!((39_000.0..42_000.0).contains(&d), "got {d:.0} m");
         assert_eq!(haversine_distance(&a, &a), 0.0);
         assert!((haversine_distance(&a, &b) - haversine_distance(&b, &a)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn projection_round_trips() {
-        let proj = LocalProjection::new(LHR.0, LHR.1);
-        let p = GeoPoint::new(LGW.0, LGW.1, Timestamp(123_000));
-        let planar = proj.project(&p);
-        let back = proj.unproject(&planar);
-        assert!((back.lon - p.lon).abs() < 1e-9);
-        assert!((back.lat - p.lat).abs() < 1e-9);
-        assert_eq!(back.t, p.t);
     }
 
     #[test]
@@ -156,28 +131,5 @@ mod tests {
         // Empty input falls back to (0, 0) without panicking.
         let fallback = LocalProjection::centered_on(&[]);
         assert_eq!(fallback.origin_lon, 0.0);
-    }
-
-    #[test]
-    fn project_track_preserves_order_and_timestamps() {
-        let proj = LocalProjection::new(0.0, 45.0);
-        let track: Vec<GeoPoint> = (0..5)
-            .map(|i| {
-                GeoPoint::new(
-                    0.01 * i as f64,
-                    45.0 + 0.01 * i as f64,
-                    Timestamp(i * 1_000),
-                )
-            })
-            .collect();
-        let planar = proj.project_track(&track);
-        assert_eq!(planar.len(), 5);
-        for (g, p) in track.iter().zip(planar.iter()) {
-            assert_eq!(g.t, p.t);
-        }
-        // Moving north-east gives increasing x and y.
-        assert!(planar
-            .windows(2)
-            .all(|w| w[1].x > w[0].x && w[1].y > w[0].y));
     }
 }

@@ -37,9 +37,8 @@ pub fn position_at(points: &[Point], t: Timestamp) -> Option<Point> {
 }
 
 /// Iterator over `n` evenly spaced instants covering `[start, end]`
-/// inclusive. The allocation-free form of [`sample_instants`]: the distance
-/// kernels iterate it directly so the integral distances never heap-allocate
-/// a per-pair instant buffer.
+/// inclusive, without allocating: the distance kernels iterate it directly so
+/// the integral distances never heap-allocate a per-pair instant buffer.
 #[derive(Debug, Clone)]
 pub struct SampleInstants {
     start_ms: i64,
@@ -69,8 +68,8 @@ impl Iterator for SampleInstants {
 
 impl ExactSizeIterator for SampleInstants {}
 
-/// The instants of [`sample_instants`] as a lazy iterator (no allocation).
-/// Panics if `n < 2`, like the eager form.
+/// `n` evenly spaced instants covering `[start, end]` inclusive, as a lazy
+/// iterator (no allocation). Panics if `n < 2`.
 pub fn sample_instants_iter(start: Timestamp, end: Timestamp, n: usize) -> SampleInstants {
     assert!(n >= 2, "need at least two sample instants");
     SampleInstants {
@@ -79,15 +78,6 @@ pub fn sample_instants_iter(start: Timestamp, end: Timestamp, n: usize) -> Sampl
         n,
         i: 0,
     }
-}
-
-/// Samples the interpolated positions of two synchronized objects at `n`
-/// evenly spaced instants over a common interval, returning the instants.
-/// Helper for distance kernels; exposed for testing. Hot paths should prefer
-/// [`sample_instants_iter`], which yields the same instants without the
-/// intermediate `Vec`.
-pub fn sample_instants(start: Timestamp, end: Timestamp, n: usize) -> Vec<Timestamp> {
-    sample_instants_iter(start, end, n).collect()
 }
 
 #[cfg(test)]
@@ -130,7 +120,7 @@ mod tests {
 
     #[test]
     fn sample_instants_are_evenly_spaced_and_inclusive() {
-        let s = sample_instants(Timestamp(0), Timestamp(1_000), 5);
+        let s: Vec<Timestamp> = sample_instants_iter(Timestamp(0), Timestamp(1_000), 5).collect();
         assert_eq!(
             s,
             vec![
@@ -146,7 +136,9 @@ mod tests {
     #[test]
     fn iterator_form_yields_exactly_the_eager_instants() {
         for (a, b, n) in [(0i64, 1_000i64, 5usize), (-7, 13, 2), (0, 1, 32), (5, 5, 3)] {
-            let eager = sample_instants(Timestamp(a), Timestamp(b), n);
+            let eager: Vec<Timestamp> = (0..n as i64)
+                .map(|i| Timestamp(a + (b - a) * i / (n as i64 - 1)))
+                .collect();
             let iter = sample_instants_iter(Timestamp(a), Timestamp(b), n);
             assert_eq!(iter.len(), n);
             let lazy: Vec<Timestamp> = iter.collect();

@@ -14,9 +14,8 @@
 //! * [`SubTrajectory`] — a contiguous portion of a trajectory (the unit that
 //!   the S2T / QuT clustering algorithms group), and its
 //!   [`SubTrajectorySummary`] (identity + lifespan, no points),
-//! * distance functions (time-synchronized Euclidean, Hausdorff-style,
-//!   segment-to-trajectory) in [`distance`],
-//! * simplification and resampling utilities.
+//! * distance functions (time-synchronized Euclidean, Hausdorff-style) in
+//!   [`distance`].
 //!
 //! The Hermes@PostgreSQL paper (ICDE 2018) operates on "3D trajectory
 //! segments"; throughout this workspace the third dimension is always time.
@@ -34,7 +33,6 @@ pub mod kernel;
 pub mod mbb;
 pub mod point;
 pub mod segment;
-pub mod simplify;
 pub mod stats;
 pub mod subtrajectory;
 pub mod time;
@@ -42,8 +40,7 @@ pub mod trajectory;
 
 pub use csvio::{parse_csv, parse_geo_csv, to_csv, CsvImport};
 pub use distance::{
-    hausdorff_distance, segment_to_trajectory_distance, spatiotemporal_distance,
-    sub_trajectory_distance, synchronized_euclidean,
+    hausdorff_distance, spatiotemporal_distance, sub_trajectory_distance, synchronized_euclidean,
 };
 pub use error::TrajectoryError;
 pub use geo::{haversine_distance, GeoPoint, LocalProjection};
@@ -54,7 +51,6 @@ pub use kernel::{
 pub use mbb::Mbb;
 pub use point::Point;
 pub use segment::Segment;
-pub use simplify::douglas_peucker;
 pub use stats::TrajectoryStats;
 pub use subtrajectory::{Lifespan, SubTrajectory, SubTrajectoryId, SubTrajectorySummary};
 pub use time::{Duration, TimeInterval, Timestamp};

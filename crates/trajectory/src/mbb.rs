@@ -5,7 +5,7 @@
 //! of `hermes-gist` and the voting scan's candidate rows.
 
 use crate::point::Point;
-use crate::time::{TimeInterval, Timestamp};
+use crate::time::Timestamp;
 use std::fmt;
 
 /// A minimum bounding box over two spatial dimensions and time.
@@ -163,74 +163,6 @@ impl Mbb {
             && other.t_max <= self.t_max
     }
 
-    /// True if the point is inside the box.
-    pub fn contains_point(&self, p: &Point) -> bool {
-        !self.is_empty()
-            && self.x_min <= p.x
-            && p.x <= self.x_max
-            && self.y_min <= p.y
-            && p.y <= self.y_max
-            && self.t_min <= p.t
-            && p.t <= self.t_max
-    }
-
-    /// Spatial extent along x.
-    pub fn width(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.x_max - self.x_min
-        }
-    }
-
-    /// Spatial extent along y.
-    pub fn height(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.y_max - self.y_min
-        }
-    }
-
-    /// Temporal extent in seconds.
-    pub fn time_span_secs(&self) -> f64 {
-        if self.is_empty() {
-            0.0
-        } else {
-            (self.t_max - self.t_min).as_secs_f64()
-        }
-    }
-
-    /// The temporal interval covered by the box.
-    pub fn time_interval(&self) -> TimeInterval {
-        TimeInterval::new(self.t_min, self.t_max)
-    }
-
-    /// 3D volume of the box: area × seconds. Time is scaled by
-    /// `time_weight` (spatial units per second), matching the distance
-    /// convention of the rest of the workspace.
-    pub fn volume(&self, time_weight: f64) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.width() * self.height() * self.time_span_secs() * time_weight
-    }
-
-    /// Sum of the three edge lengths (the "margin" used by R*-tree splits).
-    pub fn margin(&self, time_weight: f64) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.width() + self.height() + self.time_span_secs() * time_weight
-    }
-
-    /// Volume of the intersection (zero if disjoint).
-    pub fn overlap_volume(&self, other: &Mbb, time_weight: f64) -> f64 {
-        self.intersection(other)
-            .map(|b| b.volume(time_weight))
-            .unwrap_or(0.0)
-    }
-
     /// Expands the box by `radius` in space and `time_pad` milliseconds in
     /// time; used to turn a segment MBB into a voting-candidate search window.
     pub fn inflate(&self, radius: f64, time_pad_ms: i64) -> Mbb {
@@ -311,7 +243,6 @@ mod tests {
         assert_eq!(b.union(&e), b);
         assert!(!e.intersects(&b));
         assert!(!e.contains(&b));
-        assert_eq!(e.volume(1.0), 0.0);
     }
 
     #[test]
@@ -324,7 +255,7 @@ mod tests {
         let b = Mbb::from_points(&pts);
         assert_eq!(b, boxy(-2.0, 4.0, -1.0, 5.0, 50, 200));
         for p in &pts {
-            assert!(b.contains_point(p));
+            assert!(b.contains(&Mbb::from_point(p)));
         }
     }
 
@@ -344,14 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn volume_and_margin_scale_time() {
-        let b = boxy(0.0, 2.0, 0.0, 3.0, 0, 4_000);
-        // width 2, height 3, 4 seconds, weight 0.5 → 2*3*4*0.5 = 12
-        assert!((b.volume(0.5) - 12.0).abs() < 1e-12);
-        assert!((b.margin(0.5) - (2.0 + 3.0 + 2.0)).abs() < 1e-12);
-    }
-
-    #[test]
     fn inflate_grows_all_axes() {
         let b = boxy(0.0, 1.0, 0.0, 1.0, 1_000, 2_000).inflate(2.0, 500);
         assert_eq!(b, boxy(-2.0, 3.0, -2.0, 3.0, 500, 2_500));
@@ -364,13 +287,5 @@ mod tests {
         assert_eq!(a.min_distance(&b, 1.0), 0.0);
         let far = boxy(13.0, 14.0, 0.0, 10.0, 0, 10_000);
         assert!((a.min_distance(&far, 1.0) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overlap_volume_matches_intersection_volume() {
-        let a = boxy(0.0, 4.0, 0.0, 4.0, 0, 4_000);
-        let b = boxy(2.0, 6.0, 2.0, 6.0, 2_000, 6_000);
-        let inter = a.intersection(&b).unwrap();
-        assert_eq!(a.overlap_volume(&b, 1.0), inter.volume(1.0));
     }
 }

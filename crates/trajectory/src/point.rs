@@ -32,29 +32,6 @@ impl Point {
         (dx * dx + dy * dy).sqrt()
     }
 
-    /// Squared spatial distance (cheaper; used in hot loops).
-    pub fn spatial_distance_sq(&self, other: &Point) -> f64 {
-        let dx = self.x - other.x;
-        let dy = self.y - other.y;
-        dx * dx + dy * dy
-    }
-
-    /// Absolute temporal distance between two points.
-    pub fn temporal_distance(&self, other: &Point) -> f64 {
-        (self.t - other.t).abs().as_secs_f64()
-    }
-
-    /// Weighted spatio-temporal distance.
-    ///
-    /// `time_weight` converts one second of temporal separation into the
-    /// spatial unit, so that the combined distance is
-    /// `sqrt(d_xy² + (time_weight · d_t)²)`.
-    pub fn spatiotemporal_distance(&self, other: &Point, time_weight: f64) -> f64 {
-        let ds = self.spatial_distance_sq(other);
-        let dt = self.temporal_distance(other) * time_weight;
-        (ds + dt * dt).sqrt()
-    }
-
     /// Component-wise linear interpolation between two points at fraction
     /// `f ∈ [0, 1]` (`f = 0` yields `self`, `f = 1` yields `other`).
     pub fn lerp(&self, other: &Point, f: f64) -> Point {
@@ -91,25 +68,6 @@ mod tests {
     #[test]
     fn spatial_distance_is_euclidean() {
         assert_eq!(p(0.0, 0.0, 0).spatial_distance(&p(3.0, 4.0, 0)), 5.0);
-        assert_eq!(p(0.0, 0.0, 0).spatial_distance_sq(&p(3.0, 4.0, 0)), 25.0);
-    }
-
-    #[test]
-    fn temporal_distance_is_symmetric_seconds() {
-        let a = p(0.0, 0.0, 0);
-        let b = p(0.0, 0.0, 2500);
-        assert_eq!(a.temporal_distance(&b), 2.5);
-        assert_eq!(b.temporal_distance(&a), 2.5);
-    }
-
-    #[test]
-    fn spatiotemporal_distance_combines_axes() {
-        let a = p(0.0, 0.0, 0);
-        let b = p(3.0, 0.0, 4000);
-        // 3 m spatial, 4 s temporal with weight 1.0 → 5.
-        assert!((a.spatiotemporal_distance(&b, 1.0) - 5.0).abs() < 1e-12);
-        // weight 0 ignores time.
-        assert!((a.spatiotemporal_distance(&b, 0.0) - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -75,58 +75,11 @@ impl Segment {
         self.start.lerp(&self.end, f)
     }
 
-    /// Midpoint of the segment (in space and time).
-    pub fn midpoint(&self) -> Point {
-        self.start.lerp(&self.end, 0.5)
-    }
-
     /// The 3D bounding box of the segment.
     pub fn mbb(&self) -> Mbb {
         let mut b = Mbb::from_point(&self.start);
         b.expand_point(&self.end);
         b
-    }
-
-    /// Closest-point distance between the spatial projections of two segments
-    /// evaluated only over their *common lifespan*; `None` when their
-    /// lifespans do not overlap.
-    ///
-    /// This is the time-synchronized segment distance used by the voting
-    /// kernel: both objects are interpolated to the same instants, so the
-    /// value reflects how closely they *co-move*, not merely how close the
-    /// geometries pass.
-    pub fn synchronized_distance(&self, other: &Segment) -> Option<f64> {
-        let common = self.interval().intersection(&other.interval())?;
-        // Relative displacement between the two moving points is linear in t,
-        // so its squared norm is a quadratic in t; minimise it in closed form
-        // and also inspect the interval endpoints.
-        let p0 = self.position_at(common.start);
-        let q0 = other.position_at(common.start);
-        let p1 = self.position_at(common.end);
-        let q1 = other.position_at(common.end);
-
-        let dx0 = p0.x - q0.x;
-        let dy0 = p0.y - q0.y;
-        let dx1 = p1.x - q1.x;
-        let dy1 = p1.y - q1.y;
-
-        let d_start = (dx0 * dx0 + dy0 * dy0).sqrt();
-        let d_end = (dx1 * dx1 + dy1 * dy1).sqrt();
-        let mut best = d_start.min(d_end);
-
-        // Parametrize relative displacement r(f) = r0 + f·(r1 - r0), f ∈ [0,1].
-        let vx = dx1 - dx0;
-        let vy = dy1 - dy0;
-        let denom = vx * vx + vy * vy;
-        if denom > 0.0 {
-            let f = -(dx0 * vx + dy0 * vy) / denom;
-            if f > 0.0 && f < 1.0 {
-                let rx = dx0 + f * vx;
-                let ry = dy0 + f * vy;
-                best = best.min((rx * rx + ry * ry).sqrt());
-            }
-        }
-        Some(best)
     }
 
     /// The segment's endpoints as flat scalar lanes, the form the
@@ -169,7 +122,6 @@ mod tests {
         assert_eq!(s.length(), 5.0);
         assert_eq!(s.duration_secs(), 5.0);
         assert_eq!(s.speed(), 1.0);
-        assert_eq!(s.midpoint(), p(1.5, 2.0, 2_500));
         assert_eq!(s.mbb(), Mbb::from_points(&[s.start, s.end]));
     }
 
@@ -191,23 +143,13 @@ mod tests {
     fn synchronized_distance_of_parallel_movers_is_constant_offset() {
         let a = Segment::new(p(0.0, 0.0, 0), p(10.0, 0.0, 10_000));
         let b = Segment::new(p(0.0, 3.0, 0), p(10.0, 3.0, 10_000));
-        assert!((a.synchronized_distance(&b).unwrap() - 3.0).abs() < 1e-12);
         assert!((a.mean_synchronized_distance(&b).unwrap() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn synchronized_distance_detects_crossing() {
-        // Two objects crossing at the midpoint in both space and time.
-        let a = Segment::new(p(0.0, 0.0, 0), p(10.0, 0.0, 10_000));
-        let b = Segment::new(p(10.0, 0.0, 0), p(0.0, 0.0, 10_000));
-        assert!(a.synchronized_distance(&b).unwrap() < 1e-9);
     }
 
     #[test]
     fn disjoint_lifespans_have_no_synchronized_distance() {
         let a = Segment::new(p(0.0, 0.0, 0), p(1.0, 0.0, 1_000));
         let b = Segment::new(p(0.0, 0.0, 2_000), p(1.0, 0.0, 3_000));
-        assert_eq!(a.synchronized_distance(&b), None);
         assert_eq!(a.mean_synchronized_distance(&b), None);
     }
 
@@ -217,7 +159,7 @@ mod tests {
         // object B lags far behind A spatially at every shared instant.
         let a = Segment::new(p(0.0, 0.0, 0), p(100.0, 0.0, 100_000));
         let b = Segment::new(p(0.0, 0.0, 50_000), p(100.0, 0.0, 150_000));
-        let d = a.synchronized_distance(&b).unwrap();
+        let d = a.mean_synchronized_distance(&b).unwrap();
         assert!(d >= 50.0 - 1e-9, "expected lag of at least 50, got {d}");
     }
 }

@@ -315,7 +315,7 @@ mod tests {
     #[test]
     fn temporal_clip_interpolates_boundaries() {
         let t = traj(&[(0.0, 0.0, 0), (10.0, 0.0, 10_000)]);
-        let s = t.as_sub_trajectory();
+        let s = t.sub_trajectory(0, t.len()).unwrap();
         let c = s
             .temporal_clip(&TimeInterval::new(Timestamp(2_000), Timestamp(6_000)))
             .unwrap();

@@ -41,16 +41,6 @@ impl Timestamp {
         self.0 as f64 / 1000.0
     }
 
-    /// Signed difference `self - other`.
-    pub const fn diff(self, other: Timestamp) -> Duration {
-        Duration(self.0 - other.0)
-    }
-
-    /// Clamps this timestamp into `[lo, hi]`.
-    pub fn clamp_to(self, lo: Timestamp, hi: Timestamp) -> Timestamp {
-        Timestamp(self.0.clamp(lo.0, hi.0))
-    }
-
     /// The earlier of two timestamps.
     pub fn min(self, other: Timestamp) -> Timestamp {
         if self <= other {
@@ -195,11 +185,6 @@ impl TimeInterval {
             "TimeInterval start {start} must not exceed end {end}"
         );
         TimeInterval { start, end }
-    }
-
-    /// Creates the interval `[start, start + len]`.
-    pub fn with_length(start: Timestamp, len: Duration) -> Self {
-        TimeInterval::new(start, start + len)
     }
 
     /// An interval spanning the entire time axis.

@@ -162,29 +162,6 @@ impl Trajectory {
         Trajectory::new(self.id, self.object_id, pts)
     }
 
-    /// Resamples the trajectory at a fixed period, producing synchronized
-    /// samples that simplify cross-trajectory distances.
-    pub fn resample(&self, period: Duration) -> Result<Trajectory> {
-        assert!(period.millis() > 0, "resample period must be positive");
-        let mut pts = Vec::new();
-        let mut t = self.start_time();
-        while t < self.end_time() {
-            if let Some(p) = self.position_at(t) {
-                pts.push(p);
-            }
-            t += period;
-        }
-        if let Some(p) = self.position_at(self.end_time()) {
-            if pts.last().map(|l| l.t != p.t).unwrap_or(true) {
-                pts.push(p);
-            }
-        }
-        if pts.len() < 2 {
-            return Err(TrajectoryError::TooFewPoints { got: pts.len() });
-        }
-        Trajectory::new(self.id, self.object_id, pts)
-    }
-
     /// Extracts the sub-trajectory covering points `start..end` (end
     /// exclusive, at least two points).
     pub fn sub_trajectory(&self, start: usize, end: usize) -> Result<SubTrajectory> {
@@ -203,12 +180,6 @@ impl Trajectory {
             start,
             end,
         ))
-    }
-
-    /// The whole trajectory viewed as a single sub-trajectory.
-    pub fn as_sub_trajectory(&self) -> SubTrajectory {
-        self.sub_trajectory(0, self.points.len())
-            .expect("a valid trajectory is always a valid sub-trajectory")
     }
 
     /// Splits the trajectory into sub-trajectories at the given point indices
@@ -277,12 +248,6 @@ impl TrajectoryBuilder {
     /// Appends a sample.
     pub fn push(&mut self, x: f64, y: f64, t: Timestamp) -> &mut Self {
         self.points.push(Point::new(x, y, t));
-        self
-    }
-
-    /// Appends an already-built point.
-    pub fn push_point(&mut self, p: Point) -> &mut Self {
-        self.points.push(p);
         self
     }
 
@@ -395,14 +360,6 @@ mod tests {
         assert!(t
             .temporal_slice(&TimeInterval::new(Timestamp(30_000), Timestamp(40_000)))
             .is_err());
-    }
-
-    #[test]
-    fn resample_produces_uniform_period() {
-        let t = traj(1, &[(0.0, 0.0, 0), (10.0, 0.0, 10_000)]);
-        let r = t.resample(Duration::from_secs(2)).unwrap();
-        let times: Vec<i64> = r.points().iter().map(|p| p.t.millis()).collect();
-        assert_eq!(times, vec![0, 2_000, 4_000, 6_000, 8_000, 10_000]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! real GPS/ADS-B/AIS extract would take.
 
 use hermes::prelude::*;
-use hermes::trajectory::{parse_csv, parse_geo_csv, to_csv};
+use hermes::trajectory::{parse_csv, parse_geo_csv, to_csv, GeoPoint};
 use std::fmt::Write as _;
 
 /// Builds a geodetic CSV with two streams of co-moving aircraft east and
@@ -69,11 +69,12 @@ fn geodetic_csv_flows_into_the_clustering_pipeline() {
         "the loner must stay unclustered"
     );
 
-    // Results map back to geographic coordinates near the input area.
+    // Results lie inside the projection of the input area.
     let rep = &outcome.result.clusters[0].representative;
-    let geo = projection.unproject(&rep.points()[0]);
-    assert!((-2.0..1.0).contains(&geo.lon));
-    assert!((50.0..52.0).contains(&geo.lat));
+    let low = projection.project(&GeoPoint::new(-2.0, 50.0, Timestamp(0)));
+    let high = projection.project(&GeoPoint::new(1.0, 52.0, Timestamp(0)));
+    assert!((low.x..high.x).contains(&rep.points()[0].x));
+    assert!((low.y..high.y).contains(&rep.points()[0].y));
 }
 
 #[test]

@@ -492,6 +492,10 @@ fn the_scan_emits_exactly_the_trees_candidate_set() {
             (state >> 33) as usize
         };
         let cutoff = params.voting_cutoff_radius();
+        // Rows are the segments in ascending (t0, segment id), the order
+        // `for_each_candidate` documents.
+        let mut row_segment: Vec<usize> = (0..arena.num_segments()).collect();
+        row_segment.sort_by_key(|&gs| (arena.lanes(gs).t0, gs));
         let mut emitted = 0usize;
         for _ in 0..2_000 {
             let ti = next() % arena.num_trajectories();
@@ -506,7 +510,7 @@ fn the_scan_emits_exactly_the_trees_candidate_set() {
 
             let mut from_scan: Vec<(usize, u64)> = Vec::new();
             packed.for_each_candidate(&window, radius, |row, gap2| {
-                from_scan.push((packed.segment_id(row), gap2.to_bits()));
+                from_scan.push((row_segment[row], gap2.to_bits()));
             });
             // Ascending rows are ascending (t0, segment id).
             assert!(

@@ -142,6 +142,13 @@ fn parallel_s2t_is_identical_to_serial_on_maritime_data() {
     check_s2t_determinism(&maritime_trajectories(), &maritime_s2t(), "maritime");
 }
 
+/// A tree as its snapshot encoding: equal bytes, equal trees.
+fn encoded(tree: &ReTraTree) -> Vec<u8> {
+    let mut w = hermes::storage::ByteWriter::new();
+    hermes::retratree::encode_tree(&mut w, tree);
+    w.into_bytes()
+}
+
 fn check_qut_determinism(trajectories: &[Trajectory], s2t: S2TParams, label: &str) {
     let tree_params = ReTraTreeParams::builder()
         .chunk_duration(Duration::from_hours(2))
@@ -163,9 +170,9 @@ fn check_qut_determinism(trajectories: &[Trajectory], s2t: S2TParams, label: &st
         let exec = Executor::new(ExecPolicy { threads });
         let parallel_tree = ReTraTree::build_from_with(tree_params.clone(), trajectories, &exec);
         assert_eq!(
-            parallel_tree.describe(),
-            tree.describe(),
-            "{label}/threads={threads}: tree shape"
+            encoded(&parallel_tree),
+            encoded(&tree),
+            "{label}/threads={threads}: tree bytes"
         );
         assert_eq!(
             parallel_tree.total_clusters(),

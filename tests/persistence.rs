@@ -119,8 +119,8 @@ fn restart_equivalence_after_checkpoint() {
 
     // Reopen purely from the snapshot (the WAL is just a header now).
     let mut restored = HermesEngine::open(&dir).unwrap();
-    assert!(restored.is_durable());
     let stats = restored.stats();
+    assert!(stats.durable);
     assert!(stats.snapshot_bytes > 0);
     assert_eq!(stats.wal_bytes, 8);
     assert_eq!(
