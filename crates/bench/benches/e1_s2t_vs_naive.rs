@@ -20,14 +20,16 @@
 //! tables. The kernel alone and the per-phase pipeline breakdown are timed
 //! by `benchmark/` (`trajectory.kernel_ns_per_pair`, `s2t.*_ms`).
 //!
-//! Env knob: `HERMES_BENCH_QUICK=1` shrinks the sweep for CI smoke runs.
+//! Env knobs: `HERMES_BENCH_QUICK=1` shrinks the sweep for CI smoke runs;
+//! `HERMES_THREADS` sets the thread count the gate also runs the arena
+//! voting and the indexed pipeline at (timings stay serial).
 
 use hermes_bench::harness::{bench, report};
 use hermes_bench::{urban_s2t_params, urban_with};
-use hermes_exec::Executor;
+use hermes_exec::{ExecPolicy, Executor};
 use hermes_s2t::{
-    arena_voting, arena_voting_counted_with, naive_voting, run_s2t, run_s2t_naive,
-    PackedSegmentIndex, SegmentArena,
+    arena_voting, arena_voting_counted_with, arena_voting_with, naive_voting, run_s2t,
+    run_s2t_naive, run_s2t_with, PackedSegmentIndex, SegmentArena,
 };
 use hermes_trajectory::simd_level;
 
@@ -38,6 +40,7 @@ fn main() {
     // larger sizes chart how the advantage evolves as kernel work grows.
     let sizes: &[usize] = if quick { &[24] } else { &[24, 48, 96, 192] };
     let iters: u32 = if quick { 5 } else { 10 };
+    let exec = Executor::new(ExecPolicy::from_env());
 
     let mut samples = Vec::new();
     let mut series = Vec::new();
@@ -58,15 +61,22 @@ fn main() {
             via_arena, via_naive,
             "arena voting diverged from the naive reference"
         );
-        let fast = run_s2t(trajs, &params);
+        assert_eq!(
+            arena_voting_with(&arena, &packed, &params, &exec),
+            via_naive,
+            "arena voting on {} threads diverged from the naive reference",
+            exec.threads()
+        );
+        let fast = run_s2t_with(trajs, &params, &exec);
         let slow = run_s2t_naive(trajs, &params);
         assert_eq!(fast.profiles, slow.profiles, "pipeline votes diverged");
         assert_eq!(fast.result.num_clusters(), slow.result.num_clusters());
         assert_eq!(fast.result.num_outliers(), slow.result.num_outliers());
         eprintln!(
-            "gate ok: {} trajectories, {} segments, bit-identical votes",
+            "gate ok: {} trajectories, {} segments, bit-identical votes (1 and {} threads)",
             trajs.len(),
-            arena.num_segments()
+            arena.num_segments(),
+            exec.threads()
         );
 
         // --- Voting phase only: the hot path against the baseline.

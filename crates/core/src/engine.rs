@@ -14,7 +14,7 @@ use hermes_s2t::{
     S2TParams, S2TPhaseTimings, S2tIndex,
 };
 use hermes_storage::{Catalog, DatasetId};
-use hermes_trajectory::{TimeInterval, Trajectory};
+use hermes_trajectory::{DistanceCounters, TimeInterval, Trajectory};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -117,6 +117,13 @@ pub struct EngineStats {
     /// Candidate pairs a distance lower bound pruned before the exact
     /// kernel, across every clustering query.
     pub kernel_pruned: u64,
+    /// Sub-trajectory distances S2T statements' sampling and clustering
+    /// measured exactly, naive baseline included (QuT's border re-clustering
+    /// does not count).
+    pub distance_exact: u64,
+    /// Sub-trajectory distances of the same statements stopped early,
+    /// provably above the limit their caller passed.
+    pub distance_cut_off: u64,
     /// True when the engine was opened over a data directory (snapshot + WAL
     /// durability). The three counters below are 0 when false.
     pub durable: bool,
@@ -147,6 +154,9 @@ struct PhaseAccumulator {
     /// visibility as the phase totals.
     kernel_evaluated: Counter,
     kernel_pruned: Counter,
+    /// Sub-trajectory distance counters of S2T statements.
+    distance_exact: Counter,
+    distance_cut_off: Counter,
     /// `run_s2t` calls that built / reused a dataset's segment index. Here
     /// rather than on the dataset so the totals survive the index's
     /// replacement on ingest.
@@ -167,6 +177,11 @@ impl PhaseAccumulator {
     fn record_kernel(&self, k: &KernelCounters) {
         self.kernel_evaluated.add(k.evaluated);
         self.kernel_pruned.add(k.pruned);
+    }
+
+    fn record_distances(&self, d: &DistanceCounters) {
+        self.distance_exact.add(d.exact);
+        self.distance_cut_off.add(d.cut_off);
     }
 
     fn snapshot_ms(&self) -> PhaseCountersMs {
@@ -456,6 +471,7 @@ impl HermesEngine {
         }
         self.phase_totals.record(&outcome.timings);
         self.phase_totals.record_kernel(&outcome.kernel);
+        self.phase_totals.record_distances(&outcome.distance);
         Ok(outcome)
     }
 
@@ -469,6 +485,7 @@ impl HermesEngine {
         }
         let outcome = run_s2t_naive_with(&ds.trajectories, params, &self.exec);
         self.phase_totals.record(&outcome.timings);
+        self.phase_totals.record_distances(&outcome.distance);
         Ok(outcome)
     }
 
@@ -558,6 +575,8 @@ impl HermesEngine {
             phases: self.phase_totals.snapshot_ms(),
             kernel_evaluated: self.phase_totals.kernel_evaluated.get(),
             kernel_pruned: self.phase_totals.kernel_pruned.get(),
+            distance_exact: self.phase_totals.distance_exact.get(),
+            distance_cut_off: self.phase_totals.distance_cut_off.get(),
             s2t_index_builds: self.phase_totals.s2t_index_builds.get(),
             s2t_index_reuses: self.phase_totals.s2t_index_reuses.get(),
             durable: view.durable,

@@ -30,8 +30,8 @@ use hermes_s2t::{
     S2TPhaseTimings,
 };
 use hermes_trajectory::{
-    hausdorff_distance, spatiotemporal_distance, sub_trajectory_distance, Duration, Mbb,
-    SubTrajectory, SubTrajectorySummary, TimeInterval,
+    hausdorff_distance, spatiotemporal_distance, sub_trajectory_distance, DistanceCounters,
+    Duration, Mbb, SubTrajectory, SubTrajectorySummary, TimeInterval,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -259,7 +259,12 @@ fn answer_subchunk(
 fn distances_to_representative(tree: &ReTraTree, entry: &ClusterEntry) -> Vec<f64> {
     let mut distances = vec![f64::MAX; entry.members().len()];
     tree.store.read_run(entry.members(), |slot, sub| {
-        let d = spatiotemporal_distance(&sub, &entry.representative);
+        let d = spatiotemporal_distance(
+            &sub,
+            &entry.representative,
+            f64::INFINITY,
+            &mut DistanceCounters::default(),
+        );
         if d.is_finite() {
             distances[slot] = d;
         }
@@ -2049,7 +2054,12 @@ mod tests {
             let mut members = Vec::new();
             let mut member_distances = Vec::new();
             tree.store.read_run(entry.members(), |_, sub| {
-                let d = spatiotemporal_distance(&sub, &entry.representative);
+                let d = spatiotemporal_distance(
+                    &sub,
+                    &entry.representative,
+                    f64::INFINITY,
+                    &mut DistanceCounters::default(),
+                );
                 member_distances.push(if d.is_finite() { d } else { f64::MAX });
                 members.push(SubTrajectorySummary::from(&sub));
             });

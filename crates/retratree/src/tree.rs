@@ -9,8 +9,8 @@ use hermes_exec::Executor;
 use hermes_s2t::{nearest_representative, run_s2t_with, trajectories_from_subs, S2TOutcome};
 use hermes_storage::{PartitionKind, PartitionStore, RecordLocator};
 use hermes_trajectory::{
-    Duration, SubTrajectory, SubTrajectoryId, SubTrajectorySummary, TimeInterval, Timestamp,
-    Trajectory,
+    DistanceCounters, Duration, SubTrajectory, SubTrajectoryId, SubTrajectorySummary, TimeInterval,
+    Timestamp, Trajectory,
 };
 use std::collections::BTreeMap;
 
@@ -224,7 +224,12 @@ impl ReTraTree {
             .expect("chunk ensured above");
         let sc = &mut chunk.subchunks[sc_index];
         let representatives = sc.clusters.iter().map(|e| &e.representative);
-        let best = nearest_representative(&sub, representatives, epsilon);
+        let best = nearest_representative(
+            &sub,
+            representatives,
+            epsilon,
+            &mut DistanceCounters::default(),
+        );
 
         let summary = SubTrajectorySummary::from(&sub);
         match best {

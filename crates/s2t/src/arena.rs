@@ -29,12 +29,23 @@
 //! distance lower bounds, cheapest first — the scan's free window-ball gap,
 //! then the per-segment box gap — and only survivors are gathered into
 //! [`BATCH`]-wide structure-of-arrays blocks for the SIMD batched kernel
-//! ([`hermes_trajectory::kernel::mean_sync_distance_batch`]). (The sharper
-//! clipped-lifespan bound [`segment_clipped_gap2`] is implemented and
-//! property-tested but deliberately kept out of the ladder — measured a net
-//! loss on the urban workload.) How many candidates each side of the ladder
-//! saw is reported as [`KernelCounters`]; `docs/KERNELS.md` walks the whole
-//! ladder.
+//! ([`hermes_trajectory::kernel::mean_sync_distance_batch`]). How many
+//! candidates each side of the ladder saw is reported as [`KernelCounters`];
+//! `docs/KERNELS.md` walks the whole ladder.
+//!
+//! **Each unordered pair once.** The distance of two segments is
+//! bit-symmetric — each side's position is interpolated on its own, `dx`
+//! and `dy` only flip sign before they are squared, and Simpson's sum has
+//! one order — so one evaluation serves both votes it can decide. The pass
+//! of trajectory `ti` ([`vote_trajectory_into`]) pairs its segments only
+//! with voters `< ti` and folds each distance into two minima: the query
+//! segment's best for that voter (its own vote, complete when the pass ends
+//! because earlier voters come first in ascending order) and the candidate
+//! segment's best for `ti` (a *reverse* minimum, returned as that segment's
+//! vote contribution from `ti`). [`arena_voting_counted_with`] adds the
+//! contributions in ascending `ti` order, after the passes that computed
+//! the segments' own votes, so every vote is still summed in ascending voter
+//! order.
 //!
 //! **Exactness contract.** [`arena_voting`] is bit-identical to
 //! [`naive_voting`](crate::voting::naive_voting):
@@ -44,15 +55,17 @@
 //!   or its batched SIMD form, which performs the same IEEE-754 operations in
 //!   the same per-lane order and is gated bit-identical at every width;
 //! * per-voter minima are order-independent (`min` is a lattice operation),
-//!   which also covers deferring the fold to the gather-block flush;
+//!   which also covers deferring the fold to the gather-block flush and
+//!   computing a minimum in the pass of the other trajectory of the pair
+//!   (the distance is the same bits from either side);
 //! * per-segment votes are summed in **ascending voter order** in every
 //!   implementation, so the order candidates are visited in cannot perturb
 //!   the floating sum — it only decides which of them a best-so-far bound
 //!   gets to reject, i.e. the [`KernelCounters`], never a vote;
 //! * every pruning stage only ever removes candidates whose exact distance
 //!   provably cannot change the result: either it exceeds the kernel cutoff
-//!   (kernel value exactly `0.0`, additively neutral) or it cannot strictly
-//!   improve the voter's best-so-far minimum.
+//!   (kernel value exactly `0.0`, additively neutral) or it can strictly
+//!   improve neither of the two best-so-far minima it feeds.
 //!
 //! One caveat to the pruning argument: it relies on the *computed* mean
 //! distance dominating the *computed* box gap. That inequality is exact in
@@ -74,7 +87,7 @@ use hermes_trajectory::{
     kernel::{mean_sync_distance_batch_at, simd_level, SimdLevel, BATCH},
     Mbb, SegLanes, Timestamp, Trajectory, TrajectoryId,
 };
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// How many candidate pairs reached the exact distance kernel versus how
 /// many a lower bound rejected first. Purely observational — the pruning
@@ -98,55 +111,6 @@ impl KernelCounters {
     }
 }
 
-/// Admissible lower bound on the mean synchronized distance between query
-/// segment `q` and a candidate with lifespan `[ct0, ct1]` and spatial box
-/// `cxy = [x_min, x_max, y_min, y_max]`: the Euclidean gap between the
-/// candidate's box and the box of the **query clipped to the common
-/// lifespan**, squared. `None` when the lifespans are disjoint.
-///
-/// Why it lower-bounds the kernel: every instant the kernel samples lies in
-/// the common lifespan, where the query position interpolates between
-/// `q(common_start)` and `q(common_end)` — correctly-rounded lerp is monotone
-/// in the interpolation factor, so the computed positions stay inside the box
-/// of those two computed endpoints. The candidate's sampled positions stay
-/// inside its own endpoint box by the same argument. Each sampled distance
-/// therefore is at least the box-to-box gap, and so is their Simpson mean.
-/// The clipped box is never larger than the query's full-lifespan MBB, so
-/// this bound is at least as tight as the per-segment box gap that runs
-/// before it in the ladder. Like every computed-vs-computed bound here it
-/// carries the few-ulp rounding envelope discussed in the module docs; the
-/// bit-identity gates verify it never fires wrongly on shipped data.
-#[inline]
-fn clipped_gap2_parts(q: &SegLanes, ct0: i64, ct1: i64, cxy: &[f64; 4]) -> Option<f64> {
-    let cs = if q.t0 >= ct0 { q.t0 } else { ct0 };
-    let ce = if q.t1 <= ct1 { q.t1 } else { ct1 };
-    if cs > ce {
-        return None;
-    }
-    let (ax, ay) = q.position_at(cs);
-    let (bx, by) = q.position_at(ce);
-    // Branchless endpoint sort: min/max of two non-NaN values is the value
-    // the branchy compare-and-swap would pick, bit for bit.
-    let (qx_min, qx_max) = (ax.min(bx), ax.max(bx));
-    let (qy_min, qy_max) = (ay.min(by), ay.max(by));
-    let gx = axis_gap(cxy[0], cxy[1], qx_min, qx_max);
-    let gy = axis_gap(cxy[2], cxy[3], qy_min, qy_max);
-    Some(gx * gx + gy * gy)
-}
-
-/// The clipped-lifespan gap over plain kernel lanes — the form the admissibility
-/// property tests exercise. Returns the squared lower bound, or `None` when
-/// the lifespans are disjoint (where the kernel returns `None` too).
-pub fn segment_clipped_gap2(q: &SegLanes, c: &SegLanes) -> Option<f64> {
-    let cxy = [
-        c.x0.min(c.x1),
-        c.x0.max(c.x1),
-        c.y0.min(c.y1),
-        c.y0.max(c.y1),
-    ];
-    clipped_gap2_parts(q, c.t0, c.t1, &cxy)
-}
-
 /// Flat, cache-linear storage of every segment of a trajectory collection.
 pub struct SegmentArena {
     // Endpoint lanes.
@@ -156,12 +120,6 @@ pub struct SegmentArena {
     y1: Vec<f64>,
     t0: Vec<i64>,
     t1: Vec<i64>,
-    // Precomputed spatial MBB lanes (the temporal bounds are `t0`/`t1`:
-    // segment time is strictly increasing).
-    mbb_x_min: Vec<f64>,
-    mbb_x_max: Vec<f64>,
-    mbb_y_min: Vec<f64>,
-    mbb_y_max: Vec<f64>,
     /// Back-reference: owning trajectory index per segment.
     traj_of: Vec<u32>,
     /// Prefix offsets: trajectory `ti` owns global segments
@@ -182,10 +140,6 @@ impl SegmentArena {
             y1: Vec::with_capacity(total),
             t0: Vec::with_capacity(total),
             t1: Vec::with_capacity(total),
-            mbb_x_min: Vec::with_capacity(total),
-            mbb_x_max: Vec::with_capacity(total),
-            mbb_y_min: Vec::with_capacity(total),
-            mbb_y_max: Vec::with_capacity(total),
             traj_of: Vec::with_capacity(total),
             seg_start: Vec::with_capacity(trajectories.len() + 1),
             traj_ids: Vec::with_capacity(trajectories.len()),
@@ -203,10 +157,6 @@ impl SegmentArena {
                 arena.y1.push(b.y);
                 arena.t0.push(a.t.millis());
                 arena.t1.push(b.t.millis());
-                arena.mbb_x_min.push(a.x.min(b.x));
-                arena.mbb_x_max.push(a.x.max(b.x));
-                arena.mbb_y_min.push(a.y.min(b.y));
-                arena.mbb_y_max.push(a.y.max(b.y));
                 arena.traj_of.push(ti as u32);
             }
         }
@@ -247,14 +197,24 @@ impl SegmentArena {
         }
     }
 
-    /// The precomputed MBB of global segment `gs`.
+    /// The spatial box `[x_min, x_max, y_min, y_max]` of global segment
+    /// `gs`: the `min`/`max` of its endpoints (the temporal bounds are
+    /// `t0`/`t1`: segment time is strictly increasing).
+    #[inline]
+    fn segment_xy(&self, gs: usize) -> [f64; 4] {
+        let (x0, x1, y0, y1) = (self.x0[gs], self.x1[gs], self.y0[gs], self.y1[gs]);
+        [x0.min(x1), x0.max(x1), y0.min(y1), y0.max(y1)]
+    }
+
+    /// The MBB of global segment `gs`.
     #[inline]
     pub fn segment_mbb(&self, gs: usize) -> Mbb {
+        let [x_min, x_max, y_min, y_max] = self.segment_xy(gs);
         Mbb::new(
-            self.mbb_x_min[gs],
-            self.mbb_x_max[gs],
-            self.mbb_y_min[gs],
-            self.mbb_y_max[gs],
+            x_min,
+            x_max,
+            y_min,
+            y_max,
             Timestamp(self.t0[gs]),
             Timestamp(self.t1[gs]),
         )
@@ -283,7 +243,7 @@ struct CandidateRow {
 
 impl CandidateRow {
     /// The row's spatial box `[x_min, x_max, y_min, y_max]` — the arena's
-    /// MBB lanes bit for bit (the same `min`/`max` of the same endpoints).
+    /// segment box bit for bit (the same `min`/`max` of the same endpoints).
     #[inline]
     fn xy(&self) -> [f64; 4] {
         [
@@ -292,19 +252,6 @@ impl CandidateRow {
             self.y0.min(self.y1),
             self.y0.max(self.y1),
         ]
-    }
-
-    /// The row's endpoints as kernel lanes.
-    #[inline]
-    fn lanes(&self) -> SegLanes {
-        SegLanes {
-            x0: self.x0,
-            y0: self.y0,
-            x1: self.x1,
-            y1: self.y1,
-            t0: self.t0,
-            t1: self.t1,
-        }
     }
 }
 
@@ -414,8 +361,8 @@ const QUERY_RUN: usize = 4;
 /// Survivor gather block feeding the batched SIMD kernel: fixed
 /// [`BATCH`]-wide structure-of-arrays lanes filled by plain array stores (no
 /// capacity checks in the hot loop). The block flushes whenever it fills and
-/// once more at segment fold time, so the per-voter minima are refreshed
-/// every [`BATCH`] survivors — keeping the ladder's best-so-far bounds tight
+/// once more at segment fold time, so the minima are refreshed every
+/// [`BATCH`] survivors — keeping the ladder's best-so-far bounds tight
 /// enough to keep firing — while the kernel still amortizes its per-call
 /// setup over full blocks.
 struct GatherBlock {
@@ -426,6 +373,8 @@ struct GatherBlock {
     t0: [i64; BATCH],
     t1: [i64; BATCH],
     voter: [u32; BATCH],
+    /// The candidate's index row, whose reverse minimum the distance feeds.
+    row: [u32; BATCH],
     d: [f64; BATCH],
     len: usize,
     /// Kernel dispatch level, resolved once per scratch (not per flush) so
@@ -443,6 +392,7 @@ impl Default for GatherBlock {
             t0: [0; BATCH],
             t1: [0; BATCH],
             voter: [0; BATCH],
+            row: [0; BATCH],
             d: [0.0; BATCH],
             len: 0,
             level: simd_level(),
@@ -454,26 +404,29 @@ impl GatherBlock {
     /// True when the block just filled and must be flushed before the next
     /// push.
     #[inline]
-    fn push(&mut self, lanes: &SegLanes, voter: u32) -> bool {
+    fn push(&mut self, candidate: &CandidateRow, row: usize) -> bool {
         let j = self.len;
-        self.x0[j] = lanes.x0;
-        self.y0[j] = lanes.y0;
-        self.x1[j] = lanes.x1;
-        self.y1[j] = lanes.y1;
-        self.t0[j] = lanes.t0;
-        self.t1[j] = lanes.t1;
-        self.voter[j] = voter;
+        self.x0[j] = candidate.x0;
+        self.y0[j] = candidate.y0;
+        self.x1[j] = candidate.x1;
+        self.y1[j] = candidate.y1;
+        self.t0[j] = candidate.t0;
+        self.t1[j] = candidate.t1;
+        self.voter[j] = candidate.voter;
+        self.row[j] = row as u32;
         self.len = j + 1;
         self.len == BATCH
     }
 
     /// Evaluates the gathered candidates against query `seg` through the
-    /// batched kernel and folds the distances into the per-voter minima, in
-    /// gather order. Deferring the fold to the flush cannot change results:
-    /// `min` over a fixed candidate set is order-independent, and a stale
-    /// best-so-far only makes the *pruning* stages admit more candidates —
-    /// whose distances then lose the `d < best` comparison exactly because
-    /// the bound that would have pruned them lower-bounds `d`.
+    /// batched kernel and folds each distance into both minima it feeds, in
+    /// gather order: the query segment's per-voter minimum and the
+    /// candidate's reverse minimum. Deferring the fold to the flush cannot
+    /// change results: `min` over a fixed candidate set is order-independent,
+    /// and a stale best-so-far only makes the *pruning* stages admit more
+    /// candidates — whose distances then lose both `d < best` comparisons
+    /// exactly because the bound that would have pruned them lower-bounds
+    /// `d`.
     ///
     /// Distances beyond `cutoff` are not folded at all. This is invisible in
     /// the votes, bit for bit: the Gaussian kernel hard-cuts `d > cutoff` to
@@ -483,8 +436,8 @@ impl GatherBlock {
     /// pruning ladder: a best-so-far above the cutoff satisfies
     /// `best² > r²`, and stage 2 already rejects `gap² > r²` first, so such
     /// a best never rejects anything the radius test doesn't. What it buys:
-    /// shorter `touched` lists — fewer entries to sort canonically and fewer
-    /// guaranteed-zero [`kernel`](crate::voting) calls in the vote fold.
+    /// shorter touched lists — fewer entries to sort canonically and fewer
+    /// guaranteed-zero [`kernel`](crate::voting) calls in the vote folds.
     /// (The ∞ disjoint-lifespan sentinel is skipped by the same comparison.)
     fn flush(
         &mut self,
@@ -492,11 +445,14 @@ impl GatherBlock {
         cutoff: f64,
         best_per_voter: &mut [f64],
         touched: &mut Vec<usize>,
+        reverse: &mut ReverseMinima,
     ) {
         let n = self.len;
         if n == 0 {
             return;
         }
+        #[cfg(test)]
+        tests::on_flush();
         mean_sync_distance_batch_at(
             self.level,
             seg,
@@ -521,9 +477,26 @@ impl GatherBlock {
                 }
                 best_per_voter[voter] = d;
             }
+            let row = self.row[j];
+            let best = reverse.best[row as usize];
+            if d < best {
+                if best.is_infinite() {
+                    reverse.touched.push(row);
+                }
+                reverse.best[row as usize] = d;
+            }
         }
         self.len = 0;
     }
+}
+
+/// The reverse minima of one pass: per index row, the best distance from
+/// any segment of the trajectory being voted, and the rows holding a finite
+/// one. Between passes every entry is `f64::INFINITY` and the list is empty.
+#[derive(Default)]
+struct ReverseMinima {
+    best: Vec<f64>,
+    touched: Vec<u32>,
 }
 
 /// Reusable per-worker scratch for [`vote_trajectory_into`]. Between calls
@@ -541,6 +514,9 @@ pub struct ArenaVoteScratch {
     touched: [Vec<usize>; QUERY_RUN],
     /// Per-run-slot survivor gather block feeding the batched kernel.
     blocks: [GatherBlock; QUERY_RUN],
+    /// Per index row, its best distance to the trajectory being voted (8 B
+    /// per segment of the dataset), reset at the end of each pass.
+    reverse: ReverseMinima,
 }
 
 impl Default for ArenaVoteScratch {
@@ -549,26 +525,35 @@ impl Default for ArenaVoteScratch {
             best: std::array::from_fn(|_| Vec::new()),
             touched: std::array::from_fn(|_| Vec::new()),
             blocks: std::array::from_fn(|_| GatherBlock::default()),
+            reverse: ReverseMinima::default(),
         }
     }
 }
 
 impl ArenaVoteScratch {
-    fn ensure(&mut self, num_trajectories: usize) {
+    fn ensure(&mut self, num_trajectories: usize, num_rows: usize) {
         for b in self.best.iter_mut() {
             if b.len() < num_trajectories {
                 b.resize(num_trajectories, f64::INFINITY);
             }
         }
+        if self.reverse.best.len() < num_rows {
+            self.reverse.best.resize(num_rows, f64::INFINITY);
+        }
     }
 }
 
-/// Computes the votes of trajectory `ti` into `votes` (cleared first) and
-/// returns the pruned-vs-evaluated kernel counters for this trajectory. With
-/// a scratch that has voted over the arena once and a `votes` buffer whose
-/// capacity covers the trajectory's segment count, this performs **zero
-/// heap allocations** — the property the counting-allocator test in
-/// `crates/s2t/tests` pins down.
+/// The pass of trajectory `ti`: pairs each of its segments with the
+/// segments of every voter `< ti`, writes its votes from those voters into
+/// `votes` (cleared first) and the votes `ti` casts for the voters' segments
+/// into `contributions` (cleared first; one `(global segment id, kernel
+/// value)` per segment within the cutoff, in no particular order). Returns
+/// the pruned-vs-evaluated kernel counters of the pass. The votes from
+/// voters `> ti` are theirs to contribute: see [`arena_voting_counted_with`].
+/// With a scratch that has voted over the arena once and outputs whose
+/// capacities cover the trajectory's segment count and the dataset's, this
+/// performs **zero heap allocations** — the property the counting-allocator
+/// test in `crates/s2t/tests` pins down.
 ///
 /// One pass does everything: the time-ordered scan runs once per `QUERY_RUN`
 /// consecutive query segments with the run's union window, and the pruning
@@ -576,26 +561,24 @@ impl ArenaVoteScratch {
 /// partition just loaded — no intermediate candidate lists, no second pass
 /// re-reading rows. Per (candidate, slot) pair, cheapest bound first; each
 /// stage lower-bounds the exact mean synchronized distance, so a reject
-/// provably cannot change the per-voter min or the vote (module docs):
+/// provably cannot change either minimum the pair feeds, or any vote
+/// (module docs):
 ///
-/// 1. the probe's free squared **window-ball gap** vs the voter's best²
-///    (the window contains every slot's box, so its gap lower-bounds each
-///    slot's),
+/// 1. the probe's free squared **window-ball gap** vs the larger of the
+///    voter's best² and the candidate's reverse best² (the window contains
+///    every slot's box, so its gap lower-bounds each slot's),
 /// 2. the per-segment **box gap** vs the cutoff ball (beyond it the kernel
-///    value is exactly 0.0) and the voter's best²,
+///    value is exactly 0.0) and the same two best²,
 /// 3. survivors are gathered into the slot's [`BATCH`]-wide block for the
 ///    SIMD kernel; a full block flushes immediately so the fold refreshes
-///    the slot's minima and the best² rejects stay sharp.
+///    the minima and the best² rejects stay sharp.
 ///
 /// Folding at flush granularity cannot change results: `min` over a fixed
 /// candidate set is order-independent, and a stale best-so-far only makes
 /// the pruning stages admit more candidates — whose distances then lose the
-/// `d < best` comparison exactly because the bound that would have pruned
-/// them lower-bounds `d`. (The clipped-lifespan bound
-/// [`segment_clipped_gap2`] is deliberately *not* in this ladder: its two
-/// divisions cost more than the few kernel evaluations it saves — measured
-/// a net loss on the urban workload — and the temporal partition already
-/// guarantees overlapping lifespans, so its disjoint branch cannot fire.)
+/// `d < best` comparisons exactly because the bound that would have pruned
+/// them lower-bounds `d`.
+#[allow(clippy::too_many_arguments)]
 pub fn vote_trajectory_into(
     arena: &SegmentArena,
     index: &PackedSegmentIndex,
@@ -604,13 +587,16 @@ pub fn vote_trajectory_into(
     ti: usize,
     scratch: &mut ArenaVoteScratch,
     votes: &mut Vec<f64>,
+    contributions: &mut Vec<(u32, f64)>,
 ) -> KernelCounters {
-    scratch.ensure(arena.num_trajectories());
+    scratch.ensure(arena.num_trajectories(), index.len());
     votes.clear();
+    contributions.clear();
     let ArenaVoteScratch {
         best,
         touched,
         blocks,
+        reverse,
     } = scratch;
     let mut counters = KernelCounters::default();
     let r2 = cutoff * cutoff;
@@ -619,20 +605,13 @@ pub fn vote_trajectory_into(
     while run_start < range.end {
         let run_end = (run_start + QUERY_RUN).min(range.end);
         let run_len = run_end - run_start;
-        // Hoisted per-slot geometry: kernel lanes and MBB bounds (tail runs
+        // Hoisted per-slot geometry: kernel lanes and boxes (tail runs
         // repeat the last segment in the unused slots; `run_len` guards
         // every access).
         let segs: [SegLanes; QUERY_RUN] =
             std::array::from_fn(|k| arena.lanes(run_start + k.min(run_len - 1)));
-        let sxy: [[f64; 4]; QUERY_RUN] = std::array::from_fn(|k| {
-            let gs = run_start + k.min(run_len - 1);
-            [
-                arena.mbb_x_min[gs],
-                arena.mbb_x_max[gs],
-                arena.mbb_y_min[gs],
-                arena.mbb_y_max[gs],
-            ]
-        });
+        let sxy: [[f64; 4]; QUERY_RUN] =
+            std::array::from_fn(|k| arena.segment_xy(run_start + k.min(run_len - 1)));
         // Union window over the run (times are increasing within a
         // trajectory, so the temporal union is first-start..last-end).
         let mut wx0 = f64::INFINITY;
@@ -653,10 +632,11 @@ pub fn vote_trajectory_into(
             Timestamp(arena.t0[run_start]),
             Timestamp(arena.t1[run_end - 1]),
         );
-        index.for_each_candidate(&window, cutoff, |row, window_gap2| {
-            let row = &index.rows[row];
+        index.for_each_candidate(&window, cutoff, |ri, window_gap2| {
+            let row = &index.rows[ri];
             let voter = row.voter as usize;
-            if voter == ti {
+            // A later voter evaluates this pair in its own pass.
+            if voter >= ti {
                 return;
             }
             let row_xy = row.xy();
@@ -670,37 +650,39 @@ pub fn vote_trajectory_into(
             while k < run_len && arena.t0[run_start + k] <= row.t1 {
                 let best_k = &mut best[k];
                 let b = best_k[voter];
-                let b2 = b * b;
-                // Stage 1: window-ball gap vs best². (`d < best` is
-                // strict, so equality skips safely; an untouched voter
-                // has best = ∞, never skipped.)
-                if window_gap2 >= b2 {
+                let rb = reverse.best[ri];
+                // A pair is kept while it can strictly improve either
+                // minimum (`d < best` is strict, so equality skips safely;
+                // an untouched minimum is ∞, never skipped).
+                let keep2 = (b * b).max(rb * rb);
+                // Stage 1: window-ball gap.
+                if window_gap2 >= keep2 {
                     counters.pruned += 1;
                     k += 1;
                     continue;
                 }
-                // Stage 2: this slot's box gap vs the cutoff ball and
-                // best².
+                // Stage 2: this slot's box gap vs the cutoff ball and the
+                // minima.
                 let xy = &sxy[k];
                 let gx = axis_gap(row_xy[0], row_xy[1], xy[0], xy[1]);
                 let gy = axis_gap(row_xy[2], row_xy[3], xy[2], xy[3]);
                 let gap2 = gx * gx + gy * gy;
-                if gap2 > r2 || gap2 >= b2 {
+                if gap2 > r2 || gap2 >= keep2 {
                     counters.pruned += 1;
                     k += 1;
                     continue;
                 }
                 // Survivor: gather into the slot's block.
                 counters.evaluated += 1;
-                if blocks[k].push(&row.lanes(), row.voter) {
-                    blocks[k].flush(&segs[k], cutoff, best_k, &mut touched[k]);
+                if blocks[k].push(row, ri) {
+                    blocks[k].flush(&segs[k], cutoff, best_k, &mut touched[k], reverse);
                 }
                 k += 1;
             }
         });
         // Per-slot epilogue, in segment order: final flush, then the vote.
         for k in 0..run_len {
-            blocks[k].flush(&segs[k], cutoff, &mut best[k], &mut touched[k]);
+            blocks[k].flush(&segs[k], cutoff, &mut best[k], &mut touched[k], reverse);
             let touched_k = &mut touched[k];
             let best_k = &mut best[k];
             // Canonical summation order (ascending voter index): the
@@ -717,68 +699,18 @@ pub fn vote_trajectory_into(
         }
         run_start = run_end;
     }
+    // What `ti` casts for the earlier voters' segments.
+    for &ri in reverse.touched.iter() {
+        let d = std::mem::replace(&mut reverse.best[ri as usize], f64::INFINITY);
+        contributions.push((index.rows[ri as usize].gs, kernel(d, params.sigma, cutoff)));
+    }
+    reverse.touched.clear();
     counters
 }
 
-thread_local! {
-    /// Per-worker arena-voting scratch, reused across trajectories. The
-    /// invariant (all-∞ between uses) is restored by `vote_trajectory_into`
-    /// itself; the guard below covers the unwind path.
-    static ARENA_SCRATCH: std::cell::RefCell<ArenaVoteScratch> =
-        std::cell::RefCell::new(ArenaVoteScratch::default());
-}
-
-/// Restores the scratch invariant if voting unwinds mid-segment (the exec
-/// pool keeps worker threads alive across panics, so a half-reset scratch
-/// would corrupt later queries on that thread).
-struct ScratchGuard<'a> {
-    scratch: &'a mut ArenaVoteScratch,
-    completed: bool,
-}
-
-impl Drop for ScratchGuard<'_> {
-    fn drop(&mut self) {
-        if !self.completed {
-            for b in self.scratch.best.iter_mut() {
-                b.fill(f64::INFINITY);
-            }
-            for t in self.scratch.touched.iter_mut() {
-                t.clear();
-            }
-            for block in self.scratch.blocks.iter_mut() {
-                block.len = 0;
-            }
-        }
-    }
-}
-
-fn vote_trajectory_arena(
-    arena: &SegmentArena,
-    index: &PackedSegmentIndex,
-    params: &S2TParams,
-    cutoff: f64,
-    ti: usize,
-) -> (VotingProfile, KernelCounters) {
-    ARENA_SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        let mut guard = ScratchGuard {
-            scratch: &mut scratch,
-            completed: false,
-        };
-        let mut votes = Vec::with_capacity(arena.segments_of(ti).len());
-        let counters =
-            vote_trajectory_into(arena, index, params, cutoff, ti, guard.scratch, &mut votes);
-        guard.completed = true;
-        (
-            VotingProfile {
-                trajectory_id: arena.trajectory_id(ti),
-                trajectory_index: ti,
-                votes,
-            },
-            counters,
-        )
-    })
-}
+/// Trajectories whose passes run as one fork-join before their
+/// contributions are folded: bounds the contributions held at once.
+const FOLD_BATCH: usize = 64;
 
 /// Index-accelerated voting over the flat arena — the S2T hot path. Serial
 /// shorthand for [`arena_voting_with`].
@@ -791,9 +723,9 @@ pub fn arena_voting(
 }
 
 /// [`arena_voting`] fanned out over trajectories on `exec`. Profiles come
-/// back in input order and every vote is computed by exactly one task, so
-/// the result is bit-identical to the serial path — and to
-/// [`naive_voting`](crate::voting::naive_voting) (see the module docs for
+/// back in input order and every sum is added in the same order on any
+/// thread count, so the result is bit-identical to the serial path — and
+/// to [`naive_voting`](crate::voting::naive_voting) (see the module docs for
 /// why).
 pub fn arena_voting_with(
     arena: &SegmentArena,
@@ -806,7 +738,19 @@ pub fn arena_voting_with(
 
 /// [`arena_voting_with`] plus the summed pruned-vs-evaluated kernel
 /// counters. Counter totals are deterministic: pruning decisions depend only
-/// on the per-trajectory scan, never on thread interleaving.
+/// on the pass of one trajectory, never on thread interleaving.
+///
+/// Trajectories are voted [`FOLD_BATCH`] at a time, their passes fanned out
+/// on `exec`; then, serially and in ascending trajectory order, each pass's
+/// votes become its profile and its contributions are added to the earlier
+/// trajectories' profiles. A segment's vote therefore starts as its own
+/// pass's sum over the voters before it and receives the later voters'
+/// contributions one by one in ascending voter order: the order
+/// [`naive_voting`](crate::voting::naive_voting) sums in. Each pass borrows
+/// a scratch from a pool local to this call, so the scratch state is as
+/// many sets as passes run at once — at most `exec.threads()` — and lives
+/// no longer than the call. A pass that unwinds never returns its scratch,
+/// so no later pass or query can see a half-reset one.
 pub fn arena_voting_counted_with(
     arena: &SegmentArena,
     index: &PackedSegmentIndex,
@@ -814,14 +758,46 @@ pub fn arena_voting_counted_with(
     exec: &Executor,
 ) -> (Vec<VotingProfile>, KernelCounters) {
     let cutoff = params.voting_cutoff_radius();
-    let per_traj = exec.map_indices(arena.num_trajectories(), |ti| {
-        vote_trajectory_arena(arena, index, params, cutoff, ti)
-    });
+    let n = arena.num_trajectories();
+    let pool: Mutex<Vec<ArenaVoteScratch>> = Mutex::new(Vec::new());
+    // Nothing panics while holding the lock, and a push or pop leaves the
+    // pool a list of whole, reset scratches, so a poisoned guard is sound.
+    let lock = || pool.lock().unwrap_or_else(PoisonError::into_inner);
     let mut totals = KernelCounters::default();
-    let mut profiles = Vec::with_capacity(per_traj.len());
-    for (profile, counters) in per_traj {
-        totals.accumulate(&counters);
-        profiles.push(profile);
+    let mut profiles: Vec<VotingProfile> = Vec::with_capacity(n);
+    for batch in (0..n).step_by(FOLD_BATCH) {
+        let passes = exec.map_indices((n - batch).min(FOLD_BATCH), |i| {
+            let ti = batch + i;
+            let mut scratch = lock().pop().unwrap_or_default();
+            let mut votes = Vec::with_capacity(arena.segments_of(ti).len());
+            let mut contributions = Vec::new();
+            let counters = vote_trajectory_into(
+                arena,
+                index,
+                params,
+                cutoff,
+                ti,
+                &mut scratch,
+                &mut votes,
+                &mut contributions,
+            );
+            lock().push(scratch);
+            (votes, contributions, counters)
+        });
+        for (i, (votes, contributions, counters)) in passes.into_iter().enumerate() {
+            let ti = batch + i;
+            totals.accumulate(&counters);
+            profiles.push(VotingProfile {
+                trajectory_id: arena.trajectory_id(ti),
+                trajectory_index: ti,
+                votes,
+            });
+            for (gs, value) in contributions {
+                let gs = gs as usize;
+                let owner = arena.traj_of[gs] as usize;
+                profiles[owner].votes[gs - arena.seg_start[owner]] += value;
+            }
+        }
     }
     (profiles, totals)
 }
@@ -830,7 +806,26 @@ pub fn arena_voting_counted_with(
 mod tests {
     use super::*;
     use crate::voting::naive_voting;
-    use hermes_trajectory::{kernel::mean_sync_distance, Point};
+    use hermes_trajectory::Point;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Flushes left before [`on_flush`] panics on this thread; 0 = never.
+        static PANIC_AFTER_FLUSHES: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Called by every non-empty [`GatherBlock::flush`] in test builds: the
+    /// way a test injects a panic into the middle of a pass.
+    pub(super) fn on_flush() {
+        PANIC_AFTER_FLUSHES.with(|left| match left.get() {
+            0 => {}
+            1 => {
+                left.set(0);
+                panic!("injected mid-pass panic");
+            }
+            n => left.set(n - 1),
+        });
+    }
 
     fn line(id: u64, y0: f64, t0: i64, n: usize) -> Trajectory {
         Trajectory::new(
@@ -896,7 +891,7 @@ mod tests {
 
     #[test]
     fn kernel_counters_account_for_every_candidate() {
-        let trajs = mixed_mod();
+        let trajs = repeated_mod(40);
         let p = params(25.0);
         let arena = SegmentArena::build(&trajs);
         let packed = PackedSegmentIndex::build(&arena);
@@ -904,7 +899,8 @@ mod tests {
             arena_voting_counted_with(&arena, &packed, &p, &Executor::serial());
         assert_eq!(profiles, arena_voting(&arena, &packed, &p));
         // The clustered lines vote for each other, so the exact kernel must
-        // have run; the far-away outlier line guarantees pruned candidates.
+        // have run; their repeats, a few metres apart, leave pairs that can
+        // improve neither minimum.
         assert!(counters.evaluated > 0, "{counters:?}");
         assert!(counters.pruned > 0, "{counters:?}");
         // Counter totals are deterministic and thread-independent.
@@ -913,53 +909,6 @@ mod tests {
             let (_, parallel) = arena_voting_counted_with(&arena, &packed, &p, &exec);
             assert_eq!(parallel, counters);
         }
-    }
-
-    #[test]
-    fn clipped_gap_lower_bounds_the_kernel() {
-        // Seeded sweep: whenever both are defined, the clipped-query box gap
-        // must never exceed the exact distance (squared), or pruning on it
-        // could change results.
-        let mut state = 0xDEAD_BEEFu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut rand_seg = {
-            let mut f = move || (next() >> 11) as f64 / (1u64 << 53) as f64 * 100.0 - 50.0;
-            move |t_base: i64, span: i64| SegLanes {
-                x0: f(),
-                y0: f(),
-                x1: f(),
-                y1: f(),
-                t0: t_base,
-                t1: t_base + span,
-            }
-        };
-        let mut checked = 0usize;
-        for i in 0..2_000 {
-            let a = rand_seg((i % 17) * 500, if i % 7 == 0 { 0 } else { 4_000 });
-            let b = rand_seg((i % 23) * 400, if i % 11 == 0 { 0 } else { 3_500 });
-            match (segment_clipped_gap2(&a, &b), mean_sync_distance(&a, &b)) {
-                (Some(lb2), Some(d)) => {
-                    // Compare as distances, with the few-ulp envelope the
-                    // module docs grant every computed-vs-computed bound
-                    // (when the overlap is one instant the bound is *equal*
-                    // to the distance and only rounding separates them).
-                    assert!(
-                        lb2.sqrt() <= d * (1.0 + 1e-12) + 1e-12,
-                        "bound {} exceeds exact {d}: {a:?} vs {b:?}",
-                        lb2.sqrt()
-                    );
-                    checked += 1;
-                }
-                (None, None) => {}
-                (lb, d) => panic!("bound/kernel disagree on lifespan overlap: {lb:?} vs {d:?}"),
-            }
-        }
-        assert!(checked > 500, "sweep mostly disjoint: {checked}");
     }
 
     #[test]
@@ -1001,13 +950,104 @@ mod tests {
         let packed = PackedSegmentIndex::build(&arena);
         let mut scratch = ArenaVoteScratch::default();
         let mut votes = Vec::with_capacity(16);
-        let reference = arena_voting(&arena, &packed, &p);
+        let mut contributions = Vec::new();
+        let mut reference = Vec::new();
+        for ti in 0..arena.num_trajectories() {
+            vote_trajectory_into(
+                &arena,
+                &packed,
+                &p,
+                cutoff,
+                ti,
+                &mut ArenaVoteScratch::default(),
+                &mut votes,
+                &mut contributions,
+            );
+            contributions.sort_by_key(|&(gs, _)| gs);
+            reference.push((votes.clone(), contributions.clone()));
+        }
+        assert!(reference.iter().any(|(_, c)| !c.is_empty()));
         // Voting the same trajectories repeatedly through one scratch must
-        // reproduce the reference bit for bit (the all-∞ invariant holds).
+        // reproduce a fresh scratch's passes bit for bit (the all-∞
+        // invariant holds).
         for _round in 0..3 {
-            for (ti, expected) in reference.iter().enumerate() {
-                vote_trajectory_into(&arena, &packed, &p, cutoff, ti, &mut scratch, &mut votes);
-                assert_eq!(votes, expected.votes, "trajectory {ti}");
+            for (ti, (expected_votes, expected_contributions)) in reference.iter().enumerate() {
+                vote_trajectory_into(
+                    &arena,
+                    &packed,
+                    &p,
+                    cutoff,
+                    ti,
+                    &mut scratch,
+                    &mut votes,
+                    &mut contributions,
+                );
+                contributions.sort_by_key(|&(gs, _)| gs);
+                assert_eq!(&votes, expected_votes, "trajectory {ti}");
+                assert_eq!(&contributions, expected_contributions, "trajectory {ti}");
+            }
+        }
+    }
+
+    /// The trajectories of `mixed_mod` repeated `n / 8 + 1` times over with
+    /// growing offsets, cut to `n`: every trajectory has close voters before
+    /// and after it, and `n` can sit on either side of a fold batch.
+    fn repeated_mod(n: usize) -> Vec<Trajectory> {
+        (0..n)
+            .map(|i| {
+                let base = &mixed_mod()[i % 8];
+                let shift = (i / 8) as f64 * 3.0;
+                let points = base
+                    .points()
+                    .iter()
+                    .map(|p| Point::new(p.x + shift, p.y + shift * 0.5, p.t))
+                    .collect();
+                Trajectory::new(i as u64, i as u64, points).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn votes_equal_naive_around_the_fold_batch() {
+        let p = params(25.0);
+        for n in [0, 1, 2, FOLD_BATCH - 1, FOLD_BATCH, FOLD_BATCH + 1] {
+            let trajs = repeated_mod(n);
+            let arena = SegmentArena::build(&trajs);
+            let packed = PackedSegmentIndex::build(&arena);
+            let reference = naive_voting(&trajs, &p);
+            if n > 1 {
+                assert!(reference.iter().any(|r| r.votes.iter().any(|&v| v > 0.5)));
+            }
+            for threads in [1usize, 2, 4] {
+                let exec = Executor::new(hermes_exec::ExecPolicy { threads });
+                assert_eq!(
+                    arena_voting_with(&arena, &packed, &p, &exec),
+                    reference,
+                    "{n} trajectories on {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_mid_pass_leaves_the_next_query_right() {
+        let p = params(25.0);
+        let trajs = repeated_mod(FOLD_BATCH + 3);
+        let arena = SegmentArena::build(&trajs);
+        let packed = PackedSegmentIndex::build(&arena);
+        let reference = naive_voting(&trajs, &p);
+        for flushes in [1u64, 7, 40] {
+            PANIC_AFTER_FLUSHES.with(|left| left.set(flushes));
+            let outcome = std::panic::catch_unwind(|| arena_voting(&arena, &packed, &p));
+            assert!(outcome.is_err(), "the panic after {flushes} flushes fired");
+            assert_eq!(PANIC_AFTER_FLUSHES.with(Cell::get), 0);
+            for threads in [1usize, 2] {
+                let exec = Executor::new(hermes_exec::ExecPolicy { threads });
+                assert_eq!(
+                    arena_voting_with(&arena, &packed, &p, &exec),
+                    reference,
+                    "after a panic at flush {flushes}, {threads} threads"
+                );
             }
         }
     }

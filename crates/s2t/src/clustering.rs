@@ -9,7 +9,9 @@
 use crate::params::S2TParams;
 use crate::segmentation::VotedSubTrajectory;
 use hermes_exec::Executor;
-use hermes_trajectory::{spatiotemporal_distance, Lifespan, SubTrajectory, TimeInterval};
+use hermes_trajectory::{
+    spatiotemporal_distance, DistanceCounters, Lifespan, SubTrajectory, TimeInterval,
+};
 
 /// Identifier of a cluster within one clustering result.
 pub type ClusterId = usize;
@@ -116,14 +118,21 @@ impl<M> ClusteringResult<M> {
 /// [`spatiotemporal_distance`], and that distance, among those within
 /// `epsilon`. Representatives are visited in order and a tie keeps the first
 /// (strict `<`). `None` when no representative is within `epsilon`.
+///
+/// Each distance is measured with the limit `min(epsilon, best so far)`: a
+/// value above it loses either `d <= epsilon` or `d < best`, so the ∞ a
+/// cut-off returns in its place is rejected alike. `counters` counts the
+/// distances measured.
 pub fn nearest_representative<'a>(
     sub: &SubTrajectory,
     representatives: impl IntoIterator<Item = &'a SubTrajectory>,
     epsilon: f64,
+    counters: &mut DistanceCounters,
 ) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
     for (ci, representative) in representatives.into_iter().enumerate() {
-        let d = spatiotemporal_distance(sub, representative);
+        let limit = best.map_or(epsilon, |(_, bd)| bd.min(epsilon));
+        let d = spatiotemporal_distance(sub, representative, limit, counters);
         if d.is_finite() && d <= epsilon && best.map(|(_, bd)| d < bd).unwrap_or(true) {
             best = Some((ci, d));
         }
@@ -159,6 +168,16 @@ pub fn cluster_around_representatives_with(
     params: &S2TParams,
     exec: &Executor,
 ) -> ClusteringResult {
+    cluster_around_representatives_counted(subs, representative_indices, params, exec).0
+}
+
+/// [`cluster_around_representatives_with`] plus the distances it measured.
+pub(crate) fn cluster_around_representatives_counted(
+    subs: &[VotedSubTrajectory],
+    representative_indices: &[usize],
+    params: &S2TParams,
+    exec: &Executor,
+) -> (ClusteringResult, DistanceCounters) {
     let mut clusters: Vec<Cluster> = representative_indices
         .iter()
         .enumerate()
@@ -177,17 +196,22 @@ pub fn cluster_around_representatives_with(
     }
 
     let assignments = exec.map(subs, |i, s| {
+        let mut counters = DistanceCounters::default();
         if is_seed[i] {
-            return Assignment::Seed;
+            return (Assignment::Seed, counters);
         }
         let representatives = clusters.iter().map(|c| &c.representative);
-        match nearest_representative(&s.sub, representatives, params.epsilon) {
-            Some((ci, d)) => Assignment::Member(ci, d),
-            None => Assignment::Outlier,
-        }
+        let assignment =
+            match nearest_representative(&s.sub, representatives, params.epsilon, &mut counters) {
+                Some((ci, d)) => Assignment::Member(ci, d),
+                None => Assignment::Outlier,
+            };
+        (assignment, counters)
     });
 
-    for (i, assignment) in assignments.into_iter().enumerate() {
+    let mut totals = DistanceCounters::default();
+    for (i, (assignment, counters)) in assignments.into_iter().enumerate() {
+        totals.accumulate(&counters);
         match assignment {
             Assignment::Seed => {}
             Assignment::Member(ci, d) => {
@@ -198,7 +222,7 @@ pub fn cluster_around_representatives_with(
         }
     }
 
-    ClusteringResult { clusters, outliers }
+    (ClusteringResult { clusters, outliers }, totals)
 }
 
 #[cfg(test)]

@@ -43,8 +43,8 @@ mod timescan;
 pub mod voting;
 
 pub use arena::{
-    arena_voting, arena_voting_counted_with, arena_voting_with, segment_clipped_gap2,
-    vote_trajectory_into, ArenaVoteScratch, KernelCounters, PackedSegmentIndex, SegmentArena,
+    arena_voting, arena_voting_counted_with, arena_voting_with, vote_trajectory_into,
+    ArenaVoteScratch, KernelCounters, PackedSegmentIndex, SegmentArena,
 };
 pub use clustering::{
     cluster_around_representatives, cluster_around_representatives_with, nearest_representative,

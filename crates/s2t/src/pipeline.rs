@@ -6,13 +6,13 @@
 //! E3).
 
 use crate::arena::{arena_voting_counted_with, KernelCounters, PackedSegmentIndex, SegmentArena};
-use crate::clustering::{cluster_around_representatives_with, ClusteringResult};
+use crate::clustering::{cluster_around_representatives_counted, ClusteringResult};
 use crate::params::S2TParams;
-use crate::sampling::select_representatives_with;
+use crate::sampling::select_representatives_counted;
 use crate::segmentation::{segment_all_with, VotedSubTrajectory};
 use crate::voting::{naive_voting_with, VotingProfile};
 use hermes_exec::Executor;
-use hermes_trajectory::{SubTrajectory, Trajectory};
+use hermes_trajectory::{DistanceCounters, SubTrajectory, Trajectory};
 use std::time::Instant;
 
 /// Wall-clock timings of the pipeline phases, in milliseconds.
@@ -69,6 +69,9 @@ pub struct S2TOutcome {
     /// naive pipeline, which has no pruning ladder (every pair pays the
     /// exact kernel by design — that is what makes it the baseline).
     pub kernel: KernelCounters,
+    /// Exact sub-trajectory distances sampling and clustering measured, and
+    /// how many of them a limit cut off early.
+    pub distance: DistanceCounters,
 }
 
 fn ms(from: Instant) -> f64 {
@@ -140,12 +143,15 @@ fn run_pipeline(
     let subs = segment_all_with(trajectories, &profiles, params, exec);
     timings.segmentation_ms = ms(t0);
 
+    let mut distance = DistanceCounters::default();
     let t0 = Instant::now();
-    let representatives = select_representatives_with(&subs, params, exec);
+    let representatives = select_representatives_counted(&subs, params, &mut distance);
     timings.sampling_ms = ms(t0);
 
     let t0 = Instant::now();
-    let result = cluster_around_representatives_with(&subs, &representatives, params, exec);
+    let (result, clustering) =
+        cluster_around_representatives_counted(&subs, &representatives, params, exec);
+    distance.accumulate(&clustering);
     timings.clustering_ms = ms(t0);
 
     S2TOutcome {
@@ -154,6 +160,7 @@ fn run_pipeline(
         sub_trajectories: subs,
         timings,
         kernel,
+        distance,
     }
 }
 
@@ -333,6 +340,7 @@ mod tests {
             assert_eq!(reused.profiles, fresh.profiles);
             assert_eq!(reused.result, fresh.result);
             assert_eq!(reused.kernel, fresh.kernel);
+            assert_eq!(reused.distance, fresh.distance);
             assert_eq!(reused.timings.index_build_ms, 0.0);
         }
     }

@@ -13,7 +13,7 @@
 use crate::params::S2TParams;
 use crate::segmentation::VotedSubTrajectory;
 use hermes_exec::Executor;
-use hermes_trajectory::spatiotemporal_distance;
+use hermes_trajectory::{spatiotemporal_distance, DistanceCounters};
 
 /// Greedily selects the indices of the sub-trajectories that will seed the
 /// clusters, in selection order.
@@ -31,6 +31,16 @@ pub fn select_representatives_with(
     subs: &[VotedSubTrajectory],
     params: &S2TParams,
     _exec: &Executor,
+) -> Vec<usize> {
+    select_representatives_counted(subs, params, &mut DistanceCounters::default())
+}
+
+/// [`select_representatives`], adding the distances it measured to
+/// `counters`.
+pub(crate) fn select_representatives_counted(
+    subs: &[VotedSubTrajectory],
+    params: &S2TParams,
+    counters: &mut DistanceCounters,
 ) -> Vec<usize> {
     if subs.is_empty() {
         return Vec::new();
@@ -83,12 +93,16 @@ pub fn select_representatives_with(
         // Discount the remaining candidates by how much of their
         // neighbourhood the new pick covers — a similarity in [0, 1]: 1 when
         // they coincide, 0 when they are at least 2ε apart or never co-exist
-        // — and retire those already covered by it.
+        // — and retire those already covered by it. Beyond 2ε the discount
+        // is exactly `× 1.0` (`d / 2ε ≥ 1` rounds monotonically, so the
+        // similarity clamps to `0.0`), the same as for the ∞ a distance cut
+        // off at 2ε returns: the cut-off changes no gain.
+        let limit = 2.0 * params.epsilon;
         for (i, g) in gain.iter_mut().enumerate() {
             if !eligible[i] {
                 continue;
             }
-            let d = spatiotemporal_distance(&subs[i].sub, &subs[idx].sub);
+            let d = spatiotemporal_distance(&subs[i].sub, &subs[idx].sub, limit, counters);
             if d <= params.epsilon {
                 eligible[i] = false;
                 continue;

@@ -1,10 +1,10 @@
 //! Proof that the arena voting inner loop is allocation-free.
 //!
 //! A counting global allocator wraps the system allocator; after one warm-up
-//! pass (which sizes the explicit scratch, as the thread-local one behind
-//! `arena_voting` is sized by its first use), voting every
-//! trajectory of a co-moving workload again must perform **zero** heap
-//! allocations. This pins the hot-path contract the SoA rewrite exists for:
+//! pass (which sizes the explicit scratch, as each pooled one behind
+//! `arena_voting` is sized by its first pass), the per-trajectory pass over
+//! every trajectory of a co-moving workload must perform **zero** heap
+//! allocations when its outputs (votes, contributions) are pre-sized. This pins the hot-path contract the SoA rewrite exists for:
 //! no `Vec` per R-tree probe, no `Vec<Timestamp>` per distance pair, no
 //! `Segment` materialization — just lane reads and in-place scratch.
 //!
@@ -90,9 +90,10 @@ fn voting_inner_loop_performs_zero_heap_allocations() {
         .max()
         .unwrap();
     let mut votes: Vec<f64> = Vec::with_capacity(max_segments);
+    let mut contributions: Vec<(u32, f64)> = Vec::with_capacity(arena.num_segments());
 
     // Warm-up pass: results recorded for the later equivalence check.
-    let mut reference: Vec<Vec<f64>> = Vec::new();
+    let mut reference = Vec::new();
     for ti in 0..arena.num_trajectories() {
         vote_trajectory_into(
             &arena,
@@ -102,12 +103,19 @@ fn voting_inner_loop_performs_zero_heap_allocations() {
             ti,
             &mut scratch,
             &mut votes,
+            &mut contributions,
         );
-        reference.push(votes.clone());
+        reference.push((votes.clone(), contributions.clone()));
     }
     assert!(
-        reference.iter().any(|v| v.iter().any(|&x| x > 0.5)),
+        reference.iter().any(|(v, _)| v.iter().any(|&x| x > 0.5)),
         "the workload must produce real votes for the test to mean anything"
+    );
+    assert!(
+        reference
+            .iter()
+            .any(|(_, c)| c.iter().any(|&(_, x)| x > 0.5)),
+        "the passes must contribute to earlier trajectories' votes"
     );
 
     // Measured passes: zero allocations across the entire voting loop.
@@ -122,6 +130,7 @@ fn voting_inner_loop_performs_zero_heap_allocations() {
                 ti,
                 &mut scratch,
                 &mut votes,
+                &mut contributions,
             );
         }
     }
@@ -132,8 +141,8 @@ fn voting_inner_loop_performs_zero_heap_allocations() {
         "voting must not allocate with a warm scratch"
     );
 
-    // And the measured passes still produce the same votes bit for bit.
-    for (ti, expected) in reference.iter().enumerate() {
+    // And the measured passes still produce the same output bit for bit.
+    for (ti, (expected_votes, expected_contributions)) in reference.iter().enumerate() {
         vote_trajectory_into(
             &arena,
             &index,
@@ -142,7 +151,9 @@ fn voting_inner_loop_performs_zero_heap_allocations() {
             ti,
             &mut scratch,
             &mut votes,
+            &mut contributions,
         );
-        assert_eq!(&votes, expected, "trajectory {ti}");
+        assert_eq!(&votes, expected_votes, "trajectory {ti}");
+        assert_eq!(&contributions, expected_contributions, "trajectory {ti}");
     }
 }

@@ -711,6 +711,16 @@ fn collect_engine_samples(engine: &SharedEngine, out: &mut Vec<Sample>) {
         stats.kernel_pruned,
     ));
     out.push(counter(
+        "hermes_engine_distance_exact_total",
+        "S2T sub-trajectory distances measured to the last sample",
+        stats.distance_exact,
+    ));
+    out.push(counter(
+        "hermes_engine_distance_cut_off_total",
+        "S2T sub-trajectory distances stopped early above their limit",
+        stats.distance_cut_off,
+    ));
+    out.push(counter(
         "hermes_storage_page_lookups_total",
         "Level-4 page lookups summed over every index",
         stats.page_lookups,
@@ -842,6 +852,8 @@ mod tests {
         for sql in [
             "BUILD INDEX ON flights WITH CHUNK 4 HOURS SIGMA 60 EPSILON 400;",
             "SELECT S2T(flights, 60, 0.35, 0.05, 300000, 400);",
+            // ε = 5: most distances are cut off above it.
+            "SELECT S2T(flights, 60, 0.35, 0.05, 300000, 5);",
             "SELECT QUT(flights, 0, 28800000, 0.35, 0.05, 300000, 400, 1800000);",
             "SELECT QUT(flights, 600000, 15000000, 0.35, 0.05, 300000, 400, 1800000);",
         ] {
@@ -904,9 +916,15 @@ mod tests {
                 .find(|&r| frame.get(r, "metric") == Some(&Value::Text(name.into())))
                 .and_then(|r| frame.get(r, "value").cloned())
         };
-        // The statements moved the memo and kernel counters, so the
-        // comparison covers live numbers, not only zeros.
-        for moved in ["kernel_evaluated", "border_memo_misses", "s2t_index_builds"] {
+        // The statements moved the memo, kernel and distance counters, so
+        // the comparison covers live numbers, not only zeros.
+        for moved in [
+            "kernel_evaluated",
+            "distance_exact",
+            "distance_cut_off",
+            "border_memo_misses",
+            "s2t_index_builds",
+        ] {
             assert_ne!(row(moved), Some(Value::Int(0)), "{moved}");
         }
     }

@@ -281,6 +281,10 @@ fn push_engine_stats(frame: &mut Frame, engine: &HermesEngine) {
         // rejects, cumulative over the same queries as the phase counters.
         ("kernel_evaluated", s.kernel_evaluated as i64),
         ("kernel_pruned", s.kernel_pruned as i64),
+        // Sub-trajectory distances of S2T statements' sampling and
+        // clustering: measured to the end vs cut off above their limit.
+        ("distance_exact", s.distance_exact as i64),
+        ("distance_cut_off", s.distance_cut_off as i64),
         // Derived read-path state (docs/ARCHITECTURE.md § "Derived state"):
         // border partials and merge-edge lists answered from / computed into
         // the per-tree memos, and whole-dataset S2T runs that built / found
@@ -910,6 +914,8 @@ mod tests {
             "s2t_clustering_ms",
             "kernel_evaluated",
             "kernel_pruned",
+            "distance_exact",
+            "distance_cut_off",
         ] {
             assert!(metric(phase) >= 0, "{phase}");
         }

@@ -7,7 +7,7 @@
 //! paper calls out ("focusing on the spatial and ignoring the temporal
 //! dimension").
 
-use crate::interpolate::{position_at, sample_instants_iter};
+use crate::interpolate::{sample_instants_iter, Walk};
 use crate::point::Point;
 use crate::subtrajectory::SubTrajectory;
 use crate::time::TimeInterval;
@@ -18,10 +18,33 @@ use crate::trajectory::Trajectory;
 /// comparable resolution to its own sampling rate.
 const SYNC_SAMPLES: usize = 32;
 
+/// The sum of the distances between the two interpolated positions at
+/// [`SYNC_SAMPLES`] evenly spaced instants over `common` — an interval with
+/// positive length that both sequences' lifespans cover — added in instant
+/// order, each side walked with one forward cursor. `None` as soon as
+/// `exceeds(partial sum)` holds; the whole run never heap-allocates.
+#[inline]
+fn synchronized_sum(
+    a: &[Point],
+    b: &[Point],
+    common: TimeInterval,
+    exceeds: impl Fn(f64) -> bool,
+) -> Option<f64> {
+    let (mut wa, mut wb) = (Walk::new(a), Walk::new(b));
+    let mut sum = 0.0;
+    for t in sample_instants_iter(common.start, common.end, SYNC_SAMPLES) {
+        sum += wa.position_at(t).spatial_distance(&wb.position_at(t));
+        if exceeds(sum) {
+            return None;
+        }
+    }
+    Some(sum)
+}
+
 /// Time-synchronized Euclidean distance between two point sequences over
 /// their common lifespan: the mean spatial distance of the two interpolated
 /// positions at evenly spaced instants. `None` when the lifespans are
-/// disjoint or degenerate.
+/// disjoint or degenerate. Points must be in non-decreasing time order.
 pub fn synchronized_euclidean_points(a: &[Point], b: &[Point]) -> Option<f64> {
     if a.len() < 2 || b.len() < 2 {
         return None;
@@ -32,20 +55,8 @@ pub fn synchronized_euclidean_points(a: &[Point], b: &[Point]) -> Option<f64> {
     if common.length().millis() == 0 {
         return None;
     }
-    // Lazy instants: the whole integral runs without a heap allocation.
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for t in sample_instants_iter(common.start, common.end, SYNC_SAMPLES) {
-        if let (Some(p), Some(q)) = (position_at(a, t), position_at(b, t)) {
-            sum += p.spatial_distance(&q);
-            n += 1;
-        }
-    }
-    if n == 0 {
-        None
-    } else {
-        Some(sum / n as f64)
-    }
+    let sum = synchronized_sum(a, b, common, |_| false)?;
+    Some(sum / SYNC_SAMPLES as f64)
 }
 
 /// Time-synchronized Euclidean distance between two whole trajectories.
@@ -60,6 +71,26 @@ pub fn sub_trajectory_distance(a: &SubTrajectory, b: &SubTrajectory) -> Option<f
     synchronized_euclidean_points(a.points(), b.points())
 }
 
+/// How many sub-trajectory distances a caller measured. Pairs whose
+/// lifespans share no time cost one interval test and count in neither
+/// field.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DistanceCounters {
+    /// Pairs measured exactly: every synchronized sample walked.
+    pub exact: u64,
+    /// Pairs stopped before their last sample because the value was
+    /// already provably above the caller's limit.
+    pub cut_off: u64,
+}
+
+impl DistanceCounters {
+    /// Accumulates `other` into `self` (both fields are monotone sums).
+    pub fn accumulate(&mut self, other: &DistanceCounters) {
+        self.exact += other.exact;
+        self.cut_off += other.cut_off;
+    }
+}
+
 /// Spatio-temporal distance between sub-trajectories that *penalizes partial
 /// temporal overlap*: the synchronized distance over the common lifespan is
 /// divided by the fraction of the two lifespans that is shared. Two
@@ -68,7 +99,23 @@ pub fn sub_trajectory_distance(a: &SubTrajectory, b: &SubTrajectory) -> Option<f
 ///
 /// Returns `f64::INFINITY` when there is no temporal overlap at all — such a
 /// pair can never be clustered together by a time-aware method.
-pub fn spatiotemporal_distance(a: &SubTrajectory, b: &SubTrajectory) -> f64 {
+///
+/// **The limit.** A value at most `limit` is returned exactly, bit for bit.
+/// Above it the walk may stop early and return `f64::INFINITY` instead: pass
+/// `f64::INFINITY` for the exact value always. The value is
+/// `(sum / 32) / overlap` over 32 non-negative samples; in round-to-nearest
+/// arithmetic adding a non-negative sample never lowers the partial sum, and
+/// dividing by a positive constant is monotone, so once
+/// `(partial / 32) / overlap > limit` the final value is above `limit` too —
+/// the test is the final formula on the partial sum, with no slack. A NaN
+/// sample never passes it, so such a pair is measured to the end.
+/// `counters` counts the pairs measured exactly and the pairs cut off.
+pub fn spatiotemporal_distance(
+    a: &SubTrajectory,
+    b: &SubTrajectory,
+    limit: f64,
+    counters: &mut DistanceCounters,
+) -> f64 {
     let la = a.lifespan();
     let lb = b.lifespan();
     let Some(common) = la.intersection(&lb) else {
@@ -79,12 +126,22 @@ pub fn spatiotemporal_distance(a: &SubTrajectory, b: &SubTrajectory) -> f64 {
     if union_len <= 0.0 || common_len <= 0.0 {
         return f64::INFINITY;
     }
-    match sub_trajectory_distance(a, b) {
-        Some(d) => {
-            let overlap_fraction = common_len / union_len;
-            d / overlap_fraction
+    let overlap_fraction = common_len / union_len;
+    let scaled = |sum: f64| sum / SYNC_SAMPLES as f64 / overlap_fraction;
+    // The lifespans are the first and last samples' instants, so `common` is
+    // the interval `sub_trajectory_distance` would find, and its length is
+    // positive.
+    match synchronized_sum(a.points(), b.points(), common, |partial| {
+        scaled(partial) > limit
+    }) {
+        Some(sum) => {
+            counters.exact += 1;
+            scaled(sum)
         }
-        None => f64::INFINITY,
+        None => {
+            counters.cut_off += 1;
+            f64::INFINITY
+        }
     }
 }
 
@@ -162,7 +219,12 @@ mod tests {
         let a = sub(1, &[(0.0, 0.0, 0), (1.0, 0.0, 1_000)]);
         let b = sub(2, &[(0.0, 0.0, 10_000), (1.0, 0.0, 11_000)]);
         assert_eq!(sub_trajectory_distance(&a, &b), None);
-        assert_eq!(spatiotemporal_distance(&a, &b), f64::INFINITY);
+        let mut counters = DistanceCounters::default();
+        assert_eq!(
+            spatiotemporal_distance(&a, &b, f64::INFINITY, &mut counters),
+            f64::INFINITY
+        );
+        assert_eq!(counters, DistanceCounters::default());
     }
 
     #[test]
@@ -170,8 +232,16 @@ mod tests {
         let full = sub(1, &[(0.0, 0.0, 0), (100.0, 0.0, 100_000)]);
         let co_moving = sub(2, &[(0.0, 1.0, 0), (100.0, 1.0, 100_000)]);
         let brief = sub(3, &[(0.0, 1.0, 0), (10.0, 1.0, 10_000)]);
-        let d_full = spatiotemporal_distance(&full, &co_moving);
-        let d_brief = spatiotemporal_distance(&full, &brief);
+        let mut counters = DistanceCounters::default();
+        let d_full = spatiotemporal_distance(&full, &co_moving, f64::INFINITY, &mut counters);
+        let d_brief = spatiotemporal_distance(&full, &brief, f64::INFINITY, &mut counters);
+        assert_eq!(
+            counters,
+            DistanceCounters {
+                exact: 2,
+                cut_off: 0
+            }
+        );
         assert!((d_full - 1.0).abs() < 1e-6);
         assert!(
             d_brief > d_full * 5.0,
@@ -205,5 +275,107 @@ mod tests {
         let d2 = synchronized_euclidean(&b, &a).unwrap();
         assert!((d1 - d2).abs() < 1e-9);
         assert!(d1 > 0.0);
+    }
+
+    /// A seeded stream of sub-trajectories: 2 to 40 samples, time steps of
+    /// 0 to 90 s (repeated instants included), lifespans that overlap often,
+    /// coordinates up to `scale` in magnitude.
+    fn random_subs(seed: u64, scale: f64, count: usize) -> Vec<SubTrajectory> {
+        let mut state = seed;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        (0..count as u64)
+            .map(|id| {
+                let n = 2 + (next() % 39) as usize;
+                let mut t = (next() % 600_000) as i64;
+                let points = (0..n)
+                    .map(|_| {
+                        let unit = |r: u64| (r >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+                        let p =
+                            Point::new(unit(next()) * scale, unit(next()) * scale, Timestamp(t));
+                        t += [0, 1, 7_000, 30_000, 90_000][(next() % 5) as usize];
+                        p
+                    })
+                    .collect();
+                SubTrajectory::from_points(SubTrajectoryId::new(id, 0), id, id, points)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_walk_finds_what_the_binary_search_finds() {
+        use crate::interpolate::{position_at, Walk};
+        for sub in random_subs(0x5EED, 1e7, 300) {
+            let points = sub.points();
+            let span = sub.lifespan();
+            for n in [2usize, 3, 32, 97] {
+                let mut walk = Walk::new(points);
+                for t in sample_instants_iter(span.start, span.end, n) {
+                    let expected = position_at(points, t).expect("inside the lifespan");
+                    let got = walk.position_at(t);
+                    assert_eq!(
+                        (got.x.to_bits(), got.y.to_bits(), got.t),
+                        (expected.x.to_bits(), expected.y.to_bits(), expected.t),
+                        "{} samples, instant {t}",
+                        points.len()
+                    );
+                }
+            }
+        }
+    }
+
+    /// The limit never changes a value it admits: at coordinate magnitudes
+    /// from 1 to 1e7, whenever the exact distance is at most the limit the
+    /// limited call returns its bits, and whenever it is above, the limited
+    /// call returns a value above the limit too. Limits sit at, just below
+    /// and just above the exact value, and at fractions and multiples of it.
+    #[test]
+    fn a_limited_distance_is_exact_whenever_it_is_within_the_limit() {
+        let mut counters = DistanceCounters::default();
+        let mut within = 0usize;
+        for (seed, scale) in [(1u64, 1.0), (2, 1e3), (3, 1e5), (4, 1e7)] {
+            let subs = random_subs(0xC0FF_EE00 + seed, scale, 120);
+            for a in &subs {
+                for b in &subs {
+                    let exact = spatiotemporal_distance(a, b, f64::INFINITY, &mut counters);
+                    if !exact.is_finite() {
+                        continue;
+                    }
+                    let limits = [
+                        exact,
+                        f64::from_bits(exact.to_bits() + 1),
+                        if exact > 0.0 {
+                            f64::from_bits(exact.to_bits() - 1)
+                        } else {
+                            0.0
+                        },
+                        exact * 0.5,
+                        exact * 0.999,
+                        exact * 1.001,
+                        exact * 2.0,
+                        0.0,
+                    ];
+                    for limit in limits {
+                        let limited = spatiotemporal_distance(a, b, limit, &mut counters);
+                        if exact <= limit {
+                            within += 1;
+                            assert_eq!(
+                                limited.to_bits(),
+                                exact.to_bits(),
+                                "limit {limit} changed {exact}"
+                            );
+                        } else {
+                            assert!(limited > limit, "{limited} at limit {limit}, exact {exact}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(within > 10_000, "too few admitted pairs: {within}");
+        assert!(counters.cut_off > 10_000, "too few cut-offs: {counters:?}");
     }
 }

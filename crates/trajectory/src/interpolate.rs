@@ -36,6 +36,61 @@ pub fn position_at(points: &[Point], t: Timestamp) -> Option<Point> {
     Some(before.lerp(after, f))
 }
 
+/// Hops a [`Walk`] takes one sample at a time before it binary-searches the
+/// rest: sample instants are usually about as far apart as the samples
+/// themselves, so the next bracket is almost always within a hop or two.
+const WALK_HOPS: usize = 8;
+
+/// [`position_at`] for a non-decreasing sequence of instants: a forward
+/// cursor over one side's samples that resumes where the previous instant
+/// left off instead of searching the whole slice again. It finds the index
+/// `partition_point` finds (the first sample with time `>= t`: every sample
+/// before the cursor is earlier than the previous instant, so earlier than
+/// `t`) and then performs the same operations on the same bracketing
+/// samples, so every position is bit-identical to [`position_at`]'s.
+#[derive(Debug, Clone)]
+pub(crate) struct Walk<'a> {
+    points: &'a [Point],
+    /// Every sample before this index is earlier than the last instant.
+    next: usize,
+}
+
+impl<'a> Walk<'a> {
+    pub(crate) fn new(points: &'a [Point]) -> Self {
+        Walk { points, next: 0 }
+    }
+
+    /// The position at `t`, which must lie inside the sampled lifespan and
+    /// must not precede the previous call's instant.
+    #[inline]
+    pub(crate) fn position_at(&mut self, t: Timestamp) -> Point {
+        let points = self.points;
+        let mut idx = self.next;
+        let hops_end = (idx + WALK_HOPS).min(points.len());
+        while idx < hops_end && points[idx].t < t {
+            idx += 1;
+        }
+        if idx == hops_end {
+            idx += points[idx..].partition_point(|p| p.t < t);
+        }
+        self.next = idx;
+        if idx == 0 {
+            return points[0];
+        }
+        let after = &points[idx];
+        if after.t == t {
+            return *after;
+        }
+        let before = &points[idx - 1];
+        let span = (after.t - before.t).millis();
+        if span == 0 {
+            return *before;
+        }
+        let f = (t - before.t).millis() as f64 / span as f64;
+        before.lerp(after, f)
+    }
+}
+
 /// Iterator over `n` evenly spaced instants covering `[start, end]`
 /// inclusive, without allocating: the distance kernels iterate it directly so
 /// the integral distances never heap-allocate a per-pair instant buffer.

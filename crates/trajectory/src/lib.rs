@@ -41,6 +41,7 @@ pub mod trajectory;
 pub use csvio::{parse_csv, parse_geo_csv, to_csv, CsvImport};
 pub use distance::{
     hausdorff_distance, spatiotemporal_distance, sub_trajectory_distance, synchronized_euclidean,
+    DistanceCounters,
 };
 pub use error::TrajectoryError;
 pub use geo::{haversine_distance, GeoPoint, LocalProjection};
