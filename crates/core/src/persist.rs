@@ -545,6 +545,9 @@ fn acquire_dir_lock(dir: &Path) -> std::result::Result<File, StorageError> {
         }
         const LOCK_EX: i32 = 2;
         const LOCK_NB: i32 = 4;
+        // SAFETY: `flock(2)` reads no memory of ours: it takes a descriptor
+        // and an operation, matching the C prototype declared above. The
+        // descriptor belongs to `file`, which is open for the whole call.
         if unsafe { flock(file.as_raw_fd(), LOCK_EX | LOCK_NB) } != 0 {
             return Err(StorageError::Io {
                 context: format!("locking {}", path.display()),

@@ -129,6 +129,10 @@ impl fmt::Debug for Executor {
 /// `Sync` impl is sound because no two tasks ever alias the same slot.
 struct Slot<R>(UnsafeCell<Option<R>>);
 
+// SAFETY: a slot is written only by the one task that claimed its index, and
+// read only after `run_scoped` has returned, when every task has finished. So
+// no two threads touch one slot at once. `R: Send` lets the value written on
+// a worker be read on the calling thread.
 unsafe impl<R: Send> Sync for Slot<R> {}
 
 impl Executor {
@@ -199,7 +203,9 @@ impl Executor {
         let slots: Vec<Slot<R>> = (0..n).map(|_| Slot(UnsafeCell::new(None))).collect();
         pool.run_scoped(n, &|i| {
             let value = f(i);
-            // Safety: index `i` is claimed exactly once (see `Slot`).
+            // SAFETY: index `i` is claimed exactly once, so this is slot
+            // `i`'s only writer, and nothing reads the slots before
+            // `run_scoped` returns (see `Slot`).
             unsafe { *slots[i].0.get() = Some(value) };
         });
         slots

@@ -33,7 +33,11 @@ use std::thread::JoinHandle;
 /// validity requirement until dereferenced.
 struct RawTask(*const (dyn Fn(usize) + Sync));
 
+// SAFETY: the pointee is `Sync`, so calling it from a worker thread is sound,
+// and it is only dereferenced while the borrow is alive (see above).
 unsafe impl Send for RawTask {}
+// SAFETY: a shared `&RawTask` allows nothing but calling the `Sync` pointee
+// through a shared reference, under the same liveness rule.
 unsafe impl Sync for RawTask {}
 
 /// One scoped fork-join batch: `total` independent indices to run through
@@ -62,8 +66,9 @@ impl Job {
             if i >= self.total {
                 return;
             }
-            // Safety: `i < total`, so the caller is still parked inside
-            // `run_scoped` and the borrow behind the pointer is alive.
+            // SAFETY: `i < total`, so this index is not yet completed and the
+            // caller is still inside `run_scoped`: the borrow behind the
+            // pointer is alive.
             let task = unsafe { &*self.task.0 };
             if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
                 lock(&self.panic).get_or_insert(payload);
@@ -137,7 +142,10 @@ impl ThreadPool {
         if total == 0 {
             return;
         }
-        // Erase the borrow's lifetime; see `RawTask` for why this is sound.
+        // SAFETY: only the lifetime changes; the fat pointer's layout is the
+        // same. This function does not return before every claimed index has
+        // completed (panics are caught per index), so no task runs after the
+        // borrow ends. See `RawTask`.
         let task: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task) };
         let job = Arc::new(Job {
             task: RawTask(task as *const _),

@@ -1,17 +1,15 @@
 //! # hermes-gist
 //!
-//! The packed 3D R-tree and the box-gap arithmetic the S2T voting scan
-//! shares with it.
+//! The packed 3D R-tree, kept as the reference the S2T voting scan is
+//! tested against.
 //!
-//! * [`packed`] — a static, structure-of-arrays [`PackedRTree`]: STR-packed
-//!   into flat lanes, queried for the candidates of a distance-cutoff kernel
-//!   with zero per-query allocation. Voting draws its candidates from a
-//!   time-ordered scan instead (`hermes-s2t`); the tree is that scan's
-//!   reference in tests and what the end-to-end benchmark's `gist.probe_*`
-//!   metrics time.
-//! * [`axis_gap`], [`t_down`]/[`t_up`] — the one implementation of the
-//!   interval gap and of the outward rounding every packed temporal
-//!   prefilter relies on, here and in the voting scan.
+//! * [`packed`] — a static [`PackedRTree`]: STR-packed into flat slabs and
+//!   queried for the candidates of a distance-cutoff kernel by one scalar
+//!   descent with zero per-query allocation. Voting draws its candidates
+//!   from a time-ordered scan instead (`hermes-s2t`); the tree is that
+//!   scan's reference in tests and what the end-to-end benchmark's
+//!   `gist.probe_*` metrics time. The box gap both compute lives once, in
+//!   `hermes_trajectory::axis_gap`.
 //!
 //! The ReTraTree keeps no spatial index: the one question QuT asks a
 //! sub-chunk is which of its records temporally intersect a window, and
@@ -20,4 +18,4 @@
 
 pub mod packed;
 
-pub use packed::{axis_gap, t_down, t_up, PackedRTree};
+pub use packed::PackedRTree;

@@ -82,8 +82,9 @@ use crate::params::S2TParams;
 use crate::timescan::TimeOrderedLanes;
 use crate::voting::{kernel, VotingProfile};
 use hermes_exec::Executor;
-use hermes_gist::{axis_gap, PackedRTree};
+use hermes_gist::PackedRTree;
 use hermes_trajectory::{
+    axis_gap,
     kernel::{mean_sync_distance_batch_at, simd_level, SimdLevel, BATCH},
     Mbb, SegLanes, Timestamp, Trajectory, TrajectoryId,
 };
@@ -740,7 +741,7 @@ pub fn arena_voting_with(
 /// counters. Counter totals are deterministic: pruning decisions depend only
 /// on the pass of one trajectory, never on thread interleaving.
 ///
-/// Trajectories are voted [`FOLD_BATCH`] at a time, their passes fanned out
+/// Trajectories are voted `FOLD_BATCH` at a time, their passes fanned out
 /// on `exec`; then, serially and in ascending trajectory order, each pass's
 /// votes become its profile and its contributions are added to the earlier
 /// trajectories' profiles. A segment's vote therefore starts as its own

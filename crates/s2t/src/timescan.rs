@@ -21,9 +21,11 @@
 //! What is emitted is **exactly** the set the ball-candidate query of
 //! `hermes_gist::PackedRTree` emits over the same boxes — exact `i64`
 //! lifespan overlap and `gap² ≤ radius²`, with the same `gap²` bits at every
-//! SIMD width (the statement sequence is the tree's leaf scan: outward-rounded
-//! `f64` time prefilter, branchless max-form gap, exact `i64` recheck per
-//! survivor) — in ascending row order instead of STR tile order.
+//! SIMD width (every width runs the branchless max-form statement sequence
+//! of `hermes_trajectory::axis_gap`, the one box gap the tree's scalar
+//! descent calls too; the `f64` time prefilter is outward-rounded and every
+//! survivor is rechecked against its exact `i64` lifespan) — in ascending
+//! row order instead of STR tile order.
 //!
 //! The scan is two loops per [`BLOCK`] of rows, not one: a **filter** that
 //! records which rows passed without branching on the outcome (where every
@@ -31,8 +33,7 @@
 //! branch predictor can learn), then an **emit** loop over the survivors.
 //! `docs/KERNELS.md` has the measurements.
 
-use hermes_gist::{axis_gap, t_down, t_up};
-use hermes_trajectory::{kernel::best_supported, Mbb, SimdLevel};
+use hermes_trajectory::{axis_gap, kernel::best_supported, t_down, t_up, Mbb, SimdLevel};
 
 /// Rows filtered per emit loop. The survivor offsets are `u8`s and the
 /// filter packs four of them into one `u32` add, so it must stay below 253.

@@ -241,11 +241,16 @@ fn wait_for_termination() {
     extern "C" fn on_signal(_signum: i32) {
         let fd = WRITE_FD.load(Ordering::SeqCst);
         if fd >= 0 {
+            // SAFETY: `write(2)` is async-signal-safe and reads one byte
+            // from a `'static` literal. `fd` is the pipe's write end, stored
+            // before the handler was installed and never closed.
             let _ = unsafe { write(fd, b"x".as_ptr(), 1) };
         }
     }
 
     let mut fds = [-1i32; 2];
+    // SAFETY: `pipe(2)` writes exactly two `int`s through the pointer, and
+    // `fds` is a live `[i32; 2]`.
     if unsafe { pipe(fds.as_mut_ptr()) } != 0 {
         // No pipe, no graceful shutdown — behave like the pre-durability
         // server and simply run until killed.
@@ -254,12 +259,19 @@ fn wait_for_termination() {
         }
     }
     WRITE_FD.store(fds[1], Ordering::SeqCst);
+    // SAFETY: `on_signal` is an `extern "C" fn(i32)`, the handler type
+    // `signal(2)` expects, and does only async-signal-safe work: an atomic
+    // load and a `write(2)`. `WRITE_FD` is stored first, so no signal that
+    // arrives after this point finds the pipe missing.
     unsafe {
         signal(SIGINT, on_signal);
         signal(SIGTERM, on_signal);
     }
     let mut buf = [0u8; 1];
     loop {
+        // SAFETY: `read(2)` writes at most one byte through the pointer,
+        // into the live one-byte `buf`. `fds[0]` is the pipe's read end,
+        // open until the process exits.
         let n = unsafe { read(fds[0], buf.as_mut_ptr(), 1) };
         if n >= 1 {
             return;

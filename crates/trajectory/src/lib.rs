@@ -8,7 +8,8 @@
 //!
 //! * [`Timestamp`] / [`Duration`] — millisecond-resolution time axis,
 //! * [`Point`] — a 3D sample `(x, y, t)` of a moving object,
-//! * [`Mbb`] — 3D (space + time) minimum bounding boxes,
+//! * [`Mbb`] — 3D (space + time) minimum bounding boxes, and [`axis_gap`],
+//!   the one interval gap every box bound of the workspace is built from,
 //! * [`Segment`] — a straight-line movement between two consecutive samples,
 //! * [`Trajectory`] — the full history of one moving object,
 //! * [`SubTrajectory`] — a contiguous portion of a trajectory (the unit that
@@ -49,7 +50,7 @@ pub use kernel::{
     mean_sync_distance, mean_sync_distance_batch, mean_sync_distance_batch_at, simd_level,
     SegLanes, SimdLevel, BATCH,
 };
-pub use mbb::Mbb;
+pub use mbb::{axis_gap, t_down, t_up, Mbb};
 pub use point::Point;
 pub use segment::Segment;
 pub use stats::TrajectoryStats;

@@ -23,11 +23,8 @@ die() { echo "uncalled.sh: $*" >&2; exit 2; }
 # Names kept on purpose although nothing calls them, one reason each.
 allowed() {
     case "$1" in
-        inflate) echo "Mbb: hermes-gist's tests use it; goes with the crate" ;;
         partitions_of_kind) echo "PartitionStore: the copy-on-write test in hermes-core reads it" ;;
         expect_frame) echo "QueryOutcome: the documented test helper" ;;
-        item_mbb) echo "hermes-gist: tests/hot_path_determinism.rs reads it; goes with the crate" ;;
-        for_each_ball_candidate_idx_scalar) echo "hermes-gist: its own SIMD-vs-scalar tests; goes with the crate" ;;
         *) return 1 ;;
     esac
 }

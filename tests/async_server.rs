@@ -23,7 +23,7 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const HOUR_MS: i64 = 3_600_000;
 
@@ -63,6 +63,21 @@ struct Served {
 /// Runs `case` against an engine served with `config`, then against a
 /// coordinator served with the same `config` over two default shards, both
 /// preloaded with [`dataset`] through their own wire protocol.
+/// Waits until the serving loop has settled every connection a client has
+/// closed. A hang-up reaches the loop asynchronously, so without this a case
+/// that counts connection slots could find one still held by the previous
+/// client.
+fn until_no_live_connections(metrics: &ServerMetrics) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while metrics.connections_active.get() != 0 {
+        assert!(
+            Instant::now() < deadline,
+            "a closed connection was never settled"
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn on_both_backends(config: ServerConfig, case: impl Fn(&Served)) {
     let load = |addr: SocketAddr| {
         let mut client = HermesClient::connect(addr).unwrap();
@@ -86,6 +101,7 @@ fn on_both_backends(config: ServerConfig, case: impl Fn(&Served)) {
         .spawn()
         .unwrap();
     load(server.addr());
+    until_no_live_connections(&server.metrics());
     case(&Served {
         backend: "engine",
         addr: server.addr(),
@@ -114,6 +130,7 @@ fn on_both_backends(config: ServerConfig, case: impl Fn(&Served)) {
         .spawn()
         .unwrap();
     load(coord.addr());
+    until_no_live_connections(&coord.metrics());
     case(&Served {
         backend: "coordinator",
         addr: coord.addr(),
@@ -334,6 +351,7 @@ fn the_connection_cap_and_unparseable_peers_get_typed_codes() {
                 }
                 other => panic!("{on} {what}: answered {other:?}"),
             }
+            until_no_live_connections(&served.metrics);
         }
 
         // One admitted connection fills the cap; the next one is turned away

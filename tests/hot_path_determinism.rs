@@ -142,14 +142,19 @@ fn packed_segment_index_matches_legacy_cardinality_and_geometry() {
         let expected: usize = trajs.iter().map(|t| t.num_segments()).sum();
         assert_eq!(arena.num_segments(), expected, "{name}");
         assert_eq!(packed.len(), expected, "{name}");
-        // Every tree item maps back to the arena segment it was keyed by.
-        for i in 0..packed.len() {
-            let gs = *packed.tree().value(i) as usize;
-            assert_eq!(
-                packed.tree().item_mbb(i),
-                arena.segment_mbb(gs),
-                "{name}/{i}"
-            );
+        // Every arena segment is in the tree under its own box: the
+        // zero-radius ball around that box finds it, at gap 0.
+        let tree = packed.tree();
+        assert_eq!(tree.len(), expected, "{name}");
+        for gs in 0..arena.num_segments() {
+            let mut found = 0;
+            tree.for_each_ball_candidate_idx(&arena.segment_mbb(gs), 0.0, |i, gap2| {
+                if *tree.value(i) as usize == gs {
+                    assert_eq!(gap2.to_bits(), 0.0f64.to_bits(), "{name}/{gs}");
+                    found += 1;
+                }
+            });
+            assert_eq!(found, 1, "{name}/{gs}");
         }
     }
 }
@@ -223,8 +228,7 @@ fn batch_kernel_is_bit_identical_across_lane_widths_and_tails() {
 /// kernel would have won fails here.
 #[test]
 fn lower_bounds_never_exceed_exact_distance() {
-    use hermes::gist::axis_gap;
-    use hermes::trajectory::{mean_sync_distance, SegLanes};
+    use hermes::trajectory::{axis_gap, mean_sync_distance, SegLanes};
 
     for (name, trajs, _params) in workloads() {
         let arena = SegmentArena::build(&trajs);
