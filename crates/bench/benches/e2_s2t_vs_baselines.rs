@@ -2,8 +2,11 @@
 //! methods the demo lets the user play with (TRACLUS, T-OPTICS, Convoys),
 //! plus the comparison of two S2T parameterisations.
 //!
-//! Each method is timed on the same aircraft workload; the printed table
-//! reports the method-agnostic quality numbers recorded in EXPERIMENTS.md.
+//! Each method is timed on the same aircraft workload. The run prints the
+//! timing table, then a summary table of method-agnostic quality numbers
+//! (clusters and noise per method, in each method's own unit) and the
+//! agreement of the two S2T parameterisations. No file records them yet;
+//! ROADMAP item 10(c) will generate `EXPERIMENTS.md` from this output.
 
 use hermes_baselines::{
     discover_convoys, t_optics, traclus, ConvoyParams, TOpticsParams, TraclusParams,
@@ -57,7 +60,7 @@ fn main() {
     ];
     report("e2_methods", &samples);
 
-    // Quality summary (the table of EXPERIMENTS.md).
+    // Quality summary: clusters and noise per method.
     let s2t = run_s2t(&scenario.trajectories, &s2t_params);
     let q = ClusteringQuality::compute(&s2t.result);
     let tr = traclus(&scenario.trajectories, &traclus_params());

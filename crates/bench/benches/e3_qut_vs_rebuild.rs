@@ -4,8 +4,12 @@
 //! index on the result of the query, and (iii) applying clustering
 //! (S2T-Clustering)".
 //!
-//! This is the paper's central quantitative comparison; the printed series is
-//! recorded in EXPERIMENTS.md. Each window is reported three ways: the
+//! This is the paper's central quantitative comparison. The run prints one
+//! summary row per window size: clusters, the rebuild / cold / warm
+//! milliseconds, the rebuild's slowdown against each, and the sub-chunks
+//! reused and re-clustered. No file records it yet; ROADMAP item 10(c) will
+//! generate `EXPERIMENTS.md` from this output. Each window is reported
+//! three ways: the
 //! rebuild baseline, QuT **cold** (a fresh `clone()` of the tree per
 //! iteration, so both memos are empty: every border sub-chunk is
 //! re-clustered and every pair of stored representatives the merge needs is

@@ -3,7 +3,10 @@
 //! over time can be explored using a time histogram").
 //!
 //! Benches the histogram construction for several bucket widths and prints
-//! the peak-traffic series recorded in EXPERIMENTS.md.
+//! the peak-traffic series (per width: bucket count, busiest bucket and its
+//! count) and the first 12 buckets at 15-minute resolution. No file records
+//! them yet; ROADMAP item 10(c) will generate `EXPERIMENTS.md` from this
+//! output.
 
 use hermes_bench::harness::{bench, report};
 use hermes_bench::{aircraft_s2t_params, aircraft_with};

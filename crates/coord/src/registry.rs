@@ -39,7 +39,7 @@
 //! rather than handed to the next caller desynchronized.
 
 use crate::shardmap::ShardSpec;
-use hermes_obs::{Counter, Sample, SampleValue, TraceContext};
+use hermes_obs::{Counter, Stat, TraceContext};
 use hermes_server::protocol::{Request, Response};
 use hermes_server::{ClientError, ConnectOptions, HermesClient};
 use hermes_sql::{CommandStatus, CommandTag, SqlError, Value};
@@ -208,7 +208,7 @@ impl Endpoint {
 
 /// One shard's registry entry: its spec, replica endpoints, cumulative
 /// counters and the failover policy. All counters are lock-free
-/// `hermes-obs` counters — `SHOW STATS` and the `/metrics` collector read
+/// `hermes-obs` counters — its stats table ([`Shard::stat_table`]) reads
 /// them without stopping traffic.
 pub struct Shard {
     /// The shard's name, replica set and owned slice.
@@ -483,131 +483,100 @@ impl Shard {
         capped.mul_f64(0.5 + (seed % 1024) as f64 / 1024.0)
     }
 
-    /// The shard-level counters, read by both [`Shard::stat_rows`] and
-    /// [`Shard::collect_samples`]: `(SHOW STATS metric, /metrics series,
-    /// help, counter)`.
-    fn counters(&self) -> [(&'static str, &'static str, &'static str, &Counter); 8] {
-        [
-            (
+    fn pooled(&self) -> usize {
+        self.endpoints.iter().map(Endpoint::pooled).sum()
+    }
+
+    /// The shard's stats table: its `SHOW STATS` rows (the caller adds the
+    /// scope `coordinator.<shard>`) and its `hermes_shard_*` series,
+    /// labelled by shard name and, per endpoint, by endpoint address.
+    /// `endpoints` has no series.
+    pub fn stat_table(&self) -> Vec<Stat> {
+        let shard = |stat: Stat| stat.label("shard", self.spec.name.clone());
+        let counter =
+            |row, series, help, c: &Counter| shard(Stat::counter(row, series, help, c.get()));
+        let mut table = vec![
+            shard(Stat::gauge(
+                "alive",
+                "hermes_shard_alive",
+                "Last observed shard liveness (1 = at least one endpoint alive)",
+                self.is_alive() as u64,
+            )),
+            Stat::gauge("endpoints", None, "", self.endpoints.len() as u64),
+            counter(
                 "queries",
                 "hermes_shard_queries_total",
                 "Exchanges the shard answered (error frames included)",
                 &self.queries,
             ),
-            (
+            counter(
                 "errors",
                 "hermes_shard_errors_total",
                 "Exchanges that broke or were refused with a retryable code",
                 &self.errors,
             ),
-            (
+            counter(
                 "failovers",
                 "hermes_shard_failovers_total",
                 "Reads retried on another endpoint of the replica set",
                 &self.failovers,
             ),
-            (
+            counter(
                 "hedges_fired",
                 "hermes_shard_hedges_fired_total",
                 "Hedged duplicate reads fired at a replica",
                 &self.hedges_fired,
             ),
-            (
+            counter(
                 "hedges_won",
                 "hermes_shard_hedges_won_total",
                 "Hedged duplicates that answered before the primary",
                 &self.hedges_won,
             ),
-            (
+            counter(
                 "latency_us_total",
                 "hermes_shard_latency_us_total",
                 "Cumulative downstream exchange latency in microseconds",
                 &self.latency_us,
             ),
-            (
+            counter(
                 "bytes_in",
                 "hermes_shard_bytes_in_total",
                 "Bytes read from the shard",
                 &self.bytes_in,
             ),
-            (
+            counter(
                 "bytes_out",
                 "hermes_shard_bytes_out_total",
                 "Bytes written to the shard",
                 &self.bytes_out,
             ),
-        ]
-    }
-
-    fn pooled(&self) -> usize {
-        self.endpoints.iter().map(Endpoint::pooled).sum()
-    }
-
-    /// The shard's `SHOW STATS` rows (scope is added by the caller):
-    /// shard-level counters plus one `endpoint.<i>.*` group per replica.
-    pub fn stat_rows(&self) -> Vec<(String, i64)> {
-        let mut rows = vec![
-            ("alive".to_string(), self.is_alive() as i64),
-            ("endpoints".to_string(), self.endpoints.len() as i64),
+            shard(Stat::gauge(
+                "pooled_connections",
+                "hermes_shard_pooled_connections",
+                "Idle pooled connections to the shard (all endpoints)",
+                self.pooled() as u64,
+            )),
         ];
-        for (metric, _, _, counter) in self.counters() {
-            rows.push((metric.to_string(), counter.get() as i64));
-        }
-        rows.push(("pooled_connections".to_string(), self.pooled() as i64));
         for (i, endpoint) in self.endpoints.iter().enumerate() {
-            rows.push((format!("endpoint.{i}.alive"), endpoint.is_alive() as i64));
-            rows.push((
+            let endpoint_stat = |row: String, series, help, value| {
+                shard(Stat::gauge(row.as_str(), series, help, value))
+                    .label("endpoint", endpoint.addr.clone())
+            };
+            table.push(endpoint_stat(
+                format!("endpoint.{i}.alive"),
+                "hermes_shard_endpoint_alive",
+                "Last observed endpoint liveness (1 = alive)",
+                endpoint.is_alive() as u64,
+            ));
+            table.push(endpoint_stat(
                 format!("endpoint.{i}.pooled_connections"),
-                endpoint.pooled() as i64,
+                "hermes_shard_endpoint_pooled_connections",
+                "Idle pooled connections to the endpoint",
+                endpoint.pooled() as u64,
             ));
         }
-        rows
-    }
-
-    /// Appends this shard's Prometheus samples (`hermes_shard_*` labelled by
-    /// shard name; per-endpoint gauges also labelled by endpoint address) —
-    /// the coordinator registers one collector calling this for every shard
-    /// at scrape time.
-    pub fn collect_samples(&self, out: &mut Vec<Sample>) {
-        let labels = || vec![("shard", self.spec.name.clone())];
-        out.push(Sample {
-            name: "hermes_shard_alive",
-            help: "Last observed shard liveness (1 = at least one endpoint alive)",
-            labels: labels(),
-            value: SampleValue::Gauge(self.is_alive() as u64),
-        });
-        for endpoint in &self.endpoints {
-            let labels = vec![
-                ("shard", self.spec.name.clone()),
-                ("endpoint", endpoint.addr.clone()),
-            ];
-            out.push(Sample {
-                name: "hermes_shard_endpoint_alive",
-                help: "Last observed endpoint liveness (1 = alive)",
-                labels: labels.clone(),
-                value: SampleValue::Gauge(endpoint.is_alive() as u64),
-            });
-            out.push(Sample {
-                name: "hermes_shard_endpoint_pooled_connections",
-                help: "Idle pooled connections to the endpoint",
-                labels,
-                value: SampleValue::Gauge(endpoint.pooled() as u64),
-            });
-        }
-        for (_, name, help, counter) in self.counters() {
-            out.push(Sample {
-                name,
-                help,
-                labels: labels(),
-                value: SampleValue::Counter(counter.get()),
-            });
-        }
-        out.push(Sample {
-            name: "hermes_shard_pooled_connections",
-            help: "Idle pooled connections to the shard (all endpoints)",
-            labels: labels(),
-            value: SampleValue::Gauge(self.pooled() as u64),
-        });
+        table
     }
 }
 
@@ -662,7 +631,7 @@ mod tests {
         assert!(!shard.is_alive());
         assert!(shard.exchange(1, &query("SHOW THREADS;"), None).is_err());
         assert!(!shard.is_alive());
-        let rows = shard.stat_rows();
+        let rows = hermes_obs::rows(&shard.stat_table());
         assert!(rows.contains(&("alive".to_string(), 0)));
         assert!(rows.contains(&("endpoints".to_string(), 2)));
         assert!(rows.contains(&("errors".to_string(), 2)));
@@ -678,7 +647,7 @@ mod tests {
             CoordError::Shard { addr, .. } => assert_eq!(addr, "127.0.0.1:2"),
             other => panic!("expected a named shard error, got {other:?}"),
         }
-        let rows = shard.stat_rows();
+        let rows = hermes_obs::rows(&shard.stat_table());
         assert!(rows.contains(&("failovers".to_string(), 1)));
         assert!(rows.contains(&("hedges_fired".to_string(), 0)));
         assert!(rows.contains(&("hedges_won".to_string(), 0)));
@@ -711,7 +680,7 @@ mod tests {
         };
         let shard = Arc::new(Shard::with_policy(spec, opts(), FailoverPolicy::default()));
         let counts = |shard: &Shard| {
-            let rows = shard.stat_rows();
+            let rows = hermes_obs::rows(&shard.stat_table());
             let get = |m: &str| rows.iter().find(|(k, _)| k == m).unwrap().1;
             (get("queries"), get("errors"), get("pooled_connections"))
         };

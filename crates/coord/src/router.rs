@@ -53,10 +53,10 @@ use hermes_s2t::{run_s2t_naive_with, run_s2t_with, S2TParams};
 use hermes_server::protocol::{PartialInfo, Request, Response};
 use hermes_server::{traceview, ConnectOptions, ServerMetrics};
 use hermes_sql::{
-    chunk_ms, clusters_frame, histogram_bucket, histogram_frame, info_frame, push_stat, qut_params,
-    qut_stats_frame, range_frame, s2t_params, s2t_stats_frame, sort_stats_rows, stats_frame,
-    thread_policy, trace_frame, traces_frame, window_args, window_s2t, CommandStatus, CommandTag,
-    Frame, SqlError, Statement, Value, ValueType,
+    chunk_ms, clusters_frame, histogram_bucket, histogram_frame, info_frame, push_stat, push_stats,
+    qut_params, qut_stats_frame, range_frame, s2t_params, s2t_stats_frame, sort_stats_rows,
+    stats_frame, thread_policy, trace_frame, traces_frame, window_args, window_s2t, CommandStatus,
+    CommandTag, Frame, SqlError, Statement, Value, ValueType,
 };
 use hermes_trajectory::{TimeInterval, Timestamp, Trajectory};
 use std::sync::{Arc, Mutex};
@@ -505,14 +505,10 @@ impl Coordinator {
             .exec()
             .map(&self.shards, |_, shard| shard.call(fwd.call(), None).ok());
         let mut frame = stats_frame();
-        for (metric, value) in metrics.rows() {
-            push_stat(&mut frame, "coordinator", &metric, value);
-        }
+        push_stats(&mut frame, "coordinator", &metrics.stat_table());
         for shard in &self.shards {
             let scope = format!("coordinator.{}", shard.spec.name);
-            for (metric, value) in shard.stat_rows() {
-                push_stat(&mut frame, &scope, &metric, value);
-            }
+            push_stats(&mut frame, &scope, &shard.stat_table());
         }
         for (shard, answer) in self.shards.iter().zip(answers) {
             if let Some(Response::Rows {

@@ -19,7 +19,7 @@
 //! the coordinator returns the whole fan-out tree.
 
 use crate::router::{Coordinator, ForwardSpec};
-use hermes_obs::{QueryTrace, Sample, TraceContext};
+use hermes_obs::{QueryTrace, Stat, TraceContext};
 use hermes_server::protocol::{Request, Response};
 use hermes_server::traceview::{self, TraceQuery};
 use hermes_server::{Backend, RequestCtx, ServerConfig};
@@ -119,10 +119,8 @@ impl Backend for Coordinator {
         }
     }
 
-    fn collect(&self, out: &mut Vec<Sample>) {
-        for shard in self.shards() {
-            shard.collect_samples(out);
-        }
+    fn stat_table(&self) -> Vec<Stat> {
+        self.shards().iter().flat_map(|s| s.stat_table()).collect()
     }
 
     /// Coordinator workers wait on shard sockets rather than compute, so

@@ -4,7 +4,7 @@ use crate::error::EngineError;
 use crate::persist::Durability;
 use crate::Result;
 use hermes_exec::{ExecPolicy, Executor};
-use hermes_obs::Counter;
+use hermes_obs::{Counter, Stat};
 use hermes_retratree::{
     qut_clustering_with, qut_partial_with, range_query_then_cluster_with, MemoStats, OwnedSlice,
     QutParams, QutPartial, QutResult, QutStats, ReTraTree, ReTraTreeParams,
@@ -605,6 +605,182 @@ impl HermesEngine {
             }
         }
         stats
+    }
+
+    /// The engine's stats table: each number's `SHOW STATS` row (scope
+    /// `engine`) and its `/metrics` series, written once. `durable` has no
+    /// series, and the intra-query pool's queue depth no row.
+    pub fn stat_table(&self) -> Vec<Stat> {
+        let s = self.stats();
+        let phase = |row, phase, ms| {
+            Stat::counter(
+                row,
+                "hermes_engine_phase_ms_total",
+                "Cumulative S2T pipeline phase compute milliseconds",
+                ms,
+            )
+            .label("phase", phase)
+        };
+        vec![
+            Stat::gauge(
+                "datasets",
+                "hermes_engine_datasets",
+                "Registered datasets",
+                s.datasets as u64,
+            ),
+            Stat::gauge(
+                "indexed_datasets",
+                "hermes_engine_indexed_datasets",
+                "Datasets with a built ReTraTree",
+                s.indexed_datasets as u64,
+            ),
+            Stat::gauge(
+                "indexed_partitions",
+                "hermes_engine_indexed_partitions",
+                "Level-4 partitions across every built index",
+                s.indexed_partitions as u64,
+            ),
+            Stat::gauge(
+                "stored_records",
+                "hermes_engine_stored_records",
+                "Sub-trajectory records stored across every built index",
+                s.stored_records as u64,
+            ),
+            Stat::counter(
+                "page_lookups",
+                "hermes_storage_page_lookups_total",
+                "Level-4 page lookups summed over every index",
+                s.page_lookups,
+            ),
+            Stat::gauge(
+                "threads",
+                "hermes_engine_threads",
+                "Intra-query compute threads the engine currently uses",
+                s.threads as u64,
+            ),
+            // Cumulative S2T pipeline phase work across every clustering
+            // query: S2T direct, QuT border re-clustering and the
+            // window-rebuild baseline alike.
+            phase("s2t_index_build_ms", "index_build", s.phases.index_build_ms),
+            phase("s2t_voting_ms", "voting", s.phases.voting_ms),
+            phase("s2t_segmentation_ms", "segmentation", s.phases.segmentation_ms),
+            phase("s2t_sampling_ms", "sampling", s.phases.sampling_ms),
+            phase("s2t_clustering_ms", "clustering", s.phases.clustering_ms),
+            // Voting-kernel pruning ladder, cumulative over the same queries.
+            Stat::counter(
+                "kernel_evaluated",
+                "hermes_engine_kernel_evaluated_total",
+                "Voting-kernel candidate pairs evaluated exactly",
+                s.kernel_evaluated,
+            ),
+            Stat::counter(
+                "kernel_pruned",
+                "hermes_engine_kernel_pruned_total",
+                "Voting-kernel candidate pairs rejected by a distance lower bound",
+                s.kernel_pruned,
+            ),
+            Stat::counter(
+                "distance_exact",
+                "hermes_engine_distance_exact_total",
+                "S2T sub-trajectory distances measured to the last sample",
+                s.distance_exact,
+            ),
+            Stat::counter(
+                "distance_cut_off",
+                "hermes_engine_distance_cut_off_total",
+                "S2T sub-trajectory distances stopped early above their limit",
+                s.distance_cut_off,
+            ),
+            // Derived read-path state (docs/ARCHITECTURE.md § "Derived
+            // state"): the per-tree memos, and the whole-dataset S2T runs
+            // that built / found the segment index.
+            Stat::counter(
+                "border_memo_hits",
+                "hermes_retratree_border_memo_hits_total",
+                "Border sub-chunks answered from the memo, summed over every index",
+                s.border_memo.hits,
+            ),
+            Stat::counter(
+                "border_memo_misses",
+                "hermes_retratree_border_memo_misses_total",
+                "Border sub-chunks re-clustered (pipelines run), summed over every index",
+                s.border_memo.misses,
+            ),
+            Stat::counter(
+                "border_memo_evictions",
+                "hermes_retratree_border_memo_evictions_total",
+                "Border partials evicted to stay inside the byte bound",
+                s.border_memo.evictions,
+            ),
+            Stat::gauge(
+                "border_memo_bytes",
+                "hermes_retratree_border_memo_bytes",
+                "Bytes the border memos currently account for",
+                s.border_memo.bytes,
+            ),
+            Stat::counter(
+                "merge_edge_hits",
+                "hermes_retratree_merge_edge_hits_total",
+                "Merge-edge lists of a sub-chunk pair answered from the memo, summed over every index",
+                s.merge_edges.hits,
+            ),
+            Stat::counter(
+                "merge_edge_misses",
+                "hermes_retratree_merge_edge_misses_total",
+                "Merge-edge lists measured (every pair of stored representatives), summed over every index",
+                s.merge_edges.misses,
+            ),
+            Stat::counter(
+                "merge_edge_evictions",
+                "hermes_retratree_merge_edge_evictions_total",
+                "Merge-edge lists evicted to stay inside the byte bound",
+                s.merge_edges.evictions,
+            ),
+            Stat::gauge(
+                "merge_edge_bytes",
+                "hermes_retratree_merge_edge_bytes",
+                "Bytes the merge-edge memos currently account for",
+                s.merge_edges.bytes,
+            ),
+            Stat::counter(
+                "s2t_index_builds",
+                "hermes_engine_s2t_index_builds_total",
+                "S2T statements that built their dataset's segment index",
+                s.s2t_index_builds,
+            ),
+            Stat::counter(
+                "s2t_index_reuses",
+                "hermes_engine_s2t_index_reuses_total",
+                "S2T statements that found their dataset's segment index built",
+                s.s2t_index_reuses,
+            ),
+            // Persistence: all zero on an in-memory engine (durable = 0).
+            Stat::gauge("durable", None, "", s.durable as u64),
+            Stat::gauge(
+                "snapshot_bytes",
+                "hermes_storage_snapshot_bytes",
+                "Size in bytes of the newest snapshot file",
+                s.snapshot_bytes,
+            ),
+            Stat::gauge(
+                "wal_bytes",
+                "hermes_storage_wal_bytes",
+                "Current write-ahead-log size in bytes",
+                s.wal_bytes,
+            ),
+            Stat::gauge(
+                "last_checkpoint_ms",
+                "hermes_storage_last_checkpoint_ms",
+                "Wall-clock milliseconds of the most recent checkpoint",
+                s.last_checkpoint_ms,
+            ),
+            Stat::gauge(
+                None,
+                "hermes_exec_queue_depth",
+                "Fork-join jobs queued on the intra-query thread pool",
+                self.exec.queue_depth() as u64,
+            ),
+        ]
     }
 
     /// Names of every registered dataset, sorted.

@@ -1,9 +1,11 @@
 //! A tiny, deterministic PRNG (SplitMix64).
 //!
 //! The generators must produce identical datasets for identical seeds across
-//! platforms and dependency upgrades, because EXPERIMENTS.md records numbers
-//! against specific seeds. SplitMix64 is 10 lines, passes BigCrush for this
-//! usage, and never changes underneath us.
+//! platforms and dependency upgrades, because the experiments (`crates/bench`),
+//! the golden-count tests and the benchmark report numbers against specific
+//! seeds, and a generated `EXPERIMENTS.md` (ROADMAP item 10(c)) will record
+//! them. SplitMix64 is 10 lines, passes BigCrush for this usage, and never
+//! changes underneath us.
 
 /// SplitMix64 pseudo-random number generator.
 #[derive(Debug, Clone)]

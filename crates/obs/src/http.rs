@@ -120,6 +120,7 @@ fn serve_one(stream: TcpStream, registry: &Registry) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Stat;
     use std::io::Read;
 
     fn http_get(addr: SocketAddr, request: &str) -> String {
@@ -133,7 +134,7 @@ mod tests {
     #[test]
     fn serves_metrics_and_rejects_other_paths() {
         let registry = Arc::new(Registry::new());
-        registry.counter("t_served_total", "served").add(3);
+        registry.register_collector(|| vec![Stat::counter(None, "t_served_total", "served", 3)]);
         let handle = serve_metrics("127.0.0.1:0", registry).unwrap();
         let addr = handle.addr();
 

@@ -1,10 +1,12 @@
 //! # hermes-obs — unified observability layer
 //!
-//! One process-wide [`Registry`] holds every metric a hermes process exposes:
-//! typed lock-free [`Counter`]s, [`Gauge`]s, and fixed-bucket [`Histogram`]s,
-//! optionally labelled. The registry renders itself in Prometheus text
-//! exposition format (histograms in cumulative `le` form) and can be served
-//! over a minimal HTTP/1.1 responder ([`http::serve_metrics`]).
+//! Hot paths count with typed lock-free [`Counter`]s, [`Gauge`]s and
+//! fixed-bucket [`Histogram`]s. Each stats scope writes its numbers once, as
+//! one list of [`Stat`]s (row name, series name, help, labels, value) built
+//! at read time; `SHOW STATS` renders the list's rows ([`rows`]) and a
+//! process's [`Registry`] its series, in Prometheus text exposition format
+//! (histograms in cumulative `le` form), served over a minimal HTTP/1.1
+//! responder ([`http::serve_metrics`]).
 //!
 //! The crate also provides the distributed tracing primitives used by the
 //! wire protocol and the coordinator fan-out: a [`TraceContext`] (trace id +
@@ -24,7 +26,7 @@ pub mod trace;
 
 pub use http::{serve_metrics, MetricsHandle};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricKind, Registry, Sample, SampleValue,
+    rows, Counter, Gauge, Histogram, HistogramSnapshot, Registry, SampleValue, Stat,
 };
 pub use trace::{
     next_id, slow_query_line, QueryTrace, Span, SpanStore, TraceContext, TraceSummary,

@@ -1,17 +1,17 @@
-//! Metrics registry: typed lock-free counters, gauges, and fixed-bucket
-//! histograms with label support, plus Prometheus text-format rendering.
+//! Metrics: typed lock-free counters, gauges and fixed-bucket histograms,
+//! the [`Stat`] lists a stats scope renders its numbers from, and
+//! Prometheus text-format rendering.
 //!
-//! A [`Registry`] is a get-or-create map from metric family name to labelled
-//! instruments. Instruments are handed out as `Arc`s so hot paths hold a
-//! direct pointer to the atomic and never touch the registry lock again.
-//! Pull-based sources (the engine's aggregated stats, the coordinator's
-//! shard table) register a *collector* closure that contributes samples at
-//! scrape time instead of maintaining live instruments.
+//! Hot paths hold their instruments as `Arc`s and update them with single
+//! relaxed atomic ops. Nothing is registered by name: at `SHOW STATS` and
+//! scrape time each scope (the engine, a server, a coordinator's shard)
+//! builds one list of [`Stat`]s from its instruments. [`rows`] turns a list
+//! into `SHOW STATS` rows; a [`Registry`] pulls the lists from its
+//! collectors and renders their series for `/metrics`.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// A monotonically increasing counter backed by a relaxed `AtomicU64`.
 #[derive(Debug, Default)]
@@ -184,28 +184,7 @@ impl HistogramSnapshot {
     }
 }
 
-/// The instrument kind of a metric family, used for the `# TYPE` line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
-    /// Monotonically increasing counter.
-    Counter,
-    /// Instantaneous gauge.
-    Gauge,
-    /// Fixed-bucket histogram.
-    Histogram,
-}
-
-impl MetricKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
-            MetricKind::Histogram => "histogram",
-        }
-    }
-}
-
-/// The value of one exported sample.
+/// The value of one exported number; its variant is the series kind.
 #[derive(Debug, Clone)]
 pub enum SampleValue {
     /// Counter value.
@@ -216,59 +195,127 @@ pub enum SampleValue {
     Histogram(HistogramSnapshot),
 }
 
-/// One exported sample: a metric family name, its labels, and a value.
+/// One number of a stats scope: its `SHOW STATS` row, its `/metrics` series,
+/// or both.
 ///
-/// Collectors push these at scrape time; registered instruments are turned
-/// into samples automatically.
+/// Each scope (the engine, a server, a coordinator's shard) writes its
+/// numbers once, as one list of these built at `SHOW STATS` and scrape time.
+/// [`rows`] renders the list's rows; [`Registry::render_prometheus`] renders
+/// its series. A number on one side only says so here: `row` or `series` is
+/// `None`.
 #[derive(Debug, Clone)]
-pub struct Sample {
-    /// Metric family name (e.g. `hermes_server_queries_total`).
-    pub name: &'static str,
+pub struct Stat {
+    /// `SHOW STATS` metric name (the caller adds the scope); `None` for a
+    /// number only `/metrics` exports.
+    pub row: Option<String>,
+    /// Metric family name (e.g. `hermes_server_queries_served_total`);
+    /// `None` for a number only `SHOW STATS` shows.
+    pub series: Option<&'static str>,
     /// One-line help text for the `# HELP` line.
     pub help: &'static str,
-    /// Label key/value pairs, may be empty.
+    /// Series label key/value pairs, may be empty.
     pub labels: Vec<(&'static str, String)>,
-    /// The sampled value.
+    /// The value.
     pub value: SampleValue,
 }
 
-impl Sample {
-    /// Kind of this sample, derived from its value.
-    pub fn kind(&self) -> MetricKind {
+impl Stat {
+    fn new<'a>(
+        row: impl Into<Option<&'a str>>,
+        series: impl Into<Option<&'static str>>,
+        help: &'static str,
+        value: SampleValue,
+    ) -> Stat {
+        Stat {
+            row: row.into().map(str::to_string),
+            series: series.into(),
+            help,
+            labels: Vec::new(),
+            value,
+        }
+    }
+
+    /// A monotone count.
+    pub fn counter<'a>(
+        row: impl Into<Option<&'a str>>,
+        series: impl Into<Option<&'static str>>,
+        help: &'static str,
+        value: u64,
+    ) -> Stat {
+        Stat::new(row, series, help, SampleValue::Counter(value))
+    }
+
+    /// A level that may go down.
+    pub fn gauge<'a>(
+        row: impl Into<Option<&'a str>>,
+        series: impl Into<Option<&'static str>>,
+        help: &'static str,
+        value: u64,
+    ) -> Stat {
+        Stat::new(row, series, help, SampleValue::Gauge(value))
+    }
+
+    /// A histogram's current state. Its rows are `<row>_total` (the sum),
+    /// one `<row>_le_<bound>` per bound and `<row>_gt_<last bound>`, each
+    /// counting its own interval only.
+    pub fn histogram(
+        row: &str,
+        series: &'static str,
+        help: &'static str,
+        histogram: &Histogram,
+    ) -> Stat {
+        Stat::new(
+            row,
+            series,
+            help,
+            SampleValue::Histogram(histogram.snapshot()),
+        )
+    }
+
+    /// The same number with one more series label.
+    pub fn label(mut self, key: &'static str, value: impl Into<String>) -> Stat {
+        self.labels.push((key, value.into()));
+        self
+    }
+
+    fn kind(&self) -> &'static str {
         match self.value {
-            SampleValue::Counter(_) => MetricKind::Counter,
-            SampleValue::Gauge(_) => MetricKind::Gauge,
-            SampleValue::Histogram(_) => MetricKind::Histogram,
+            SampleValue::Counter(_) => "counter",
+            SampleValue::Gauge(_) => "gauge",
+            SampleValue::Histogram(_) => "histogram",
         }
     }
 }
 
-enum Instrument {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
+/// The `SHOW STATS` rows of a scope's list, `(metric, value)` in list order;
+/// entries without a row are skipped.
+pub fn rows(stats: &[Stat]) -> Vec<(String, i64)> {
+    let mut out = Vec::with_capacity(stats.len());
+    for stat in stats {
+        let Some(row) = &stat.row else { continue };
+        match &stat.value {
+            SampleValue::Counter(v) | SampleValue::Gauge(v) => out.push((row.clone(), *v as i64)),
+            SampleValue::Histogram(snap) => {
+                out.push((format!("{row}_total"), snap.sum as i64));
+                for (i, count) in snap.buckets.iter().enumerate() {
+                    let label = match snap.bounds.get(i) {
+                        Some(bound) => format!("{row}_le_{bound}"),
+                        None => format!("{row}_gt_{}", snap.bounds.last().unwrap_or(&0)),
+                    };
+                    out.push((label, *count as i64));
+                }
+            }
+        }
+    }
+    out
 }
 
-/// One registered instrument with the label set it was created under.
-type LabeledInstrument = (Vec<(&'static str, String)>, Instrument);
+type Collector = Box<dyn Fn() -> Vec<Stat> + Send + Sync>;
 
-struct Family {
-    help: &'static str,
-    /// Keyed by the rendered label string for deterministic iteration.
-    instruments: BTreeMap<String, LabeledInstrument>,
-}
-
-type Collector = Box<dyn Fn(&mut Vec<Sample>) + Send + Sync>;
-
-/// Process-wide metrics registry.
-///
-/// Get-or-create accessors return `Arc` handles so instruments outlive the
-/// call and can be stored in hot-path structs. Creating the same
-/// `(name, labels)` twice returns the same instrument; re-registering a name
-/// with a different instrument kind panics (a programming error).
+/// A process's `/metrics`: the stats lists of its scopes, each pulled from a
+/// collector at every scrape.
 #[derive(Default)]
 pub struct Registry {
-    families: Mutex<BTreeMap<&'static str, Family>>,
     collectors: Mutex<Vec<Collector>>,
 }
 
@@ -278,157 +325,39 @@ impl Registry {
         Registry::default()
     }
 
-    /// Get or create an unlabelled counter.
-    pub fn counter(&self, name: &'static str, help: &'static str) -> Arc<Counter> {
-        self.counter_with(name, help, &[])
-    }
-
-    /// Get or create a labelled counter.
-    pub fn counter_with(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&'static str, &str)],
-    ) -> Arc<Counter> {
-        match self.instrument(name, help, labels, || {
-            Instrument::Counter(Arc::new(Counter::new()))
-        }) {
-            Instrument::Counter(c) => c,
-            _ => panic!("metric {name} already registered with a different kind"),
-        }
-    }
-
-    /// Get or create an unlabelled gauge.
-    pub fn gauge(&self, name: &'static str, help: &'static str) -> Arc<Gauge> {
-        self.gauge_with(name, help, &[])
-    }
-
-    /// Get or create a labelled gauge.
-    pub fn gauge_with(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&'static str, &str)],
-    ) -> Arc<Gauge> {
-        match self.instrument(name, help, labels, || {
-            Instrument::Gauge(Arc::new(Gauge::new()))
-        }) {
-            Instrument::Gauge(g) => g,
-            _ => panic!("metric {name} already registered with a different kind"),
-        }
-    }
-
-    /// Get or create an unlabelled histogram with the given bounds.
-    pub fn histogram(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        bounds: &'static [u64],
-    ) -> Arc<Histogram> {
-        self.histogram_with(name, help, &[], bounds)
-    }
-
-    /// Get or create a labelled histogram with the given bounds.
-    pub fn histogram_with(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&'static str, &str)],
-        bounds: &'static [u64],
-    ) -> Arc<Histogram> {
-        match self.instrument(name, help, labels, || {
-            Instrument::Histogram(Arc::new(Histogram::new(bounds)))
-        }) {
-            Instrument::Histogram(h) => h,
-            _ => panic!("metric {name} already registered with a different kind"),
-        }
-    }
-
-    fn instrument(
-        &self,
-        name: &'static str,
-        help: &'static str,
-        labels: &[(&'static str, &str)],
-        make: impl FnOnce() -> Instrument,
-    ) -> Instrument {
-        let owned: Vec<(&'static str, String)> =
-            labels.iter().map(|(k, v)| (*k, v.to_string())).collect();
-        let key = render_labels(&owned);
-        let mut families = lock(&self.families);
-        let family = families.entry(name).or_insert_with(|| Family {
-            help,
-            instruments: BTreeMap::new(),
-        });
-        let entry = family
-            .instruments
-            .entry(key)
-            .or_insert_with(|| (owned, make()));
-        match &entry.1 {
-            Instrument::Counter(c) => Instrument::Counter(c.clone()),
-            Instrument::Gauge(g) => Instrument::Gauge(g.clone()),
-            Instrument::Histogram(h) => Instrument::Histogram(h.clone()),
-        }
-    }
-
-    /// Register a pull-based collector invoked at every scrape. The closure
-    /// appends [`Sample`]s for state it derives on demand (aggregated engine
-    /// stats, per-shard counters).
+    /// Register a collector invoked at every scrape; it returns one scope's
+    /// current list.
     pub fn register_collector<F>(&self, f: F)
     where
-        F: Fn(&mut Vec<Sample>) + Send + Sync + 'static,
+        F: Fn() -> Vec<Stat> + Send + Sync + 'static,
     {
         lock(&self.collectors).push(Box::new(f));
     }
 
-    /// Snapshot every registered instrument and collector into a flat,
-    /// deterministically ordered (name, then label key) sample list.
-    pub fn samples(&self) -> Vec<Sample> {
-        let mut out = Vec::new();
-        {
-            let families = lock(&self.families);
-            for (name, family) in families.iter() {
-                for (labels, instrument) in family.instruments.values() {
-                    let value = match instrument {
-                        Instrument::Counter(c) => SampleValue::Counter(c.get()),
-                        Instrument::Gauge(g) => SampleValue::Gauge(g.get()),
-                        Instrument::Histogram(h) => SampleValue::Histogram(h.snapshot()),
-                    };
-                    out.push(Sample {
-                        name,
-                        help: family.help,
-                        labels: labels.clone(),
-                        value,
-                    });
-                }
-            }
-        }
-        for collector in lock(&self.collectors).iter() {
-            collector(&mut out);
-        }
-        out.sort_by(|a, b| {
-            (a.name, render_labels(&a.labels)).cmp(&(b.name, render_labels(&b.labels)))
-        });
-        out
-    }
-
-    /// Render the full registry in Prometheus text exposition format 0.0.4.
+    /// Render every collector's series in Prometheus text exposition format
+    /// 0.0.4.
     ///
-    /// Families are sorted by name, instruments by label key; histograms are
+    /// Families are sorted by name, series by label key; histograms are
     /// exported as cumulative `le` buckets (including `+Inf`) plus `_sum`
     /// and `_count` series. Output is deterministic for a fixed state.
     pub fn render_prometheus(&self) -> String {
-        let samples = self.samples();
+        let mut series: Vec<(&'static str, Stat)> = lock(&self.collectors)
+            .iter()
+            .flat_map(|collector| collector())
+            .filter_map(|stat| Some((stat.series?, stat)))
+            .collect();
+        series.sort_by_cached_key(|(name, s)| (*name, render_labels(&s.labels)));
         let mut out = String::new();
         let mut last_name: Option<&'static str> = None;
-        for s in &samples {
-            if last_name != Some(s.name) {
-                let _ = writeln!(out, "# HELP {} {}", s.name, s.help);
-                let _ = writeln!(out, "# TYPE {} {}", s.name, s.kind().as_str());
-                last_name = Some(s.name);
+        for (name, s) in &series {
+            if last_name != Some(name) {
+                let _ = writeln!(out, "# HELP {} {}", name, s.help);
+                let _ = writeln!(out, "# TYPE {} {}", name, s.kind());
+                last_name = Some(name);
             }
             match &s.value {
                 SampleValue::Counter(v) | SampleValue::Gauge(v) => {
-                    let _ = writeln!(out, "{}{} {}", s.name, brace_labels(&s.labels), v);
+                    let _ = writeln!(out, "{}{} {}", name, brace_labels(&s.labels), v);
                 }
                 SampleValue::Histogram(snap) => {
                     for (bound, cumulative) in snap.cumulative() {
@@ -442,22 +371,16 @@ impl Registry {
                         let _ = writeln!(
                             out,
                             "{}_bucket{} {}",
-                            s.name,
+                            name,
                             brace_labels(&labels),
                             cumulative
                         );
                     }
-                    let _ = writeln!(
-                        out,
-                        "{}_sum{} {}",
-                        s.name,
-                        brace_labels(&s.labels),
-                        snap.sum
-                    );
+                    let _ = writeln!(out, "{}_sum{} {}", name, brace_labels(&s.labels), snap.sum);
                     let _ = writeln!(
                         out,
                         "{}_count{} {}",
-                        s.name,
+                        name,
                         brace_labels(&s.labels),
                         snap.count
                     );
@@ -510,15 +433,12 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_basics() {
-        let reg = Registry::new();
-        let c = reg.counter("t_total", "test counter");
+        let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        // Same name returns the same underlying instrument.
-        assert_eq!(reg.counter("t_total", "test counter").get(), 5);
 
-        let g = reg.gauge("t_depth", "test gauge");
+        let g = Gauge::new();
         g.set(3);
         g.dec();
         g.dec();
@@ -531,14 +451,20 @@ mod tests {
 
     #[test]
     fn labelled_instruments_are_distinct() {
+        // One family, two label sets: two series under one HELP/TYPE pair,
+        // ordered by label.
         let reg = Registry::new();
-        let a = reg.counter_with("t_shard_total", "per shard", &[("shard", "a")]);
-        let b = reg.counter_with("t_shard_total", "per shard", &[("shard", "b")]);
-        a.inc();
-        a.inc();
-        b.inc();
-        assert_eq!(a.get(), 2);
-        assert_eq!(b.get(), 1);
+        reg.register_collector(|| {
+            vec![
+                Stat::counter(None, "t_shard_total", "per shard", 1).label("shard", "b"),
+                Stat::counter(None, "t_shard_total", "per shard", 2).label("shard", "a"),
+            ]
+        });
+        assert_eq!(
+            reg.render_prometheus(),
+            "# HELP t_shard_total per shard\n# TYPE t_shard_total counter\n\
+             t_shard_total{shard=\"a\"} 2\nt_shard_total{shard=\"b\"} 1\n"
+        );
     }
 
     #[test]
@@ -569,19 +495,56 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_render_is_deterministic_and_well_formed() {
-        let reg = Registry::new();
-        reg.counter("zz_total", "last family").inc();
-        reg.gauge("aa_depth", "first family").set(7);
-        let h = reg.histogram("mm_us", "histogram family", BOUNDS);
+    fn one_list_renders_rows_and_series_with_one_sided_entries() {
+        let h = Histogram::new(BOUNDS);
         h.observe(50);
-        reg.register_collector(|out| {
-            out.push(Sample {
-                name: "cc_collected",
-                help: "from a collector",
-                labels: vec![("shard", "early".to_string())],
-                value: SampleValue::Gauge(1),
-            });
+        h.observe(5000);
+        let list = vec![
+            Stat::counter("hits", "t_hits_total", "both sides", 4),
+            Stat::gauge("durable", None, "", 1),
+            Stat::gauge(None, "t_depth", "series only", 2),
+            Stat::histogram("latency_us", "t_latency_us", "a histogram", &h),
+        ];
+        let rows: Vec<(String, i64)> = rows(&list);
+        let names: Vec<&str> = rows.iter().map(|(m, _)| m.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "hits",
+                "durable",
+                "latency_us_total",
+                "latency_us_le_10",
+                "latency_us_le_100",
+                "latency_us_le_1000",
+                "latency_us_gt_1000",
+            ]
+        );
+        let values: Vec<i64> = rows.iter().map(|(_, v)| *v).collect();
+        assert_eq!(values, [4, 1, 5050, 0, 1, 0, 1]);
+
+        let reg = Registry::new();
+        reg.register_collector(move || list.clone());
+        let text = reg.render_prometheus();
+        assert!(text.contains("t_hits_total 4"));
+        assert!(text.contains("# TYPE t_depth gauge\nt_depth 2"));
+        assert!(!text.contains("durable"), "a row-only entry has no series");
+        assert!(text.contains("t_latency_us_bucket{le=\"1000\"} 1"));
+        assert!(text.contains("t_latency_us_sum 5050"));
+    }
+
+    #[test]
+    fn prometheus_render_is_deterministic_and_well_formed() {
+        const MM: &[u64] = &[10, 100, 1000];
+        let h = Histogram::new(MM);
+        h.observe(50);
+        let reg = Registry::new();
+        reg.register_collector(|| vec![Stat::counter(None, "zz_total", "last family", 1)]);
+        reg.register_collector(move || {
+            vec![
+                Stat::gauge(None, "aa_depth", "first family", 7),
+                Stat::histogram("mm", "mm_us", "histogram family", &h),
+                Stat::gauge(None, "cc_collected", "from a collector", 1).label("shard", "early"),
+            ]
         });
 
         let text = reg.render_prometheus();

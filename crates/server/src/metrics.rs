@@ -1,12 +1,11 @@
-//! Server-side observability: counters and a per-query latency histogram
-//! backed by the process-wide `hermes-obs` registry, surfaced to clients
-//! through `SHOW STATS` (scope `server`) and through the Prometheus
-//! `/metrics` endpoint.
+//! Server-side observability: counters and a per-query latency histogram,
+//! surfaced to clients through `SHOW STATS` (scope `server`) and through the
+//! Prometheus `/metrics` endpoint, both rendered from one stats table.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use hermes_obs::{Counter, Gauge, Histogram, Registry};
+use hermes_obs::{Counter, Gauge, Histogram, Registry, Stat};
 
 /// Upper bucket bounds of the latency histogram, in microseconds. The last
 /// bucket is open-ended.
@@ -14,13 +13,10 @@ pub const LATENCY_BUCKETS_US: [u64; 12] = [
     100, 250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 500_000, 1_000_000,
 ];
 
-/// A fixed-bucket latency histogram over the shared registry instrument.
-///
-/// The internal buckets are non-cumulative: each counts the queries whose
-/// latency fell between the previous bound and its own. That interval form is
-/// what [`LatencyHistogram::snapshot`] (and therefore `SHOW STATS`) reports;
-/// the Prometheus endpoint converts to cumulative `le` buckets at render
-/// time.
+/// The per-query latency histogram. Its buckets count their own interval
+/// only; `SHOW STATS` shows them so (`latency_us_le_<bound>` rows) and the
+/// Prometheus text re-accumulates them into cumulative `le` buckets.
+#[derive(Clone)]
 pub struct LatencyHistogram {
     inner: Arc<Histogram>,
 }
@@ -34,53 +30,17 @@ impl Default for LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    fn from_registry(registry: &Registry) -> LatencyHistogram {
-        LatencyHistogram {
-            inner: registry.histogram(
-                "hermes_server_query_latency_us",
-                "Per-query wall-clock latency in microseconds",
-                &LATENCY_BUCKETS_US,
-            ),
-        }
-    }
-
     /// Records one query latency.
     pub fn record(&self, elapsed: Duration) {
         self.inner
             .observe(elapsed.as_micros().min(u64::MAX as u128) as u64);
     }
-
-    /// Recorded queries.
-    pub fn count(&self) -> u64 {
-        self.inner.count()
-    }
-
-    /// Sum of recorded latencies in microseconds.
-    pub fn total_us(&self) -> u64 {
-        self.inner.sum()
-    }
-
-    /// `(label, count)` per bucket, e.g. `("latency_us_le_100", 3)`; the
-    /// open-ended tail is labelled `latency_us_gt_1000000`. Counts are
-    /// per-interval (non-cumulative), matching the historical `SHOW STATS`
-    /// output.
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let snap = self.inner.snapshot();
-        let mut out = Vec::with_capacity(snap.buckets.len());
-        for (i, count) in snap.buckets.iter().enumerate() {
-            let label = match LATENCY_BUCKETS_US.get(i) {
-                Some(bound) => format!("latency_us_le_{bound}"),
-                None => format!("latency_us_gt_{}", LATENCY_BUCKETS_US.last().unwrap()),
-            };
-            out.push((label, *count));
-        }
-        out
-    }
 }
 
-/// Counters describing a running server, registered on the process-wide
-/// metrics registry. All updates are relaxed atomic ops: the metrics are
-/// monotone tallies, not synchronization points.
+/// Counters describing a running server. All updates are relaxed atomic
+/// ops: the metrics are monotone tallies, not synchronization points. A
+/// clone shares the instruments.
+#[derive(Clone, Default)]
 pub struct ServerMetrics {
     /// Connections admitted into a session.
     pub connections_accepted: Arc<Counter>,
@@ -112,147 +72,141 @@ pub struct ServerMetrics {
     pub latency: LatencyHistogram,
 }
 
-impl Default for ServerMetrics {
-    /// Standalone metrics over a private throwaway registry (used by tests
-    /// and embedded setups that never scrape).
-    fn default() -> Self {
-        ServerMetrics::register(&Registry::new())
-    }
-}
-
 impl ServerMetrics {
-    /// Create the server metric family on `registry` (Prometheus names
-    /// `hermes_server_*`) and return the handle struct the hot path updates.
+    /// Fresh server metrics whose `hermes_server_*` series `registry`
+    /// renders at every scrape.
     pub fn register(registry: &Registry) -> ServerMetrics {
-        ServerMetrics {
-            connections_accepted: registry.counter(
+        let metrics = ServerMetrics::default();
+        let table = metrics.clone();
+        registry.register_collector(move || table.stat_table());
+        metrics
+    }
+
+    /// The server scope's stats table: each number's `SHOW STATS` row
+    /// (scope `server`, or `coordinator` on `hermes-coord`) and its
+    /// `/metrics` series, written once.
+    pub fn stat_table(&self) -> Vec<Stat> {
+        let counter = |row, series, help, c: &Counter| Stat::counter(row, series, help, c.get());
+        let gauge = |row, series, help, g: &Gauge| Stat::gauge(row, series, help, g.get());
+        vec![
+            counter(
+                "connections_accepted",
                 "hermes_server_connections_accepted_total",
                 "Connections admitted into a session",
+                &self.connections_accepted,
             ),
-            connections_rejected: registry.counter(
+            counter(
+                "connections_rejected",
                 "hermes_server_rejected_connections_total",
                 "Connections turned away at the connection cap",
+                &self.connections_rejected,
             ),
-            connections_active: registry.gauge(
+            gauge(
+                "connections_active",
                 "hermes_server_connections_active",
                 "Connections currently in a session",
+                &self.connections_active,
             ),
-            queries_served: registry.counter(
+            counter(
+                "queries_served",
                 "hermes_server_queries_served_total",
                 "Requests answered successfully",
+                &self.queries_served,
             ),
-            query_errors: registry.counter(
+            counter(
+                "query_errors",
                 "hermes_server_query_errors_total",
                 "Requests answered with an error response",
+                &self.query_errors,
             ),
-            slow_queries: registry.counter(
+            counter(
+                "slow_queries",
                 "hermes_server_slow_queries_total",
                 "Statements that exceeded the slow-query threshold",
+                &self.slow_queries,
             ),
-            bytes_in: registry.counter(
+            counter(
+                "bytes_in",
                 "hermes_server_bytes_in_total",
                 "Bytes read off client sockets",
+                &self.bytes_in,
             ),
-            bytes_out: registry.counter(
+            counter(
+                "bytes_out",
                 "hermes_server_bytes_out_total",
                 "Bytes written to client sockets",
+                &self.bytes_out,
             ),
-            pending_requests: registry.gauge(
+            gauge(
+                "pending_requests",
                 "hermes_server_pending_requests",
                 "Requests parsed off a socket and waiting for an executor slot",
+                &self.pending_requests,
             ),
-            inflight_queries: registry.gauge(
+            gauge(
+                "inflight_queries",
                 "hermes_server_inflight_queries",
                 "Requests currently executing on the worker pool",
+                &self.inflight_queries,
             ),
-            deadline_misses: registry.counter(
+            counter(
+                "deadline_misses",
                 "hermes_server_deadline_misses_total",
                 "Requests whose deadline expired before a result could be sent",
+                &self.deadline_misses,
             ),
-            backpressure_rejections: registry.counter(
+            counter(
+                "backpressure_rejections",
                 "hermes_server_backpressure_rejections_total",
                 "Requests refused because the pending-work bound was reached",
+                &self.backpressure_rejections,
             ),
-            epoch: registry.gauge(
+            gauge(
+                "epoch",
                 "hermes_server_epoch",
                 "Engine epoch observed by the most recent request",
+                &self.epoch,
             ),
-            latency: LatencyHistogram::from_registry(registry),
-        }
-    }
-
-    /// The `(metric, value)` rows a server appends to `SHOW STATS` under the
-    /// `server` scope.
-    pub fn rows(&self) -> Vec<(String, i64)> {
-        let mut rows = vec![
-            (
-                "connections_accepted".to_string(),
-                self.connections_accepted.get() as i64,
+            Stat::histogram(
+                "latency_us",
+                "hermes_server_query_latency_us",
+                "Per-query wall-clock latency in microseconds",
+                &self.latency.inner,
             ),
-            (
-                "connections_rejected".to_string(),
-                self.connections_rejected.get() as i64,
-            ),
-            (
-                "connections_active".to_string(),
-                self.connections_active.get() as i64,
-            ),
-            (
-                "queries_served".to_string(),
-                self.queries_served.get() as i64,
-            ),
-            ("query_errors".to_string(), self.query_errors.get() as i64),
-            ("slow_queries".to_string(), self.slow_queries.get() as i64),
-            ("bytes_in".to_string(), self.bytes_in.get() as i64),
-            ("bytes_out".to_string(), self.bytes_out.get() as i64),
-            (
-                "pending_requests".to_string(),
-                self.pending_requests.get() as i64,
-            ),
-            (
-                "inflight_queries".to_string(),
-                self.inflight_queries.get() as i64,
-            ),
-            (
-                "deadline_misses".to_string(),
-                self.deadline_misses.get() as i64,
-            ),
-            (
-                "backpressure_rejections".to_string(),
-                self.backpressure_rejections.get() as i64,
-            ),
-            ("epoch".to_string(), self.epoch.get() as i64),
-            (
-                "latency_us_total".to_string(),
-                self.latency.total_us() as i64,
-            ),
-        ];
-        for (label, count) in self.latency.snapshot() {
-            rows.push((label, count as i64));
-        }
-        rows
+        ]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hermes_obs::rows;
+
+    fn row(m: &ServerMetrics, name: &str) -> i64 {
+        rows(&m.stat_table())
+            .into_iter()
+            .find(|(l, _)| l == name)
+            .unwrap_or_else(|| panic!("{name} missing"))
+            .1
+    }
 
     #[test]
     fn histogram_buckets_by_bound() {
-        let h = LatencyHistogram::default();
-        h.record(Duration::from_micros(50)); // le_100
-        h.record(Duration::from_micros(100)); // le_100 (inclusive bound)
-        h.record(Duration::from_micros(700)); // le_1000
-        h.record(Duration::from_secs(5)); // open tail
-        assert_eq!(h.count(), 4);
-        let snap = h.snapshot();
-        let get = |label: &str| snap.iter().find(|(l, _)| l == label).unwrap().1;
-        assert_eq!(get("latency_us_le_100"), 2);
-        assert_eq!(get("latency_us_le_1000"), 1);
-        assert_eq!(get("latency_us_gt_1000000"), 1);
-        assert_eq!(snap.iter().map(|(_, c)| c).sum::<u64>(), 4);
-        assert!(h.total_us() >= 5_000_000);
+        let m = ServerMetrics::default();
+        m.latency.record(Duration::from_micros(50)); // le_100
+        m.latency.record(Duration::from_micros(100)); // le_100 (inclusive bound)
+        m.latency.record(Duration::from_micros(700)); // le_1000
+        m.latency.record(Duration::from_secs(5)); // open tail
+        assert_eq!(row(&m, "latency_us_le_100"), 2);
+        assert_eq!(row(&m, "latency_us_le_1000"), 1);
+        assert_eq!(row(&m, "latency_us_gt_1000000"), 1);
+        let buckets: i64 = rows(&m.stat_table())
+            .iter()
+            .filter(|(l, _)| l.starts_with("latency_us_le_") || l.starts_with("latency_us_gt_"))
+            .map(|(_, c)| c)
+            .sum();
+        assert_eq!(buckets, 4);
+        assert!(row(&m, "latency_us_total") >= 5_000_000);
     }
 
     #[test]
@@ -260,37 +214,30 @@ mod tests {
         let m = ServerMetrics::default();
         m.queries_served.add(3);
         m.latency.record(Duration::from_micros(10));
-        let rows = m.rows();
-        let get = |name: &str| {
-            rows.iter()
-                .find(|(l, _)| l == name)
-                .unwrap_or_else(|| panic!("{name} missing"))
-                .1
-        };
-        assert_eq!(get("queries_served"), 3);
-        assert_eq!(get("latency_us_le_100"), 1);
-        assert_eq!(get("connections_active"), 0);
+        assert_eq!(row(&m, "queries_served"), 3);
+        assert_eq!(row(&m, "latency_us_le_100"), 1);
+        assert_eq!(row(&m, "connections_active"), 0);
+        // 13 numbers, then the histogram's sum and 13 interval buckets.
+        assert_eq!(rows(&m.stat_table()).len(), 13 + 1 + 13);
     }
 
     #[test]
     fn prometheus_export_is_cumulative_while_stats_rows_are_not() {
-        // Satellite 1: `SHOW STATS` keeps the historical per-interval labels,
-        // while the registry renders the same histogram in cumulative `le`
-        // form with `_sum`/`_count`.
+        // `SHOW STATS` keeps the per-interval labels, while the registry
+        // renders the same histogram in cumulative `le` form with
+        // `_sum`/`_count`.
         let registry = Registry::new();
         let m = ServerMetrics::register(&registry);
         m.latency.record(Duration::from_micros(50));
         m.latency.record(Duration::from_micros(100));
         m.latency.record(Duration::from_micros(700));
 
-        let snap = m.latency.snapshot();
-        let get = |label: &str| snap.iter().find(|(l, _)| l == label).unwrap().1;
         assert_eq!(
-            get("latency_us_le_100"),
+            row(&m, "latency_us_le_100"),
             2,
             "interval form: own bucket only"
         );
-        assert_eq!(get("latency_us_le_1000"), 1);
+        assert_eq!(row(&m, "latency_us_le_1000"), 1);
 
         let text = registry.render_prometheus();
         assert!(text.contains("hermes_server_query_latency_us_bucket{le=\"100\"} 2"));

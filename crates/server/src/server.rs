@@ -22,10 +22,10 @@ use crate::protocol::{Request, Response};
 use crate::shard;
 use crate::traceview::{self, TraceQuery};
 use hermes_core::{EngineError, SharedEngine};
-use hermes_obs::{next_id, Registry, Sample, SampleValue, Span, SpanStore, TraceContext};
+use hermes_obs::{next_id, Registry, Span, SpanStore, Stat, TraceContext};
 use hermes_retratree::OwnedSlice;
 use hermes_sql::{
-    push_stat, query_window, sort_stats_rows, CommandStatus, CommandTag, Prepared, QueryOutcome,
+    push_stats, query_window, sort_stats_rows, CommandStatus, CommandTag, Prepared, QueryOutcome,
     Session, Statement,
 };
 use std::io;
@@ -144,8 +144,9 @@ pub trait Backend: Send + Sync + 'static {
         ctx: &mut RequestCtx<'_>,
     ) -> Response;
 
-    /// Contributes the backend's samples to a `/metrics` scrape.
-    fn collect(&self, out: &mut Vec<Sample>);
+    /// The backend's stats table, pulled at every `/metrics` scrape: the
+    /// engine's, or every shard's.
+    fn stat_table(&self) -> Vec<Stat>;
 
     /// Worker-pool bound when [`ServerConfig::workers`] is `0`.
     fn default_workers(&self, config: &ServerConfig) -> usize;
@@ -170,15 +171,15 @@ impl<B: Backend> Server<B> {
     /// a [`SharedEngine`] for a single node, a `Coordinator` for a sharded
     /// deployment.
     ///
-    /// The server owns a process-wide [`Registry`] carrying its own counters
-    /// plus a pull-based collector over [`Backend::collect`], and a
+    /// The server owns a process-wide [`Registry`] rendering its own stats
+    /// table and [`Backend::stat_table`], and a
     /// [`SpanStore`] holding recent per-query spans for `SHOW TRACE`.
     pub fn bind(addr: impl ToSocketAddrs, backend: B, config: ServerConfig) -> io::Result<Self> {
         let backend = Arc::new(backend);
         let registry = Arc::new(Registry::new());
         let metrics = Arc::new(ServerMetrics::register(&registry));
         let collector = Arc::clone(&backend);
-        registry.register_collector(move |out| collector.collect(out));
+        registry.register_collector(move || collector.stat_table());
         Ok(Server {
             listener: TcpListener::bind(addr)?,
             backend,
@@ -355,8 +356,8 @@ impl Backend for SharedEngine {
         response
     }
 
-    fn collect(&self, out: &mut Vec<Sample>) {
-        collect_engine_samples(self, out);
+    fn stat_table(&self) -> Vec<Stat> {
+        self.with_read(|e| e.stat_table())
     }
 
     /// Engine workers compute: one per core, within `[2, 8]`.
@@ -632,169 +633,13 @@ fn finish_outcome(outcome: QueryOutcome, show_stats: bool, metrics: &ServerMetri
     match outcome {
         QueryOutcome::Rows { mut frame, stats } => {
             if show_stats {
-                for (metric, value) in metrics.rows() {
-                    push_stat(&mut frame, "server", &metric, value);
-                }
+                push_stats(&mut frame, "server", &metrics.stat_table());
                 sort_stats_rows(&mut frame);
             }
             Response::Rows { frame, stats }
         }
         QueryOutcome::Command(status) => Response::Command(status),
     }
-}
-
-/// Pull-based collector contributing the engine's aggregated stats to every
-/// scrape: engine shape (`hermes_engine_*`), cumulative clustering phase
-/// work, page-lookup and durability counters (`hermes_storage_*`), and the
-/// executor queue depth (`hermes_exec_*`).
-fn collect_engine_samples(engine: &SharedEngine, out: &mut Vec<Sample>) {
-    let (stats, queue_depth) = engine.with_read(|e| (e.stats(), e.executor().queue_depth()));
-    let gauge = |name, help, v: u64| Sample {
-        name,
-        help,
-        labels: Vec::new(),
-        value: SampleValue::Gauge(v),
-    };
-    let counter = |name, help, v: u64| Sample {
-        name,
-        help,
-        labels: Vec::new(),
-        value: SampleValue::Counter(v),
-    };
-    out.push(gauge(
-        "hermes_engine_datasets",
-        "Registered datasets",
-        stats.datasets as u64,
-    ));
-    out.push(gauge(
-        "hermes_engine_indexed_datasets",
-        "Datasets with a built ReTraTree",
-        stats.indexed_datasets as u64,
-    ));
-    out.push(gauge(
-        "hermes_engine_indexed_partitions",
-        "Level-4 partitions across every built index",
-        stats.indexed_partitions as u64,
-    ));
-    out.push(gauge(
-        "hermes_engine_stored_records",
-        "Sub-trajectory records stored across every built index",
-        stats.stored_records as u64,
-    ));
-    out.push(gauge(
-        "hermes_engine_threads",
-        "Intra-query compute threads the engine currently uses",
-        stats.threads as u64,
-    ));
-    for (phase, ms) in [
-        ("index_build", stats.phases.index_build_ms),
-        ("voting", stats.phases.voting_ms),
-        ("segmentation", stats.phases.segmentation_ms),
-        ("sampling", stats.phases.sampling_ms),
-        ("clustering", stats.phases.clustering_ms),
-    ] {
-        out.push(Sample {
-            name: "hermes_engine_phase_ms_total",
-            help: "Cumulative S2T pipeline phase compute milliseconds",
-            labels: vec![("phase", phase.to_string())],
-            value: SampleValue::Counter(ms),
-        });
-    }
-    out.push(counter(
-        "hermes_engine_kernel_evaluated_total",
-        "Voting-kernel candidate pairs evaluated exactly",
-        stats.kernel_evaluated,
-    ));
-    out.push(counter(
-        "hermes_engine_kernel_pruned_total",
-        "Voting-kernel candidate pairs rejected by a distance lower bound",
-        stats.kernel_pruned,
-    ));
-    out.push(counter(
-        "hermes_engine_distance_exact_total",
-        "S2T sub-trajectory distances measured to the last sample",
-        stats.distance_exact,
-    ));
-    out.push(counter(
-        "hermes_engine_distance_cut_off_total",
-        "S2T sub-trajectory distances stopped early above their limit",
-        stats.distance_cut_off,
-    ));
-    out.push(counter(
-        "hermes_storage_page_lookups_total",
-        "Level-4 page lookups summed over every index",
-        stats.page_lookups,
-    ));
-    out.push(counter(
-        "hermes_retratree_border_memo_hits_total",
-        "Border sub-chunks answered from the memo, summed over every index",
-        stats.border_memo.hits,
-    ));
-    out.push(counter(
-        "hermes_retratree_border_memo_misses_total",
-        "Border sub-chunks re-clustered (pipelines run), summed over every index",
-        stats.border_memo.misses,
-    ));
-    out.push(counter(
-        "hermes_retratree_border_memo_evictions_total",
-        "Border partials evicted to stay inside the byte bound",
-        stats.border_memo.evictions,
-    ));
-    out.push(gauge(
-        "hermes_retratree_border_memo_bytes",
-        "Bytes the border memos currently account for",
-        stats.border_memo.bytes,
-    ));
-    out.push(counter(
-        "hermes_retratree_merge_edge_hits_total",
-        "Merge-edge lists of a sub-chunk pair answered from the memo, summed over every index",
-        stats.merge_edges.hits,
-    ));
-    out.push(counter(
-        "hermes_retratree_merge_edge_misses_total",
-        "Merge-edge lists measured (every pair of stored representatives), summed over every index",
-        stats.merge_edges.misses,
-    ));
-    out.push(counter(
-        "hermes_retratree_merge_edge_evictions_total",
-        "Merge-edge lists evicted to stay inside the byte bound",
-        stats.merge_edges.evictions,
-    ));
-    out.push(gauge(
-        "hermes_retratree_merge_edge_bytes",
-        "Bytes the merge-edge memos currently account for",
-        stats.merge_edges.bytes,
-    ));
-    out.push(counter(
-        "hermes_engine_s2t_index_builds_total",
-        "S2T statements that built their dataset's segment index",
-        stats.s2t_index_builds,
-    ));
-    out.push(counter(
-        "hermes_engine_s2t_index_reuses_total",
-        "S2T statements that found their dataset's segment index built",
-        stats.s2t_index_reuses,
-    ));
-    out.push(gauge(
-        "hermes_storage_snapshot_bytes",
-        "Size in bytes of the newest snapshot file",
-        stats.snapshot_bytes,
-    ));
-    out.push(gauge(
-        "hermes_storage_wal_bytes",
-        "Current write-ahead-log size in bytes",
-        stats.wal_bytes,
-    ));
-    out.push(gauge(
-        "hermes_storage_last_checkpoint_ms",
-        "Wall-clock milliseconds of the most recent checkpoint",
-        stats.last_checkpoint_ms,
-    ));
-    out.push(gauge(
-        "hermes_exec_queue_depth",
-        "Fork-join jobs queued on the intra-query thread pool",
-        queue_depth as u64,
-    ));
 }
 
 /// True when `sql` is a `SHOW STATS` statement (the only statement whose
@@ -835,12 +680,10 @@ mod tests {
             .collect()
     }
 
-    /// `SHOW STATS`' engine rows and the engine's `/metrics` series are two
-    /// hand-written lists of the same numbers. Every `engine/<row>` equals
-    /// its series — `hermes_{engine|storage|retratree}_<row>[_total]`, or
-    /// `hermes_engine_phase_ms_total{phase}` for `s2t_<phase>_ms` — and
-    /// every series has its row. Two names are on one side only: `durable`
-    /// is a row, `hermes_exec_queue_depth` a series.
+    /// `SHOW STATS`' engine rows and the engine's `/metrics` series render
+    /// one stats table: the frame's engine rows are exactly the table's rows,
+    /// and every entry with both a row and a series scrapes the value its
+    /// row shows.
     #[test]
     fn show_stats_engine_rows_equal_their_metrics_series() {
         let engine = SharedEngine::default();
@@ -861,54 +704,43 @@ mod tests {
         }
         let shown = session.execute("SHOW STATS;").unwrap();
         let frame = shown.expect_frame("SHOW STATS");
-        let mut samples = Vec::new();
-        collect_engine_samples(&engine, &mut samples);
+        let table = engine.stat_table();
+        let registry = Registry::new();
+        let collector = engine.clone();
+        registry.register_collector(move || collector.stat_table());
+        let text = registry.render_prometheus();
 
-        let mut has_row = vec![false; samples.len()];
-        let mut rows = 0;
-        for row in 0..frame.num_rows() {
-            if frame.get(row, "scope") != Some(&Value::Text("engine".into())) {
-                continue;
-            }
-            let Some(Value::Text(metric)) = frame.get(row, "metric") else {
-                panic!("row {row} has no metric name");
-            };
-            let Some(&Value::Int(value)) = frame.get(row, "value") else {
-                panic!("engine/{metric} has no integer value");
-            };
-            rows += 1;
-            if metric == "durable" {
-                continue;
-            }
-            let phase = metric
-                .strip_prefix("s2t_")
-                .and_then(|m| m.strip_suffix("_ms"));
-            let series = |s: &Sample| match phase {
-                Some(phase) => {
-                    s.name == "hermes_engine_phase_ms_total"
-                        && s.labels == [("phase", phase.to_string())]
+        let mut shown_rows = Vec::new();
+        for row in frame.rows() {
+            if let [Value::Text(scope), Value::Text(metric), Value::Int(value)] = row.as_slice() {
+                if scope == "engine" {
+                    shown_rows.push((metric.clone(), *value));
                 }
-                None => ["engine", "storage", "retratree"].iter().any(|layer| {
-                    let base = format!("hermes_{layer}_{metric}");
-                    s.labels.is_empty() && (s.name == base || s.name == format!("{base}_total"))
-                }),
-            };
-            let i = samples
-                .iter()
-                .position(series)
-                .unwrap_or_else(|| panic!("engine/{metric} has no /metrics series"));
-            let (SampleValue::Counter(v) | SampleValue::Gauge(v)) = samples[i].value else {
-                panic!("{} is a histogram", samples[i].name);
-            };
-            assert_eq!(v as i64, value, "engine/{metric} vs {}", samples[i].name);
-            has_row[i] = true;
+            }
         }
-        for (sample, has_row) in samples.iter().zip(has_row) {
-            assert!(
-                has_row || sample.name == "hermes_exec_queue_depth",
-                "{} has no engine row",
-                sample.name
-            );
+        let mut table_rows = hermes_obs::rows(&table);
+        table_rows.sort();
+        assert_eq!(shown_rows, table_rows);
+        let rows = shown_rows.len();
+        for stat in &table {
+            let (Some(row), Some(series)) = (&stat.row, stat.series) else {
+                continue;
+            };
+            let labels: Vec<String> = stat
+                .labels
+                .iter()
+                .map(|(k, v)| format!("{k}=\"{v}\""))
+                .collect();
+            let name = match labels.is_empty() {
+                true => series.to_string(),
+                false => format!("{series}{{{}}}", labels.join(",")),
+            };
+            let scraped = text
+                .lines()
+                .find_map(|l| l.strip_prefix(&format!("{name} ")))
+                .unwrap_or_else(|| panic!("{name} is not scraped"));
+            let shown = shown_rows.iter().find(|(m, _)| m == row).unwrap().1;
+            assert_eq!(scraped, shown.to_string(), "engine/{row} vs {name}");
         }
         assert!(rows > 20, "only {rows} engine rows");
         let row = |name: &str| {

@@ -6,7 +6,7 @@
 //! and the coordinator in the workspace root's `tests/async_server.rs`.
 
 use hermes_core::SharedEngine;
-use hermes_obs::{Sample, TraceContext};
+use hermes_obs::{Stat, TraceContext};
 use hermes_server::{
     Backend, ClientError, ConnectOptions, ErrorCode, HermesClient, Request, RequestCtx, Response,
     Server, ServerConfig, ServerHandle,
@@ -168,7 +168,9 @@ impl Backend for Tripwire {
         }
     }
 
-    fn collect(&self, _out: &mut Vec<Sample>) {}
+    fn stat_table(&self) -> Vec<Stat> {
+        Vec::new()
+    }
 
     fn default_workers(&self, _config: &ServerConfig) -> usize {
         TRIPWIRE_WORKERS

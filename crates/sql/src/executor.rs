@@ -6,6 +6,7 @@ use crate::frame::{CommandStatus, CommandTag, Frame, QueryOutcome};
 use crate::parser::{parse, ParseError, Scalar, Statement};
 use crate::value::{Value, ValueType};
 use hermes_core::{DatasetInfo, EngineError, ExecPolicy, HermesEngine};
+use hermes_obs::Stat;
 use hermes_retratree::{OwnedSlice, QutParams, QutStats, ReTraTreeParams};
 use hermes_s2t::{ClusteringResult, S2TParams};
 use hermes_trajectory::{Duration, Lifespan, TimeInterval, Timestamp};
@@ -173,6 +174,14 @@ pub fn push_stat(frame: &mut Frame, scope: &str, metric: &str, value: i64) {
     );
 }
 
+/// Appends a scope's `SHOW STATS` rows, rendered from its stats table
+/// (see [`hermes_obs::Stat`]), to a [`stats_frame`]-shaped frame.
+pub fn push_stats(frame: &mut Frame, scope: &str, table: &[Stat]) {
+    for (metric, value) in hermes_obs::rows(table) {
+        push_stat(frame, scope, &metric, value);
+    }
+}
+
 /// Sorts a [`stats_frame`]-shaped frame by `(scope, metric)`.
 ///
 /// `SHOW STATS` ordering is part of the statement's contract: every scope
@@ -258,55 +267,6 @@ pub fn push_trace_span(
             Value::Text(attributes.to_string()),
         ],
     );
-}
-
-fn push_engine_stats(frame: &mut Frame, engine: &HermesEngine) {
-    let s = engine.stats();
-    for (metric, value) in [
-        ("datasets", s.datasets as i64),
-        ("indexed_datasets", s.indexed_datasets as i64),
-        ("indexed_partitions", s.indexed_partitions as i64),
-        ("stored_records", s.stored_records as i64),
-        ("page_lookups", s.page_lookups as i64),
-        ("threads", s.threads as i64),
-        // Cumulative S2T pipeline phase work (milliseconds) across every
-        // clustering query — S2T direct, QuT border re-clustering and the
-        // window-rebuild baseline alike.
-        ("s2t_index_build_ms", s.phases.index_build_ms as i64),
-        ("s2t_voting_ms", s.phases.voting_ms as i64),
-        ("s2t_segmentation_ms", s.phases.segmentation_ms as i64),
-        ("s2t_sampling_ms", s.phases.sampling_ms as i64),
-        ("s2t_clustering_ms", s.phases.clustering_ms as i64),
-        // Voting-kernel pruning ladder: exact evaluations vs lower-bound
-        // rejects, cumulative over the same queries as the phase counters.
-        ("kernel_evaluated", s.kernel_evaluated as i64),
-        ("kernel_pruned", s.kernel_pruned as i64),
-        // Sub-trajectory distances of S2T statements' sampling and
-        // clustering: measured to the end vs cut off above their limit.
-        ("distance_exact", s.distance_exact as i64),
-        ("distance_cut_off", s.distance_cut_off as i64),
-        // Derived read-path state (docs/ARCHITECTURE.md § "Derived state"):
-        // border partials and merge-edge lists answered from / computed into
-        // the per-tree memos, and whole-dataset S2T runs that built / found
-        // the segment index.
-        ("border_memo_hits", s.border_memo.hits as i64),
-        ("border_memo_misses", s.border_memo.misses as i64),
-        ("border_memo_evictions", s.border_memo.evictions as i64),
-        ("border_memo_bytes", s.border_memo.bytes as i64),
-        ("merge_edge_hits", s.merge_edges.hits as i64),
-        ("merge_edge_misses", s.merge_edges.misses as i64),
-        ("merge_edge_evictions", s.merge_edges.evictions as i64),
-        ("merge_edge_bytes", s.merge_edges.bytes as i64),
-        ("s2t_index_builds", s.s2t_index_builds as i64),
-        ("s2t_index_reuses", s.s2t_index_reuses as i64),
-        // Persistence scope: all zero on an in-memory engine (durable = 0).
-        ("durable", s.durable as i64),
-        ("snapshot_bytes", s.snapshot_bytes as i64),
-        ("wal_bytes", s.wal_bytes as i64),
-        ("last_checkpoint_ms", s.last_checkpoint_ms as i64),
-    ] {
-        push_stat(frame, "engine", metric, value);
-    }
 }
 
 /// The window a statement's `wi`/`we` arguments denote, an inverted one
@@ -534,7 +494,7 @@ pub fn execute_read_statement(
         }
         Statement::ShowStats => {
             let mut frame = stats_frame();
-            push_engine_stats(&mut frame, engine);
+            push_stats(&mut frame, "engine", &engine.stat_table());
             sort_stats_rows(&mut frame);
             Ok(QueryOutcome::rows(frame))
         }

@@ -61,7 +61,7 @@ pub mod value;
 pub use backend::EngineBackend;
 pub use executor::{
     chunk_ms, clusters_frame, execute, execute_read_statement, execute_statement, histogram_bucket,
-    histogram_frame, info_frame, is_write_statement, push_stat, push_trace_span,
+    histogram_frame, info_frame, is_write_statement, push_stat, push_stats, push_trace_span,
     push_trace_summary, query_window, qut_params, qut_stats_frame, range_frame, s2t_params,
     s2t_stats_frame, sort_stats_rows, stats_frame, thread_policy, trace_frame, traces_frame,
     window_args, window_s2t, SqlError,
