@@ -39,9 +39,8 @@ mod pool;
 
 pub use pool::ThreadPool;
 
-use std::cell::UnsafeCell;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// How much intra-query parallelism an engine is allowed to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,17 +123,6 @@ impl fmt::Debug for Executor {
     }
 }
 
-/// A per-index result slot. Each index is claimed exactly once by the pool's
-/// `fetch_add` cursor, so slot `i` is written by exactly one task; the
-/// `Sync` impl is sound because no two tasks ever alias the same slot.
-struct Slot<R>(UnsafeCell<Option<R>>);
-
-// SAFETY: a slot is written only by the one task that claimed its index, and
-// read only after `run_scoped` has returned, when every task has finished. So
-// no two threads touch one slot at once. `R: Send` lets the value written on
-// a worker be read on the calling thread.
-unsafe impl<R: Send> Sync for Slot<R> {}
-
 impl Executor {
     /// The inline executor: combinators run on the calling thread, in order.
     pub fn serial() -> Executor {
@@ -200,17 +188,22 @@ impl Executor {
         if n <= 1 {
             return (0..n).map(f).collect();
         }
-        let slots: Vec<Slot<R>> = (0..n).map(|_| Slot(UnsafeCell::new(None))).collect();
+        // One slot per index. Each index is claimed exactly once, so every
+        // lock is uncontended: tens of nanoseconds against a task worth
+        // microseconds. Nothing can panic while a slot is locked, so no slot
+        // is ever poisoned.
+        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
         pool.run_scoped(n, &|i| {
             let value = f(i);
-            // SAFETY: index `i` is claimed exactly once, so this is slot
-            // `i`'s only writer, and nothing reads the slots before
-            // `run_scoped` returns (see `Slot`).
-            unsafe { *slots[i].0.get() = Some(value) };
+            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
         });
         slots
             .into_iter()
-            .map(|s| s.0.into_inner().expect("every claimed index completed"))
+            .map(|s| {
+                s.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .expect("every claimed index completed")
+            })
             .collect()
     }
 
@@ -244,7 +237,6 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::Mutex;
     use std::thread;
 
     #[test]

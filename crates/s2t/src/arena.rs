@@ -53,7 +53,7 @@
 //! * the distance kernel is [`hermes_trajectory::kernel::mean_sync_distance`]
 //!   — the same function `Segment::mean_synchronized_distance` delegates to —
 //!   or its batched SIMD form, which performs the same IEEE-754 operations in
-//!   the same per-lane order and is gated bit-identical at every width;
+//!   the same per-lane order and is gated bit-identical to it;
 //! * per-voter minima are order-independent (`min` is a lattice operation),
 //!   which also covers deferring the fold to the gather-block flush and
 //!   computing a minimum in the pass of the other trajectory of the pair

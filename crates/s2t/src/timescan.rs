@@ -14,14 +14,14 @@
 //!   before the first row whose running maximum reaches `window.t0` ended
 //!   too early — whatever the longest segment is (one day-long segment makes
 //!   the scan longer, never wrong);
-//! * the rows in between are tested four (AVX2), two (SSE2) or one at a time
-//!   against the window: lifespan still alive at `window.t0`, and squared
-//!   [`axis_gap`] to the window box within the ball.
+//! * the rows in between are tested four at a time (AVX2) or one at a time
+//!   (the scalar reference) against the window: lifespan still alive at
+//!   `window.t0`, and squared [`axis_gap`] to the window box within the ball.
 //!
 //! What is emitted is **exactly** the set the ball-candidate query of
 //! `hermes_gist::PackedRTree` emits over the same boxes — exact `i64`
-//! lifespan overlap and `gap² ≤ radius²`, with the same `gap²` bits at every
-//! SIMD width (every width runs the branchless max-form statement sequence
+//! lifespan overlap and `gap² ≤ radius²`, with the same `gap²` bits at both
+//! levels (both run the branchless max-form statement sequence
 //! of `hermes_trajectory::axis_gap`, the one box gap the tree's scalar
 //! descent calls too; the `f64` time prefilter is outward-rounded and every
 //! survivor is rechecked against its exact `i64` lifespan) — in ascending
@@ -74,7 +74,7 @@ struct Window {
 struct Survivors {
     /// Block-relative offsets of the rows that passed, ascending, in
     /// `offsets[..n]` (`n` is the filter's return value). Four bytes longer
-    /// than a block: the packed filters store four offsets at a time.
+    /// than a block: the packed filter stores four offsets at a time.
     offsets: [u8; BLOCK + 4],
     /// `gap²` of every row of the block, passed or not, by offset.
     gap2: [f64; BLOCK],
@@ -192,9 +192,6 @@ impl TimeOrderedLanes {
                 // was clamped to it above.
                 #[cfg(target_arch = "x86_64")]
                 SimdLevel::Avx2 => unsafe { self.filter_avx2(start, end, &q, &mut survivors) },
-                // SAFETY: SSE2 is part of the x86_64 baseline.
-                #[cfg(target_arch = "x86_64")]
-                SimdLevel::Sse2 => unsafe { self.filter_sse2(start, end, &q, &mut survivors) },
                 _ => self.filter_scalar(start, end, &q, 0, 0, &mut survivors),
             };
             let passed = &survivors.offsets[..n];
@@ -212,7 +209,7 @@ impl TimeOrderedLanes {
 
     /// Filters rows `start + at .. end` of the block that begins at `start`,
     /// appending to the `n` survivors already recorded: the reference the
-    /// packed filters must match row for row and bit for bit, and their
+    /// packed filter must match row for row and bit for bit, and its
     /// remainder tail. Rows of a scan range start no later than the window
     /// ends (that is what the range's upper end means), so the lifespans
     /// overlap exactly when the row is still alive at the window's start.
@@ -298,63 +295,6 @@ impl TimeOrderedLanes {
         }
         self.filter_scalar(start, end, q, at, n, out)
     }
-
-    /// Two rows per iteration, same statement sequence and exactness
-    /// contract as [`filter_avx2`](Self::filter_avx2).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "sse2")]
-    fn filter_sse2(&self, start: usize, end: usize, q: &Window, out: &mut Survivors) -> usize {
-        use std::arch::x86_64::*;
-
-        #[inline]
-        #[target_feature(enable = "sse2")]
-        fn load(lane: &[f64], at: usize) -> __m128d {
-            let two: &[f64; 2] = lane[at..].first_chunk().expect("two rows left in the lane");
-            // SAFETY: `two` borrows two contiguous `f64`s — the 16 bytes the
-            // load reads — and `loadu` has no alignment requirement.
-            unsafe { _mm_loadu_pd(two.as_ptr()) }
-        }
-
-        let (st1, sx0, sx1, sy0, sy1) = (
-            &self.st1[start..end],
-            &self.sx0[start..end],
-            &self.sx1[start..end],
-            &self.sy0[start..end],
-            &self.sy1[start..end],
-        );
-        let zero = _mm_setzero_pd();
-        let qx0 = _mm_set1_pd(q.x0);
-        let qx1 = _mm_set1_pd(q.x1);
-        let qy0 = _mm_set1_pd(q.y0);
-        let qy1 = _mm_set1_pd(q.y1);
-        let qt0 = _mm_set1_pd(q.t0f);
-        let r2 = _mm_set1_pd(q.r2);
-        let (mut at, mut n) = (0usize, 0usize);
-        while at + 2 <= end - start {
-            let alive = _mm_cmple_pd(qt0, load(st1, at));
-            let (x_lo, x_hi) = (load(sx0, at), load(sx1, at));
-            let (y_lo, y_hi) = (load(sy0, at), load(sy1, at));
-            let gx = _mm_max_pd(
-                _mm_max_pd(_mm_sub_pd(qx0, x_hi), _mm_sub_pd(x_lo, qx1)),
-                zero,
-            );
-            let gy = _mm_max_pd(
-                _mm_max_pd(_mm_sub_pd(qy0, y_hi), _mm_sub_pd(y_lo, qy1)),
-                zero,
-            );
-            let gap2 = _mm_add_pd(_mm_mul_pd(gx, gx), _mm_mul_pd(gy, gy));
-            let pass = _mm_and_pd(alive, _mm_cmple_pd(gap2, r2));
-            let two: &mut [f64; 2] = out.gap2[at..]
-                .first_chunk_mut()
-                .expect("a block holds whole vectors");
-            // SAFETY: `two` borrows two contiguous writable `f64`s — the 16
-            // bytes the store writes; `storeu` needs no alignment.
-            unsafe { _mm_storeu_pd(two.as_mut_ptr(), gap2) };
-            n = out.record(n, at, _mm_movemask_pd(pass) as usize);
-            at += 2;
-        }
-        self.filter_scalar(start, end, q, at, n, out)
-    }
 }
 
 #[cfg(test)]
@@ -362,7 +302,7 @@ mod tests {
     use super::*;
     use hermes_trajectory::Timestamp;
 
-    const LEVELS: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2];
+    const LEVELS: [SimdLevel; 2] = [SimdLevel::Scalar, SimdLevel::Avx2];
 
     /// SplitMix64: irregular boxes without a datagen dependency.
     struct Rng(u64);
@@ -453,7 +393,7 @@ mod tests {
         }
     }
 
-    /// Every width emits the brute-force set, in row order, with the same
+    /// Both levels emit the brute-force set, in row order, with the same
     /// `gap²` bits — on short and long lifespans, small and huge radii.
     #[test]
     fn every_width_emits_exactly_the_definition() {

@@ -241,9 +241,12 @@ impl<B: Backend> Ctx<B> {
     /// Hands one job to the pool, growing it while there are more jobs in
     /// flight than workers: a pool sized for waiting (the coordinator's, one
     /// per connection) then costs threads — stacks, allocator arenas — only
-    /// for the concurrency it actually sees.
+    /// for the concurrency it actually sees. The gauges are published before
+    /// the push, so a statement that reads them (`SHOW STATS`) always sees
+    /// itself in flight.
     fn dispatch(&mut self, job: Job<B::Conn>) {
         self.inflight += 1;
+        self.sync_gauges();
         if self.inflight > self.workers && self.workers < self.max_workers {
             // Failing to grow is not fatal: the job waits for a worker that
             // exists.

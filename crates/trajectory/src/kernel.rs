@@ -90,19 +90,17 @@ pub fn mean_sync_distance(a: &SegLanes, b: &SegLanes) -> Option<f64> {
     )
 }
 
-/// Gather-block size used by batched callers. A multiple of every SIMD lane
-/// width we dispatch to (2 for SSE2, 4 for AVX2), so a full block never needs
-/// a remainder tail.
+/// Gather-block size used by batched callers. A multiple of the AVX2 lane
+/// width (4), so a full block never needs a remainder tail.
 pub const BATCH: usize = 8;
 
-/// SIMD dispatch level for the batched kernel. Ordered by width so levels can
-/// be clamped against what the CPU supports (`Scalar < Sse2 < Avx2`).
+/// SIMD dispatch level for the batched kernel. Ordered by width so a level
+/// can be clamped against what the CPU supports (`Scalar < Avx2`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
-    /// Portable scalar loop — one candidate at a time.
+    /// Portable scalar loop — one candidate at a time. The reference, and
+    /// the only level off x86_64.
     Scalar,
-    /// SSE2, 2 × f64 per vector. Baseline on every x86_64.
-    Sse2,
     /// AVX2, 4 × f64 per vector. Runtime-detected.
     Avx2,
 }
@@ -112,16 +110,14 @@ impl SimdLevel {
     pub fn lanes(self) -> usize {
         match self {
             SimdLevel::Scalar => 1,
-            SimdLevel::Sse2 => 2,
             SimdLevel::Avx2 => 4,
         }
     }
 
-    /// Stable lowercase name, matching the `HERMES_SIMD` spellings.
+    /// Stable lowercase name.
     pub fn label(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
         }
     }
@@ -130,11 +126,10 @@ impl SimdLevel {
 /// Widest level the running CPU supports.
 #[cfg(target_arch = "x86_64")]
 pub fn best_supported() -> SimdLevel {
-    // SSE2 is part of the x86_64 baseline; only AVX2 needs a runtime check.
     if std::arch::is_x86_feature_detected!("avx2") {
         SimdLevel::Avx2
     } else {
-        SimdLevel::Sse2
+        SimdLevel::Scalar
     }
 }
 
@@ -144,28 +139,24 @@ pub fn best_supported() -> SimdLevel {
     SimdLevel::Scalar
 }
 
-/// Resolve a `HERMES_SIMD` request against hardware support. Unknown or empty
-/// values mean "auto" (widest supported); an explicit request is clamped to
-/// what the CPU can actually run, never widened.
+/// Resolve a `HERMES_SIMD` request: `off` (or `scalar`, `0`, `none`) is the
+/// scalar reference; anything else, unset included, is the widest level the
+/// CPU supports.
 fn resolve_level(request: Option<&str>) -> SimdLevel {
-    let best = best_supported();
-    let requested = match request
+    match request
         .map(str::trim)
         .map(str::to_ascii_lowercase)
         .as_deref()
     {
         Some("off") | Some("scalar") | Some("0") | Some("none") => SimdLevel::Scalar,
-        Some("sse2") => SimdLevel::Sse2,
-        Some("avx2") => SimdLevel::Avx2,
-        _ => best,
-    };
-    requested.min(best)
+        _ => best_supported(),
+    }
 }
 
 /// The process-wide dispatch level for [`mean_sync_distance_batch`]: the
-/// widest supported SIMD width, unless the `HERMES_SIMD` environment variable
-/// (`off`/`scalar`, `sse2`, `avx2`) narrows it. Read once and cached — the
-/// escape hatch exists for A/B timing and for ruling the vector path out when
+/// widest supported SIMD width, unless `HERMES_SIMD=off` selects the scalar
+/// reference. Read once and cached — the switch exists to run the whole
+/// pipeline on the reference (CI does) and to rule the vector path out when
 /// debugging, not for per-query toggling.
 pub fn simd_level() -> SimdLevel {
     use std::sync::OnceLock;
@@ -182,10 +173,10 @@ pub fn simd_level() -> SimdLevel {
 /// every use the voting loop makes of the result (`d < best` folds and
 /// `d > cutoff` rejects both treat ∞ exactly like "no common lifespan").
 ///
-/// Dispatches to the widest SIMD width allowed by [`simd_level`]. Every width
-/// performs the same IEEE-754 operations in the same per-lane order as the
-/// scalar kernel, so results are bit-identical across widths — see
-/// `docs/KERNELS.md` for the argument and the tests that gate it.
+/// Dispatches to the level [`simd_level`] chose. The AVX2 body performs the
+/// same IEEE-754 operations in the same per-lane order as the scalar kernel,
+/// so results are bit-identical across levels — see `docs/KERNELS.md` for
+/// the argument and the tests that gate it.
 #[allow(clippy::too_many_arguments)]
 pub fn mean_sync_distance_batch(
     q: &SegLanes,
@@ -201,7 +192,7 @@ pub fn mean_sync_distance_batch(
 }
 
 /// [`mean_sync_distance_batch`] at an explicit dispatch level — the hook the
-/// bit-exactness gate uses to run every width side by side. The level is
+/// bit-exactness gate uses to run both levels side by side. The level is
 /// clamped to hardware support, never widened.
 #[allow(clippy::too_many_arguments)]
 pub fn mean_sync_distance_batch_at(
@@ -228,9 +219,6 @@ pub fn mean_sync_distance_batch_at(
     match level.min(best_supported()) {
         SimdLevel::Scalar => batch_scalar(q, x0, y0, x1, y1, t0, t1, out),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is unconditionally available on x86_64.
-        SimdLevel::Sse2 => unsafe { x86::batch_sse2(q, x0, y0, x1, y1, t0, t1, out) },
-        #[cfg(target_arch = "x86_64")]
         // SAFETY: clamped against `best_supported`, which only reports Avx2
         // after `is_x86_feature_detected!("avx2")` succeeded.
         SimdLevel::Avx2 => unsafe { x86::batch_avx2(q, x0, y0, x1, y1, t0, t1, out) },
@@ -240,9 +228,9 @@ pub fn mean_sync_distance_batch_at(
 }
 
 /// Portable reference implementation of the batch: the scalar kernel per
-/// lane, with the ∞ sentinel for disjoint lifespans. Also serves the SIMD
-/// paths as their remainder-tail loop, which is sound precisely because all
-/// widths are bit-identical.
+/// lane, with the ∞ sentinel for disjoint lifespans. Also serves the AVX2
+/// path as its remainder-tail loop, which is sound precisely because the two
+/// levels are bit-identical.
 #[allow(clippy::too_many_arguments)]
 fn batch_scalar(
     q: &SegLanes,
@@ -269,7 +257,7 @@ fn batch_scalar(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    //! Explicit-intrinsic widths of the batch kernel.
+    //! The AVX2 width of the batch kernel.
     //!
     //! Bit-exactness with the scalar kernel rests on two facts:
     //!
@@ -292,19 +280,21 @@ mod x86 {
     //! overwritten by the ∞ sentinel before the store.
     //!
     //! The i64 temporal prologue (lifespan intersection, midpoint,
-    //! i64→f64 numerator/denominator conversion) stays scalar: SSE2/AVX2
-    //! have no packed 64-bit integer min/max/compare or i64→f64 convert,
-    //! and the prologue is a small fraction of the kernel's work.
+    //! i64→f64 numerator/denominator conversion) stays scalar: AVX2 has no
+    //! packed 64-bit integer min/max or i64→f64 convert, and the prologue is
+    //! a small fraction of the kernel's work.
 
     use super::SegLanes;
     use core::arch::x86_64::*;
 
     const LIVE: f64 = 0.0;
     const DEAD: f64 = f64::from_bits(u64::MAX);
+    /// Candidates per vector.
+    const W: usize = 4;
 
-    /// Per-chunk scalar prologue output for up to `W` lanes: everything the
-    /// f64 body needs, with masks encoded as all-zero / all-one f64 lanes.
-    struct Prologue<const W: usize> {
+    /// Per-chunk scalar prologue output for `W` lanes: everything the f64
+    /// body needs, with masks encoded as all-zero / all-one f64 lanes.
+    struct Prologue {
         /// `(t_k - q.t0) as f64` for the three Simpson instants.
         q_num: [[f64; W]; 3],
         /// `(t_k - c.t0) as f64` for the three Simpson instants.
@@ -317,7 +307,7 @@ mod x86 {
         dead: [f64; W],
     }
 
-    impl<const W: usize> Prologue<W> {
+    impl Prologue {
         /// The scalar i64 arithmetic of `mean_sync_distance`, verbatim, for
         /// `W` candidates starting at `i`.
         #[inline(always)]
@@ -356,8 +346,8 @@ mod x86 {
         }
     }
 
-    /// AVX2 width: 4 candidates per vector. Remainder lanes fall back to the
-    /// scalar loop (bit-identical, so the seam is invisible).
+    /// 4 candidates per vector. Remainder lanes fall back to the scalar loop
+    /// (bit-identical, so the seam is invisible).
     ///
     /// # Safety
     /// Caller must ensure the CPU supports AVX2, and that all slices hold at
@@ -374,7 +364,6 @@ mod x86 {
         t1: &[i64],
         out: &mut [f64],
     ) {
-        const W: usize = 4;
         let n = out.len();
         let q_span = q.t1 - q.t0;
         let q_degenerate = q_span == 0;
@@ -439,132 +428,17 @@ mod x86 {
         // first prologue's scalar stores and its vector loads gives the
         // store buffer time to drain instead of stalling the loads on
         // store-to-load forwarding (the prologue writes 8-byte lanes the
-        // body immediately re-reads as 16/32-byte vectors).
+        // body immediately re-reads as 32-byte vectors).
         let mut i = 0;
         while i + 2 * W <= n {
-            let pa = Prologue::<W>::compute(q, t0, t1, i);
-            let pb = Prologue::<W>::compute(q, t0, t1, i + W);
+            let pa = Prologue::compute(q, t0, t1, i);
+            let pb = Prologue::compute(q, t0, t1, i + W);
             chunk!(pa, i);
             chunk!(pb, i + W);
             i += 2 * W;
         }
         while i + W <= n {
-            let p = Prologue::<W>::compute(q, t0, t1, i);
-            chunk!(p, i);
-            i += W;
-        }
-        if i < n {
-            super::batch_scalar(
-                q,
-                &x0[i..n],
-                &y0[i..n],
-                &x1[i..n],
-                &y1[i..n],
-                &t0[i..n],
-                &t1[i..n],
-                &mut out[i..n],
-            );
-        }
-    }
-
-    /// SSE2 blend: all-ones mask lanes select `b`, zero lanes select `a`.
-    /// (SSE4.1's `blendv` is not in the SSE2 baseline; this and/andnot/or
-    /// sequence moves bits only — no rounding, so exactness is untouched.)
-    #[inline(always)]
-    unsafe fn blend_sse2(a: __m128d, b: __m128d, mask: __m128d) -> __m128d {
-        _mm_or_pd(_mm_and_pd(mask, b), _mm_andnot_pd(mask, a))
-    }
-
-    /// SSE2 width: 2 candidates per vector. Same statement-by-statement
-    /// structure as [`batch_avx2`] — see the module docs for why that makes
-    /// the widths bit-identical.
-    ///
-    /// # Safety
-    /// SSE2 is part of the x86_64 baseline; caller must ensure all slices
-    /// hold at least `out.len()` elements (checked by the public dispatcher).
-    #[target_feature(enable = "sse2")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn batch_sse2(
-        q: &SegLanes,
-        x0: &[f64],
-        y0: &[f64],
-        x1: &[f64],
-        y1: &[f64],
-        t0: &[i64],
-        t1: &[i64],
-        out: &mut [f64],
-    ) {
-        const W: usize = 2;
-        let n = out.len();
-        let q_span = q.t1 - q.t0;
-        let q_degenerate = q_span == 0;
-        let q_den = _mm_set1_pd(q_span as f64);
-        let q_x0 = _mm_set1_pd(q.x0);
-        let q_y0 = _mm_set1_pd(q.y0);
-        let q_dx = _mm_set1_pd(q.x1 - q.x0);
-        let q_dy = _mm_set1_pd(q.y1 - q.y0);
-        let zero = _mm_setzero_pd();
-        let one = _mm_set1_pd(1.0);
-        let four = _mm_set1_pd(4.0);
-        let six = _mm_set1_pd(6.0);
-        let inf = _mm_set1_pd(f64::INFINITY);
-
-        // One vector chunk: everything downstream of the scalar prologue.
-        // A macro rather than a helper fn keeps the intrinsics inlined under
-        // the enclosing `#[target_feature]`.
-        macro_rules! chunk {
-            ($p:expr, $i:expr) => {
-                let c_x0 = _mm_loadu_pd(x0.as_ptr().add($i));
-                let c_y0 = _mm_loadu_pd(y0.as_ptr().add($i));
-                let c_dx = _mm_sub_pd(_mm_loadu_pd(x1.as_ptr().add($i)), c_x0);
-                let c_dy = _mm_sub_pd(_mm_loadu_pd(y1.as_ptr().add($i)), c_y0);
-                let c_den = _mm_loadu_pd($p.c_den.as_ptr());
-                let c_deg = _mm_loadu_pd($p.c_deg.as_ptr());
-                let dead = _mm_loadu_pd($p.dead.as_ptr());
-
-                let mut d = [zero; 3];
-                for k in 0..3 {
-                    let (px, py) = if q_degenerate {
-                        (q_x0, q_y0)
-                    } else {
-                        let f = _mm_div_pd(_mm_loadu_pd($p.q_num[k].as_ptr()), q_den);
-                        let f = _mm_min_pd(_mm_max_pd(f, zero), one);
-                        (
-                            _mm_add_pd(q_x0, _mm_mul_pd(q_dx, f)),
-                            _mm_add_pd(q_y0, _mm_mul_pd(q_dy, f)),
-                        )
-                    };
-                    let f = _mm_div_pd(_mm_loadu_pd($p.c_num[k].as_ptr()), c_den);
-                    let f = _mm_min_pd(_mm_max_pd(f, zero), one);
-                    let ix = _mm_add_pd(c_x0, _mm_mul_pd(c_dx, f));
-                    let iy = _mm_add_pd(c_y0, _mm_mul_pd(c_dy, f));
-                    let cx = blend_sse2(ix, c_x0, c_deg);
-                    let cy = blend_sse2(iy, c_y0, c_deg);
-                    let dx = _mm_sub_pd(px, cx);
-                    let dy = _mm_sub_pd(py, cy);
-                    d[k] = _mm_sqrt_pd(_mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy)));
-                }
-                let sum = _mm_add_pd(_mm_add_pd(d[0], _mm_mul_pd(four, d[1])), d[2]);
-                let mean = _mm_div_pd(sum, six);
-                let res = blend_sse2(mean, inf, dead);
-                _mm_storeu_pd(out.as_mut_ptr().add($i), res);
-            };
-        }
-        // Two chunks in flight: computing the second prologue between the
-        // first prologue's scalar stores and its vector loads gives the
-        // store buffer time to drain instead of stalling the loads on
-        // store-to-load forwarding (the prologue writes 8-byte lanes the
-        // body immediately re-reads as 16/32-byte vectors).
-        let mut i = 0;
-        while i + 2 * W <= n {
-            let pa = Prologue::<W>::compute(q, t0, t1, i);
-            let pb = Prologue::<W>::compute(q, t0, t1, i + W);
-            chunk!(pa, i);
-            chunk!(pb, i + W);
-            i += 2 * W;
-        }
-        while i + W <= n {
-            let p = Prologue::<W>::compute(q, t0, t1, i);
+            let p = Prologue::compute(q, t0, t1, i);
             chunk!(p, i);
             i += W;
         }
@@ -750,8 +624,9 @@ mod tests {
                 t1: 12_345,
             },
         ];
-        // Lengths straddling every multiple-of-width boundary, so both SIMD
-        // widths exercise full vectors AND 1/2/3-lane remainder tails.
+        // Lengths straddling every multiple-of-width boundary, so AVX2
+        // exercises one and two chunks in flight AND 1/2/3-lane remainder
+        // tails.
         for n in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 33] {
             let (x0, y0, x1, y1, t0, t1) = candidate_pool(0x9E37_79B9 ^ n as u64, n);
             for q in &queries {
@@ -769,7 +644,7 @@ mod tests {
                         mean_sync_distance(q, &c).unwrap_or(f64::INFINITY)
                     })
                     .collect();
-                for level in [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2] {
+                for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
                     let mut out = vec![0.0; n];
                     mean_sync_distance_batch_at(level, q, &x0, &y0, &x1, &y1, &t0, &t1, &mut out);
                     for i in 0..n {
@@ -818,16 +693,72 @@ mod tests {
         assert_eq!(resolve_level(None), best);
         assert_eq!(resolve_level(Some("")), best);
         assert_eq!(resolve_level(Some("auto")), best);
-        assert_eq!(resolve_level(Some("off")), SimdLevel::Scalar);
-        assert_eq!(resolve_level(Some("scalar")), SimdLevel::Scalar);
-        assert_eq!(resolve_level(Some(" OFF ")), SimdLevel::Scalar);
-        assert_eq!(resolve_level(Some("sse2")), SimdLevel::Sse2.min(best));
-        assert_eq!(resolve_level(Some("avx2")), SimdLevel::Avx2.min(best));
-        assert!(SimdLevel::Scalar < SimdLevel::Sse2 && SimdLevel::Sse2 < SimdLevel::Avx2);
+        for off in ["off", "scalar", " OFF ", "0", "none"] {
+            assert_eq!(resolve_level(Some(off)), SimdLevel::Scalar, "{off:?}");
+        }
+        // The retired width names are unknown values now: auto, like any other.
+        for auto in ["sse2", "avx2", "on"] {
+            assert_eq!(resolve_level(Some(auto)), best, "{auto:?}");
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        assert_eq!(best, SimdLevel::Scalar);
+        assert!(SimdLevel::Scalar < SimdLevel::Avx2);
         assert_eq!(SimdLevel::Avx2.lanes(), 4);
-        assert_eq!(SimdLevel::Sse2.label(), "sse2");
+        assert_eq!(SimdLevel::Avx2.label(), "avx2");
         assert_eq!(BATCH % SimdLevel::Avx2.lanes(), 0);
-        assert_eq!(BATCH % SimdLevel::Sse2.lanes(), 0);
+    }
+
+    /// The AVX2 body reads `out.len()` elements of every lane slice through
+    /// raw pointers; only the dispatcher's length check stands between a
+    /// short lane and an out-of-bounds load. Each of the six lanes one
+    /// element short, at both levels, must panic there — and the panic must
+    /// come before anything is written to `out`.
+    #[test]
+    fn a_short_lane_is_refused_before_any_load() {
+        let q = SegLanes {
+            x0: 0.0,
+            y0: 0.0,
+            x1: 1.0,
+            y1: 1.0,
+            t0: 0,
+            t1: 1_000,
+        };
+        // Long enough for two AVX2 chunks and a tail.
+        let n = 11;
+        let (x0, y0, x1, y1, t0, t1) = candidate_pool(7, n);
+        for short in 0..6 {
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                let cut = |lane: usize| if lane == short { n - 1 } else { n };
+                let mut out = vec![-1.0; n];
+                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    mean_sync_distance_batch_at(
+                        level,
+                        &q,
+                        &x0[..cut(0)],
+                        &y0[..cut(1)],
+                        &x1[..cut(2)],
+                        &y1[..cut(3)],
+                        &t0[..cut(4)],
+                        &t1[..cut(5)],
+                        &mut out,
+                    )
+                }));
+                let payload = outcome.expect_err("a short lane must panic");
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or_default();
+                assert!(
+                    message.contains("share one length"),
+                    "lane {short} at {level:?}: {message:?}"
+                );
+                assert!(
+                    out.iter().all(|&v| v == -1.0),
+                    "lane {short} at {level:?} wrote before refusing"
+                );
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use hermes::server::{
     ClientError, ConnectOptions, ErrorCode, HermesClient, Request, Response, Server, ServerConfig,
     ServerHandle, ServerMetrics, MAX_MESSAGE_BYTES,
 };
-use hermes::sql::Value;
+use hermes::sql::{Frame, QueryOutcome, Value};
 use hermes::trajectory::{Point, Timestamp, Trajectory};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
@@ -213,6 +213,47 @@ fn pipelined_prepared_statements_interleave_on_one_connection() {
         }
         let served_now = served.metrics.queries_served.get() - served_before;
         assert_eq!(served_now, 3 * ROUNDS as u64, "{on}");
+    });
+}
+
+/// The serving edge's `(inflight_queries, pending_requests)` as one
+/// `SHOW STATS` frame reports them.
+fn load_gauges(frame: &Frame, scope: &str) -> (Value, Value) {
+    let row = |metric: &str| {
+        (0..frame.num_rows())
+            .find(|&r| {
+                frame.get(r, "scope") == Some(&Value::Text(scope.into()))
+                    && frame.get(r, "metric") == Some(&Value::Text(metric.into()))
+            })
+            .and_then(|r| frame.get(r, "value").cloned())
+            .unwrap_or_else(|| panic!("SHOW STATS has no row ({scope}, {metric})"))
+    };
+    (row("inflight_queries"), row("pending_requests"))
+}
+
+/// A `SHOW STATS` executing on a worker is itself the one request in flight
+/// on an otherwise idle server, and nothing is left pending: the loop
+/// publishes the gauges before the job can reach a worker, not after.
+#[test]
+fn show_stats_reads_itself_as_the_one_request_in_flight() {
+    on_both_backends(ServerConfig::default(), |served| {
+        let on = served.backend;
+        let scope = if on == "engine" {
+            "server"
+        } else {
+            "coordinator"
+        };
+        let mut client = HermesClient::connect(served.addr).unwrap();
+        for call in 0..200 {
+            let QueryOutcome::Rows { frame, .. } = client.query("SHOW STATS;").unwrap() else {
+                panic!("{on}: SHOW STATS answered without rows");
+            };
+            assert_eq!(
+                load_gauges(&frame, scope),
+                (Value::Int(1), Value::Int(0)),
+                "{on} call {call}: (inflight_queries, pending_requests)"
+            );
+        }
     });
 }
 

@@ -159,12 +159,12 @@ fn packed_segment_index_matches_legacy_cardinality_and_geometry() {
     }
 }
 
-/// Seeded sweep of the batched distance kernel across every dispatch width
-/// and every remainder tail: `Scalar`, `Sse2` and `Avx2` lanes (each clamped
-/// to what the hardware supports) must produce the same `f64` bits as the
+/// Seeded sweep of the batched distance kernel across both dispatch levels
+/// and every remainder tail: `Scalar` and `Avx2` lanes (`Avx2` clamped to
+/// what the hardware supports) must produce the same `f64` bits as the
 /// scalar object-path kernel for every lane — including the `INFINITY`
 /// sentinel standing in for `None` on disjoint lifespans. Batch lengths run
-/// `1..=2·BATCH+1`, so every partial-vector tail a width can leave is hit,
+/// `1..=2·BATCH+1`, so every partial-vector tail AVX2 can leave is hit,
 /// plus one arena-sized batch.
 #[test]
 fn batch_kernel_is_bit_identical_across_lane_widths_and_tails() {
@@ -172,7 +172,7 @@ fn batch_kernel_is_bit_identical_across_lane_widths_and_tails() {
         mean_sync_distance, mean_sync_distance_batch_at, SegLanes, SimdLevel, BATCH,
     };
 
-    let levels = [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2];
+    let levels = [SimdLevel::Scalar, SimdLevel::Avx2];
     for (name, trajs, _params) in workloads() {
         let arena = SegmentArena::build(&trajs);
         let all: Vec<SegLanes> = (0..arena.num_segments())
@@ -414,8 +414,8 @@ fn regimes() -> Vec<(&'static str, Vec<Trajectory>, S2TParams)> {
 }
 
 /// Votes from the time-ordered scan equal the quadratic reference bit for
-/// bit in all three regimes at 1, 2 and 4 threads. CI repeats this file at
-/// `HERMES_SIMD` off / sse2 / default, which is what runs the scan's three
+/// bit in all three regimes at 1, 2 and 4 threads. CI repeats this file with
+/// `HERMES_SIMD` off and at the default, which is what runs the scan's two
 /// filters under it (`crates/s2t/src/timescan.rs` tests compare the filters
 /// with each other in one process).
 #[test]
