@@ -4,8 +4,8 @@
 //!
 //! Two voting implementations are measured on the seeded urban workload:
 //!
-//! * `arena`     — SoA `SegmentArena` + `PackedSegmentIndex` with the
-//!   batched SIMD kernel and the lower-bound pruning ladder (the hot path),
+//! * `arena`     — SoA `SegmentArena` + `PackedSegmentIndex`: one sweep over
+//!   time, a box-gap test and the batched SIMD kernel (the hot path),
 //! * `naive`     — the quadratic enumeration (the paper's baseline).
 //!
 //! (Two more were measured against `arena` and deleted once recorded: a
@@ -106,7 +106,7 @@ fn main() {
             voting_speedup
         );
         eprintln!(
-            "pruning ladder ({} lanes, {} trajs): evaluated {}, pruned {}",
+            "voting sweep ({} lanes, {} trajs): evaluated {}, pruned {}",
             simd_level().lanes(),
             trajs.len(),
             kernel.evaluated,

@@ -110,12 +110,12 @@ pub struct EngineStats {
     pub threads: usize,
     /// Cumulative S2T pipeline phase timings across every clustering query.
     pub phases: PhaseCountersMs,
-    /// Candidate pairs the voting kernel evaluated exactly, across every
-    /// clustering query (arena hot path only; the naive baseline does not
-    /// count).
+    /// Time-overlapping segment pairs the voting sweep evaluated with the
+    /// exact kernel, across every clustering query (arena hot path only;
+    /// the naive baseline does not count).
     pub kernel_evaluated: u64,
-    /// Candidate pairs a distance lower bound pruned before the exact
-    /// kernel, across every clustering query.
+    /// Time-overlapping segment pairs the box gap put beyond the kernel
+    /// cutoff before the exact kernel, across every clustering query.
     pub kernel_pruned: u64,
     /// Sub-trajectory distances S2T statements' sampling and clustering
     /// measured exactly, naive baseline included (QuT's border re-clustering
@@ -666,7 +666,7 @@ impl HermesEngine {
             phase("s2t_segmentation_ms", "segmentation", s.phases.segmentation_ms),
             phase("s2t_sampling_ms", "sampling", s.phases.sampling_ms),
             phase("s2t_clustering_ms", "clustering", s.phases.clustering_ms),
-            // Voting-kernel pruning ladder, cumulative over the same queries.
+            // The voting sweep's pair counts, cumulative over the same queries.
             Stat::counter(
                 "kernel_evaluated",
                 "hermes_engine_kernel_evaluated_total",

@@ -1,51 +1,41 @@
-//! Structure-of-arrays storage for the voting hot path.
+//! Structure-of-arrays storage for the voting hot path, and the sweep that
+//! votes over it.
 //!
-//! The voting phase dominates S2T query time, and its per-candidate work in
-//! the object-graph formulation is pointer chasing: every R-tree hit
+//! The voting phase dominates S2T query time, and its per-pair work in the
+//! object-graph formulation is pointer chasing: every candidate
 //! materializes a [`Segment`](hermes_trajectory::Segment) out of
 //! `trajectories[ti].segment(si)` before any arithmetic happens. The
-//! [`SegmentArena`] flattens the whole collection once — one pass storing
-//! per-segment endpoint lanes (`x0/y0/x1/y1/t0/t1`), precomputed MBB lanes
-//! and `(trajectory, segment)` back-references in parallel arrays — so the
-//! voting inner loop streams cache-linear `f64`/`i64` lanes instead.
+//! [`SegmentArena`] flattens the whole collection once — per-segment
+//! endpoint lanes (`x0/y0/x1/y1/t0/t1`) and `(trajectory, segment)`
+//! back-references in parallel arrays — and the [`PackedSegmentIndex`]
+//! sorts its segments by start time into one row each.
 //!
-//! The candidate index over the arena ([`PackedSegmentIndex`]) is the
-//! arena's segments **sorted by start time** and scanned flat. A mean
-//! *synchronized* distance is only defined on a common lifespan, so temporal
-//! overlap is the one test every candidate must pass, and it is by far the
-//! selective one: a probe — a run of four consecutive segments — spans tens
-//! of seconds of a dataset that spans hours. Two binary searches bound the
-//! rows that can overlap the run in time; the rows between them are tested
-//! four at a time for lifespan overlap and for the Euclidean ball around the
-//! run's union window (`crate::timescan`; the ball test prunes the corner
-//! candidates a per-axis inflate would admit). An R-tree descent used to do
-//! this job: its STR tiles were 25 minutes deep in time for a 40-second
-//! window, so a probe walked dozens of nodes to emit as many candidates, and
-//! probing was half of voting. The scan emits exactly the tree's candidate
-//! set, in time order instead of tile order — and order cannot change a
-//! vote, for the reasons below.
+//! **One sweep over time.** A mean *synchronized* distance is only defined
+//! on a common lifespan, so temporal overlap is the one test every pair must
+//! pass. [`arena_voting_counted_with`] walks the rows in start-time order and
+//! keeps the *live* ones: the rows whose end `t1` is not before the entering
+//! row's start `t0`. Rows enter by `t0`, so that test is the kernel's own
+//! closed-interval `i64` overlap test, and every unordered pair of segments
+//! that share an instant is met exactly once, when its later row enters. The
+//! entering row is tested against each live row of another trajectory: a
+//! box gap² beyond the cutoff ball rejects the pair (its kernel value is
+//! exactly `0.0`); the rest go [`BATCH`] at a time through the batched
+//! kernel ([`hermes_trajectory::kernel::mean_sync_distance_batch_at`]) with
+//! the entering row as the query, and each distance within the cutoff
+//! improves both minima it feeds — the entering segment's best for the live
+//! row's trajectory and the live segment's best for the entering one's. The
+//! minima live in a dense table, one row of per-voter bests per live slot;
+//! when no later row can overlap a live row it retires, sums its vote and
+//! frees its slot. How many pairs reached the kernel and how many the box
+//! gap rejected is reported as [`KernelCounters`]; `docs/KERNELS.md` has
+//! the sweep and what it replaced.
 //!
-//! Candidates that survive the scan walk a **pruning ladder** of
-//! distance lower bounds, cheapest first — the scan's free window-ball gap,
-//! then the per-segment box gap — and only survivors are gathered into
-//! [`BATCH`]-wide structure-of-arrays blocks for the SIMD batched kernel
-//! ([`hermes_trajectory::kernel::mean_sync_distance_batch`]). How many
-//! candidates each side of the ladder saw is reported as [`KernelCounters`];
-//! `docs/KERNELS.md` walks the whole ladder.
-//!
-//! **Each unordered pair once.** The distance of two segments is
-//! bit-symmetric — each side's position is interpolated on its own, `dx`
-//! and `dy` only flip sign before they are squared, and Simpson's sum has
-//! one order — so one evaluation serves both votes it can decide. The pass
-//! of trajectory `ti` ([`vote_trajectory_into`]) pairs its segments only
-//! with voters `< ti` and folds each distance into two minima: the query
-//! segment's best for that voter (its own vote, complete when the pass ends
-//! because earlier voters come first in ascending order) and the candidate
-//! segment's best for `ti` (a *reverse* minimum, returned as that segment's
-//! vote contribution from `ti`). [`arena_voting_counted_with`] adds the
-//! contributions in ascending `ti` order, after the passes that computed
-//! the segments' own votes, so every vote is still summed in ascending voter
-//! order.
+//! **Time slabs.** The rows are cut into contiguous slabs, swept in parallel
+//! on the executor. A pair belongs to the slab of its later row, so a slab
+//! starts with the earlier rows still alive at its first start carried in.
+//! A row live across a slab edge hands its partial minima to a serial merge
+//! instead of voting inside a slab. No pair is met twice, so the counters do
+//! not depend on the split.
 //!
 //! **Exactness contract.** [`arena_voting`] is bit-identical to
 //! [`naive_voting`](crate::voting::naive_voting):
@@ -54,20 +44,19 @@
 //!   — the same function `Segment::mean_synchronized_distance` delegates to —
 //!   or its batched SIMD form, which performs the same IEEE-754 operations in
 //!   the same per-lane order and is gated bit-identical to it;
+//! * the distance of two segments is bit-symmetric — each side's position is
+//!   interpolated on its own, `dx` and `dy` only flip sign before they are
+//!   squared, and Simpson's sum has one order — so one evaluation serves
+//!   both minima it feeds;
 //! * per-voter minima are order-independent (`min` is a lattice operation),
-//!   which also covers deferring the fold to the gather-block flush and
-//!   computing a minimum in the pass of the other trajectory of the pair
-//!   (the distance is the same bits from either side);
-//! * per-segment votes are summed in **ascending voter order** in every
-//!   implementation, so the order candidates are visited in cannot perturb
-//!   the floating sum — it only decides which of them a best-so-far bound
-//!   gets to reject, i.e. the [`KernelCounters`], never a vote;
-//! * every pruning stage only ever removes candidates whose exact distance
-//!   provably cannot change the result: either it exceeds the kernel cutoff
-//!   (kernel value exactly `0.0`, additively neutral) or it can strictly
-//!   improve neither of the two best-so-far minima it feeds.
+//!   so neither the order the sweep meets pairs in nor the slab a partial
+//!   minimum was found in can change one;
+//! * every vote is summed in **ascending voter order**, in a slab and in the
+//!   merge alike: the order `naive_voting` sums in;
+//! * a pair is only ever skipped when its exact distance exceeds the kernel
+//!   cutoff, where the kernel value is exactly `0.0` and `x + 0.0 == x`.
 //!
-//! One caveat to the pruning argument: it relies on the *computed* mean
+//! One caveat to the box-gap argument: it relies on the *computed* mean
 //! distance dominating the *computed* box gap. That inequality is exact in
 //! real arithmetic and holds through IEEE rounding for the aligned
 //! (axis-parallel, gap-equals-distance) configurations trajectory data
@@ -79,7 +68,6 @@
 //! would fail them loudly rather than corrupt results silently.
 
 use crate::params::S2TParams;
-use crate::timescan::TimeOrderedLanes;
 use crate::voting::{kernel, VotingProfile};
 use hermes_exec::Executor;
 use hermes_gist::PackedRTree;
@@ -88,22 +76,22 @@ use hermes_trajectory::{
     kernel::{mean_sync_distance_batch_at, simd_level, SimdLevel, BATCH},
     Mbb, SegLanes, Timestamp, Trajectory, TrajectoryId,
 };
+use std::ops::Range;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-/// How many candidate pairs reached the exact distance kernel versus how
-/// many a lower bound rejected first. Purely observational — the pruning
-/// ladder never changes results (see the module docs) — but the ratio is the
-/// direct measure of how much exact-kernel work the bounds are saving, so it
-/// is threaded from the voting loop all the way to `SHOW STATS` and the
-/// Prometheus registry.
+/// How many time-overlapping segment pairs of different trajectories
+/// reached the exact distance kernel versus how many the box gap rejected
+/// first. Purely observational — the box gap never changes results (see the
+/// module docs) — but the ratio is the direct measure of how much
+/// exact-kernel work the bound saves, so it is threaded from the voting
+/// sweep all the way to `SHOW STATS` and the Prometheus registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelCounters {
-    /// Candidate pairs evaluated by the exact mean-sync-distance kernel.
+    /// Pairs evaluated by the exact mean-sync-distance kernel.
     pub evaluated: u64,
-    /// Candidate pairs rejected by a lower bound before the kernel.
+    /// Pairs whose box gap put them beyond the kernel cutoff.
     pub pruned: u64,
 }
-
 impl KernelCounters {
     /// Accumulates `other` into `self` (both fields are monotone sums).
     pub fn accumulate(&mut self, other: &KernelCounters) {
@@ -222,12 +210,12 @@ impl SegmentArena {
     }
 }
 
-/// Everything the voting loop reads about one indexed segment, packed into
-/// a single row so the hot loop does one bounds-checked load per candidate
-/// instead of chasing parallel arrays — exactly one cache line: lifespan
-/// (the slot partition reads it first), the endpoints (the stage-2 box is
-/// their `min`/`max`; the kernel lanes of a survivor are the endpoints
-/// themselves), the owning trajectory and the arena segment id.
+/// Everything the sweep reads about one indexed segment, packed into a
+/// single row so the hot loop does one bounds-checked load per pair instead
+/// of chasing parallel arrays — exactly one cache line: lifespan (the live
+/// test reads it first), the endpoints (the box is their `min`/`max`; the
+/// kernel lanes are the endpoints themselves), the owning trajectory and the
+/// arena segment id.
 #[derive(Clone, Copy)]
 #[repr(align(64))]
 struct CandidateRow {
@@ -254,17 +242,26 @@ impl CandidateRow {
             self.y0.max(self.y1),
         ]
     }
+
+    /// The row as kernel lanes.
+    #[inline]
+    fn lanes(&self) -> SegLanes {
+        SegLanes {
+            x0: self.x0,
+            y0: self.y0,
+            x1: self.x1,
+            y1: self.y1,
+            t0: self.t0,
+            t1: self.t1,
+        }
+    }
 }
 
-/// The candidate index over a [`SegmentArena`]: every segment as one
-/// 64-byte candidate row, sorted by `(t0, voter, segment)` — a total order, so
-/// the layout is a pure function of the arena — beside the window-test
-/// lanes of the time-ordered scan (`crate::timescan`) in the same order.
-/// Candidates of one probe are neighbours in time, so the hot loop's row
-/// reads are memory-local, and building the index is one sort.
+/// The sweep's input over a [`SegmentArena`]: every segment as one 64-byte
+/// row, sorted by `(t0, voter, segment)` — a total order, so the layout is a
+/// pure function of the arena. Building it is one sort.
 pub struct PackedSegmentIndex {
     rows: Vec<CandidateRow>,
-    lanes: TimeOrderedLanes,
     /// The same boxes STR-packed, built on first use: nothing in the voting
     /// path reads it (see [`PackedSegmentIndex::tree`]).
     tree: OnceLock<PackedRTree<u32>>,
@@ -278,26 +275,24 @@ impl PackedSegmentIndex {
         // ordering the pairs orders by (t0, voter, segment).
         let mut order: Vec<(i64, u32)> = (0..n).map(|gs| (arena.t0[gs], gs as u32)).collect();
         order.sort_unstable();
-        let mut rows = Vec::with_capacity(n);
-        let mut lanes = TimeOrderedLanes::with_capacity(n);
-        for (t0, gs) in order {
-            let g = gs as usize;
-            let row = CandidateRow {
-                t0,
-                t1: arena.t1[g],
-                x0: arena.x0[g],
-                y0: arena.y0[g],
-                x1: arena.x1[g],
-                y1: arena.y1[g],
-                voter: arena.traj_of[g],
-                gs,
-            };
-            lanes.push(t0, row.t1, row.xy());
-            rows.push(row);
-        }
+        let rows = order
+            .into_iter()
+            .map(|(t0, gs)| {
+                let g = gs as usize;
+                CandidateRow {
+                    t0,
+                    t1: arena.t1[g],
+                    x0: arena.x0[g],
+                    y0: arena.y0[g],
+                    x1: arena.x1[g],
+                    y1: arena.y1[g],
+                    voter: arena.traj_of[g],
+                    gs,
+                }
+            })
+            .collect();
         PackedSegmentIndex {
             rows,
-            lanes,
             tree: OnceLock::new(),
         }
     }
@@ -312,21 +307,9 @@ impl PackedSegmentIndex {
         self.rows.is_empty()
     }
 
-    /// Visits every indexed segment whose lifespan intersects `window`'s and
-    /// whose box lies within `radius` of `window`'s in the x/y plane — the
-    /// probe the voting loop issues once per query run — with the row index
-    /// (ascending; rows are the segments in ascending `(t0, global segment
-    /// id)`) and the squared spatial gap. Allocation-free.
-    #[inline]
-    pub fn for_each_candidate(&self, window: &Mbb, radius: f64, visit: impl FnMut(usize, f64)) {
-        self.lanes
-            .for_each_candidate(simd_level(), window, radius, visit);
-    }
-
     /// The indexed boxes as an STR-packed R-tree whose values are global
     /// segment ids, packed on the first call. Voting does not use it: it is
-    /// the reference the scan's candidate set is tested against, and what
-    /// the end-to-end benchmark's `gist.probe_*` metrics still time.
+    /// what the end-to-end benchmark's `gist.probe_*` metrics time.
     pub fn tree(&self) -> &PackedRTree<u32> {
         self.tree.get_or_init(|| {
             PackedRTree::bulk_load(
@@ -350,22 +333,81 @@ impl PackedSegmentIndex {
     }
 }
 
-/// Consecutive segments of one trajectory batched into a single index
-/// probe. Neighbouring segments share most of their candidate
-/// neighbourhood, so one scan with the run's union window serves the
-/// whole run; candidates are then partitioned into per-segment lists in one
-/// pass (segments of a run tile time contiguously, so each candidate lands
-/// in a contiguous sub-range of the run) and only the overlapping pairs pay
-/// the spatial filter and kernel.
-const QUERY_RUN: usize = 4;
+/// Rows per time slab. Smaller slabs cost more in carried rows and
+/// fork-joins than they return: `BUILD INDEX`'s sub-chunk S2Ts, a few
+/// thousand rows each, already run in parallel one level up.
+const SLAB_ROWS: usize = 4096;
 
-/// Survivor gather block feeding the batched SIMD kernel: fixed
-/// [`BATCH`]-wide structure-of-arrays lanes filled by plain array stores (no
-/// capacity checks in the hot loop). The block flushes whenever it fills and
-/// once more at segment fold time, so the minima are refreshed every
-/// [`BATCH`] survivors — keeping the ladder's best-so-far bounds tight
-/// enough to keep firing — while the kernel still amortizes its per-call
-/// setup over full blocks.
+/// The minima of the live rows: one row of `voters` best distances per
+/// slot (`f64::INFINITY` until a distance within the cutoff arrives) and
+/// the voters each slot holds a finite best for. Slots are recycled as rows
+/// retire, so the table is as tall as the most rows ever live at once.
+struct SlotTable {
+    voters: usize,
+    best: Vec<f64>,
+    touched: Vec<u32>,
+    touched_len: Vec<u32>,
+    free: Vec<u32>,
+}
+
+impl SlotTable {
+    fn new(voters: usize) -> Self {
+        SlotTable {
+            voters,
+            best: Vec::new(),
+            touched: Vec::new(),
+            touched_len: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// A slot whose every best is `f64::INFINITY`.
+    fn acquire(&mut self) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            return slot;
+        }
+        self.best
+            .resize(self.best.len() + self.voters, f64::INFINITY);
+        self.touched.resize(self.touched.len() + self.voters, 0);
+        self.touched_len.push(0);
+        (self.touched_len.len() - 1) as u32
+    }
+
+    /// Folds distance `d` into `slot`'s best for `voter`.
+    #[inline]
+    fn improve(&mut self, slot: u32, voter: u32, d: f64) {
+        let base = slot as usize * self.voters;
+        let best = &mut self.best[base + voter as usize];
+        if d < *best {
+            if best.is_infinite() {
+                let len = &mut self.touched_len[slot as usize];
+                self.touched[base + *len as usize] = voter;
+                *len += 1;
+            }
+            *best = d;
+        }
+    }
+
+    /// Hands `slot`'s finite bests to `visit` in ascending voter order, then
+    /// resets and frees the slot.
+    fn release(&mut self, slot: u32, mut visit: impl FnMut(u32, f64)) {
+        let base = slot as usize * self.voters;
+        let len = std::mem::take(&mut self.touched_len[slot as usize]) as usize;
+        let touched = &mut self.touched[base..base + len];
+        touched.sort_unstable();
+        for &voter in touched.iter() {
+            visit(
+                voter,
+                std::mem::replace(&mut self.best[base + voter as usize], f64::INFINITY),
+            );
+        }
+        self.free.push(slot);
+    }
+}
+
+/// The live rows that passed the box gap against the entering row,
+/// gathered into fixed [`BATCH`]-wide structure-of-arrays lanes for the
+/// batched kernel, with the slot and trajectory each distance also feeds.
 struct GatherBlock {
     x0: [f64; BATCH],
     y0: [f64; BATCH],
@@ -373,18 +415,17 @@ struct GatherBlock {
     y1: [f64; BATCH],
     t0: [i64; BATCH],
     t1: [i64; BATCH],
+    slot: [u32; BATCH],
     voter: [u32; BATCH],
-    /// The candidate's index row, whose reverse minimum the distance feeds.
-    row: [u32; BATCH],
     d: [f64; BATCH],
     len: usize,
-    /// Kernel dispatch level, resolved once per scratch (not per flush) so
-    /// the hot loop never touches the `HERMES_SIMD` `OnceLock`.
+    /// Kernel dispatch level, resolved once per slab (not per flush) so the
+    /// hot loop never touches the `HERMES_SIMD` `OnceLock`.
     level: SimdLevel,
 }
 
-impl Default for GatherBlock {
-    fn default() -> Self {
+impl GatherBlock {
+    fn new() -> Self {
         GatherBlock {
             x0: [0.0; BATCH],
             y0: [0.0; BATCH],
@@ -392,62 +433,38 @@ impl Default for GatherBlock {
             y1: [0.0; BATCH],
             t0: [0; BATCH],
             t1: [0; BATCH],
+            slot: [0; BATCH],
             voter: [0; BATCH],
-            row: [0; BATCH],
             d: [0.0; BATCH],
             len: 0,
             level: simd_level(),
         }
     }
-}
 
-impl GatherBlock {
     /// True when the block just filled and must be flushed before the next
     /// push.
     #[inline]
-    fn push(&mut self, candidate: &CandidateRow, row: usize) -> bool {
+    fn push(&mut self, row: &CandidateRow, slot: u32) -> bool {
         let j = self.len;
-        self.x0[j] = candidate.x0;
-        self.y0[j] = candidate.y0;
-        self.x1[j] = candidate.x1;
-        self.y1[j] = candidate.y1;
-        self.t0[j] = candidate.t0;
-        self.t1[j] = candidate.t1;
-        self.voter[j] = candidate.voter;
-        self.row[j] = row as u32;
+        self.x0[j] = row.x0;
+        self.y0[j] = row.y0;
+        self.x1[j] = row.x1;
+        self.y1[j] = row.y1;
+        self.t0[j] = row.t0;
+        self.t1[j] = row.t1;
+        self.slot[j] = slot;
+        self.voter[j] = row.voter;
         self.len = j + 1;
         self.len == BATCH
     }
 
-    /// Evaluates the gathered candidates against query `seg` through the
-    /// batched kernel and folds each distance into both minima it feeds, in
-    /// gather order: the query segment's per-voter minimum and the
-    /// candidate's reverse minimum. Deferring the fold to the flush cannot
-    /// change results: `min` over a fixed candidate set is order-independent,
-    /// and a stale best-so-far only makes the *pruning* stages admit more
-    /// candidates — whose distances then lose both `d < best` comparisons
-    /// exactly because the bound that would have pruned them lower-bounds
-    /// `d`.
-    ///
-    /// Distances beyond `cutoff` are not folded at all. This is invisible in
-    /// the votes, bit for bit: the Gaussian kernel hard-cuts `d > cutoff` to
-    /// exactly `0.0`, and `x + 0.0 == x` for every finite IEEE-754 `x`, so a
-    /// voter whose every distance exceeds the cutoff contributes the same
-    /// nothing whether or not it enters the sum. It is also invisible to the
-    /// pruning ladder: a best-so-far above the cutoff satisfies
-    /// `best² > r²`, and stage 2 already rejects `gap² > r²` first, so such
-    /// a best never rejects anything the radius test doesn't. What it buys:
-    /// shorter touched lists — fewer entries to sort canonically and fewer
-    /// guaranteed-zero [`kernel`](crate::voting) calls in the vote folds.
-    /// (The ∞ disjoint-lifespan sentinel is skipped by the same comparison.)
-    fn flush(
-        &mut self,
-        seg: &SegLanes,
-        cutoff: f64,
-        best_per_voter: &mut [f64],
-        touched: &mut Vec<usize>,
-        reverse: &mut ReverseMinima,
-    ) {
+    /// Measures the gathered rows against the entering row `query` (in
+    /// `query_slot`) and folds each distance within `cutoff` into both
+    /// minima it feeds. A distance beyond the cutoff is not folded: the
+    /// kernel value there is exactly `0.0`, and `x + 0.0 == x` for every
+    /// finite `x`, so a voter whose every distance lies beyond contributes
+    /// the same nothing whether or not it enters the sum.
+    fn flush(&mut self, query: &CandidateRow, query_slot: u32, cutoff: f64, table: &mut SlotTable) {
         let n = self.len;
         if n == 0 {
             return;
@@ -456,7 +473,7 @@ impl GatherBlock {
         tests::on_flush();
         mean_sync_distance_batch_at(
             self.level,
-            seg,
+            &query.lanes(),
             &self.x0[..n],
             &self.y0[..n],
             &self.x1[..n],
@@ -467,251 +484,106 @@ impl GatherBlock {
         );
         for j in 0..n {
             let d = self.d[j];
-            if d > cutoff {
-                continue;
-            }
-            let voter = self.voter[j] as usize;
-            let best = best_per_voter[voter];
-            if d < best {
-                if best.is_infinite() {
-                    touched.push(voter);
-                }
-                best_per_voter[voter] = d;
-            }
-            let row = self.row[j];
-            let best = reverse.best[row as usize];
-            if d < best {
-                if best.is_infinite() {
-                    reverse.touched.push(row);
-                }
-                reverse.best[row as usize] = d;
+            if d <= cutoff {
+                table.improve(query_slot, self.voter[j], d);
+                table.improve(self.slot[j], query.voter, d);
             }
         }
         self.len = 0;
     }
 }
 
-/// The reverse minima of one pass: per index row, the best distance from
-/// any segment of the trajectory being voted, and the rows holding a finite
-/// one. Between passes every entry is `f64::INFINITY` and the list is empty.
-#[derive(Default)]
-struct ReverseMinima {
-    best: Vec<f64>,
-    touched: Vec<u32>,
+/// A best distance a slab found for one (segment, voter) of a row live
+/// across a slab edge: `(global segment id, voter, distance)`.
+type Partial = (u32, u32, f64);
+
+/// Votes land in place: one lock per trajectory's votes, taken once per
+/// retiring segment.
+fn write_vote(votes: &[Mutex<Vec<f64>>], arena: &SegmentArena, gs: u32, vote: f64) {
+    let gs = gs as usize;
+    let ti = arena.traj_of[gs] as usize;
+    votes[ti].lock().unwrap_or_else(PoisonError::into_inner)[gs - arena.seg_start[ti]] = vote;
 }
 
-/// Reusable per-worker scratch for [`vote_trajectory_into`]. Between calls
-/// every best-distance entry is `f64::INFINITY` and the lists are empty, so
-/// a warm scratch makes the voting inner loop allocation-free.
-pub struct ArenaVoteScratch {
-    /// Best (minimum) kernel distance per voter, one array per run slot:
-    /// the fused probe accumulates all `QUERY_RUN` segments of a run in a
-    /// single scan, and slot k's minima must never observe another
-    /// slot's folds (each segment's per-voter min is independent state).
-    /// Invariant between runs: every entry is `f64::INFINITY` — each vote
-    /// fold resets exactly the entries it touched.
-    best: [Vec<f64>; QUERY_RUN],
-    /// Per-run-slot list of voters holding a finite best.
-    touched: [Vec<usize>; QUERY_RUN],
-    /// Per-run-slot survivor gather block feeding the batched kernel.
-    blocks: [GatherBlock; QUERY_RUN],
-    /// Per index row, its best distance to the trajectory being voted (8 B
-    /// per segment of the dataset), reset at the end of each pass.
-    reverse: ReverseMinima,
-}
-
-impl Default for ArenaVoteScratch {
-    fn default() -> Self {
-        ArenaVoteScratch {
-            best: std::array::from_fn(|_| Vec::new()),
-            touched: std::array::from_fn(|_| Vec::new()),
-            blocks: std::array::from_fn(|_| GatherBlock::default()),
-            reverse: ReverseMinima::default(),
-        }
-    }
-}
-
-impl ArenaVoteScratch {
-    fn ensure(&mut self, num_trajectories: usize, num_rows: usize) {
-        for b in self.best.iter_mut() {
-            if b.len() < num_trajectories {
-                b.resize(num_trajectories, f64::INFINITY);
-            }
-        }
-        if self.reverse.best.len() < num_rows {
-            self.reverse.best.resize(num_rows, f64::INFINITY);
-        }
-    }
-}
-
-/// The pass of trajectory `ti`: pairs each of its segments with the
-/// segments of every voter `< ti`, writes its votes from those voters into
-/// `votes` (cleared first) and the votes `ti` casts for the voters' segments
-/// into `contributions` (cleared first; one `(global segment id, kernel
-/// value)` per segment within the cutoff, in no particular order). Returns
-/// the pruned-vs-evaluated kernel counters of the pass. The votes from
-/// voters `> ti` are theirs to contribute: see [`arena_voting_counted_with`].
-/// With a scratch that has voted over the arena once and outputs whose
-/// capacities cover the trajectory's segment count and the dataset's, this
-/// performs **zero heap allocations** — the property the counting-allocator
-/// test in `crates/s2t/tests` pins down.
-///
-/// One pass does everything: the time-ordered scan runs once per `QUERY_RUN`
-/// consecutive query segments with the run's union window, and the pruning
-/// ladder runs **inside the emission callback**, on the candidate row the
-/// partition just loaded — no intermediate candidate lists, no second pass
-/// re-reading rows. Per (candidate, slot) pair, cheapest bound first; each
-/// stage lower-bounds the exact mean synchronized distance, so a reject
-/// provably cannot change either minimum the pair feeds, or any vote
-/// (module docs):
-///
-/// 1. the probe's free squared **window-ball gap** vs the larger of the
-///    voter's best² and the candidate's reverse best² (the window contains
-///    every slot's box, so its gap lower-bounds each slot's),
-/// 2. the per-segment **box gap** vs the cutoff ball (beyond it the kernel
-///    value is exactly 0.0) and the same two best²,
-/// 3. survivors are gathered into the slot's [`BATCH`]-wide block for the
-///    SIMD kernel; a full block flushes immediately so the fold refreshes
-///    the minima and the best² rejects stay sharp.
-///
-/// Folding at flush granularity cannot change results: `min` over a fixed
-/// candidate set is order-independent, and a stale best-so-far only makes
-/// the pruning stages admit more candidates — whose distances then lose the
-/// `d < best` comparisons exactly because the bound that would have pruned
-/// them lower-bounds `d`.
-#[allow(clippy::too_many_arguments)]
-pub fn vote_trajectory_into(
+/// Sweeps the rows of `slab` into the live set: every pair whose later row
+/// is in the slab is met here. A row that entered in the slab and retires in
+/// it writes its vote into `votes`; a row carried in from an earlier slab, or
+/// still alive when the next slab starts, returns its minima as partials.
+fn sweep_slab(
     arena: &SegmentArena,
-    index: &PackedSegmentIndex,
+    rows: &[CandidateRow],
+    slab: Range<usize>,
     params: &S2TParams,
-    cutoff: f64,
-    ti: usize,
-    scratch: &mut ArenaVoteScratch,
-    votes: &mut Vec<f64>,
-    contributions: &mut Vec<(u32, f64)>,
-) -> KernelCounters {
-    scratch.ensure(arena.num_trajectories(), index.len());
-    votes.clear();
-    contributions.clear();
-    let ArenaVoteScratch {
-        best,
-        touched,
-        blocks,
-        reverse,
-    } = scratch;
-    let mut counters = KernelCounters::default();
+    votes: &[Mutex<Vec<f64>>],
+) -> (Vec<Partial>, KernelCounters) {
+    let cutoff = params.voting_cutoff_radius();
     let r2 = cutoff * cutoff;
-    let range = arena.segments_of(ti);
-    let mut run_start = range.start;
-    while run_start < range.end {
-        let run_end = (run_start + QUERY_RUN).min(range.end);
-        let run_len = run_end - run_start;
-        // Hoisted per-slot geometry: kernel lanes and boxes (tail runs
-        // repeat the last segment in the unused slots; `run_len` guards
-        // every access).
-        let segs: [SegLanes; QUERY_RUN] =
-            std::array::from_fn(|k| arena.lanes(run_start + k.min(run_len - 1)));
-        let sxy: [[f64; 4]; QUERY_RUN] =
-            std::array::from_fn(|k| arena.segment_xy(run_start + k.min(run_len - 1)));
-        // Union window over the run (times are increasing within a
-        // trajectory, so the temporal union is first-start..last-end).
-        let mut wx0 = f64::INFINITY;
-        let mut wx1 = f64::NEG_INFINITY;
-        let mut wy0 = f64::INFINITY;
-        let mut wy1 = f64::NEG_INFINITY;
-        for xy in sxy[..run_len].iter() {
-            wx0 = wx0.min(xy[0]);
-            wx1 = wx1.max(xy[1]);
-            wy0 = wy0.min(xy[2]);
-            wy1 = wy1.max(xy[3]);
-        }
-        let window = Mbb::new(
-            wx0,
-            wx1,
-            wy0,
-            wy1,
-            Timestamp(arena.t0[run_start]),
-            Timestamp(arena.t1[run_end - 1]),
-        );
-        index.for_each_candidate(&window, cutoff, |ri, window_gap2| {
-            let row = &index.rows[ri];
-            let voter = row.voter as usize;
-            // A later voter evaluates this pair in its own pass.
-            if voter >= ti {
-                return;
-            }
-            let row_xy = row.xy();
-            // The slots a candidate temporally overlaps form a
-            // contiguous range of the run (segments of a run tile time
-            // contiguously): two short forward scans find it.
-            let mut k = 0usize;
-            while k < run_len && arena.t1[run_start + k] < row.t0 {
-                k += 1;
-            }
-            while k < run_len && arena.t0[run_start + k] <= row.t1 {
-                let best_k = &mut best[k];
-                let b = best_k[voter];
-                let rb = reverse.best[ri];
-                // A pair is kept while it can strictly improve either
-                // minimum (`d < best` is strict, so equality skips safely;
-                // an untouched minimum is ∞, never skipped).
-                let keep2 = (b * b).max(rb * rb);
-                // Stage 1: window-ball gap.
-                if window_gap2 >= keep2 {
-                    counters.pruned += 1;
-                    k += 1;
-                    continue;
-                }
-                // Stage 2: this slot's box gap vs the cutoff ball and the
-                // minima.
-                let xy = &sxy[k];
-                let gx = axis_gap(row_xy[0], row_xy[1], xy[0], xy[1]);
-                let gy = axis_gap(row_xy[2], row_xy[3], xy[2], xy[3]);
-                let gap2 = gx * gx + gy * gy;
-                if gap2 > r2 || gap2 >= keep2 {
-                    counters.pruned += 1;
-                    k += 1;
-                    continue;
-                }
-                // Survivor: gather into the slot's block.
-                counters.evaluated += 1;
-                if blocks[k].push(row, ri) {
-                    blocks[k].flush(&segs[k], cutoff, best_k, &mut touched[k], reverse);
-                }
-                k += 1;
-            }
-        });
-        // Per-slot epilogue, in segment order: final flush, then the vote.
-        for k in 0..run_len {
-            blocks[k].flush(&segs[k], cutoff, &mut best[k], &mut touched[k], reverse);
-            let touched_k = &mut touched[k];
-            let best_k = &mut best[k];
-            // Canonical summation order (ascending voter index): the
-            // floating sum must not depend on the order candidates arrive in.
-            // `sort_unstable` on primitives is in-place — no allocation.
-            touched_k.sort_unstable();
+    let mut table = SlotTable::new(arena.num_trajectories());
+    let mut block = GatherBlock::new();
+    let mut partials: Vec<Partial> = Vec::new();
+    let mut counters = KernelCounters::default();
+    let mut retire = |table: &mut SlotTable, ri: usize, slot: u32, whole: bool| {
+        let gs = rows[ri].gs;
+        if whole {
             let mut vote = 0.0;
-            for &voter in touched_k.iter() {
-                vote += kernel(best_k[voter], params.sigma, cutoff);
-                best_k[voter] = f64::INFINITY;
-            }
-            touched_k.clear();
-            votes.push(vote);
+            table.release(slot, |_, best| vote += kernel(best, params.sigma, cutoff));
+            write_vote(votes, arena, gs, vote);
+        } else {
+            table.release(slot, |voter, best| partials.push((gs, voter, best)));
         }
-        run_start = run_end;
+    };
+    // The rows that entered before the slab and are alive at its first
+    // start: their pairs with the slab's rows are met here.
+    let start_t0 = rows[slab.start].t0;
+    let mut live: Vec<(u32, u32)> = (0..slab.start)
+        .filter(|&ri| rows[ri].t1 >= start_t0)
+        .map(|ri| (ri as u32, table.acquire()))
+        .collect();
+    for qi in slab.clone() {
+        let query = &rows[qi];
+        let [qx0, qx1, qy0, qy1] = query.xy();
+        let query_slot = table.acquire();
+        let mut k = 0;
+        while k < live.len() {
+            let (ri, slot) = live[k];
+            let row = &rows[ri as usize];
+            if row.t1 < query.t0 {
+                // Every later row starts no earlier than `query`, so none
+                // overlaps `row`: its minima are complete (for this slab,
+                // if it was carried in).
+                retire(&mut table, ri as usize, slot, ri as usize >= slab.start);
+                live.swap_remove(k);
+                continue;
+            }
+            k += 1;
+            if row.voter == query.voter {
+                continue;
+            }
+            let [x0, x1, y0, y1] = row.xy();
+            let gx = axis_gap(x0, x1, qx0, qx1);
+            let gy = axis_gap(y0, y1, qy0, qy1);
+            if gx * gx + gy * gy > r2 {
+                counters.pruned += 1;
+                continue;
+            }
+            counters.evaluated += 1;
+            if block.push(row, slot) {
+                block.flush(query, query_slot, cutoff, &mut table);
+            }
+        }
+        block.flush(query, query_slot, cutoff, &mut table);
+        live.push((qi as u32, query_slot));
     }
-    // What `ti` casts for the earlier voters' segments.
-    for &ri in reverse.touched.iter() {
-        let d = std::mem::replace(&mut reverse.best[ri as usize], f64::INFINITY);
-        contributions.push((index.rows[ri as usize].gs, kernel(d, params.sigma, cutoff)));
+    // What is still live crosses into the next slab, unless it ends before
+    // that slab's first start.
+    let next_t0 = rows.get(slab.end).map(|row| row.t0);
+    for (ri, slot) in live {
+        let ri = ri as usize;
+        let whole = ri >= slab.start && next_t0.is_none_or(|t0| rows[ri].t1 < t0);
+        retire(&mut table, ri, slot, whole);
     }
-    reverse.touched.clear();
-    counters
+    (partials, counters)
 }
-
-/// Trajectories whose passes run as one fork-join before their
-/// contributions are folded: bounds the contributions held at once.
-const FOLD_BATCH: usize = 64;
 
 /// Index-accelerated voting over the flat arena — the S2T hot path. Serial
 /// shorthand for [`arena_voting_with`].
@@ -723,10 +595,10 @@ pub fn arena_voting(
     arena_voting_with(arena, index, params, &Executor::serial())
 }
 
-/// [`arena_voting`] fanned out over trajectories on `exec`. Profiles come
-/// back in input order and every sum is added in the same order on any
-/// thread count, so the result is bit-identical to the serial path — and
-/// to [`naive_voting`](crate::voting::naive_voting) (see the module docs for
+/// [`arena_voting`] with the sweep's time slabs fanned out on `exec`.
+/// Every vote is summed in the same order on any thread count, so the
+/// result is bit-identical to the serial path — and to
+/// [`naive_voting`](crate::voting::naive_voting) (see the module docs for
 /// why).
 pub fn arena_voting_with(
     arena: &SegmentArena,
@@ -737,70 +609,67 @@ pub fn arena_voting_with(
     arena_voting_counted_with(arena, index, params, exec).0
 }
 
-/// [`arena_voting_with`] plus the summed pruned-vs-evaluated kernel
-/// counters. Counter totals are deterministic: pruning decisions depend only
-/// on the pass of one trajectory, never on thread interleaving.
-///
-/// Trajectories are voted `FOLD_BATCH` at a time, their passes fanned out
-/// on `exec`; then, serially and in ascending trajectory order, each pass's
-/// votes become its profile and its contributions are added to the earlier
-/// trajectories' profiles. A segment's vote therefore starts as its own
-/// pass's sum over the voters before it and receives the later voters'
-/// contributions one by one in ascending voter order: the order
-/// [`naive_voting`](crate::voting::naive_voting) sums in. Each pass borrows
-/// a scratch from a pool local to this call, so the scratch state is as
-/// many sets as passes run at once — at most `exec.threads()` — and lives
-/// no longer than the call. A pass that unwinds never returns its scratch,
-/// so no later pass or query can see a half-reset one.
+/// [`arena_voting_with`] plus the kernel counters, which are the same for
+/// any thread count: each time-overlapping pair is met once, in the slab of
+/// its later row. The rows are cut into `rows / SLAB_ROWS` slabs, at least
+/// one and at most four per thread.
 pub fn arena_voting_counted_with(
     arena: &SegmentArena,
     index: &PackedSegmentIndex,
     params: &S2TParams,
     exec: &Executor,
 ) -> (Vec<VotingProfile>, KernelCounters) {
-    let cutoff = params.voting_cutoff_radius();
-    let n = arena.num_trajectories();
-    let pool: Mutex<Vec<ArenaVoteScratch>> = Mutex::new(Vec::new());
-    // Nothing panics while holding the lock, and a push or pop leaves the
-    // pool a list of whole, reset scratches, so a poisoned guard is sound.
-    let lock = || pool.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut totals = KernelCounters::default();
-    let mut profiles: Vec<VotingProfile> = Vec::with_capacity(n);
-    for batch in (0..n).step_by(FOLD_BATCH) {
-        let passes = exec.map_indices((n - batch).min(FOLD_BATCH), |i| {
-            let ti = batch + i;
-            let mut scratch = lock().pop().unwrap_or_default();
-            let mut votes = Vec::with_capacity(arena.segments_of(ti).len());
-            let mut contributions = Vec::new();
-            let counters = vote_trajectory_into(
-                arena,
-                index,
-                params,
-                cutoff,
-                ti,
-                &mut scratch,
-                &mut votes,
-                &mut contributions,
-            );
-            lock().push(scratch);
-            (votes, contributions, counters)
-        });
-        for (i, (votes, contributions, counters)) in passes.into_iter().enumerate() {
-            let ti = batch + i;
-            totals.accumulate(&counters);
-            profiles.push(VotingProfile {
-                trajectory_id: arena.trajectory_id(ti),
-                trajectory_index: ti,
-                votes,
-            });
-            for (gs, value) in contributions {
-                let gs = gs as usize;
-                let owner = arena.traj_of[gs] as usize;
-                profiles[owner].votes[gs - arena.seg_start[owner]] += value;
-            }
-        }
+    let slabs = (index.len() / SLAB_ROWS).clamp(1, 4 * exec.threads());
+    sweep_votes(arena, index, params, exec, slabs)
+}
+
+/// The sweep cut into `slabs` time slabs of (nearly) equal row counts,
+/// swept on `exec`; then, serially, the partial minima of the rows live
+/// across an edge are merged — the minimum per (segment, voter), summed in
+/// ascending voter order.
+pub(crate) fn sweep_votes(
+    arena: &SegmentArena,
+    index: &PackedSegmentIndex,
+    params: &S2TParams,
+    exec: &Executor,
+    slabs: usize,
+) -> (Vec<VotingProfile>, KernelCounters) {
+    let rows = &index.rows;
+    let votes: Vec<Mutex<Vec<f64>>> = (0..arena.num_trajectories())
+        .map(|ti| Mutex::new(vec![0.0; arena.segments_of(ti).len()]))
+        .collect();
+    // Every slab holds a row (none when there are no rows).
+    let slabs = slabs.min(rows.len());
+    let swept = exec.map_indices(slabs, |b| {
+        let slab = b * rows.len() / slabs..(b + 1) * rows.len() / slabs;
+        sweep_slab(arena, rows, slab, params, &votes)
+    });
+    let mut counters = KernelCounters::default();
+    let mut partials: Vec<Partial> = Vec::new();
+    for (slab_partials, slab_counters) in swept {
+        counters.accumulate(&slab_counters);
+        partials.extend(slab_partials);
     }
-    (profiles, totals)
+    partials.sort_unstable_by_key(|&(gs, voter, _)| (gs, voter));
+    let cutoff = params.voting_cutoff_radius();
+    for segment in partials.chunk_by(|a, b| a.0 == b.0) {
+        let mut vote = 0.0;
+        for voter in segment.chunk_by(|a, b| a.1 == b.1) {
+            let best = voter.iter().fold(f64::INFINITY, |best, p| best.min(p.2));
+            vote += kernel(best, params.sigma, cutoff);
+        }
+        write_vote(&votes, arena, segment[0].0, vote);
+    }
+    let profiles = votes
+        .into_iter()
+        .enumerate()
+        .map(|(ti, votes)| VotingProfile {
+            trajectory_id: arena.trajectory_id(ti),
+            trajectory_index: ti,
+            votes: votes.into_inner().unwrap_or_else(PoisonError::into_inner),
+        })
+        .collect();
+    (profiles, counters)
 }
 
 #[cfg(test)]
@@ -816,7 +685,7 @@ mod tests {
     }
 
     /// Called by every non-empty [`GatherBlock::flush`] in test builds: the
-    /// way a test injects a panic into the middle of a pass.
+    /// way a test injects a panic into the middle of a slab.
     pub(super) fn on_flush() {
         PANIC_AFTER_FLUSHES.with(|left| match left.get() {
             0 => {}
@@ -900,8 +769,7 @@ mod tests {
             arena_voting_counted_with(&arena, &packed, &p, &Executor::serial());
         assert_eq!(profiles, arena_voting(&arena, &packed, &p));
         // The clustered lines vote for each other, so the exact kernel must
-        // have run; their repeats, a few metres apart, leave pairs that can
-        // improve neither minimum.
+        // have run; the far line shares their time but not their space.
         assert!(counters.evaluated > 0, "{counters:?}");
         assert!(counters.pruned > 0, "{counters:?}");
         // Counter totals are deterministic and thread-independent.
@@ -942,57 +810,9 @@ mod tests {
         assert_eq!(profiles, naive_voting(&single, &p));
     }
 
-    #[test]
-    fn scratch_reuse_keeps_results_stable() {
-        let trajs = mixed_mod();
-        let p = params(25.0);
-        let cutoff = p.voting_cutoff_radius();
-        let arena = SegmentArena::build(&trajs);
-        let packed = PackedSegmentIndex::build(&arena);
-        let mut scratch = ArenaVoteScratch::default();
-        let mut votes = Vec::with_capacity(16);
-        let mut contributions = Vec::new();
-        let mut reference = Vec::new();
-        for ti in 0..arena.num_trajectories() {
-            vote_trajectory_into(
-                &arena,
-                &packed,
-                &p,
-                cutoff,
-                ti,
-                &mut ArenaVoteScratch::default(),
-                &mut votes,
-                &mut contributions,
-            );
-            contributions.sort_by_key(|&(gs, _)| gs);
-            reference.push((votes.clone(), contributions.clone()));
-        }
-        assert!(reference.iter().any(|(_, c)| !c.is_empty()));
-        // Voting the same trajectories repeatedly through one scratch must
-        // reproduce a fresh scratch's passes bit for bit (the all-∞
-        // invariant holds).
-        for _round in 0..3 {
-            for (ti, (expected_votes, expected_contributions)) in reference.iter().enumerate() {
-                vote_trajectory_into(
-                    &arena,
-                    &packed,
-                    &p,
-                    cutoff,
-                    ti,
-                    &mut scratch,
-                    &mut votes,
-                    &mut contributions,
-                );
-                contributions.sort_by_key(|&(gs, _)| gs);
-                assert_eq!(&votes, expected_votes, "trajectory {ti}");
-                assert_eq!(&contributions, expected_contributions, "trajectory {ti}");
-            }
-        }
-    }
-
     /// The trajectories of `mixed_mod` repeated `n / 8 + 1` times over with
     /// growing offsets, cut to `n`: every trajectory has close voters before
-    /// and after it, and `n` can sit on either side of a fold batch.
+    /// and after it.
     fn repeated_mod(n: usize) -> Vec<Trajectory> {
         (0..n)
             .map(|i| {
@@ -1009,9 +829,9 @@ mod tests {
     }
 
     #[test]
-    fn votes_equal_naive_around_the_fold_batch() {
+    fn votes_equal_naive_across_slab_edges() {
         let p = params(25.0);
-        for n in [0, 1, 2, FOLD_BATCH - 1, FOLD_BATCH, FOLD_BATCH + 1] {
+        for n in [0, 1, 2, 9, 40] {
             let trajs = repeated_mod(n);
             let arena = SegmentArena::build(&trajs);
             let packed = PackedSegmentIndex::build(&arena);
@@ -1019,13 +839,22 @@ mod tests {
             if n > 1 {
                 assert!(reference.iter().any(|r| r.votes.iter().any(|&v| v > 0.5)));
             }
-            for threads in [1usize, 2, 4] {
-                let exec = Executor::new(hermes_exec::ExecPolicy { threads });
-                assert_eq!(
-                    arena_voting_with(&arena, &packed, &p, &exec),
-                    reference,
-                    "{n} trajectories on {threads} threads"
-                );
+            let (_, one_slab) = sweep_votes(&arena, &packed, &p, &Executor::serial(), 1);
+            for slabs in 1..=12 {
+                if n > 2 && slabs > 1 {
+                    // Some row is alive across the first edge, so partial
+                    // minima really are carried over and merged.
+                    let edge = packed.len() / slabs;
+                    let rows = &packed.rows;
+                    assert!(rows[..edge].iter().any(|r| r.t1 >= rows[edge].t0));
+                }
+                for threads in [1usize, 2, 4] {
+                    let exec = Executor::new(hermes_exec::ExecPolicy { threads });
+                    let (profiles, counters) = sweep_votes(&arena, &packed, &p, &exec, slabs);
+                    let label = format!("{n} trajectories, {slabs} slabs, {threads} threads");
+                    assert_eq!(profiles, reference, "{label}");
+                    assert_eq!(counters, one_slab, "{label}");
+                }
             }
         }
     }
@@ -1033,13 +862,17 @@ mod tests {
     #[test]
     fn a_panic_mid_pass_leaves_the_next_query_right() {
         let p = params(25.0);
-        let trajs = repeated_mod(FOLD_BATCH + 3);
+        let trajs = repeated_mod(67);
         let arena = SegmentArena::build(&trajs);
         let packed = PackedSegmentIndex::build(&arena);
         let reference = naive_voting(&trajs, &p);
         for flushes in [1u64, 7, 40] {
+            // Serial, so the thread-local countdown fires inside one of the
+            // three slabs, with votes half written.
             PANIC_AFTER_FLUSHES.with(|left| left.set(flushes));
-            let outcome = std::panic::catch_unwind(|| arena_voting(&arena, &packed, &p));
+            let outcome = std::panic::catch_unwind(|| {
+                sweep_votes(&arena, &packed, &p, &Executor::serial(), 3)
+            });
             assert!(outcome.is_err(), "the panic after {flushes} flushes fired");
             assert_eq!(PANIC_AFTER_FLUSHES.with(Cell::get), 0);
             for threads in [1usize, 2] {

@@ -10,9 +10,9 @@
 //!    * [`voting`] computes, for every 3D segment of every trajectory, how
 //!      many other objects co-move with it (a Gaussian kernel over the
 //!      time-synchronized segment-to-trajectory distance). The hot path is
-//!      [`arena`]: a structure-of-arrays [`SegmentArena`] whose segments a
-//!      time-ordered scan hands to the voting loop as candidates, voted over
-//!      flat `f64` lanes with zero allocation in the inner loop.
+//!      [`arena`]: a structure-of-arrays [`SegmentArena`] whose segments one
+//!      sweep over time pairs with every segment they share an instant with,
+//!      voted over flat `f64` lanes with no allocation per pair.
 //!      [`voting::naive_voting`] is the quadratic baseline the paper
 //!      compares against ("corresponding PostgreSQL functions") and the
 //!      reference the arena path is proven bit-identical against.
@@ -39,12 +39,11 @@ pub mod params;
 pub mod pipeline;
 pub mod sampling;
 pub mod segmentation;
-mod timescan;
 pub mod voting;
 
 pub use arena::{
-    arena_voting, arena_voting_counted_with, arena_voting_with, vote_trajectory_into,
-    ArenaVoteScratch, KernelCounters, PackedSegmentIndex, SegmentArena,
+    arena_voting, arena_voting_counted_with, arena_voting_with, KernelCounters, PackedSegmentIndex,
+    SegmentArena,
 };
 pub use clustering::{
     cluster_around_representatives, cluster_around_representatives_with, nearest_representative,

@@ -65,8 +65,8 @@ pub struct S2TOutcome {
     pub sub_trajectories: Vec<VotedSubTrajectory>,
     /// Per-phase timings.
     pub timings: S2TPhaseTimings,
-    /// Pruned-vs-evaluated counters from the voting kernel. Zero for the
-    /// naive pipeline, which has no pruning ladder (every pair pays the
+    /// Pruned-vs-evaluated counters from the voting sweep. Zero for the
+    /// naive pipeline, which has no box-gap test (every pair pays the
     /// exact kernel by design — that is what makes it the baseline).
     pub kernel: KernelCounters,
     /// Exact sub-trajectory distances sampling and clustering measured, and

@@ -1,19 +1,23 @@
-//! Proof that the arena voting inner loop is allocation-free.
+//! Proof that the voting sweep allocates nothing per candidate pair.
 //!
-//! A counting global allocator wraps the system allocator; after one warm-up
-//! pass (which sizes the explicit scratch, as each pooled one behind
-//! `arena_voting` is sized by its first pass), the per-trajectory pass over
-//! every trajectory of a co-moving workload must perform **zero** heap
-//! allocations when its outputs (votes, contributions) are pre-sized. This pins the hot-path contract the SoA rewrite exists for:
-//! no `Vec` per R-tree probe, no `Vec<Timestamp>` per distance pair, no
-//! `Segment` materialization — just lane reads and in-place scratch.
+//! A counting global allocator wraps the system allocator. The sweep's
+//! allocations — the output profiles, the live list and the slot table,
+//! which grow with the trajectories and with the rows live at once — do not
+//! depend on how many segment pairs it meets. So two workloads with the same
+//! trajectories flying the same pattern, one four times as long, must
+//! allocate equally often while the longer one evaluates at least three
+//! times as many pairs: a `Vec` per pair, a `Segment` materialized per
+//! distance or any other allocation in the pair loop fails this. Both
+//! workloads stay under one time slab, so the serial sweep runs whole.
 //!
 //! The counter is **per-thread** (a const-initialized thread-local `Cell`,
 //! which itself never allocates), so allocations made concurrently by the
 //! libtest harness threads cannot pollute the measurement.
 
+use hermes_exec::Executor;
 use hermes_s2t::{
-    vote_trajectory_into, ArenaVoteScratch, PackedSegmentIndex, S2TParams, SegmentArena,
+    arena_voting_counted_with, naive_voting, KernelCounters, PackedSegmentIndex, S2TParams,
+    SegmentArena,
 };
 use hermes_trajectory::{Point, Timestamp, Trajectory};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -64,96 +68,51 @@ fn line(id: u64, y0: f64, t0: i64, n: usize) -> Trajectory {
     .unwrap()
 }
 
-#[test]
-fn voting_inner_loop_performs_zero_heap_allocations() {
-    // A workload where every trajectory has real voters (co-moving groups
-    // with staggered starts), so the loop exercises candidate scans, kernel
-    // evaluations and vote summation — not just empty queries.
+/// Co-moving groups with staggered starts, `points` samples each: every
+/// trajectory has real voters, so the sweep exercises the box gap, kernel
+/// evaluations and vote sums — not just an empty live set.
+fn workload(points: usize) -> Vec<Trajectory> {
     let mut trajs = Vec::new();
     for i in 0..10u64 {
-        trajs.push(line(i, i as f64 * 8.0, (i as i64 % 3) * 5_000, 24));
+        trajs.push(line(i, i as f64 * 8.0, (i as i64 % 3) * 5_000, points));
     }
     for i in 10..16u64 {
-        trajs.push(line(i, 600.0 + i as f64 * 8.0, 20_000, 24));
+        trajs.push(line(i, 600.0 + i as f64 * 8.0, 20_000, points));
     }
+    trajs
+}
+
+/// The allocations of one serial sweep over `trajs`, and its counters.
+fn sweep(trajs: &[Trajectory], params: &S2TParams) -> (u64, KernelCounters) {
+    let arena = SegmentArena::build(trajs);
+    let index = PackedSegmentIndex::build(&arena);
+    let serial = Executor::serial();
+    let before = local_allocations();
+    let (profiles, counters) = arena_voting_counted_with(&arena, &index, params, &serial);
+    let allocations = local_allocations() - before;
+    assert!(
+        profiles.iter().any(|p| p.votes.iter().any(|&v| v > 0.5)),
+        "the workload must produce real votes for the test to mean anything"
+    );
+    assert_eq!(profiles, naive_voting(trajs, params));
+    (allocations, counters)
+}
+
+#[test]
+fn voting_inner_loop_performs_zero_heap_allocations() {
     let params = S2TParams {
         sigma: 25.0,
         ..S2TParams::default()
     };
-    let cutoff = params.voting_cutoff_radius();
-
-    let arena = SegmentArena::build(&trajs);
-    let index = PackedSegmentIndex::build(&arena);
-    let mut scratch = ArenaVoteScratch::default();
-    let max_segments = (0..arena.num_trajectories())
-        .map(|ti| arena.segments_of(ti).len())
-        .max()
-        .unwrap();
-    let mut votes: Vec<f64> = Vec::with_capacity(max_segments);
-    let mut contributions: Vec<(u32, f64)> = Vec::with_capacity(arena.num_segments());
-
-    // Warm-up pass: results recorded for the later equivalence check.
-    let mut reference = Vec::new();
-    for ti in 0..arena.num_trajectories() {
-        vote_trajectory_into(
-            &arena,
-            &index,
-            &params,
-            cutoff,
-            ti,
-            &mut scratch,
-            &mut votes,
-            &mut contributions,
-        );
-        reference.push((votes.clone(), contributions.clone()));
-    }
+    let (short, short_counters) = sweep(&workload(24), &params);
+    let (long, long_counters) = sweep(&workload(96), &params);
     assert!(
-        reference.iter().any(|(v, _)| v.iter().any(|&x| x > 0.5)),
-        "the workload must produce real votes for the test to mean anything"
+        long_counters.evaluated >= 3 * short_counters.evaluated,
+        "{short_counters:?} vs {long_counters:?}"
     );
-    assert!(
-        reference
-            .iter()
-            .any(|(_, c)| c.iter().any(|&(_, x)| x > 0.5)),
-        "the passes must contribute to earlier trajectories' votes"
-    );
-
-    // Measured passes: zero allocations across the entire voting loop.
-    let before = local_allocations();
-    for _round in 0..3 {
-        for ti in 0..arena.num_trajectories() {
-            vote_trajectory_into(
-                &arena,
-                &index,
-                &params,
-                cutoff,
-                ti,
-                &mut scratch,
-                &mut votes,
-                &mut contributions,
-            );
-        }
-    }
-    let after = local_allocations();
     assert_eq!(
-        after - before,
-        0,
-        "voting must not allocate with a warm scratch"
+        long, short,
+        "the sweep allocated per pair: {short} allocations for {short_counters:?}, \
+         {long} for {long_counters:?}"
     );
-
-    // And the measured passes still produce the same output bit for bit.
-    for (ti, (expected_votes, expected_contributions)) in reference.iter().enumerate() {
-        vote_trajectory_into(
-            &arena,
-            &index,
-            &params,
-            cutoff,
-            ti,
-            &mut scratch,
-            &mut votes,
-            &mut contributions,
-        );
-        assert_eq!(&votes, expected_votes, "trajectory {ti}");
-        assert_eq!(&contributions, expected_contributions, "trajectory {ti}");
-    }
 }

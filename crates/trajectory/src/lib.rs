@@ -50,7 +50,7 @@ pub use kernel::{
     mean_sync_distance, mean_sync_distance_batch, mean_sync_distance_batch_at, simd_level,
     SegLanes, SimdLevel, BATCH,
 };
-pub use mbb::{axis_gap, t_down, t_up, Mbb};
+pub use mbb::{axis_gap, Mbb};
 pub use point::Point;
 pub use segment::Segment;
 pub use stats::TrajectoryStats;

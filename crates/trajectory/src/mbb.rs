@@ -1,11 +1,10 @@
 //! 3D (space + time) minimum bounding boxes.
 //!
 //! The `pg3D-Rtree` of the paper indexes trajectory segments and
-//! sub-trajectories by their 3D MBB; here this type keys the voting scan's
-//! candidate rows and `hermes-gist`'s reference tree. The box arithmetic
-//! they share lives here once: [`axis_gap`], the interval gap every level of
-//! the voting ladder bounds a distance with, and [`t_down`]/[`t_up`], the
-//! outward rounding of the packed temporal prefilter.
+//! sub-trajectories by their 3D MBB; here this type keys `hermes-gist`'s
+//! reference tree. The box arithmetic that tree and the voting sweep share
+//! lives here once: [`axis_gap`], the interval gap both bound a distance
+//! with.
 
 use crate::point::Point;
 use crate::time::Timestamp;
@@ -195,18 +194,16 @@ impl Mbb {
 
 /// Gap between two closed intervals along one axis (0 when they overlap).
 ///
-/// The one implementation: [`Mbb::min_distance`], the voting ladder and the
-/// time-ordered candidate scan of `hermes-s2t`, and the ball traversal of
-/// `hermes-gist`'s reference tree all call it, because the pruning-exactness
-/// argument of the voting hot path requires every level to compute the
-/// *same* lower bound. Written as two subtractions and two selects (no
-/// branches — interval gaps are coin-flip data to a branch predictor):
+/// The one implementation: [`Mbb::min_distance`], the box-gap test of
+/// `hermes-s2t`'s voting sweep, and the ball traversal of `hermes-gist`'s
+/// reference tree all call it, so they compute the *same* lower bound.
+/// Written as two subtractions and two selects (no branches — interval
+/// gaps are coin-flip data to a branch predictor):
 /// exactly one of `b_min - a_max` / `a_min - b_max` is positive when the
 /// intervals are disjoint, both are `<= 0.0` when they overlap, and equal
 /// finite operands subtract to `+0.0` — so for intervals with
 /// `min <= max` the selected value is the branchy three-case form's, bit for
-/// bit (the `mbb` tests sweep it). The scan's SIMD filters emit this same
-/// max-chain with packed ops.
+/// bit (the `mbb` tests sweep it).
 #[inline]
 pub fn axis_gap(a_min: f64, a_max: f64, b_min: f64, b_max: f64) -> f64 {
     let lo = b_min - a_max;
@@ -216,29 +213,6 @@ pub fn axis_gap(a_min: f64, a_max: f64, b_min: f64, b_max: f64) -> f64 {
         g
     } else {
         0.0
-    }
-}
-
-/// `t` as `f64`, rounded toward `-∞` (exact for every `|t| < 2^53`, which
-/// covers any millisecond timestamp this engine produces). With [`t_up`],
-/// the outward rounding every packed temporal prefilter relies on, so —
-/// like [`axis_gap`] — there is one implementation.
-pub fn t_down(t: i64) -> f64 {
-    let f = t as f64;
-    if f as i128 > t as i128 {
-        f.next_down()
-    } else {
-        f
-    }
-}
-
-/// `t` as `f64`, rounded toward `+∞` (see [`t_down`]).
-pub fn t_up(t: i64) -> f64 {
-    let f = t as f64;
-    if (f as i128) < t as i128 {
-        f.next_up()
-    } else {
-        f
     }
 }
 

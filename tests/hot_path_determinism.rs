@@ -10,8 +10,8 @@
 use hermes::exec::{ExecPolicy, Executor};
 use hermes::prelude::*;
 use hermes::s2t::{
-    arena_voting_with, naive_voting_with, run_s2t, run_s2t_with, PackedSegmentIndex, SegmentArena,
-    VotingProfile,
+    arena_voting_counted_with, arena_voting_with, naive_voting_with, run_s2t, run_s2t_with,
+    KernelCounters, PackedSegmentIndex, SegmentArena, VotingProfile,
 };
 
 fn urban_trajectories() -> Vec<Trajectory> {
@@ -221,10 +221,10 @@ fn batch_kernel_is_bit_identical_across_lane_widths_and_tails() {
     }
 }
 
-/// Admissibility of the pruning ladder's distance lower bound: for seeded
+/// Admissibility of the voting sweep's distance lower bound: for seeded
 /// segment pairs from every workload, the per-segment box gap must never
 /// exceed the exact mean synchronized distance — in the squared form the
-/// ladder actually compares (`gap² ≤ d²`), so a bound that fired where the
+/// sweep actually compares (`gap² ≤ d²`), so a bound that fired where the
 /// kernel would have won fails here.
 #[test]
 fn lower_bounds_never_exceed_exact_distance() {
@@ -262,7 +262,7 @@ fn lower_bounds_never_exceed_exact_distance() {
                 continue;
             };
             overlapping += 1;
-            // The box gap the ladder's stage 2 uses: candidate box against
+            // The box gap the sweep's pair test uses: candidate box against
             // the query's full-lifespan box.
             let gx = axis_gap(
                 c.x0.min(c.x1),
@@ -294,8 +294,8 @@ fn lower_bounds_never_exceed_exact_distance() {
 }
 
 // ---------------------------------------------------------------------------
-// The time-ordered candidate scan (PR 21): three regimes, the tree it
-// replaced as the reference, and the first golden work counts.
+// The voting sweep over time: three regimes, a brute-force pair count as
+// the reference for its counters, and the golden work counts.
 // ---------------------------------------------------------------------------
 
 /// Few objects alive at once: four arrival streams over six hours.
@@ -314,13 +314,14 @@ fn sparse_aircraft() -> Vec<Trajectory> {
 }
 
 /// Every object alive at once: 400 vehicles on one grid in one half hour —
-/// the regime where a time-ordered scan has the least to skip.
+/// the regime where the sweep's live set is largest.
 fn dense_urban() -> Vec<Trajectory> {
     hermes_bench::urban_with(400, 13).trajectories
 }
 
-/// Hand-built to sit on every boundary of the scan's two binary searches and
-/// its exact end-time recheck, all within voting range of each other.
+/// Hand-built to sit on every boundary of the sweep's live test (a live row
+/// ends no earlier than the entering row starts), all within voting range
+/// of each other.
 fn adversarial() -> Vec<Trajectory> {
     let traj = |id: u64, points: &[(f64, f64, i64)]| {
         Trajectory::new(
@@ -334,8 +335,8 @@ fn adversarial() -> Vec<Trajectory> {
         .expect("hand-built points are time-ordered")
     };
     let mut set = Vec::new();
-    // One segment spanning the whole time extent of everything else: the
-    // running maximum of `t1` jumps on the first row and stays there.
+    // One segment spanning the whole time extent of everything else: it is
+    // live from the first row to the last.
     set.push(traj(0, &[(0.0, 0.0, 0), (1_000.0, 0.0, 1_000_000)]));
     // Many segments with the same `t0` (and the same sampling afterwards).
     for i in 0..6u64 {
@@ -386,10 +387,9 @@ fn adversarial() -> Vec<Trajectory> {
             (990.0, 5.0, 990_000),
         ],
     ));
-    // Single-segment trajectories, one inside the group's lifespan and one
-    // of zero-length neighbours' worth: a run shorter than `QUERY_RUN`.
+    // A single-segment trajectory inside the group's lifespan.
     set.push(traj(12, &[(150.0, 20.0, 105_000), (250.0, 20.0, 145_000)]));
-    // Five segments: one full run of four plus a tail run of one.
+    // Five segments, starting before the group and ending inside it.
     set.push(traj(
         13,
         &[
@@ -413,11 +413,10 @@ fn regimes() -> Vec<(&'static str, Vec<Trajectory>, S2TParams)> {
     ]
 }
 
-/// Votes from the time-ordered scan equal the quadratic reference bit for
-/// bit in all three regimes at 1, 2 and 4 threads. CI repeats this file with
-/// `HERMES_SIMD` off and at the default, which is what runs the scan's two
-/// filters under it (`crates/s2t/src/timescan.rs` tests compare the filters
-/// with each other in one process).
+/// Votes from the sweep equal the quadratic reference bit for bit in all
+/// three regimes at 1, 2 and 4 threads. CI repeats this file with
+/// `HERMES_SIMD` off and at the default, which runs both kernel widths under
+/// it.
 #[test]
 fn time_ordered_voting_matches_naive_in_three_regimes() {
     for (name, trajs, params) in regimes() {
@@ -462,70 +461,69 @@ fn adversarial_set_sits_on_the_lifespan_boundaries() {
         .all(|t| { extent.t0 <= t.segment(0).lanes().t0 && last(t).t1 <= extent.t1 }));
 }
 
-/// The scan's candidate *set* is the tree's. 2 000 seeded windows per
-/// regime — runs of one to four consecutive segments, as voting issues them,
-/// at radii from zero to far past the data's extent — compared order-free as
-/// `(segment id, gap² bits)`.
+/// The kernel counters by brute force: every unordered pair of segments of
+/// two different trajectories whose closed lifespans share an instant,
+/// split by whether their box gap² lies within the cutoff ball (evaluated)
+/// or beyond it (pruned). Each trajectory's segments are in time order, so
+/// the segments of one trajectory alive during a segment of another are a
+/// run that a binary search finds.
+fn brute_force_counters(trajs: &[Trajectory], cutoff: f64) -> KernelCounters {
+    use hermes::trajectory::{axis_gap, SegLanes};
+
+    let lanes: Vec<Vec<SegLanes>> = trajs
+        .iter()
+        .map(|t| {
+            (0..t.num_segments())
+                .map(|s| t.segment(s).lanes())
+                .collect()
+        })
+        .collect();
+    let gap = |a_0: f64, a_1: f64, b_0: f64, b_1: f64| {
+        axis_gap(a_0.min(a_1), a_0.max(a_1), b_0.min(b_1), b_0.max(b_1))
+    };
+    let mut counters = KernelCounters::default();
+    for (i, a) in lanes.iter().enumerate() {
+        for b in &lanes[i + 1..] {
+            for p in a {
+                let first = b.partition_point(|q| q.t1 < p.t0);
+                for q in b[first..].iter().take_while(|q| q.t0 <= p.t1) {
+                    let gx = gap(p.x0, p.x1, q.x0, q.x1);
+                    let gy = gap(p.y0, p.y1, q.y0, q.y1);
+                    if gx * gx + gy * gy <= cutoff * cutoff {
+                        counters.evaluated += 1;
+                    } else {
+                        counters.pruned += 1;
+                    }
+                }
+            }
+        }
+    }
+    counters
+}
+
+/// The sweep meets each time-overlapping pair once and counts it once: its
+/// counters are the brute-force oracle's, on the three regimes and the
+/// analytic set, at 1, 2 and 4 threads.
 #[test]
-fn the_scan_emits_exactly_the_trees_candidate_set() {
-    for (name, trajs, params) in regimes() {
+fn kernel_counters_equal_a_brute_force_pair_count() {
+    let analytic = S2TParams::builder().sigma(2_000.0).build().unwrap();
+    let mut sets = regimes();
+    sets.push(("analytic", analytic_aircraft(), analytic));
+    for (name, trajs, params) in sets {
         let arena = SegmentArena::build(&trajs);
         let packed = PackedSegmentIndex::build(&arena);
-        let tree = packed.tree();
-        assert_eq!(tree.len(), packed.len(), "{name}");
-
-        let mut state = 0x5CA_4E57u64 ^ (arena.num_segments() as u64).rotate_left(23);
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as usize
-        };
-        let cutoff = params.voting_cutoff_radius();
-        // Rows are the segments in ascending (t0, segment id), the order
-        // `for_each_candidate` documents.
-        let mut row_segment: Vec<usize> = (0..arena.num_segments()).collect();
-        row_segment.sort_by_key(|&gs| (arena.lanes(gs).t0, gs));
-        let mut emitted = 0usize;
-        for _ in 0..2_000 {
-            let ti = next() % arena.num_trajectories();
-            let segments = arena.segments_of(ti);
-            let first = segments.start + next() % segments.len();
-            let last = (first + 1 + next() % 4).min(segments.end);
-            let window = (first..last)
-                .map(|gs| arena.segment_mbb(gs))
-                .reduce(|a, b| a.union(&b))
-                .expect("a run holds a segment");
-            let radius = [0.0, cutoff / 3.0, cutoff, cutoff * 50.0][next() % 4];
-
-            let mut from_scan: Vec<(usize, u64)> = Vec::new();
-            packed.for_each_candidate(&window, radius, |row, gap2| {
-                from_scan.push((row_segment[row], gap2.to_bits()));
-            });
-            // Ascending rows are ascending (t0, segment id).
-            assert!(
-                from_scan.windows(2).all(|w| {
-                    let (a, b) = (arena.lanes(w[0].0), arena.lanes(w[1].0));
-                    (a.t0, w[0].0) < (b.t0, w[1].0)
-                }),
-                "{name}: scan order"
-            );
-            let mut from_tree: Vec<(usize, u64)> = Vec::new();
-            tree.for_each_ball_candidate_idx(&window, radius, |item, gap2| {
-                from_tree.push((*tree.value(item) as usize, gap2.to_bits()));
-            });
-            from_scan.sort_unstable();
-            from_tree.sort_unstable();
-            assert_eq!(
-                from_scan, from_tree,
-                "{name}: window {window} radius {radius}"
-            );
-            emitted += from_scan.len();
-        }
+        let oracle = brute_force_counters(&trajs, params.voting_cutoff_radius());
+        // The adversarial set lies within voting range of itself: it alone
+        // has nothing to prune.
         assert!(
-            emitted > 2_000,
-            "{name}: the windows found almost nothing ({emitted})"
+            oracle.evaluated > 0 && (oracle.pruned > 0) != (name == "adversarial"),
+            "{name}: {oracle:?}"
         );
+        for threads in [1usize, 2, 4] {
+            let exec = Executor::new(ExecPolicy { threads });
+            let (_, counters) = arena_voting_counted_with(&arena, &packed, &params, &exec);
+            assert_eq!(counters, oracle, "{name}@{threads}");
+        }
     }
 }
 
@@ -555,17 +553,18 @@ fn analytic_aircraft() -> Vec<Trajectory> {
 /// voting does must change these numbers on purpose. Data:
 /// [`analytic_aircraft`], σ = 2000.
 ///
-/// Each unordered segment pair is now evaluated at most once, by the pass of
-/// the later trajectory, and a pair is pruned only when it can improve
-/// neither of the two minima it feeds; before that change every pair was
-/// evaluated from both sides: 909 639 evaluated / 144 649 pruned.
+/// Each unordered segment pair is evaluated at most once; before symmetric
+/// evaluation every pair was evaluated from both sides: 909 639 evaluated /
+/// 144 649 pruned. `pruned` counts every time-overlapping pair of two
+/// trajectories that the box gap puts beyond the cutoff: the one-sweep
+/// voting meets every such pair. The per-probe scan it replaced counted only
+/// the pairs its window ball admitted and its best² stages then rejected
+/// (68 698), and evaluated the same 459 030.
 #[test]
 fn golden_kernel_counts_on_the_analytic_aircraft_set() {
-    use hermes::s2t::{arena_voting_counted_with, KernelCounters};
-
     const GOLDEN: KernelCounters = KernelCounters {
         evaluated: 459_030,
-        pruned: 68_698,
+        pruned: 805_910,
     };
 
     let trajs = analytic_aircraft();
