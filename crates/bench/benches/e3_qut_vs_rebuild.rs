@@ -15,19 +15,27 @@
 //! re-clustered and every pair of stored representatives the merge needs is
 //! measured — the paper's number) and QuT **warm** (the same window asked
 //! again of the same tree value, borders and merge edges answered from the
-//! memos). The run aborts unless warm and cold answer alike.
+//! memos). The run aborts unless warm and cold answer alike — serially, and
+//! through `qut_clustering_with` on the deployment's executor
+//! (`HERMES_THREADS`, else every core), where a warm window must also hand
+//! no job to the pool.
 //!
 //! Env knob: `HERMES_BENCH_QUICK=1` shrinks the sweep for CI smoke runs.
 
 use hermes_bench::harness::{bench, bench_with_setup, report};
 use hermes_bench::{maritime_s2t_params, maritime_standard, qut_params, tree_params};
-use hermes_retratree::{qut_clustering, range_query_then_cluster, ReTraTree};
+use hermes_exec::{ExecPolicy, Executor};
+use hermes_retratree::{qut_clustering, qut_clustering_with, range_query_then_cluster, ReTraTree};
 use hermes_trajectory::{Duration, TimeInterval};
 
 fn main() {
     let scenario = maritime_standard(0xE3);
     let s2t = maritime_s2t_params();
     let tree = ReTraTree::build_from(tree_params(s2t.clone()), &scenario.trajectories);
+    let exec = Executor::new(ExecPolicy::from_env());
+    // Built on `exec` and asked only through it, so its memos fill there.
+    let parallel_tree =
+        ReTraTree::build_from_with(tree_params(s2t.clone()), &scenario.trajectories, &exec);
     let qut = qut_params(s2t.clone());
     let span = tree.lifespan().expect("tree holds data");
     let quick = std::env::var("HERMES_BENCH_QUICK").is_ok_and(|v| v == "1");
@@ -89,6 +97,15 @@ fn main() {
             edges.misses,
             "a warm window measured a merge edge"
         );
+        let (parallel_cold, _) = qut_clustering_with(&parallel_tree, &w, &qut, &exec);
+        let jobs = exec.jobs();
+        let (parallel_warm, _) = qut_clustering_with(&parallel_tree, &w, &qut, &exec);
+        assert_eq!(parallel_cold, cold_result, "the executor changed an answer");
+        assert_eq!(
+            parallel_warm, cold_result,
+            "a memo changed a parallel answer"
+        );
+        assert_eq!(exec.jobs(), jobs, "a warm window forked");
         eprintln!(
             "{:>6} {:>9} {:>11.2} {:>9.2} {:>9.2} {:>7.1}x {:>7.1}x {:>7} {:>8}",
             pct,

@@ -308,12 +308,12 @@ impl HermesEngine {
     /// counts beyond [`ExecPolicy::MAX_THREADS`] are rejected — each pool
     /// worker is a real OS thread, so this is reachable from remote
     /// clients); an unchanged thread count keeps the existing pool (no
-    /// worker churn).
+    /// worker churn). The new executor goes on counting the old one's jobs.
     pub fn set_exec_policy(&mut self, policy: ExecPolicy) -> Result<()> {
         let policy = ExecPolicy::new(policy.threads)
             .map_err(|m| EngineError::InvalidParameters(format!("SET {m}")))?;
         if policy.threads != self.exec_policy.threads {
-            self.exec = Executor::new(policy);
+            self.exec = self.exec.resized(policy);
             self.exec_policy = policy;
         }
         Ok(())
@@ -779,6 +779,12 @@ impl HermesEngine {
                 "hermes_exec_queue_depth",
                 "Fork-join jobs queued on the intra-query thread pool",
                 self.exec.queue_depth() as u64,
+            ),
+            Stat::counter(
+                "exec_jobs",
+                "hermes_exec_jobs_total",
+                "Fork-join jobs handed to the intra-query thread pool",
+                self.exec.jobs(),
             ),
         ]
     }

@@ -40,6 +40,7 @@ mod pool;
 pub use pool::ThreadPool;
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// How much intra-query parallelism an engine is allowed to use.
@@ -108,11 +109,15 @@ impl Default for ExecPolicy {
 }
 
 /// A handle to an execution strategy: inline (serial) or a shared
-/// [`ThreadPool`]. Cloning clones the handle; clones share the pool.
+/// [`ThreadPool`]. Cloning clones the handle; clones share the pool and the
+/// job count.
 #[derive(Clone, Default)]
 pub struct Executor {
     pool: Option<Arc<ThreadPool>>,
     threads: usize,
+    /// Fork-join jobs handed to a pool, by this handle, its clones and the
+    /// executors [`Executor::resized`] from them.
+    jobs: Arc<AtomicU64>,
 }
 
 impl fmt::Debug for Executor {
@@ -129,6 +134,7 @@ impl Executor {
         Executor {
             pool: None,
             threads: 1,
+            jobs: Arc::default(),
         }
     }
 
@@ -145,12 +151,30 @@ impl Executor {
         Executor {
             pool: Some(Arc::new(ThreadPool::new(threads - 1))),
             threads,
+            jobs: Arc::default(),
+        }
+    }
+
+    /// An executor for `policy` that goes on counting this one's jobs: what
+    /// a `SET threads` swaps in, so [`Executor::jobs`] never goes back.
+    pub fn resized(&self, policy: ExecPolicy) -> Executor {
+        Executor {
+            jobs: Arc::clone(&self.jobs),
+            ..Executor::new(policy)
         }
     }
 
     /// Compute threads per fork-join region (1 for the serial executor).
     pub fn threads(&self) -> usize {
         self.threads.max(1)
+    }
+
+    /// Fork-join jobs that reached a pool so far: one per `map`,
+    /// `map_indices` or `for_each` call over more than one index on a
+    /// parallel executor. A call the caller runs inline — serial, or a
+    /// single index — is not a job. Monotone across [`Executor::resized`].
+    pub fn jobs(&self) -> u64 {
+        self.jobs.load(Ordering::Relaxed)
     }
 
     /// Fork-join jobs currently queued on the pool (always 0 for the serial
@@ -174,9 +198,16 @@ impl Executor {
     /// sub-microsecond distance evaluations per greedy pick, a few hundred
     /// picks per query. Measured on the benchmark's 739-flight set, that
     /// phase took 4–12 ms on one thread and 21–51 ms on two — while keeping
-    /// both cores busy — and now runs serially. Voting (one task per
-    /// trajectory, ~100 µs each) and clustering (~5–8 µs each, 6.6 → 3.5 ms
-    /// on two threads) are the sizes that do pay.
+    /// both cores busy — and now runs serially. The second worked example
+    /// is a warm QuT window: every sub-chunk's answer is already stored, so
+    /// a task would be one lookup and one clone, a few µs. QuT forked one
+    /// task per sub-chunk; answering those on the calling thread and
+    /// forking only the sub-chunks that compute took the benchmark's
+    /// `qut_serve` key operation from 0.382 to 0.305 ms (median of ten
+    /// alternating pairs on 2 vCPU, every pair won) and its server CPU
+    /// from 0.303 to 0.254 ms per operation. Voting's time slabs (4 096 rows and more each) and
+    /// clustering (~5–8 µs per task, 6.6 → 3.5 ms on two threads) are the
+    /// sizes that do pay.
     pub fn map_indices<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -193,7 +224,7 @@ impl Executor {
         // microseconds. Nothing can panic while a slot is locked, so no slot
         // is ever poisoned.
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        pool.run_scoped(n, &|i| {
+        self.fork(pool, n, &|i| {
             let value = f(i);
             *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
         });
@@ -227,8 +258,14 @@ impl Executor {
         match &self.pool {
             None => items.iter().enumerate().for_each(|(i, t)| f(i, t)),
             Some(_) if items.len() <= 1 => items.iter().enumerate().for_each(|(i, t)| f(i, t)),
-            Some(pool) => pool.run_scoped(items.len(), &|i| f(i, &items[i])),
+            Some(pool) => self.fork(pool, items.len(), &|i| f(i, &items[i])),
         }
+    }
+
+    /// Hands `task(0..n)` to `pool` as one counted job.
+    fn fork(&self, pool: &ThreadPool, n: usize, task: &(dyn Fn(usize) + Sync)) {
+        self.jobs.fetch_add(1, Ordering::Relaxed);
+        pool.run_scoped(n, task);
     }
 }
 

@@ -146,8 +146,8 @@ impl ClusterEntry {
         distances
     }
 
-    /// The member distances if a covered read has filled them.
-    #[cfg(test)]
+    /// The member distances if a covered read has filled them: whether a
+    /// covered QuT read of this entry would compute.
     pub(crate) fn filled_member_distances(&self) -> Option<&[f64]> {
         self.member_distances.get().map(Vec::as_slice)
     }

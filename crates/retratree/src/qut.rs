@@ -169,87 +169,180 @@ pub struct QutPartial {
     pub stats: QutStats,
 }
 
-/// Answers one sub-chunk of `QUT(W)`: reuse the level-3 entries when `W`
-/// fully covers the sub-chunk, re-cluster the window overlap otherwise.
-/// Reads only (`&ReTraTree`; storage reads borrow the pages, the border memo
-/// sits behind its own `Mutex`), so any number of these run in parallel.
-fn answer_subchunk(
+/// A target sub-chunk whose answer the tree does not hold yet: the work left,
+/// for one pool task.
+enum Pending {
+    /// Covered, with an entry whose member distances are still unfilled.
+    Covered,
+    /// A border whose partial is not in the memo. The lookup that found it
+    /// missing has already counted the miss.
+    Border {
+        key: BorderKey,
+        overlap: TimeInterval,
+    },
+}
+
+/// Answers `targets` (in temporal order), one answer each, in that order.
+/// Every target whose answer the tree already holds — a covered sub-chunk
+/// whose entries are all filled, or a border whose partial is in the memo —
+/// is answered here, on the calling thread: that is a lookup and a clone,
+/// worth less than a fork. Only the rest go through `exec`, one task each,
+/// so a warm window forks nothing and a cold one forks only what computes.
+/// Each border is looked up in the memo exactly once, so its hit or miss is
+/// counted once either way.
+fn answer_targets(
+    tree: &ReTraTree,
+    targets: &[&SubChunk],
+    w: &TimeInterval,
+    params: &QutParams,
+    exec: &Executor,
+) -> Vec<SubChunkAnswer> {
+    let mut pending = Vec::new();
+    let mut answers: Vec<Option<SubChunkAnswer>> = targets
+        .iter()
+        .enumerate()
+        .map(|(i, sc)| {
+            stored_answer(tree, sc, w, params)
+                .map_err(|work| pending.push((i, work)))
+                .ok()
+        })
+        .collect();
+    let computed = exec.map(&pending, |_, (i, work)| {
+        answer_subchunk(tree, targets[*i], work, params, exec)
+    });
+    for ((i, _), answer) in pending.iter().zip(computed) {
+        answers[*i] = Some(answer);
+    }
+    answers
+        .into_iter()
+        .map(|answer| answer.expect("every target is answered"))
+        .collect()
+}
+
+/// The answer of one target sub-chunk if the tree already holds it, or the
+/// work left. Covered: the level-3 entries, when every one has its member
+/// distances filled. Border: the memoised partial of the window overlap —
+/// the border's one counted memo lookup.
+fn stored_answer(
     tree: &ReTraTree,
     sc: &SubChunk,
     w: &TimeInterval,
     params: &QutParams,
+) -> Result<SubChunkAnswer, Pending> {
+    if w.contains_interval(&sc.interval) {
+        let filled = sc
+            .clusters
+            .iter()
+            .all(|entry| entry.filled_member_distances().is_some());
+        return if filled {
+            Ok(covered_answer(tree, sc))
+        } else {
+            Err(Pending::Covered)
+        };
+    }
+    let overlap = sc
+        .interval
+        .intersection(w)
+        .expect("targets share more than an instant with w");
+    let key = BorderKey::new(sc.interval.start, &overlap, &params.s2t);
+    match tree.border_memo.get(&key) {
+        Some(partial) => Ok(border_answer(&partial, QutStats::default())),
+        None => Err(Pending::Border { key, overlap }),
+    }
+}
+
+/// Computes the answer [`stored_answer`] left `pending`: a covered
+/// sub-chunk fills its entries' member distances from the stored records
+/// (a page run at a time) and reports them; a border re-clusters the
+/// stored data restricted to its overlap with the window — itself fanned
+/// out on `exec` — and stores the partial in the memo. Reads only
+/// (`&ReTraTree`; storage reads borrow the pages, the memo sits behind its
+/// own `Mutex`, a fill behind its entry's `OnceLock`), so any number of
+/// these run in parallel.
+fn answer_subchunk(
+    tree: &ReTraTree,
+    sc: &SubChunk,
+    pending: &Pending,
+    params: &QutParams,
     exec: &Executor,
 ) -> SubChunkAnswer {
-    let mut answer = SubChunkAnswer {
-        clusters: Vec::new(),
-        outliers: Vec::new(),
-        stats: QutStats::default(),
+    let Pending::Border { key, overlap } = pending else {
+        return covered_answer(tree, sc);
     };
-    if w.contains_interval(&sc.interval) {
-        // Fully covered: reuse the level-3 entries as they are. Who the
-        // members are and what each is worth to its representative is the
-        // entry's own state; no page is read unless a distance is missing.
-        answer.stats.reused_subchunks += 1;
-        for entry in &sc.clusters {
-            let distances = entry.member_distances(|| distances_to_representative(tree, entry));
-            let summaries = entry.member_summaries();
-            let mut members = Vec::with_capacity(summaries.len());
-            let mut member_distances = Vec::with_capacity(summaries.len());
-            // A member without a summary never loaded and never will: its
-            // slot is not looked at.
-            for (summary, distance) in summaries.iter().zip(distances) {
-                if let Some(summary) = summary {
-                    members.push(*summary);
-                    member_distances.push(*distance);
-                }
+    let mut loaded = 0;
+    let mut clipped: Vec<SubTrajectory> = Vec::new();
+    tree.store.read_run(&sc.window_records(overlap), |_, sub| {
+        loaded += 1;
+        clipped.extend(sub.temporal_clip(overlap));
+    });
+    let (clusters, outliers, phases, kernel) =
+        cluster_sub_trajectories(&clipped, &params.s2t, exec);
+    let partial = Arc::new(BorderPartial {
+        clusters: clusters.into_iter().map(summarized).collect(),
+        outliers: outliers.iter().map(Into::into).collect(),
+        loaded,
+    });
+    tree.border_memo.insert(*key, Arc::clone(&partial));
+    let stats = QutStats {
+        phases,
+        kernel,
+        ..QutStats::default()
+    };
+    border_answer(&partial, stats)
+}
+
+/// A sub-chunk the window fully covers, answered from its level-3 entries
+/// as they are. Who the members are and what each is worth to its
+/// representative is the entry's own state; no page is read unless a
+/// distance is missing.
+fn covered_answer(tree: &ReTraTree, sc: &SubChunk) -> SubChunkAnswer {
+    let mut answer = SubChunkAnswer {
+        clusters: Vec::with_capacity(sc.clusters.len()),
+        outliers: sc.outlier_summaries().iter().flatten().copied().collect(),
+        stats: QutStats {
+            reused_subchunks: 1,
+            ..QutStats::default()
+        },
+    };
+    answer.stats.loaded_sub_trajectories += answer.outliers.len();
+    for entry in &sc.clusters {
+        let distances = entry.member_distances(|| distances_to_representative(tree, entry));
+        let summaries = entry.member_summaries();
+        let mut members = Vec::with_capacity(summaries.len());
+        let mut member_distances = Vec::with_capacity(summaries.len());
+        // A member without a summary never loaded and never will: its
+        // slot is not looked at.
+        for (summary, distance) in summaries.iter().zip(distances) {
+            if let Some(summary) = summary {
+                members.push(*summary);
+                member_distances.push(*distance);
             }
-            answer.stats.loaded_sub_trajectories += members.len();
-            answer.clusters.push(Cluster {
-                id: 0, // assigned during the sequential merge
-                representative: entry.representative.clone(),
-                representative_vote: entry.representative_vote,
-                members,
-                member_distances,
-            });
         }
-        answer.outliers = sc.outlier_summaries().iter().flatten().copied().collect();
-        answer.stats.loaded_sub_trajectories += answer.outliers.len();
-    } else {
-        // Border sub-chunk: the stored data restricted to W, re-clustered —
-        // once per (tree value, overlap, params); the memo keeps the result.
-        answer.stats.reclustered_subchunks += 1;
-        let overlap = sc
-            .interval
-            .intersection(w)
-            .expect("caller checked intersects(w)");
-        let key = BorderKey::new(sc.interval.start, &overlap, &params.s2t);
-        let partial = match tree.border_memo.get(&key) {
-            Some(partial) => partial,
-            None => {
-                let mut loaded = 0;
-                let mut clipped: Vec<SubTrajectory> = Vec::new();
-                tree.store.read_run(&sc.window_records(&overlap), |_, sub| {
-                    loaded += 1;
-                    clipped.extend(sub.temporal_clip(&overlap));
-                });
-                let (clusters, outliers, phases, kernel) =
-                    cluster_sub_trajectories(&clipped, &params.s2t, exec);
-                answer.stats.phases = phases;
-                answer.stats.kernel = kernel;
-                let partial = Arc::new(BorderPartial {
-                    clusters: clusters.into_iter().map(summarized).collect(),
-                    outliers: outliers.iter().map(Into::into).collect(),
-                    loaded,
-                });
-                tree.border_memo.insert(key, Arc::clone(&partial));
-                partial
-            }
-        };
-        answer.stats.loaded_sub_trajectories += partial.loaded;
-        answer.clusters = partial.clusters.clone();
-        answer.outliers = partial.outliers.clone();
+        answer.stats.loaded_sub_trajectories += members.len();
+        answer.clusters.push(Cluster {
+            id: 0, // assigned during the sequential merge
+            representative: entry.representative.clone(),
+            representative_vote: entry.representative_vote,
+            members,
+            member_distances,
+        });
     }
     answer
+}
+
+/// A border sub-chunk answered from its partial, with `stats` holding the
+/// phases and kernel counters of the run that computed it here (zero for a
+/// memo hit).
+fn border_answer(partial: &BorderPartial, stats: QutStats) -> SubChunkAnswer {
+    SubChunkAnswer {
+        clusters: partial.clusters.clone(),
+        outliers: partial.outliers.clone(),
+        stats: QutStats {
+            reclustered_subchunks: 1,
+            loaded_sub_trajectories: partial.loaded,
+            ..stats
+        },
+    }
 }
 
 /// The distance of every member of `entry` to its representative, slot for
@@ -292,13 +385,16 @@ pub fn qut_clustering(
     qut_clustering_with(tree, w, params, &Executor::serial())
 }
 
-/// [`qut_clustering`] fanned out over the ReTraTree's temporal partitions on
-/// `exec`: every intersecting sub-chunk is answered independently (level-3
-/// reuse or border re-clustering — the latter itself fans out through the
-/// same executor), then the per-sub-chunk answers are folded in temporal
-/// order. Cluster ids, the cross-boundary merge and the final sort are all
-/// sequential over that deterministic order, so the result is identical to
-/// the serial path for any thread count.
+/// [`qut_clustering`] with the work that must be computed fanned out on
+/// `exec`. Every intersecting sub-chunk is answered independently: one
+/// whose answer the tree already holds (covered entries with their member
+/// distances filled, a border partial in the memo) on the calling thread,
+/// the rest — border re-clustering, which itself fans out through the same
+/// executor, and first covered fills — as one pool task each. A window
+/// asked again therefore forks nothing. The per-sub-chunk answers are then
+/// folded in temporal order; cluster ids, the cross-boundary merge and the
+/// final sort are all sequential over that deterministic order, so the
+/// result is identical to the serial path for any thread count.
 ///
 /// The merge is told where the covered sub-chunks' entries sit in the
 /// folded cluster list, so it takes their pairwise distances from the
@@ -311,7 +407,7 @@ pub fn qut_clustering_with(
 ) -> (QutResult, QutStats) {
     let start = Instant::now();
     let targets = owned_targets(tree, &OwnedSlice::ALL, w);
-    let answers = exec.map(&targets, |_, sc| answer_subchunk(tree, sc, w, params, exec));
+    let answers = answer_targets(tree, &targets, w, params, exec);
     let mut runs = Vec::new();
     let mut first = 0;
     for (sc, answer) in targets.iter().zip(&answers) {
@@ -333,9 +429,11 @@ pub fn qut_clustering_with(
 /// Answers the *owned* share of `QUT(W)`: every sub-chunk that intersects `W`
 /// **and** whose interval start falls inside `owned` is answered exactly as
 /// in [`qut_clustering_with`] (level-3 reuse or border re-clustering against
-/// the full, un-clipped window `W`), in temporal order, but the cross-boundary
-/// merge is *not* applied — that is [`merge_qut_partials`]' job, so a
-/// coordinator can first concatenate the partials of several shards.
+/// the full, un-clipped window `W`; stored answers on the calling thread,
+/// only the work that must be computed on `exec`), in temporal order, but
+/// the cross-boundary merge is *not* applied — that is
+/// [`merge_qut_partials`]' job, so a coordinator can first concatenate the
+/// partials of several shards.
 ///
 /// With `owned == OwnedSlice::ALL` this is the whole query minus the merge.
 pub fn qut_partial_with(
@@ -346,8 +444,7 @@ pub fn qut_partial_with(
     exec: &Executor,
 ) -> QutPartial {
     let targets = owned_targets(tree, owned, w);
-    // Fan out: one task per sub-chunk, each with its own QutStats.
-    let answers = exec.map(&targets, |_, sc| answer_subchunk(tree, sc, w, params, exec));
+    let answers = answer_targets(tree, &targets, w, params, exec);
     fold_in_temporal_order(answers)
 }
 
@@ -937,7 +1034,9 @@ mod tests {
         let (serial, serial_stats) = qut_clustering(&tree, &w, &qut_params());
         for threads in [2usize, 4] {
             let exec = Executor::new(hermes_exec::ExecPolicy { threads });
-            let (parallel, stats) = qut_clustering_with(&tree, &w, &qut_params(), &exec);
+            // A fresh tree: the serial ask above filled `tree`'s memos and
+            // entry distances, and a warm ask computes nothing on the pool.
+            let (parallel, stats) = qut_clustering_with(&build_tree(), &w, &qut_params(), &exec);
             assert_eq!(parallel.num_clusters(), serial.num_clusters());
             assert_eq!(parallel.num_outliers(), serial.num_outliers());
             for (a, b) in parallel.clusters.iter().zip(serial.clusters.iter()) {
@@ -2042,7 +2141,8 @@ mod tests {
         exec: &Executor,
     ) -> SubChunkAnswer {
         if !w.contains_interval(&sc.interval) {
-            return answer_subchunk(tree, sc, w, params, exec);
+            return stored_answer(tree, sc, w, params)
+                .unwrap_or_else(|work| answer_subchunk(tree, sc, &work, params, exec));
         }
         let mut answer = SubChunkAnswer {
             clusters: Vec::new(),
@@ -2499,6 +2599,49 @@ mod tests {
         back.insert_trajectory(&traj(900, 42.0, 0, 3 * 3_600_000 - 100_000));
         assert!(entry_of(&back).members().len() > summaries.len());
         assert_matches_reference(&back, &w, &params, "after an insert");
+    }
+
+    #[test]
+    fn only_the_sub_chunks_that_compute_are_forked() {
+        let tree = clustered_three_hour_tree();
+        let params = qut_params();
+        let exec = Executor::new(hermes_exec::ExecPolicy { threads: 4 });
+        let min = 60_000i64;
+        // Borders in the first and the last sub-chunk, the middle covered.
+        let unaligned = TimeInterval::new(Timestamp(20 * min), Timestamp(160 * min));
+        // The three populated sub-chunks, all covered.
+        let aligned = TimeInterval::new(Timestamp(0), Timestamp(180 * min));
+        let expected = |w: &TimeInterval| qut_clustering(&clustered_three_hour_tree(), w, &params);
+
+        // Cold: two border misses and an unfilled covered sub-chunk compute
+        // on the pool.
+        let jobs = exec.jobs();
+        let (cold, cold_stats) = qut_clustering_with(&tree, &unaligned, &params, &exec);
+        assert!(exec.jobs() > jobs, "a cold window computed inline");
+        let memo = tree.border_memo_stats();
+        assert_eq!((memo.hits, memo.misses), (0, 2));
+        let (serial, serial_stats) = expected(&unaligned);
+        assert_eq!(cold, serial);
+        assert_eq!(counters(&cold_stats), counters(&serial_stats));
+        // The two sub-chunks the unaligned window did not cover fill now.
+        let (aligned_cold, _) = qut_clustering_with(&tree, &aligned, &params, &exec);
+        assert_eq!(aligned_cold, expected(&aligned).0);
+
+        // Warm: every answer is held, each border is counted once as a hit,
+        // and nothing reaches the pool — through either entry point.
+        for (w, answer, borders) in [(unaligned, &cold, 2), (aligned, &aligned_cold, 0)] {
+            let jobs = exec.jobs();
+            let memo = tree.border_memo_stats();
+            let (warm, warm_stats) = qut_clustering_with(&tree, &w, &params, &exec);
+            assert_eq!(&warm, answer);
+            assert_eq!(warm_stats.phases, S2TPhaseTimings::default());
+            let partial = qut_partial_with(&tree, &OwnedSlice::ALL, &w, &params, &exec);
+            assert_eq!(merge_qut_partials(vec![partial], &params).0, warm);
+            assert_eq!(exec.jobs(), jobs, "a repeated window forked");
+            let now = tree.border_memo_stats();
+            assert_eq!(now.hits, memo.hits + 2 * borders);
+            assert_eq!(now.misses, memo.misses);
+        }
     }
 
     #[test]

@@ -262,6 +262,9 @@ impl CandidateRow {
 /// pure function of the arena. Building it is one sort.
 pub struct PackedSegmentIndex {
     rows: Vec<CandidateRow>,
+    /// The longest row, `max(t1 − t0)`: a row that starts more than this
+    /// before an instant has ended by then.
+    max_len: i64,
     /// The same boxes STR-packed, built on first use: nothing in the voting
     /// path reads it (see [`PackedSegmentIndex::tree`]).
     tree: OnceLock<PackedRTree<u32>>,
@@ -275,7 +278,7 @@ impl PackedSegmentIndex {
         // ordering the pairs orders by (t0, voter, segment).
         let mut order: Vec<(i64, u32)> = (0..n).map(|gs| (arena.t0[gs], gs as u32)).collect();
         order.sort_unstable();
-        let rows = order
+        let rows: Vec<CandidateRow> = order
             .into_iter()
             .map(|(t0, gs)| {
                 let g = gs as usize;
@@ -291,8 +294,14 @@ impl PackedSegmentIndex {
                 }
             })
             .collect();
+        let max_len = rows
+            .iter()
+            .map(|r| r.t1.saturating_sub(r.t0))
+            .max()
+            .unwrap_or(0);
         PackedSegmentIndex {
             rows,
+            max_len,
             tree: OnceLock::new(),
         }
     }
@@ -511,11 +520,12 @@ fn write_vote(votes: &[Mutex<Vec<f64>>], arena: &SegmentArena, gs: u32, vote: f6
 /// still alive when the next slab starts, returns its minima as partials.
 fn sweep_slab(
     arena: &SegmentArena,
-    rows: &[CandidateRow],
+    index: &PackedSegmentIndex,
     slab: Range<usize>,
     params: &S2TParams,
     votes: &[Mutex<Vec<f64>>],
 ) -> (Vec<Partial>, KernelCounters) {
+    let rows = &index.rows;
     let cutoff = params.voting_cutoff_radius();
     let r2 = cutoff * cutoff;
     let mut table = SlotTable::new(arena.num_trajectories());
@@ -533,9 +543,12 @@ fn sweep_slab(
         }
     };
     // The rows that entered before the slab and are alive at its first
-    // start: their pairs with the slab's rows are met here.
+    // start: their pairs with the slab's rows are met here. None of them
+    // starts more than the longest row before it.
     let start_t0 = rows[slab.start].t0;
-    let mut live: Vec<(u32, u32)> = (0..slab.start)
+    let first =
+        rows[..slab.start].partition_point(|r| r.t0 < start_t0.saturating_sub(index.max_len));
+    let mut live: Vec<(u32, u32)> = (first..slab.start)
         .filter(|&ri| rows[ri].t1 >= start_t0)
         .map(|ri| (ri as u32, table.acquire()))
         .collect();
@@ -642,7 +655,7 @@ pub(crate) fn sweep_votes(
     let slabs = slabs.min(rows.len());
     let swept = exec.map_indices(slabs, |b| {
         let slab = b * rows.len() / slabs..(b + 1) * rows.len() / slabs;
-        sweep_slab(arena, rows, slab, params, &votes)
+        sweep_slab(arena, index, slab, params, &votes)
     });
     let mut counters = KernelCounters::default();
     let mut partials: Vec<Partial> = Vec::new();

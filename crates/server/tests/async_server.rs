@@ -5,7 +5,7 @@
 //! deadlines, backpressure, the connection cap) run over both the engine
 //! and the coordinator in the workspace root's `tests/async_server.rs`.
 
-use hermes_core::SharedEngine;
+use hermes_core::{ExecPolicy, HermesEngine, SharedEngine};
 use hermes_obs::{Stat, TraceContext};
 use hermes_server::{
     Backend, ClientError, ConnectOptions, ErrorCode, HermesClient, Request, RequestCtx, Response,
@@ -96,6 +96,51 @@ fn reads_pin_the_published_epoch_while_an_index_builds() {
         .and_then(|r| r[2].as_i64())
         .expect("server/epoch row");
     assert!(epoch >= 2, "epoch {epoch} after ingest + builds");
+    server.shutdown();
+}
+
+/// The engine's `exec_jobs` row: fork-join jobs handed to its pool so far.
+fn exec_jobs(client: &mut HermesClient) -> i64 {
+    let stats = client.query("SHOW STATS;").unwrap();
+    let jobs = stats
+        .expect_frame("SHOW STATS")
+        .rows()
+        .find(|r| r[0].as_str() == Some("engine") && r[1].as_str() == Some("exec_jobs"))
+        .and_then(|r| r[2].as_i64())
+        .expect("engine/exec_jobs row");
+    jobs
+}
+
+/// On a node with two compute threads, a window asked again is answered
+/// from what the first ask stored, on the statement's own thread: the same
+/// frame, and not one job reaches the pool.
+#[test]
+fn a_repeated_qut_forks_no_job() {
+    let engine = SharedEngine::new(HermesEngine::with_exec_policy(ExecPolicy { threads: 2 }));
+    engine.with_write(|e| {
+        e.create_dataset("flights").unwrap();
+        e.load_trajectories("flights", dataset()).unwrap();
+    });
+    let server = Server::bind("127.0.0.1:0", engine, ServerConfig::default())
+        .unwrap()
+        .spawn()
+        .unwrap();
+    let mut client = HermesClient::connect(server.addr()).unwrap();
+    client.query(BUILD).unwrap();
+    // Both edges inside a sub-chunk (two borders), then the one-hour grid.
+    let unaligned = "SELECT QUT(flights, 600000, 5400000, 0.35, 0.05, 120000, 400, 1800000);";
+    let aligned = "SELECT QUT(flights, 0, 7200000, 0.35, 0.05, 120000, 400, 1800000);";
+    for (sql, cold_forks) in [(unaligned, true), (aligned, false)] {
+        let before = exec_jobs(&mut client);
+        let cold = client.query(sql).unwrap();
+        let after_cold = exec_jobs(&mut client);
+        if cold_forks {
+            assert!(after_cold > before, "two border misses computed inline");
+        }
+        let warm = client.query(sql).unwrap();
+        assert_eq!(warm.expect_frame("QUT"), cold.expect_frame("QUT"), "{sql}");
+        assert_eq!(exec_jobs(&mut client), after_cold, "{sql}: a repeat forked");
+    }
     server.shutdown();
 }
 

@@ -6,7 +6,7 @@
 
 use hermes::exec::{ExecPolicy, Executor};
 use hermes::prelude::*;
-use hermes::retratree::{qut_clustering, qut_clustering_with, QutParams, ReTraTree};
+use hermes::retratree::{qut_clustering_with, QutParams, ReTraTree};
 use hermes::s2t::{run_s2t, run_s2t_with, S2TOutcome};
 
 fn urban_trajectories() -> Vec<Trajectory> {
@@ -163,15 +163,61 @@ fn check_qut_determinism(trajectories: &[Trajectory], s2t: S2TParams, label: &st
         .build()
         .unwrap();
 
-    // The index build itself must be deterministic under parallel
-    // construction before query answers can be compared.
     let tree = ReTraTree::build_from(tree_params.clone(), trajectories);
+    let tree_bytes = encoded(&tree);
+    // A window cutting through sub-chunks exercises level-3 reuse, border
+    // re-clustering and cross-boundary merging at once; one on the
+    // sub-chunk grid is covered sub-chunks only.
+    let span = tree.lifespan().expect("populated tree");
+    let sub = tree.subchunk_duration().millis();
+    let windows = [
+        TimeInterval::new(
+            Timestamp(span.start.millis() + 20 * 60_000),
+            Timestamp(span.end.millis() - 20 * 60_000),
+        ),
+        TimeInterval::new(
+            Timestamp((span.start.millis().div_euclid(sub) + 1) * sub),
+            Timestamp(span.end.millis().div_euclid(sub) * sub),
+        ),
+    ];
+    // Each window asked cold, then warm: the cold ask computes on the
+    // pool, the warm one answers from what the cold one stored. A record
+    // per ask: the answer, its counters and both memos' hits and misses.
+    let asks = |tree: &ReTraTree, exec: &Executor| {
+        let mut record = Vec::new();
+        for w in &windows {
+            for _pass in ["cold", "warm"] {
+                let (result, stats) = qut_clustering_with(tree, w, &qut_params, exec);
+                let (border, edges) = (tree.border_memo_stats(), tree.merge_edge_stats());
+                record.push((
+                    result,
+                    [
+                        stats.reused_subchunks,
+                        stats.reclustered_subchunks,
+                        stats.loaded_sub_trajectories,
+                        stats.merges,
+                    ],
+                    [border.hits, border.misses, edges.hits, edges.misses],
+                ));
+            }
+        }
+        record
+    };
+    let serial = asks(&tree, &Executor::serial());
+    // [reused, reclustered] of each window's cold ask.
+    assert!(
+        serial[0].1[0] > 0 && serial[0].1[1] == 2,
+        "{label}: borders"
+    );
+    assert!(serial[2].1[0] > 1 && serial[2].1[1] == 0, "{label}: grid");
     for threads in THREAD_COUNTS {
+        // The index build itself must be deterministic under parallel
+        // construction before query answers can be compared.
         let exec = Executor::new(ExecPolicy { threads });
         let parallel_tree = ReTraTree::build_from_with(tree_params.clone(), trajectories, &exec);
         assert_eq!(
             encoded(&parallel_tree),
-            encoded(&tree),
+            tree_bytes,
             "{label}/threads={threads}: tree bytes"
         );
         assert_eq!(
@@ -179,54 +225,24 @@ fn check_qut_determinism(trajectories: &[Trajectory], s2t: S2TParams, label: &st
             tree.total_clusters(),
             "{label}/threads={threads}: level-3 entries"
         );
-    }
-
-    // A window cutting through sub-chunks exercises level-3 reuse, border
-    // re-clustering and cross-boundary merging at once.
-    let span = tree.lifespan().expect("populated tree");
-    let w = TimeInterval::new(
-        Timestamp(span.start.millis() + 20 * 60_000),
-        Timestamp(span.end.millis() - 20 * 60_000),
-    );
-    let (serial, serial_stats) = qut_clustering(&tree, &w, &qut_params);
-    for threads in THREAD_COUNTS {
-        let exec = Executor::new(ExecPolicy { threads });
-        let (parallel, stats) = qut_clustering_with(&tree, &w, &qut_params, &exec);
-        let label = format!("{label}/threads={threads}");
-        assert_eq!(
-            parallel.num_clusters(),
-            serial.num_clusters(),
-            "{label}: clusters"
-        );
-        for (a, b) in serial.clusters.iter().zip(parallel.clusters.iter()) {
-            assert_eq!(a.id, b.id, "{label}: cluster ids");
-            assert_eq!(a.representative.id, b.representative.id, "{label}: seeds");
-            assert_eq!(
-                a.members.iter().map(|m| m.id).collect::<Vec<_>>(),
-                b.members.iter().map(|m| m.id).collect::<Vec<_>>(),
-                "{label}: members"
+        let parallel = asks(&parallel_tree, &exec);
+        for (k, (got, expected)) in parallel.iter().zip(&serial).enumerate() {
+            let label = format!(
+                "{label}/threads={threads}/window {}/{}",
+                k / 2,
+                ["cold", "warm"][k % 2]
             );
-            assert_eq!(a.member_distances, b.member_distances, "{label}: distances");
+            assert_eq!(got.0, expected.0, "{label}: answer");
+            // Counters merged from per-worker QutStats stay exact.
+            assert_eq!(
+                got.1, expected.1,
+                "{label}: reused, reclustered, loads, merges"
+            );
+            assert_eq!(
+                got.2, expected.2,
+                "{label}: border and merge-edge memo hits, misses"
+            );
         }
-        assert_eq!(
-            serial.outliers.iter().map(|o| o.id).collect::<Vec<_>>(),
-            parallel.outliers.iter().map(|o| o.id).collect::<Vec<_>>(),
-            "{label}: outliers"
-        );
-        // Counters merged from per-worker QutStats stay exact.
-        assert_eq!(
-            stats.reused_subchunks, serial_stats.reused_subchunks,
-            "{label}: reused"
-        );
-        assert_eq!(
-            stats.reclustered_subchunks, serial_stats.reclustered_subchunks,
-            "{label}: reclustered"
-        );
-        assert_eq!(
-            stats.loaded_sub_trajectories, serial_stats.loaded_sub_trajectories,
-            "{label}: loads"
-        );
-        assert_eq!(stats.merges, serial_stats.merges, "{label}: merges");
     }
 }
 
