@@ -1075,6 +1075,18 @@ mod tests {
     }
 
     #[test]
+    fn build_index_is_one_job_however_many_sub_chunks_it_clusters() {
+        let mut e = engine_with_data();
+        e.set_exec_policy(ExecPolicy { threads: 2 }).unwrap();
+        let jobs = e.executor().jobs();
+        e.build_index("flights", tree_params()).unwrap();
+        let tree = e.tree("flights").unwrap();
+        assert!(tree.stats().reorganizations >= 2, "{:?}", tree.stats());
+        // One task per sub-chunk; each sub-chunk's S2T runs inside its task.
+        assert_eq!(e.executor().jobs(), jobs + 1);
+    }
+
+    #[test]
     fn exec_policy_is_settable_and_rejects_zero() {
         let mut e = HermesEngine::with_exec_policy(ExecPolicy::serial());
         assert_eq!(e.exec_policy().threads, 1);

@@ -21,6 +21,15 @@
 //! plain entry points pass [`Executor::serial`], so single-threaded callers
 //! pay nothing.
 //!
+//! **One fork rule.** Only the outermost fork reaches the pool. A thread
+//! running a task of a pool job is marked, and on a marked thread
+//! [`Executor::map_indices`] and [`Executor::map`] run inline and
+//! [`Executor::threads`] answers 1: the threads a fork started there could
+//! use. So a compute layer sizes its fan-out from `threads()` alone and
+//! never asks whether it is nested — `BUILD INDEX` forks its sub-chunks and
+//! each sub-chunk's S2T runs whole in its one task, while a stand-alone
+//! S2T forks its own phases.
+//!
 //! ```
 //! use hermes_exec::{ExecPolicy, Executor};
 //!
@@ -28,6 +37,8 @@
 //! let squares = exec.map(&[1u64, 2, 3, 4], |_, &x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]); // input order, always
 //! assert_eq!(exec.threads(), 4);
+//! let inner = exec.map_indices(2, |_| exec.threads());
+//! assert_eq!(inner, vec![1, 1]); // a fork inside a task runs inline
 //! ```
 //!
 //! **Layer:** infrastructure under every compute crate. Key types:
@@ -164,15 +175,22 @@ impl Executor {
         }
     }
 
-    /// Compute threads per fork-join region (1 for the serial executor).
+    /// The threads a fork started here can use: the policy's count, or 1
+    /// on the serial executor and inside a pool task, where a fork runs
+    /// inline.
     pub fn threads(&self) -> usize {
-        self.threads.max(1)
+        if pool::IN_TASK.get() {
+            1
+        } else {
+            self.threads.max(1)
+        }
     }
 
-    /// Fork-join jobs that reached a pool so far: one per `map`,
-    /// `map_indices` or `for_each` call over more than one index on a
-    /// parallel executor. A call the caller runs inline — serial, or a
-    /// single index — is not a job. Monotone across [`Executor::resized`].
+    /// Fork-join jobs that reached a pool so far: one per `map` or
+    /// `map_indices` call over more than one index on a parallel executor,
+    /// outside a pool task. A call the caller runs inline — serial, a
+    /// single index, or nested in a task — is not a job. Monotone across
+    /// [`Executor::resized`].
     pub fn jobs(&self) -> u64 {
         self.jobs.load(Ordering::Relaxed)
     }
@@ -185,46 +203,36 @@ impl Executor {
     }
 
     /// Runs `f(0), f(1), …, f(n-1)` and returns the results **in index
-    /// order**, regardless of scheduling. This is the primitive the other
-    /// combinators build on.
+    /// order**, regardless of scheduling. This is the primitive [`map`]
+    /// builds on.
+    ///
+    /// More than one index on a parallel executor, outside a pool task, is
+    /// one job on the pool; anything else runs inline (the one fork rule,
+    /// see the crate docs).
     ///
     /// **What an index costs.** On a pool every index pays one atomic claim
     /// (`fetch_add` on the job's cursor) **and one acquisition of the job's
     /// `completed` mutex**, on top of the job itself (an `Arc`, a queue push,
     /// a `notify_all`, and a condvar wait for stragglers — tens of
     /// microseconds when workers have to wake). So a task should be worth
-    /// roughly 10 µs or more, or the caller should loop serially. The worked
-    /// example is S2T's sampling sweep, which used to fan out here: ~920
-    /// sub-microsecond distance evaluations per greedy pick, a few hundred
-    /// picks per query. Measured on the benchmark's 739-flight set, that
-    /// phase took 4–12 ms on one thread and 21–51 ms on two — while keeping
-    /// both cores busy — and now runs serially. The second worked example
-    /// is a warm QuT window: every sub-chunk's answer is already stored, so
-    /// a task would be one lookup and one clone, a few µs. QuT forked one
-    /// task per sub-chunk; answering those on the calling thread and
-    /// forking only the sub-chunks that compute took the benchmark's
-    /// `qut_serve` key operation from 0.382 to 0.305 ms (median of ten
-    /// alternating pairs on 2 vCPU, every pair won) and its server CPU
-    /// from 0.303 to 0.254 ms per operation. Voting's time slabs (4 096 rows and more each) and
-    /// clustering (~5–8 µs per task, 6.6 → 3.5 ms on two threads) are the
-    /// sizes that do pay.
+    /// roughly 10 µs or more, or the caller should loop serially.
+    ///
+    /// [`map`]: Executor::map
     pub fn map_indices<R, F>(&self, n: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize) -> R + Sync,
     {
-        let Some(pool) = &self.pool else {
+        let (Some(pool), true) = (&self.pool, n > 1 && !pool::IN_TASK.get()) else {
             return (0..n).map(f).collect();
         };
-        if n <= 1 {
-            return (0..n).map(f).collect();
-        }
         // One slot per index. Each index is claimed exactly once, so every
         // lock is uncontended: tens of nanoseconds against a task worth
         // microseconds. Nothing can panic while a slot is locked, so no slot
         // is ever poisoned.
         let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        self.fork(pool, n, &|i| {
+        self.jobs.fetch_add(1, Ordering::Relaxed);
+        pool.run_scoped(n, &|i| {
             let value = f(i);
             *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
         });
@@ -246,26 +254,6 @@ impl Executor {
         F: Fn(usize, &T) -> R + Sync,
     {
         self.map_indices(items.len(), |i| f(i, &items[i]))
-    }
-
-    /// Fork-join side-effecting sweep over a slice. The closure must make its
-    /// own effects independent per index (e.g. write disjoint slots).
-    pub fn for_each<T, F>(&self, items: &[T], f: F)
-    where
-        T: Sync,
-        F: Fn(usize, &T) + Sync,
-    {
-        match &self.pool {
-            None => items.iter().enumerate().for_each(|(i, t)| f(i, t)),
-            Some(_) if items.len() <= 1 => items.iter().enumerate().for_each(|(i, t)| f(i, t)),
-            Some(pool) => self.fork(pool, items.len(), &|i| f(i, &items[i])),
-        }
-    }
-
-    /// Hands `task(0..n)` to `pool` as one counted job.
-    fn fork(&self, pool: &ThreadPool, n: usize, task: &(dyn Fn(usize) + Sync)) {
-        self.jobs.fetch_add(1, Ordering::Relaxed);
-        pool.run_scoped(n, task);
     }
 }
 
@@ -324,7 +312,7 @@ mod tests {
         let exec = Executor::new(ExecPolicy { threads: 4 });
         let seen: Mutex<HashSet<thread::ThreadId>> = Mutex::new(HashSet::new());
         // Enough items with enough work each that sleeping workers wake up.
-        exec.for_each(&[0u8; 64], |_, _| {
+        exec.map_indices(64, |_| {
             seen.lock().unwrap().insert(thread::current().id());
             std::thread::sleep(std::time::Duration::from_millis(1));
         });
@@ -357,9 +345,32 @@ mod tests {
             "unexpected payload: {message}"
         );
 
-        // The pool survived: workers caught the panic and keep serving.
+        // The pool survived: workers caught the panic and keep serving,
+        // and the caller is no longer marked as in a task.
         let after = exec.map_indices(8, |i| i * 2);
         assert_eq!(after, vec![0, 2, 4, 6, 8, 10, 12, 14]);
+        assert_eq!(exec.threads(), 4);
+    }
+
+    #[test]
+    fn a_fork_inside_a_task_runs_inline() {
+        let exec = Executor::new(ExecPolicy { threads: 2 });
+        let jobs = exec.jobs();
+        let inside = exec.map_indices(4, |i| {
+            let before = exec.jobs();
+            let nested = exec.map_indices(3, |j| i * 10 + j);
+            (exec.threads(), exec.jobs() - before, nested)
+        });
+        assert_eq!(exec.jobs(), jobs + 1, "only the outer fork is a job");
+        for (i, (threads, added, nested)) in inside.into_iter().enumerate() {
+            assert_eq!(threads, 1, "task {i}");
+            assert_eq!(added, 0, "task {i}: a nested fork added a job");
+            assert_eq!(nested, vec![i * 10, i * 10 + 1, i * 10 + 2]);
+        }
+        assert_eq!(exec.threads(), 2, "the mark outlived the job");
+        // A single index is no job and sets no mark: its forks still fork.
+        assert_eq!(exec.map_indices(1, |_| exec.threads()), vec![2]);
+        assert_eq!(exec.jobs(), jobs + 1);
     }
 
     #[test]

@@ -12,13 +12,24 @@
 //! `run_scoped` re-raises it on the calling thread once the job has fully
 //! drained — a panicking task never takes a worker thread down and never
 //! leaves sibling tasks running against freed borrows.
+//!
+//! A thread running a job's tasks — a worker, or the caller taking part in
+//! its own job — is marked for as long as it does ([`IN_TASK`]); that mark
+//! is the one fork rule's input (see [`Executor`](crate::Executor)).
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+
+thread_local! {
+    /// Whether this thread is inside [`Job::run`], running a task of a job
+    /// that reached a pool.
+    pub(crate) static IN_TASK: Cell<bool> = const { Cell::new(false) };
+}
 
 /// A borrowed task with its lifetime erased so the pool's `'static` worker
 /// threads can hold it.
@@ -59,12 +70,15 @@ impl Job {
         self.next.load(Ordering::Relaxed) >= self.total
     }
 
-    /// Claims and runs indices until none are left.
+    /// Claims and runs indices until none are left, with the thread marked
+    /// as in a task. Every task runs under `catch_unwind`, so nothing here
+    /// unwinds and the earlier mark is always restored.
     fn run(&self) {
+        let outer = IN_TASK.replace(true);
         loop {
             let i = self.next.fetch_add(1, Ordering::Relaxed);
             if i >= self.total {
-                return;
+                break;
             }
             // SAFETY: `i < total`, so this index is not yet completed and the
             // caller is still inside `run_scoped`: the borrow behind the
@@ -79,6 +93,7 @@ impl Job {
                 self.finished.notify_all();
             }
         }
+        IN_TASK.set(outer);
     }
 }
 

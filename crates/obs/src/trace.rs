@@ -11,8 +11,7 @@
 //! [`SpanStore`]; `SHOW TRACE <id>` against any node returns the spans that
 //! node recorded for the trace.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -146,6 +145,7 @@ impl SpanStore {
         let spans = lock(&self.spans);
         let mut order: Vec<u64> = Vec::new();
         let mut by_trace: HashMap<u64, TraceSummary> = HashMap::new();
+        let mut rooted: HashSet<u64> = HashSet::new();
         // Walk newest to oldest so `order` lists traces by recency.
         for s in spans.iter().rev() {
             let entry = by_trace.entry(s.trace_id).or_insert_with(|| {
@@ -158,16 +158,16 @@ impl SpanStore {
                 }
             });
             entry.spans += 1;
-            if s.parent_span_id == 0 {
+            let root = s.parent_span_id == 0;
+            if root || entry.root.is_empty() {
                 entry.root = s.name.clone();
+            }
+            // The root's duration once one is held, else the longest span.
+            if root {
                 entry.duration_us = s.duration_us;
-            } else {
-                if entry.root.is_empty() {
-                    entry.root = s.name.clone();
-                }
-                if entry.duration_us == 0 {
-                    entry.duration_us = entry.duration_us.max(s.duration_us);
-                }
+                rooted.insert(s.trace_id);
+            } else if !rooted.contains(&s.trace_id) {
+                entry.duration_us = entry.duration_us.max(s.duration_us);
             }
         }
         order
@@ -394,6 +394,30 @@ mod tests {
             recent.iter().map(|t| t.trace_id).collect::<Vec<_>>(),
             vec![9, 8, 7]
         );
+    }
+
+    #[test]
+    fn a_summary_takes_the_roots_duration_or_else_the_longest_span() {
+        let store = SpanStore::default();
+        let span = |trace_id, parent_span_id, duration_us| Span {
+            trace_id,
+            span_id: next_id(),
+            parent_span_id,
+            name: format!("s{duration_us}"),
+            start_us: 0,
+            duration_us,
+            attrs: vec![],
+        };
+        // Trace 1 has no local root; its newer span is the shorter one.
+        store.record(span(1, 5, 300));
+        store.record(span(1, 5, 100));
+        // Trace 2's root took 0 µs; an older child took longer.
+        store.record(span(2, 6, 50));
+        store.record(span(2, 0, 0));
+        let recent = store.recent();
+        assert_eq!((recent[1].trace_id, recent[1].duration_us), (1, 300));
+        assert_eq!(recent[0].trace_id, 2);
+        assert_eq!((recent[0].root.as_str(), recent[0].duration_us), ("s0", 0));
     }
 
     #[test]

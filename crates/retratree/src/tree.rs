@@ -416,11 +416,12 @@ impl ReTraTree {
     /// clustering, which QuT later reuses. Returns the number of sub-chunks
     /// reorganized.
     ///
-    /// The per-sub-chunk S2T runs fan out on `exec`. Construction is
-    /// two-phase: every target sub-chunk's outliers are clustered in parallel
-    /// (reads only), then the results are installed sequentially in temporal
-    /// order — so partition allocation, locators and maintenance counters
-    /// are identical to the serial build.
+    /// The per-sub-chunk S2T runs fan out on `exec`, one task each, and each
+    /// S2T runs whole inside its task (a fork there runs inline).
+    /// Construction is two-phase: every target sub-chunk's outliers are
+    /// clustered in parallel (reads only), then the results are installed
+    /// sequentially in temporal order — so partition allocation, locators
+    /// and maintenance counters are identical to the serial build.
     pub fn reorganize_all_with(&mut self, min_outliers: usize, exec: &Executor) -> usize {
         let targets: Vec<(i64, usize)> = self
             .chunks

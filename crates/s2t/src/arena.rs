@@ -342,10 +342,11 @@ impl PackedSegmentIndex {
     }
 }
 
-/// Rows per time slab. Smaller slabs cost more in carried rows and
-/// fork-joins than they return: `BUILD INDEX`'s sub-chunk S2Ts, a few
-/// thousand rows each, already run in parallel one level up.
-const SLAB_ROWS: usize = 4096;
+/// Fewest rows a time slab holds: a slab must be worth a task. Each edge
+/// costs its carried rows and each slab a claim, so on two threads an
+/// input of 548 urban rows (~85 µs serial) gains ~5 % from 2 slabs and
+/// loses ~10 % at 8 slabs of 68 rows.
+const MIN_SLAB_ROWS: usize = 256;
 
 /// The minima of the live rows: one row of `voters` best distances per
 /// slot (`f64::INFINITY` until a distance within the cutoff arrives) and
@@ -624,15 +625,17 @@ pub fn arena_voting_with(
 
 /// [`arena_voting_with`] plus the kernel counters, which are the same for
 /// any thread count: each time-overlapping pair is met once, in the slab of
-/// its later row. The rows are cut into `rows / SLAB_ROWS` slabs, at least
-/// one and at most four per thread.
+/// its later row. The rows are cut into four slabs per thread `exec` can
+/// use, of at least `MIN_SLAB_ROWS` (256) rows each; into one when it can
+/// use one thread (serial, or inside a pool task), since an edge only costs.
 pub fn arena_voting_counted_with(
     arena: &SegmentArena,
     index: &PackedSegmentIndex,
     params: &S2TParams,
     exec: &Executor,
 ) -> (Vec<VotingProfile>, KernelCounters) {
-    let slabs = (index.len() / SLAB_ROWS).clamp(1, 4 * exec.threads());
+    let threads = exec.threads();
+    let slabs = (index.len() / MIN_SLAB_ROWS).clamp(1, if threads > 1 { 4 * threads } else { 1 });
     sweep_votes(arena, index, params, exec, slabs)
 }
 

@@ -7,7 +7,9 @@
 use hermes::exec::{ExecPolicy, Executor};
 use hermes::prelude::*;
 use hermes::retratree::{qut_clustering_with, QutParams, ReTraTree};
-use hermes::s2t::{run_s2t, run_s2t_with, S2TOutcome};
+use hermes::s2t::{
+    arena_voting_counted_with, run_s2t, run_s2t_with, PackedSegmentIndex, S2TOutcome, SegmentArena,
+};
 
 fn urban_trajectories() -> Vec<Trajectory> {
     UrbanScenarioBuilder {
@@ -140,6 +142,33 @@ fn parallel_s2t_is_identical_to_serial_on_urban_data() {
 #[test]
 fn parallel_s2t_is_identical_to_serial_on_maritime_data() {
     check_s2t_determinism(&maritime_trajectories(), &maritime_s2t(), "maritime");
+}
+
+/// The one fork rule at S2T's scale. A stand-alone S2T of 384 urban
+/// vehicles (6 448 rows) at two threads forks its voting — more than one
+/// time slab, so one job; the same S2T inside a pool task forks nothing.
+/// The answer is the serial one either way.
+#[test]
+fn a_stand_alone_s2t_forks_its_voting_and_a_nested_one_runs_inline() {
+    let trajectories = hermes_bench::urban_with(384, 13).trajectories;
+    let params = urban_s2t();
+    let arena = SegmentArena::build(&trajectories);
+    let index = PackedSegmentIndex::build(&arena);
+    assert_eq!(index.len(), 6_448);
+    let serial = arena_voting_counted_with(&arena, &index, &params, &Executor::serial());
+    let exec = Executor::new(ExecPolicy { threads: 2 });
+    let jobs = exec.jobs();
+    let voted = arena_voting_counted_with(&arena, &index, &params, &exec);
+    assert_eq!(exec.jobs(), jobs + 1, "6 448 rows voted in one slab");
+    assert_eq!(voted, serial);
+
+    let serial = run_s2t(&trajectories, &params);
+    let jobs = exec.jobs();
+    let nested = exec.map_indices(2, |_| run_s2t_with(&trajectories, &params, &exec));
+    assert_eq!(exec.jobs(), jobs + 1, "a nested S2T forked");
+    for (i, outcome) in nested.iter().enumerate() {
+        assert_outcomes_identical(&serial, outcome, &format!("nested/{i}"));
+    }
 }
 
 /// A tree as its snapshot encoding: equal bytes, equal trees.
