@@ -28,8 +28,8 @@ use hermes_bench::harness::{bench, report};
 use hermes_bench::{urban_s2t_params, urban_with};
 use hermes_exec::{ExecPolicy, Executor};
 use hermes_s2t::{
-    arena_voting, arena_voting_counted_with, arena_voting_with, naive_voting, run_s2t,
-    run_s2t_naive, run_s2t_with, PackedSegmentIndex, SegmentArena,
+    arena_voting_counted_with, arena_voting_with, naive_voting, run_s2t, run_s2t_naive,
+    run_s2t_with, PackedSegmentIndex, SegmentArena,
 };
 use hermes_trajectory::simd_level;
 
@@ -81,7 +81,7 @@ fn main() {
 
         // --- Voting phase only: the hot path against the baseline.
         let s_arena_vote = bench(label("vote-arena"), iters, || {
-            arena_voting(&arena, &packed, &params)
+            arena_voting_with(&arena, &packed, &params, &Executor::serial())
         });
         let s_naive_vote = bench(label("vote-naive"), iters.min(3), || {
             naive_voting(trajs, &params)

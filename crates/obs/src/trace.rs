@@ -158,15 +158,14 @@ impl SpanStore {
                 }
             });
             entry.spans += 1;
-            let root = s.parent_span_id == 0;
-            if root || entry.root.is_empty() {
+            // The root's name and duration once one is held; else the
+            // oldest span's name and the longest span's duration.
+            if s.parent_span_id == 0 {
                 entry.root = s.name.clone();
-            }
-            // The root's duration once one is held, else the longest span.
-            if root {
                 entry.duration_us = s.duration_us;
                 rooted.insert(s.trace_id);
             } else if !rooted.contains(&s.trace_id) {
+                entry.root = s.name.clone();
                 entry.duration_us = entry.duration_us.max(s.duration_us);
             }
         }
@@ -416,6 +415,8 @@ mod tests {
         store.record(span(2, 0, 0));
         let recent = store.recent();
         assert_eq!((recent[1].trace_id, recent[1].duration_us), (1, 300));
+        // ... and is named after its first recorded (oldest) span.
+        assert_eq!(recent[1].root, "s300");
         assert_eq!(recent[0].trace_id, 2);
         assert_eq!((recent[0].root.as_str(), recent[0].duration_us), ("s0", 0));
     }

@@ -24,20 +24,23 @@
 //! the entering row as the query, and each distance within the cutoff
 //! improves both minima it feeds — the entering segment's best for the live
 //! row's trajectory and the live segment's best for the entering one's. The
-//! minima live in a dense table, one row of per-voter bests per live slot;
-//! when no later row can overlap a live row it retires, sums its vote and
-//! frees its slot. How many pairs reached the kernel and how many the box
-//! gap rejected is reported as [`KernelCounters`]; `docs/KERNELS.md` has
-//! the sweep and what it replaced.
+//! minima live in a dense table, one row of per-voter bests per live slot,
+//! with a bitset of the voters each slot holds a finite best for; when no
+//! later row can overlap a live row it retires, sums its vote over the set
+//! bits (ascending voters) and frees its slot. How many pairs reached the
+//! kernel and how many the box gap rejected is reported as
+//! [`KernelCounters`]; `docs/KERNELS.md` has the sweep and what it replaced.
 //!
 //! **Time slabs.** The rows are cut into contiguous slabs, swept in parallel
 //! on the executor. A pair belongs to the slab of its later row, so a slab
 //! starts with the earlier rows still alive at its first start carried in.
-//! A row live across a slab edge hands its partial minima to a serial merge
-//! instead of voting inside a slab. No pair is met twice, so the counters do
-//! not depend on the split.
+//! Each slab returns a vote buffer for its own rows; a row live across a slab
+//! edge hands its partial minima to a serial merge instead of voting inside a
+//! slab. The profiles are filled from the buffers and the merge after every
+//! slab has returned, so nothing is shared while the slabs run. No pair is
+//! met twice, so the counters do not depend on the split.
 //!
-//! **Exactness contract.** [`arena_voting`] is bit-identical to
+//! **Exactness contract.** [`arena_voting_with`] is bit-identical to
 //! [`naive_voting`](crate::voting::naive_voting):
 //!
 //! * the distance kernel is [`hermes_trajectory::kernel::mean_sync_distance`]
@@ -77,7 +80,7 @@ use hermes_trajectory::{
     Mbb, SegLanes, Timestamp, Trajectory, TrajectoryId,
 };
 use std::ops::Range;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
 /// How many time-overlapping segment pairs of different trajectories
 /// reached the exact distance kernel versus how many the box gap rejected
@@ -349,14 +352,16 @@ impl PackedSegmentIndex {
 const MIN_SLAB_ROWS: usize = 256;
 
 /// The minima of the live rows: one row of `voters` best distances per
-/// slot (`f64::INFINITY` until a distance within the cutoff arrives) and
-/// the voters each slot holds a finite best for. Slots are recycled as rows
-/// retire, so the table is as tall as the most rows ever live at once.
+/// slot (`f64::INFINITY` until a distance within the cutoff arrives) and a
+/// bitset per slot of the voters it holds a finite best for. Slots are
+/// recycled as rows retire, so the table is as tall as the most rows ever
+/// live at once.
 struct SlotTable {
     voters: usize,
+    /// `⌈voters / 64⌉`: the bitset words per slot.
+    words: usize,
     best: Vec<f64>,
-    touched: Vec<u32>,
-    touched_len: Vec<u32>,
+    touched: Vec<u64>,
     free: Vec<u32>,
 }
 
@@ -364,9 +369,9 @@ impl SlotTable {
     fn new(voters: usize) -> Self {
         SlotTable {
             voters,
+            words: voters.div_ceil(64),
             best: Vec::new(),
             touched: Vec::new(),
-            touched_len: Vec::new(),
             free: Vec::new(),
         }
     }
@@ -376,40 +381,39 @@ impl SlotTable {
         if let Some(slot) = self.free.pop() {
             return slot;
         }
+        let slot = self.best.len() / self.voters;
         self.best
             .resize(self.best.len() + self.voters, f64::INFINITY);
-        self.touched.resize(self.touched.len() + self.voters, 0);
-        self.touched_len.push(0);
-        (self.touched_len.len() - 1) as u32
+        self.touched.resize(self.touched.len() + self.words, 0);
+        slot as u32
     }
 
     /// Folds distance `d` into `slot`'s best for `voter`.
     #[inline]
     fn improve(&mut self, slot: u32, voter: u32, d: f64) {
-        let base = slot as usize * self.voters;
-        let best = &mut self.best[base + voter as usize];
+        let (slot, voter) = (slot as usize, voter as usize);
+        let best = &mut self.best[slot * self.voters + voter];
         if d < *best {
-            if best.is_infinite() {
-                let len = &mut self.touched_len[slot as usize];
-                self.touched[base + *len as usize] = voter;
-                *len += 1;
-            }
             *best = d;
+            self.touched[slot * self.words + voter / 64] |= 1 << (voter % 64);
         }
     }
 
-    /// Hands `slot`'s finite bests to `visit` in ascending voter order, then
-    /// resets and frees the slot.
+    /// Hands `slot`'s finite bests to `visit` in ascending voter order (its
+    /// set bits, low to high), then resets and frees the slot.
     fn release(&mut self, slot: u32, mut visit: impl FnMut(u32, f64)) {
         let base = slot as usize * self.voters;
-        let len = std::mem::take(&mut self.touched_len[slot as usize]) as usize;
-        let touched = &mut self.touched[base..base + len];
-        touched.sort_unstable();
-        for &voter in touched.iter() {
-            visit(
-                voter,
-                std::mem::replace(&mut self.best[base + voter as usize], f64::INFINITY),
-            );
+        let words = slot as usize * self.words..(slot as usize + 1) * self.words;
+        for (w, word) in self.touched[words].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let voter = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                visit(
+                    voter as u32,
+                    std::mem::replace(&mut self.best[base + voter], f64::INFINITY),
+                );
+            }
         }
         self.free.push(slot);
     }
@@ -507,39 +511,31 @@ impl GatherBlock {
 /// across a slab edge: `(global segment id, voter, distance)`.
 type Partial = (u32, u32, f64);
 
-/// Votes land in place: one lock per trajectory's votes, taken once per
-/// retiring segment.
-fn write_vote(votes: &[Mutex<Vec<f64>>], arena: &SegmentArena, gs: u32, vote: f64) {
-    let gs = gs as usize;
-    let ti = arena.traj_of[gs] as usize;
-    votes[ti].lock().unwrap_or_else(PoisonError::into_inner)[gs - arena.seg_start[ti]] = vote;
-}
-
 /// Sweeps the rows of `slab` into the live set: every pair whose later row
 /// is in the slab is met here. A row that entered in the slab and retires in
-/// it writes its vote into `votes`; a row carried in from an earlier slab, or
-/// still alive when the next slab starts, returns its minima as partials.
+/// it writes its vote into the slab's buffer, at its offset from the slab's
+/// start; a row carried in from an earlier slab, or still alive when the next
+/// slab starts, returns its minima as partials and leaves its entry `0.0`.
 fn sweep_slab(
     arena: &SegmentArena,
     index: &PackedSegmentIndex,
     slab: Range<usize>,
     params: &S2TParams,
-    votes: &[Mutex<Vec<f64>>],
-) -> (Vec<Partial>, KernelCounters) {
+) -> (Vec<f64>, Vec<Partial>, KernelCounters) {
     let rows = &index.rows;
     let cutoff = params.voting_cutoff_radius();
     let r2 = cutoff * cutoff;
     let mut table = SlotTable::new(arena.num_trajectories());
     let mut block = GatherBlock::new();
+    let mut votes = vec![0.0; slab.len()];
     let mut partials: Vec<Partial> = Vec::new();
     let mut counters = KernelCounters::default();
     let mut retire = |table: &mut SlotTable, ri: usize, slot: u32, whole: bool| {
-        let gs = rows[ri].gs;
         if whole {
-            let mut vote = 0.0;
-            table.release(slot, |_, best| vote += kernel(best, params.sigma, cutoff));
-            write_vote(votes, arena, gs, vote);
+            let vote = &mut votes[ri - slab.start];
+            table.release(slot, |_, best| *vote += kernel(best, params.sigma, cutoff));
         } else {
+            let gs = rows[ri].gs;
             table.release(slot, |voter, best| partials.push((gs, voter, best)));
         }
     };
@@ -596,24 +592,14 @@ fn sweep_slab(
         let whole = ri >= slab.start && next_t0.is_none_or(|t0| rows[ri].t1 < t0);
         retire(&mut table, ri, slot, whole);
     }
-    (partials, counters)
+    (votes, partials, counters)
 }
 
-/// Index-accelerated voting over the flat arena — the S2T hot path. Serial
-/// shorthand for [`arena_voting_with`].
-pub fn arena_voting(
-    arena: &SegmentArena,
-    index: &PackedSegmentIndex,
-    params: &S2TParams,
-) -> Vec<VotingProfile> {
-    arena_voting_with(arena, index, params, &Executor::serial())
-}
-
-/// [`arena_voting`] with the sweep's time slabs fanned out on `exec`.
-/// Every vote is summed in the same order on any thread count, so the
-/// result is bit-identical to the serial path — and to
-/// [`naive_voting`](crate::voting::naive_voting) (see the module docs for
-/// why).
+/// Index-accelerated voting over the flat arena — the S2T hot path — with
+/// the sweep's time slabs fanned out on `exec`. Every vote is summed in the
+/// same order on any thread count, so the result is bit-identical to the
+/// serial path — and to [`naive_voting`](crate::voting::naive_voting) (see
+/// the module docs for why).
 pub fn arena_voting_with(
     arena: &SegmentArena,
     index: &PackedSegmentIndex,
@@ -640,9 +626,10 @@ pub fn arena_voting_counted_with(
 }
 
 /// The sweep cut into `slabs` time slabs of (nearly) equal row counts,
-/// swept on `exec`; then, serially, the partial minima of the rows live
-/// across an edge are merged — the minimum per (segment, voter), summed in
-/// ascending voter order.
+/// swept on `exec`; then, serially, the profiles are filled from the slabs'
+/// vote buffers and the partial minima of the rows live across an edge are
+/// merged over them — the minimum per (segment, voter), summed in ascending
+/// voter order.
 pub(crate) fn sweep_votes(
     arena: &SegmentArena,
     index: &PackedSegmentIndex,
@@ -651,21 +638,35 @@ pub(crate) fn sweep_votes(
     slabs: usize,
 ) -> (Vec<VotingProfile>, KernelCounters) {
     let rows = &index.rows;
-    let votes: Vec<Mutex<Vec<f64>>> = (0..arena.num_trajectories())
-        .map(|ti| Mutex::new(vec![0.0; arena.segments_of(ti).len()]))
-        .collect();
     // Every slab holds a row (none when there are no rows).
     let slabs = slabs.min(rows.len());
-    let swept = exec.map_indices(slabs, |b| {
-        let slab = b * rows.len() / slabs..(b + 1) * rows.len() / slabs;
-        sweep_slab(arena, index, slab, params, &votes)
-    });
+    let slab = |b: usize| b * rows.len() / slabs..(b + 1) * rows.len() / slabs;
+    let swept = exec.map_indices(slabs, |b| sweep_slab(arena, index, slab(b), params));
+    let mut profiles: Vec<VotingProfile> = (0..arena.num_trajectories())
+        .map(|ti| VotingProfile {
+            trajectory_id: arena.trajectory_id(ti),
+            trajectory_index: ti,
+            votes: vec![0.0; arena.segments_of(ti).len()],
+        })
+        .collect();
+    // Global segment `gs` as (trajectory, segment within it).
+    let at = |gs: u32| {
+        let gs = gs as usize;
+        let ti = arena.traj_of[gs] as usize;
+        (ti, gs - arena.seg_start[ti])
+    };
     let mut counters = KernelCounters::default();
     let mut partials: Vec<Partial> = Vec::new();
-    for (slab_partials, slab_counters) in swept {
+    for (b, (slab_votes, slab_partials, slab_counters)) in swept.into_iter().enumerate() {
+        for (row, vote) in rows[slab(b)].iter().zip(slab_votes) {
+            let (ti, si) = at(row.gs);
+            profiles[ti].votes[si] = vote;
+        }
         counters.accumulate(&slab_counters);
         partials.extend(slab_partials);
     }
+    // A row that crossed an edge holds `0.0` so far: the empty sum, which
+    // is its vote when no slab found it a finite best.
     partials.sort_unstable_by_key(|&(gs, voter, _)| (gs, voter));
     let cutoff = params.voting_cutoff_radius();
     for segment in partials.chunk_by(|a, b| a.0 == b.0) {
@@ -674,17 +675,9 @@ pub(crate) fn sweep_votes(
             let best = voter.iter().fold(f64::INFINITY, |best, p| best.min(p.2));
             vote += kernel(best, params.sigma, cutoff);
         }
-        write_vote(&votes, arena, segment[0].0, vote);
+        let (ti, si) = at(segment[0].0);
+        profiles[ti].votes[si] = vote;
     }
-    let profiles = votes
-        .into_iter()
-        .enumerate()
-        .map(|(ti, votes)| VotingProfile {
-            trajectory_id: arena.trajectory_id(ti),
-            trajectory_index: ti,
-            votes: votes.into_inner().unwrap_or_else(PoisonError::into_inner),
-        })
-        .collect();
     (profiles, counters)
 }
 
@@ -772,7 +765,10 @@ mod tests {
 
         // Exact, not approximate: both paths share the kernel and the
         // canonical summation order.
-        assert_eq!(arena_voting(&arena, &packed, &p), naive_voting(&trajs, &p));
+        assert_eq!(
+            arena_voting_with(&arena, &packed, &p, &Executor::serial()),
+            naive_voting(&trajs, &p)
+        );
     }
 
     #[test]
@@ -783,7 +779,10 @@ mod tests {
         let packed = PackedSegmentIndex::build(&arena);
         let (profiles, counters) =
             arena_voting_counted_with(&arena, &packed, &p, &Executor::serial());
-        assert_eq!(profiles, arena_voting(&arena, &packed, &p));
+        assert_eq!(
+            profiles,
+            arena_voting_with(&arena, &packed, &p, &Executor::serial())
+        );
         // The clustered lines vote for each other, so the exact kernel must
         // have run; the far line shares their time but not their space.
         assert!(counters.evaluated > 0, "{counters:?}");
@@ -802,7 +801,7 @@ mod tests {
         let p = params(25.0);
         let arena = SegmentArena::build(&trajs);
         let packed = PackedSegmentIndex::build(&arena);
-        let serial = arena_voting(&arena, &packed, &p);
+        let serial = arena_voting_with(&arena, &packed, &p, &Executor::serial());
         for threads in [2usize, 4, 8] {
             let exec = Executor::new(hermes_exec::ExecPolicy { threads });
             assert_eq!(arena_voting_with(&arena, &packed, &p, &exec), serial);
@@ -815,12 +814,12 @@ mod tests {
         let arena = SegmentArena::build(&[]);
         let packed = PackedSegmentIndex::build(&arena);
         assert!(packed.is_empty());
-        assert!(arena_voting(&arena, &packed, &p).is_empty());
+        assert!(arena_voting_with(&arena, &packed, &p, &Executor::serial()).is_empty());
 
         let single = vec![line(0, 0.0, 0, 5)];
         let arena = SegmentArena::build(&single);
         let packed = PackedSegmentIndex::build(&arena);
-        let profiles = arena_voting(&arena, &packed, &p);
+        let profiles = arena_voting_with(&arena, &packed, &p, &Executor::serial());
         assert_eq!(profiles.len(), 1);
         assert!(profiles[0].votes.iter().all(|&v| v == 0.0));
         assert_eq!(profiles, naive_voting(&single, &p));
@@ -847,7 +846,9 @@ mod tests {
     #[test]
     fn votes_equal_naive_across_slab_edges() {
         let p = params(25.0);
-        for n in [0, 1, 2, 9, 40] {
+        // 130 trajectories take three bitset words per slot, and voters on
+        // both sides of 64 and of 128 vote for each other.
+        for n in [0, 1, 2, 9, 40, 130] {
             let trajs = repeated_mod(n);
             let arena = SegmentArena::build(&trajs);
             let packed = PackedSegmentIndex::build(&arena);

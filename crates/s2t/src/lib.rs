@@ -42,8 +42,7 @@ pub mod segmentation;
 pub mod voting;
 
 pub use arena::{
-    arena_voting, arena_voting_counted_with, arena_voting_with, KernelCounters, PackedSegmentIndex,
-    SegmentArena,
+    arena_voting_counted_with, arena_voting_with, KernelCounters, PackedSegmentIndex, SegmentArena,
 };
 pub use clustering::{
     cluster_around_representatives, cluster_around_representatives_with, nearest_representative,

@@ -19,7 +19,7 @@
 //! This module holds the vote's shared definitions — [`VotingProfile`] and
 //! the truncated kernel — and [`naive_voting`], which compares every pair of
 //! segments: the "corresponding PostgreSQL functions" baseline of experiment
-//! E1, and the reference the hot path ([`crate::arena::arena_voting`]) is
+//! E1, and the reference the hot path ([`crate::arena::arena_voting_with`]) is
 //! gated bit-identical against.
 //!
 //! It fans out over trajectories through a [`hermes_exec::Executor`]
@@ -118,7 +118,7 @@ fn vote_trajectory_naive(
 
 /// Quadratic voting without any index: every segment is compared against
 /// every segment of every other trajectory. Semantics are identical to
-/// [`crate::arena::arena_voting`]; only the candidate enumeration differs.
+/// [`crate::arena::arena_voting_with`]; only the candidate enumeration differs.
 pub fn naive_voting(trajectories: &[Trajectory], params: &S2TParams) -> Vec<VotingProfile> {
     naive_voting_with(trajectories, params, &Executor::serial())
 }

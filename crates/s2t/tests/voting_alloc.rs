@@ -1,12 +1,13 @@
 //! Proof that the voting sweep allocates nothing per candidate pair.
 //!
 //! A counting global allocator wraps the system allocator. The sweep's
-//! allocations — the output profiles, the live list and the slot table,
-//! which grow with the trajectories and with the rows live at once — do not
-//! depend on how many segment pairs it meets. So two workloads with the same
-//! trajectories flying the same pattern, one four times as long, must
-//! allocate equally often while the longer one evaluates at least three
-//! times as many pairs: a `Vec` per pair, a `Segment` materialized per
+//! allocations — the output profiles, the slab's vote buffer (one entry per
+//! row, allocated once), the live list and the slot table with its voter
+//! bitsets, which grow with the trajectories and with the rows live at once
+//! — do not depend on how many segment pairs it meets. So two workloads
+//! with the same trajectories flying the same pattern, one four times as
+//! long, must allocate equally often while the longer one evaluates at least
+//! three times as many pairs: a `Vec` per pair, a `Segment` materialized per
 //! distance or any other allocation in the pair loop fails this. Both
 //! workloads stay under one time slab, so the serial sweep runs whole.
 //!
