@@ -787,7 +787,7 @@ fn merge(
         let (span_id, _) = trace.child_ctx();
         trace.record_child(
             span_id,
-            "merge".to_string(),
+            "merge",
             started,
             started.elapsed(),
             vec![("merges", stats.merges.to_string())],

@@ -23,15 +23,15 @@ use hermes_obs::{QueryTrace, Stat, TraceContext};
 use hermes_server::protocol::{Request, Response};
 use hermes_server::traceview::{self, TraceQuery};
 use hermes_server::{Backend, RequestCtx, ServerConfig};
-use hermes_sql::{parse, QueryOutcome, SqlError, Statement};
+use hermes_sql::{parse, QueryOutcome, SqlError, Statement, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
 impl Backend for Coordinator {
     /// Wire handles index this connection-private table of parsed
     /// statements plus their original SQL (the text is what gets forwarded
-    /// downstream).
-    type Conn = Vec<(String, Statement)>;
+    /// downstream, and what names the statement's trace).
+    type Conn = Vec<(Arc<str>, Statement)>;
 
     fn open(&self) -> Self::Conn {
         Vec::new()
@@ -59,16 +59,16 @@ impl Backend for Coordinator {
                     outcome_response(traceview::trace_outcome(ctx.spans, id))
                 }
                 None => match parse(&sql) {
-                    Ok(stmt) => self.execute_root(&stmt, "query", &ForwardSpec::Query(&sql), ctx),
+                    Ok(stmt) => self.execute_root(&stmt, &sql.into(), None, ctx),
                     Err(e) => Response::error(e.to_string()),
                 },
             },
             Request::Prepare { sql } => match parse(&sql) {
                 Ok(stmt) => {
-                    let wire = match prepared.iter().position(|(text, _)| *text == sql) {
+                    let wire = match prepared.iter().position(|(text, _)| **text == *sql) {
                         Some(i) => i,
                         None => {
-                            prepared.push((sql, stmt));
+                            prepared.push((sql.into(), stmt));
                             prepared.len() - 1
                         }
                     };
@@ -94,13 +94,7 @@ impl Backend for Coordinator {
                     };
                 }
                 match stmt.bind(&params) {
-                    Ok(bound) => {
-                        let fwd = ForwardSpec::Prepared {
-                            sql,
-                            params: &params,
-                        };
-                        self.execute_root(&bound, "execute_prepared", &fwd, ctx)
-                    }
+                    Ok(bound) => self.execute_root(&bound, sql, Some(&params), ctx),
                     // The text a node's session gives the same failed bind.
                     Err(e) => Response::error(SqlError::Bind(e.0).to_string()),
                 }
@@ -134,35 +128,27 @@ impl Backend for Coordinator {
 }
 
 impl Coordinator {
-    /// Routes one statement as the root of a distributed trace: the router
-    /// records the shard/merge children, this records the root span (the
-    /// statement text and whether it succeeded) above them.
+    /// Routes one statement — `sql` as the client sent it, executed with
+    /// `params` when it came prepared — as the root of a distributed trace:
+    /// the router records the shard/merge children, this records the root
+    /// span (the statement text and whether it succeeded) above them.
     fn execute_root(
         &self,
         stmt: &Statement,
-        name: &str,
-        fwd: &ForwardSpec<'_>,
+        sql: &Arc<str>,
+        params: Option<&[Value]>,
         ctx: &mut RequestCtx<'_>,
     ) -> Response {
-        let sql = match fwd {
-            ForwardSpec::Query(sql) | ForwardSpec::Prepared { sql, .. } => *sql,
+        let (name, fwd) = match params {
+            None => ("query", ForwardSpec::Query(sql)),
+            Some(params) => ("execute_prepared", ForwardSpec::Prepared { sql, params }),
         };
         let trace = QueryTrace::root(Arc::clone(ctx.spans));
         let started = Instant::now();
-        let response = self.execute(stmt, fwd, ctx.metrics, Some(&trace));
-        let status = match response {
-            Response::Error { .. } => "error",
-            _ => "ok",
-        };
-        trace.finish_root(
-            name.to_string(),
-            started.elapsed(),
-            vec![
-                ("statement", sql.to_string()),
-                ("status", status.to_string()),
-            ],
-        );
-        ctx.traced(trace.trace_id(), sql);
+        let response = self.execute(stmt, &fwd, ctx.metrics, Some(&trace));
+        let status = traceview::status_of(&response);
+        trace.finish_root(name, started.elapsed(), Arc::clone(sql), status);
+        ctx.traced(trace.trace_id(), Some(sql), name);
         response
     }
 }

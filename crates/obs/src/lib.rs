@@ -17,8 +17,9 @@
 //!
 //! Everything here is `std`-only and safe to call from hot paths: counters
 //! and gauges are single relaxed atomic ops, histogram observation is two
-//! atomic adds plus one bucket increment, and span recording takes one short
-//! mutex on the ring buffer only after the timed section has finished.
+//! atomic adds plus one bucket increment, and span recording moves one
+//! fixed record into a pre-built ring slot under one short mutex, only after
+//! the timed section has finished.
 
 pub mod http;
 pub mod metrics;
@@ -29,5 +30,5 @@ pub use metrics::{
     rows, Counter, Gauge, Histogram, HistogramSnapshot, Registry, SampleValue, Stat,
 };
 pub use trace::{
-    next_id, slow_query_line, QueryTrace, Span, SpanStore, TraceContext, TraceSummary,
+    next_id, slow_query_line, QueryTrace, Span, SpanStore, Status, TraceContext, TraceSummary,
 };

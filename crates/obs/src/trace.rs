@@ -11,7 +11,9 @@
 //! [`SpanStore`]; `SHOW TRACE <id>` against any node returns the spans that
 //! node recorded for the trace.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -57,24 +59,51 @@ pub fn next_id() -> u64 {
     }
 }
 
-/// One recorded timed section of a trace.
-#[derive(Debug, Clone)]
+/// One recorded timed section of a trace: a fixed record of typed fields,
+/// rendered to text only when someone reads it (`SHOW TRACE`).
+#[derive(Debug, Clone, Default)]
 pub struct Span {
-    /// Trace this span belongs to.
+    /// Trace this span belongs to; never 0 (0 marks an empty [`SpanStore`]
+    /// slot).
     pub trace_id: u64,
     /// Unique id of this span.
     pub span_id: u64,
     /// Parent span id; 0 marks a root span.
     pub parent_span_id: u64,
-    /// Human-readable name (`query`, `shard:early`, `merge`, `qut_partial`).
-    pub name: String,
+    /// Human-readable name (`query`, `merge`, `qut_partial`); owned only for
+    /// a coordinator's per-shard `shard:<name>` span.
+    pub name: Cow<'static, str>,
     /// Start offset in microseconds from the local trace origin (0 when the
     /// origin is remote — wall clocks are not assumed synchronized).
     pub start_us: u64,
     /// Wall-clock duration in microseconds.
     pub duration_us: u64,
-    /// Attribute key/value pairs (statement text, per-phase timings, status).
+    /// The statement text, shared with the request that carried it.
+    pub statement: Option<Arc<str>>,
+    /// Whether the statement succeeded; `None` for a span of part of one.
+    pub status: Option<Status>,
+    /// The other attributes (per-phase timings, counts, an error), in the
+    /// order they are rendered.
     pub attrs: Vec<(&'static str, String)>,
+}
+
+/// How a traced statement ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Status {
+    /// Answered with a result.
+    Ok,
+    /// Answered with an error.
+    Error,
+}
+
+impl Status {
+    /// The attribute value: `ok` or `error`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Status::Ok => "ok",
+            Status::Error => "error",
+        }
+    }
 }
 
 /// Summary of one trace held in a [`SpanStore`].
@@ -84,18 +113,34 @@ pub struct TraceSummary {
     pub trace_id: u64,
     /// Name of the root span, or of the first recorded span if no root was
     /// captured locally.
-    pub root: String,
+    pub root: Cow<'static, str>,
     /// Number of spans recorded locally for this trace.
     pub spans: usize,
     /// Duration of the root span, or the longest local span as a fallback.
     pub duration_us: u64,
 }
 
-/// Fixed-capacity ring buffer of recorded spans, oldest evicted first.
+/// Fixed-capacity ring of recorded spans, oldest overwritten first. Every
+/// slot is built when the store is created, so recording moves one span
+/// into a slot under one short lock and never grows or allocates the ring.
 #[derive(Debug)]
 pub struct SpanStore {
-    spans: Mutex<VecDeque<Span>>,
-    capacity: usize,
+    ring: Mutex<Ring>,
+}
+
+#[derive(Debug)]
+struct Ring {
+    slots: Vec<Span>,
+    /// The slot the next span overwrites: the oldest held one.
+    next: usize,
+}
+
+impl Ring {
+    /// The held spans, oldest first (slots never written have trace id 0).
+    fn held(&self) -> impl DoubleEndedIterator<Item = &Span> {
+        let (newer, older) = self.slots.split_at(self.next);
+        older.iter().chain(newer).filter(|s| s.trace_id != 0)
+    }
 }
 
 /// Default ring capacity: enough for a few thousand statements of history
@@ -109,29 +154,31 @@ impl Default for SpanStore {
 }
 
 impl SpanStore {
-    /// Create a store holding at most `capacity` spans.
+    /// Create a store holding at most `capacity` spans, all of its slots
+    /// built now.
     pub fn new(capacity: usize) -> SpanStore {
         SpanStore {
-            spans: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
-            capacity: capacity.max(1),
+            ring: Mutex::new(Ring {
+                slots: vec![Span::default(); capacity.max(1)],
+                next: 0,
+            }),
         }
     }
 
-    /// Record one finished span, evicting the oldest if at capacity.
+    /// Record one finished span over the oldest slot.
     pub fn record(&self, span: Span) {
-        let mut spans = lock(&self.spans);
-        if spans.len() == self.capacity {
-            spans.pop_front();
-        }
-        spans.push_back(span);
+        let mut ring = lock(&self.ring);
+        let next = ring.next;
+        ring.slots[next] = span;
+        ring.next = (next + 1) % ring.slots.len();
     }
 
     /// All locally recorded spans of one trace, ordered by start offset then
     /// span id (deterministic for a fixed store state).
     pub fn trace(&self, trace_id: u64) -> Vec<Span> {
-        let spans = lock(&self.spans);
-        let mut out: Vec<Span> = spans
-            .iter()
+        let ring = lock(&self.ring);
+        let mut out: Vec<Span> = ring
+            .held()
             .filter(|s| s.trace_id == trace_id)
             .cloned()
             .collect();
@@ -142,17 +189,17 @@ impl SpanStore {
     /// Summaries of the traces currently held, newest first (by most recent
     /// recorded span).
     pub fn recent(&self) -> Vec<TraceSummary> {
-        let spans = lock(&self.spans);
+        let ring = lock(&self.ring);
         let mut order: Vec<u64> = Vec::new();
         let mut by_trace: HashMap<u64, TraceSummary> = HashMap::new();
         let mut rooted: HashSet<u64> = HashSet::new();
         // Walk newest to oldest so `order` lists traces by recency.
-        for s in spans.iter().rev() {
+        for s in ring.held().rev() {
             let entry = by_trace.entry(s.trace_id).or_insert_with(|| {
                 order.push(s.trace_id);
                 TraceSummary {
                     trace_id: s.trace_id,
-                    root: String::new(),
+                    root: Cow::Borrowed(""),
                     spans: 0,
                     duration_us: 0,
                 }
@@ -173,16 +220,6 @@ impl SpanStore {
             .into_iter()
             .filter_map(|id| by_trace.remove(&id))
             .collect()
-    }
-
-    /// Number of spans currently held.
-    pub fn len(&self) -> usize {
-        lock(&self.spans).len()
-    }
-
-    /// True when no spans are held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -214,11 +251,6 @@ impl QueryTrace {
         self.trace_id
     }
 
-    /// The pre-allocated root span id.
-    pub fn root_span_id(&self) -> u64 {
-        self.root_span_id
-    }
-
     /// Allocate a child span id and the [`TraceContext`] to propagate to the
     /// remote side so its spans parent under that child.
     pub fn child_ctx(&self) -> (u64, TraceContext) {
@@ -237,7 +269,7 @@ impl QueryTrace {
     pub fn record_child(
         &self,
         span_id: u64,
-        name: String,
+        name: impl Into<Cow<'static, str>>,
         started: Instant,
         duration: Duration,
         attrs: Vec<(&'static str, String)>,
@@ -246,28 +278,32 @@ impl QueryTrace {
             trace_id: self.trace_id,
             span_id,
             parent_span_id: self.root_span_id,
-            name,
+            name: name.into(),
             start_us: started.saturating_duration_since(self.origin).as_micros() as u64,
             duration_us: duration.as_micros() as u64,
             attrs,
+            ..Span::default()
         });
     }
 
     /// Record the root span itself once the statement has finished.
     pub fn finish_root(
         &self,
-        name: String,
+        name: &'static str,
         duration: Duration,
-        attrs: Vec<(&'static str, String)>,
+        statement: Arc<str>,
+        status: Status,
     ) {
         self.store.record(Span {
             trace_id: self.trace_id,
             span_id: self.root_span_id,
             parent_span_id: 0,
-            name,
+            name: Cow::Borrowed(name),
             start_us: 0,
             duration_us: duration.as_micros() as u64,
-            attrs,
+            statement: Some(statement),
+            status: Some(status),
+            attrs: Vec::new(),
         });
     }
 }
@@ -275,22 +311,24 @@ impl QueryTrace {
 /// Render the structured slow-query log line: one JSON object per offending
 /// statement, written to stderr by the serving edge.
 pub fn slow_query_line(elapsed_ms: f64, trace_id: u64, statement: &str) -> String {
-    let escaped: String = statement
-        .chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            '\r' => "\\r".chars().collect(),
-            '\t' => "\\t".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect();
-    format!(
-        "{{\"event\":\"slow_query\",\"ms\":{:.3},\"trace_id\":{},\"statement\":\"{}\"}}",
-        elapsed_ms, trace_id, escaped
-    )
+    let mut line = format!(
+        "{{\"event\":\"slow_query\",\"ms\":{elapsed_ms:.3},\"trace_id\":{trace_id},\"statement\":\""
+    );
+    for c in statement.chars() {
+        match c {
+            '"' => line.push_str("\\\""),
+            '\\' => line.push_str("\\\\"),
+            '\n' => line.push_str("\\n"),
+            '\r' => line.push_str("\\r"),
+            '\t' => line.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(line, "\\u{:04x}", c as u32);
+            }
+            c => line.push(c),
+        }
+    }
+    line.push_str("\"}");
+    line
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -323,18 +361,19 @@ mod tests {
                 trace_id: 1,
                 span_id: i + 10,
                 parent_span_id: 0,
-                name: format!("s{i}"),
+                name: format!("s{i}").into(),
                 start_us: i,
                 duration_us: 1,
-                attrs: vec![],
+                ..Span::default()
             });
         }
-        assert_eq!(store.len(), 3);
         let spans = store.trace(1);
         assert_eq!(
             spans.iter().map(|s| s.span_id).collect::<Vec<_>>(),
             vec![12, 13, 14]
         );
+        // A slot never written holds no span, not even of trace 0.
+        assert!(SpanStore::new(3).trace(0).is_empty());
     }
 
     #[test]
@@ -347,24 +386,29 @@ mod tests {
         let t = Instant::now();
         qt.record_child(
             child_id,
-            "shard:early".to_string(),
+            format!("shard:{}", "early"),
             t,
             Duration::from_micros(250),
             vec![("voting_ms", "1.5".to_string())],
         );
+        let statement: Arc<str> = Arc::from("SELECT 1;");
         qt.finish_root(
-            "query".to_string(),
+            "query",
             Duration::from_micros(400),
-            vec![("status", "ok".to_string())],
+            Arc::clone(&statement),
+            Status::Ok,
         );
 
         let spans = store.trace(qt.trace_id());
         assert_eq!(spans.len(), 2);
         let root = spans.iter().find(|s| s.parent_span_id == 0).unwrap();
         assert_eq!(root.name, "query");
-        assert_eq!(root.span_id, qt.root_span_id());
+        assert_eq!(root.statement.as_deref(), Some("SELECT 1;"));
+        assert_eq!(root.status, Some(Status::Ok));
         let child = spans.iter().find(|s| s.span_id == child_id).unwrap();
         assert_eq!(child.parent_span_id, root.span_id);
+        assert_eq!(child.name, "shard:early");
+        assert_eq!((child.statement.clone(), child.status), (None, None));
         assert_eq!(child.attrs[0].0, "voting_ms");
 
         let recent = store.recent();
@@ -382,10 +426,9 @@ mod tests {
                 trace_id,
                 span_id: next_id(),
                 parent_span_id: 0,
-                name: format!("q{trace_id}"),
-                start_us: 0,
+                name: format!("q{trace_id}").into(),
                 duration_us: trace_id,
-                attrs: vec![],
+                ..Span::default()
             });
         }
         let recent = store.recent();
@@ -402,10 +445,9 @@ mod tests {
             trace_id,
             span_id: next_id(),
             parent_span_id,
-            name: format!("s{duration_us}"),
-            start_us: 0,
+            name: format!("s{duration_us}").into(),
             duration_us,
-            attrs: vec![],
+            ..Span::default()
         };
         // Trace 1 has no local root; its newer span is the shorter one.
         store.record(span(1, 5, 300));
@@ -418,7 +460,7 @@ mod tests {
         // ... and is named after its first recorded (oldest) span.
         assert_eq!(recent[1].root, "s300");
         assert_eq!(recent[0].trace_id, 2);
-        assert_eq!((recent[0].root.as_str(), recent[0].duration_us), ("s0", 0));
+        assert_eq!((&*recent[0].root, recent[0].duration_us), ("s0", 0));
     }
 
     #[test]
@@ -431,5 +473,11 @@ mod tests {
         // Balanced quoting: an even number of unescaped double quotes.
         let unescaped = line.replace("\\\"", "");
         assert_eq!(unescaped.matches('"').count() % 2, 0);
+        // Every other control character is a `\u` escape.
+        assert_eq!(
+            slow_query_line(0.5, 7, "a\tb\r\\\u{1}\u{1f}é"),
+            "{\"event\":\"slow_query\",\"ms\":0.500,\"trace_id\":7,\
+             \"statement\":\"a\\tb\\r\\\\\\u0001\\u001fé\"}"
+        );
     }
 }

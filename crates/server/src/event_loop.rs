@@ -490,13 +490,14 @@ impl<B: Backend> Worker<B> {
             Response::Error { .. } => metrics.query_errors.inc(),
             _ => metrics.queries_served.inc(),
         };
-        if let (Some(threshold), Some((trace_id, statement))) =
+        if let (Some(threshold), Some((trace_id, statement, name))) =
             (self.slow_query_ms, ctx.take_traced())
         {
             let ms = elapsed.as_secs_f64() * 1e3;
             if ms >= threshold as f64 {
                 metrics.slow_queries.inc();
-                eprintln!("{}", slow_query_line(ms, trace_id, &statement));
+                let statement = statement.as_deref().unwrap_or(name);
+                eprintln!("{}", slow_query_line(ms, trace_id, statement));
             }
         }
         response

@@ -658,12 +658,17 @@ fn write_trace_field(w: &mut WireWriter, trace: Option<TraceContext>) {
     }
 }
 
+/// Reads the trace-context field. Ids are never 0, so a context naming trace
+/// 0 or parent 0 is a decode error: a forged 0 parent would pass a shard's
+/// span off as a local root, and a span of trace 0 would read as an empty
+/// span-store slot.
 fn read_trace_field(r: &mut WireReader<'_>) -> Result<Option<TraceContext>, DecodeError> {
-    read_optional(r, |r| {
-        Ok(TraceContext {
-            trace_id: r.u64()?,
-            parent_span_id: r.u64()?,
-        })
+    read_optional(r, |r| match (r.u64()?, r.u64()?) {
+        (0, _) | (_, 0) => Err(DecodeError("trace context with a zero id".into())),
+        (trace_id, parent_span_id) => Ok(TraceContext {
+            trace_id,
+            parent_span_id,
+        }),
     })
 }
 
@@ -1339,6 +1344,18 @@ mod tests {
             w.str("SHOW DATASETS;");
         });
         assert!(decode_request(&body).is_err());
+        // A trace context naming trace 0 or parent span 0.
+        for (trace_id, parent_span_id) in [(0, 5), (5, 0)] {
+            let body = wire(|w| {
+                w.u8(REQ_QUERY);
+                w.u8(1);
+                w.u64(trace_id);
+                w.u64(parent_span_id);
+                w.str("SHOW DATASETS;");
+            });
+            let err = decode_request(&body).unwrap_err();
+            assert!(err.0.contains("zero id"), "{err}");
+        }
         // Unknown response kind.
         let err = read_response(&mut frame(&[222]).as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);

@@ -85,7 +85,7 @@ pub struct RequestCtx<'a> {
     pub spans: &'a Arc<SpanStore>,
     /// Whether the loop will want [`RequestCtx::traced`]'s statement text.
     slow_query_log: bool,
-    traced: Option<(u64, String)>,
+    traced: Option<(u64, Option<Arc<str>>, &'static str)>,
 }
 
 impl<'a> RequestCtx<'a> {
@@ -103,15 +103,15 @@ impl<'a> RequestCtx<'a> {
     }
 
     /// Tells the loop which trace the request was recorded under and what to
-    /// call it, so a slow one is logged with both. A request never reported
-    /// here is never slow-logged.
-    pub fn traced(&mut self, trace_id: u64, statement: &str) {
+    /// call it — its statement, or else its span's name — so a slow one is
+    /// logged with both. A request never reported here is never slow-logged.
+    pub fn traced(&mut self, trace_id: u64, statement: Option<&Arc<str>>, name: &'static str) {
         if self.slow_query_log {
-            self.traced = Some((trace_id, statement.to_string()));
+            self.traced = Some((trace_id, statement.cloned(), name));
         }
     }
 
-    pub(crate) fn take_traced(&mut self) -> Option<(u64, String)> {
+    pub(crate) fn take_traced(&mut self) -> Option<(u64, Option<Arc<str>>, &'static str)> {
         self.traced.take()
     }
 }
@@ -323,7 +323,8 @@ impl<B: Backend> Drop for ServerHandle<B> {
 /// connection can never execute (or even see) another's statements.
 pub struct EngineConn {
     session: Session<SharedEngine>,
-    prepared: Vec<Prepared>,
+    /// Each wire handle's session handle and its statement, rendered once.
+    prepared: Vec<(Prepared, Option<Arc<str>>)>,
 }
 
 /// The single-node backend: statements run against the engine through a
@@ -375,7 +376,7 @@ struct TracePlan {
     /// Span name (`query`, `qut_partial`, …).
     name: &'static str,
     /// Statement text for the span attribute and the slow-query log.
-    statement: Option<String>,
+    statement: Option<Arc<str>>,
 }
 
 /// Builds the span plan for a request. Trace-inspection statements
@@ -384,27 +385,26 @@ struct TracePlan {
 fn trace_plan(
     request: &Request,
     session: &Session<SharedEngine>,
-    prepared: &[Prepared],
+    prepared: &[(Prepared, Option<Arc<str>>)],
 ) -> Option<TracePlan> {
     let plan = |name, statement| Some(TracePlan { name, statement });
     match request {
         Request::Query { sql } => match traceview::sniff_trace_text(sql) {
             Some(_) => None,
-            None => plan("query", Some(sql.clone())),
+            None => plan("query", Some(sql.as_str().into())),
         },
-        Request::Prepare { sql } => plan("prepare", Some(sql.clone())),
-        Request::ExecutePrepared { handle, .. } => {
-            let statement = prepared
-                .get(*handle as usize)
-                .and_then(|&h| session.statement(h));
-            if matches!(
-                statement,
-                Some(Statement::ShowTraces | Statement::ShowTrace { .. })
-            ) {
-                return None;
+        Request::Prepare { sql } => plan("prepare", Some(sql.as_str().into())),
+        Request::ExecutePrepared { handle, .. } => match prepared.get(*handle as usize) {
+            Some((h, _))
+                if matches!(
+                    session.statement(*h),
+                    Some(Statement::ShowTraces | Statement::ShowTrace { .. })
+                ) =>
+            {
+                None
             }
-            plan("execute_prepared", statement.map(|s| s.to_string()))
-        }
+            entry => plan("execute_prepared", entry.and_then(|(_, text)| text.clone())),
+        },
         Request::Ingest { .. } => plan("ingest", None),
         Request::QutPartial { .. } => plan("qut_partial", None),
         Request::RangePartial { .. } => plan("range_partial", None),
@@ -436,28 +436,20 @@ fn record_request_span(
                 .as_micros() as u64,
         ),
     };
-    ctx.traced(trace_id, plan.statement.as_deref().unwrap_or(plan.name));
-    let mut attrs: Vec<(&'static str, String)> = Vec::new();
-    if let Some(statement) = plan.statement {
-        attrs.push(("statement", statement));
-    }
-    if let Response::QutPartial(p) = response {
-        attrs.extend(traceview::qut_stats_attrs(&p.stats));
-    }
-    attrs.push((
-        "status",
-        match response {
-            Response::Error { .. } => "error".to_string(),
-            _ => "ok".to_string(),
-        },
-    ));
+    ctx.traced(trace_id, plan.statement.as_ref(), plan.name);
+    let attrs = match response {
+        Response::QutPartial(p) => traceview::qut_stats_attrs(&p.stats),
+        _ => Vec::new(),
+    };
     ctx.spans.record(Span {
         trace_id,
         span_id: next_id(),
         parent_span_id,
-        name: plan.name.to_string(),
+        name: plan.name.into(),
         start_us,
         duration_us: elapsed.as_micros() as u64,
+        statement: plan.statement,
+        status: Some(traceview::status_of(response)),
         attrs,
     });
 }
@@ -497,10 +489,11 @@ fn execute(
             Ok(handle) => {
                 // Re-preparing a cached text returns the same session handle;
                 // mirror that de-duplication on the wire.
-                let wire = match prepared.iter().position(|&h| h == handle) {
+                let wire = match prepared.iter().position(|&(h, _)| h == handle) {
                     Some(i) => i,
                     None => {
-                        prepared.push(handle);
+                        let text = session.statement(handle).map(|s| s.to_string().into());
+                        prepared.push((handle, text));
                         prepared.len() - 1
                     }
                 };
@@ -511,7 +504,7 @@ fn execute(
             Err(e) => Response::error(e.to_string()),
         },
         Request::ExecutePrepared { handle, params } => {
-            let Some(&session_handle) = prepared.get(handle as usize) else {
+            let Some(&(session_handle, _)) = prepared.get(handle as usize) else {
                 return Response::error(format!(
                     "unknown prepared statement handle {handle} on this connection"
                 ));

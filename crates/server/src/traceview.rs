@@ -7,7 +7,8 @@
 //! logic here, and the span attributes of a QuT partial, which keeps the two
 //! answers identical.
 
-use hermes_obs::{Span, SpanStore};
+use crate::protocol::Response;
+use hermes_obs::{Span, SpanStore, Status};
 use hermes_retratree::QutStats;
 use hermes_sql::{
     push_trace_span, push_trace_summary, trace_frame, traces_frame, QueryOutcome, SqlError,
@@ -120,9 +121,30 @@ pub fn qut_stats_attrs(stats: &QutStats) -> Vec<(&'static str, String)> {
     ]
 }
 
+/// The status a span records for the response that answered its statement.
+pub fn status_of(response: &Response) -> Status {
+    match response {
+        Response::Error { .. } => Status::Error,
+        _ => Status::Ok,
+    }
+}
+
+/// A span's attributes as `SHOW TRACE` prints them: comma-joined `key=value`
+/// pairs, the statement first, then the other attributes, then the status.
 fn render_attrs(span: &Span) -> String {
-    let parts: Vec<String> = span.attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
-    parts.join(",")
+    let statement = span.statement.as_deref().map(|s| ("statement", s));
+    let extras = span.attrs.iter().map(|(k, v)| (*k, v.as_str()));
+    let status = span.status.map(|s| ("status", s.as_str()));
+    let mut out = String::new();
+    for (k, v) in statement.into_iter().chain(extras).chain(status) {
+        if !out.is_empty() {
+            out.push(',');
+        }
+        out.push_str(k);
+        out.push('=');
+        out.push_str(v);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -153,12 +175,17 @@ mod tests {
         let (child, _ctx) = trace.child_ctx();
         trace.record_child(
             child,
-            "shard:early".to_string(),
+            "shard:early",
             Instant::now(),
             Duration::from_micros(250),
             vec![("voting_ms", "1.5".to_string())],
         );
-        trace.finish_root("query".to_string(), Duration::from_micros(900), vec![]);
+        trace.finish_root(
+            "query",
+            Duration::from_micros(900),
+            Arc::from("SELECT 1;"),
+            Status::Ok,
+        );
 
         let summary = traces_outcome(&store);
         let frame = summary.frame().unwrap();
