@@ -47,7 +47,7 @@ use crate::registry::{Call, CoordError, FailoverPolicy, Shard};
 use crate::shardmap::ShardSpec;
 use hermes_core::{DatasetInfo, EngineError};
 use hermes_exec::{ExecPolicy, Executor};
-use hermes_obs::QueryTrace;
+use hermes_obs::{next_id, QueryTrace};
 use hermes_retratree::{merge_qut_partials, QutParams, QutPartial, QutResult, QutStats};
 use hermes_s2t::{run_s2t_naive_with, run_s2t_with, S2TParams};
 use hermes_server::protocol::{PartialInfo, Request, Response};
@@ -717,7 +717,7 @@ fn traced_call<T>(
     let Some(trace) = trace else {
         return run(None);
     };
-    let (span_id, ctx) = trace.child_ctx();
+    let ctx = trace.child_ctx();
     let started = Instant::now();
     let result = run(Some(ctx));
     let span_attrs = match &result {
@@ -725,7 +725,7 @@ fn traced_call<T>(
         Err(e) => vec![("error", e.to_string())],
     };
     trace.record_child(
-        span_id,
+        ctx.parent_span_id,
         format!("shard:{}", shard.spec.name),
         started,
         started.elapsed(),
@@ -784,9 +784,8 @@ fn merge(
     let started = Instant::now();
     let (result, stats) = merge_qut_partials(partials, params);
     if let Some(trace) = trace {
-        let (span_id, _) = trace.child_ctx();
         trace.record_child(
-            span_id,
+            next_id(),
             "merge",
             started,
             started.elapsed(),

@@ -12,7 +12,7 @@
 //! node recorded for the trace.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -78,7 +78,8 @@ pub struct Span {
     pub start_us: u64,
     /// Wall-clock duration in microseconds.
     pub duration_us: u64,
-    /// The statement text, shared with the request that carried it.
+    /// The statement text, shared and never copied: a prepared handle, the
+    /// slow-query log and the span hold one allocation.
     pub statement: Option<Arc<str>>,
     /// Whether the statement succeeded; `None` for a span of part of one.
     pub status: Option<Status>,
@@ -107,7 +108,7 @@ impl Status {
 }
 
 /// Summary of one trace held in a [`SpanStore`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceSummary {
     /// The trace id.
     pub trace_id: u64,
@@ -190,36 +191,33 @@ impl SpanStore {
     /// recorded span).
     pub fn recent(&self) -> Vec<TraceSummary> {
         let ring = lock(&self.ring);
-        let mut order: Vec<u64> = Vec::new();
-        let mut by_trace: HashMap<u64, TraceSummary> = HashMap::new();
-        let mut rooted: HashSet<u64> = HashSet::new();
-        // Walk newest to oldest so `order` lists traces by recency.
+        let mut out: Vec<TraceSummary> = Vec::new();
+        // Each trace's row in `out`, and whether its root was seen.
+        let mut rows: HashMap<u64, (usize, bool)> = HashMap::new();
+        // Walk newest to oldest so `out` lists traces by recency.
         for s in ring.held().rev() {
-            let entry = by_trace.entry(s.trace_id).or_insert_with(|| {
-                order.push(s.trace_id);
-                TraceSummary {
-                    trace_id: s.trace_id,
-                    root: Cow::Borrowed(""),
-                    spans: 0,
-                    duration_us: 0,
-                }
+            let (row, rooted) = rows.entry(s.trace_id).or_insert_with(|| {
+                let trace_id = s.trace_id;
+                out.push(TraceSummary {
+                    trace_id,
+                    ..TraceSummary::default()
+                });
+                (out.len() - 1, false)
             });
+            let entry = &mut out[*row];
             entry.spans += 1;
             // The root's name and duration once one is held; else the
             // oldest span's name and the longest span's duration.
             if s.parent_span_id == 0 {
                 entry.root = s.name.clone();
                 entry.duration_us = s.duration_us;
-                rooted.insert(s.trace_id);
-            } else if !rooted.contains(&s.trace_id) {
+                *rooted = true;
+            } else if !*rooted {
                 entry.root = s.name.clone();
                 entry.duration_us = entry.duration_us.max(s.duration_us);
             }
         }
-        order
-            .into_iter()
-            .filter_map(|id| by_trace.remove(&id))
-            .collect()
+        out
     }
 }
 
@@ -251,17 +249,14 @@ impl QueryTrace {
         self.trace_id
     }
 
-    /// Allocate a child span id and the [`TraceContext`] to propagate to the
-    /// remote side so its spans parent under that child.
-    pub fn child_ctx(&self) -> (u64, TraceContext) {
-        let span_id = next_id();
-        (
-            span_id,
-            TraceContext {
-                trace_id: self.trace_id,
-                parent_span_id: span_id,
-            },
-        )
+    /// Allocate a child span and the [`TraceContext`] to propagate to the
+    /// remote side so its spans parent under that child: the context's
+    /// `parent_span_id` is the child's span id.
+    pub fn child_ctx(&self) -> TraceContext {
+        TraceContext {
+            trace_id: self.trace_id,
+            parent_span_id: next_id(),
+        }
     }
 
     /// Record a finished child span of the root. `started` must come from
@@ -321,9 +316,7 @@ pub fn slow_query_line(elapsed_ms: f64, trace_id: u64, statement: &str) -> Strin
             '\n' => line.push_str("\\n"),
             '\r' => line.push_str("\\r"),
             '\t' => line.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(line, "\\u{:04x}", c as u32);
-            }
+            c if (c as u32) < 0x20 => write!(line, "\\u{:04x}", c as u32).unwrap(),
             c => line.push(c),
         }
     }
@@ -380,9 +373,9 @@ mod tests {
     fn query_trace_builds_a_tree() {
         let store = Arc::new(SpanStore::default());
         let qt = QueryTrace::root(store.clone());
-        let (child_id, ctx) = qt.child_ctx();
+        let ctx = qt.child_ctx();
+        let child_id = ctx.parent_span_id;
         assert_eq!(ctx.trace_id, qt.trace_id());
-        assert_eq!(ctx.parent_span_id, child_id);
         let t = Instant::now();
         qt.record_child(
             child_id,

@@ -496,8 +496,8 @@ impl<B: Backend> Worker<B> {
             let ms = elapsed.as_secs_f64() * 1e3;
             if ms >= threshold as f64 {
                 metrics.slow_queries.inc();
-                let statement = statement.as_deref().unwrap_or(name);
-                eprintln!("{}", slow_query_line(ms, trace_id, statement));
+                let line = slow_query_line(ms, trace_id, statement.as_deref().unwrap_or(name));
+                eprintln!("{line}");
             }
         }
         response

@@ -323,7 +323,8 @@ impl<B: Backend> Drop for ServerHandle<B> {
 /// connection can never execute (or even see) another's statements.
 pub struct EngineConn {
     session: Session<SharedEngine>,
-    /// Each wire handle's session handle and its statement, rendered once.
+    /// Each wire handle's session handle and its statement, rendered once
+    /// (`None` for trace inspection, which records no span).
     prepared: Vec<(Prepared, Option<Arc<str>>)>,
 }
 
@@ -346,7 +347,7 @@ impl Backend for SharedEngine {
         inbound_trace: Option<TraceContext>,
         ctx: &mut RequestCtx<'_>,
     ) -> Response {
-        let plan = trace_plan(&request, &conn.session, &conn.prepared);
+        let plan = trace_plan(&request, &conn.prepared);
         let started = Instant::now();
         let response = execute(conn, self, ctx.metrics, ctx.spans, request);
         let elapsed = started.elapsed();
@@ -382,11 +383,7 @@ struct TracePlan {
 /// Builds the span plan for a request. Trace-inspection statements
 /// (`SHOW TRACE`/`SHOW TRACES`, direct or prepared) return `None`: recording
 /// them would fill the ring buffer with the act of looking at it.
-fn trace_plan(
-    request: &Request,
-    session: &Session<SharedEngine>,
-    prepared: &[(Prepared, Option<Arc<str>>)],
-) -> Option<TracePlan> {
+fn trace_plan(request: &Request, prepared: &[(Prepared, Option<Arc<str>>)]) -> Option<TracePlan> {
     let plan = |name, statement| Some(TracePlan { name, statement });
     match request {
         Request::Query { sql } => match traceview::sniff_trace_text(sql) {
@@ -395,14 +392,7 @@ fn trace_plan(
         },
         Request::Prepare { sql } => plan("prepare", Some(sql.as_str().into())),
         Request::ExecutePrepared { handle, .. } => match prepared.get(*handle as usize) {
-            Some((h, _))
-                if matches!(
-                    session.statement(*h),
-                    Some(Statement::ShowTraces | Statement::ShowTrace { .. })
-                ) =>
-            {
-                None
-            }
+            Some((_, None)) => None,
             entry => plan("execute_prepared", entry.and_then(|(_, text)| text.clone())),
         },
         Request::Ingest { .. } => plan("ingest", None),
@@ -492,7 +482,12 @@ fn execute(
                 let wire = match prepared.iter().position(|&(h, _)| h == handle) {
                     Some(i) => i,
                     None => {
-                        let text = session.statement(handle).map(|s| s.to_string().into());
+                        let text = session
+                            .statement(handle)
+                            .filter(|s| {
+                                !matches!(s, Statement::ShowTraces | Statement::ShowTrace { .. })
+                            })
+                            .map(|s| s.to_string().into());
                         prepared.push((handle, text));
                         prepared.len() - 1
                     }

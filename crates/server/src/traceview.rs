@@ -135,16 +135,10 @@ fn render_attrs(span: &Span) -> String {
     let statement = span.statement.as_deref().map(|s| ("statement", s));
     let extras = span.attrs.iter().map(|(k, v)| (*k, v.as_str()));
     let status = span.status.map(|s| ("status", s.as_str()));
-    let mut out = String::new();
-    for (k, v) in statement.into_iter().chain(extras).chain(status) {
-        if !out.is_empty() {
-            out.push(',');
-        }
-        out.push_str(k);
-        out.push('=');
-        out.push_str(v);
-    }
-    out
+    let parts: Vec<String> = (statement.into_iter().chain(extras).chain(status))
+        .map(|(k, v)| format!("{k}={v}"))
+        .collect();
+    parts.join(",")
 }
 
 #[cfg(test)]
@@ -172,7 +166,7 @@ mod tests {
     fn outcomes_render_the_span_tree() {
         let store = Arc::new(SpanStore::default());
         let trace = QueryTrace::root(Arc::clone(&store));
-        let (child, _ctx) = trace.child_ctx();
+        let child = trace.child_ctx().parent_span_id;
         trace.record_child(
             child,
             "shard:early",
