@@ -78,8 +78,8 @@ pub struct Span {
     pub start_us: u64,
     /// Wall-clock duration in microseconds.
     pub duration_us: u64,
-    /// The statement text, shared and never copied: a prepared handle, the
-    /// slow-query log and the span hold one allocation.
+    /// The statement text, shared rather than copied: the span, the
+    /// slow-query log and a prepared handle hold one allocation.
     pub statement: Option<Arc<str>>,
     /// Whether the statement succeeded; `None` for a span of part of one.
     pub status: Option<Status>,
@@ -197,9 +197,8 @@ impl SpanStore {
         // Walk newest to oldest so `out` lists traces by recency.
         for s in ring.held().rev() {
             let (row, rooted) = rows.entry(s.trace_id).or_insert_with(|| {
-                let trace_id = s.trace_id;
                 out.push(TraceSummary {
-                    trace_id,
+                    trace_id: s.trace_id,
                     ..TraceSummary::default()
                 });
                 (out.len() - 1, false)

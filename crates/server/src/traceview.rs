@@ -135,9 +135,8 @@ fn render_attrs(span: &Span) -> String {
     let statement = span.statement.as_deref().map(|s| ("statement", s));
     let extras = span.attrs.iter().map(|(k, v)| (*k, v.as_str()));
     let status = span.status.map(|s| ("status", s.as_str()));
-    let parts: Vec<String> = (statement.into_iter().chain(extras).chain(status))
-        .map(|(k, v)| format!("{k}={v}"))
-        .collect();
+    let pairs = statement.into_iter().chain(extras).chain(status);
+    let parts: Vec<String> = pairs.map(|(k, v)| format!("{k}={v}")).collect();
     parts.join(",")
 }
 

@@ -1,7 +1,7 @@
 //! The flat hot path must not change a single bit of any answer.
 //!
 //! Two voting implementations coexist: the quadratic `naive_voting` and the
-//! SoA `arena_voting` (`SegmentArena` + `PackedSegmentIndex`) the pipeline
+//! SoA `arena_voting_with` (`SegmentArena` + `PackedSegmentIndex`) the pipeline
 //! runs on. On seeded urban, maritime and aircraft datasets, at 1, 4 and 8
 //! compute threads, both must agree **exactly** — same `f64` bits in every
 //! vote — and the arena-backed pipeline must reproduce the naive voting
