@@ -63,8 +63,7 @@ pub fn next_id() -> u64 {
 /// rendered to text only when someone reads it (`SHOW TRACE`).
 #[derive(Debug, Clone, Default)]
 pub struct Span {
-    /// Trace this span belongs to; never 0 (0 marks an empty [`SpanStore`]
-    /// slot).
+    /// Trace this span belongs to.
     pub trace_id: u64,
     /// Unique id of this span.
     pub span_id: u64,
@@ -132,15 +131,18 @@ pub struct SpanStore {
 #[derive(Debug)]
 struct Ring {
     slots: Vec<Span>,
-    /// The slot the next span overwrites: the oldest held one.
+    /// Slots written so far: `slots[..len]` are held, all of them once the
+    /// ring has wrapped.
+    len: usize,
+    /// The slot the next span overwrites: the oldest held one once full.
     next: usize,
 }
 
 impl Ring {
-    /// The held spans, oldest first (slots never written have trace id 0).
+    /// The held spans, oldest first.
     fn held(&self) -> impl DoubleEndedIterator<Item = &Span> {
-        let (newer, older) = self.slots.split_at(self.next);
-        older.iter().chain(newer).filter(|s| s.trace_id != 0)
+        let (newer, older) = self.slots[..self.len].split_at(self.next);
+        older.iter().chain(newer)
     }
 }
 
@@ -161,6 +163,7 @@ impl SpanStore {
         SpanStore {
             ring: Mutex::new(Ring {
                 slots: vec![Span::default(); capacity.max(1)],
+                len: 0,
                 next: 0,
             }),
         }
@@ -171,6 +174,7 @@ impl SpanStore {
         let mut ring = lock(&self.ring);
         let next = ring.next;
         ring.slots[next] = span;
+        ring.len = ring.len.max(next + 1);
         ring.next = (next + 1) % ring.slots.len();
     }
 
@@ -364,8 +368,12 @@ mod tests {
             spans.iter().map(|s| s.span_id).collect::<Vec<_>>(),
             vec![12, 13, 14]
         );
-        // A slot never written holds no span, not even of trace 0.
-        assert!(SpanStore::new(3).trace(0).is_empty());
+        // Slots never written hold no span; a written one is held whatever
+        // its ids.
+        let store = SpanStore::new(3);
+        assert!(store.trace(0).is_empty());
+        store.record(Span::default());
+        assert_eq!(store.trace(0).len(), 1);
     }
 
     #[test]

@@ -660,8 +660,7 @@ fn write_trace_field(w: &mut WireWriter, trace: Option<TraceContext>) {
 
 /// Reads the trace-context field. Ids are never 0, so a context naming trace
 /// 0 or parent 0 is a decode error: a forged 0 parent would pass a shard's
-/// span off as a local root, and a span of trace 0 would read as an empty
-/// span-store slot.
+/// span off as a local root.
 fn read_trace_field(r: &mut WireReader<'_>) -> Result<Option<TraceContext>, DecodeError> {
     read_optional(r, |r| match (r.u64()?, r.u64()?) {
         (0, _) | (_, 0) => Err(DecodeError("trace context with a zero id".into())),
